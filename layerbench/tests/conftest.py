@@ -1,0 +1,12 @@
+"""Self-tests of the benchmark: ``python -m pytest layerbench/tests``.
+
+Not collected by the repo's tier-1 run (``testpaths = ["tests"]``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
