@@ -1,9 +1,10 @@
 """UDP adapter: a socket wrapper that replays a :class:`FaultPlan`.
 
-:class:`FaultySocket` generalises the original send-side-only
-``LossySocket``: it still applies a legacy
+:class:`FaultySocket` applies a send-side
 :class:`~repro.simnet.errors.ErrorModel` coin-flip to outgoing
-datagrams, and on top interprets a fault plan on *both* directions —
+datagrams — dropping on the *sender* side keeps the receiver
+implementation honest, it simply never sees the datagram — and on top
+interprets a fault plan on *both* directions —
 dropping, duplicating, corrupting, delaying, and reordering real
 datagrams.  Held datagrams live in bounded queues:
 
@@ -139,7 +140,8 @@ class FaultySocket:
     sock:
         The real datagram socket to wrap.
     error_model:
-        Legacy send-side loss model (the ``LossySocket`` contract);
+        Send-side loss model (real loopback sockets essentially never
+        lose datagrams, so the paper's lossy network is emulated here);
         consulted with the raw payload bytes, before the plan.
     plan:
         Optional :class:`FaultPlan` applied to both directions.

@@ -869,8 +869,8 @@ class DirectSocketIORule(Rule):
     zero-copy buffers, the kernel-queue backpressure policy, and the
     fault-plan hooks (``recv_ready_into`` and held-datagram release).  A
     raw ``sock.sendto``/``sock.recvfrom*`` anywhere else in ``service/``
-    silently bypasses all three, so the batched and legacy paths drift
-    apart exactly where the equivalence gate cannot see it.
+    silently bypasses all three: that datagram skips the fault plan, so
+    the conformance ledgers no longer describe what the service does.
     """
 
     id = "REP111"

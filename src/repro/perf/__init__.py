@@ -7,9 +7,10 @@ The perf subsystem has three jobs:
    wall clocks — with a repeatable best-of-N harness
    (:mod:`repro.perf.suites`).
 2. **Prove** that speed never bought nondeterminism: every suite
-   computes a canonical digest (:mod:`repro.perf.workloads`) that must
-   match the frozen pre-optimization kernel and codec kept in
-   :mod:`repro.perf.legacy`.
+   computes a canonical digest (:mod:`repro.perf.workloads`,
+   :mod:`repro.perf.sweeps`) that must match the goldened structure
+   ledger, and the kernel and codec digests must match the fixtures
+   recorded from the seed under ``tests/perf/fixtures/``.
 3. **Record** the trajectory: timings go to ``BENCH_fastpath.json``
    (machine-readable, machine-dependent) while the byte-stable
    *structure* ledger — suite names, canonical workload sizes,

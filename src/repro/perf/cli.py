@@ -23,7 +23,9 @@ def perf_command(
 
     ``out`` writes ``BENCH_fastpath.json``; ``ledger`` writes the
     byte-stable structure ledger; ``check`` diffs the run's structure
-    rows against a golden ledger and fails (exit 1) on drift.
+    ledger (the whole file for a full run, its own rows for a
+    ``suites`` subset) against a golden ledger and fails (exit 1) on
+    drift.
     """
     if list_suites:
         for name in suite_names():

@@ -14,9 +14,10 @@ Two artifacts with two contracts:
 from __future__ import annotations
 
 import json
+from difflib import unified_diff
 from typing import List, Optional, Sequence
 
-from .suites import SuiteResult
+from .suites import SuiteResult, suite_names
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 BENCH_SCHEMA = "repro-perf-bench"
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 LEDGER_HEADER = (
     "# repro perf structure ledger — suite names, canonical workload sizes,\n"
@@ -51,10 +52,6 @@ def bench_payload(results: Sequence[SuiteResult], mode: str) -> dict:
             "canonical_ops": result.canonical_ops,
             "digest": result.digest,
         }
-        if result.baseline_best_s is not None:
-            entry["baseline_best_s"] = result.baseline_best_s
-            entry["baseline_ops_per_s"] = result.baseline_ops_per_s
-            entry["speedup_vs_baseline"] = result.speedup_vs_baseline
         if result.extras is not None:
             entry["extras"] = result.extras
         suites[result.name] = entry
@@ -87,21 +84,12 @@ def render_ledger(results: Sequence[SuiteResult]) -> str:
 
 def render_table(results: Sequence[SuiteResult]) -> str:
     """Human-readable summary printed by ``repro perf``."""
-    header = (
-        f"{'suite':<18} {'ops':>9} {'best':>10} {'ops/s':>12} "
-        f"{'seed ops/s':>12} {'speedup':>8}"
-    )
+    header = f"{'suite':<18} {'ops':>9} {'best':>10} {'ops/s':>12}"
     rows = [header, "-" * len(header)]
     for result in results:
-        if result.baseline_ops_per_s is None:
-            seed_col, speedup_col = "-", "-"
-        else:
-            seed_col = f"{result.baseline_ops_per_s:,.0f}"
-            speedup_col = f"{result.speedup_vs_baseline:.2f}x"
         rows.append(
             f"{result.name:<18} {result.iterations:>9,} "
-            f"{result.best_s * 1e3:>8.1f}ms {result.ops_per_s:>12,.0f} "
-            f"{seed_col:>12} {speedup_col:>8}"
+            f"{result.best_s * 1e3:>8.1f}ms {result.ops_per_s:>12,.0f}"
         )
     return "\n".join(rows)
 
@@ -109,12 +97,22 @@ def render_table(results: Sequence[SuiteResult]) -> str:
 def check_ledger(results: Sequence[SuiteResult], golden_path: str) -> Optional[str]:
     """Compare the ledger for ``results`` against a golden file.
 
-    Returns ``None`` when byte-identical, else a short diff summary.
-    Suites are matched by name so a ``--suite`` subset checks only its
-    own rows (``total_suites`` is skipped for subsets).
+    Returns ``None`` on a match, else a short diff summary.  A run of
+    every registered suite must reproduce the golden file byte-for-byte
+    — header, rows, ``total_suites`` — so a golden row whose suite was
+    renamed or dropped is drift.  A ``--suite`` subset is matched by
+    name and checks only its own rows.
     """
     with open(golden_path, "r", encoding="utf-8") as handle:
         golden = handle.read()
+    if [result.name for result in results] == suite_names():
+        actual = render_ledger(results)
+        if actual == golden:
+            return None
+        return "".join(unified_diff(
+            golden.splitlines(keepends=True), actual.splitlines(keepends=True),
+            fromfile=golden_path, tofile="this run",
+        ))
     golden_rows = {
         line.split(" ", 1)[0]: line
         for line in golden.splitlines()

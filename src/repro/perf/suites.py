@@ -2,49 +2,29 @@
 
 Each :class:`Suite` couples a *timing recipe* (how many operations, how
 the hot path is driven) with a *canonical digest* (a byte-stable proof
-that the path under test still produces the seed kernel's output).  Two
-suites additionally run the frozen baseline from :mod:`.legacy` with
-the **same harness**, giving an honest A/B "speedup versus the pre-PR
-kernel" on whatever machine the suite runs:
+that the path under test still produces the output goldened in
+``benchmarks/results/perf_structure.txt``).  Only the code in this
+checkout is timed; comparing two commits means running the suites on
+each (``docs/performance.md``).
 
 ``des_events``
     Pure kernel churn: batches of timeouts scheduled and drained
     through ``Environment.run`` — the cost of one simulated packet's
-    bookkeeping, with no protocol logic on top.  A/B against
-    ``LegacyEnvironment``.
+    bookkeeping, with no protocol logic on top.
 ``des_process``
     A generator process yielding timeouts: adds the resume path
-    (``Process._resume``) that every protocol engine exercises.  A/B.
+    (``Process._resume``) that every protocol engine exercises.
 ``codec_encode`` / ``codec_decode``
     The canonical frame mix through ``wire.encode`` / ``wire.decode``.
-    A/B against the seed slice-and-concatenate codec.
 ``conformance_cell``
     One end-to-end DES conformance cell (blast × selective ×
     ``dup+reorder``) — wall clock of real protocol work.
 ``service_run``
     A 8-stream DES service run through the scheduler/engine stack.
-``service_udp_throughput``
-    8 concurrent 256 KiB blast streams over real loopback sockets.
-    A/B against the frozen pre-batching UDP loop
-    (:class:`.legacy.LegacyUdpTransferService`), equivalence-gated on
-    byte-identical canonical metrics reports (see :mod:`.udpbench`).
-``service_udp_clients``
-    Per-client goodput vs client count (16/64/256 loopback clients in
-    full mode).  A/B and equivalence-gated like the throughput suite;
-    per-cell goodput rides the ``extras`` channel into
-    ``BENCH_fastpath.json``.
-``cluster_udp_goodput``
-    Aggregate goodput of a real multi-process cluster vs worker count
-    (1/2/4 workers in full mode; see :mod:`.clusterbench`).  No frozen
-    baseline — the cluster is new — but the check is the merged-report
-    determinism gate, and the goodput-vs-workers cells ride ``extras``.
-``service_sched_scale``
-    Per-wakeup scheduling cost at scale: a deterministic DES event loop
-    of stop-and-wait streams (1k/4k/10k full, 256 smoke) through the
-    indexed ServiceCore and the frozen full-table walker
-    (:class:`.legacy.LegacyServiceCore`), equivalence-gated on
-    byte-identical canonical reports at every compared scale; per-scale
-    times and speedups ride ``extras`` (see :mod:`.schedbench`).
+``service_udp_throughput``, ``service_udp_clients``, ``cluster_udp_goodput``, ``service_sched_scale``
+    The real-socket, cluster and scheduling-scale cells of
+    :mod:`.sweeps`; the last three sweep a grid of scales and export
+    per-scale facts through ``extras`` into ``BENCH_fastpath.json``.
 
 Iteration counts scale with the mode (``smoke`` for CI, ``full`` for
 the recorded trajectory) but canonical digests never do — the structure
@@ -57,25 +37,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import legacy, workloads
-from .clusterbench import (
-    CANONICAL_WORKERS,
-    WORKER_COUNTS_FULL,
-    WORKER_COUNTS_SMOKE,
-)
-from .schedbench import (
-    CANONICAL_SCHED_STREAMS,
-    SCHED_STREAMS_FULL,
-    SCHED_STREAMS_SMOKE,
-)
-from .udpbench import (
-    CANONICAL_CLIENTS,
-    CLIENT_COUNTS_FULL,
-    CLIENT_COUNTS_SMOKE,
-    THROUGHPUT_STREAMS,
-)
+from . import sweeps, workloads
 
 __all__ = ["Suite", "SuiteResult", "SUITES", "run_suites", "suite_names"]
 
@@ -86,17 +50,23 @@ __all__ = ["Suite", "SuiteResult", "SUITES", "run_suites", "suite_names"]
 DES_BATCH = 64
 
 
+Workload = Union[int, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class Suite:
     """One named benchmark: a timing recipe plus its determinism proof."""
 
     name: str
-    ops_full: int
-    ops_smoke: int
-    timed: Callable[[int], float]
+    #: The workload handed to ``timed``, per mode: an operation count,
+    #: or for a sweep suite its grid of scales (the ops are their sum).
+    ops_full: Workload
+    ops_smoke: Workload
+    timed: Callable[[Workload], float]
     digest: Callable[[], str]
     canonical_ops: int
-    baseline: Optional[Callable[[int], float]] = None
+    #: Optional gate run before timing; raises instead of letting a
+    #: number be reported for a run that is not deterministic.
     check: Optional[Callable[[], None]] = None
     #: Optional machine-dependent side facts of the last timed run
     #: (e.g. per-client goodput cells) — included in the bench JSON,
@@ -115,9 +85,6 @@ class SuiteResult:
     ops_per_s: float
     digest: str
     canonical_ops: int
-    baseline_best_s: Optional[float] = None
-    baseline_ops_per_s: Optional[float] = None
-    speedup_vs_baseline: Optional[float] = None
     extras: Optional[dict] = None
 
     def ledger_line(self) -> str:
@@ -132,8 +99,10 @@ class SuiteResult:
 # DES kernel suites
 # ---------------------------------------------------------------------------
 
-def _time_des_events(environment_cls, n: int) -> float:
-    env = environment_cls()
+def _des_events(n: int) -> float:
+    from ..sim import Environment
+
+    env = Environment()
     timeout = env.timeout
     run = env.run
     start = perf_counter()
@@ -147,18 +116,10 @@ def _time_des_events(environment_cls, n: int) -> float:
     return perf_counter() - start
 
 
-def _des_events(n: int) -> float:
+def _des_process(n: int) -> float:
     from ..sim import Environment
 
-    return _time_des_events(Environment, n)
-
-
-def _des_events_baseline(n: int) -> float:
-    return _time_des_events(legacy.LegacyEnvironment, n)
-
-
-def _time_des_process(environment_cls, n: int) -> float:
-    env = environment_cls()
+    env = Environment()
 
     def ticker(env, n):
         for _ in range(n):
@@ -170,89 +131,36 @@ def _time_des_process(environment_cls, n: int) -> float:
     return perf_counter() - start
 
 
-def _des_process(n: int) -> float:
-    from ..sim import Environment
-
-    return _time_des_process(Environment, n)
-
-
-def _des_process_baseline(n: int) -> float:
-    return _time_des_process(legacy.LegacyEnvironment, n)
-
-
-def _kernel_digest_live() -> str:
-    return workloads.kernel_digest()
-
-
-def _kernel_check() -> None:
-    live = workloads.kernel_digest()
-    seed = workloads.kernel_digest(legacy.LegacyEnvironment)
-    if live != seed:
-        raise AssertionError(
-            f"fastpath kernel diverged from the seed kernel: {live} != {seed}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Wire codec suites
 # ---------------------------------------------------------------------------
 
-def _time_codec_encode(encoder, n: int) -> float:
-    frames = workloads.canonical_frames()
-    n_frames = len(frames)
-    rounds = max(1, n // n_frames)
-    start = perf_counter()
-    for _ in range(rounds):
-        for frame in frames:
-            encoder(frame)
-    return perf_counter() - start
-
-
 def _codec_encode(n: int) -> float:
     from ..core.wire import encode
 
-    return _time_codec_encode(encode, n)
-
-
-def _codec_encode_baseline(n: int) -> float:
-    return _time_codec_encode(legacy.legacy_encode, n)
-
-
-def _time_codec_decode(decoder, n: int) -> float:
-    datagrams = workloads.canonical_datagrams()
-    n_datagrams = len(datagrams)
-    rounds = max(1, n // n_datagrams)
+    frames = workloads.canonical_frames()
+    rounds = max(1, n // len(frames))
     start = perf_counter()
     for _ in range(rounds):
-        for datagram in datagrams:
-            decoder(datagram)
+        for frame in frames:
+            encode(frame)
     return perf_counter() - start
 
 
 def _codec_decode(n: int) -> float:
     from ..core.wire import decode
 
-    return _time_codec_decode(decode, n)
+    datagrams = workloads.canonical_datagrams()
+    rounds = max(1, n // len(datagrams))
+    start = perf_counter()
+    for _ in range(rounds):
+        for datagram in datagrams:
+            decode(datagram)
+    return perf_counter() - start
 
 
-def _codec_decode_baseline(n: int) -> float:
-    return _time_codec_decode(legacy.legacy_decode, n)
-
-
-def _wire_digest_live() -> str:
+def _wire_digest() -> str:
     return workloads.wire_digest(workloads.canonical_datagrams())
-
-
-def _wire_check() -> None:
-    live = workloads.canonical_datagrams()
-    seed = workloads.canonical_datagrams(legacy.legacy_encode)
-    if live != seed:
-        raise AssertionError("fastpath encode produced different bytes than seed")
-    from ..core.wire import decode
-
-    for datagram in live:
-        if decode(datagram) != legacy.legacy_decode(datagram):
-            raise AssertionError("fastpath decode disagrees with seed decode")
 
 
 # ---------------------------------------------------------------------------
@@ -319,116 +227,18 @@ def _service_digest() -> str:
     return hashlib.sha256(_service_result_json().encode()).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# Real-socket (loopback UDP) service suites
-# ---------------------------------------------------------------------------
-
-def _udp_throughput(n: int) -> float:
-    from . import udpbench
-
-    return udpbench.time_throughput(udpbench._new_service, n)
-
-
-def _udp_throughput_baseline(n: int) -> float:
-    from . import udpbench
-
-    return udpbench.time_throughput(udpbench._legacy_service, n)
-
-
-def _udp_throughput_digest() -> str:
-    from . import udpbench
-
-    return udpbench.throughput_digest()
-
-
-def _udp_throughput_check() -> None:
-    from . import udpbench
-
-    udpbench.throughput_check()
-
-
-def _udp_clients(n: int) -> float:
-    from . import udpbench
-
-    return udpbench.time_clients_sweep(udpbench._new_service, n, record=True)
-
-
-def _udp_clients_baseline(n: int) -> float:
-    from . import udpbench
-
-    return udpbench.time_clients_sweep(udpbench._legacy_service, n)
-
-
-def _udp_clients_digest() -> str:
-    from . import udpbench
-
-    return udpbench.clients_digest()
-
-
-def _udp_clients_check() -> None:
-    from . import udpbench
-
-    udpbench.clients_check()
-
-
-def _udp_clients_extras() -> dict:
-    from . import udpbench
-
-    return udpbench.last_clients_sweep()
-
-
-def _cluster_goodput(n: int) -> float:
-    from . import clusterbench
-
-    return clusterbench.time_workers_sweep(n, record=True)
-
-
-def _cluster_digest() -> str:
-    from . import clusterbench
-
-    return clusterbench.cluster_digest()
-
-
-def _cluster_check() -> None:
-    from . import clusterbench
-
-    clusterbench.cluster_check()
-
-
-def _cluster_extras() -> dict:
-    from . import clusterbench
-
-    return clusterbench.last_workers_sweep()
-
-
-def _sched_scale(n: int) -> float:
-    from . import schedbench
-
-    return schedbench.time_sched_sweep("indexed", n)
-
-
-def _sched_scale_baseline(n: int) -> float:
-    from . import schedbench
-
-    return schedbench.time_sched_sweep("legacy", n)
-
-
-def _sched_scale_digest() -> str:
-    from . import schedbench
-
-    return schedbench.sched_digest()
-
-
-def _sched_scale_check() -> None:
-    from . import schedbench
-
-    schedbench.sched_check()
-
-
-def _sched_scale_extras() -> dict:
-    from . import schedbench
-
-    return schedbench.last_sched_sweep()
+def _sweep_suite(name: str, sweep: sweeps.Sweep,
+                 check: Optional[Callable[[], None]] = None) -> Suite:
+    return Suite(
+        name=name,
+        ops_full=sweep.full,
+        ops_smoke=sweep.smoke,
+        timed=sweep.timed,
+        digest=sweep.digest,
+        canonical_ops=sweep.canonical,
+        check=check,
+        extras=sweep.extras,
+    )
 
 
 SUITES: Dict[str, Suite] = {
@@ -439,9 +249,7 @@ SUITES: Dict[str, Suite] = {
             ops_full=400_000,
             ops_smoke=40_000,
             timed=_des_events,
-            baseline=_des_events_baseline,
-            digest=_kernel_digest_live,
-            check=_kernel_check,
+            digest=workloads.kernel_digest,
             canonical_ops=workloads.CANONICAL_EVENTS,
         ),
         Suite(
@@ -449,9 +257,7 @@ SUITES: Dict[str, Suite] = {
             ops_full=400_000,
             ops_smoke=40_000,
             timed=_des_process,
-            baseline=_des_process_baseline,
-            digest=_kernel_digest_live,
-            check=_kernel_check,
+            digest=workloads.kernel_digest,
             canonical_ops=workloads.CANONICAL_EVENTS,
         ),
         Suite(
@@ -459,9 +265,7 @@ SUITES: Dict[str, Suite] = {
             ops_full=200_000,
             ops_smoke=20_000,
             timed=_codec_encode,
-            baseline=_codec_encode_baseline,
-            digest=_wire_digest_live,
-            check=_wire_check,
+            digest=_wire_digest,
             canonical_ops=len(workloads.canonical_frames()),
         ),
         Suite(
@@ -469,9 +273,7 @@ SUITES: Dict[str, Suite] = {
             ops_full=200_000,
             ops_smoke=20_000,
             timed=_codec_decode,
-            baseline=_codec_decode_baseline,
-            digest=_wire_digest_live,
-            check=_wire_check,
+            digest=_wire_digest,
             canonical_ops=len(workloads.canonical_frames()),
         ),
         Suite(
@@ -492,46 +294,16 @@ SUITES: Dict[str, Suite] = {
         ),
         Suite(
             name="service_udp_throughput",
-            ops_full=10 * THROUGHPUT_STREAMS,
-            ops_smoke=THROUGHPUT_STREAMS,
-            timed=_udp_throughput,
-            baseline=_udp_throughput_baseline,
-            digest=_udp_throughput_digest,
-            check=_udp_throughput_check,
-            canonical_ops=THROUGHPUT_STREAMS,
+            ops_full=10 * sweeps.THROUGHPUT_STREAMS,
+            ops_smoke=sweeps.THROUGHPUT_STREAMS,
+            timed=sweeps.time_throughput,
+            digest=sweeps.throughput_digest,
+            canonical_ops=sweeps.THROUGHPUT_STREAMS,
         ),
-        Suite(
-            name="service_udp_clients",
-            ops_full=sum(CLIENT_COUNTS_FULL),
-            ops_smoke=sum(CLIENT_COUNTS_SMOKE),
-            timed=_udp_clients,
-            baseline=_udp_clients_baseline,
-            digest=_udp_clients_digest,
-            check=_udp_clients_check,
-            canonical_ops=CANONICAL_CLIENTS,
-            extras=_udp_clients_extras,
-        ),
-        Suite(
-            name="cluster_udp_goodput",
-            ops_full=sum(WORKER_COUNTS_FULL),
-            ops_smoke=sum(WORKER_COUNTS_SMOKE),
-            timed=_cluster_goodput,
-            digest=_cluster_digest,
-            check=_cluster_check,
-            canonical_ops=CANONICAL_WORKERS,
-            extras=_cluster_extras,
-        ),
-        Suite(
-            name="service_sched_scale",
-            ops_full=sum(SCHED_STREAMS_FULL),
-            ops_smoke=sum(SCHED_STREAMS_SMOKE),
-            timed=_sched_scale,
-            baseline=_sched_scale_baseline,
-            digest=_sched_scale_digest,
-            check=_sched_scale_check,
-            canonical_ops=CANONICAL_SCHED_STREAMS,
-            extras=_sched_scale_extras,
-        ),
+        _sweep_suite("service_udp_clients", sweeps.UDP_CLIENTS),
+        _sweep_suite("cluster_udp_goodput", sweeps.CLUSTER_WORKERS,
+                     check=sweeps.cluster_check),
+        _sweep_suite("service_sched_scale", sweeps.SCHED_STREAMS),
     )
 }
 
@@ -548,9 +320,9 @@ def run_suites(
 ) -> List[SuiteResult]:
     """Run suites by name (default: all) and return measured results.
 
-    Each suite's digest ``check`` (fastpath-vs-seed equivalence) runs
-    before its timing loop — a perf number for a wrong kernel is
-    worthless, so divergence raises instead of reporting.
+    A suite's ``check`` runs before its timing loop — a perf number for
+    a run that is not deterministic is worthless, so divergence raises
+    instead of reporting.
     """
     if names is None:
         names = suite_names()
@@ -568,22 +340,9 @@ def run_suites(
         suite = SUITES[name]
         if suite.check is not None:
             suite.check()
-        ops = suite.ops_smoke if smoke else suite.ops_full
-        baseline_best: Optional[float] = None
-        if suite.baseline is None:
-            best = min(suite.timed(ops) for _ in range(repeats))
-        else:
-            # Interleave fastpath and baseline repeats (A/B/A/B) so CPU
-            # frequency drift and neighbour noise land on both sides of
-            # the ratio instead of corrupting one measurement window.
-            timed_samples: List[float] = []
-            baseline_samples: List[float] = []
-            for _ in range(repeats):
-                timed_samples.append(suite.timed(ops))
-                baseline_samples.append(suite.baseline(ops))
-            best = min(timed_samples)
-            baseline_best = min(baseline_samples)
-        best = max(best, 1e-12)
+        workload = suite.ops_smoke if smoke else suite.ops_full
+        ops = sum(workload) if isinstance(workload, tuple) else workload
+        best = max(min(suite.timed(workload) for _ in range(repeats)), 1e-12)
         results.append(
             SuiteResult(
                 name=name,
@@ -593,13 +352,6 @@ def run_suites(
                 ops_per_s=ops / best,
                 digest=suite.digest(),
                 canonical_ops=suite.canonical_ops,
-                baseline_best_s=baseline_best,
-                baseline_ops_per_s=(
-                    None if baseline_best is None else ops / max(baseline_best, 1e-12)
-                ),
-                speedup_vs_baseline=(
-                    None if baseline_best is None else baseline_best / best
-                ),
                 extras=(
                     suite.extras() if suite.extras is not None else None
                 ),

@@ -101,11 +101,11 @@ def canonical_frames() -> List[object]:
     return frames
 
 
-def canonical_datagrams(encoder=None) -> List[bytes]:
-    """The canonical frames, encoded (by ``encoder`` or the live codec)."""
-    if encoder is None:
-        from ..core.wire import encode as encoder
-    return [encoder(frame) for frame in canonical_frames()]
+def canonical_datagrams() -> List[bytes]:
+    """The canonical frames, encoded by the wire codec."""
+    from ..core.wire import encode
+
+    return [encode(frame) for frame in canonical_frames()]
 
 
 def wire_digest(datagrams: Sequence[bytes]) -> str:
@@ -172,17 +172,18 @@ def run_digest(protocol: str, n_jobs: int = 1) -> str:
     return hashlib.sha256(fields.encode()).hexdigest()
 
 
-def kernel_digest(environment_cls=None) -> str:
+def kernel_digest() -> str:
     """Determinism digest of a canonical kernel run.
 
     Drives :data:`CANONICAL_EVENTS` timeout events (mixed delays, FIFO
     ties, one process chain) through an environment and hashes the final
-    clock and callback order.  Identical for the seed and the fastpath
-    kernel — that equality is asserted by the perf suites on every run.
+    clock and callback order.  Identical to the seed kernel's digest —
+    recorded in ``tests/perf/fixtures/seed_digests.json`` and asserted
+    by ``tests/perf/test_fastpath_equivalence.py``.
     """
-    if environment_cls is None:
-        from ..sim import Environment as environment_cls  # noqa: N813
-    env = environment_cls()
+    from ..sim import Environment
+
+    env = Environment()
     order: List[int] = []
     append = order.append
 

@@ -475,6 +475,10 @@ class ReceiverMachine:
             return []
         if self.tracker is None:
             self.tracker = ReceiverTracker(frame.total)
+        elif frame.total != self.tracker.total:
+            # A stale frame from a reused stream id, or a hostile peer:
+            # dropped like a corrupted one (its seq may be out of range).
+            return []
         if self.tracker.add(frame.seq):
             self._chunks[frame.seq] = frame.payload
         else:

@@ -14,10 +14,10 @@ Typical use (receiver in a thread, sender in the caller)::
     outcome = sender.send(data, receiver.address, strategy="gobackn")
 """
 
+from ..faults.socket import FaultySocket
 from .blast import BlastReceiver, BlastSender
 from .endpoints import DEFAULT_PACKET_BYTES, UdpEndpoint, UdpTransferOutcome
 from .fileserver import FileServiceError, UdpFileClient, UdpFileServer
-from .lossy import FaultySocket, LossySocket
 from .saw import PerPacketAckReceiver, SawSender
 from .sliding import SlidingWindowSender
 
@@ -25,7 +25,6 @@ __all__ = [
     "UdpEndpoint",
     "UdpTransferOutcome",
     "DEFAULT_PACKET_BYTES",
-    "LossySocket",
     "FaultySocket",
     "SawSender",
     "SlidingWindowSender",

@@ -19,7 +19,6 @@ from ..core.wire import WireError, decode
 from ..faults.plan import FaultPlan
 from ..faults.socket import RECV_BUFFER_BYTES, FaultySocket
 from ..simnet.errors import ErrorModel
-from .lossy import LossySocket
 
 __all__ = [
     "UdpEndpoint",
@@ -83,12 +82,9 @@ class UdpEndpoint:
             # to one of them (see repro.cluster.placement).
             raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         raw.bind(bind)
-        if fault_plan is not None:
-            self.sock = FaultySocket(
-                raw, error_model=error_model, plan=fault_plan, seed=fault_seed
-            )
-        else:
-            self.sock = LossySocket(raw, error_model)
+        self.sock = FaultySocket(
+            raw, error_model=error_model, plan=fault_plan, seed=fault_seed
+        )
         self.packet_bytes = packet_bytes
         # One receive buffer per endpoint, reused by every recvfrom_into
         # (endpoints are single-threaded receivers).

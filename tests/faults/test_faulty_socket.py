@@ -9,7 +9,6 @@ from repro.core.wire import WireError, decode, encode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.socket import FaultySocket
 from repro.simnet.errors import DeterministicDrops
-from repro.udpnet.lossy import LossySocket
 
 
 def _udp_socket():
@@ -209,14 +208,6 @@ class TestReceiveSide:
 
 
 class TestLossySocketCompat:
-    def test_lossy_socket_is_a_faulty_socket(self):
-        raw = _udp_socket()
-        try:
-            lossy = LossySocket(raw, DeterministicDrops([0]))
-            assert isinstance(lossy, FaultySocket)
-        finally:
-            raw.close()
-
     def test_context_manager_closes(self):
         raw = _udp_socket()
         with FaultySocket(raw) as faulty:

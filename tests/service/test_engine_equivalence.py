@@ -1,12 +1,12 @@
 """Property suite: indexed ServiceCore ≡ the frozen full-table walker.
 
 Random admit/frame/timer interleavings drive the live indexed engine
-and :class:`repro.perf.legacy.LegacyServiceCore` in lockstep.  After
-every operation both engines must agree on the emitted frames *and* on
-``next_deadline`` — the two observables the substrates act on — and at
-the end on the canonical metrics report and the finished-stream set.
-This is the determinism contract the committed goldens and the
-``service_sched_scale`` equivalence gate rely on.
+and the reference :class:`.reference_engine.LegacyServiceCore` in
+lockstep.  After every operation both engines must agree on the
+emitted frames *and* on ``next_deadline`` — the two observables the
+substrates act on — and at the end on the canonical metrics report and
+the finished-stream set.
+This is the determinism contract the committed goldens rely on.
 """
 
 import json
@@ -18,9 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.frames import ControlFrame
-from repro.perf.legacy import LegacyServiceCore
 from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.machines import receiver_for
+
+from .reference_engine import LegacyServiceCore
 
 _PACKET_BYTES = 64
 _CLIENTS = ("alpha", "beta", "gamma")

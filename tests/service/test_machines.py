@@ -187,6 +187,19 @@ class TestReceiverMachine:
         assert receiver.on_frame(frame, 0.0) == []
         assert receiver.tracker is None
 
+    def test_frame_with_other_total_dropped_like_corruption(self):
+        # A stale frame from a reused stream id (or a hostile peer):
+        # CRC-valid, right stream, but sized for a different transfer.
+        receiver = receiver_for("sliding", 5)
+        receiver.on_frame(DataFrame(transfer_id=5, seq=0, total=4,
+                                    payload=b"a", stream_id=5), 0.0)
+        stale = DataFrame(transfer_id=5, seq=7, total=8, payload=b"z",
+                          stream_id=5)
+        assert receiver.on_frame(stale, 0.1) == []
+        assert receiver.tracker.total == 4
+        assert receiver.tracker.received_count == 1
+        assert receiver.duplicates == 0 and receiver.replies_sent == 1
+
 
 class TestFrameCacheAndTimerEpoch:
     def test_retransmission_reuses_cached_frame(self):

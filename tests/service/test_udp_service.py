@@ -6,15 +6,19 @@ fault plan, every payload byte-verified client-side.
 """
 
 import json
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.core.frames import ControlFrame, DataFrame
+from repro.core.wire import encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
 from repro.service.loadgen import run_udp_loadgen
+from repro.service.machines import service_payload
 from repro.service.udpservice import UdpServiceClient, UdpTransferService
 
 
@@ -146,3 +150,42 @@ class TestCanonicalDeterminism:
         assert report["summary"]["ok"] == 16
         assert report["summary"]["rejected"] == 0
         assert [t["stream"] for t in report["transfers"]] == list(range(1, 17))
+
+
+class TestPumpHostileFrames:
+    def test_spoofed_total_leaves_every_pull_ok(self):
+        # No server thread: everything a client will read is queued on
+        # its socket before the pump starts, so the order is fixed.
+        server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        server.bind(("127.0.0.1", 0))
+        pump = UdpClientPump(server.getsockname(), [4096] * 3, linger_s=0.0)
+        try:
+            for client in pump.clients:
+                stream = client.stream_id
+                reply = {"status": "ok", "stream": stream, "size": 4096,
+                         "packets": 4, "seed": 7}
+                payload = service_payload(7, stream, 4096)
+                frames = [ControlFrame(transfer_id=stream, request_id=stream,
+                                       body=json.dumps(reply).encode(),
+                                       stream_id=stream)]
+                frames += [
+                    DataFrame(transfer_id=stream, seq=seq, total=4,
+                              payload=payload[seq * 1024:(seq + 1) * 1024],
+                              wants_reply=(seq == 3), stream_id=stream)
+                    for seq in range(4)
+                ]
+                if stream == 2:
+                    # Same stream, another transfer's total, seq past
+                    # the real one: must be dropped, not raise out of
+                    # pump.run() and take the other pulls with it.
+                    frames.insert(2, DataFrame(transfer_id=stream, seq=7,
+                                               total=8, payload=b"x",
+                                               stream_id=stream))
+                for frame in frames:
+                    server.sendto(encode(frame), client.sock.getsockname())
+            pulls = pump.run(overall_timeout_s=10.0)
+        finally:
+            server.close()
+        assert {s: (p.status, p.payload_ok) for s, p in pulls.items()} == {
+            stream: ("ok", True) for stream in (1, 2, 3)
+        }
