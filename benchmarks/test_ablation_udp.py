@@ -11,27 +11,25 @@ import threading
 
 from repro.bench.tables import ExperimentTable
 from repro.simnet import BernoulliErrors
-from repro.udpnet import (
-    BlastReceiver,
-    BlastSender,
-    PerPacketAckReceiver,
-    SawSender,
-)
+from repro.udpnet import UdpTransfer
 
 DATA = bytes(64 * 1024)
 
 
-def run_pair(receiver, serve_kwargs, send_fn):
+def transfer(error_model=None, **choice):
+    """One transfer; ``choice`` (protocol/strategy) goes to both ends."""
     box = {}
-
-    def serve():
-        box["received"] = receiver.serve_one(**serve_kwargs)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    box["sent"] = send_fn()
-    thread.join(timeout=60)
-    return box["sent"], box["received"]
+    with UdpTransfer() as receiver, UdpTransfer(
+        error_model=error_model
+    ) as sender:
+        thread = threading.Thread(
+            target=lambda: box.update(received=receiver.serve_one(**choice)),
+            daemon=True,
+        )
+        thread.start()
+        sent = sender.send(DATA, receiver.address, **choice)
+        thread.join(timeout=60)
+    return sent, box["received"]
 
 
 def udp_comparison() -> ExperimentTable:
@@ -40,26 +38,14 @@ def udp_comparison() -> ExperimentTable:
         ["protocol", "elapsed (ms)", "data frames", "reply frames", "intact"],
         notes=["absolute times are interpreter-bound; orderings only"],
     )
-    def best_of(n, receiver_cls, sender_cls, send):
+    def best_of(n, **choice):
         """Best elapsed of n runs — loopback timing is noisy."""
-        best = None
-        for _ in range(n):
-            with receiver_cls() as receiver, sender_cls() as sender:
-                sent, received = run_pair(
-                    receiver, {}, lambda: send(sender, receiver)
-                )
-            if best is None or sent.elapsed_s < best[0].elapsed_s:
-                best = (sent, received)
-        return best
+        return min((transfer(**choice) for _ in range(n)),
+                   key=lambda pair: pair[0].elapsed_s)
 
-    saw_sent, saw_received = best_of(
-        3, PerPacketAckReceiver, SawSender,
-        lambda tx, rx: tx.send(DATA, rx.address),
-    )
+    saw_sent, saw_received = best_of(3, protocol="saw")
     blast_sent, blast_received = best_of(
-        3, BlastReceiver, BlastSender,
-        lambda tx, rx: tx.send(DATA, rx.address, strategy="gobackn"),
-    )
+        3, protocol="blast", strategy="gobackn")
     for name, sent, received in (
         ("stop_and_wait", saw_sent, saw_received),
         ("blast gobackn", blast_sent, blast_received),
@@ -92,15 +78,8 @@ def test_udp_lossless_ordering(benchmark, save_result):
 
 def test_udp_blast_under_loss(benchmark):
     def lossy_blast():
-        with BlastReceiver() as receiver, BlastSender(
-            error_model=BernoulliErrors(0.05, seed=2)
-        ) as sender:
-            sent, received = run_pair(
-                receiver,
-                {},
-                lambda: sender.send(DATA, receiver.address, strategy="selective"),
-            )
-        return sent, received
+        return transfer(BernoulliErrors(0.05, seed=2),
+                        protocol="blast", strategy="selective")
 
     sent, received = benchmark.pedantic(lossy_blast, rounds=1, iterations=1)
     assert sent.ok

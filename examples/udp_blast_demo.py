@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """The protocols on REAL sockets: blast vs stop-and-wait over UDP loopback.
 
-Same frame format, same receiver tracker, same retransmission strategies
-as the simulator — but actual datagrams through the kernel's UDP stack,
-with loss injected at the sender.  Absolute numbers are Python-bound;
-the *shape* (blast needs one reply, stop-and-wait needs one per packet,
-selective retransmission wastes the fewest frames) is the point.
+Same frame format and the same protocol machines the transfer service
+runs under the simulator — but actual datagrams through the kernel's
+UDP stack, with loss injected at the sender.  Absolute numbers are
+Python-bound; the *shape* (blast needs one reply, stop-and-wait needs one
+per packet, selective retransmission wastes the fewest frames) is the
+point.
 
 Run:  python examples/udp_blast_demo.py
 """
@@ -13,27 +14,23 @@ Run:  python examples/udp_blast_demo.py
 import threading
 
 from repro.simnet import BernoulliErrors
-from repro.udpnet import (
-    BlastReceiver,
-    BlastSender,
-    PerPacketAckReceiver,
-    SawSender,
-)
+from repro.udpnet import UdpTransfer
 
 DATA = bytes(i % 251 for i in range(64 * 1024))  # 64 KB of patterned bytes
 
 
-def run_pair(receiver, serve_kwargs, send_fn):
+def transfer(error_model=None, **choice):
+    """One transfer; ``choice`` (protocol/strategy) goes to both ends."""
     box = {}
-
-    def serve():
-        box["received"] = receiver.serve_one(**serve_kwargs)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    box["sent"] = send_fn()
-    thread.join(timeout=60)
-    return box["sent"], box["received"]
+    with UdpTransfer() as rx, UdpTransfer(error_model=error_model) as tx:
+        thread = threading.Thread(
+            target=lambda: box.update(received=rx.serve_one(**choice)),
+            daemon=True,
+        )
+        thread.start()
+        sent = tx.send(DATA, rx.address, **choice)
+        thread.join(timeout=60)
+    return sent, box["received"]
 
 
 def show(label, sent, received):
@@ -49,24 +46,16 @@ def main() -> None:
           f"({len(DATA) // 1024} packets of 1 KB)\n")
 
     print("Lossless:")
-    with PerPacketAckReceiver() as rx, SawSender() as tx:
-        show("stop-and-wait", *run_pair(rx, {}, lambda: tx.send(DATA, rx.address)))
-    with BlastReceiver() as rx, BlastSender() as tx:
-        show("blast (gobackn)",
-             *run_pair(rx, {}, lambda: tx.send(DATA, rx.address, strategy="gobackn")))
+    show("stop-and-wait", *transfer(protocol="saw"))
+    show("blast (gobackn)", *transfer(protocol="blast", strategy="gobackn"))
 
     print("\nWith 5% injected datagram loss:")
     for strategy in ("full_nak", "gobackn", "selective"):
-        with BlastReceiver() as rx, BlastSender(
-            error_model=BernoulliErrors(0.05, seed=hash(strategy) % 2**31)
-        ) as tx:
-            show(f"blast ({strategy})",
-                 *run_pair(rx, {}, lambda: tx.send(DATA, rx.address,
-                                                   strategy=strategy)))
-    with PerPacketAckReceiver() as rx, SawSender(
-        error_model=BernoulliErrors(0.05, seed=99)
-    ) as tx:
-        show("stop-and-wait", *run_pair(rx, {}, lambda: tx.send(DATA, rx.address)))
+        loss = BernoulliErrors(0.05, seed=hash(strategy) % 2**31)
+        show(f"blast ({strategy})",
+             *transfer(loss, protocol="blast", strategy=strategy))
+    show("stop-and-wait",
+         *transfer(BernoulliErrors(0.05, seed=99), protocol="saw"))
 
     print("\nNote how selective retransmission resends almost exactly the "
           "lost frames,\ngo-back-n a little more, and full retransmission "

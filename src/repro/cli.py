@@ -519,22 +519,16 @@ def _cmd_timeline(args) -> int:
 
 def _cmd_udp(args) -> int:
     from .simnet import BernoulliErrors
-    from .udpnet import (
-        BlastReceiver,
-        BlastSender,
-        PerPacketAckReceiver,
-        SawSender,
-        SlidingWindowSender,
-    )
+    from .udpnet import UdpTransfer
 
     if args.udp_command == "recv":
-        receiver_cls = {
-            "blast": BlastReceiver, "perpacket": PerPacketAckReceiver,
-        }[args.protocol]
-        with receiver_cls(bind=(args.host, args.port)) as receiver:
+        # One receiver serves both per-packet-ack protocols.
+        protocol = "saw" if args.protocol == "perpacket" else "blast"
+        with UdpTransfer(bind=(args.host, args.port)) as receiver:
             host, port = receiver.address
             print(f"listening on {host}:{port} ({args.protocol})", flush=True)
-            outcome = receiver.serve_one(first_timeout_s=300.0)
+            outcome = receiver.serve_one(protocol=protocol,
+                                         first_timeout_s=300.0)
         if not outcome.ok:
             print(f"receive failed: {outcome.error}")
             return 1
@@ -547,16 +541,10 @@ def _cmd_udp(args) -> int:
     host, _, port = args.destination.rpartition(":")
     destination = (host or "127.0.0.1", int(port))
     error_model = BernoulliErrors(args.loss, seed=args.seed) if args.loss else None
-    data = bytes(args.size)
-    if args.protocol == "blast":
-        with BlastSender(error_model=error_model) as sender:
-            outcome = sender.send(data, destination, strategy=args.strategy)
-    elif args.protocol == "saw":
-        with SawSender(error_model=error_model) as sender:
-            outcome = sender.send(data, destination)
-    else:
-        with SlidingWindowSender(error_model=error_model) as sender:
-            outcome = sender.send(data, destination)
+    protocol = "sliding" if args.protocol == "sw" else args.protocol
+    with UdpTransfer(error_model=error_model) as sender:
+        outcome = sender.send(bytes(args.size), destination,
+                              protocol=protocol, strategy=args.strategy)
     if not outcome.ok:
         print(f"send failed: {outcome.error}")
         return 1

@@ -38,7 +38,6 @@ from .controller import (
     CONTROLLER_NAMES,
     CongestionController,
     FixedController,
-    as_timeout_policy,
     make_controller,
 )
 from .fairness import jain_index
@@ -52,7 +51,6 @@ __all__ = [
     "FixedController",
     "RenoController",
     "TunerChoice",
-    "as_timeout_policy",
     "jain_index",
     "make_controller",
 ]

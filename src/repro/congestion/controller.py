@@ -1,11 +1,12 @@
 """The pluggable congestion-controller seam.
 
-Every transfer path (the service sender machines and the three udpnet
-drivers) consults one of these objects for two numbers — the current
-window (packets allowed in flight / burst depth) and the current
-retransmission timeout — and feeds it the five events congestion
-control cares about: a new ack, a duplicate ack, explicit loss evidence
-(a NAK report), a timer expiry, and a clean RTT sample.
+Every sender machine in :mod:`repro.service.machines` (and so every
+transfer path, simulated or on sockets) consults one of these objects
+for two numbers — the current window (packets allowed in flight / burst
+depth) and the current retransmission timeout — and feeds it the five
+events congestion control cares about: a new ack, a duplicate ack,
+explicit loss evidence (a NAK report), a timer expiry, and a clean RTT
+sample.
 
 :class:`FixedController` is the paper's behaviour and the default
 everywhere: an effectively unbounded window and a constant RTO, with
@@ -20,13 +21,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.timers import TimeoutPolicy
-
 __all__ = [
     "CONTROLLER_NAMES",
     "CongestionController",
     "FixedController",
-    "as_timeout_policy",
     "make_controller",
 ]
 
@@ -108,32 +106,6 @@ class FixedController(CongestionController):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FixedController({self.timeout_s!r})"
-
-
-class _ControllerTimeoutPolicy(TimeoutPolicy):
-    """Adapter presenting a controller as a :class:`TimeoutPolicy`.
-
-    The udpnet drivers pre-date the controller seam and arm their T_r
-    timer through the TimeoutPolicy protocol; this shim lets them share
-    one controller without duplicating the estimator state.
-    """
-
-    def __init__(self, controller: CongestionController):
-        self.controller = controller
-
-    def current(self) -> float:
-        return self.controller.rto()
-
-    def record_sample(self, rtt_s: float) -> None:
-        self.controller.on_rtt_sample(rtt_s)
-
-    def record_timeout(self) -> None:
-        self.controller.on_timeout()
-
-
-def as_timeout_policy(controller: CongestionController) -> TimeoutPolicy:
-    """Wrap ``controller`` for callers that speak TimeoutPolicy."""
-    return _ControllerTimeoutPolicy(controller)
 
 
 def make_controller(name: str, timeout_s: float) -> CongestionController:

@@ -1,7 +1,8 @@
 """Shared machinery for the simulated protocol engines.
 
-:func:`packetize` / :func:`reassemble` convert between a byte blob and
-the packet sequence; :class:`TransferResult` is what every engine
+:func:`chunk_payload` is the one place a payload is sliced into
+packets; :func:`packetize` / :func:`reassemble` convert between a byte
+blob and the frame sequence; :class:`TransferResult` is what every engine
 returns; :class:`Transfer` is the engine base class that wires sender and
 receiver processes onto two simulated hosts.
 
@@ -26,22 +27,33 @@ from ..sim import Environment, Process
 from ..simnet.host import Host
 from .frames import DataFrame
 
-__all__ = ["packetize", "reassemble", "TransferResult", "TransferStats", "Transfer"]
+__all__ = [
+    "chunk_payload",
+    "packetize",
+    "reassemble",
+    "TransferResult",
+    "TransferStats",
+    "Transfer",
+]
 
 
-def packetize(
-    data: bytes, packet_bytes: int, transfer_id: int = 1
-) -> List[DataFrame]:
-    """Split ``data`` into :class:`DataFrame` packets of ``packet_bytes``.
+def chunk_payload(data: bytes, packet_bytes: int) -> List[bytes]:
+    """Slice ``data`` into per-packet payloads of ``packet_bytes``.
 
-    An empty payload still produces one (empty) packet so that every
+    An empty payload still produces one (empty) chunk so that every
     transfer has a last packet to acknowledge.
     """
     if packet_bytes < 1:
         raise ValueError(f"packet_bytes must be >= 1, got {packet_bytes}")
     chunks = [data[i : i + packet_bytes] for i in range(0, len(data), packet_bytes)]
-    if not chunks:
-        chunks = [b""]
+    return chunks or [b""]
+
+
+def packetize(
+    data: bytes, packet_bytes: int, transfer_id: int = 1
+) -> List[DataFrame]:
+    """Split ``data`` into :class:`DataFrame` packets of ``packet_bytes``."""
+    chunks = chunk_payload(data, packet_bytes)
     total = len(chunks)
     return [
         DataFrame(transfer_id=transfer_id, seq=seq, total=total, payload=chunk)

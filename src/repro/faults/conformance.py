@@ -150,6 +150,12 @@ def _run_des_cell(
     }
 
 
+#: Matrix protocol names -> the machines' names UdpTransfer takes.
+_UDP_PROTOCOL_NAMES = {
+    "stop_and_wait": "saw", "sliding_window": "sliding", "blast": "blast",
+}
+
+
 def _run_udp_cell(
     protocol: str,
     strategy: Optional[str],
@@ -159,45 +165,25 @@ def _run_udp_cell(
 ) -> dict:
     import threading
 
-    from ..core.strategies import get_strategy
-    from ..udpnet.blast import BlastReceiver, BlastSender
-    from ..udpnet.saw import PerPacketAckReceiver, SawSender
-    from ..udpnet.sliding import SlidingWindowSender
+    from ..udpnet.transfer import UdpTransfer
 
     data = _payload(seed, size)
-    if protocol == "stop_and_wait":
-        receiver = PerPacketAckReceiver()
-        sender = SawSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {"first_timeout_s": 5.0, "idle_timeout_s": 1.0, "linger_s": 0.5}
-        send_kwargs = {"timeout_s": 0.05, "max_retries": 60}
-    elif protocol == "sliding_window":
-        receiver = PerPacketAckReceiver()
-        sender = SlidingWindowSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {"first_timeout_s": 5.0, "idle_timeout_s": 1.0, "linger_s": 0.5}
-        send_kwargs = {"timeout_s": 0.05, "max_rounds": 60}
-    elif protocol == "blast":
-        assert strategy is not None
-        receiver = BlastReceiver()
-        sender = BlastSender(fault_plan=plan, fault_seed=seed)
-        serve_kwargs = {
-            "nak": get_strategy(strategy).uses_nak,
-            "first_timeout_s": 5.0,
-            "idle_timeout_s": 2.0,
-            "linger_s": 0.5,
-        }
-        send_kwargs = {"strategy": strategy, "timeout_s": 0.1, "max_rounds": 60}
-    else:
-        raise ValueError(f"unknown udp protocol {protocol!r}")
-
+    name = _UDP_PROTOCOL_NAMES[protocol]
+    choice = {"protocol": name, "strategy": strategy or "gobackn"}
+    receiver = UdpTransfer()
+    sender = UdpTransfer(fault_plan=plan, fault_seed=seed)
     outcomes = {}
 
     def serve() -> None:
-        outcomes["receiver"] = receiver.serve_one(**serve_kwargs)
+        outcomes["receiver"] = receiver.serve_one(
+            first_timeout_s=5.0, idle_timeout_s=2.0, linger_s=0.5, **choice)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        outcome = sender.send(data, receiver.address, **send_kwargs)
+        outcome = sender.send(
+            data, receiver.address, max_rounds=60,
+            timeout_s=0.1 if name == "blast" else 0.05, **choice)
         thread.join(timeout=30.0)
     finally:
         sender.close()

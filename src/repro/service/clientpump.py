@@ -154,8 +154,8 @@ class _PumpClient:
                 error=response.get("reason", "")))
             return
         self.seed = response["seed"]
-        self.receiver = receiver_for(self.protocol, self.stream_id,
-                                     self.strategy)
+        self.receiver = receiver_for(response.get("protocol", self.protocol),
+                                     self.stream_id, self.strategy)
         self.state = _RECEIVING
         self.next_timer = now + self.recv_timeout_s
 

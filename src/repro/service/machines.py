@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..congestion.controller import CongestionController, make_controller
+from ..core.base import chunk_payload
 from ..core.frames import AckFrame, DataFrame, FrameKind, NakFrame
 from ..core.strategies import FailureDetection, get_strategy
 from ..core.tracker import ReceiverTracker, ReceptionReport
@@ -75,13 +76,6 @@ class TransferOutcome:
     congestion: Optional[dict] = None
 
 
-def _packetize(payload: bytes, packet_bytes: int) -> List[bytes]:
-    chunks = [
-        payload[i : i + packet_bytes] for i in range(0, len(payload), packet_bytes)
-    ]
-    return chunks or [b""]
-
-
 class _SenderBase:
     """State shared by the sender machines."""
 
@@ -102,7 +96,7 @@ class _SenderBase:
         # window, reproducing the pre-congestion machines byte-for-byte.
         self.controller = (controller if controller is not None
                           else make_controller("fixed", timeout_s))
-        self.chunks = _packetize(payload, packet_bytes)
+        self.chunks = chunk_payload(payload, packet_bytes)
         self.total = len(self.chunks)
         self.done = False
         self.failed = False

@@ -216,9 +216,9 @@ class UdpServiceClient(UdpEndpoint):
         self.pull_retries = pull_retries
         self.recv_timeout_s = recv_timeout_s
         self.linger_s = linger_s
-        # Send-only batch layer (zero-copy encode); receives stay on the
-        # endpoint's blocking reusable-buffer path, so the socket keeps
-        # its timeout-driven mode.
+        # Send-only batch layer for the control request; receives (and
+        # the receiver machine's replies) stay on the endpoint's
+        # blocking path, so the socket keeps its timeout-driven mode.
         self._io = DatagramBatchIO(self.sock, ring_slots=1,
                                    nonblocking=False)
 
@@ -248,46 +248,19 @@ class UdpServiceClient(UdpEndpoint):
         # for this stream; otherwise the configured protocol applies.
         receiver = receiver_for(response.get("protocol", self.protocol),
                                 stream_id, self.strategy)
-        deadline = time.monotonic() + self.recv_timeout_s
-        while not receiver.done:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return UdpPullResult(
-                    stream_id, "stalled",
-                    elapsed_s=time.monotonic() - started,
-                    error="transfer stalled before completion",
-                )
-            got = self._recv_frame(timeout_s=remaining)
-            if got is None:
-                continue
-            frame, _sender = got
-            if getattr(frame, "stream_id", 0) != stream_id:
-                continue
-            replies = receiver.on_frame(frame, time.monotonic() - started)
-            if replies:
-                deadline = time.monotonic() + self.recv_timeout_s
-                for reply in replies:
-                    self._io.send_frame(reply, self.server)
-            elif isinstance(frame, ControlFrame) is False:
-                deadline = time.monotonic() + self.recv_timeout_s
-
+        # The shared endpoint loop carries the receiver: it answers the
+        # server's frames, and once complete lingers re-answering
+        # wants_reply duplicates so a lost final ACK cannot wedge the
+        # server's sender machine.
+        self._drive_receiver(receiver, self.recv_timeout_s, self.linger_s)
+        if not receiver.done:
+            return UdpPullResult(
+                stream_id, "stalled",
+                elapsed_s=time.monotonic() - started,
+                error="transfer stalled before completion",
+            )
         data = receiver.data
         expected = service_payload(response["seed"], stream_id, size)
-        # Linger: re-answer wants_reply duplicates so a lost final ACK
-        # cannot wedge the server's sender machine.
-        linger_until = time.monotonic() + self.linger_s
-        while True:
-            remaining = linger_until - time.monotonic()
-            if remaining <= 0:
-                break
-            got = self._recv_frame(timeout_s=remaining)
-            if got is None:
-                break
-            frame, _sender = got
-            if getattr(frame, "stream_id", 0) != stream_id:
-                continue
-            for reply in receiver.on_frame(frame, time.monotonic() - started):
-                self._io.send_frame(reply, self.server)
         return UdpPullResult(
             stream_id,
             "ok",

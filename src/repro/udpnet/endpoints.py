@@ -1,11 +1,14 @@
 """Shared plumbing for the UDP protocol endpoints.
 
-The UDP transport reuses the byte-level wire format
-(:mod:`repro.core.wire`), the receiver tracker and the retransmission
-strategies from :mod:`repro.core` — only the I/O loop differs from the
-simulated engines.  Absolute throughput over loopback is bounded by the
-Python interpreter, so the benches assert protocol *orderings*, not
-megabits (see EXPERIMENTS.md).
+:class:`UdpEndpoint` owns the socket and the two blocking driver loops
+that carry a substrate-free protocol machine
+(:mod:`repro.service.machines`) over it: the loops supply the clock and
+move frames, the machine makes every protocol decision.  They are
+duck-typed — this module imports no machine — so the service client in
+:mod:`repro.service.udpservice` drives its receiver through the same
+loop the standalone transfers use.  Absolute throughput over loopback
+is bounded by the Python interpreter, so the benches assert protocol
+*orderings*, not megabits (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.wire import WireError, decode
+from ..core.wire import WireError, decode, encode
 from ..faults.plan import FaultPlan
 from ..faults.socket import RECV_BUFFER_BYTES, FaultySocket
 from ..simnet.errors import ErrorModel
@@ -29,6 +32,13 @@ __all__ = [
 
 #: Payload bytes per data packet — the paper's 1 KB packets.
 DEFAULT_PACKET_BYTES = 1024
+
+#: A sender burst yields the processor after this many frames.  Loopback
+#: has no wire to pace a blast: the whole burst would leave before a
+#: receiver sharing this process (or this core) runs at all, and the
+#: kernel's default socket queue holds only about 90 one-kilobyte
+#: datagrams, so the tail of every longer burst would be dropped.
+YIELD_EVERY_FRAMES = 32
 
 # RECV_BUFFER_BYTES is defined in :mod:`repro.faults.socket` (the
 # lowest layer that owns a receive buffer) and re-exported here: the
@@ -133,3 +143,64 @@ class UdpEndpoint:
                 return decode(memoryview(buffer)[:count]), sender
             except WireError:
                 continue  # corrupted: indistinguishable from a loss
+
+    # -- machine drivers ----------------------------------------------------
+    def _drive_sender(self, machine, dst: Tuple[str, int]) -> int:
+        """Run a sender machine to completion; returns the timeout count.
+
+        Each turn advances the machine's timers, transmits every frame
+        it has ready (see ``YIELD_EVERY_FRAMES``), then waits for a
+        reply until exactly the machine's next deadline.  Machine time
+        is seconds since this call.
+        """
+        start = time.monotonic()
+        timeouts = 0
+        while True:
+            now = time.monotonic() - start
+            machine.poll(now)
+            burst = 0
+            while machine.has_frame(now):
+                self.sock.sendto(encode(machine.next_frame(now)), dst)
+                burst += 1
+                if burst % YIELD_EVERY_FRAMES == 0:
+                    time.sleep(0)
+            if machine.finished:
+                return timeouts
+            got = self._recv_frame(machine.next_deadline() - now)
+            if got is None:
+                timeouts += 1
+                continue
+            frame, _sender = got
+            if frame.stream_id == machine.stream_id:
+                machine.on_frame(frame, time.monotonic() - start)
+
+    def _drive_receiver(self, machine, idle_timeout_s: float,
+                        linger_s: float, first=None) -> bool:
+        """Feed a receiver machine until its transfer is over.
+
+        Every reply the machine produces goes back to the frame's
+        source.  Returns False when ``idle_timeout_s`` passes without a
+        frame for the machine's stream before the transfer is complete
+        *and answered* (the sender has been sent a reply since
+        completion).  From then on the loop lingers, still answering
+        duplicates so a lost final reply can be repaired, and returns
+        True after ``linger_s`` of quiet.  ``first`` is an
+        already-received ``(frame, source)`` pair to start from.
+        """
+        start = time.monotonic()
+        answered = False
+        quiet_s = idle_timeout_s
+        deadline = start + quiet_s
+        got = first or self._recv_frame(deadline - time.monotonic())
+        while got is not None:
+            frame, source = got
+            if frame.stream_id == machine.stream_id:
+                replies = machine.on_frame(frame, time.monotonic() - start)
+                for reply in replies:
+                    self.sock.sendto(encode(reply), source)
+                if replies and machine.done:
+                    answered = True
+                    quiet_s = linger_s
+                deadline = time.monotonic() + quiet_s
+            got = self._recv_frame(deadline - time.monotonic())
+        return answered

@@ -31,11 +31,11 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.frames import ControlFrame
+from ..core.frames import ControlFrame, FrameKind
 from ..core.wire import encode
 from ..simnet.errors import ErrorModel
-from .blast import BlastReceiver, BlastSender
 from .endpoints import DEFAULT_PACKET_BYTES
+from .transfer import UdpTransfer
 
 __all__ = ["UdpFileServer", "UdpFileClient", "FileServiceError"]
 
@@ -63,13 +63,18 @@ def _parse(frame: ControlFrame) -> dict:
         raise FileServiceError(f"malformed control body: {exc}") from exc
 
 
-class UdpFileServer(BlastSender, BlastReceiver):
+class UdpFileServer(UdpTransfer):
     """Serves files from an in-memory store over UDP.
 
     One socket, single-threaded: blast-sends read bodies, blast-receives
     write bodies, answers control requests in between — like the
     simulated file server, requests are served one at a time.
     """
+
+    #: The file service dispatches on control frames only; bulk frames
+    #: go through the endpoint loops to the protocol machines, which
+    #: own DATA/ACK/NAK (replint REP114).
+    FSM_IGNORES = (FrameKind.DATA, FrameKind.ACK, FrameKind.NAK)
 
     def __init__(
         self,
@@ -215,8 +220,11 @@ class UdpFileServer(BlastSender, BlastReceiver):
         return self._next_transfer_id
 
 
-class UdpFileClient(BlastReceiver, BlastSender):
+class UdpFileClient(UdpTransfer):
     """Client for :class:`UdpFileServer` (one socket for everything)."""
+
+    #: Control frames only, like the server (replint REP114).
+    FSM_IGNORES = (FrameKind.DATA, FrameKind.ACK, FrameKind.NAK)
 
     def __init__(
         self,

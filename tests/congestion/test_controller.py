@@ -7,7 +7,6 @@ from repro.congestion import (
     CONTROLLER_NAMES,
     FixedController,
     RenoController,
-    as_timeout_policy,
     jain_index,
     make_controller,
 )
@@ -44,19 +43,6 @@ class TestMakeController:
             make_controller("auto", 0.05)
         with pytest.raises(ValueError):
             make_controller("vegas", 0.05)
-
-
-class TestTimeoutPolicyAdapter:
-    def test_routes_through_the_controller(self):
-        controller = RenoController(timeout_s=0.05)
-        policy = as_timeout_policy(controller)
-        assert policy.current() == controller.rto()
-        policy.record_sample(0.01)
-        assert controller.rtt.samples == 1
-        before = policy.current()
-        policy.record_timeout()
-        assert controller.rto_events == 1  # expiry reached the FSM
-        assert policy.current() >= before  # Karn backoff in effect
 
 
 class TestRenoEventChoreography:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congestion import FixedController
 from repro.core.frames import AckFrame, DataFrame, NakFrame
 from repro.service.machines import (
     BlastSenderMachine,
@@ -236,3 +237,137 @@ class TestFrameCacheAndTimerEpoch:
         epoch = machine.timer_epoch
         machine.poll(0.2)  # reply timeout: next round starts, timer re-arms
         assert machine.timer_epoch > epoch
+
+
+class RecordingController(FixedController):
+    """The fixed discipline, remembering which events it was fed."""
+
+    def __init__(self, timeout_s=0.1):
+        super().__init__(timeout_s)
+        self.samples = []
+        self.timeouts = 0
+        self.dup_acks = 0
+
+    def on_rtt_sample(self, rtt_s):
+        self.samples.append(rtt_s)
+
+    def on_timeout(self, now=0.0):
+        self.timeouts += 1
+
+    def on_dup_ack(self, now=0.0):
+        self.dup_acks += 1
+        return False
+
+
+def ack(seq):
+    return AckFrame(transfer_id=1, seq=seq, stream_id=1)
+
+
+class TestKarnSampling:
+    """Karn's rule at the machines: an exchange that involved a
+    retransmission is never an RTT sample, and expiries back the timer
+    off once per RTO period.  Scripted ``(now, frame)`` sequences — no
+    sockets, no threads, no clock."""
+
+    def window_machine(self, window, packets=4):
+        controller = RecordingController()
+        machine = WindowSenderMachine(1, bytes(packets * 1024), 1024,
+                                      timeout_s=0.1, window=window,
+                                      controller=controller)
+        return machine, controller
+
+    def blast_machine(self, strategy="full_nak"):
+        controller = RecordingController()
+        machine = BlastSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                     strategy=strategy,
+                                     controller=controller)
+        return machine, controller
+
+    def test_clean_saw_samples_every_packet(self):
+        machine, controller = self.window_machine(window=1)
+        for seq in range(4):
+            now = seq * 0.01
+            assert [f.seq for f in drain(machine, now)] == [seq]
+            machine.on_frame(ack(seq), now + 0.002)
+        assert machine.done
+        assert controller.samples == pytest.approx([0.002] * 4)
+        assert controller.timeouts == 0
+
+    def test_saw_dropped_ack_not_sampled_backs_off_once(self):
+        machine, controller = self.window_machine(window=1)
+        drain(machine, 0.0)              # packet 0; its ack is lost
+        machine.poll(0.1)
+        assert [f.seq for f in drain(machine, 0.1)] == [0]
+        machine.on_frame(ack(0), 0.102)  # ambiguous: which send was acked?
+        assert controller.samples == [] and controller.timeouts == 1
+        for seq in (1, 2, 3):
+            drain(machine, 0.2 + seq * 0.01)
+            machine.on_frame(ack(seq), 0.2 + seq * 0.01 + 0.002)
+        assert machine.done and machine.retransmits == 1
+        assert len(controller.samples) == 3 and controller.timeouts == 1
+
+    def test_saw_duplicated_ack_is_ignored(self):
+        machine, controller = self.window_machine(window=1)
+        drain(machine, 0.0)
+        machine.on_frame(ack(0), 0.002)
+        assert [f.seq for f in drain(machine, 0.002)] == [1]
+        machine.on_frame(ack(0), 0.003)  # the duplicate: stale, not for 1
+        assert controller.dup_acks == 1
+        assert not machine.has_frame(0.003)  # no resend of packet 1
+        machine.on_frame(ack(1), 0.004)
+        for seq in (2, 3):
+            drain(machine, seq * 0.01)
+            machine.on_frame(ack(seq), seq * 0.01 + 0.002)
+        assert machine.done and machine.retransmits == 0
+        assert len(controller.samples) == 4  # no exchange lost its sample
+
+    def test_clean_blast_samples_exactly_its_first_round(self):
+        machine, controller = self.blast_machine()
+        drain(machine, 0.0)
+        machine.on_frame(NakFrame(transfer_id=1, first_missing=2,
+                                  missing=(2,), total=4, stream_id=1), 0.003)
+        assert controller.samples == pytest.approx([0.003])
+        drain(machine, 0.003)            # round 2 is all retransmissions
+        machine.on_frame(ack(3), 0.006)
+        assert machine.done
+        assert len(controller.samples) == 1 and controller.timeouts == 0
+
+    def test_blast_lost_first_reply_is_never_sampled(self):
+        machine, controller = self.blast_machine()
+        drain(machine, 0.0)              # round 1; its reply is lost
+        machine.poll(0.1)
+        assert controller.timeouts == 1
+        assert len(drain(machine, 0.1)) == 4
+        machine.on_frame(ack(3), 0.103)
+        assert machine.done
+        assert controller.samples == []  # no round was unambiguous
+
+    def test_clean_sliding_samples_every_packet(self):
+        machine, controller = self.window_machine(window=4)
+        assert len(drain(machine, 0.0)) == 4
+        for seq in range(4):
+            machine.on_frame(ack(seq), 0.002 + seq * 0.001)
+        assert machine.done
+        assert controller.samples == pytest.approx(
+            [0.002, 0.003, 0.004, 0.005])
+        assert controller.timeouts == 0
+
+    def test_sliding_samples_first_transmissions_only(self):
+        machine, controller = self.window_machine(window=4)
+        assert len(drain(machine, 0.0)) == 4
+        for seq in (0, 2, 3):            # packet 1 is lost
+            machine.on_frame(ack(seq), 0.002)
+        assert [f.seq for f in drain(machine, 0.1)] == [1]
+        machine.on_frame(ack(1), 0.102)
+        assert machine.done
+        assert controller.samples == pytest.approx([0.002] * 3)
+
+    def test_sliding_backs_off_once_per_rto_period(self):
+        machine, controller = self.window_machine(window=4)
+        drain(machine, 0.0)              # all four acks are lost
+        machine.poll(0.1)
+        assert [f.seq for f in drain(machine, 0.1)] == [0, 1, 2, 3]
+        assert controller.timeouts == 1  # four expiries, one backoff
+        machine.poll(0.2)
+        drain(machine, 0.2)              # the next period backs off again
+        assert controller.timeouts == 2

@@ -189,3 +189,32 @@ class TestPumpHostileFrames:
         assert {s: (p.status, p.payload_ok) for s, p in pulls.items()} == {
             stream: ("ok", True) for stream in (1, 2, 3)
         }
+
+
+class TestPumpHonoursTunedProtocol:
+    def test_pump_builds_the_receiver_the_auto_server_announces(self):
+        """Regression: the pump built its receiver from its own
+        configured protocol and ignored the ``protocol`` key of the ok
+        reply.  Once an auto-tuned server has seen loss it sends
+        sliding/reno streams, whose sender waits for per-packet acks a
+        blast receiver never gives: the pull stalled and the server
+        reported it failed."""
+        config = ServiceConfig(congestion="auto")
+        service, thread = run_service(config)
+        service.core._tuner.observe(data_frames_sent=100, retransmits=5)
+        pump = UdpClientPump(service.address, [8192], recv_timeout_s=1.0)
+        try:
+            pulls = pump.run(overall_timeout_s=15.0)
+        finally:
+            service.stop()
+            thread.join(timeout=25)
+            report = json.loads(service.report_json())
+            service.sock.close()
+        assert [(p.status, p.payload_ok) for p in pulls.values()] == [
+            ("ok", True)]
+        # The tuner did switch protocols: only its sliding choice runs
+        # under Reno.
+        (transfer,) = report["transfers"]
+        assert transfer["congestion"]["controller"] == "reno"
+        assert report["summary"]["ok"] == 1
+        assert report["summary"]["failed"] == 0

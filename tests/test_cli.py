@@ -130,11 +130,11 @@ class TestUdp:
         assert "sent 4096 bytes" in out
 
     def test_send_recv_round_trip(self, capsys):
-        from repro.udpnet import BlastReceiver
+        from repro.udpnet import UdpTransfer
 
         # Bind the receiver ourselves to learn the port, then drive the
         # CLI sender against it.
-        with BlastReceiver() as receiver:
+        with UdpTransfer() as receiver:
             host, port = receiver.address
             box = {}
 

@@ -128,7 +128,7 @@ class TestUdpOutcome:
         assert outcome.throughput_bps == 0.0
 
     def test_endpoint_packet_bytes_validation(self):
-        from repro.udpnet import BlastSender
+        from repro.udpnet import UdpTransfer
 
         with pytest.raises(ValueError):
-            BlastSender(packet_bytes=0)
+            UdpTransfer(packet_bytes=0)

@@ -10,15 +10,11 @@ import threading
 import pytest
 
 from repro.simnet import BernoulliErrors, DeterministicDrops
-from repro.udpnet import (
-    BlastReceiver,
-    BlastSender,
-    PerPacketAckReceiver,
-    SawSender,
-    SlidingWindowSender,
-)
+from repro.udpnet import UdpTransfer
 
 DATA = bytes(range(256)) * 32  # 8 KB -> 8 packets
+SAW = {"protocol": "saw"}
+SLIDING = {"protocol": "sliding"}
 
 
 def run_pair(receiver, serve_kwargs, send_fn):
@@ -38,9 +34,10 @@ def run_pair(receiver, serve_kwargs, send_fn):
 
 class TestStopAndWaitUdp:
     def test_lossless_transfer(self):
-        with PerPacketAckReceiver() as receiver, SawSender() as sender:
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
             sent, received = run_pair(
-                receiver, {}, lambda: sender.send(DATA, receiver.address)
+                receiver, SAW,
+                lambda: sender.send(DATA, receiver.address, **SAW),
             )
         assert sent.ok
         assert received.ok
@@ -48,11 +45,12 @@ class TestStopAndWaitUdp:
         assert sent.data_frames_sent == 8
 
     def test_transfer_with_injected_loss(self):
-        with PerPacketAckReceiver() as receiver, SawSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=BernoulliErrors(0.2, seed=31)
         ) as sender:
             sent, received = run_pair(
-                receiver, {}, lambda: sender.send(DATA, receiver.address)
+                receiver, SAW,
+                lambda: sender.send(DATA, receiver.address, **SAW),
             )
         assert sent.ok
         assert received.data == DATA
@@ -61,20 +59,22 @@ class TestStopAndWaitUdp:
 
 class TestSlidingWindowUdp:
     def test_lossless_transfer(self):
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender() as sender:
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
             sent, received = run_pair(
-                receiver, {}, lambda: sender.send(DATA, receiver.address)
+                receiver, SLIDING,
+                lambda: sender.send(DATA, receiver.address, **SLIDING),
             )
         assert sent.ok
         assert received.data == DATA
         assert sent.rounds == 1
 
     def test_selective_repeat_under_loss(self):
-        with PerPacketAckReceiver() as receiver, SlidingWindowSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=BernoulliErrors(0.25, seed=32)
         ) as sender:
             sent, received = run_pair(
-                receiver, {}, lambda: sender.send(DATA, receiver.address)
+                receiver, SLIDING,
+                lambda: sender.send(DATA, receiver.address, **SLIDING),
             )
         assert sent.ok
         assert received.data == DATA
@@ -84,7 +84,7 @@ class TestSlidingWindowUdp:
 class TestBlastUdp:
     @pytest.mark.parametrize("strategy", ["full_nak", "gobackn", "selective"])
     def test_lossless_transfer(self, strategy):
-        with BlastReceiver() as receiver, BlastSender() as sender:
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
             sent, received = run_pair(
                 receiver,
                 {},
@@ -97,12 +97,12 @@ class TestBlastUdp:
         assert received.reply_frames_sent == 1  # a single ack for the blast
 
     def test_full_no_nak_with_silent_receiver(self):
-        with BlastReceiver() as receiver, BlastSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=DeterministicDrops([2])
         ) as sender:
             sent, received = run_pair(
                 receiver,
-                {"nak": False},
+                {"strategy": "full_no_nak"},
                 lambda: sender.send(
                     DATA, receiver.address, strategy="full_no_nak", timeout_s=0.1
                 ),
@@ -113,7 +113,7 @@ class TestBlastUdp:
         assert sent.data_frames_sent >= 16  # full retransmission
 
     def test_gobackn_resends_tail_only(self):
-        with BlastReceiver() as receiver, BlastSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=DeterministicDrops([5])  # lose data packet seq 5
         ) as sender:
             sent, received = run_pair(
@@ -127,7 +127,7 @@ class TestBlastUdp:
         assert sent.data_frames_sent == 8 + 3  # seqs 5, 6, 7
 
     def test_selective_resends_exactly_missing(self):
-        with BlastReceiver() as receiver, BlastSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=DeterministicDrops([1, 5])
         ) as sender:
             sent, received = run_pair(
@@ -140,7 +140,7 @@ class TestBlastUdp:
         assert sent.data_frames_sent == 8 + 2
 
     def test_heavy_loss_still_delivers(self):
-        with BlastReceiver() as receiver, BlastSender(
+        with UdpTransfer() as receiver, UdpTransfer(
             error_model=BernoulliErrors(0.25, seed=33)
         ) as sender:
             sent, received = run_pair(
@@ -153,7 +153,7 @@ class TestBlastUdp:
 
     def test_large_transfer(self):
         big = bytes(256) * 1024  # 256 KB -> 256 packets
-        with BlastReceiver() as receiver, BlastSender() as sender:
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
             sent, received = run_pair(
                 receiver,
                 {},
@@ -166,20 +166,20 @@ class TestBlastUdp:
 
 class TestOutcomeAccounting:
     def test_throughput_positive(self):
-        with BlastReceiver() as receiver, BlastSender() as sender:
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
             sent, _ = run_pair(
                 receiver, {}, lambda: sender.send(DATA, receiver.address)
             )
         assert sent.throughput_bps > 0
 
     def test_receiver_first_timeout(self):
-        with BlastReceiver() as receiver:
+        with UdpTransfer() as receiver:
             outcome = receiver.serve_one(first_timeout_s=0.05)
         assert not outcome.ok
         assert "timed out" in outcome.error
 
     def test_lossy_socket_counters(self):
-        sender = SawSender(error_model=DeterministicDrops([0]))
+        sender = UdpTransfer(error_model=DeterministicDrops([0]))
         try:
             sender.sock.sendto(b"x", ("127.0.0.1", 9))  # dropped
             assert sender.sock.datagrams_dropped == 1
