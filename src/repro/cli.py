@@ -783,13 +783,14 @@ def _cmd_loadgen(args) -> int:
         return 0 if result.ok else 1
 
     if args.server:
-        from .service.loadgen import drive_udp_clients, make_sizes
+        from .service.clientpump import UdpClientPump
+        from .service.loadgen import make_sizes
 
         host, _, port = args.server.rpartition(":")
         address = (host or "127.0.0.1", int(port))
         sizes = make_sizes(args.sizes, args.clients, size_bytes=args.size,
                            seed=args.workload_seed)
-        pulls = drive_udp_clients(address, sizes, protocol=args.protocol)
+        pulls = UdpClientPump(address, sizes, protocol=args.protocol).run()
         for stream_id in sorted(pulls):
             pull = pulls[stream_id]
             print(f"stream {stream_id}: {pull.status} "

@@ -41,7 +41,8 @@ from ..parallel.pool import mix_seed
 from ..service.clientpump import PumpRunStats, UdpClientPump
 from ..service.engine import ServiceConfig
 from ..service.loadgen import make_sizes
-from ..service.udpservice import UdpPullResult, UdpTransferService
+from ..service.pullclient import UdpPullResult
+from ..service.udpservice import UdpTransferService
 from .merge import (
     SHARD_DEGRADED,
     SHARD_OK,

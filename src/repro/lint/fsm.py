@@ -4,9 +4,10 @@ The paper's protocols are frame-driven state machines: a sender or
 receiver sits in a loop, dispatches on the kind of the next frame, and
 flips terminal flags (``done``/``failed``) when the transfer resolves.
 This module recovers those machines from the AST — every class in
-``service/machines.py`` plus every public protocol driver under
-``udpnet/`` that speaks the frame vocabulary — and model-checks each
-one against the frame-kind inventory of ``core/frames.py``:
+``service/machines.py`` and ``service/pullclient.py`` plus every
+public protocol driver under ``udpnet/`` that speaks the frame
+vocabulary — and model-checks each one against the frame-kind
+inventory of ``core/frames.py``:
 
 1. **Exhaustiveness** — every :class:`FrameKind` member must be
    *dispatched* (an ``isinstance(frame, XFrame)`` check anywhere in the
@@ -57,7 +58,7 @@ __all__ = [
 FRAMES_UNIT = "core/frames.py"
 
 #: Units whose classes are candidate machines.
-MACHINE_UNITS = ("service/machines.py",)
+MACHINE_UNITS = ("service/machines.py", "service/pullclient.py")
 MACHINE_DIRS = ("udpnet",)
 
 #: Units excluded as "spoken-kind" evidence: the codec mentions every

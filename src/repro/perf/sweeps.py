@@ -36,16 +36,12 @@ run: a perf number for a broken run is worthless.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, List, Sequence, Tuple
 
-from ..core.frames import ControlFrame
-from ..service.clientpump import UdpClientPump
 from ..service.engine import ServiceConfig, ServiceCore
-from ..service.machines import receiver_for
+from ..service.pullclient import PullMachine
 
 __all__ = [
     "Sweep",
@@ -114,14 +110,8 @@ THROUGHPUT_SIZE_BYTES = 256 * 1024
 #: matching the committed DES scaling ledger).
 CLIENT_SWEEP_SIZE_BYTES = 4096
 
-#: Pump ring slot: covers the 1 KiB data frames plus headers and any
-#: control response the service emits.
-_SLOT_BYTES = 8192
 _RECV_TIMEOUT_S = 30.0
 _OVERALL_TIMEOUT_S = 120.0
-#: Short linger — loopback without a fault plan cannot lose the final
-#: ACK, so the courtesy window only pads the wall clock.
-_LINGER_S = 0.02
 
 
 def _service_config() -> ServiceConfig:
@@ -132,41 +122,24 @@ def _service_config() -> ServiceConfig:
 def run_udp_cell(clients: int, size_bytes: int) -> dict:
     """Serve ``clients`` pulls of ``size_bytes`` each over loopback.
 
-    The timed window is wall clock around the whole run (server thread,
-    pump, settle).  The single-threaded
-    :class:`~repro.service.clientpump.UdpClientPump` drives every
-    client — 256 threaded clients would measure the GIL, not the server.
+    The timed window is wall clock around the whole
+    :func:`~repro.service.loadgen.run_udp_loadgen` run (server thread,
+    pump, linger, settle).
     """
-    from ..service.udpservice import UdpTransferService
+    from ..service.loadgen import run_udp_loadgen
 
     start = perf_counter()
-    service = UdpTransferService(_service_config())
-    thread = threading.Thread(
-        target=service.serve,
-        kwargs={"expected_streams": clients,
-                "duration_s": _OVERALL_TIMEOUT_S},
-        daemon=True,
-    )
-    thread.start()
-    pump = UdpClientPump(
-        service.address, [size_bytes] * clients, protocol="blast",
-        recv_timeout_s=_RECV_TIMEOUT_S, slot_bytes=_SLOT_BYTES,
-        linger_s=_LINGER_S,
-    )
-    try:
-        results = pump.run(overall_timeout_s=_OVERALL_TIMEOUT_S)
-    finally:
-        service.stop()
-        thread.join(timeout=10.0)
-    canonical = service.canonical_report_json()
-    service.close()
+    result = run_udp_loadgen(
+        clients, config=_service_config(), size_bytes=size_bytes,
+        duration_s=_OVERALL_TIMEOUT_S, recv_timeout_s=_RECV_TIMEOUT_S)
     seconds = perf_counter() - start
-    bad = {s: (r.status, r.error) for s, r in results.items() if not r.ok}
-    if len(results) != clients or bad:
+    bad = {s: (r.status, r.error) for s, r in result.pulls.items()
+           if not r.ok}
+    if len(result.pulls) != clients or bad:
         raise AssertionError(
             f"UDP cell failed ({clients} clients x {size_bytes}B): {bad}"
         )
-    stats = pump.stats
+    stats = result.stats
     return {
         "clients": clients,
         "ok": stats.ok,
@@ -176,7 +149,7 @@ def run_udp_cell(clients: int, size_bytes: int) -> dict:
             stats.per_client_goodput_bytes_per_s
         ),
         "seconds": seconds,
-        "canonical": canonical,
+        "canonical": result.canonical_json,
     }
 
 
@@ -312,18 +285,21 @@ def run_sched_cell(streams: int) -> dict:
     report rendering.  Raises if any stream fails or the loop stalls.
     """
     core = ServiceCore(_sched_config(streams))
-    receivers = {}
+    pulls = {}
     now = 0.0
     for stream_id in range(1, streams + 1):
-        body = json.dumps({"op": "pull", "size": _SIZE_BYTES,
-                           "stream": stream_id}, sort_keys=True)
-        pull = ControlFrame(transfer_id=stream_id, request_id=stream_id,
-                            body=body.encode(), stream_id=stream_id)
-        replies = core.on_frame(pull, now, client=f"c{stream_id:05d}")
-        reply_body = json.loads(replies[0][0].body.decode())
-        if reply_body["status"] != "ok":
-            raise AssertionError(f"admission failed: {reply_body}")
-        receivers[stream_id] = receiver_for("saw", stream_id)
+        # The loop below has no quiet periods, so like the retransmit
+        # timers the client's never fire.
+        pull = PullMachine(stream_id, _SIZE_BYTES, "saw", "selective",
+                           pull_timeout_s=_TIMEOUT_S, pull_retries=1,
+                           recv_timeout_s=_TIMEOUT_S, linger_s=_TIMEOUT_S)
+        for request in pull.start(now):
+            for verdict, _client in core.on_frame(
+                    request, now, client=f"c{stream_id:05d}"):
+                pull.on_frame(verdict, now)
+        if pull.done:
+            raise AssertionError(f"admission failed: {pull.result}")
+        pulls[stream_id] = pull
 
     acks: List[Tuple[float, int, object]] = []
     ack_counter = 0
@@ -340,7 +316,7 @@ def run_sched_cell(streams: int) -> dict:
         for frame, _client in core.poll(now):
             stream_id = frame.stream_id
             latency = _LATENCIES[stream_id % _COHORTS]
-            for reply in receivers[stream_id].on_frame(frame, now):
+            for reply in pulls[stream_id].on_frame(frame, now):
                 ack_counter += 1
                 heappush(acks, (now + latency, ack_counter, reply))
         deadline = core.next_deadline(now)
@@ -360,7 +336,8 @@ def run_sched_cell(streams: int) -> dict:
             core.on_frame(reply, now)
     seconds = perf_counter() - start
 
-    bad = [sid for sid, receiver in receivers.items() if not receiver.done]
+    bad = [sid for sid, pull in pulls.items()
+           if pull.result is None or not pull.result.ok]
     if bad:
         raise AssertionError(f"incomplete streams: {bad[:5]}...")
     return {

@@ -8,11 +8,14 @@ core, over the simulated LAN.  See ``docs/service.md``.
 Layers:
 
 - :mod:`machines` — substrate-free per-transfer state machines;
+- :mod:`pullclient` — :class:`PullMachine`, the substrate-free client
+  side of the pull protocol;
 - :mod:`scheduler` — pluggable scheduling policies (fifo, rr,
   copy-budget) and admission control primitives;
 - :mod:`engine` — :class:`ServiceCore`, the policy-driven multiplexer;
 - :mod:`metrics` — stable JSON / text reporting;
 - :mod:`simservice` / :mod:`udpservice` — the two substrate loops;
+- :mod:`clientpump` — :class:`UdpClientPump`, the UDP client driver;
 - :mod:`loadgen` — deterministic load generation for both substrates.
 """
 
@@ -43,8 +46,10 @@ from .loadgen import (
     run_scaling_sweep,
     run_udp_loadgen,
 )
+from .clientpump import UdpClientPump
+from .pullclient import PullMachine, UdpPullResult
 from .simservice import DesServiceResult, run_des_service
-from .udpservice import UdpPullResult, UdpServiceClient, UdpTransferService
+from .udpservice import UdpTransferService
 
 __all__ = [
     "ServiceConfig",
@@ -68,7 +73,8 @@ __all__ = [
     "DesServiceResult",
     "run_des_service",
     "UdpTransferService",
-    "UdpServiceClient",
+    "UdpClientPump",
+    "PullMachine",
     "UdpPullResult",
     "ScalingSweepResult",
     "UdpLoadgenResult",

@@ -77,10 +77,6 @@ class DatagramBatchIO:
         control both peers (the pump in
         :mod:`repro.service.clientpump`) pass the largest datagram they
         can actually receive to keep N×ring memory bounded.
-    nonblocking:
-        Put the socket in non-blocking mode (the readiness-loop
-        contract).  Pass False for send-only use next to a blocking
-        receive path (the client pull helper).
 
     The ``memoryview`` entries returned by :meth:`recv_batch` alias the
     ring and are only valid until the next :meth:`recv_batch` call —
@@ -89,15 +85,13 @@ class DatagramBatchIO:
     """
 
     def __init__(self, sock, ring_slots: int = BATCH_SLOTS,
-                 nonblocking: bool = True,
                  slot_bytes: int = RECV_BUFFER_BYTES):
         if ring_slots < 1:
             raise ValueError(f"ring_slots must be >= 1, got {ring_slots}")
         if slot_bytes < 1:
             raise ValueError(f"slot_bytes must be >= 1, got {slot_bytes}")
         self._sock = sock
-        if nonblocking:
-            sock.setblocking(False)
+        sock.setblocking(False)
         self._slots = [bytearray(slot_bytes) for _ in range(ring_slots)]
         self._slot_views = [memoryview(slot) for slot in self._slots]
         self._send_buffer = bytearray(RECV_BUFFER_BYTES)

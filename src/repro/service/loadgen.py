@@ -6,9 +6,10 @@ Two drivers share one vocabulary of workloads (sizes from
 
 - :func:`run_des_loadgen` — N simulated clients against the DES
   service; fully deterministic, so its reports are byte-comparable.
-- :func:`run_udp_loadgen` — N threaded clients against a real loopback
-  :class:`~repro.service.udpservice.UdpTransferService`; verdicts (not
-  timings) are the stable part.
+- :func:`run_udp_loadgen` — one
+  :class:`~repro.service.clientpump.UdpClientPump` of N clients against
+  a real loopback :class:`~repro.service.udpservice.UdpTransferService`
+  served in a thread; verdicts (not timings) are the stable part.
 
 :func:`run_scaling_sweep` is the benchmark entry point: a concurrency ×
 protocol × policy grid of DES cells fanned across an
@@ -31,16 +32,17 @@ from ..workloads import (
     page_cluster_sizes,
     paper_table_sizes,
 )
+from .clientpump import PumpRunStats, UdpClientPump
 from .engine import ServiceConfig
+from .pullclient import UdpPullResult
 from .simservice import DesServiceResult, run_des_service
-from .udpservice import UdpPullResult, UdpServiceClient, UdpTransferService
+from .udpservice import UdpTransferService
 
 __all__ = [
     "SIZE_WORKLOADS",
     "ScalingCell",
     "ScalingSweepResult",
     "UdpLoadgenResult",
-    "drive_udp_clients",
     "make_sizes",
     "run_des_loadgen",
     "run_scaling_sweep",
@@ -211,48 +213,19 @@ def run_scaling_sweep(
 
 @dataclass
 class UdpLoadgenResult:
-    """One threaded loopback run: per-client verdicts + server report."""
+    """One loopback run: per-client verdicts, pump stats, server reports."""
 
     pulls: Dict[int, UdpPullResult]
     report_json: str
     served: bool
+    #: Wall-clock facts of the pump run (machine-dependent).
+    stats: PumpRunStats
+    #: The server's deterministic outcome projection.
+    canonical_json: str
 
     @property
     def all_ok(self) -> bool:
         return bool(self.pulls) and all(p.ok for p in self.pulls.values())
-
-
-def drive_udp_clients(
-    address: Tuple[str, int],
-    sizes: Sequence[int],
-    protocol: str = "blast",
-    strategy: str = "selective",
-    recv_timeout_s: float = 5.0,
-    join_timeout_s: float = 40.0,
-    first_stream: int = 1,
-) -> Dict[int, UdpPullResult]:
-    """One threaded :class:`UdpServiceClient` per size, all at once."""
-    pulls: Dict[int, UdpPullResult] = {}
-
-    def pull_one(stream_id: int, size: int) -> None:
-        client = UdpServiceClient(address, protocol=protocol,
-                                  strategy=strategy,
-                                  recv_timeout_s=recv_timeout_s)
-        try:
-            pulls[stream_id] = client.pull(stream_id, size)
-        finally:
-            client.sock.close()
-
-    workers = [
-        threading.Thread(target=pull_one,
-                         args=(first_stream + index, size), daemon=True)
-        for index, size in enumerate(sizes)
-    ]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join(timeout=join_timeout_s)
-    return pulls
 
 
 def run_udp_loadgen(
@@ -267,7 +240,7 @@ def run_udp_loadgen(
     recv_timeout_s: float = 5.0,
     bind: Tuple[str, int] = ("127.0.0.1", 0),
 ) -> UdpLoadgenResult:
-    """Drive ``clients`` threaded pulls against a loopback service."""
+    """Serve on loopback in a thread and pump ``clients`` pulls at it."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
     config = config or ServiceConfig()
@@ -283,14 +256,15 @@ def run_udp_loadgen(
 
     server_thread = threading.Thread(target=serve, daemon=True)
     server_thread.start()
-    pulls = drive_udp_clients(
-        service.address, size_list, protocol=config.protocol,
-        strategy=config.strategy, recv_timeout_s=recv_timeout_s,
-        join_timeout_s=duration_s + 10.0,
-    )
-    service.stop()
-    server_thread.join(timeout=10.0)
-    report = service.report_json()
-    service.sock.close()
-    return UdpLoadgenResult(pulls=pulls, report_json=report,
-                            served=served[0])
+    pump = UdpClientPump(service.address, size_list,
+                         protocol=config.protocol, strategy=config.strategy,
+                         recv_timeout_s=recv_timeout_s)
+    try:
+        pulls = pump.run(overall_timeout_s=duration_s + 10.0)
+    finally:
+        service.stop()
+        server_thread.join(timeout=10.0)
+        service.close()
+    return UdpLoadgenResult(pulls=pulls, report_json=service.report_json(),
+                            served=served[0], stats=pump.stats,
+                            canonical_json=service.canonical_report_json())

@@ -1,0 +1,184 @@
+"""The pull protocol's client side, once: a substrate-free state machine.
+
+Same discipline as :mod:`repro.service.machines` — no clock reads, no
+I/O; the driver supplies ``now`` and carries frames — so the one
+:class:`PullMachine` runs under the discrete-event simulator
+(:mod:`repro.service.simservice`) and behind a selector on real sockets
+(:mod:`repro.service.clientpump`), and a fake clock can test it.
+
+A pull passes through three timed states:
+
+1. **pulling** — the control request is out; it is sent again after
+   every quiet ``pull_timeout_s`` until the server's verdict arrives,
+   ``pull_retries`` sends in all;
+2. **receiving** — data frames of the stream go to the protocol
+   receiver the verdict names, its replies go back; ``recv_timeout_s``
+   without one is a stall.  On completion the body is verified against
+   :func:`~repro.service.machines.service_payload`, which the client
+   derives from the (seed, stream) pair the verdict echoes, so payload
+   integrity needs no checksum exchange;
+3. **linger** — ``wants_reply`` duplicates are re-answered for
+   ``linger_s`` so a lost final ACK cannot wedge the server's sender.
+
+All three obey one driver contract, the *quiet period*: send the frames
+the last call returned, then wait up to :attr:`PullMachine.quiet_s` for
+a frame the machine :meth:`~PullMachine.wants`.  Hand that frame to
+:meth:`~PullMachine.on_frame`; if the period passes without one, call
+:meth:`~PullMachine.on_quiet`.  Either call restarts the period.  Stop
+when :attr:`PullMachine.done`.  What a driver does with a frame the
+machine does not want (the DES keeps it buffered, the pump drops it) is
+the substrate's business.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import List, Optional
+
+from ..core.frames import ControlFrame, DataFrame, FrameKind
+from .machines import receiver_for, service_payload
+
+__all__ = ["PullMachine", "UdpPullResult"]
+
+_PULLING = 0
+_RECEIVING = 1
+_LINGER = 2
+
+
+@dataclass
+class UdpPullResult:
+    """One client-side pull, verified end to end."""
+
+    stream_id: int
+    status: str
+    size_bytes: int = 0
+    payload_ok: bool = False
+    duplicates: int = 0
+    elapsed_s: float = 0.0
+    error: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok" and self.payload_ok
+
+
+class PullMachine:
+    """Request one stream, receive it, verify it, linger."""
+
+    #: ACK/NAK are the receiver machine's replies, passed through and
+    #: never dispatched on (replint REP114).
+    FSM_IGNORES = (FrameKind.ACK, FrameKind.NAK)
+
+    def __init__(self, stream_id: int, size: int, protocol: str,
+                 strategy: str, pull_timeout_s: float, pull_retries: int,
+                 recv_timeout_s: float, linger_s: float,
+                 client: Optional[str] = None):
+        self.stream_id = stream_id
+        self.size = size
+        self.protocol = protocol
+        self.strategy = strategy
+        self.pull_retries = pull_retries
+        self.recv_timeout_s = recv_timeout_s
+        self.linger_s = linger_s
+        # A bad protocol or strategy name of our own raises here, so the
+        # same ValueError later can only mean a bad name in a response.
+        receiver_for(protocol, stream_id, strategy)
+        body = {"op": "pull", "size": size, "stream": stream_id}
+        if client is not None:
+            # DES frames carry no source address: the request names it.
+            body["client"] = client
+        self._request = ControlFrame(
+            transfer_id=0, request_id=stream_id,
+            body=json.dumps(body, sort_keys=True).encode())
+        self._state = _PULLING
+        self._attempts = 0
+        self._seed = 0
+        self._receiver = None
+        self.started = 0.0
+        #: How long the driver waits for a wanted frame in this state.
+        self.quiet_s = pull_timeout_s
+        self.done = False
+        #: The verdict; set before ``done`` when a good pull lingers.
+        self.result: Optional[UdpPullResult] = None
+
+    def start(self, now: float) -> List[object]:
+        """Begin the pull; returns the first request to send."""
+        self.started = now
+        self._attempts = 1
+        return [self._request]
+
+    def wants(self, frame) -> bool:
+        """Is ``frame`` one this state consumes?  (A pure predicate.)"""
+        if self._state == _PULLING:
+            return (isinstance(frame, ControlFrame)
+                    and frame.request_id == self.stream_id
+                    and frame.stream_id in (0, self.stream_id))
+        # Duplicate verdicts and other streams' frames are not progress.
+        return (isinstance(frame, DataFrame)
+                and frame.stream_id == self.stream_id)
+
+    def on_frame(self, frame, now: float) -> List[object]:
+        """Consume a wanted frame; returns the frames to send."""
+        if self._state == _PULLING:
+            self._on_verdict(frame, now)
+            return []
+        replies = self._receiver.on_frame(frame, now)
+        if self._state == _RECEIVING and self._receiver.done:
+            data = self._receiver.data
+            self.result = UdpPullResult(
+                self.stream_id, "ok", size_bytes=len(data),
+                payload_ok=data == service_payload(
+                    self._seed, self.stream_id, self.size),
+                duplicates=self._receiver.duplicates,
+                elapsed_s=now - self.started)
+            self._state = _LINGER
+            self.quiet_s = self.linger_s
+        return replies
+
+    def on_quiet(self, now: float) -> List[object]:
+        """A quiet period passed; returns the frames to send."""
+        if self._state == _LINGER:
+            self.done = True
+        elif self._state == _RECEIVING:
+            self._fail("stalled", now, "transfer stalled before completion")
+        elif self._attempts < self.pull_retries:
+            self._attempts += 1
+            return [self._request]
+        else:
+            self._fail("no-response", now, "control response never arrived")
+        return []
+
+    def _on_verdict(self, frame: ControlFrame, now: float) -> None:
+        # Anything but a well-formed verdict is ignored like a corrupted
+        # datagram: the request keeps being retried.
+        try:
+            verdict = json.loads(frame.body.decode())
+        except (ValueError, UnicodeDecodeError):
+            return
+        if not isinstance(verdict, dict):
+            return
+        status, seed = verdict.get("status"), verdict.get("seed")
+        if not isinstance(status, str):
+            return
+        if status != "ok":
+            self._fail(status, now, str(verdict.get("reason", "")))
+            return
+        if not isinstance(seed, int):
+            return
+        try:
+            # Auto-tuned servers name the protocol they picked for this
+            # stream; otherwise the configured one applies.
+            self._receiver = receiver_for(
+                verdict.get("protocol", self.protocol), self.stream_id,
+                self.strategy)
+        except ValueError:
+            return
+        self._seed = seed
+        self._state = _RECEIVING
+        self.quiet_s = self.recv_timeout_s
+
+    def _fail(self, status: str, now: float, error: str) -> None:
+        self.result = UdpPullResult(self.stream_id, status,
+                                    elapsed_s=now - self.started, error=error)
+        self.done = True

@@ -2,27 +2,18 @@
 
 A policy decides which active transfers may put a frame on the wire in
 the current scheduling quantum.  The engine hands it a *schedule view*
-(or, equivalently, the raw active table) and a grant budget; the policy
-returns stream ids in transmission order, at most ``budget`` of them,
-consulting ``frames_available(now)`` so it never grants a send the
-machine cannot honour.
+(:class:`~repro.service.engine._ScheduleView`) and a grant budget; the
+policy returns stream ids in transmission order, at most ``budget`` of
+them, consulting ``frames_available(now)`` so it never grants a send
+the machine cannot honour.
 
-Two table shapes are accepted, duck-typed on ``ready_iter``:
-
-- the plain active dict (insertion-ordered: admission order is the
-  only ordering the service ever relies on — never hash order), the
-  historical interface still used by tests and ad-hoc callers;
-- the engine's :class:`~repro.service.engine._ScheduleView`, which
-  iterates only the *ready set* — streams with ``has_frame(now)`` —
-  in admission order, so a grants call costs O(ready + granted)
-  instead of O(active).
-
-Both shapes produce byte-identical grant sequences: a stream with no
-frame available contributes nothing to any policy's output, so
-skipping it up front (the view) or scanning-and-skipping it (the
-dict) is the same schedule.  The round-robin cursor arithmetic below
-preserves the historical cursor trajectory exactly — see the
-``RoundRobinPolicy`` docstring.
+The view offers three things: ``ready_iter(now)`` — ``(stream_id,
+entry)`` for the *ready set* only (streams with ``has_frame(now)``), in
+admission order, the only ordering the service ever relies on (never
+hash order) — plus ``client_count()`` and ``client_positions()`` for
+the rotation.  A stream with no frame available contributes nothing to
+any policy's output, so a grants call costs O(ready + granted), not
+O(active).
 
 Three policies, mirroring the design space the paper's copy-cost model
 opens up:
@@ -55,26 +46,6 @@ __all__ = [
 ]
 
 
-def _is_view(table) -> bool:
-    """Engine schedule view vs plain active dict (duck-typed)."""
-    return hasattr(table, "ready_iter")
-
-
-def _ready_iter(table, now):
-    """Yield ``(stream_id, entry)`` sendable candidates in admission order.
-
-    For a view this touches only the ready set; for a dict it scans the
-    whole table and skips unsendable streams — identical candidate
-    sequences either way.
-    """
-    if _is_view(table):
-        yield from table.ready_iter(now)
-        return
-    for stream_id, entry in table.items():
-        if entry.machine.frames_available(now) > 0:
-            yield stream_id, entry
-
-
 class SchedulingPolicy:
     """Base class; concrete policies override :meth:`grants`."""
 
@@ -83,11 +54,9 @@ class SchedulingPolicy:
     def grants(self, table, now: float, budget: int) -> List[int]:
         """Stream ids to grant one frame each, in transmission order.
 
-        ``table`` is either the active dict (stream id -> entry with
-        ``client`` and a ``machine``) or the engine's schedule view;
-        candidate iteration order is admission order in both cases.  A
-        stream id may appear several times when the policy lets one
-        transfer send a run of frames.
+        ``table`` is the engine's schedule view; its entries carry a
+        ``client`` and a ``machine``.  A stream id may appear several
+        times when the policy lets one transfer send a run of frames.
         """
         raise NotImplementedError
 
@@ -102,7 +71,7 @@ class FifoPolicy(SchedulingPolicy):
 
     def grants(self, table, now, budget):
         order: List[int] = []
-        for stream_id, entry in _ready_iter(table, now):
+        for stream_id, entry in table.ready_iter(now):
             take = min(entry.machine.frames_available(now),
                        budget - len(order))
             order.extend([stream_id] * take)
@@ -136,10 +105,7 @@ class RoundRobinPolicy(SchedulingPolicy):
 
     def grants(self, table, now, budget):
         order: List[int] = []
-        if _is_view(table):
-            client_count = table.client_count()
-        else:
-            client_count = len({e.client for e in table.values()})
+        client_count = table.client_count()
         if client_count == 0:
             return order
         # The historical walk normalised the cursor against the current
@@ -149,18 +115,12 @@ class RoundRobinPolicy(SchedulingPolicy):
         # Group sendable streams by client, admission-ordered both
         # across clients (first sendable stream) and within one client.
         by_client: Dict[object, List] = {}
-        for stream_id, entry in _ready_iter(table, now):
+        for stream_id, entry in table.ready_iter(now):
             by_client.setdefault(entry.client, []).append((stream_id, entry))
         if not by_client:
             return order
 
-        if _is_view(table):
-            position = table.client_positions()
-        else:
-            position = {}
-            for entry in table.values():
-                if entry.client not in position:
-                    position[entry.client] = len(position)
+        position = table.client_positions()
 
         remaining: Dict[int, int] = {}
 

@@ -8,11 +8,11 @@ thin, non-blocking carrier for :class:`~repro.service.engine.ServiceCore`
 — identical scheduler logic to the UDP substrate — which is what makes
 service results deterministic and byte-reproducible.
 
-Clients follow the control protocol: one ``pull`` per stream (retried,
-deduplicated server-side), then a receiver machine that replies per the
-protocol's discipline and reassembles the body.  The run result carries
-the reassembled payloads *and* the server's metrics report, so callers
-can assert byte-equality end to end.
+Each client process carries one :class:`~repro.service.pullclient
+.PullMachine` — the same client the UDP pump drives — which requests
+its stream, receives and verifies the body, and lingers.  The run
+result carries the clients' verdicts *and* the server's metrics report,
+so callers can assert byte-equality end to end.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ from ..simnet.errors import ErrorModel
 from ..simnet.host import Host, make_network
 from ..simnet.params import NetworkParams
 from .engine import ServiceConfig, ServiceCore
-from .machines import receiver_for, service_payload
+from .pullclient import PullMachine
 
 __all__ = ["DesServiceResult", "run_des_service"]
 
-#: Client-side control/receive tuning (sim seconds).
+#: Client-side timing (sim seconds).  A stream admitted to the pending
+#: queue is silent until it gets a slot, so the stall wait is long.
 PULL_TIMEOUT_S = 0.25
 PULL_RETRIES = 40
-RECV_TIMEOUT_S = 0.5
-RECV_IDLE_LIMIT = 40
+RECV_TIMEOUT_S = 20.0
 LINGER_S = 0.25
 _MIN_TICK_S = 1e-9
 
@@ -114,70 +114,22 @@ def _server_process(env: Environment, host: Host, peers: Dict[str, Host],
 
 
 def _client_process(env: Environment, host: Host, server: Host,
-                    protocol: str, strategy: str, stream_id: int, size: int,
-                    arrival_s: float, status: Dict[int, str],
-                    payloads: Dict[int, bytes]):
+                    machine: PullMachine, arrival_s: float):
+    """The quiet-period contract of :mod:`pullclient` on sim time: the
+    timer is armed once the sends are on the wire, and frames the
+    machine does not want stay buffered for a later state."""
     if arrival_s > 0:
         yield env.timeout(arrival_s)
-    body = {"client": host.name, "op": "pull", "size": size,
-            "stream": stream_id}
-    pull = ControlFrame(
-        transfer_id=0,
-        request_id=stream_id,
-        body=json.dumps(body, sort_keys=True).encode(),
-    )
-
-    def is_reply(frame) -> bool:
-        return (isinstance(frame, ControlFrame)
-                and frame.request_id == stream_id
-                and frame.stream_id == stream_id)
-
-    response = None
-    for _ in range(PULL_RETRIES):
-        yield from host.send(pull, dst=server)
-        reply = yield from host.receive(timeout_s=PULL_TIMEOUT_S,
-                                        predicate=is_reply)
-        if reply is not None:
-            response = json.loads(reply.body.decode())
-            break
-    if response is None:
-        status[stream_id] = "no-response"
-        return
-    if response.get("status") != "ok":
-        status[stream_id] = response.get("status", "error")
-        return
-
-    # Auto-tuned servers tell the client which protocol they picked for
-    # this stream; otherwise the configured protocol applies.
-    receiver = receiver_for(response.get("protocol", protocol), stream_id,
-                            strategy)
-
-    def is_mine(frame) -> bool:
-        return getattr(frame, "stream_id", 0) == stream_id
-
-    idle = 0
-    while not receiver.done:
-        frame = yield from host.receive(timeout_s=RECV_TIMEOUT_S,
-                                        predicate=is_mine)
-        if frame is None:
-            idle += 1
-            if idle >= RECV_IDLE_LIMIT:
-                status[stream_id] = "stalled"
-                return
-            continue
-        idle = 0
-        for reply_frame in receiver.on_frame(frame, env.now):
-            yield from host.send(reply_frame, dst=server)
-    payloads[stream_id] = receiver.data
-    status[stream_id] = "ok"
-    # Linger: the final ACK may be lost; keep answering wants_reply
-    # duplicates so the sender machine can terminate.
+    frames = machine.start(env.now)
     while True:
-        frame = yield from host.receive(timeout_s=LINGER_S, predicate=is_mine)
-        if frame is None:
+        for frame in frames:
+            yield from host.send(frame, dst=server)
+        if machine.done:
             return
-        for reply_frame in receiver.on_frame(frame, env.now):
-            yield from host.send(reply_frame, dst=server)
+        frame = yield from host.receive(timeout_s=machine.quiet_s,
+                                        predicate=machine.wants)
+        frames = (machine.on_quiet(env.now) if frame is None
+                  else machine.on_frame(frame, env.now))
 
 
 def run_des_service(
@@ -210,24 +162,22 @@ def run_des_service(
     peers = {host.name: host for host in clients}
 
     core = ServiceCore(config)
-    status: Dict[int, str] = {}
-    payloads: Dict[int, bytes] = {}
+    machines = [
+        PullMachine(index + 1, size, config.protocol, config.strategy,
+                    PULL_TIMEOUT_S, PULL_RETRIES, RECV_TIMEOUT_S, LINGER_S,
+                    client=client.name)
+        for index, (size, client) in enumerate(zip(sizes, clients))
+    ]
 
     env.process(_server_process(env, server, peers, core, expected_streams=n))
-    for index, client in enumerate(clients):
-        stream_id = index + 1
-        env.process(_client_process(
-            env, client, server, config.protocol, config.strategy,
-            stream_id, sizes[index], arrivals[index], status, payloads,
-        ))
+    for client, machine, arrival_s in zip(clients, machines, arrivals):
+        env.process(_client_process(env, client, server, machine, arrival_s))
     env.run()
 
-    payloads_ok = all(
-        payloads.get(stream_id)
-        == service_payload(config.seed, stream_id, sizes[stream_id - 1])
-        for stream_id in range(1, n + 1)
-        if status.get(stream_id) == "ok"
-    ) and any(status.get(s) == "ok" for s in range(1, n + 1))
+    status = {m.stream_id: m.result.status if m.result else "missing"
+              for m in machines}
+    pulled = [m.result for m in machines if status[m.stream_id] == "ok"]
+    payloads_ok = bool(pulled) and all(r.payload_ok for r in pulled)
     return DesServiceResult(
         config=config,
         report=core.metrics.to_dict(config.to_dict()),
@@ -235,5 +185,5 @@ def run_des_service(
         payloads_ok=payloads_ok,
         completed=core.finished_count,
         rejected=len(core.metrics.rejections),
-        client_status={s: status.get(s, "missing") for s in range(1, n + 1)},
+        client_status=status,
     )

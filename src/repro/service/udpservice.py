@@ -23,31 +23,24 @@ expires with nothing readable, fault-held (reordered) datagrams are
 force-flushed — the same "bounded plans never wedge" guarantee the old
 per-receive timeout provided.
 
-:class:`UdpServiceClient` pulls one stream and verifies it end to end
-against :func:`~repro.service.machines.service_payload` — the client
-recomputes the expected body from the (seed, stream) pair the ok
-response echoes, so payload integrity needs no checksum exchange.
+The client side is :class:`~repro.service.clientpump.UdpClientPump`.
 """
 
 from __future__ import annotations
 
-import json
 import selectors
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.frames import ControlFrame
-from ..core.wire import WireError, decode, encode
+from ..core.wire import WireError, decode
 from ..faults.plan import FaultPlan
 from ..simnet.errors import ErrorModel
 from ..udpnet.endpoints import UdpEndpoint
 from .engine import ServiceConfig, ServiceCore
 from .iobatch import DatagramBatchIO
-from .machines import receiver_for, service_payload
 
-__all__ = ["UdpTransferService", "UdpServiceClient", "UdpPullResult"]
+__all__ = ["UdpTransferService"]
 
 #: Loop never sleeps longer than this (keeps stop()/duration responsive).
 MAX_WAIT_S = 0.05
@@ -172,118 +165,3 @@ class UdpTransferService(UdpEndpoint):
         """Deterministic outcome projection (see ServiceMetrics)."""
         return self.core.metrics.canonical_json()
 
-
-@dataclass
-class UdpPullResult:
-    """One client-side pull, verified end to end."""
-
-    stream_id: int
-    status: str
-    size_bytes: int = 0
-    payload_ok: bool = False
-    duplicates: int = 0
-    elapsed_s: float = 0.0
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok" and self.payload_ok
-
-
-class UdpServiceClient(UdpEndpoint):
-    """Pulls streams from a :class:`UdpTransferService`."""
-
-    def __init__(
-        self,
-        server: Tuple[str, int],
-        protocol: str = "blast",
-        strategy: str = "selective",
-        bind: Tuple[str, int] = ("127.0.0.1", 0),
-        error_model: Optional[ErrorModel] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        fault_seed: Optional[int] = None,
-        pull_timeout_s: float = 0.25,
-        pull_retries: int = 40,
-        recv_timeout_s: float = 2.0,
-        linger_s: float = 0.3,
-    ):
-        super().__init__(bind=bind, error_model=error_model,
-                         fault_plan=fault_plan, fault_seed=fault_seed)
-        self.server = server
-        self.protocol = protocol
-        self.strategy = strategy
-        self.pull_timeout_s = pull_timeout_s
-        self.pull_retries = pull_retries
-        self.recv_timeout_s = recv_timeout_s
-        self.linger_s = linger_s
-        # Send-only batch layer for the control request; receives (and
-        # the receiver machine's replies) stay on the endpoint's
-        # blocking path, so the socket keeps its timeout-driven mode.
-        self._io = DatagramBatchIO(self.sock, ring_slots=1,
-                                   nonblocking=False)
-
-    def pull(self, stream_id: int, size: int) -> UdpPullResult:
-        """Request stream ``stream_id`` of ``size`` bytes and receive it."""
-        started = time.monotonic()
-        body = json.dumps({"op": "pull", "size": size, "stream": stream_id},
-                          sort_keys=True).encode()
-        request = encode(ControlFrame(transfer_id=0, request_id=stream_id,
-                                      body=body))
-        response = None
-        for _ in range(self.pull_retries):
-            self._io.send_datagram(request, self.server)
-            response = self._await_reply(stream_id, self.pull_timeout_s)
-            if response is not None:
-                break
-        if response is None:
-            return UdpPullResult(stream_id, "no-response",
-                                 elapsed_s=time.monotonic() - started,
-                                 error="control response never arrived")
-        if response.get("status") != "ok":
-            return UdpPullResult(stream_id, response.get("status", "error"),
-                                 elapsed_s=time.monotonic() - started,
-                                 error=response.get("reason", ""))
-
-        # Auto-tuned servers tell the client which protocol they picked
-        # for this stream; otherwise the configured protocol applies.
-        receiver = receiver_for(response.get("protocol", self.protocol),
-                                stream_id, self.strategy)
-        # The shared endpoint loop carries the receiver: it answers the
-        # server's frames, and once complete lingers re-answering
-        # wants_reply duplicates so a lost final ACK cannot wedge the
-        # server's sender machine.
-        self._drive_receiver(receiver, self.recv_timeout_s, self.linger_s)
-        if not receiver.done:
-            return UdpPullResult(
-                stream_id, "stalled",
-                elapsed_s=time.monotonic() - started,
-                error="transfer stalled before completion",
-            )
-        data = receiver.data
-        expected = service_payload(response["seed"], stream_id, size)
-        return UdpPullResult(
-            stream_id,
-            "ok",
-            size_bytes=len(data),
-            payload_ok=data == expected,
-            duplicates=receiver.duplicates,
-            elapsed_s=time.monotonic() - started,
-        )
-
-    def _await_reply(self, stream_id: int, timeout_s: float) -> Optional[dict]:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            got = self._recv_frame(timeout_s=remaining)
-            if got is None:
-                return None
-            frame, _sender = got
-            if (isinstance(frame, ControlFrame)
-                    and frame.request_id == stream_id
-                    and frame.stream_id in (0, stream_id)):
-                try:
-                    return json.loads(frame.body.decode())
-                except (ValueError, UnicodeDecodeError):
-                    return None

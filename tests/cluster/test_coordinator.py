@@ -17,8 +17,8 @@ from repro.cluster import (
     run_udp_cluster,
 )
 from repro.faults.plans import builtin_plan
+from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
-from repro.service.udpservice import UdpServiceClient
 
 
 def _config(**overrides):
@@ -105,12 +105,8 @@ class TestFailureHandling:
             # Same port: hash-placement clients reach the shard without
             # re-resolving addresses.
             assert replacement.address == old_address
-            client = UdpServiceClient(replacement.address,
-                                      protocol="sliding")
-            try:
-                pull = client.pull(1, 4096)
-            finally:
-                client.sock.close()
+            pull = UdpClientPump(replacement.address, [4096],
+                                 protocol="sliding").run()[1]
             assert pull.ok
             coordinator.stop()
             report = coordinator.report()
@@ -142,12 +138,8 @@ class TestGracefulShutdown:
         coordinator = ClusterCoordinator(
             2, config=_config(), duration_s=None, restart_limit=0)
         with coordinator:
-            client = UdpServiceClient(coordinator.addresses[0],
-                                      protocol="sliding")
-            try:
-                pull = client.pull(1, 4096)
-            finally:
-                client.sock.close()
+            pull = UdpClientPump(coordinator.addresses[0], [4096],
+                                 protocol="sliding").run()[1]
             assert pull.ok
             coordinator.stop()
             report = coordinator.report()

@@ -34,6 +34,7 @@ def test_matrix_covers_every_machine_and_kind():
         "service/machines.py::BlastSenderMachine",
         "service/machines.py::ReceiverMachine",
         "service/machines.py::WindowSenderMachine",
+        "service/pullclient.py::PullMachine",
         "udpnet/fileserver.py::UdpFileClient",
         "udpnet/fileserver.py::UdpFileServer",
     ):

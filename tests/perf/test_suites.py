@@ -6,6 +6,7 @@ digests, the JSON schema of ``BENCH_fastpath.json``, and the golden
 structure ledger — is a contract and is pinned here.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -139,6 +140,25 @@ def test_no_frozen_fork_in_source_tree():
         if fork.search(path.read_text())
     ]
     assert offenders == []
+
+
+def test_pull_request_is_built_in_one_module():
+    # The client side of the pull protocol exists once: only
+    # service/pullclient.py may write the {"op": "pull", ...} request.
+    def builds_pull(tree):
+        return any(
+            isinstance(node, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "op"
+                and isinstance(v, ast.Constant) and v.value == "pull"
+                for k, v in zip(node.keys, node.values))
+            for node in ast.walk(tree))
+
+    builders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if builds_pull(ast.parse(path.read_text()))
+    ]
+    assert builders == ["src/repro/service/pullclient.py"]
 
 
 def test_unknown_suite_name_is_rejected():

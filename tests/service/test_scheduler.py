@@ -30,12 +30,32 @@ class FakeEntry:
     client: str
 
 
+class TableView:
+    """The engine's schedule view over a plain admission-ordered dict."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def ready_iter(self, now):
+        return ((stream_id, entry) for stream_id, entry in self.table.items()
+                if entry.machine.frames_available(now) > 0)
+
+    def client_count(self):
+        return len(self.client_positions())
+
+    def client_positions(self):
+        position = {}
+        for entry in self.table.values():
+            position.setdefault(entry.client, len(position))
+        return position
+
+
 def active(*specs):
     """specs: (stream_id, client, frames_available)."""
-    return {
+    return TableView({
         stream_id: FakeEntry(FakeMachine(avail), client)
         for stream_id, client, avail in specs
-    }
+    })
 
 
 class TestFifo:
@@ -48,7 +68,7 @@ class TestFifo:
         assert FifoPolicy().grants(table, 0.0, 4) == [1, 1, 2, 2]
 
     def test_empty_table(self):
-        assert FifoPolicy().grants({}, 0.0, 4) == []
+        assert FifoPolicy().grants(active(), 0.0, 4) == []
 
 
 class TestRoundRobin:

@@ -19,7 +19,7 @@ from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
 from repro.service.loadgen import run_udp_loadgen
 from repro.service.machines import service_payload
-from repro.service.udpservice import UdpServiceClient, UdpTransferService
+from repro.service.udpservice import UdpTransferService
 
 
 def run_service(config=None, clients=1, duration_s=20.0, **kwargs):
@@ -34,16 +34,18 @@ def run_service(config=None, clients=1, duration_s=20.0, **kwargs):
     return service, thread
 
 
+def pull(address, stream_id, size, **kwargs):
+    """One pull through a one-client pump; returns its verdict."""
+    pump = UdpClientPump(address, [size], first_stream=stream_id, **kwargs)
+    return pump.run()[stream_id]
+
+
 class TestSingleClient:
     @pytest.mark.parametrize("protocol", ["blast", "sliding"])
     def test_pull_verifies_payload(self, protocol):
         config = ServiceConfig(protocol=protocol)
         service, thread = run_service(config)
-        client = UdpServiceClient(service.address, protocol=protocol)
-        try:
-            result = client.pull(1, 8192)
-        finally:
-            client.sock.close()
+        result = pull(service.address, 1, 8192, protocol=protocol)
         thread.join(timeout=25)
         report = json.loads(service.report_json())
         service.sock.close()
@@ -53,30 +55,24 @@ class TestSingleClient:
     def test_rejected_stream_reported(self):
         config = ServiceConfig(max_active=1, max_queue=0)
         service, thread = run_service(config, clients=2)
-        blocker = UdpServiceClient(service.address)
-        victim = UdpServiceClient(service.address)
-        try:
-            # Pull a large stream, then ask for a second while the
-            # first still occupies the only active slot.  Wait until the
-            # server has actually admitted the blocker before the victim
-            # pulls — otherwise the two pull datagrams race for the slot.
-            results = {}
+        # Pull a large stream, then ask for a second while the
+        # first still occupies the only active slot.  Wait until the
+        # server has actually admitted the blocker before the victim
+        # pulls — otherwise the two pull datagrams race for the slot.
+        results = {}
 
-            def hold():
-                results["hold"] = blocker.pull(1, 256 * 1024)
+        def hold():
+            results["hold"] = pull(service.address, 1, 256 * 1024)
 
-            holder = threading.Thread(target=hold, daemon=True)
-            holder.start()
-            admit_deadline = time.monotonic() + 10.0
-            while (service.core.active_count == 0
-                   and time.monotonic() < admit_deadline):
-                time.sleep(0.002)
-            assert service.core.active_count == 1
-            rejected = victim.pull(2, 1024)
-            holder.join(timeout=25)
-        finally:
-            blocker.sock.close()
-            victim.sock.close()
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        admit_deadline = time.monotonic() + 10.0
+        while (service.core.active_count == 0
+               and time.monotonic() < admit_deadline):
+            time.sleep(0.002)
+        assert service.core.active_count == 1
+        rejected = pull(service.address, 2, 1024)
+        holder.join(timeout=25)
         service.stop()
         thread.join(timeout=25)
         service.sock.close()
@@ -189,6 +185,28 @@ class TestPumpHostileFrames:
         assert {s: (p.status, p.payload_ok) for s, p in pulls.items()} == {
             stream: ("ok", True) for stream in (1, 2, 3)
         }
+
+    @pytest.mark.parametrize("body", [b'{"status": "ok"}', b"[]"])
+    def test_malformed_verdict_is_ignored_like_corruption(self, body):
+        # Valid JSON that is not a well-formed verdict (no seed; not an
+        # object) used to raise KeyError / AttributeError out of
+        # pump.run().  Now the request is simply retried to exhaustion.
+        server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        server.bind(("127.0.0.1", 0))
+        pump = UdpClientPump(server.getsockname(), [4096] * 2,
+                             pull_timeout_s=0.02, pull_retries=2)
+        try:
+            for client in pump.clients:
+                stream = client.stream_id
+                server.sendto(
+                    encode(ControlFrame(transfer_id=stream, request_id=stream,
+                                        body=body, stream_id=stream)),
+                    client.sock.getsockname())
+            pulls = pump.run(overall_timeout_s=10.0)
+        finally:
+            server.close()
+        assert {s: p.status for s, p in pulls.items()} == {
+            1: "no-response", 2: "no-response"}
 
 
 class TestPumpHonoursTunedProtocol:
