@@ -21,10 +21,12 @@ the 10k-stream cluster sweeps affordable (see docs/performance.md,
 
 - a **lazy-invalidation deadline heap** of ``(deadline, admit_seq,
   stream, epoch)`` entries.  Machines bump ``timer_epoch`` whenever a
-  mutation moves their ``next_deadline()``; an entry is valid exactly
-  while its epoch matches the entry recorded for its stream, so
-  ``next_deadline()`` is an O(1) peek (plus amortised pops of stale
-  entries) and ``poll()`` runs machine timers only for streams whose
+  mutation moves their ``next_deadline()`` — the window sender exactly
+  then, so a fresh send behind an older outstanding packet pushes
+  nothing; an entry is valid while its epoch matches the entry
+  recorded for its stream, so ``next_deadline()`` is an O(1) peek
+  (plus amortised pops of stale entries, about one per moved
+  deadline) and ``poll()`` runs machine timers only for streams whose
   deadline actually passed — in admission order, exactly as the
   retired full-table walk did;
 - an **insertion-ordered ready-set** of streams with
@@ -585,8 +587,10 @@ class ServiceCore:
         grants = self.policy.grants(self._view, now,
                                     self.config.grants_per_poll)
         for stream_id in grants:
-            entry = self._active.get(stream_id)
-            if entry is None or not entry.machine.has_frame(now):
+            # The ready-set is exact here (see _refresh_ready), so
+            # membership answers has_frame() without asking the machine.
+            entry = self._ready.get(stream_id)
+            if entry is None:
                 continue
             outputs.append((entry.machine.next_frame(now), entry.client))
             self._reindex_deadline(stream_id, entry)

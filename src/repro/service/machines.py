@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..congestion.controller import CongestionController, make_controller
 from ..core.base import chunk_payload
@@ -105,10 +106,12 @@ class _SenderBase:
         self.retransmits = 0
         self.rounds = 0
         #: Dirty counter for the engine's lazy-invalidation deadline
-        #: index: bumped by every mutation that can move (or clear) the
-        #: value :meth:`next_deadline` reports, so a ``(deadline,
-        #: stream, epoch)`` heap entry is valid exactly while the epoch
-        #: it was pushed under is current.
+        #: index: bumped whenever the value :meth:`next_deadline`
+        #: reports moves (or clears), so a ``(deadline, stream, epoch)``
+        #: heap entry is valid while the epoch it was pushed under is
+        #: current.  The window sender bumps it *only* then, which is
+        #: what keeps the index at about one push per acknowledged
+        #: packet.
         self.timer_epoch = 0
         #: Retransmit chunk cache: ``(seq, wants_reply)`` -> DataFrame.
         #: Frames are immutable values on both substrates, so a
@@ -287,6 +290,16 @@ class WindowSenderMachine(_SenderBase):
     ``wants_reply``; an un-acknowledged packet is retransmitted when its
     timer expires, with a per-packet attempt cap standing in for the
     blast machine's round cap.
+
+    Every step of the ack clock is constant-time in the window (see
+    docs/performance.md, "Constant-time ack clock").  ``_outstanding``
+    is insertion-ordered and sequence numbers only grow, so its first
+    key is the lowest outstanding packet; ``_timers`` is a
+    lazy-invalidation heap of ``(deadline, seq)`` entries, valid iff
+    ``_outstanding.get(seq) == deadline``; ``_deadline`` caches the
+    earliest valid one and is re-derived after every mutation.  The
+    table itself is scanned only once ``now >= _deadline`` — the real
+    timeout path.
     """
 
     #: Per-packet acknowledgement needs no NAK reports, and control
@@ -303,6 +316,8 @@ class WindowSenderMachine(_SenderBase):
         self.window = window
         self._next_unsent = 0
         self._outstanding: Dict[int, float] = {}  # seq -> retransmit deadline
+        self._timers: List[Tuple[float, int]] = []  # (deadline, seq) heap
+        self._deadline: Optional[float] = None  # earliest valid timer
         self._attempts: Dict[int, int] = {}
         self._sent_at: Dict[int, float] = {}  # seq -> first transmission time
         self._fast_retx: Set[int] = set()
@@ -312,69 +327,85 @@ class WindowSenderMachine(_SenderBase):
 
     # -- step API ----------------------------------------------------------
     def poll(self, now: float) -> None:
-        if self.finished:
+        deadline = self._deadline
+        if self.finished or deadline is None or now < deadline:
             return
-        for seq, deadline in self._outstanding.items():
-            if now >= deadline and self._attempts.get(seq, 0) >= self.max_rounds:
-                self._fail(f"packet {seq} unacknowledged after "
-                           f"{self.max_rounds} attempts")
-                return
+        # Due entries form a subtree at the heap's root (a child is
+        # never earlier than its parent), so the walk touches overdue
+        # packets only, never the rest of the window.
+        heap = self._timers
+        exhausted = []
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index < len(heap) and heap[index][0] <= now:
+                due, seq = heap[index]
+                if (self._outstanding.get(seq) == due
+                        and self._attempts[seq] >= self.max_rounds):
+                    exhausted.append(seq)
+                stack += (2 * index + 1, 2 * index + 2)
+        if exhausted:
+            self._fail(f"packet {min(exhausted)} unacknowledged after "
+                       f"{self.max_rounds} attempts")
 
     def has_frame(self, now: float) -> bool:
         return self.frames_available(now) > 0
 
     def frames_available(self, now: float) -> int:
         """Frames this machine could emit right now without new input."""
-        if self.finished:
+        if self.done or self.failed:
             return 0
-        overdue = sum(1 for deadline in self._outstanding.values()
-                      if now >= deadline)
         # Fresh sends respect both the configured window and the
         # congestion window (unbounded for the fixed controller);
         # retransmissions are already in flight and always allowed.
         window = min(self.window, self.controller.window())
-        fresh_room = min(window - len(self._outstanding),
-                         self.total - self._next_unsent)
-        return overdue + max(0, fresh_room)
+        available = max(0, min(window - len(self._outstanding),
+                               self.total - self._next_unsent))
+        deadline = self._deadline
+        if deadline is not None and now >= deadline:
+            available += sum(1 for due in self._outstanding.values()
+                             if now >= due)
+        return available
 
     def next_frame(self, now: float) -> DataFrame:
-        # Overdue retransmissions first, lowest sequence number first —
-        # deterministic because _outstanding is insertion-ordered and
-        # sequence numbers only grow.
-        for seq, deadline in self._outstanding.items():
-            if now >= deadline:
-                self.retransmits += 1
-                self.rounds += 1
-                self._attempts[seq] = self._attempts.get(seq, 0) + 1
-                if seq in self._fast_retx:
-                    # A fast retransmit is loss recovery, not a timer
-                    # expiry — no RTO backoff.
-                    self._fast_retx.discard(seq)
-                elif now >= self._backoff_blackout:
-                    # One backoff per RTO period, however many packets
-                    # expired together in the burst.
-                    self.controller.on_timeout(now)
-                    self._backoff_blackout = now + self._rto()
-                self._outstanding[seq] = now + self._rto()
-                self.timer_epoch += 1
-                return self._data(seq, wants_reply=True)
+        deadline = self._deadline
+        if deadline is not None and now >= deadline:
+            # Overdue retransmissions first, lowest sequence number
+            # first — deterministic because _outstanding is
+            # insertion-ordered and sequence numbers only grow.
+            for seq, due in self._outstanding.items():
+                if now >= due:
+                    self.retransmits += 1
+                    self.rounds += 1
+                    self._attempts[seq] += 1
+                    if seq in self._fast_retx:
+                        # A fast retransmit is loss recovery, not a
+                        # timer expiry — no RTO backoff.
+                        self._fast_retx.discard(seq)
+                    elif now >= self._backoff_blackout:
+                        # One backoff per RTO period, however many
+                        # packets expired together in the burst.
+                        self.controller.on_timeout(now)
+                        self._backoff_blackout = now + self._rto()
+                    self._arm(seq, now + self._rto())
+                    return self._data(seq, wants_reply=True)
         seq = self._next_unsent
         self._next_unsent += 1
         self._attempts[seq] = 1
         self._sent_at[seq] = now
-        self._outstanding[seq] = now + self._rto()
-        self.timer_epoch += 1
+        self._arm(seq, now + self._rto())
         return self._data(seq, wants_reply=True)
 
     def on_frame(self, frame, now: float) -> None:
-        if self.finished or not isinstance(frame, AckFrame):
+        if self.done or self.failed or not isinstance(frame, AckFrame):
             return
-        if frame.seq in self._outstanding:
-            lowest = min(self._outstanding)
-            del self._outstanding[frame.seq]
-            self.timer_epoch += 1
+        seq = frame.seq
+        outstanding = self._outstanding
+        if seq in outstanding:
+            lowest = next(iter(outstanding))
+            del outstanding[seq]
             self._acked += 1
-            if frame.seq == lowest:
+            if seq == lowest:
                 self.controller.on_ack(1, now)
             else:
                 # An ack above the lowest outstanding packet is gap
@@ -382,28 +413,60 @@ class WindowSenderMachine(_SenderBase):
                 # ack (SACK-style).  Three of them fast-retransmit the
                 # presumed-lost packet by making it overdue now.
                 self._signal_dup_ack(now)
-            if self._attempts.get(frame.seq, 0) == 1 and frame.seq in self._sent_at:
+            # The packet's bookkeeping dies with its ack, so per-stream
+            # state is O(window), not O(transfer).
+            sent_at = self._sent_at.pop(seq)
+            if self._attempts.pop(seq) == 1:
                 # Karn's rule: only first-transmission exchanges are
                 # unambiguous RTT samples.
-                self.controller.on_rtt_sample(
-                    max(0.0, now - self._sent_at[frame.seq]))
+                self.controller.on_rtt_sample(max(0.0, now - sent_at))
+            del self._frame_cache[seq, True]
             if self._acked == self.total:
                 self.done = True
         else:
             # Duplicate/stale ack for an already-acknowledged packet.
             self._signal_dup_ack(now)
+        self._retime()
 
     def next_deadline(self) -> Optional[float]:
-        if self.finished or not self._outstanding:
-            return None
-        return min(self._outstanding.values())
+        return None if self.finished else self._deadline
 
     # -- internals ---------------------------------------------------------
     def _signal_dup_ack(self, now: float) -> None:
         if self.controller.on_dup_ack(now) and self._outstanding:
-            lowest = min(self._outstanding)
-            self._outstanding[lowest] = now  # overdue: retransmit immediately
+            lowest = next(iter(self._outstanding))
             self._fast_retx.add(lowest)
+            self._arm(lowest, now)  # overdue: retransmit immediately
+
+    def _arm(self, seq: int, deadline: float) -> None:
+        """(Re)start one packet's timer; its old heap entry goes stale."""
+        self._outstanding[seq] = deadline
+        heappush(self._timers, (deadline, seq))
+        if len(self._timers) > 2 * self.window + 64:
+            # Stale entries buried under a long-lived valid one (a lost
+            # packet waiting out its RTO) never reach the top.
+            outstanding = self._outstanding
+            self._timers = [item for item in self._timers
+                            if outstanding.get(item[1]) == item[0]]
+            heapify(self._timers)
+        self._retime()
+
+    def _retime(self) -> None:
+        """Re-derive the earliest timer after ``_outstanding`` changed.
+
+        Amortised O(1): every entry is pushed once and popped once.
+        ``timer_epoch`` moves only when the earliest deadline does — a
+        fresh send behind an older outstanding packet leaves both alone
+        — so the engine's ``(deadline, epoch)`` index entry for this
+        stream stays valid until the deadline it names is wrong.
+        """
+        heap = self._timers
+        outstanding = self._outstanding
+        while heap and outstanding.get(heap[0][1]) != heap[0][0]:
+            heappop(heap)
+        deadline = heap[0][0] if heap else None
+        if deadline != self._deadline:
+            self._deadline = deadline
             self.timer_epoch += 1
 
 

@@ -72,7 +72,9 @@ class UdpTransferOutcome:
 
 
 class UdpEndpoint:
-    """Base class owning a (possibly lossy) UDP socket."""
+    """Base class owning a UDP socket: the kernel's own, or a
+    :class:`~repro.faults.socket.FaultySocket` around it when an error
+    model or a fault plan is given."""
 
     def __init__(
         self,
@@ -92,9 +94,14 @@ class UdpEndpoint:
             # to one of them (see repro.cluster.placement).
             raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         raw.bind(bind)
-        self.sock = FaultySocket(
-            raw, error_model=error_model, plan=fault_plan, seed=fault_seed
-        )
+        # A fault-free endpoint talks to the kernel socket directly: the
+        # wrapper would add two Python frames and a clock read to every
+        # datagram for nothing.
+        if error_model is None and fault_plan is None:
+            self.sock = raw
+        else:
+            self.sock = FaultySocket(raw, error_model=error_model,
+                                     plan=fault_plan, seed=fault_seed)
         self.packet_bytes = packet_bytes
         # One receive buffer per endpoint, reused by every recvfrom_into
         # (endpoints are single-threaded receivers).

@@ -1,6 +1,7 @@
 """Unit tests for ServiceCore: admission, control protocol, demux."""
 
 import json
+from heapq import heappush
 
 import pytest
 
@@ -191,3 +192,29 @@ class TestSchedulingIndexes:
         assert core.finished_count == 1 and core.idle
         assert not core._ready
         assert len(core._deadline_heap) <= 2 * len(core._active) + 64
+
+    def test_ack_then_grant_indexes_at_most_one_deadline(self, monkeypatch):
+        from repro.service import engine
+
+        pushes = []
+
+        def counting_heappush(heap, item):
+            pushes.append(item)
+            heappush(heap, item)
+
+        core = ServiceCore(ServiceConfig(protocol="sliding", window=4,
+                                         packet_bytes=64, timeout_s=0.5,
+                                         grants_per_poll=1, max_active=4))
+        core.on_frame(pull_frame(1, 64 * 64), 0.0, client="a")
+        for step in range(4):           # fill the window, 1 ms apart
+            assert len(core.poll(step * 0.001)) == 1
+        monkeypatch.setattr(engine, "heappush", counting_heappush)
+        for seq in range(40):
+            now = 0.01 + seq * 0.001
+            core.on_frame(AckFrame(transfer_id=1, seq=seq, stream_id=1), now)
+            (frame, _client), = core.poll(now)
+            assert frame.seq == seq + 4
+            # The ack moves the stream's earliest deadline; the fresh
+            # send behind three older packets does not.
+            assert len(pushes) <= seq + 1
+        assert core._deadline_heap[0][0] == core._active[1].machine.next_deadline()

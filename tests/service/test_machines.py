@@ -139,6 +139,122 @@ class TestWindowSender:
             make_sender_machine("carrier-pigeon", 1, b"", 1024, timeout_s=0.1)
 
 
+class ScanCountingDict(dict):
+    """A dict that counts walks over itself.
+
+    ``values()`` and ``items()`` always count as a scan; ``iter()`` is
+    how the machine reads its first key, so it is charged only for the
+    steps it takes beyond that one.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def __iter__(self):
+        for position, key in enumerate(super().__iter__()):
+            if position:
+                self.scans += 1
+            yield key
+
+
+class TestConstantTimeAckClock:
+    """Counts, not timings: the ack clock never walks the window."""
+
+    def tables(self, machine):
+        return (machine._outstanding, machine._attempts, machine._sent_at,
+                machine._frame_cache)
+
+    def test_in_order_ack_clock_never_scans_the_window(self):
+        window, packets = 256, 4096
+        machine = WindowSenderMachine(1, bytes(packets * 64), 64,
+                                      timeout_s=0.5, window=window)
+        machine._outstanding = counted = ScanCountingDict()
+        in_flight = []
+        now = 0.0
+        while not machine.done:
+            machine.poll(now)
+            while machine.has_frame(now):
+                in_flight.append(machine.next_frame(now).seq)
+            now += 0.0001
+            machine.on_frame(ack(in_flight.pop(0)), now)
+            deadline = machine.next_deadline()
+            assert deadline is None or now < deadline
+            assert counted.scans == 0
+            assert len(machine._timers) <= 2 * window + 64
+        assert machine.data_frames_sent == packets
+        assert machine.retransmits == 0
+
+    def test_timer_heap_bounded_behind_a_long_lived_timer(self):
+        # Packet 0's ack never comes and its RTO is far away, so every
+        # later packet's stale heap entry is buried under a valid one.
+        window = 4
+        machine = WindowSenderMachine(1, bytes(2000 * 64), 64,
+                                      timeout_s=1000.0, window=window)
+        now = 0.0
+        for _ in range(1500):
+            for frame in drain(machine, now):
+                if frame.seq:
+                    machine.on_frame(ack(frame.seq), now)
+            now += 0.001
+            assert len(machine._timers) <= 2 * window + 64
+        assert machine.next_deadline() == pytest.approx(1000.0)
+        assert list(machine._outstanding)[0] == 0
+
+    def test_bookkeeping_is_bounded_by_the_window(self):
+        window = 8
+        machine = WindowSenderMachine(1, bytes(512 * 64), 64, timeout_s=0.5,
+                                      window=window)
+        now = 0.0
+        while not machine.done:
+            for frame in drain(machine, now):
+                assert all(len(t) <= window for t in self.tables(machine))
+                now += 0.0001
+                machine.on_frame(ack(frame.seq), now)
+                assert all(len(t) <= window for t in self.tables(machine))
+        assert machine.data_frames_sent == 512
+        assert all(len(t) == 0 for t in self.tables(machine))
+
+    def test_poll_fails_on_exactly_the_overdue_exhausted_packet(self):
+        machine = WindowSenderMachine(1, bytes(256 * 64), 64, timeout_s=1.0,
+                                      max_rounds=1, window=256)
+        for seq in range(256):          # one send per millisecond
+            assert machine.next_frame(seq * 0.001).seq == seq
+        for seq in range(100):
+            machine.on_frame(ack(seq), 0.3)
+        counted = ScanCountingDict()
+        counted.update(machine._outstanding)
+        machine._outstanding = counted
+        machine.poll(1.0995)            # nothing is due before 1.100
+        assert not machine.failed
+        machine.poll(1.1005)            # packet 100 is, packet 101 is not
+        assert machine.failed
+        assert machine.error == "packet 100 unacknowledged after 1 attempts"
+        assert counted.scans == 0       # found through the timer heap
+
+    def test_poll_reaches_every_due_timer(self):
+        # Retransmitting 0 and then 1 leaves packet 1's timer in the
+        # right half of the heap with first-attempt timers all around
+        # it; once 0 is acknowledged, 1 is the only exhausted packet.
+        machine = WindowSenderMachine(1, bytes(7 * 64), 64, timeout_s=0.1,
+                                      max_rounds=2, window=8)
+        for seq in range(7):
+            assert machine.next_frame(seq * 0.001).seq == seq
+        assert machine.next_frame(0.1).seq == 0
+        assert machine.next_frame(0.101).seq == 1
+        machine.on_frame(ack(0), 0.15)
+        machine.poll(0.25)              # all six outstanding are overdue
+        assert machine.error == "packet 1 unacknowledged after 2 attempts"
+
+
 class TestReceiverMachine:
     def test_blast_replies_only_on_wants_reply(self):
         receiver = receiver_for("blast", 5)
@@ -223,10 +339,14 @@ class TestFrameCacheAndTimerEpoch:
         machine = WindowSenderMachine(1, bytes(2048), 1024, timeout_s=0.1,
                                       window=2)
         epoch = machine.timer_epoch
-        drain(machine, 0.0)  # outstanding deadlines appear
+        machine.next_frame(0.0)  # the first deadline appears
         assert machine.timer_epoch > epoch
         epoch = machine.timer_epoch
+        machine.next_frame(0.005)  # a send behind an older packet
+        assert machine.next_deadline() == pytest.approx(0.1)
+        assert machine.timer_epoch == epoch  # earliest deadline unmoved
         machine.on_frame(AckFrame(transfer_id=1, seq=0, stream_id=1), 0.01)
+        assert machine.next_deadline() == pytest.approx(0.105)
         assert machine.timer_epoch > epoch  # earliest deadline moved
 
     def test_blast_epoch_moves_on_round_boundaries(self):

@@ -5,10 +5,12 @@ thread.  Timeouts are generous to keep CI machines happy; correctness
 (intact delivery under loss) is the assertion, not speed.
 """
 
+import socket
 import threading
 
 import pytest
 
+from repro.faults import FaultySocket, builtin_plan
 from repro.simnet import BernoulliErrors, DeterministicDrops
 from repro.udpnet import UdpTransfer
 
@@ -186,3 +188,19 @@ class TestOutcomeAccounting:
             assert sender.sock.loss_rate == 1.0
         finally:
             sender.close()
+
+
+class TestEndpointSocket:
+    """Fault-free endpoints pay for no wrapper around the kernel socket."""
+
+    def test_no_faults_means_the_kernel_socket(self):
+        with UdpTransfer() as endpoint:
+            assert type(endpoint.sock) is socket.socket
+            assert endpoint.address == endpoint.sock.getsockname()
+
+    def test_error_model_or_plan_wraps_it(self):
+        with UdpTransfer(error_model=BernoulliErrors(0.1, seed=1)) as lossy:
+            assert isinstance(lossy.sock, FaultySocket)
+        with UdpTransfer(fault_plan=builtin_plan("dup-burst")) as planned:
+            assert isinstance(planned.sock, FaultySocket)
+            assert planned.sock.plan is not None
