@@ -1,7 +1,8 @@
 """Shared machinery for the simulated protocol engines.
 
-:func:`chunk_payload` is the one place a payload is sliced into
-packets; :func:`packetize` / :func:`reassemble` convert between a byte
+:func:`chunk_payload` is the one place a whole payload is sliced into
+packets (the service's machines read theirs from a stream, one packet
+at a time); :func:`packetize` / :func:`reassemble` convert between a byte
 blob and the frame sequence; :class:`TransferResult` is what every engine
 returns; :class:`Transfer` is the engine base class that wires sender and
 receiver processes onto two simulated hosts.

@@ -22,6 +22,7 @@ Layers:
 from .engine import ServiceConfig, ServiceCore
 from .machines import (
     BlastSenderMachine,
+    BodyStream,
     ReceiverMachine,
     TransferOutcome,
     WindowSenderMachine,
@@ -57,6 +58,7 @@ __all__ = [
     "ServiceMetrics",
     "percentile",
     "BlastSenderMachine",
+    "BodyStream",
     "WindowSenderMachine",
     "ReceiverMachine",
     "TransferOutcome",

@@ -55,7 +55,9 @@ pulls (the file service's at-least-once discipline); control responses
 bypass the packet scheduler — admission answers must not queue behind
 bulk data.  The transfer body is ``service_payload(seed, stream, size)``,
 so the client can verify byte-equality without the server shipping a
-checksum.
+checksum.  Admission only builds its
+:class:`~repro.service.machines.BodyStream` — O(1) in the transfer
+size; the sender machine draws each packet when it is first granted.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..congestion.tuner import AutoTuner
 from ..core.frames import AckFrame, ControlFrame, NakFrame
-from .machines import TransferOutcome, make_sender_machine, service_payload
+from .machines import (
+    BodyStream,
+    TransferOutcome,
+    make_sender_machine,
+    packet_count,
+)
 from .metrics import ServiceMetrics
 from .scheduler import CopyBudgetPolicy, get_policy
 
@@ -387,9 +394,9 @@ class ServiceCore:
 
     def _ok_reply(self, stream_id: int, size: int,
                   choice: Optional[object] = None) -> dict:
-        packets = max(1, -(-size // self.config.packet_bytes))
         reply = {"status": "ok", "stream": stream_id, "size": size,
-                 "packets": packets, "seed": self.config.seed}
+                 "packets": packet_count(size, self.config.packet_bytes),
+                 "seed": self.config.seed}
         if choice is not None:
             # Auto mode: the client must build the receiver matching the
             # tuned protocol.  Only added under the tuner, so fixed-mode
@@ -408,7 +415,7 @@ class ServiceCore:
 
     def _activate(self, stream_id: int, client, size: int, now: float,
                   choice: Optional[object] = None) -> None:
-        payload = service_payload(self.config.seed, stream_id, size)
+        body = BodyStream(self.config.seed, stream_id, size)
         protocol = self.config.protocol
         window = self.config.window
         congestion = self.config.congestion
@@ -417,7 +424,7 @@ class ServiceCore:
             window = choice.window
             congestion = choice.congestion
         machine = make_sender_machine(
-            protocol, stream_id, payload,
+            protocol, stream_id, body,
             packet_bytes=self.config.packet_bytes,
             timeout_s=self.config.timeout_s,
             max_rounds=self.config.max_rounds,

@@ -27,28 +27,37 @@ Shared step API of the sender machines::
     machine.on_frame(f, now) # feed an ACK/NAK back in
     machine.next_deadline()  # earliest time poll() must run again
     machine.done / machine.failed / machine.outcome()
+
+The body is a *stream*, not a buffer: a sender reads packet ``seq``
+from it the first time ``next_frame`` needs it and keeps the frame only
+until it is acknowledged, so building a machine is O(1), memory follows
+the window, and generating packet k+1 overlaps the transmission of
+packet k (docs/performance.md, "Streaming body").  :class:`BodyStream`
+is the service's body; caller-supplied ``bytes`` take the same path.
 """
 
 from __future__ import annotations
 
+import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..congestion.controller import CongestionController, make_controller
-from ..core.base import chunk_payload
 from ..core.frames import AckFrame, DataFrame, FrameKind, NakFrame
 from ..core.strategies import FailureDetection, get_strategy
 from ..core.tracker import ReceiverTracker, ReceptionReport
 from ..parallel.pool import mix_seed
 
 __all__ = [
+    "BodyStream",
     "TransferOutcome",
     "BlastSenderMachine",
     "WindowSenderMachine",
     "ReceiverMachine",
     "make_sender_machine",
+    "packet_count",
     "receiver_for",
     "service_payload",
 ]
@@ -58,6 +67,55 @@ def service_payload(seed: int, stream_id: int, size: int) -> bytes:
     """The deterministic body of stream ``stream_id`` (server and client
     derive it independently, so byte-equality is checkable end to end)."""
     return random.Random(mix_seed(seed, stream_id)).randbytes(size)
+
+
+def packet_count(size: int, packet_bytes: int) -> int:
+    """Packets a body of ``size`` bytes is cut into.  An empty body is
+    still one (empty) packet, so every transfer has a last packet to
+    acknowledge."""
+    return max(1, -(-size // packet_bytes))
+
+
+class BodyStream:
+    """:func:`service_payload` as a sequential byte stream.
+
+    ``Random.randbytes`` consumes whole 32-bit words, so a body drawn in
+    pieces equals the one-shot body as long as every piece but the last
+    is a multiple of four bytes long; :meth:`read` draws such blocks
+    and slices them, whatever lengths its caller asks for.  The
+    generator (2.5 KB of state) is seeded at the first draw and dropped
+    at the last, so a stream that is queued or finished holds none.
+    """
+
+    #: Bytes drawn per generator call (a multiple of 4): large enough
+    #: that the per-call overhead of ``randbytes`` is amortised, small
+    #: enough that a stream never holds more than a few packets ahead.
+    BLOCK = 16 * 1024
+
+    def __init__(self, seed: int, stream_id: int, size: int):
+        self._seed = mix_seed(seed, stream_id)
+        self._draw = None
+        self._size = size
+        self._undrawn = size
+        self._block = b""
+        self._pos = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def read(self, n: int) -> bytes:
+        """The next ``n`` bytes of the body (fewer once it runs out)."""
+        block, pos = self._block, self._pos
+        if pos + n > len(block) and self._undrawn:
+            draw = self._draw or random.Random(self._seed).randbytes
+            short = pos + n - len(block)
+            take = min(self._undrawn, max(self.BLOCK, -(-short // 4) * 4))
+            self._undrawn -= take
+            self._draw = draw if self._undrawn else None
+            block = self._block = block[pos:] + draw(take)
+            pos = 0
+        self._pos = pos + n
+        return block[pos:pos + n]
 
 
 @dataclass
@@ -80,15 +138,20 @@ class TransferOutcome:
 class _SenderBase:
     """State shared by the sender machines."""
 
-    def __init__(self, stream_id: int, payload: bytes, packet_bytes: int,
+    def __init__(self, stream_id: int, payload, packet_bytes: int,
                  timeout_s: float, max_rounds: int,
                  controller: Optional[CongestionController] = None):
         if stream_id < 1:
             raise ValueError(f"stream_id must be >= 1, got {stream_id}")
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
+        if packet_bytes < 1:
+            raise ValueError(f"packet_bytes must be >= 1, got {packet_bytes}")
         self.stream_id = stream_id
-        self.payload = payload
+        # A BodyStream or plain bytes, consumed one packet at a time.
+        self._read = (payload.read if isinstance(payload, BodyStream)
+                      else io.BytesIO(payload).read)
+        self.size_bytes = len(payload)
         self.packet_bytes = packet_bytes
         self.timeout_s = timeout_s
         self.max_rounds = max_rounds
@@ -97,8 +160,7 @@ class _SenderBase:
         # window, reproducing the pre-congestion machines byte-for-byte.
         self.controller = (controller if controller is not None
                           else make_controller("fixed", timeout_s))
-        self.chunks = chunk_payload(payload, packet_bytes)
-        self.total = len(self.chunks)
+        self.total = packet_count(self.size_bytes, packet_bytes)
         self.done = False
         self.failed = False
         self.error = ""
@@ -113,11 +175,12 @@ class _SenderBase:
         #: what keeps the index at about one push per acknowledged
         #: packet.
         self.timer_epoch = 0
-        #: Retransmit chunk cache: ``(seq, wants_reply)`` -> DataFrame.
-        #: Frames are immutable values on both substrates, so a
-        #: retransmission reuses the first transmission's frame instead
-        #:  of re-slicing and re-wrapping the payload chunk.
-        self._frame_cache: Dict[tuple, DataFrame] = {}
+        #: Retention table: ``seq`` -> the DataFrame last built for it,
+        #: kept from first transmission until acknowledgement.  Frames
+        #: are immutable values on both substrates, so a retransmission
+        #: reuses the frame — the only copy of the packet's bytes.
+        self._retained: Dict[int, DataFrame] = {}
+        self._drawn = 0  # packets read from the body so far
 
     def _rto(self) -> float:
         return self.controller.rto()
@@ -130,7 +193,7 @@ class _SenderBase:
         return TransferOutcome(
             stream_id=self.stream_id,
             ok=self.done and not self.failed,
-            size_bytes=len(self.payload),
+            size_bytes=self.size_bytes,
             packets=self.total,
             data_frames_sent=self.data_frames_sent,
             retransmits=self.retransmits,
@@ -144,19 +207,29 @@ class _SenderBase:
         self.error = message
         self.timer_epoch += 1  # finished machines report no deadline
 
+    def _frame(self, seq: int, payload: bytes, wants_reply: bool) -> DataFrame:
+        frame = self._retained[seq] = DataFrame(
+            transfer_id=self.stream_id,
+            seq=seq,
+            total=self.total,
+            payload=payload,
+            wants_reply=wants_reply,
+            stream_id=self.stream_id,
+        )
+        return frame
+
     def _data(self, seq: int, wants_reply: bool) -> DataFrame:
         self.data_frames_sent += 1
-        frame = self._frame_cache.get((seq, wants_reply))
-        if frame is None:
-            frame = DataFrame(
-                transfer_id=self.stream_id,
-                seq=seq,
-                total=self.total,
-                payload=self.chunks[seq],
-                wants_reply=wants_reply,
-                stream_id=self.stream_id,
-            )
-            self._frame_cache[seq, wants_reply] = frame
+        # First transmissions run in sequence order, so this draws
+        # exactly packet ``seq``; only a forged report can name a packet
+        # further ahead, and the ones it skips wait in the table.
+        while self._drawn <= seq < self.total:
+            self._frame(self._drawn, self._read(self.packet_bytes),
+                        wants_reply)
+            self._drawn += 1
+        frame = self._retained[seq]
+        if frame.wants_reply != wants_reply:
+            frame = self._frame(seq, frame.payload, wants_reply)
         return frame
 
 
@@ -182,11 +255,10 @@ class BlastSenderMachine(_SenderBase):
         super().__init__(stream_id, payload, packet_bytes, timeout_s,
                          max_rounds, controller=controller)
         self.strategy = get_strategy(strategy)
-        self._queue: List[int] = list(range(self.total))
+        self._queue: Sequence[int] = range(self.total)
         self._index = 0
         self._reply_deadline: Optional[float] = None
         self._reply_requested_at: Optional[float] = None
-        self._sent_seqs: Set[int] = set()
         self._burst_clean = True
         self._received_est = 0
         self.rounds = 1
@@ -218,10 +290,9 @@ class BlastSenderMachine(_SenderBase):
         burst_end = min(len(self._queue), self.controller.window())
         seq = self._queue[self._index]
         self._index += 1
-        if seq in self._sent_seqs:
+        if seq < self._drawn:  # read before, so sent before
             self.retransmits += 1
             self._burst_clean = False
-        self._sent_seqs.add(seq)
         last_of_round = self._index >= burst_end
         if last_of_round:
             self._reply_deadline = now + self._rto()
@@ -238,6 +309,7 @@ class BlastSenderMachine(_SenderBase):
             if newly > 0:
                 self.controller.on_ack(newly, now)
             self.done = True
+            self._retained.clear()  # a blast holds its body until here
             self._reply_deadline = None
             self.timer_epoch += 1
         elif isinstance(frame, NakFrame):
@@ -420,7 +492,7 @@ class WindowSenderMachine(_SenderBase):
                 # Karn's rule: only first-transmission exchanges are
                 # unambiguous RTT samples.
                 self.controller.on_rtt_sample(max(0.0, now - sent_at))
-            del self._frame_cache[seq, True]
+            del self._retained[seq]
             if self._acked == self.total:
                 self.done = True
         else:
@@ -501,18 +573,29 @@ class ReceiverMachine:
     senders); otherwise replies go out only for ``wants_reply`` frames —
     ACK when complete, NAK with the reception report when the sender's
     strategy listens for one, silence for the timer-only strategy.
+
+    ``total`` is the packet count when the caller knows it (a pull's
+    verdict names it); otherwise the first data frame fixes it.  A data
+    frame naming another count is dropped and counted, like a corrupted
+    datagram.  Accepted packets wait in :attr:`chunks` for their
+    consumer: :attr:`data` joins them all at the end, a
+    :class:`~repro.service.pullclient.PullMachine` pops each one as
+    soon as it has verified it.
     """
 
     #: Control traffic is ServiceCore's business (replint REP114).
     FSM_IGNORES = (FrameKind.CONTROL,)
 
-    def __init__(self, stream_id: int, per_packet_ack: bool, nak: bool):
+    def __init__(self, stream_id: int, per_packet_ack: bool, nak: bool,
+                 total: Optional[int] = None):
         self.stream_id = stream_id
         self.per_packet_ack = per_packet_ack
         self.nak = nak
-        self.tracker: Optional[ReceiverTracker] = None
-        self._chunks: Dict[int, bytes] = {}
+        self.tracker: Optional[ReceiverTracker] = (
+            None if total is None else ReceiverTracker(total))
+        self.chunks: Dict[int, bytes] = {}
         self.duplicates = 0
+        self.dropped = 0
         self.replies_sent = 0
 
     @property
@@ -524,7 +607,7 @@ class ReceiverMachine:
         if not self.done:
             raise RuntimeError("transfer incomplete; data unavailable")
         assert self.tracker is not None
-        return b"".join(self._chunks[seq] for seq in range(self.tracker.total))
+        return b"".join(self.chunks[seq] for seq in range(self.tracker.total))
 
     def on_frame(self, frame, now: float) -> List[object]:
         """Feed an incoming frame; returns the reply frames to transmit."""
@@ -535,9 +618,10 @@ class ReceiverMachine:
         elif frame.total != self.tracker.total:
             # A stale frame from a reused stream id, or a hostile peer:
             # dropped like a corrupted one (its seq may be out of range).
+            self.dropped += 1
             return []
         if self.tracker.add(frame.seq):
-            self._chunks[frame.seq] = frame.payload
+            self.chunks[frame.seq] = frame.payload
         else:
             self.duplicates += 1
         replies: List[object] = []
@@ -562,12 +646,14 @@ class ReceiverMachine:
         return replies
 
 
-def receiver_for(protocol: str, stream_id: int,
-                 strategy: str = "selective") -> ReceiverMachine:
+def receiver_for(protocol: str, stream_id: int, strategy: str = "selective",
+                 total: Optional[int] = None) -> ReceiverMachine:
     """The receiver that matches a sender machine's reply expectations."""
     if protocol == "blast":
         uses_nak = get_strategy(strategy).mode is not FailureDetection.TIMER_ONLY
-        return ReceiverMachine(stream_id, per_packet_ack=False, nak=uses_nak)
+        return ReceiverMachine(stream_id, per_packet_ack=False, nak=uses_nak,
+                               total=total)
     if protocol in ("sliding", "saw"):
-        return ReceiverMachine(stream_id, per_packet_ack=True, nak=False)
+        return ReceiverMachine(stream_id, per_packet_ack=True, nak=False,
+                               total=total)
     raise ValueError(f"unknown service protocol {protocol!r}")

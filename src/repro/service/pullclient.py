@@ -13,10 +13,11 @@ A pull passes through three timed states:
    ``pull_retries`` sends in all;
 2. **receiving** — data frames of the stream go to the protocol
    receiver the verdict names, its replies go back; ``recv_timeout_s``
-   without one is a stall.  On completion the body is verified against
-   :func:`~repro.service.machines.service_payload`, which the client
-   derives from the (seed, stream) pair the verdict echoes, so payload
-   integrity needs no checksum exchange;
+   without one is a stall.  Each packet is verified on arrival, in
+   sequence order (an early one waits in the receiver), against the
+   client's own :class:`~repro.service.machines.BodyStream` seeded from
+   the (seed, stream) pair the verdict echoes, then released — payload
+   integrity needs no checksum exchange and no whole-body buffer;
 3. **linger** — ``wants_reply`` duplicates are re-answered for
    ``linger_s`` so a lost final ACK cannot wedge the server's sender.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.frames import ControlFrame, DataFrame, FrameKind
-from .machines import receiver_for, service_payload
+from .machines import BodyStream, packet_count, receiver_for
 
 __all__ = ["PullMachine", "UdpPullResult"]
 
@@ -55,6 +56,8 @@ class UdpPullResult:
     size_bytes: int = 0
     payload_ok: bool = False
     duplicates: int = 0
+    #: Data frames naming another packet count than the verdict's.
+    dropped: int = 0
     elapsed_s: float = 0.0
     error: str = ""
 
@@ -93,8 +96,11 @@ class PullMachine:
             body=json.dumps(body, sort_keys=True).encode())
         self._state = _PULLING
         self._attempts = 0
-        self._seed = 0
         self._receiver = None
+        self._body: Optional[BodyStream] = None
+        self._verified = 0      # packets checked so far == next seq to check
+        self._bytes = 0
+        self._intact = True
         self.started = 0.0
         #: How long the driver waits for a wanted frame in this state.
         self.quiet_s = pull_timeout_s
@@ -123,15 +129,25 @@ class PullMachine:
         if self._state == _PULLING:
             self._on_verdict(frame, now)
             return []
-        replies = self._receiver.on_frame(frame, now)
-        if self._state == _RECEIVING and self._receiver.done:
-            data = self._receiver.data
+        receiver = self._receiver
+        replies = receiver.on_frame(frame, now)
+        arrived = receiver.chunks
+        while self._verified in arrived:
+            chunk = arrived.pop(self._verified)
+            size = len(chunk)
+            self._verified += 1
+            self._bytes += size
+            if chunk != self._body.read(size):
+                self._intact = False
+        if self._state == _RECEIVING and receiver.done:
+            # Every packet has been compared at its offset in the body,
+            # so equal length is all that is left of byte-equality.
             self.result = UdpPullResult(
-                self.stream_id, "ok", size_bytes=len(data),
-                payload_ok=data == service_payload(
-                    self._seed, self.stream_id, self.size),
-                duplicates=self._receiver.duplicates,
+                self.stream_id, "ok", size_bytes=self._bytes,
+                payload_ok=self._intact and self._bytes == self.size,
+                duplicates=receiver.duplicates, dropped=receiver.dropped,
                 elapsed_s=now - self.started)
+            self._body = None  # nothing is verified during the linger
             self._state = _LINGER
             self.quiet_s = self.linger_s
         return replies
@@ -164,19 +180,29 @@ class PullMachine:
         if status != "ok":
             self._fail(status, now, str(verdict.get("reason", "")))
             return
-        if not isinstance(seed, int):
+        packets = verdict.get("packets")
+        if not isinstance(seed, int) or not self._cuts_into(packets):
             return
         try:
             # Auto-tuned servers name the protocol they picked for this
-            # stream; otherwise the configured one applies.
+            # stream; otherwise the configured one applies.  The packet
+            # count is the verdict's: no data frame gets to set it.
             self._receiver = receiver_for(
                 verdict.get("protocol", self.protocol), self.stream_id,
-                self.strategy)
+                self.strategy, total=packets)
         except ValueError:
             return
-        self._seed = seed
+        self._body = BodyStream(seed, self.stream_id, self.size)
         self._state = _RECEIVING
         self.quiet_s = self.recv_timeout_s
+
+    def _cuts_into(self, packets) -> bool:
+        """Is there a packet size that cuts ``size`` bytes into exactly
+        ``packets``?  (The smallest that needs no more decides it.)"""
+        if not isinstance(packets, int) or packets < 1:
+            return False
+        packet_bytes = packet_count(self.size, packets)
+        return packets == packet_count(self.size, packet_bytes)
 
     def _fail(self, status: str, now: float, error: str) -> None:
         self.result = UdpPullResult(self.stream_id, status,

@@ -171,7 +171,7 @@ class TestConstantTimeAckClock:
 
     def tables(self, machine):
         return (machine._outstanding, machine._attempts, machine._sent_at,
-                machine._frame_cache)
+                machine._retained)
 
     def test_in_order_ack_clock_never_scans_the_window(self):
         window, packets = 256, 4096

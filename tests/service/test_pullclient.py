@@ -25,7 +25,7 @@ def machine(stream_id=1, protocol="blast", **timing):
 
 
 def verdict(stream_id=1, **body):
-    body = body or {"status": "ok", "seed": SEED}
+    body = body or {"status": "ok", "seed": SEED, "packets": PACKETS}
     return ControlFrame(transfer_id=stream_id, request_id=stream_id,
                         body=json.dumps(body).encode(), stream_id=stream_id)
 
@@ -110,12 +110,16 @@ class TestPulling:
         assert pull.wants(verdict())
 
     @pytest.mark.parametrize("body", [
-        b'{"status": "ok"}',                         # no seed
+        b'{"status": "ok", "packets": 4}',           # no seed
         b"[]",                                       # not an object
-        b'{"status": 3, "seed": 7}',                 # status not a string
-        b'{"status": "ok", "seed": "7"}',            # seed not an int
-        b'{"status": "ok", "seed": 7, "protocol": "smoke-signals"}',
-        b'{"status": "ok", "seed": 7, "protocol": []}',
+        b'{"status": 3, "seed": 7, "packets": 4}',   # status not a string
+        b'{"status": "ok", "seed": "7", "packets": 4}',  # seed not an int
+        b'{"status": "ok", "seed": 7}',              # no packet count
+        b'{"status": "ok", "seed": 7, "packets": "4"}',
+        b'{"status": "ok", "seed": 7, "packets": 0}',
+        b'{"status": "ok", "seed": 7, "packets": 1000000}',  # of 4096 bytes?
+        b'{"status": "ok", "seed": 7, "packets": 4, "protocol": "smoke-signals"}',
+        b'{"status": "ok", "seed": 7, "packets": 4, "protocol": []}',
         b"not json",
         b"\xff\xfe",
     ])
@@ -142,7 +146,8 @@ class TestReceiving:
 
     def test_verdict_naming_another_protocol_builds_that_receiver(self):
         pull = machine(protocol="blast")
-        tuned = verdict(status="ok", seed=SEED, protocol="saw")
+        tuned = verdict(status="ok", seed=SEED, packets=PACKETS,
+                        protocol="saw")
         sent = play(pull, [(0.01, tuned), (0.02, data(0))])
         # A blast receiver stays silent for a frame that does not ask
         # for a reply; saw acknowledges every packet.
