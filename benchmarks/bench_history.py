@@ -10,9 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def sh(cwd, *argv):
+def sh(cwd, *argv, check=True):
     return subprocess.run(argv, cwd=cwd, capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=check).stdout.strip()
 
 
 def sha(checkout):
@@ -34,9 +34,11 @@ def main():
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             for side in ("parent", "change")[::-1 if pair % 2 else 1]:
+                # Exit 1 = a failed operation: recorded below, not fatal here.
                 lines = sh(checkouts[side], *CONTRACT["command"], "--workload",
                            workload, "--seed", str(args.seed + pair), "--seconds",
-                           str(CONTRACT["run_seconds"]), "--trace", "0").splitlines()
+                           str(CONTRACT["run_seconds"]), "--trace", "0",
+                           check=False).splitlines()
                 record["fingerprint"] = lines[0].split("; ")[-1].split(" seed=")[0]
                 runs[side].append(json.loads(lines[-1]))
         row = record["workloads"][workload] = {"wins": {}, **{

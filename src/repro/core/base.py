@@ -26,7 +26,7 @@ from typing import ClassVar, Dict, List, Optional
 
 from ..sim import Environment, Process
 from ..simnet.host import Host
-from .frames import DataFrame
+from .frames import AckFrame, DataFrame, NakFrame
 
 __all__ = [
     "chunk_payload",
@@ -165,8 +165,6 @@ class Transfer:
 
     def _is_my_reply(self, frame) -> bool:
         """Predicate: an ACK/NAK belonging to this transfer."""
-        from .frames import AckFrame, NakFrame
-
         return (
             isinstance(frame, (AckFrame, NakFrame))
             and frame.transfer_id == self.transfer_id

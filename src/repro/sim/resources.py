@@ -6,6 +6,11 @@ hold it while they work, and *release* it for the next waiter.  Requests
 queue FIFO, which matches the deterministic behaviour the protocol timing
 analysis needs.
 
+A request for a free slot takes it on the spot: it is returned already
+granted and processed, so ``yield claim`` continues without a trip
+through the event heap.  Only a request that has to wait is woken through
+the heap, in FIFO order, when a holder releases.
+
 The context-manager style mirrors SimPy so code reads naturally::
 
     with host.cpu.request() as req:
@@ -27,15 +32,24 @@ __all__ = ["Resource", "Request"]
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource`; fires when granted."""
+    """A claim on a :class:`Resource`; fires when granted.
+
+    Born granted and processed when a slot is free, queued otherwise.
+    """
 
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        resource._queue.append(self)
-        resource._grant()
+        if len(resource._holders) < resource._capacity:
+            # Waiters are granted the moment a slot frees up, so a free
+            # slot means an empty queue: nobody is overtaken.
+            resource._holders.append(self)
+            self._value = None
+            self.callbacks = None
+        else:
+            resource._queue.append(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -84,7 +98,8 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim the resource; the returned event fires when granted."""
+        """Claim the resource; the returned event fires when granted
+        (it is already processed if a slot was free)."""
         return Request(self)
 
     def release(self, request: Request) -> None:

@@ -3,8 +3,14 @@
 A :class:`Store` is an unbounded-or-bounded queue of arbitrary items with
 event-returning ``put`` and ``get`` operations.  Network interfaces use
 stores as their receive queues: the medium ``put``-s delivered frames, the
-receiving protocol engine ``get``-s them (paying the copy-out cost before
+receiving protocol engine ``get``-s them (paying the copy-out cost after
 the get, which is how the receive-side copy is modelled).
+
+Like a free :class:`~repro.sim.resources.Resource` slot, an available
+item or free room is taken on the spot: a ``get`` that finds a matching
+item, or a ``put`` that finds room, is returned already processed, so
+``yield`` on it continues without a trip through the event heap.  Only
+an operation that has to wait is woken through the heap.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -22,38 +28,82 @@ __all__ = ["Store", "StorePut", "StoreGet"]
 
 
 class StorePut(Event):
-    """Pending insertion into a :class:`Store`; fires when accepted."""
+    """Insertion into a :class:`Store`; fires when accepted.
+
+    Born processed when the store has room, queued otherwise.
+    """
 
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
         self.item = item
-        store._put_queue.append(self)
-        store._dispatch()
+        if len(store.items) < store._capacity:
+            # Queued puts are accepted the moment room appears, so room
+            # means an empty put queue: nobody is overtaken.
+            self._value = None
+            self.callbacks = None
+            store._accept(item)
+        else:
+            store._put_queue.append(self)
 
 
 class StoreGet(Event):
-    """Pending removal from a :class:`Store`; fires with the item."""
+    """Removal from a :class:`Store`; fires with the item.
+
+    Born processed when a matching item is buffered, queued otherwise.
+    With ``timeout_s`` the get is *timed*: if it is still waiting that
+    many seconds later it is withdrawn and fires with ``None``.  An item
+    that arrives at the very instant of the deadline is never lost — it
+    goes to this get if its arrival is processed first, and stays
+    buffered for the next get if the deadline is.
+    """
 
     __slots__ = ("predicate", "_store")
 
-    def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]] = None):
+    def __init__(
+        self,
+        store: "Store",
+        predicate: Optional[Callable[[Any], bool]] = None,
+        timeout_s: Optional[float] = None,
+    ):
+        if timeout_s is not None and timeout_s < 0:
+            raise ValueError(f"negative timeout {timeout_s!r}")
         super().__init__(store.env)
         self.predicate = predicate
         self._store = store
-        store._get_queue.append(self)
-        store._dispatch()
+        # Gets queued earlier found no match when the store last changed,
+        # so taking an item here overtakes nobody.
+        item = store._match(self)
+        if item is not _NO_MATCH:
+            self._value = item
+            self.callbacks = None
+            if store._put_queue:
+                store._dispatch()
+        else:
+            store._get_queue.append(self)
+            if timeout_s is not None:
+                store.env.timeout(timeout_s).callbacks = [self._expire]
 
     def cancel(self) -> None:
-        """Withdraw this get if it has not been satisfied yet.
+        """Withdraw this get if it has not been satisfied yet, so that a
+        get nobody waits on any more does not steal a later item."""
+        self._withdraw()
 
-        Protocol engines race a get against a timeout (``env.any_of``);
-        the loser must be cancelled so a stale get does not steal a later
-        frame.
-        """
-        if not self.triggered and self in self._store._get_queue:
-            self._store._get_queue.remove(self)
+    def _withdraw(self) -> bool:
+        """Leave the queue; False if the get was not waiting any more."""
+        queue = self._store._get_queue
+        if self._value is not PENDING or self not in queue:
+            return False
+        queue.remove(self)
+        return True
+
+    def _expire(self, _expiry: Event) -> None:
+        """Deadline of a timed get: a get that is still waiting is
+        withdrawn and fires with ``None``; a satisfied (or cancelled) one
+        is left alone."""
+        if self._withdraw():
+            self.succeed(None)
 
 
 class Store:
@@ -87,12 +137,19 @@ class Store:
         return len(self.items)
 
     def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the event fires once there is room."""
+        """Insert ``item``; the event fires once there is room (it is
+        already processed if there was)."""
         return StorePut(self, item)
 
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Remove the oldest item (matching ``predicate``, if given)."""
-        return StoreGet(self, predicate)
+    def get(
+        self,
+        predicate: Optional[Callable[[Any], bool]] = None,
+        timeout_s: Optional[float] = None,
+    ) -> StoreGet:
+        """Remove the oldest item (matching ``predicate``, if given); with
+        ``timeout_s``, fire with ``None`` if none arrived in time — so a
+        timed get suits stores that never hold ``None``."""
+        return StoreGet(self, predicate, timeout_s)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking insert: True if accepted, False if full.
@@ -100,12 +157,19 @@ class Store:
         This models a lossy hardware buffer — a frame arriving at a full
         single-buffered interface is simply dropped on the floor.
         """
-        if len(self.items) + len(self._put_queue) >= self._capacity:
+        if len(self.items) >= self._capacity:
             return False
-        self.put(item)
+        self._accept(item)
         return True
 
     # -- internal ----------------------------------------------------------
+    def _accept(self, item: Any) -> None:
+        """Buffer ``item`` (the caller checked for room) and offer it to
+        the waiting gets."""
+        self.items.append(item)
+        if self._get_queue:
+            self._dispatch()
+
     def _dispatch(self) -> None:
         progress = True
         while progress:

@@ -61,15 +61,16 @@ class Host:
         self.interface.attach(self)
 
     # -- convenience pass-throughs the protocol engines use --------------------
+    # They hand back the interface's own generator: another ``yield from``
+    # level here would be resumed once per event of every frame.
     def send(self, frame, dst: Optional["Host"] = None):
         """Send a frame (generator); see :meth:`Interface.send`."""
-        destination = dst.interface if dst is not None else None
-        yield from self.interface.send(frame, destination)
+        return self.interface.send(
+            frame, dst.interface if dst is not None else None)
 
     def receive(self, timeout_s: Optional[float] = None, predicate=None):
         """Receive a frame or time out (generator); returns frame or None."""
-        frame = yield from self.interface.receive(timeout_s, predicate)
-        return frame
+        return self.interface.receive(timeout_s, predicate)
 
     def connect(self, other: "Host") -> None:
         """Make ``other`` the default destination (and vice versa)."""

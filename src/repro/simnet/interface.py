@@ -105,24 +105,6 @@ class Interface:
         assert self.host is not None, "interface not attached to a host"
         return self.host.cpu
 
-    def copy_in(self, frame):
-        """Copy ``frame`` into the interface (generator; the paper's C/Ca)."""
-        with self._copy_resource().request() as claim:
-            yield claim
-            start = self.env.now
-            yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
-            if self.trace is not None:
-                self.trace.record(Activity.COPY_IN, self.name, start, self.env.now, frame)
-
-    def copy_out(self, frame):
-        """Copy ``frame`` out of the interface into host memory (generator)."""
-        with self._copy_resource().request() as claim:
-            yield claim
-            start = self.env.now
-            yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
-            if self.trace is not None:
-                self.trace.record(Activity.COPY_OUT, self.name, start, self.env.now, frame)
-
     # -- data path ---------------------------------------------------------------
     def send(self, frame, dst: Optional["Interface"] = None):
         """Queue ``frame`` for transmission (generator).
@@ -130,8 +112,9 @@ class Interface:
         In busy-wait mode (``params.busy_wait``, the paper's standalone
         programs) the copying processor is held through the wire phase and
         ``send`` returns when the frame has left the wire.  In
-        interrupt-driven mode ``send`` returns as soon as the copy-in is
-        done; transmission proceeds in a spawned process, so with two
+        interrupt-driven mode the processor is released and ``send``
+        returns as soon as the copy-in (the paper's C/Ca) is done;
+        transmission proceeds on the medium's timers, so with two
         transmit buffers the next copy overlaps it (Figure 3.d), while
         with a single buffer the next ``send`` still blocks until the wire
         phase ends (the 3-Com serialisation).
@@ -141,26 +124,24 @@ class Interface:
             raise RuntimeError(f"{self.name}: no destination (connect() not called)")
         claim = self.tx_buffers.request()
         yield claim
+        cpu = self._copy_resource()
+        processor = cpu.request()
+        yield processor
+        start = self.env.now
+        yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
+        if self.trace is not None:
+            self.trace.record(Activity.COPY_IN, self.name, start, self.env.now, frame)
+        self.frames_sent += 1
         if self.params.busy_wait:
-            processor = self._copy_resource().request()
-            yield processor
-            start = self.env.now
-            yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
-            if self.trace is not None:
-                self.trace.record(Activity.COPY_IN, self.name, start, self.env.now, frame)
-            self.frames_sent += 1
             # The processor spins until the interface reports completion.
             yield from self.medium.transmit(frame, self.name, destination)
-            self._copy_resource().release(processor)
+            cpu.release(processor)
             self.tx_buffers.release(claim)
         else:
-            yield from self.copy_in(frame)
-            self.frames_sent += 1
-            self.env.process(self._transmit_then_release(frame, destination, claim))
-
-    def _transmit_then_release(self, frame, destination: "Interface", claim):
-        yield from self.medium.transmit(frame, self.name, destination)
-        self.tx_buffers.release(claim)
+            cpu.release(processor)
+            # ``claim.cancel`` frees the transmit buffer.
+            self.medium.transmit_detached(
+                frame, self.name, destination, then=claim.cancel)
 
     def deliver(self, frame) -> None:
         """Medium hands over an arriving frame (may overrun rx buffers)."""
@@ -175,24 +156,24 @@ class Interface:
     def receive(self, timeout_s: Optional[float] = None, predicate=None):
         """Wait for a frame, pay the copy-out cost, return it (generator).
 
-        Returns ``None`` if ``timeout_s`` elapses first.  The copy-out
-        happens *after* the frame arrives and *charges the processor*,
-        which is how the receive-side C enters the timelines.
+        Returns ``None`` if ``timeout_s`` elapses first; a frame arriving
+        at the deadline itself is delivered — to this call or, buffered,
+        to the next (see :class:`~repro.sim.store.StoreGet`).  The
+        copy-out happens *after* the frame arrives and *charges the
+        processor*, which is how the receive-side C enters the timelines.
         """
-        get = self.rx_store.get(predicate)
-        if timeout_s is None:
-            frame = yield get
-        else:
-            expiry = self.env.timeout(timeout_s)
-            outcome = yield self.env.any_of([get, expiry])
-            if get not in outcome:
-                get.cancel()
-                if self.trace is not None:
-                    now = self.env.now
-                    self.trace.record(Activity.TIMEOUT, self.name, now, now)
-                return None
-            frame = outcome[get]
-        yield from self.copy_out(frame)
+        frame = yield self.rx_store.get(predicate, timeout_s)
+        if frame is None:
+            if self.trace is not None:
+                now = self.env.now
+                self.trace.record(Activity.TIMEOUT, self.name, now, now)
+            return None
+        with self._copy_resource().request() as processor:
+            yield processor
+            start = self.env.now
+            yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
+            if self.trace is not None:
+                self.trace.record(Activity.COPY_OUT, self.name, start, self.env.now, frame)
         return frame
 
 

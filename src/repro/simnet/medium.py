@@ -16,6 +16,7 @@ indistinguishable at protocol level).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Environment, Resource
@@ -65,32 +66,55 @@ class Medium:
         """Transmit ``frame`` towards ``dst`` (generator).
 
         Returns once the frame has left the wire (so the caller can free
-        its transmit buffer); propagation and delivery continue in a
-        spawned process.  The loss decision is made here, in wire order,
-        so deterministic drop scripts see frames in a stable order.
+        its transmit buffer); propagation and delivery continue on a
+        timer.
         """
         with self.wire.request() as claim:
             yield claim
             start = self.env.now
             yield self.env.timeout(self.params.transmission_time(frame.wire_bytes))
-            end = self.env.now
-            self.busy_until = end
-            if self.trace is not None:
-                self.trace.record(Activity.TRANSMIT, src_name, start, end, frame)
+        self._left_wire(frame, src_name, dst, start)
+
+    def transmit_detached(self, frame, src_name: str, dst: "Interface", then) -> None:
+        """:meth:`transmit` for a sender that does not wait: the same wire
+        phase run from event callbacks, ``then()`` called once the frame
+        has left the wire (the interrupt-driven interface frees its
+        transmit buffer there)."""
+        wire_time = self.params.transmission_time(frame.wire_bytes)
+
+        def off_wire(timer):
+            self.wire.release(claim)
+            self._left_wire(frame, src_name, dst, start=timer.value)
+            then()
+
+        claim = self.wire.request()
+        # Once the wire is ours, a timer that remembers when that was.
+        claim.add_callback(
+            lambda _: self.env.timeout(wire_time, self.env.now).add_callback(off_wire))
+
+    def _left_wire(self, frame, src_name: str, dst: "Interface", start: float) -> None:
+        """Account for a finished wire phase and schedule the arrival(s).
+
+        The loss decision is made here, in wire order, so deterministic
+        drop scripts see frames in a stable order.
+        """
+        end = self.env.now
+        self.busy_until = end
+        if self.trace is not None:
+            self.trace.record(Activity.TRANSMIT, src_name, start, end, frame)
         self.frames_transmitted += 1
         self.bytes_transmitted += frame.wire_bytes
         lost = self.error_model.drops(frame)
         corrupted = (not lost) and self.error_model.corrupts(frame)
         copies = 0 if lost else self.error_model.duplicates(frame)
         extra_delay = 0.0 if lost else self.error_model.delay_s(frame)
-        self.env.process(
-            self._deliver(frame, src_name, dst, lost, corrupted, extra_delay)
-        )
-        for _ in range(copies):
-            self.frames_duplicated += 1
-            self.env.process(
-                self._deliver(frame, src_name, dst, False, corrupted, extra_delay)
-            )
+        delay = (self.params.propagation_delay_s + self.params.device_latency_s
+                 + extra_delay)
+        self.frames_duplicated += copies
+        for copy_lost in [lost] + [False] * copies:
+            self.env.timeout(
+                delay, (frame, src_name, dst, end, copy_lost, corrupted)
+            ).add_callback(self._arrive)
 
     @staticmethod
     def _damage(frame):
@@ -101,27 +125,16 @@ class Medium:
         own consistency checks at the receiver, which is indistinguishable
         from loss, so ``None`` is returned and the caller drops it.
         """
-        import dataclasses
-
         payload = getattr(frame, "payload", None)
         if not payload:
             return None
         damaged = bytes([payload[0] ^ 0xFF]) + payload[1:]
         return dataclasses.replace(frame, payload=damaged)
 
-    def _deliver(
-        self,
-        frame,
-        src_name: str,
-        dst: "Interface",
-        lost: bool,
-        corrupted: bool,
-        extra_delay: float = 0.0,
-    ):
-        """Propagation + device latency, then hand the frame to ``dst``."""
-        start = self.env.now
-        delay = self.params.propagation_delay_s + self.params.device_latency_s
-        yield self.env.timeout(delay + extra_delay)
+    def _arrive(self, timer) -> None:
+        """End of propagation + device latency: hand the frame to its
+        destination (timer callback, one per delivered copy)."""
+        frame, src_name, dst, start, lost, corrupted = timer.value
         if self.trace is not None and self.params.propagation_delay_s > 0:
             self.trace.record(
                 Activity.PROPAGATE,

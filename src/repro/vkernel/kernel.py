@@ -217,14 +217,12 @@ class VKernel:
         request = MessageFrame(MessageKind.SEND, proc.ref, dst, msg_id, payload)
         while True:
             yield from self._transmit(request)
-            get = proc.mailbox.get(
-                lambda m: m.kind is MessageKind.REPLY and m.msg_id == msg_id
+            reply = yield proc.mailbox.get(
+                lambda m: m.kind is MessageKind.REPLY and m.msg_id == msg_id,
+                timeout_s=self.send_timeout_s,
             )
-            expiry = self.env.timeout(self.send_timeout_s)
-            outcome = yield self.env.any_of([get, expiry])
-            if get in outcome:
-                return outcome[get].payload
-            get.cancel()
+            if reply is not None:
+                return reply.payload
 
     def receive(self, proc: VProcess):
         """V ``Receive``: block until a request arrives (generator)."""

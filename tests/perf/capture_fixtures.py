@@ -8,6 +8,12 @@ optimized fast path must reproduce byte-for-byte:
 
 The outputs are committed under ``tests/perf/fixtures/``; re-running
 against an equivalent kernel must be a no-op diff.
+
+The ``scenario:*`` digests (``workloads.contention_digests``) were added
+in PR 17 and recorded the same way from the then-unmodified PR 16 kernel
+— ``PYTHONPATH`` pointing at a clone of the parent commit holding only
+the new ``perf/workloads.py`` — before any hand-off left the heap.  A new
+scenario is always recorded from the parent of the change it is to pin.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ def main() -> None:
             handle.write(ascii_art)
         digests[f"trace:{protocol}"] = span_digest
         digests[f"run_many:{protocol}"] = workloads.run_digest(protocol, n_jobs=1)
+    digests.update(workloads.contention_digests())
 
     with open(os.path.join(FIXTURES, "seed_digests.json"), "w") as handle:
         json.dump(digests, handle, indent=2, sort_keys=True)

@@ -59,3 +59,15 @@ def test_trace_matches_seed_fixture(protocol, seed_digests):
 def test_run_many_digest_matches_seed_for_any_jobs(protocol, n_jobs, seed_digests):
     digest = workloads.run_digest(protocol, n_jobs=n_jobs)
     assert digest == seed_digests[f"run_many:{protocol}"]
+
+
+def test_contention_scenarios_match_recording(seed_digests):
+    """Resource/Store ordering under contention, the interrupt-driven and
+    DMA paths, overruns, every error-model hook, the V-kernel IPC and the
+    service driver — recorded at PR 16, before hand-offs left the heap."""
+    live = workloads.contention_digests()
+    recorded = {key: value for key, value in seed_digests.items()
+                if key.startswith("scenario:")}
+    assert sorted(live) == sorted(recorded)
+    moved = [key for key in live if live[key] != recorded[key]]
+    assert not moved

@@ -2,6 +2,8 @@
 
 import heapq
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +177,289 @@ class TestHeapModel:
         while heap:
             reference.append(heapq.heappop(heap)[1])
         assert order == reference
+
+
+# -- naive models ------------------------------------------------------------
+# The oracles below are deliberately list-based and obvious; they model what
+# a Resource and a Store *mean*, not how the kernel gets there, so they keep
+# checking it whichever hand-offs do or do not travel through the heap.
+
+
+def fifo_queue_model(jobs, capacity):
+    """Grant time of each ``(arrival, hold)`` job at a FIFO queue with
+    ``capacity`` servers: jobs are served in (arrival, index) order, each
+    by the server that frees up first."""
+    free_at = [0.0] * capacity
+    grants = {}
+    for index in sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i)):
+        arrival, hold = jobs[index]
+        server = min(range(capacity), key=free_at.__getitem__)
+        grants[index] = max(arrival, free_at[server])
+        free_at[server] = grants[index] + hold
+    return grants
+
+
+def run_jobs(jobs, capacity):
+    """The same jobs on a real Resource: ({job: grant time}, grant order)."""
+    env = Environment()
+    resource = Resource(env, capacity=capacity)
+    grants, order = {}, []
+
+    def worker(index, arrival, hold):
+        yield env.timeout(arrival)
+        with resource.request() as claim:
+            yield claim
+            grants[index] = env.now
+            order.append(index)
+            yield env.timeout(hold)
+
+    for index, (arrival, hold) in enumerate(jobs):
+        env.process(worker(index, arrival, hold))
+    env.run()
+    assert (resource.count, resource.queued) == (0, 0)
+    return grants, order
+
+
+#: Few distinct values, so that arrivals coincide with each other and with
+#: releases — the same-instant cases are the ones worth generating.
+coarse_times = st.integers(0, 6).map(lambda n: n * 0.5)
+
+
+class TestResourceAgainstFifoModel:
+    @given(
+        jobs=st.lists(
+            st.tuples(coarse_times | st.floats(0.0, 3.0),
+                      coarse_times.map(lambda t: t + 0.5) | st.floats(0.01, 2.0)),
+            min_size=1, max_size=25,
+        ),
+        capacity=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grant_times_equal_the_model(self, jobs, capacity):
+        grants, order = run_jobs(jobs, capacity)
+        model = fifo_queue_model(jobs, capacity)
+        assert grants == model
+        if capacity == 1:
+            # One holder at a time: the order processes get in is the
+            # order slots were handed out, i.e. the model's FIFO order.
+            assert order == sorted(model, key=lambda i: (model[i], jobs[i][0], i))
+
+    @given(
+        holds=st.lists(coarse_times.map(lambda t: t + 0.5), min_size=1, max_size=12),
+        capacity=st.integers(1, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_instant_requests_are_granted_in_request_order(self, holds, capacity):
+        """Everybody asks at t=0.  The first ``capacity`` take their slot
+        on the spot, the rest are woken through the heap — and no mix of
+        the two lets a later request get in front of an earlier one."""
+        jobs = [(0.0, hold) for hold in holds]
+        grants, order = run_jobs(jobs, capacity)
+        assert grants == fifo_queue_model(jobs, capacity)
+        assert order == sorted(range(len(jobs)), key=lambda i: (grants[i], i))
+        assert [grants[i] for i in range(len(jobs))] == sorted(grants.values())
+
+
+def granted_request(env, resource, born_processed):
+    """A granted request that took a free slot on the spot, or one that
+    queued behind a holder and was granted through the heap."""
+    if born_processed:
+        request = resource.request()
+        assert request.processed
+        return request
+    blocker = resource.request()
+    request = resource.request()
+    assert not request.triggered
+    resource.release(blocker)
+    env.run()
+    assert request.processed
+    return request
+
+
+@pytest.mark.parametrize("born_processed", [True, False],
+                         ids=["took_free_slot", "queued_then_granted"])
+class TestGrantedRequestsAreAlike:
+    """However a request came to hold its slot, it gives it back alike."""
+
+    def test_release_hands_the_slot_to_the_next_waiter(self, born_processed):
+        env = Environment()
+        resource = Resource(env)
+        request = granted_request(env, resource, born_processed)
+        waiter = resource.request()
+        resource.release(request)
+        assert waiter.triggered and (resource.count, resource.queued) == (1, 0)
+
+    def test_double_release_is_a_noop(self, born_processed):
+        env = Environment()
+        resource = Resource(env)
+        request = granted_request(env, resource, born_processed)
+        resource.release(request)
+        other = resource.request()
+        resource.release(request)  # must not free ``other``'s slot
+        assert resource.count == 1 and other.processed
+
+    def test_cancel_releases(self, born_processed):
+        env = Environment()
+        resource = Resource(env)
+        request = granted_request(env, resource, born_processed)
+        request.cancel()
+        assert resource.count == 0
+
+    def test_with_form_releases_on_exit_and_on_error(self, born_processed):
+        env = Environment()
+        resource = Resource(env)
+        with granted_request(env, resource, born_processed):
+            assert resource.count == 1
+        assert resource.count == 0
+        with pytest.raises(KeyError):
+            with granted_request(env, resource, born_processed):
+                raise KeyError("inside the critical section")
+        assert resource.count == 0
+
+
+# A Store script is one operation per simulated second:
+#   ("put", None)            offer the next fresh item (a running integer)
+#   ("get", colour, timeout) get an item of ``colour`` (item % 3; None = any),
+#                            giving up after ``timeout`` seconds (None = never)
+#   ("cancel", k)            cancel the k-th get made so far, if there is one
+# Whole and half-second timeouts make deadlines fall both between operations
+# and exactly on them; ``ops_first`` picks which of the two the heap sees
+# first at such an instant, so both orders are generated and modelled.
+store_ops = st.one_of(
+    st.just(("put", None)),
+    st.tuples(st.just("get"), st.none() | st.integers(0, 2),
+              st.none() | st.integers(1, 6).map(lambda n: n * 0.5)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+)
+
+
+def store_model(script, capacity, ops_first):
+    """List model of a Store: ({get: (time, value)}, items left over)."""
+    items, waiting, fired = [], [], {}
+    gets = []  # (colour, deadline) per get made, in order
+    fresh = iter(range(len(script)))
+
+    def settle(now):
+        # Oldest waiting get first; each takes the oldest item it accepts.
+        for get in list(waiting):
+            colour = gets[get][0]
+            for item in items:
+                if colour is None or item % 3 == colour:
+                    items.remove(item)
+                    waiting.remove(get)
+                    fired[get] = (now, item)
+                    break
+
+    def apply(op, now):
+        if op[0] == "put":
+            item = next(fresh)
+            if capacity is None or len(items) < capacity:
+                items.append(item)
+        elif op[0] == "get":
+            gets.append((op[1], None if op[2] is None else now + op[2]))
+            waiting.append(len(gets) - 1)
+        elif gets:
+            get = op[1] % len(gets)
+            if get in waiting:
+                waiting.remove(get)
+        settle(now)
+
+    for tick in range(2 * len(script) + 8):
+        now = tick / 2
+        op = script[tick // 2] if tick % 2 == 0 and tick < 2 * len(script) else None
+        if op is not None and ops_first:
+            apply(op, now)
+        for get in [g for g in waiting if gets[g][1] == now]:
+            waiting.remove(get)
+            fired[get] = (now, None)
+        if op is not None and not ops_first:
+            apply(op, now)
+    return fired, items
+
+
+def run_store_script(script, capacity, ops_first):
+    """The same script on a real Store; also counts firings per get."""
+    env = Environment()
+    store = Store(env) if capacity is None else Store(env, capacity=capacity)
+    gets, fired, firings = [], {}, []
+    fresh = iter(range(len(script)))
+
+    def apply(op):
+        if op[0] == "put":
+            store.try_put(next(fresh))
+        elif op[0] == "get":
+            index = len(gets)
+            colour = op[1]
+            predicate = None if colour is None else (lambda item: item % 3 == colour)
+            gets.append(store.get(predicate, timeout_s=op[2]))
+
+            def on_fire(event, index=index):
+                firings.append(index)
+                fired[index] = (env.now, event.value)
+
+            gets[index].add_callback(on_fire)
+        elif gets:
+            gets[op[1] % len(gets)].cancel()
+
+    if ops_first:
+        # Scheduled before any deadline exists: at a shared instant the
+        # operation is processed first.
+        for second, op in enumerate(script):
+            env.timeout(float(second)).add_callback(lambda _, op=op: apply(op))
+    else:
+        # One sleep at a time: at a shared instant the deadline, armed
+        # earlier, is processed first.
+        def driver():
+            for second, op in enumerate(script):
+                if second:
+                    yield env.timeout(1.0)
+                apply(op)
+
+        env.process(driver())
+    env.run()
+    return fired, list(store.items), firings
+
+
+class TestStoreAgainstListModel:
+    @given(
+        script=st.lists(store_ops, min_size=1, max_size=30),
+        capacity=st.none() | st.integers(1, 3),
+        ops_first=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_get_and_every_item_ends_up_where_the_model_says(
+        self, script, capacity, ops_first
+    ):
+        fired, left, firings = run_store_script(script, capacity, ops_first)
+        model_fired, model_left = store_model(script, capacity, ops_first)
+        # Who got what and when — which also says that no later get
+        # overtook an earlier one it could have matched, and that an item
+        # arriving on a deadline went to exactly one place.
+        assert fired == model_fired
+        assert left == model_left
+        # No get fires twice (a timed one: item or None, never both).
+        assert sorted(firings) == sorted(set(firings))
+        # Conservation: every accepted item was delivered exactly once or
+        # is still buffered — never lost, never duplicated.
+        delivered = [value for _, value in fired.values() if value is not None]
+        assert len(delivered) == len(set(delivered))
+        assert not set(delivered) & set(left)
+        accepted = sum(op[0] == "put" for op in script)
+        if capacity is None:
+            assert sorted(delivered + left) == list(range(accepted))
+
+    @given(script=st.lists(store_ops, min_size=1, max_size=30),
+           ops_first=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_an_uncancelled_timed_get_fires_exactly_once(self, script, ops_first):
+        fired, _left, firings = run_store_script(script, None, ops_first)
+        gets, cancelled = [], set()
+        for op in script:
+            if op[0] == "get":
+                gets.append(op)
+            elif op[0] == "cancel" and gets:
+                cancelled.add(op[1] % len(gets))
+        for index, (_get, _colour, timeout) in enumerate(gets):
+            if timeout is not None and index not in cancelled:
+                assert firings.count(index) == 1
+                assert index in fired

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, Store
 
 
 @pytest.fixture()
@@ -106,3 +106,80 @@ class TestResource:
         assert res.count == 1
         assert res.queued == 2
         assert res.capacity == 1
+
+
+class TestTakenOnTheSpot:
+    """A free slot is taken where it is decided: the request comes back
+    processed and nothing goes on the heap; only waiters use the heap."""
+
+    def test_free_slot_is_born_processed(self, env):
+        res = Resource(env, capacity=2)
+        first, second, third = res.request(), res.request(), res.request()
+        assert first.processed and second.processed
+        assert not third.triggered
+        assert env.peek() == float("inf")
+        assert (res.count, res.queued) == (2, 1)
+
+    def test_waiter_is_granted_through_the_heap(self, env):
+        res = Resource(env)
+        holder, waiter = res.request(), res.request()
+        res.release(holder)
+        assert waiter.triggered and not waiter.processed
+        assert res.count == 1  # the slot is the waiter's from the release on
+        late = res.request()
+        assert not late.triggered  # so a same-instant request queues behind
+        env.run()
+        assert waiter.processed
+
+    def test_process_continues_without_a_heap_event(self, env):
+        res = Resource(env)
+        log = []
+
+        def worker():
+            with res.request() as claim:
+                yield claim
+                log.append(env.now)
+
+        env.process(worker())
+        env.step()  # Initialize alone carries the worker past the claim
+        assert log == [0.0]
+        assert res.count == 0
+
+    def test_a_process_that_need_not_wait_stays_ahead_of_a_woken_waiter(self, env):
+        """The one same-instant order that is *not* promised, pinned so a
+        change to it is noticed (docs/architecture.md, "The kernel rule").
+
+        ``releaser`` frees the buffer ``waiter`` queued for, picks up an
+        item that is already there, then needs the processor; so does
+        ``waiter`` once it has the buffer.  The waiter's wake-up travels
+        through the heap while the releaser, who has nothing to wait
+        for, keeps running and is at the processor first.  (When every
+        hand-off cost a heap event, the releaser's get queued up behind
+        that wake-up and the waiter won.)  Each resource on its own is
+        still strictly FIFO."""
+        buffer, processor, inbox = Resource(env), Resource(env), Store(env)
+        inbox.try_put("frame")
+        order = []
+
+        def releaser():
+            claim = buffer.request()
+            yield claim
+            yield env.timeout(1)
+            buffer.release(claim)
+            yield inbox.get()
+            with processor.request() as cpu:
+                yield cpu
+                order.append("releaser")
+                yield env.timeout(1)
+
+        def waiter():
+            with buffer.request() as claim:
+                yield claim
+                with processor.request() as cpu:
+                    yield cpu
+                    order.append("waiter")
+
+        env.process(releaser())
+        env.process(waiter())
+        env.run()
+        assert order == ["releaser", "waiter"] and env.now == 2

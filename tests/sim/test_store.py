@@ -149,3 +149,99 @@ class TestPredicateGets:
         store.put("b")
         env.run()
         assert sorted(seen) == [("c1", "a"), ("c2", "b")]
+
+
+class TestTakenOnTheSpot:
+    """An available item or free room is taken where it is decided: the
+    event comes back processed and nothing goes on the heap."""
+
+    def test_get_of_buffered_item_is_born_processed(self, env):
+        store = Store(env)
+        store.try_put("x")
+        got = store.get()
+        assert got.processed and got.value == "x"
+        assert env.peek() == float("inf")
+
+    def test_put_with_room_is_born_processed(self, env):
+        store = Store(env, capacity=1)
+        first, second = store.put("a"), store.put("b")
+        assert first.processed and not second.triggered
+        assert list(store.items) == ["a"]
+
+    def test_try_put_wakes_a_waiting_get_through_the_heap(self, env):
+        store = Store(env)
+        waiting = store.get()
+        assert store.try_put("x")
+        assert waiting.triggered and not waiting.processed
+        assert len(store) == 0
+        env.run()
+        assert waiting.value == "x"
+
+    def test_get_that_frees_room_admits_the_queued_put(self, env):
+        store = Store(env, capacity=1)
+        store.put("a")
+        blocked = store.put("b")
+        assert store.get().value == "a"
+        assert blocked.triggered and list(store.items) == ["b"]
+
+
+class TestTimedGet:
+    def test_satisfied_at_once_arms_no_timer(self, env):
+        store = Store(env)
+        store.try_put("x")
+        assert store.get(timeout_s=5.0).value == "x"
+        assert env.peek() == float("inf")
+
+    def test_fires_with_none_at_the_deadline_and_withdraws(self, env):
+        store = Store(env)
+        result = {}
+
+        def consumer():
+            result["item"] = yield store.get(timeout_s=2.0)
+            result["time"] = env.now
+
+        env.process(consumer())
+        env.run()
+        assert result == {"item": None, "time": 2.0}
+        store.try_put("late")  # the expired get must not steal it
+        assert list(store.items) == ["late"]
+
+    def test_item_before_the_deadline_wins_and_expiry_does_nothing(self, env):
+        store = Store(env)
+        got = store.get(timeout_s=2.0)
+        env.timeout(1.0).add_callback(lambda _: store.try_put("x"))
+        env.run()
+        assert got.value == "x" and env.now == 2.0
+
+    def test_cancelled_timed_get_never_fires(self, env):
+        store = Store(env)
+        got = store.get(timeout_s=1.0)
+        got.cancel()
+        env.run()
+        assert not got.triggered
+
+    def test_negative_timeout_rejected_even_if_item_is_buffered(self, env):
+        store = Store(env)
+        store.try_put("x")
+        with pytest.raises(ValueError):
+            store.get(timeout_s=-1.0)
+        assert list(store.items) == ["x"]
+
+    @pytest.mark.parametrize("arrival_first", [True, False])
+    def test_item_arriving_at_the_deadline_is_never_lost(self, env, arrival_first):
+        """Arrival and deadline at one instant: whichever the heap
+        processes first decides who gets the item, and nobody loses it."""
+        store = Store(env)
+        arrive = lambda _: store.try_put("x")  # noqa: E731
+        if arrival_first:
+            env.timeout(1.0).add_callback(arrive)
+            got = store.get(timeout_s=1.0)
+        else:
+            got = store.get(timeout_s=1.0)
+            env.timeout(1.0).add_callback(arrive)
+        env.run()
+        assert env.now == 1.0
+        if arrival_first:
+            assert got.value == "x" and not store.items
+        else:
+            assert got.value is None and list(store.items) == ["x"]

@@ -210,6 +210,37 @@ class TestErrorsOnTheWire:
         assert outcome["first"] is None
         assert outcome["second"].label == "late"
 
+    def test_frame_arriving_at_the_deadline_is_delivered(self, env):
+        """Regression: a frame delivered at the very instant a receive
+        expired satisfied the get the receive then "cancelled", so it was
+        neither returned, nor left buffered, nor counted as a drop, and
+        the next receive timed out.  "Arrives at the deadline" means
+        delivered: here the deadline is processed first, so the frame
+        stays buffered and the next receive returns it at once."""
+        params = NetworkParams.standalone()
+        a, b, _ = make_lan(env, params)
+        arrival = ((params.copy_model.copy_time(1024)
+                    + params.transmission_time(1024))
+                   + params.propagation_delay_s)
+        outcome = {}
+
+        def tx():
+            yield from a.send(Frame(1024, label="on the dot"))
+
+        def rx():
+            outcome["first"] = yield from b.receive(timeout_s=arrival)
+            outcome["expired_at"] = env.now
+            outcome["buffered"] = len(b.interface.rx_store)
+            outcome["second"] = yield from b.receive(timeout_s=1.0)
+
+        env.process(tx())
+        env.run(env.process(rx()))
+        assert outcome["expired_at"] == arrival
+        assert b.interface.frames_received == 1
+        assert (outcome["first"], outcome["buffered"]) == (None, 1)
+        assert outcome["second"].label == "on the dot"
+        assert env.now == arrival + params.copy_model.copy_time(1024)
+
 
 class TestWireSharing:
     def test_wire_serialises_simultaneous_transmissions(self, env):

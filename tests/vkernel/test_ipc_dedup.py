@@ -125,3 +125,48 @@ class TestMaxPacketFootnote:
         assert result.data_intact
         assert result.n_packets == 64  # 96 KB / 1.5 KB
         assert params.transmit_data_s == pytest.approx(1536 * 8 / 1e7)
+
+
+class TestReplyOnTheRetransmitInstant:
+    def test_reply_landing_on_the_retransmit_instant_is_kept(self):
+        """Regression: a reply put in the mailbox at the very instant the
+        Send's retransmit timer expired satisfied the get the Send then
+        "cancelled" and vanished; the Send only completed a round trip
+        later, on the server's *replayed* reply.  Now the reply stays in
+        the mailbox: the timer did fire, so the request goes out once
+        more, and the Send returns as soon as that is on the wire."""
+
+        def exchange(send_timeout_s):
+            env, ka, kb, medium = build(send_timeout_s=send_timeout_s)
+            client = ka.create_process("client")
+            server = kb.create_process("server")
+            marks = {}
+            real_get = client.mailbox.get
+
+            def marking_get(*args, **kwargs):
+                marks.setdefault("armed_at", env.now)
+                return real_get(*args, **kwargs)
+
+            client.mailbox.get = marking_get
+
+            def server_body():
+                while True:
+                    request = yield from kb.receive(server)
+                    yield from kb.reply(server, request, "done")
+
+            def client_body():
+                reply = yield from ka.send(client, server.ref, "work")
+                marks["frames_on_wire"] = medium.frames_transmitted
+                return reply
+
+            env.process(server_body())
+            assert env.run(env.process(client_body())) == ("done",)
+            return marks["armed_at"], env.now, marks["frames_on_wire"]
+
+        armed_at, replied_at, frames = exchange(send_timeout_s=1.0)
+        assert frames == 2  # request, reply
+        on_the_dot = replied_at - armed_at
+        assert armed_at + on_the_dot == replied_at  # exact in floating point
+        _, returned_at, frames = exchange(send_timeout_s=on_the_dot)
+        assert frames == 3  # request, reply, the retransmission — no replay
+        assert replied_at < returned_at < replied_at + on_the_dot
