@@ -17,6 +17,15 @@ protocol's retransmission repairs it).
 
 All datagram I/O goes through :class:`~repro.service.iobatch
 .DatagramBatchIO` (non-blocking, batched receives, zero-copy sends).
+
+Two things keep the pump matched to a blasting server (docs/performance
+.md, "Matched speeds").  Before a client asks for a body it makes room
+for it: ``SO_RCVBUF`` is raised to what the kernel will charge for the
+whole body, and what cannot be had is advertised as the pull's
+``credit``.  And a readable socket is read until it is empty (up to
+``_DRAIN_DATAGRAMS`` per wakeup), while timers cost nothing on that
+path: they sit in a lazy deadline heap that is looked at only when its
+earliest entry is due.
 """
 
 from __future__ import annotations
@@ -25,33 +34,76 @@ import selectors
 import socket
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.wire import WireError, decode
-from ..udpnet.endpoints import RECV_BUFFER_BYTES
+from ..udpnet.endpoints import DEFAULT_PACKET_BYTES, RECV_BUFFER_BYTES
 from .iobatch import DatagramBatchIO
+from .machines import packet_count
 from .pullclient import PullMachine, UdpPullResult
 
-__all__ = ["UdpClientPump"]
+__all__ = ["UdpClientPump", "DATAGRAM_CHARGE_BYTES"]
 
-#: Pump never sleeps longer than this between timer sweeps.
+#: Pump never sleeps longer than this between timer checks.
 _MAX_WAIT_S = 0.05
+
+#: Datagrams one client may consume per wakeup before the others (and
+#: the timers) get their turn again.
+_DRAIN_DATAGRAMS = 128
+
+#: What a queued datagram carrying one ``DEFAULT_PACKET_BYTES`` packet
+#: is charged against its socket's ``SO_RCVBUF``: the kernel counts the
+#: buffer it allocated (2 KiB of data and the bookkeeping structure),
+#: not the bytes that arrived, so the default 212,992-byte buffer holds
+#: 92 such datagrams, not 200.  ``tests/service/test_matched_speeds.py``
+#: fills an unread socket to check that no more is charged than this.
+DATAGRAM_CHARGE_BYTES = 2304
+
+
+def _receive_credit(sock: socket.socket, size: int) -> Optional[int]:
+    """Make room on ``sock`` for a body of ``size`` bytes, arriving
+    before any of it is read; returns None when the whole body (and its
+    verdict) fits, else the number of packets that do.
+
+    The paper's blast assumes the receiver set buffers aside for the
+    whole transfer before asking for it.  Here that is the kernel's
+    receive buffer: it is raised (never lowered) to what the body will
+    be charged, and what the kernel granted is read back, because
+    ``net.core.rmem_max`` caps the request silently.
+    """
+    needed = (packet_count(size, DEFAULT_PACKET_BYTES) + 1) \
+        * DATAGRAM_CHARGE_BYTES
+    granted = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    if granted < needed:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, needed)
+        granted = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        if granted < needed:
+            # One datagram's room stays free for the verdict, which may
+            # still be queued when the first burst lands.
+            return max(1, granted // DATAGRAM_CHARGE_BYTES - 1)
+    return None
 
 
 class _PumpClient:
     """One client socket carrying one :class:`PullMachine`."""
 
-    def __init__(self, machine: PullMachine, server, ring_slots: int,
-                 slot_bytes: int):
-        self.machine = machine
-        self.stream_id = machine.stream_id
+    def __init__(self, stream_id: int, size: int, server, ring_slots: int,
+                 slot_bytes: int, **pull):
+        self.stream_id = stream_id
         self.server = server
         raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         raw.bind(("127.0.0.1", 0))
         self.sock = raw
+        self.machine = PullMachine(stream_id, size,
+                                   credit=_receive_credit(raw, size), **pull)
         self.io = DatagramBatchIO(raw, ring_slots=ring_slots,
                                   slot_bytes=slot_bytes)
+        self._ring_slots = ring_slots
         self.next_timer = 0.0       # when the current quiet period ends
+        #: Deadline of this client's entry in the pump's timer heap.
+        self.armed = 0.0
 
     def _send(self, frames, now: float) -> None:
         for frame in frames:
@@ -65,9 +117,12 @@ class _PumpClient:
         if now >= self.next_timer:
             self._send(self.machine.on_quiet(now), now)
 
-    def on_readable(self, now: float) -> None:
+    def on_readable(self, now: float) -> bool:
+        """Consume one ring of datagrams; True if the ring came back
+        full, so more may be waiting."""
         machine = self.machine
-        for view, _sender in self.io.recv_batch():
+        batch = self.io.recv_batch()
+        for view, _sender in batch:
             try:
                 frame = decode(view)
             except WireError:
@@ -75,7 +130,8 @@ class _PumpClient:
             if machine.wants(frame):
                 self._send(machine.on_frame(frame, now), now)
                 if machine.done:
-                    return
+                    return False
+        return len(batch) == self._ring_slots
 
     def close(self) -> None:
         self.sock.close()
@@ -122,41 +178,71 @@ class UdpClientPump:
             raise ValueError("servers and sizes must have equal length")
         self.clients: List[_PumpClient] = [
             _PumpClient(
-                PullMachine(first_stream + index, size, protocol, strategy,
-                            pull_timeout_s, pull_retries, recv_timeout_s,
-                            linger_s),
+                first_stream + index, size,
                 server if servers is None else servers[index],
-                ring_slots, slot_bytes)
+                ring_slots, slot_bytes,
+                protocol=protocol, strategy=strategy,
+                pull_timeout_s=pull_timeout_s, pull_retries=pull_retries,
+                recv_timeout_s=recv_timeout_s, linger_s=linger_s)
             for index, size in enumerate(sizes)
         ]
+        self._drain_rings = max(1, _DRAIN_DATAGRAMS // ring_slots)
         self.stats: Optional[PumpRunStats] = None
 
     def run(self, overall_timeout_s: float = 60.0) -> Dict[int, UdpPullResult]:
         """Pump every client to completion; returns pull verdicts."""
         selector = selectors.DefaultSelector()
-        start = time.monotonic()
+        monotonic = time.monotonic
+        start = monotonic()
         deadline = start + overall_timeout_s
         pending = set()
+        # Lazy deadline heap, one live entry per pending client:
+        # (deadline, serial, client), live while ``deadline ==
+        # client.armed``.  Every frame a client consumes moves its
+        # quiet period later, so the receive path never touches the
+        # heap: an entry that pops early is pushed back at the time the
+        # client names by then.  The one move the other way (a
+        # completed pull's short linger) arms a second entry and leaves
+        # the first to pop dead.
+        timers: List[Tuple[float, int, _PumpClient]] = []
+        serial = count()
         try:
             for client in self.clients:
                 selector.register(client.io.fileno(), selectors.EVENT_READ,
                                   client)
                 client.start(0.0)
+                client.armed = client.next_timer
+                heappush(timers, (client.armed, next(serial), client))
                 pending.add(client)
             while pending:
-                now = time.monotonic() - start
+                now = monotonic() - start
                 if now + start >= deadline:
                     break
-                next_timer = min(c.next_timer for c in pending)
-                wait = min(max(next_timer - now, 0.0), _MAX_WAIT_S)
+                wait = min(max(timers[0][0] - now, 0.0), _MAX_WAIT_S)
                 for key, _events in selector.select(wait):
                     client = key.data
-                    client.on_readable(time.monotonic() - start)
-                now = time.monotonic() - start
-                for client in list(pending):
-                    client.on_timer(now)
+                    for _ring in range(self._drain_rings):
+                        if not client.on_readable(monotonic() - start):
+                            break
                     if client.machine.done:
                         pending.discard(client)
+                    elif client.next_timer < client.armed:
+                        client.armed = client.next_timer
+                        heappush(timers, (client.armed, next(serial), client))
+                now = monotonic() - start
+                while timers and timers[0][0] <= now:
+                    due, _serial, client = timers[0]
+                    if client not in pending or due != client.armed:
+                        heappop(timers)     # finished, or re-armed earlier
+                        continue
+                    client.on_timer(now)    # a no-op before next_timer
+                    if client.machine.done:
+                        pending.discard(client)
+                        heappop(timers)
+                    else:
+                        client.armed = client.next_timer
+                        heapreplace(
+                            timers, (client.armed, next(serial), client))
         finally:
             selector.close()
             results: Dict[int, UdpPullResult] = {}

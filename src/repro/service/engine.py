@@ -44,7 +44,8 @@ explicitly allowlisted rebuild helper (``_rebuild_client_index``).
 
 Control protocol (JSON bodies, one pull per stream id)::
 
-    request:   {"op": "pull", "stream": int, "size": int}
+    request:   {"op": "pull", "stream": int, "size": int
+                [, "credit": int] [, "client": str]}
     response:  {"packets": n, "seed": s, "size": n,
                 "status": "ok", "stream": id}
            or  {"reason": str, "status": "rejected", "stream": id}
@@ -58,6 +59,10 @@ so the client can verify byte-equality without the server shipping a
 checksum.  Admission only builds its
 :class:`~repro.service.machines.BodyStream` — O(1) in the transfer
 size; the sender machine draws each packet when it is first granted.
+``credit`` is the number of packets the client's receive buffer holds
+when that is less than the body (docs/service.md, "Credit"); a blast
+then goes out in bursts of that many.  ``client`` names the requester
+on a substrate whose frames carry no source address (the DES).
 """
 
 from __future__ import annotations
@@ -177,6 +182,8 @@ class _Pending:
     #: so activation must honour it even if the loss estimate has
     #: moved since.
     choice: Optional[object] = None
+    #: The pull's advertised receive credit in packets (None: unbounded).
+    credit: Optional[int] = None
 
 
 class _ScheduleView:
@@ -301,31 +308,28 @@ class ServiceCore:
         """Advance due timers, admit queued work, grant this quantum's sends."""
         self._expire_timers(now)
         self._admit(now)
-        return self._grant(now)
+        return self._grant(now, self.config.grants_per_poll)
 
     def drain_sends(self, now: float,
                     max_frames: int) -> List[Tuple[object, object]]:
-        """Repeated grant passes until none remain or the batch fills.
+        """One timer pass, one admission pass, one grant pass for a batch.
 
         The readiness loop calls this once per wakeup: where the DES
         substrate interleaves one ``poll`` per simulated quantum, the
-        batched UDP loop amortises a single wakeup across many grant
-        quanta and fills a whole send batch.  Timers advance exactly
-        once per batch — after the leading :meth:`poll`, no machine can
-        expire again at the same ``now``: every grant reschedules the
-        granted stream's timer to ``now + rto`` with ``rto > 0``, and a
-        still-overdue ungranted packet keeps its attempt count, so the
-        retired inner timer walks were no-ops by construction.  Grant
-        sequences (fifo order, rr rotation, copy-budget windows) are
-        byte-identical to the repeated-``poll`` loop this replaces.
+        batched UDP loop fills a whole send batch from a single policy
+        call.  The budget is ``max_frames`` rounded up to a whole number
+        of ``grants_per_poll`` quanta, which is what repeated ``poll``
+        calls hand out before the batch is full; no input arrives
+        between those calls, so a machine's ``frames_available`` only
+        falls by its own grants and the policy's one longer walk visits
+        the same streams in the same order (fifo order, rr rotation,
+        copy-budget windows — pinned against the repeated-``poll``
+        reference by ``tests/service/test_engine_equivalence.py``).
         """
-        outputs = self.poll(now)
-        while outputs and len(outputs) < max_frames:
-            more = self._grant(now)
-            if not more:
-                break
-            outputs.extend(more)
-        return outputs
+        self._expire_timers(now)
+        self._admit(now)
+        quantum = self.config.grants_per_poll
+        return self._grant(now, -(-max_frames // quantum) * quantum)
 
     def next_deadline(self, now: float) -> Optional[float]:
         """Earliest time :meth:`poll` must run again (None = wait for I/O)."""
@@ -352,12 +356,20 @@ class ServiceCore:
             body = json.loads(frame.body.decode())
         except (ValueError, UnicodeDecodeError):
             return []  # not ours; indistinguishable from corruption
+        if not isinstance(body, dict):
+            return []
+        if client is None:
+            # The substrate has no source address (DES): the request
+            # names its sender.
+            name = body.get("client")
+            client = name if isinstance(name, str) else None
         if body.get("op") != "pull":
             reply = {"status": "error", "reason": f"unknown op {body.get('op')!r}",
                      "stream": 0}
             return [(self._control_reply(frame.request_id, 0, reply), client)]
         stream_id = body.get("stream")
         size = body.get("size")
+        credit = body.get("credit")
         if not isinstance(stream_id, int) or stream_id < 1:
             reply = {"status": "error", "reason": "bad stream id", "stream": 0}
             return [(self._control_reply(frame.request_id, 0, reply), client)]
@@ -369,18 +381,24 @@ class ServiceCore:
         if (not isinstance(size, int) or size < 0
                 or size > self.config.max_size_bytes):
             reply = {"status": "error", "reason": "bad size", "stream": stream_id}
+        elif "credit" in body and (not isinstance(credit, int) or credit < 1):
+            # Only ever compared against a burst length: no size is too
+            # large, but a credit of nothing could never be spent.
+            reply = {"status": "error", "reason": "bad credit",
+                     "stream": stream_id}
         elif len(self._active) < self.config.max_active:
             choice = (self._tuner.choose(size)
                       if self._tuner is not None else None)
             self.metrics.on_submitted(stream_id, str(client), now)
-            self._activate(stream_id, client, size, now, choice=choice)
+            self._activate(stream_id, client, size, now, choice=choice,
+                           credit=credit)
             reply = self._ok_reply(stream_id, size, choice)
         elif len(self._pending) < self.config.max_queue:
             choice = (self._tuner.choose(size)
                       if self._tuner is not None else None)
             self.metrics.on_submitted(stream_id, str(client), now)
             self._pending.append(_Pending(stream_id, client, size, now,
-                                          choice=choice))
+                                          choice=choice, credit=credit))
             self.metrics.on_queue_depth(now, len(self._pending))
             reply = self._ok_reply(stream_id, size, choice)
         else:
@@ -414,7 +432,8 @@ class ServiceCore:
         )
 
     def _activate(self, stream_id: int, client, size: int, now: float,
-                  choice: Optional[object] = None) -> None:
+                  choice: Optional[object] = None,
+                  credit: Optional[int] = None) -> None:
         body = BodyStream(self.config.seed, stream_id, size)
         protocol = self.config.protocol
         window = self.config.window
@@ -431,6 +450,7 @@ class ServiceCore:
             strategy=self.config.strategy,
             window=window,
             congestion=congestion,
+            credit=credit,
         )
         entry = _Entry(machine=machine, client=client,
                        admit_seq=self._admit_seq)
@@ -451,16 +471,14 @@ class ServiceCore:
         while self._pending and len(self._active) < self.config.max_active:
             pending = self._pending.popleft()
             self._activate(pending.stream_id, pending.client, pending.size,
-                           now, choice=pending.choice)
+                           now, choice=pending.choice, credit=pending.credit)
             admitted = True
         if admitted:
             self.metrics.on_queue_depth(now, len(self._pending))
 
     def _finish(self, stream_id: int, now: float) -> None:
         entry = self._active.pop(stream_id)
-        if self._ready.pop(stream_id, None) is not None and not self._ready:
-            self._ready_sorted = True
-            self._ready_tail_seq = -1
+        self._unready(stream_id)
         count = self._client_streams[entry.client] - 1
         if count:
             self._client_streams[entry.client] = count
@@ -575,7 +593,13 @@ class ServiceCore:
                 else:
                     self._ready_tail_seq = entry.admit_seq
                 ready[stream_id] = entry
-        elif ready.pop(stream_id, None) is not None and not ready:
+        else:
+            self._unready(stream_id)
+
+    def _unready(self, stream_id: int) -> None:
+        """Take a stream out of the ready set (a no-op if it is not in)."""
+        ready = self._ready
+        if ready.pop(stream_id, None) is not None and not ready:
             self._ready_sorted = True
             self._ready_tail_seq = -1
 
@@ -589,19 +613,31 @@ class ServiceCore:
             self._ready_tail_seq = items[-1][1].admit_seq if items else -1
         return self._ready
 
-    def _grant(self, now: float) -> List[Tuple[object, object]]:
+    def _grant(self, now: float,
+               budget: int) -> List[Tuple[object, object]]:
+        """Ask the policy once for up to ``budget`` grants and honour them.
+
+        Per frame this is the machine's ``next_frame`` plus two checks:
+        the deadline index is touched only when the send moved the
+        machine's deadline (``timer_epoch``), the ready set only when
+        the send was the machine's last for now.
+        """
         outputs: List[Tuple[object, object]] = []
-        grants = self.policy.grants(self._view, now,
-                                    self.config.grants_per_poll)
+        grants = self.policy.grants(self._view, now, budget)
+        # The ready-set is exact here (see _refresh_ready), so
+        # membership answers has_frame() without asking the machine.
+        # (Read after the policy ran: iterating may have re-sorted it.)
+        ready = self._ready
         for stream_id in grants:
-            # The ready-set is exact here (see _refresh_ready), so
-            # membership answers has_frame() without asking the machine.
-            entry = self._ready.get(stream_id)
+            entry = ready.get(stream_id)
             if entry is None:
                 continue
-            outputs.append((entry.machine.next_frame(now), entry.client))
-            self._reindex_deadline(stream_id, entry)
-            self._refresh_ready(stream_id, entry, now)
+            machine = entry.machine
+            outputs.append((machine.next_frame(now), entry.client))
+            if machine.timer_epoch != entry.heap_epoch:
+                self._reindex_deadline(stream_id, entry)
+            if not machine.has_frame(now):
+                self._unready(stream_id)
         return outputs
 
     # -- rebuild helpers (REP117 allowlist) ---------------------------------

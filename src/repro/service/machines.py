@@ -242,6 +242,14 @@ class BlastSenderMachine(_SenderBase):
     receiver's verdict.  An ACK for the whole sequence completes the
     transfer; a NAK report shapes the next working set; a timeout falls
     back to the strategy's no-report behaviour (full retransmission).
+
+    A round goes out in *bursts*: at most ``min(controller.window(),
+    credit)`` packets, the last one ``wants_reply``.  ``credit`` is the
+    number of packets the receiver said its buffer holds (None: the
+    whole body, the paper's first assumption); with it the transfer is
+    the paper's multi-blast.  A report that finds every packet sent so
+    far in place is then flow control, not a failure: the round simply
+    continues with its next burst and ``rounds`` does not move.
     """
 
     #: Control traffic is ServiceCore's business, not the per-stream
@@ -251,17 +259,23 @@ class BlastSenderMachine(_SenderBase):
     def __init__(self, stream_id: int, payload: bytes, packet_bytes: int,
                  timeout_s: float, max_rounds: int = 60,
                  strategy: str = "selective",
-                 controller: Optional[CongestionController] = None):
+                 controller: Optional[CongestionController] = None,
+                 credit: Optional[int] = None):
         super().__init__(stream_id, payload, packet_bytes, timeout_s,
                          max_rounds, controller=controller)
+        if credit is not None and credit < 1:
+            raise ValueError(f"credit must be >= 1, got {credit}")
         self.strategy = get_strategy(strategy)
+        self.credit = credit
         self._queue: Sequence[int] = range(self.total)
         self._index = 0
+        self._burst_end = 0  # index into _queue where the open burst stops
         self._reply_deadline: Optional[float] = None
         self._reply_requested_at: Optional[float] = None
         self._burst_clean = True
         self._received_est = 0
         self.rounds = 1
+        self._open_burst()
 
     # -- step API ----------------------------------------------------------
     def poll(self, now: float) -> None:
@@ -272,33 +286,24 @@ class BlastSenderMachine(_SenderBase):
             self._start_round(None, "timeout")
 
     def has_frame(self, now: float) -> bool:
-        return self.frames_available(now) > 0
+        return self._index < self._burst_end
 
     def frames_available(self, now: float) -> int:
         """Frames this machine could emit right now without new input."""
-        if self.finished:
-            return 0
-        # A burst is the controller-window-limited prefix of the round's
-        # working set; bursts always start at index 0 (every reply or
-        # timeout resets the queue), so the cap needs no base offset.
-        # The fixed controller's unbounded window makes the burst the
-        # whole working set — the paper's blast discipline.
-        burst_end = min(len(self._queue), self.controller.window())
-        return max(0, burst_end - self._index)
+        return max(0, self._burst_end - self._index)
 
     def next_frame(self, now: float) -> DataFrame:
-        burst_end = min(len(self._queue), self.controller.window())
         seq = self._queue[self._index]
         self._index += 1
         if seq < self._drawn:  # read before, so sent before
             self.retransmits += 1
             self._burst_clean = False
-        last_of_round = self._index >= burst_end
-        if last_of_round:
+        last_of_burst = self._index >= self._burst_end
+        if last_of_burst:
             self._reply_deadline = now + self._rto()
             self._reply_requested_at = now
             self.timer_epoch += 1
-        return self._data(seq, wants_reply=last_of_round)
+        return self._data(seq, wants_reply=last_of_burst)
 
     def on_frame(self, frame, now: float) -> None:
         if self.finished:
@@ -309,6 +314,7 @@ class BlastSenderMachine(_SenderBase):
             if newly > 0:
                 self.controller.on_ack(newly, now)
             self.done = True
+            self._burst_end = 0
             self._retained.clear()  # a blast holds its body until here
             self._reply_deadline = None
             self.timer_epoch += 1
@@ -321,6 +327,14 @@ class BlastSenderMachine(_SenderBase):
                 self._received_est = received
             else:
                 self.controller.on_dup_ack(now)
+            index = self._index
+            if (self.credit is not None
+                    and index == self._burst_end < len(self._queue)
+                    and frame.first_missing > self._queue[index - 1]):
+                # The burst arrived whole and the round has more to
+                # send: the report is the receiver returning credit.
+                self._open_burst()
+                return
             self.controller.on_loss(now)
             report = ReceptionReport(
                 total=frame.total,
@@ -345,10 +359,24 @@ class BlastSenderMachine(_SenderBase):
     def _start_round(self, report: Optional[ReceptionReport], why: str) -> None:
         if self.rounds >= self.max_rounds:
             self._fail(f"gave up after {self.rounds} rounds (last: {why})")
+            self._burst_end = 0
             return
         self.rounds += 1
         self._queue = self.strategy.next_working_set(self.total, report)
         self._index = 0
+        self._open_burst()
+
+    def _open_burst(self) -> None:
+        """Let the next burst of the round go, from ``_index`` on.
+
+        The one place the burst is sized: the controller's window is
+        read here, after the reply or timeout that ended the last burst
+        has been fed to it, and nothing between two bursts moves it.
+        """
+        window = self.controller.window()
+        if self.credit is not None and self.credit < window:
+            window = self.credit
+        self._burst_end = min(len(self._queue), self._index + window)
         self._reply_deadline = None
         self._reply_requested_at = None
         self._burst_clean = True
@@ -545,13 +573,17 @@ class WindowSenderMachine(_SenderBase):
 def make_sender_machine(protocol: str, stream_id: int, payload: bytes,
                         packet_bytes: int, timeout_s: float,
                         max_rounds: int = 60, strategy: str = "selective",
-                        window: int = 4, congestion: str = "fixed"):
-    """Factory keyed by the service's protocol names."""
+                        window: int = 4, congestion: str = "fixed",
+                        credit: Optional[int] = None):
+    """Factory keyed by the service's protocol names.  ``credit`` (the
+    receiver's buffer, in packets) bounds a blast's bursts; the
+    per-packet-acknowledged protocols are clocked by their window and
+    have no use for it."""
     controller = make_controller(congestion, timeout_s)
     if protocol == "blast":
         return BlastSenderMachine(stream_id, payload, packet_bytes,
                                   timeout_s, max_rounds, strategy=strategy,
-                                  controller=controller)
+                                  controller=controller, credit=credit)
     if protocol == "sliding":
         return WindowSenderMachine(stream_id, payload, packet_bytes,
                                    timeout_s, max_rounds, window=window,

@@ -21,6 +21,11 @@ A pull passes through three timed states:
 3. **linger** — ``wants_reply`` duplicates are re-answered for
    ``linger_s`` so a lost final ACK cannot wedge the server's sender.
 
+The driver may also know how many packets its receive buffer holds;
+when that is less than the body it says so (``credit=``) and the
+request carries it, so a blast server sends no more than that between
+two of this client's reports (docs/service.md, "Credit").
+
 All three obey one driver contract, the *quiet period*: send the frames
 the last call returned, then wait up to :attr:`PullMachine.quiet_s` for
 a frame the machine :meth:`~PullMachine.wants`.  Hand that frame to
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.frames import ControlFrame, DataFrame, FrameKind
+from ..core.strategies import get_strategy
 from .machines import BodyStream, packet_count, receiver_for
 
 __all__ = ["PullMachine", "UdpPullResult"]
@@ -76,7 +82,8 @@ class PullMachine:
     def __init__(self, stream_id: int, size: int, protocol: str,
                  strategy: str, pull_timeout_s: float, pull_retries: int,
                  recv_timeout_s: float, linger_s: float,
-                 client: Optional[str] = None):
+                 client: Optional[str] = None,
+                 credit: Optional[int] = None):
         self.stream_id = stream_id
         self.size = size
         self.protocol = protocol
@@ -91,6 +98,15 @@ class PullMachine:
         if client is not None:
             # DES frames carry no source address: the request names it.
             body["client"] = client
+        if credit is not None and get_strategy(strategy).uses_nak:
+            # The driver's receive buffer holds fewer packets than the
+            # body has: a blast may have only this many unreported.  A
+            # receiver that stays silent until the body is complete
+            # (the timer-only strategy) has no report to return credit
+            # with, so it advertises none.
+            if credit < 1:
+                raise ValueError(f"credit must be >= 1, got {credit}")
+            body["credit"] = credit
         self._request = ControlFrame(
             transfer_id=0, request_id=stream_id,
             body=json.dumps(body, sort_keys=True).encode())

@@ -33,6 +33,7 @@ opens up:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List
 
 __all__ = [
@@ -93,9 +94,12 @@ class RoundRobinPolicy(SchedulingPolicy):
     was granted — availability only shrinks within one call, so a
     client visited idle can never be granted later in the same call).
     The ready-set implementation below reproduces that contract without
-    visiting idle clients: candidates are the clients of ready streams,
-    walked in position order from the cursor, and the final cursor is
-    computed from the last pick's position.
+    visiting idle clients, and without a step per frame: the clients of
+    ready streams are lined up in position order from the cursor and
+    dealt whole cycles at a time (a cycle ends early only when a stream
+    runs dry or the budget does), and the final cursor is computed from
+    the last client served.  A budget of less than one cycle — every
+    ``poll`` of a busy DES service — asks no machine anything.
     """
 
     name = "rr"
@@ -111,56 +115,67 @@ class RoundRobinPolicy(SchedulingPolicy):
         # The historical walk normalised the cursor against the current
         # client count on every call, grants or not.
         self._cursor %= client_count
-
-        # Group sendable streams by client, admission-ordered both
-        # across clients (first sendable stream) and within one client.
-        by_client: Dict[object, List] = {}
-        for stream_id, entry in table.ready_iter(now):
-            by_client.setdefault(entry.client, []).append((stream_id, entry))
-        if not by_client:
-            return order
-
         position = table.client_positions()
-
-        remaining: Dict[int, int] = {}
-
-        def available(stream_id, entry) -> int:
-            if stream_id not in remaining:
-                remaining[stream_id] = entry.machine.frames_available(now)
-            return remaining[stream_id]
-
-        # Candidate clients in cyclic position order from the cursor.
-        candidates = sorted(by_client, key=position.__getitem__)
-        start = 0
-        while (start < len(candidates)
-               and position[candidates[start]] < self._cursor):
-            start += 1
-        heads = {name: 0 for name in candidates}
-        index = start
-        last_position = None
-        while candidates and len(order) < budget:
-            if index >= len(candidates):
-                index = 0
-            name = candidates[index]
-            streams = by_client[name]
-            head = heads[name]
-            # Skip streams this call has drained; availability never
-            # grows within one call, so the head pointer only advances.
-            while (head < len(streams)
-                   and available(*streams[head]) <= 0):
-                head += 1
-            heads[name] = head
-            if head < len(streams):
-                stream_id, _entry = streams[head]
-                order.append(stream_id)
-                remaining[stream_id] -= 1
-                last_position = position[name]
-                index += 1
-            else:
-                candidates.pop(index)  # exhausted for this call
+        ready = list(table.ready_iter(now))
+        if not ready or budget <= 0:
+            return order
+        places = [position[entry.client] for _stream_id, entry in ready]
+        # One turn per sendable stream, (client position, admission
+        # index): sorted, that is rotation order with one client's
+        # streams in admission order — and the sort never leaves C.
+        turns = sorted(zip(places, range(len(ready))))
+        start = bisect_left(turns, (self._cursor, 0))
+        turns = turns[start:] + turns[:start]
+        if budget <= len(turns) == len(set(places)):
+            # Every client has one sendable stream and the budget is
+            # not even one whole cycle: a ready stream has a frame, so
+            # no machine needs asking how many.
+            del turns[budget:]
+            order = [ready[index][0] for _place, index in turns]
+            last_position = turns[-1][0]
+        else:
+            # One lane per client: [position, the stream its turn goes
+            # to, that stream's entry, its later sendable streams].
+            lanes: List[list] = []
+            for place, index in turns:
+                if lanes and lanes[-1][0] == place:
+                    lanes[-1][3].append(ready[index])
+                else:
+                    lanes.append([place, *ready[index], []])
+            last_position = self._deal(lanes, now, budget, order)
         if last_position is not None:
             self._cursor = (last_position + 1) % client_count
         return order
+
+    @staticmethod
+    def _deal(lanes, now, budget, order):
+        """Append one frame per lane per cycle, whole cycles at a time,
+        until ``budget`` frames are dealt or every lane is dry; returns
+        the position of the last lane served (None if none was)."""
+        left = [lane[2].machine.frames_available(now) for lane in lanes]
+        last_position = None
+        while budget > 0:
+            if 0 in left:
+                # A drained stream hands its client's turn to the
+                # client's next one; a client with none leaves.
+                for lane_index, lane in enumerate(lanes):
+                    while left[lane_index] == 0 and lane[3]:
+                        lane[1], entry = lane[3].pop(0)
+                        left[lane_index] = entry.machine.frames_available(now)
+                lanes = [lane for lane, count in zip(lanes, left) if count]
+                left = [count for count in left if count]
+                if not lanes:
+                    break
+            streams = [lane[1] for lane in lanes]
+            cycles = min(min(left), budget // len(lanes))
+            if cycles == 0:  # the budget ends inside this cycle
+                order.extend(streams[:budget])
+                return lanes[budget - 1][0]
+            order.extend(streams * cycles)
+            budget -= cycles * len(lanes)
+            left = [count - cycles for count in left]
+            last_position = lanes[-1][0]
+        return last_position
 
 
 class CopyBudgetPolicy(RoundRobinPolicy):

@@ -17,11 +17,9 @@ so callers can assert byte-equality end to end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.frames import ControlFrame
 from ..sim import Environment
 from ..simnet.errors import ErrorModel
 from ..simnet.host import Host, make_network
@@ -59,23 +57,12 @@ class DesServiceResult:
         )
 
 
-def _client_key(frame) -> Optional[str]:
-    """Extract the pull's client name (DES frames carry no source)."""
-    if not isinstance(frame, ControlFrame):
-        return None
-    try:
-        body = json.loads(frame.body.decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    name = body.get("client")
-    return name if isinstance(name, str) else None
-
-
 def _server_process(env: Environment, host: Host, peers: Dict[str, Host],
                     core: ServiceCore, expected_streams: int):
     def handle(frame):
-        for out, client in core.on_frame(frame, env.now,
-                                         client=_client_key(frame)):
+        # DES frames carry no source: the core reads the client's name
+        # from the pull request itself.
+        for out, client in core.on_frame(frame, env.now):
             peer = peers.get(client)
             if peer is not None:
                 yield from host.send(out, dst=peer)

@@ -100,12 +100,22 @@ class UdpTransferService(UdpEndpoint):
         selector = selectors.DefaultSelector()
         selector.register(batch.fileno(), selectors.EVENT_READ)
         monotonic = time.monotonic
+
+        def deliver(datagrams) -> None:
+            for view, addr in datagrams:
+                try:
+                    frame = decode(view)
+                except WireError:
+                    continue  # corrupted: exactly like a loss
+                for out, dst in core.on_frame(
+                        frame, monotonic() - start, client=addr):
+                    batch.send_frame(out, dst)
+
         try:
             while not self._stop.is_set():
                 now = monotonic() - start
-                # One timer pass, then repeated grant passes: the core
-                # advances machine timers once per batch, not once per
-                # inner grant quantum (see ServiceCore.drain_sends).
+                # One timer pass and one grant pass fill the whole
+                # send batch (see ServiceCore.drain_sends).
                 for frame, addr in core.drain_sends(now, SEND_BATCH):
                     batch.send_frame(frame, addr)
                 settled = (core.finished_count
@@ -133,17 +143,15 @@ class UdpTransferService(UdpEndpoint):
                     # wedge the loop (deadline-expiry semantics of the
                     # old blocking receive).
                     datagrams = batch.recv_batch()
-                for view, addr in datagrams:
-                    try:
-                        frame = decode(view)
-                    except WireError:
-                        continue  # corrupted: exactly like a loss
-                    for out, dst in core.on_frame(
-                            frame, monotonic() - start, client=addr):
-                        batch.send_frame(out, dst)
-            # Graceful stop: flush every already-granted frame before
-            # returning, so receivers are not cut off mid-window and the
-            # final metrics report reflects all work the core admitted.
+                deliver(datagrams)
+            # Graceful stop: take in what the kernel has already
+            # delivered (one ring, no waiting) — a final ACK that
+            # arrived while the loop was busy sending would otherwise
+            # be reported as an unfinished transfer — then flush every
+            # already-granted frame, so receivers are not cut off
+            # mid-window and the final metrics report reflects all work
+            # the core admitted.
+            deliver(batch.recv_batch())
             now = monotonic() - start
             while True:
                 drained = core.drain_sends(now, SEND_BATCH)

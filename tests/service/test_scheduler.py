@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.scheduler import (
     CopyBudgetPolicy,
@@ -11,6 +13,8 @@ from repro.service.scheduler import (
     get_policy,
     policy_names,
 )
+
+from .reference_engine import _LegacyRoundRobinPolicy
 
 
 class FakeMachine:
@@ -97,6 +101,63 @@ class TestRoundRobin:
         grants = RoundRobinPolicy().grants(table, 0.0, 4)
         # Client "a" serves stream 1 on its turns; "b" serves stream 3.
         assert grants == [1, 3, 1, 3]
+
+
+    def test_a_short_budget_asks_no_machine_how_many(self):
+        # One frame each to the first `budget` ready streams: a ready
+        # stream has a frame by definition, so nothing needs counting.
+        class ReadySet(TableView):
+            def ready_iter(self, now):      # the engine's: no machine asked
+                return iter(self.table.items())
+
+        asked = []
+
+        class Machine(FakeMachine):
+            def frames_available(self, now):
+                asked.append(self)
+                return self.available
+
+        table = ReadySet({n: FakeEntry(Machine(3), f"c{n}")
+                          for n in range(1, 10)})
+        policy = RoundRobinPolicy()
+        policy._cursor = 7
+        assert policy.grants(table, 0.0, 8) == [8, 9, 1, 2, 3, 4, 5, 6]
+        assert asked == [] and policy._cursor == 6
+        assert policy.grants(table, 0.0, 10) == [7, 8, 9, 1, 2, 3, 4, 5, 6, 7]
+        assert len(asked) == 9              # more than a cycle: once each
+
+    def test_whole_cycles_are_dealt_until_a_stream_runs_dry(self):
+        table = active((1, "a", 2), (2, "b", 5), (3, "c", 1))
+        policy = RoundRobinPolicy()
+        assert policy.grants(table, 0.0, 20) == [1, 2, 3, 1, 2, 2, 2, 2]
+        assert policy._cursor == 2          # one past "b", the last served
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_table_matches_the_historical_walk(self, data):
+        """One stream per client (the dealt path) or several (the
+        walk), any cursor, any budget, call after call: the grants and
+        the rotation are those of the frozen visit-every-client walk."""
+        clients = data.draw(st.sampled_from(["abc", "abcdefgh"]))
+        streams = data.draw(st.lists(
+            st.tuples(st.sampled_from(clients), st.integers(0, 6)),
+            max_size=8))
+        if data.draw(st.booleans()):        # one stream per client
+            streams = list({client: (client, left)
+                            for client, left in streams}.values())
+        table = active(*((n + 1, client, left)
+                         for n, (client, left) in enumerate(streams)))
+        live, frozen = RoundRobinPolicy(), _LegacyRoundRobinPolicy()
+        live._cursor = frozen._cursor = data.draw(st.integers(0, 9))
+        for budget in data.draw(st.lists(st.integers(0, 20), min_size=1,
+                                         max_size=4)):
+            grants = live.grants(table, 0.0, budget)
+            assert grants == frozen.grants(table.table, 0.0, budget)
+            for stream_id in grants:
+                table.table[stream_id].machine.available -= 1
+            count = table.client_count()
+            if count:
+                assert live._cursor % count == frozen._cursor % count
 
 
 class TestCopyBudget:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.core.frames import ControlFrame, DataFrame
+from repro.core.frames import AckFrame, ControlFrame, DataFrame
 from repro.core.wire import encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
@@ -236,3 +236,68 @@ class TestPumpHonoursTunedProtocol:
         assert transfer["congestion"]["controller"] == "reno"
         assert report["summary"]["ok"] == 1
         assert report["summary"]["failed"] == 0
+
+
+class ScriptedSocket:
+    """A socket whose receive queue the test fills by hand.  ``on_empty``
+    runs each time the server finds the queue empty — the moment after
+    which a datagram can arrive unseen."""
+
+    def __init__(self, real):
+        self._real = real                   # a descriptor for the selector
+        self.inbox = []
+        self.sent = []
+        self.on_empty = lambda: None
+
+    def setblocking(self, flag):
+        self._real.setblocking(flag)
+
+    def fileno(self):
+        return self._real.fileno()
+
+    def recvfrom_into(self, buffer):
+        if not self.inbox:
+            self.on_empty()
+            raise BlockingIOError
+        datagram = self.inbox.pop(0)
+        buffer[:len(datagram)] = datagram
+        return len(datagram), ("127.0.0.1", 40000)
+
+    def sendto(self, payload, address):
+        self.sent.append(bytes(payload))
+        return len(payload)
+
+    def close(self):
+        self._real.close()
+
+
+class TestStopTakesInWhatAlreadyArrived:
+    def test_final_ack_delivered_before_stop_is_counted(self):
+        """Regression: after ``stop()`` the loop flushed its grants but
+        never read the socket again, so an ACK the kernel had already
+        delivered was dropped and the report called a pull the client
+        had verified unfinished ("447 ok of 448")."""
+        service = UdpTransferService(ServiceConfig())
+        sock = service.sock = ScriptedSocket(service.sock)
+        pull = {"op": "pull", "size": 4096, "stream": 1}
+        sock.inbox.append(encode(ControlFrame(
+            transfer_id=0, request_id=1, body=json.dumps(pull).encode())))
+
+        def ack_arrives_and_the_server_is_told_to_stop():
+            if len(sock.sent) == 5 and not service._stop.is_set():
+                # Verdict + four data frames are out; the client's ACK
+                # lands just after this look at the queue, and SIGTERM
+                # right behind it.
+                sock.inbox.append(encode(AckFrame(transfer_id=1, seq=3,
+                                                  stream_id=1)))
+                service.stop()
+
+        sock.on_empty = ack_arrives_and_the_server_is_told_to_stop
+        try:
+            assert service.serve(duration_s=5.0) is False
+            report = json.loads(service.report_json())
+        finally:
+            service.close()
+        assert not sock.inbox
+        assert report["summary"]["ok"] == 1
+        assert report["transfers"][0]["ok"] is True
