@@ -9,7 +9,7 @@ simulation."  This module is that simulator.
 It is an *abstract* protocol simulation — frame-loss coin flips plus the
 linear time model ``t0(k) = k(C+T) + C + 2Ca + Ta + 2tau`` — rather than
 the full discrete-event machinery, which makes sweeping p_n over many
-thousand trials cheap.  The DES engines (:mod:`repro.core`) provide the
+thousand trials cheap.  The DES transfers (:mod:`repro.core`) provide the
 mechanistic cross-check; ``tests/integration`` ties the two together.
 
 Strategy mechanics follow the paper exactly:

@@ -4,25 +4,30 @@ Public surface:
 
 - frames and wire encoding (shared with the UDP transport),
 - receiver tracking and retransmission strategies (pure logic),
-- the simulated protocol engines (stop-and-wait, sliding window, blast,
-  multi-blast),
+- the simulated transfers (stop-and-wait, sliding window, blast,
+  multi-blast): DES drivers over the machines of :mod:`repro.service.machines`,
 - the one-call experiment runners.
 """
 
-from .base import Transfer, TransferResult, TransferStats, packetize, reassemble
-from .blast import BlastTransfer
+from .base import (
+    BlastTransfer,
+    MultiBlastTransfer,
+    SlidingWindowTransfer,
+    StopAndWaitTransfer,
+    Transfer,
+    TransferResult,
+    TransferStats,
+    packetize,
+    reassemble,
+)
 from .frames import (
     AckFrame,
     ControlFrame,
     DataFrame,
     FrameKind,
     NakFrame,
-    with_reply_flag,
 )
-from .multiblast import MultiBlastTransfer
 from .runner import PROTOCOLS, RunSummary, run_many, run_transfer
-from .sliding_window import SlidingWindowTransfer
-from .stop_and_wait import StopAndWaitTransfer
 from .strategies import (
     STRATEGY_REGISTRY,
     FailureDetection,
@@ -48,7 +53,6 @@ __all__ = [
     "NakFrame",
     "ControlFrame",
     "FrameKind",
-    "with_reply_flag",
     "TimeoutPolicy",
     "FixedTimeout",
     "AdaptiveTimeout",

@@ -29,7 +29,7 @@ byte-for-byte with pre-service peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Tuple
 
@@ -39,7 +39,6 @@ __all__ = [
     "AckFrame",
     "NakFrame",
     "ControlFrame",
-    "with_reply_flag",
 ]
 
 
@@ -175,10 +174,3 @@ class ControlFrame:
     @property
     def kind(self) -> FrameKind:
         return FrameKind.CONTROL
-
-
-def with_reply_flag(frame: DataFrame, wants_reply: bool = True) -> DataFrame:
-    """Copy of ``frame`` with the reply-request flag set/cleared."""
-    if frame.wants_reply == wants_reply:
-        return frame
-    return replace(frame, wants_reply=wants_reply)

@@ -24,11 +24,14 @@ from ..simnet import (
     TraceRecorder,
     make_lan,
 )
-from .base import Transfer, TransferResult
-from .blast import BlastTransfer
-from .multiblast import MultiBlastTransfer
-from .sliding_window import SlidingWindowTransfer
-from .stop_and_wait import StopAndWaitTransfer
+from .base import (
+    BlastTransfer,
+    MultiBlastTransfer,
+    SlidingWindowTransfer,
+    StopAndWaitTransfer,
+    Transfer,
+    TransferResult,
+)
 
 __all__ = ["PROTOCOLS", "run_transfer", "run_many", "RunSummary"]
 

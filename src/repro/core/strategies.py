@@ -134,8 +134,10 @@ STRATEGY_REGISTRY: Dict[str, Type[RetransmissionStrategy]] = {
 }
 
 
-def get_strategy(name: str) -> RetransmissionStrategy:
-    """Instantiate a strategy by its registry name."""
+def get_strategy(name) -> RetransmissionStrategy:
+    """A strategy by its registry name (a strategy is returned as it is)."""
+    if isinstance(name, RetransmissionStrategy):
+        return name
     try:
         return STRATEGY_REGISTRY[name]()
     except KeyError:

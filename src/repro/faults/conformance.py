@@ -150,12 +150,6 @@ def _run_des_cell(
     }
 
 
-#: Matrix protocol names -> the machines' names UdpTransfer takes.
-_UDP_PROTOCOL_NAMES = {
-    "stop_and_wait": "saw", "sliding_window": "sliding", "blast": "blast",
-}
-
-
 def _run_udp_cell(
     protocol: str,
     strategy: Optional[str],
@@ -165,10 +159,11 @@ def _run_udp_cell(
 ) -> dict:
     import threading
 
+    from ..core.runner import PROTOCOLS
     from ..udpnet.transfer import UdpTransfer
 
     data = _payload(seed, size)
-    name = _UDP_PROTOCOL_NAMES[protocol]
+    name = PROTOCOLS[protocol].machine  # the machines' name, as UdpTransfer takes
     choice = {"protocol": name, "strategy": strategy or "gobackn"}
     receiver = UdpTransfer()
     sender = UdpTransfer(fault_plan=plan, fault_seed=seed)

@@ -1,30 +1,30 @@
 """REP108 — protocol exhaustiveness over the frame vocabulary.
 
-The frame vocabulary lives in ``core/frames.py``; the simulated engines
-(``core/``) and the socket transports (``udpnet/``) both speak it, and
-``core/wire.py`` is the codec that carries it between real machines.
+The frame vocabulary lives in ``core/frames.py``.  The machines of
+``service/machines.py`` decide every protocol question in it; their
+drivers — the simulated transfer (``core/base.py``), the socket
+endpoints (``udpnet/``), the concurrent service (``service/``) — carry
+the frames, and ``core/wire.py`` is the codec between real machines.
 Adding a frame kind without teaching the rest of the system about it is
 exactly the kind of silent protocol drift the paper's controlled
 comparisons cannot tolerate, so this rule checks, by class-body
 inspection:
 
 1. **coverage** — every frame class declared in ``core/frames.py`` is
-   referenced by at least one protocol class in ``core/`` or
-   ``udpnet/`` (a declared-but-unhandled frame is dead protocol
-   surface);
+   referenced by at least one protocol class (a declared-but-unhandled
+   frame is dead protocol surface);
 2. **codec completeness** — ``core/wire.py`` mentions every frame class
    and every ``FrameKind`` member (a frame that cannot cross the wire
    breaks the UDP transports the moment someone sends it);
 3. **per-class coherence** — a protocol class that speaks ``NakFrame``
    must also speak ``AckFrame`` (a NAK path without the positive-ack
    path cannot terminate), and a class that requests replies
-   (``with_reply_flag`` / ``wants_reply=True``) must handle
-   ``AckFrame``.
+   (``wants_reply=True``) must handle ``AckFrame``.
 
-"Protocol class" means: a public, top-level class in ``core/`` or
-``udpnet/`` (excluding ``frames.py`` and ``wire.py`` themselves) whose
-body references at least one frame class.  Private helper classes
-(``_NakWithReport`` style adapters) are exempt.
+"Protocol class" means: a public, top-level class in ``core/``,
+``service/`` or ``udpnet/`` (excluding ``frames.py`` and ``wire.py``
+themselves) whose body references at least one frame class.  Private
+helper classes are exempt.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = ["ProtocolExhaustivenessRule"]
 
 FRAMES_UNIT = "core/frames.py"
 WIRE_UNIT = "core/wire.py"
-PROTOCOL_SCOPES = ("core", "udpnet")
+PROTOCOL_SCOPES = ("core", "service", "udpnet")
 
 
 def _top_level_classes(tree: ast.Module) -> List[ast.ClassDef]:
@@ -68,7 +68,7 @@ def _requests_replies(node) -> bool:
                     and keyword.value.value is True
                 ):
                     return True
-    return "with_reply_flag" in _names_in(node)
+    return False
 
 
 class ProtocolExhaustivenessRule(Rule):
@@ -79,8 +79,8 @@ class ProtocolExhaustivenessRule(Rule):
     title = "frame type declared but not handled by the protocol layer"
     fix_hint = (
         "handle the frame type in every layer that can see it (protocol "
-        "classes in core//udpnet/, codec in core/wire.py), or remove it "
-        "from core/frames.py"
+        "classes in core/, service/, udpnet/; codec in core/wire.py), or "
+        "remove it from core/frames.py"
     )
 
     def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Violation]:
@@ -108,7 +108,7 @@ class ProtocolExhaustivenessRule(Rule):
                     frames_ctx,
                     cls,
                     f"frame type {name} is declared here but no protocol "
-                    "class in core/ or udpnet/ handles it",
+                    "class in core/, service/ or udpnet/ handles it",
                 )
 
         # 2. codec completeness.

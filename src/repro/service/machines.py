@@ -1,12 +1,12 @@
 """Substrate-free per-transfer state machines.
 
-The concurrent service cannot drive the blocking protocol engines (the
-DES engines are generator processes, the UDP ones own a socket loop), so
-it re-expresses each protocol as a *poll/step* machine: no clock reads,
-no I/O — the caller supplies ``now`` and carries frames.  The same
-machine instances therefore run unchanged under the discrete-event
-simulator and on a real UDP endpoint, which is what keeps service
-results deterministic and fault-plan-replayable.
+Each protocol is written once, here, as a *poll/step* machine: no clock
+reads, no I/O — the caller supplies ``now`` and carries frames.  The
+same machine classes therefore run unchanged under every driver — the
+simulated transfer of the paper's tables (:mod:`repro.core.base`), the
+concurrent service on the simulator and on sockets, the blocking UDP
+endpoints — which is what keeps results deterministic and
+fault-plan-replayable, and a protocol fix from living in one copy only.
 
 Three machines cover the protocol family:
 
@@ -24,9 +24,15 @@ Shared step API of the sender machines::
     machine.poll(now)        # advance timers; may start a new round
     machine.has_frame(now)   # is a data frame ready to transmit?
     machine.next_frame(now)  # pop it (the scheduler grants sends)
+    machine.on_sent(f, now)  # optional: frame f has left the host
     machine.on_frame(f, now) # feed an ACK/NAK back in
     machine.next_deadline()  # earliest time poll() must run again
     machine.done / machine.failed / machine.outcome()
+
+A retransmission timer counts from the moment its frame has left the
+host.  ``next_frame`` arms it, which is exact for a driver whose sends
+take no time (a socket); one whose sends do (the simulator: copy and
+wire time) says when with ``on_sent``.
 
 The body is a *stream*, not a buffer: a sender reads packet ``seq``
 from it the first time ``next_frame`` needs it and keeps the frame only
@@ -40,9 +46,10 @@ from __future__ import annotations
 
 import io
 import random
+import zlib
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..congestion.controller import CongestionController, make_controller
 from ..core.frames import AckFrame, DataFrame, FrameKind, NakFrame
@@ -223,6 +230,9 @@ class _SenderBase:
         # First transmissions run in sequence order, so this draws
         # exactly packet ``seq``; only a forged report can name a packet
         # further ahead, and the ones it skips wait in the table.
+        if seq == self._drawn < self.total:
+            self._drawn += 1
+            return self._frame(seq, self._read(self.packet_bytes), wants_reply)
         while self._drawn <= seq < self.total:
             self._frame(self._drawn, self._read(self.packet_bytes),
                         wants_reply)
@@ -250,6 +260,11 @@ class BlastSenderMachine(_SenderBase):
     the paper's multi-blast.  A report that finds every packet sent so
     far in place is then flow control, not a failure: the round simply
     continues with its next burst and ``rounds`` does not move.
+
+    ``reliable_retry_s`` makes the last packet of a burst *reliable*
+    under the strategies that say so (``gobackn``, ``selective``; paper
+    section 3.2.3): silence for that long resends it alone, without a
+    new round, until some reply arrives.
     """
 
     #: Control traffic is ServiceCore's business, not the per-stream
@@ -260,13 +275,21 @@ class BlastSenderMachine(_SenderBase):
                  timeout_s: float, max_rounds: int = 60,
                  strategy: str = "selective",
                  controller: Optional[CongestionController] = None,
-                 credit: Optional[int] = None):
+                 credit: Optional[int] = None,
+                 reliable_retry_s: Optional[float] = None):
         super().__init__(stream_id, payload, packet_bytes, timeout_s,
                          max_rounds, controller=controller)
         if credit is not None and credit < 1:
             raise ValueError(f"credit must be >= 1, got {credit}")
+        if reliable_retry_s is not None and reliable_retry_s <= 0:
+            raise ValueError("reliable_retry_s must be > 0")
         self.strategy = get_strategy(strategy)
         self.credit = credit
+        self._nudge_s = (
+            reliable_retry_s
+            if self.strategy.mode is FailureDetection.LAST_PACKET_RELIABLE
+            else None)
+        self._nudges = 0
         self._queue: Sequence[int] = range(self.total)
         self._index = 0
         self._burst_end = 0  # index into _queue where the open burst stops
@@ -282,8 +305,17 @@ class BlastSenderMachine(_SenderBase):
         if self.finished:
             return
         if self._reply_deadline is not None and now >= self._reply_deadline:
-            self.controller.on_timeout(now)
-            self._start_round(None, "timeout")
+            if self._nudge_s is None:
+                self.controller.on_timeout(now)
+                self._start_round(None, "timeout")
+            elif self._nudges >= self.max_rounds:
+                self._fail("reliable last packet never acknowledged")
+                self._burst_end = 0
+            else:
+                self._nudges += 1
+                self._index -= 1  # the burst's last packet, once more
+                self._reply_deadline = None
+                self.timer_epoch += 1
 
     def has_frame(self, now: float) -> bool:
         return self._index < self._burst_end
@@ -300,10 +332,16 @@ class BlastSenderMachine(_SenderBase):
             self._burst_clean = False
         last_of_burst = self._index >= self._burst_end
         if last_of_burst:
-            self._reply_deadline = now + self._rto()
+            self._reply_deadline = now + (self._nudge_s or self._rto())
             self._reply_requested_at = now
             self.timer_epoch += 1
         return self._data(seq, wants_reply=last_of_burst)
+
+    def on_sent(self, frame: DataFrame, now: float) -> None:
+        """``frame`` has left the host: a reply timer counts from here."""
+        if frame.wants_reply and self._reply_deadline is not None:
+            self._reply_deadline = now + (self._nudge_s or self._rto())
+            self.timer_epoch += 1
 
     def on_frame(self, frame, now: float) -> None:
         if self.finished:
@@ -380,6 +418,7 @@ class BlastSenderMachine(_SenderBase):
         self._reply_deadline = None
         self._reply_requested_at = None
         self._burst_clean = True
+        self._nudges = 0
         self.timer_epoch += 1
 
 
@@ -449,7 +488,14 @@ class WindowSenderMachine(_SenderBase):
                        f"{self.max_rounds} attempts")
 
     def has_frame(self, now: float) -> bool:
-        return self.frames_available(now) > 0
+        """``frames_available(now) > 0``, without the count."""
+        if self.done or self.failed:
+            return False
+        deadline = self._deadline
+        if deadline is not None and now >= deadline:
+            return True  # the earliest timer is due: a retransmission
+        return (self._next_unsent < self.total and len(self._outstanding)
+                < min(self.window, self.controller.window()))
 
     def frames_available(self, now: float) -> int:
         """Frames this machine could emit right now without new input."""
@@ -495,6 +541,16 @@ class WindowSenderMachine(_SenderBase):
         self._sent_at[seq] = now
         self._arm(seq, now + self._rto())
         return self._data(seq, wants_reply=True)
+
+    def on_sent(self, frame: DataFrame, now: float) -> None:
+        """``frame`` has left the host: its timer counts from here."""
+        seq = frame.seq
+        armed = self._outstanding.get(seq)
+        if armed is not None:
+            self._outstanding[seq] = deadline = now + self.controller.rto()
+            heappush(self._timers, (deadline, seq))
+            if armed == self._deadline:  # else the earliest timer stands
+                self._retime()
 
     def on_frame(self, frame, now: float) -> None:
         if self.done or self.failed or not isinstance(frame, AckFrame):
@@ -573,17 +629,23 @@ class WindowSenderMachine(_SenderBase):
 def make_sender_machine(protocol: str, stream_id: int, payload: bytes,
                         packet_bytes: int, timeout_s: float,
                         max_rounds: int = 60, strategy: str = "selective",
-                        window: int = 4, congestion: str = "fixed",
-                        credit: Optional[int] = None):
-    """Factory keyed by the service's protocol names.  ``credit`` (the
-    receiver's buffer, in packets) bounds a blast's bursts; the
+                        window: int = 4,
+                        congestion: Union[str, CongestionController] = "fixed",
+                        credit: Optional[int] = None,
+                        reliable_retry_s: Optional[float] = None):
+    """Factory keyed by the service's protocol names.  ``congestion`` is
+    a controller name, or a controller to use as it is.  ``credit`` (the
+    receiver's buffer, in packets) bounds a blast's bursts and
+    ``reliable_retry_s`` makes their last packet reliable; the
     per-packet-acknowledged protocols are clocked by their window and
-    have no use for it."""
-    controller = make_controller(congestion, timeout_s)
+    have no use for either."""
+    controller = (congestion if isinstance(congestion, CongestionController)
+                  else make_controller(congestion, timeout_s))
     if protocol == "blast":
         return BlastSenderMachine(stream_id, payload, packet_bytes,
                                   timeout_s, max_rounds, strategy=strategy,
-                                  controller=controller, credit=credit)
+                                  controller=controller, credit=credit,
+                                  reliable_retry_s=reliable_retry_s)
     if protocol == "sliding":
         return WindowSenderMachine(stream_id, payload, packet_bytes,
                                    timeout_s, max_rounds, window=window,
@@ -613,6 +675,11 @@ class ReceiverMachine:
     consumer: :attr:`data` joins them all at the end, a
     :class:`~repro.service.pullclient.PullMachine` pops each one as
     soon as it has verified it.
+
+    A reply-requesting frame that carries a ``segment_crc`` has the
+    complete body checked against it before the ACK; a body that fails
+    is discarded whole and reported missing.  :attr:`checksums` counts
+    the checks, so a driver that models processor time can charge them.
     """
 
     #: Control traffic is ServiceCore's business (replint REP114).
@@ -629,6 +696,7 @@ class ReceiverMachine:
         self.duplicates = 0
         self.dropped = 0
         self.replies_sent = 0
+        self.checksums = 0
 
     @property
     def done(self) -> bool:
@@ -661,6 +729,12 @@ class ReceiverMachine:
             replies.append(AckFrame(transfer_id=self.stream_id, seq=frame.seq,
                                     stream_id=self.stream_id))
         elif frame.wants_reply:
+            if self.done and frame.segment_crc is not None:
+                self.checksums += 1
+                if zlib.crc32(self.data) != frame.segment_crc:
+                    # Silent corruption got through: start over.
+                    self.tracker = ReceiverTracker(frame.total)
+                    self.chunks.clear()
             if self.tracker.is_complete:
                 replies.append(AckFrame(transfer_id=self.stream_id,
                                         seq=self.tracker.total - 1,

@@ -1,7 +1,7 @@
 """Hosts and the two-host LAN the paper's experiments run on.
 
 A :class:`Host` is a processor (a mutex :class:`Resource`) plus one
-network interface.  The protocol engines drive hosts; hosts never act on
+network interface.  The transfer drivers drive hosts; hosts never act on
 their own.  The processor-as-mutex is what makes copy costs *serialise*
 per host while remaining free to *overlap* across hosts — the mechanism
 behind the paper's Figure 3.
@@ -60,7 +60,7 @@ class Host:
         )
         self.interface.attach(self)
 
-    # -- convenience pass-throughs the protocol engines use --------------------
+    # -- convenience pass-throughs the transfer drivers use --------------------
     # They hand back the interface's own generator: another ``yield from``
     # level here would be resumed once per event of every frame.
     def send(self, frame, dst: Optional["Host"] = None):
@@ -130,7 +130,7 @@ def make_network(
 
     Unlike :func:`make_lan`, no default peers are set — senders must name
     their destination explicitly (``host.send(frame, dst=other)``), which
-    all protocol engines and the kernel layer already do.  This is the
+    all transfer drivers and the kernel layer already do.  This is the
     substrate for multi-client experiments (several transfers contending
     for one wire) and the fairness ablation.
     """

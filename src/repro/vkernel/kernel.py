@@ -12,7 +12,7 @@ simulated host gets a :class:`VKernel`, which provides:
   standard kernel-RPC discipline of the era;
 - **MoveTo/MoveFrom** — arbitrary-size data movement between process
   address spaces, network-transparent: local moves cost one memory copy,
-  remote moves run the blast protocol engine (the paper's V interkernel
+  remote moves run a simulated blast transfer (the paper's V interkernel
   protocol), with the kernel-level copy overhead already baked into the
   host's :class:`~repro.simnet.params.NetworkParams`.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..core.blast import BlastTransfer
+from ..core.base import BlastTransfer
 from ..core.strategies import RetransmissionStrategy
 from ..sim import Environment, Store
 from ..simnet.host import Host

@@ -1,4 +1,4 @@
-"""Behavioural tests of the protocol engines under scripted loss.
+"""Behavioural tests of the simulated transfers under scripted loss.
 
 DeterministicDrops scripts exact loss patterns (frame indices in wire
 order), letting each recovery path be exercised precisely: lost data
@@ -158,7 +158,10 @@ class TestSlidingWindowRecovery:
         )
         assert result.data_intact
         assert result.stats.retransmitted_data_frames == 1
-        assert result.stats.timeouts >= 1
+        # The packet's own timer expires while the sender is still busy
+        # with the initial pass, so no *wait* times out: the resend is
+        # the second "round" of a per-packet-timer machine.
+        assert result.stats.rounds == 2
 
     def test_lost_ack_causes_duplicate_data(self):
         # Wire order: data0, data1, ack0, ... — the receiver's ack defers

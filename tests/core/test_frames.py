@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AckFrame, DataFrame, FrameKind, NakFrame, with_reply_flag
+from repro.core import AckFrame, DataFrame, FrameKind, NakFrame
 
 
 class TestDataFrame:
@@ -34,23 +34,6 @@ class TestDataFrame:
         frame = DataFrame(1, 0, 1, b"")
         with pytest.raises(AttributeError):
             frame.seq = 5  # type: ignore[misc]
-
-
-class TestReplyFlag:
-    def test_sets_flag(self):
-        frame = DataFrame(1, 0, 1, b"data")
-        flagged = with_reply_flag(frame)
-        assert flagged.wants_reply
-        assert not frame.wants_reply  # original untouched
-        assert flagged.payload == frame.payload
-
-    def test_noop_returns_same_object(self):
-        frame = DataFrame(1, 0, 1, b"", wants_reply=True)
-        assert with_reply_flag(frame) is frame
-
-    def test_clear_flag(self):
-        frame = DataFrame(1, 0, 1, b"", wants_reply=True)
-        assert not with_reply_flag(frame, wants_reply=False).wants_reply
 
 
 class TestAckFrame:

@@ -104,6 +104,27 @@ class TestDesMatrix:
         assert report.rstrip().endswith("failures=1")
 
 
+class TestStopAndWaitIgnoresStaleAcks:
+    """The generator engine answered every duplicated or overtaken ack
+    with a retransmission, whose ack was stale in turn: 76 data frames
+    for these 9 packets on both plans.  The machine waits on (9 and 12)."""
+
+    @pytest.mark.parametrize("plan_name", ["dup-burst", "dup+reorder"])
+    def test_a_stale_ack_is_not_answered_with_a_resend(self, plan_name):
+        from repro.faults.conformance import _run_cell_spec
+
+        packets = 9
+        row = _run_cell_spec(
+            ("des", "stop_and_wait", None, builtin_plan(plan_name).to_json(),
+             7, 8 * 1024 + 137)
+        )
+        assert row["intact"] and row["terminated"]
+        assert row["rounds"] == packets
+        # A resend per stale ack cannot meet this: the plan alone
+        # duplicates two replies and triple-sends four data frames.
+        assert row["frames"] <= 2 * packets
+
+
 @pytest.mark.slow
 class TestUdpSpotChecks:
     """A sparse sample of the wall-clock substrate (full grid in benchmarks)."""

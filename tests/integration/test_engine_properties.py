@@ -1,17 +1,21 @@
-"""Property-based tests: every engine delivers intact data under any
+"""Property-based tests: every protocol delivers intact data under any
 scripted loss pattern (within termination bounds).
 
-These drive the full DES stack — hosts, medium, engines — with
-hypothesis-chosen drop patterns, the strongest "no corner case left"
-statement the reproduction makes about the protocol implementations.
+These drive the full DES stack — hosts, medium, the transfer driver and
+the machines — with hypothesis-chosen drop patterns, the strongest "no
+corner case left" statement the reproduction makes about the protocol
+implementations.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import run_transfer
-from repro.simnet import DeterministicDrops, NetworkParams
+from repro.sim import Store
+from repro.simnet import BernoulliErrors, DeterministicDrops, NetworkParams
 
 PARAMS = NetworkParams.standalone()
 
@@ -100,3 +104,43 @@ class TestLossPatternConvergence:
         assert counts["selective"] <= counts["gobackn"] + 2
         # (+2 slack: reliable-last retries can differ by a frame when the
         # loss script hits different wire positions across strategies.)
+
+
+class TestRandomLossOnTheDriver:
+    """Any seed, up to 20 % Bernoulli loss, every protocol and strategy:
+    the driver terminates with the payload intact and never hands the
+    kernel a deadline that has already passed."""
+
+    @given(
+        cell=st.sampled_from([
+            ("stop_and_wait", {}), ("sliding_window", {}),
+            ("sliding_window", {"window": 3}),
+            ("blast", {"strategy": "full_no_nak"}),
+            ("blast", {"strategy": "full_nak"}),
+            ("blast", {"strategy": "gobackn"}),
+            ("blast", {"strategy": "selective"}),
+        ]),
+        n=st.integers(1, 16),
+        loss=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_terminates_intact_with_no_past_deadline(self, cell, n, loss, seed):
+        protocol, kwargs = cell
+        data = payload(n)[: n * 1024 - 137]  # ragged tail
+        waits = []
+        real_get = Store.get
+
+        def recording_get(store, predicate=None, timeout_s=None):
+            waits.append(timeout_s)
+            return real_get(store, predicate, timeout_s)
+
+        with mock.patch.object(Store, "get", recording_get):
+            result = run_transfer(
+                protocol, data, params=PARAMS,
+                error_model=BernoulliErrors(loss, seed=seed), **kwargs,
+            )
+        assert result.data_intact and result.data == data
+        assert result.stats.data_frames_sent >= n
+        timed = [wait for wait in waits if wait is not None]
+        assert timed and min(timed) > 0

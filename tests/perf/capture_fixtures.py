@@ -14,6 +14,18 @@ in PR 17 and recorded the same way from the then-unmodified PR 16 kernel
 — ``PYTHONPATH`` pointing at a clone of the parent commit holding only
 the new ``perf/workloads.py`` — before any hand-off left the heap.  A new
 scenario is always recorded from the parent of the change it is to pin.
+
+Three digests were re-recorded, from the live tree, by the PR that put
+the simulated transfers on ``service/machines.py`` (PR 19), because the
+behaviour they cover was meant to change; every other digest, trace and
+wire byte came out identical.  ``scenario:noisy`` and
+``scenario:shared_network`` drive stop-and-wait through duplicated and
+late acknowledgements, which the generator engine answered with a
+retransmission each and the machine ignores (shared network, interrupt
+mode: 32 data frames for 16 packets -> 23); ``run_many:sliding_window``
+is sliding window under 2 % loss, now one timer per packet instead of
+rounds after the first pass.  What the engines did everywhere else is
+pinned in ``tests/core/fixtures/engine_reference.json``.
 """
 
 from __future__ import annotations
