@@ -16,14 +16,17 @@ Frames the machine does not want are dropped (UDP semantics: the
 protocol's retransmission repairs it).
 
 All datagram I/O goes through :class:`~repro.service.iobatch
-.DatagramBatchIO` (non-blocking, batched receives, zero-copy sends).
+.DatagramBatchIO` (non-blocking; a burst the server sent in one kernel
+crossing is read in one; what a client answers while it consumes a
+ring — a window's acks, a report — is staged and leaves in one flush
+when the ring is done, and again whenever a timer makes it speak).
 
 Two things keep the pump matched to a blasting server (docs/performance
 .md, "Matched speeds").  Before a client asks for a body it makes room
 for it: ``SO_RCVBUF`` is raised to what the kernel will charge for the
 whole body, and what cannot be had is advertised as the pull's
 ``credit``.  And a readable socket is read until it is empty (up to
-``_DRAIN_DATAGRAMS`` per wakeup), while timers cost nothing on that
+``_DRAIN_READS`` reads per wakeup), while timers cost nothing on that
 path: they sit in a lazy deadline heap that is looked at only when its
 earliest entry is due.
 """
@@ -49,9 +52,10 @@ __all__ = ["UdpClientPump", "DATAGRAM_CHARGE_BYTES"]
 #: Pump never sleeps longer than this between timer checks.
 _MAX_WAIT_S = 0.05
 
-#: Datagrams one client may consume per wakeup before the others (and
-#: the timers) get their turn again.
-_DRAIN_DATAGRAMS = 128
+#: Reads one client may make per wakeup before the others (and the
+#: timers) get their turn again; a read is one datagram, or one burst
+#: the server sent in one kernel crossing.
+_DRAIN_READS = 128
 
 #: What a queued datagram carrying one ``DEFAULT_PACKET_BYTES`` packet
 #: is charged against its socket's ``SO_RCVBUF``: the kernel counts the
@@ -90,7 +94,8 @@ class _PumpClient:
     """One client socket carrying one :class:`PullMachine`."""
 
     def __init__(self, stream_id: int, size: int, server, ring_slots: int,
-                 slot_bytes: int, **pull):
+                 slot_bytes: int, beside: Optional["_PumpClient"] = None,
+                 **pull):
         self.stream_id = stream_id
         self.server = server
         raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -98,40 +103,51 @@ class _PumpClient:
         self.sock = raw
         self.machine = PullMachine(stream_id, size,
                                    credit=_receive_credit(raw, size), **pull)
-        self.io = DatagramBatchIO(raw, ring_slots=ring_slots,
-                                  slot_bytes=slot_bytes)
+        # One pump is one thread: its clients read into and stage in
+        # the arenas of the first.
+        self.io = (DatagramBatchIO(raw, ring_slots=ring_slots,
+                                   slot_bytes=slot_bytes)
+                   if beside is None else beside.io.sibling(raw))
         self._ring_slots = ring_slots
         self.next_timer = 0.0       # when the current quiet period ends
         #: Deadline of this client's entry in the pump's timer heap.
         self.armed = 0.0
 
-    def _send(self, frames, now: float) -> None:
+    def _stage(self, frames, now: float) -> None:
         for frame in frames:
             self.io.send_frame(frame, self.server)
         self.next_timer = now + self.machine.quiet_s
 
     def start(self, now: float) -> None:
-        self._send(self.machine.start(now), now)
+        self._stage(self.machine.start(now), now)
+        self.io.flush()
 
     def on_timer(self, now: float) -> None:
         if now >= self.next_timer:
-            self._send(self.machine.on_quiet(now), now)
+            self._stage(self.machine.on_quiet(now), now)
+            self.io.flush()
 
     def on_readable(self, now: float) -> bool:
-        """Consume one ring of datagrams; True if the ring came back
-        full, so more may be waiting."""
+        """Consume one ring of reads and send what the machine answers
+        in one flush; True if the ring came back full, so more may be
+        waiting."""
         machine = self.machine
-        batch = self.io.recv_batch()
+        io = self.io
+        reads = io.recv_calls
+        batch = io.recv_batch()
+        more = io.recv_calls - reads == self._ring_slots
         for view, _sender in batch:
             try:
                 frame = decode(view)
             except WireError:
                 continue  # corrupted: exactly like a loss
             if machine.wants(frame):
-                self._send(machine.on_frame(frame, now), now)
+                self._stage(machine.on_frame(frame, now), now)
                 if machine.done:
-                    return False
-        return len(batch) == self._ring_slots
+                    more = False
+                    break
+        io.flush()
+        return more
 
     def close(self) -> None:
         self.sock.close()
@@ -176,17 +192,17 @@ class UdpClientPump:
         # servers[k-first_stream].  Default: everyone talks to ``server``.
         if servers is not None and len(servers) != len(sizes):
             raise ValueError("servers and sizes must have equal length")
-        self.clients: List[_PumpClient] = [
-            _PumpClient(
+        self.clients: List[_PumpClient] = []
+        for index, size in enumerate(sizes):
+            self.clients.append(_PumpClient(
                 first_stream + index, size,
                 server if servers is None else servers[index],
                 ring_slots, slot_bytes,
+                beside=self.clients[0] if self.clients else None,
                 protocol=protocol, strategy=strategy,
                 pull_timeout_s=pull_timeout_s, pull_retries=pull_retries,
-                recv_timeout_s=recv_timeout_s, linger_s=linger_s)
-            for index, size in enumerate(sizes)
-        ]
-        self._drain_rings = max(1, _DRAIN_DATAGRAMS // ring_slots)
+                recv_timeout_s=recv_timeout_s, linger_s=linger_s))
+        self._drain_rings = max(1, _DRAIN_READS // ring_slots)
         self.stats: Optional[PumpRunStats] = None
 
     def run(self, overall_timeout_s: float = 60.0) -> Dict[int, UdpPullResult]:

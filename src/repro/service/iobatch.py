@@ -1,29 +1,34 @@
 """Batched, zero-copy datagram I/O for the readiness-driven service loop.
 
 The paper's thesis is that transfer protocols are limited by per-packet
-software overhead; this module is where the reproduction attacks that
-overhead on the real-socket substrate.  :class:`DatagramBatchIO` owns a
-preallocated ring of receive buffers and a single reusable send buffer,
-so the steady-state datagram path performs
+software overhead, and that a blast exists to pay the cost of handing a
+packet to the interface back to back; this module is where the
+reproduction attacks that cost on the real-socket substrate.
+:class:`DatagramBatchIO` owns one receive arena and one send arena
+(the batch layers of one thread share theirs: :meth:`~DatagramBatchIO
+.sibling`), so the steady-state datagram path performs
 
 - **one poll syscall per wakeup** (the ``selectors`` loop in
   :mod:`repro.service.udpservice`), not one timeout-armed ``recvfrom``
   per datagram;
-- **one kernel copy per received datagram** (``recvfrom_into`` a ring
-  slot — the kernel never allocates a Python ``bytes``), with
-  :func:`~repro.core.wire.decode` fed a ``memoryview`` of the slot;
-- **zero per-frame allocations on send**:
-  :func:`~repro.core.wire.encode_into` packs each outgoing frame into
-  the reused send buffer and ``sendto`` transmits a ``memoryview`` of
-  it.
+- **one kernel crossing per burst sent**: :meth:`send_frame` only
+  *stages* a frame (:func:`~repro.core.wire.encode_into` packs it into
+  the send arena, no allocation) and :meth:`flush` sends what was
+  staged, each destination's run of equal-sized datagrams as one
+  ``sendmsg`` carrying a ``UDP_SEGMENT`` control message — the kernel
+  cuts the buffer back into the datagrams it was built from;
+- **one kernel crossing per burst received**: the socket has
+  ``UDP_GRO`` set, so a segmented send arrives as one ``recvmsg_into``
+  and is cut at the segment size the kernel reports, each datagram a
+  ``memoryview`` of the arena handed to :func:`~repro.core.wire.decode`.
 
-``recvmmsg``/``sendmmsg`` would collapse the remaining per-datagram
-syscalls into one per *batch*; CPython's ``socket`` does not expose
-them (checked via ``hasattr`` below), so the portable fallback — a
-non-blocking ``recvfrom_into``/``sendto`` per datagram after a single
-readiness wakeup — is always taken.  The equivalence gate is unaffected
-either way: batching changes how many syscalls move the same datagrams,
-never which datagrams move (see docs/performance.md).
+A per-datagram syscall is what a run of one is, and what a socket that
+cannot segment gets: a kernel that refuses the first control message
+(decided once, from that answer) or a
+:class:`~repro.faults.socket.FaultySocket`, whose plan must see every
+datagram.  Either way the same datagrams leave in the same per-
+destination order; only the number of crossings differs (see
+docs/performance.md, "One kernel crossing per burst").
 
 Fault injection composes transparently: when the wrapped socket is a
 :class:`~repro.faults.socket.FaultySocket` its non-blocking
@@ -35,29 +40,72 @@ and held-datagram release times bound the loop's poll timeout via
 
 from __future__ import annotations
 
+import errno
+import mmap
 import select
 import socket as _socket
-from typing import List, Optional, Tuple
+import struct
+import sys
+from typing import Dict, List, Optional, Tuple
 
 from ..core.wire import encode_into
 from ..udpnet.endpoints import RECV_BUFFER_BYTES
 
-__all__ = ["DatagramBatchIO", "BATCH_SLOTS", "RECV_BUFFER_BYTES"]
+__all__ = ["DatagramBatchIO", "BATCH_SLOTS", "RECV_BUFFER_BYTES",
+           "MAX_RUN_SEGMENTS", "MAX_RUN_BYTES"]
 
-#: Receive-ring slots drained per readiness wakeup (the server's batch
-#: size).  Clients multiplexing many sockets pass a smaller ring.
+#: Reads per readiness wakeup (the server's batch size).  Clients
+#: multiplexing many sockets pass a smaller ring.
 BATCH_SLOTS = 64
 
-#: How long a full kernel send queue is waited out before the datagram
-#: is dropped (UDP semantics: the protocol's retransmission recovers).
+#: How long a full kernel send queue is waited out before what was
+#: being sent is dropped (UDP semantics: the protocol's retransmission
+#: recovers).
 _SEND_RETRY_WAIT_S = 0.01
 
-#: True when the platform socket module exposes multi-message syscalls.
-#: CPython does not (as of 3.12), so the portable per-datagram fallback
-#: below is always used; the flag is kept (and exported via stats) so
-#: the docs' claim about the fast path stays checkable.
-HAS_RECVMMSG = hasattr(_socket.socket, "recvmmsg")
-HAS_SENDMMSG = hasattr(_socket.socket, "sendmmsg")
+#: ``<linux/udp.h>``; CPython's ``socket`` names neither.
+UDP_SEGMENT = 103
+UDP_GRO = 104
+_LINUX = sys.platform.startswith("linux")
+
+#: What one segmented send may carry: ``UDP_MAX_SEGMENTS`` of the
+#: kernels where it is smallest, and the largest UDP payload.
+MAX_RUN_SEGMENTS = 64
+MAX_RUN_BYTES = 65507
+
+#: How a kernel (or a route) says it will not segment: the option is
+#: unknown, the segment does not fit the path MTU, or the device cannot
+#: checksum the pieces.
+_REFUSED = (errno.EINVAL, errno.ENOPROTOOPT, errno.EIO)
+
+#: The send arena, and how full it gets before :meth:`send_frame`
+#: flushes on its own: room for the largest datagram is kept free, the
+#: rest holds a server's whole 128-frame send batch of 1 KiB packets.
+_STAGE_BYTES = 4 * RECV_BUFFER_BYTES
+_STAGE_FULL = _STAGE_BYTES - RECV_BUFFER_BYTES
+
+_SEGMENT = struct.Struct("H")
+_GRO_SEGMENT = struct.Struct("i")
+_GRO_CMSG_SPACE = _socket.CMSG_SPACE(_GRO_SEGMENT.size)
+
+
+class _Arenas:
+    """The memory the batch layers of one thread share: a receive arena
+    cut into one slot per read, a send arena, and which layer has
+    frames staged in it (None between flushes)."""
+
+    __slots__ = ("slots", "stage", "staging")
+
+    def __init__(self, ring_slots: int, read_bytes: int):
+        # Anonymous mappings, not bytearrays: ``bytearray(n)`` writes n
+        # zeros, and the server would touch 4 MiB it may never read
+        # into; a mapping's pages cost nothing until a datagram lands
+        # on them, and go back when the last view of them does.
+        arena = memoryview(mmap.mmap(-1, ring_slots * read_bytes))
+        self.slots = [arena[start:start + read_bytes]
+                      for start in range(0, len(arena), read_bytes)]
+        self.stage = memoryview(mmap.mmap(-1, _STAGE_BYTES))
+        self.staging: Optional["DatagramBatchIO"] = None
 
 
 class DatagramBatchIO:
@@ -69,19 +117,28 @@ class DatagramBatchIO:
         A raw datagram socket or a
         :class:`~repro.faults.socket.FaultySocket` wrapper.
     ring_slots:
-        Receive buffers preallocated; one batch drains at most this
-        many datagrams.
+        Reads per batch: one :meth:`recv_batch` asks the kernel at most
+        this many times (a coalesced read carries up to 64 datagrams).
     slot_bytes:
-        Bytes per ring slot.  Defaults to ``RECV_BUFFER_BYTES`` so no
-        legal datagram is ever truncated; many-socket clients that
-        control both peers (the pump in
-        :mod:`repro.service.clientpump`) pass the largest datagram they
-        can actually receive to keep N×ring memory bounded.
+        The largest single datagram the caller can receive.  Defaults
+        to ``RECV_BUFFER_BYTES`` so no legal datagram is ever
+        truncated; many-socket clients that control both peers (the
+        pump in :mod:`repro.service.clientpump`) pass less.  A socket
+        that coalesces reads up to ``RECV_BUFFER_BYTES`` whatever the
+        caller said, because a short buffer would truncate the burst.
 
     The ``memoryview`` entries returned by :meth:`recv_batch` alias the
-    ring and are only valid until the next :meth:`recv_batch` call —
-    exactly long enough to :func:`~repro.core.wire.decode` them (decode
-    copies the payload out).
+    receive arena and are only valid until the next :meth:`recv_batch`
+    call (of this layer or a :meth:`sibling`) — exactly long enough to
+    :func:`~repro.core.wire.decode` them (decode copies the payload
+    out).
+
+    Counters (:meth:`stats`): ``datagrams_out`` left in ``send_calls``
+    kernel crossings, ``send_drops`` were refused by a full kernel
+    queue; ``datagrams_in`` arrived in ``recv_calls`` crossings over
+    ``recv_batches`` non-empty batches.  ``segmented`` is the kernel's
+    answer to the first ``UDP_SEGMENT`` control message (None until a
+    run of two or more was sent).
     """
 
     def __init__(self, sock, ring_slots: int = BATCH_SLOTS,
@@ -90,17 +147,64 @@ class DatagramBatchIO:
             raise ValueError(f"ring_slots must be >= 1, got {ring_slots}")
         if slot_bytes < 1:
             raise ValueError(f"slot_bytes must be >= 1, got {slot_bytes}")
+        self._attach(sock, coalesce=True)
+        self._arenas = _Arenas(
+            ring_slots, RECV_BUFFER_BYTES if self.coalescing else slot_bytes)
+
+    def sibling(self, sock) -> "DatagramBatchIO":
+        """A batch layer for another socket driven by the same thread,
+        reading into and staging in this one's arenas.
+
+        One thread uses one layer at a time, and ``decode`` copies the
+        payload out before the next read, so N sockets need one arena,
+        not N (the pump: 64 clients would otherwise fault in 64 sets of
+        pages per cell).  The sharing shows in two places: views from
+        :meth:`recv_batch` are valid until the next ``recv_batch`` of
+        *any* sibling, and a sibling that stages while another still
+        has frames staged flushes those first.
+        """
+        other = DatagramBatchIO.__new__(DatagramBatchIO)
+        other._attach(sock, coalesce=self.coalescing)
+        other._arenas = self._arenas
+        return other
+
+    def _attach(self, sock, coalesce: bool) -> None:
         self._sock = sock
         sock.setblocking(False)
-        self._slots = [bytearray(slot_bytes) for _ in range(ring_slots)]
-        self._slot_views = [memoryview(slot) for slot in self._slots]
-        self._send_buffer = bytearray(RECV_BUFFER_BYTES)
-        self._send_view = memoryview(self._send_buffer)
         self._recv_ready = getattr(sock, "recv_ready_into", None)
+        #: None until the kernel has answered a segmented send.
+        self.segmented: Optional[bool] = None
+        self.coalescing = False
+        if self._recv_ready is not None or not _LINUX:
+            self.segmented = False
+        elif coalesce:
+            try:
+                sock.setsockopt(_socket.SOL_UDP, UDP_GRO, 1)
+                self.coalescing = True
+            except OSError:
+                pass
+        #: ``(address, datagram view)`` in staging order.
+        self._staged: List[Tuple[object, memoryview]] = []
+        self._staged_bytes = 0
         self.datagrams_in = 0
         self.datagrams_out = 0
         self.recv_batches = 0
+        self.recv_calls = 0
+        self.send_calls = 0
         self.send_drops = 0
+
+    def stats(self) -> dict:
+        """Which path ran and what each kernel crossing carried."""
+        return {
+            "segmented": self.segmented,
+            "coalescing": self.coalescing,
+            "datagrams_out": self.datagrams_out,
+            "send_calls": self.send_calls,
+            "send_drops": self.send_drops,
+            "datagrams_in": self.datagrams_in,
+            "recv_calls": self.recv_calls,
+            "recv_batches": self.recv_batches,
+        }
 
     # -- plumbing -----------------------------------------------------------
     def fileno(self) -> int:
@@ -122,59 +226,179 @@ class DatagramBatchIO:
         return flush() if flush is not None else 0
 
     # -- receive ------------------------------------------------------------
-    def _recv_one(self, buffer):
-        recv_ready = self._recv_ready
-        if recv_ready is not None:
-            return recv_ready(buffer)
-        try:
-            return self._sock.recvfrom_into(buffer)
-        except (BlockingIOError, InterruptedError):
-            return None
-
     def recv_batch(self) -> List[Tuple[memoryview, Tuple[str, int]]]:
-        """Drain up to one ring of datagrams after a readiness wakeup.
+        """Read the socket until it is empty or the ring is full.
 
         Returns ``[(view, sender), ...]`` where each ``view`` is a
-        ``memoryview`` of a ring slot holding exactly one datagram.
-        Stops at the first empty kernel queue (never blocks).
+        ``memoryview`` of the receive arena holding exactly one
+        datagram, in arrival order.  Never blocks.
         """
         batch: List[Tuple[memoryview, Tuple[str, int]]] = []
         append = batch.append
-        recv_one = self._recv_one
-        views = self._slot_views
-        for index, buffer in enumerate(self._slots):
-            got = recv_one(buffer)
-            if got is None:
-                break
-            count, sender = got
-            append((views[index][:count], sender))
+        reads = 0
+        recv_ready = self._recv_ready
+        slots = self._arenas.slots
+        if recv_ready is not None:
+            for slot in slots:
+                got = recv_ready(slot)
+                if got is None:
+                    break
+                reads += 1
+                append((slot[:got[0]], got[1]))
+        else:
+            recvmsg_into = self._sock.recvmsg_into
+            for slot in slots:
+                try:
+                    nbytes, ancdata, _flags, sender = recvmsg_into(
+                        (slot,), _GRO_CMSG_SPACE)
+                except (BlockingIOError, InterruptedError):
+                    break
+                reads += 1
+                segment = 0
+                for level, kind, data in ancdata:
+                    if level == _socket.SOL_UDP and kind == UDP_GRO:
+                        (segment,) = _GRO_SEGMENT.unpack(data)
+                if 0 < segment < nbytes:
+                    # A coalesced burst: every datagram is ``segment``
+                    # bytes, the last may be shorter.
+                    burst = slot[:nbytes]
+                    for start in range(0, nbytes, segment):
+                        append((burst[start:start + segment], sender))
+                else:
+                    append((slot[:nbytes], sender))
         if batch:
             self.datagrams_in += len(batch)
+            self.recv_calls += reads
             self.recv_batches += 1
         return batch
 
     # -- send ---------------------------------------------------------------
     def send_frame(self, frame, address) -> int:
-        """Encode ``frame`` into the reused send buffer and transmit it."""
-        n = encode_into(frame, self._send_buffer)
-        return self._send(self._send_view[:n], address)
+        """Encode ``frame`` into the send arena and stage it for
+        ``address``; it leaves at the next :meth:`flush`."""
+        arenas = self._arenas
+        if arenas.staging is not self or self._staged_bytes > _STAGE_FULL:
+            self._take_stage()
+        start = self._staged_bytes
+        end = start + encode_into(frame, arenas.stage, start)
+        self._staged.append((address, arenas.stage[start:end]))
+        self._staged_bytes = end
+        return end - start
 
     def send_datagram(self, payload, address) -> int:
-        """Transmit pre-encoded bytes (control requests built once)."""
-        return self._send(payload, address)
+        """Stage pre-encoded bytes (control requests built once)."""
+        arenas = self._arenas
+        if arenas.staging is not self or self._staged_bytes > _STAGE_FULL:
+            self._take_stage()
+        start = self._staged_bytes
+        end = start + len(payload)
+        arenas.stage[start:end] = payload
+        self._staged.append((address, arenas.stage[start:end]))
+        self._staged_bytes = end
+        return end - start
 
-    def _send(self, payload, address) -> int:
+    def _take_stage(self) -> None:
+        """Make the send arena this layer's, with room for the largest
+        datagram: whoever has frames staged in it — a sibling, or this
+        layer when it is full — flushes first."""
+        arenas = self._arenas
+        if arenas.staging is not None:
+            arenas.staging.flush()
+        arenas.staging = self
+
+    def flush(self) -> None:
+        """Send everything staged.
+
+        A socket that segments sends each destination's datagrams
+        together, in staging order, cut into runs (see
+        :meth:`_send_runs`); one that does not sends one datagram per
+        call in staging order, exactly as if nothing had been staged.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        # Whatever happens below, nothing is sent twice.
+        self._staged = []
+        self._staged_bytes = 0
+        self._arenas.staging = None
+        if self.segmented is False or len(staged) == 1:
+            sendto = self._sock.sendto
+            for address, datagram in staged:
+                self._send(sendto, (datagram, address), 1)
+        else:
+            by_destination: Dict[object, List[memoryview]] = {}
+            for address, datagram in staged:
+                try:
+                    by_destination[address].append(datagram)
+                except KeyError:
+                    by_destination[address] = [datagram]
+            for address, datagrams in by_destination.items():
+                self._send_runs(datagrams, address)
+
+    def _send_runs(self, datagrams: List[memoryview], address) -> None:
+        """Cut one destination's datagrams into runs the kernel can
+        segment: equal-sized datagrams, of which only the last may be
+        shorter — so a shorter datagram closes its run, a longer one
+        opens the next — within ``MAX_RUN_SEGMENTS`` and
+        ``MAX_RUN_BYTES``."""
+        run: List[memoryview] = []
+        segment = room = 0
+        for datagram in datagrams:
+            length = len(datagram)
+            # An empty datagram is no segment at all: it goes alone.
+            if run and (length > segment or length > room or not length
+                        or len(run) == MAX_RUN_SEGMENTS):
+                self._send_run(run, segment, address)
+                run = []
+            if not run:
+                segment, room = length, MAX_RUN_BYTES
+            run.append(datagram)
+            room -= length
+            if length < segment or not length:
+                self._send_run(run, segment, address)
+                run = []
+        if run:
+            self._send_run(run, segment, address)
+
+    def _send_run(self, run: List[memoryview], segment: int,
+                  address) -> None:
+        if len(run) > 1 and self.segmented is not False:
+            control = [(_socket.SOL_UDP, UDP_SEGMENT,
+                        _SEGMENT.pack(segment))]
+            try:
+                accepted = self._send(
+                    self._sock.sendmsg, (run, control, 0, address), len(run))
+            except OSError as error:
+                if error.errno not in _REFUSED:
+                    raise
+                # The first answer decides for the socket; a later
+                # refusal (this route, this segment size) only for its
+                # run.  Nothing left the socket, so nothing is lost.
+                if self.segmented is None:
+                    self.segmented = False
+            else:
+                if accepted:    # a full queue is not an answer
+                    self.segmented = True
+                return
+        sendto = self._sock.sendto
+        for datagram in run:
+            self._send(sendto, (datagram, address), 1)
+
+    def _send(self, call, args, datagrams: int) -> bool:
+        """One kernel crossing carrying ``datagrams`` datagrams; False
+        when the kernel had no room for them."""
         try:
-            self._sock.sendto(payload, address)
+            call(*args)
         except (BlockingIOError, InterruptedError):
             # Kernel send queue full.  Wait briefly for writability and
-            # retry once; past that the datagram is dropped — UDP
+            # retry once; past that the datagrams are dropped — UDP
             # semantics, repaired by the protocol's retransmission.
             select.select([], [self.fileno()], [], _SEND_RETRY_WAIT_S)
             try:
-                self._sock.sendto(payload, address)
+                call(*args)
             except (BlockingIOError, InterruptedError):
-                self.send_drops += 1
-                return 0
-        self.datagrams_out += 1
-        return len(payload)
+                self.send_drops += datagrams
+                return False
+        self.send_calls += 1
+        self.datagrams_out += datagrams
+        return True

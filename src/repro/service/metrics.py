@@ -27,6 +27,12 @@ Schema (``schema_version`` 1)::
                       "at_s": x}],
       "queue_depth": [[t, depth], ...]  # sampled at every transition
     }
+
+A driver with sockets under it adds an ``"io"`` object (the batch
+layer's counters, :meth:`~repro.service.iobatch.DatagramBatchIO.stats`):
+which send path ran and how many datagrams each kernel crossing
+carried.  It is machine-dependent and never part of
+:meth:`ServiceMetrics.canonical_json`.
 """
 
 from __future__ import annotations
@@ -218,9 +224,13 @@ class ServiceMetrics:
             "queue_depth": [[_r(t), d] for t, d in self.queue_depth],
         }
 
-    def to_json(self, config: Optional[dict] = None) -> str:
+    def to_json(self, config: Optional[dict] = None,
+                io: Optional[dict] = None) -> str:
         """Byte-stable JSON export (sorted keys, fixed float rounding)."""
-        return json.dumps(self.to_dict(config), sort_keys=True,
+        report = self.to_dict(config)
+        if io is not None:
+            report["io"] = io
+        return json.dumps(report, sort_keys=True,
                           separators=(",", ":")) + "\n"
 
     # -- canonical projection ----------------------------------------------
@@ -260,13 +270,17 @@ class ServiceMetrics:
         return json.dumps(self.canonical_dict(), sort_keys=True,
                           separators=(",", ":")) + "\n"
 
-    def render_table(self, config: Optional[dict] = None) -> str:
+    def render_table(self, config: Optional[dict] = None,
+                     io: Optional[dict] = None) -> str:
         """Human-oriented text report (`repro serve --report`)."""
         summary = self.summary()
         lines = ["# service report"]
         if config:
             pairs = " ".join(f"{k}={config[k]}" for k in sorted(config))
             lines.append(f"# config: {pairs}")
+        if io:
+            pairs = " ".join(f"{k}={io[k]}" for k in sorted(io))
+            lines.append(f"# io: {pairs}")
         lines.append(
             "# transfers={transfers} ok={ok} failed={failed} "
             "rejected={rejected}".format(**summary)

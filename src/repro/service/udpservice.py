@@ -12,16 +12,17 @@ The event loop is readiness-driven: a ``selectors`` poll on the
 non-blocking socket replaces the old per-datagram timeout-armed
 receive, and all datagram I/O goes through the batched zero-copy layer
 (:class:`~repro.service.iobatch.DatagramBatchIO`).  One wakeup now
-drains a whole ring of datagrams, feeds them all to the core, and
-flushes a whole batch of grants — the per-packet software overhead the
-paper identifies as the bottleneck is paid once per *batch* instead of
-once per datagram.  The loop still never blocks without a bound: the
-poll timeout is derived from the core's ``next_deadline`` and the fault
-layer's held-datagram due times, clamped to ``MAX_WAIT_S`` so stop
-requests and duration limits stay responsive.  When a positive wait
-expires with nothing readable, fault-held (reordered) datagrams are
-force-flushed — the same "bounded plans never wedge" guarantee the old
-per-receive timeout provided.
+drains a whole ring of datagrams, feeds them all to the core, stages
+its replies and a whole batch of grants, and flushes them once before
+it waits again — the per-packet software overhead the paper identifies
+as the bottleneck is paid once per *burst* (one segmented send per
+destination) instead of once per datagram.  The loop still never
+blocks without a bound: the poll timeout is derived from the core's
+``next_deadline`` and the fault layer's held-datagram due times,
+clamped to ``MAX_WAIT_S`` so stop requests and duration limits stay
+responsive.  When a positive wait expires with nothing readable,
+fault-held (reordered) datagrams are force-flushed — the same "bounded
+plans never wedge" guarantee the old per-receive timeout provided.
 
 The client side is :class:`~repro.service.clientpump.UdpClientPump`.
 """
@@ -70,6 +71,9 @@ class UdpTransferService(UdpEndpoint):
             reuse_port=reuse_port,
         )
         self.core = ServiceCore(self.config)
+        #: The batch layer of the last :meth:`serve`; its counters are
+        #: the report's ``io`` section.
+        self.io: Optional[DatagramBatchIO] = None
         self._stop = threading.Event()
 
     def stop(self) -> None:
@@ -87,8 +91,10 @@ class UdpTransferService(UdpEndpoint):
         (completed, failed, or been rejected) with nothing left in
         flight; returns False on ``duration_s`` expiry or :meth:`stop`.
 
-        Each wakeup: flush up to ``SEND_BATCH`` granted frames through
-        the batch layer, poll the selector with a deadline-bounded
+        Each wakeup: stage up to ``SEND_BATCH`` granted frames behind
+        the replies the last wakeup staged, flush them (once per turn,
+        before the wait and before every return, so nothing staged is
+        ever left behind), poll the selector with a deadline-bounded
         timeout (one syscall, however many clients are talking), drain
         the whole receive ring, and feed every frame to the core.  A
         quiet positive-wait expiry force-flushes fault-held datagrams,
@@ -96,7 +102,7 @@ class UdpTransferService(UdpEndpoint):
         """
         start = time.monotonic()
         core = self.core
-        batch = DatagramBatchIO(self.sock)
+        batch = self.io = DatagramBatchIO(self.sock)
         selector = selectors.DefaultSelector()
         selector.register(batch.fileno(), selectors.EVENT_READ)
         monotonic = time.monotonic
@@ -118,6 +124,7 @@ class UdpTransferService(UdpEndpoint):
                 # send batch (see ServiceCore.drain_sends).
                 for frame, addr in core.drain_sends(now, SEND_BATCH):
                     batch.send_frame(frame, addr)
+                batch.flush()
                 settled = (core.finished_count
                            + len(core.metrics.rejections))
                 if (expected_streams is not None
@@ -159,15 +166,21 @@ class UdpTransferService(UdpEndpoint):
                     break
                 for frame, addr in drained:
                     batch.send_frame(frame, addr)
+            batch.flush()
         finally:
             selector.close()
         return False
 
+    def _io_stats(self) -> Optional[dict]:
+        return None if self.io is None else self.io.stats()
+
     def report_json(self) -> str:
-        return self.core.report_json()
+        return self.core.metrics.to_json(self.config.to_dict(),
+                                         self._io_stats())
 
     def report_table(self) -> str:
-        return self.core.report_table()
+        return self.core.metrics.render_table(self.config.to_dict(),
+                                              self._io_stats())
 
     def canonical_report_json(self) -> str:
         """Deterministic outcome projection (see ServiceMetrics)."""

@@ -29,10 +29,12 @@ from repro.service.clientpump import (
     _receive_credit,
 )
 from repro.service.engine import ServiceConfig, ServiceCore
+from repro.service.iobatch import UDP_GRO, DatagramBatchIO
 from repro.service.machines import BlastSenderMachine, service_payload
 from repro.service.pullclient import PullMachine
 from repro.service.udpservice import SEND_BATCH, UdpTransferService
 
+from .test_iobatch import REFUSED
 from .test_streaming_body import SEED, data_frames, run_on_pump, verdict
 
 KIB = 1024
@@ -366,6 +368,43 @@ class TestReceiveBuffer:
                 pass
         assert held >= promised
 
+    @pytest.mark.parametrize("coalescing", [False, True])
+    def test_a_datagram_of_a_segmented_send_is_charged_no_more(
+            self, coalescing):
+        """The two arrivals a segmented send adds: the kernel cuts the
+        burst apart at a socket that does not coalesce (each piece a
+        buffer of its own size, less than a datagram sent alone) and
+        queues it whole at one that does (~1.1 data bytes charged per
+        byte carried).  Either way ``_receive_credit``'s constant stays
+        an upper bound."""
+        frame = DataFrame(transfer_id=1, seq=0, total=4096,
+                          payload=bytes(KIB), stream_id=1)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as receiver, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            receiver.bind(("127.0.0.1", 0))
+            granted = receiver.getsockopt(socket.SOL_SOCKET,
+                                          socket.SO_RCVBUF)
+            promised = granted // DATAGRAM_CHARGE_BYTES
+            reader = DatagramBatchIO(receiver)
+            if reader.coalescing and not coalescing:
+                receiver.setsockopt(socket.SOL_UDP, UDP_GRO, 0)
+            out = DatagramBatchIO(sender)
+            # Runs of 16, as the server deals them to eight streams; a
+            # coalescing socket takes or refuses a run whole.
+            for _ in range(promised // 16 + 2):
+                for _ in range(16):
+                    out.send_frame(frame, receiver.getsockname())
+                out.flush()
+            if out.segmented is not True:
+                pytest.skip(REFUSED)
+            held = 0
+            while True:
+                batch = reader.recv_batch()
+                if not batch:
+                    break
+                held += len(batch)
+        assert held >= promised
+
     def test_a_body_that_fits_the_default_leaves_the_buffer_alone(self):
         sock = FakeSocket(rcvbuf=212_992, rmem_max=4 << 20)
         assert _receive_credit(sock, 64 * KIB) is None
@@ -683,6 +722,38 @@ class TestLoopbackAcceptance:
         assert requests[0]["credit"] == 32
         self.check(results, report, sizes)
         assert summary_frames(report) == 1024
+
+
+    def test_a_256_kib_blast_crosses_the_kernel_once_per_16_datagrams(self):
+        """The count guard of the ``perf-smoke`` CI job, read from the
+        batch layers' own counters at both ends."""
+        service, thread = serve_in_thread(
+            ServiceConfig(policy="rr", max_active=8), 1)
+        try:
+            pump = UdpClientPump(service.address, [256 * KIB], linger_s=0.05,
+                                 slot_bytes=8192)
+            (client,) = pump.clients
+            results = pump.run(overall_timeout_s=45.0)
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            report = json.loads(service.report_json())
+            table = service.report_table()
+            canonical = json.loads(service.canonical_report_json())
+        finally:
+            service.stop()
+            service.close()
+        self.check(results, report, [256 * KIB])
+        served, pulled = report["io"], client.io.stats()
+        assert served == service.io.stats()
+        assert "# io: coalescing=" in table and "io" not in canonical
+        # Verdict + 256 data frames (a retried request is answered twice).
+        assert served["datagrams_out"] == pulled["datagrams_in"] >= 257
+        assert served["send_drops"] == pulled["send_drops"] == 0
+        if served["segmented"] is False:
+            pytest.skip(REFUSED)
+        assert served["segmented"] is True and pulled["coalescing"] is True
+        assert served["send_calls"] * 16 <= served["datagrams_out"]
+        assert pulled["recv_calls"] * 16 <= pulled["datagrams_in"]
 
 
 def summary_frames(report):

@@ -252,16 +252,23 @@ class ScriptedSocket:
     def setblocking(self, flag):
         self._real.setblocking(flag)
 
+    def setsockopt(self, level, option, value):
+        self._real.setsockopt(level, option, value)
+
     def fileno(self):
         return self._real.fileno()
 
-    def recvfrom_into(self, buffer):
+    def recvmsg_into(self, buffers, ancbufsize):
         if not self.inbox:
             self.on_empty()
             raise BlockingIOError
         datagram = self.inbox.pop(0)
+        (buffer,) = buffers
         buffer[:len(datagram)] = datagram
-        return len(datagram), ("127.0.0.1", 40000)
+        return len(datagram), [], 0, ("127.0.0.1", 40000)
+
+    def sendmsg(self, buffers, ancdata, flags, address):
+        self.sent += [bytes(buffer) for buffer in buffers]
 
     def sendto(self, payload, address):
         self.sent.append(bytes(payload))
