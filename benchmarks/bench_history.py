@@ -1,9 +1,11 @@
 """Append a parent-vs-change record to BENCH_history.jsonl: the BENCHMARK.json command
-in both checkouts, alternating order, one seed per pair; [median, q1, q3] and pairs won."""
+in both checkouts, alternating order, one seed per pair; [median, q1, q3] and pairs won;
+``calibration_ms`` before each run says whether the box or the code moved between records."""
 import argparse
 import json
 import statistics
 import subprocess
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,6 +22,17 @@ def sha(checkout):
     return sh(checkout, "git", "rev-parse", "--short", "HEAD") + "+worktree" * bool(dirty)
 
 
+def calibration_ms():
+    """Box speed right now: a fixed pure-Python loop (~3 ms here), best of five."""
+    best = float("inf")
+    for _ in range(5):
+        start, total = time.perf_counter(), 0
+        for i in range(100_000):
+            total += i & 7
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 3)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -32,8 +45,10 @@ def main():
               **{side: sha(path) for side, path in checkouts.items()}}
     for workload in (w["name"] for w in CONTRACT["workloads"]):
         runs = {"parent": [], "change": []}
+        calibrations = {"parent": [], "change": []}
         for pair in range(args.pairs):
             for side in ("parent", "change")[::-1 if pair % 2 else 1]:
+                calibrations[side].append(calibration_ms())
                 # Exit 1 = a failed operation: recorded below, not fatal here.
                 lines = sh(checkouts[side], *CONTRACT["command"], "--workload",
                            workload, "--seed", str(args.seed + pair), "--seconds",
@@ -42,7 +57,8 @@ def main():
                 record["fingerprint"] = lines[0].split("; ")[-1].split(" seed=")[0]
                 runs[side].append(json.loads(lines[-1]))
         row = record["workloads"][workload] = {"wins": {}, **{
-            side: {key: sum(r[key] for r in results) for key in ("failed", "attempted")}
+            side: {"calibration_ms": calibrations[side],
+                   **{key: sum(r[key] for r in results) for key in ("failed", "attempted")}}
             for side, results in runs.items()}}
         for metric in CONTRACT["end_to_end"]:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1

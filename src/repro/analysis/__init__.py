@@ -4,7 +4,6 @@ loss, standard deviations, and the Monte Carlo strategy simulator."""
 from .chunking import expected_multiblast_time, optimal_blast_size
 from .errorfree import (
     network_utilization,
-    protocol_times,
     t_blast,
     t_double_buffered,
     t_single_exchange,
@@ -12,19 +11,11 @@ from .errorfree import (
     t_stop_and_wait,
 )
 from .expected_time import (
-    expected_attempts,
     expected_time_blast,
     expected_time_saw,
     mean_retries,
     p_fail_blast,
     p_fail_saw_exchange,
-)
-from .framecount import (
-    expected_frames_full,
-    expected_frames_saw,
-    expected_frames_selective,
-    goodput_full,
-    goodput_selective,
 )
 from .montecarlo import (
     STRATEGIES,
@@ -35,7 +26,6 @@ from .montecarlo import (
     simulate_blast_transfer,
     simulate_saw_transfer,
 )
-from .stats import StatsSummary, mean_ci, percentile, summarize, tail_ratio
 from .variance import (
     geometric_failure_std,
     stddev_full_no_nak,
@@ -50,17 +40,10 @@ __all__ = [
     "t_double_buffered",
     "t_single_exchange",
     "network_utilization",
-    "protocol_times",
     "p_fail_saw_exchange",
     "p_fail_blast",
     "mean_retries",
-    "expected_attempts",
     "expected_time_saw",
-    "expected_frames_full",
-    "expected_frames_selective",
-    "expected_frames_saw",
-    "goodput_full",
-    "goodput_selective",
     "expected_multiblast_time",
     "optimal_blast_size",
     "expected_time_blast",
@@ -75,9 +58,4 @@ __all__ = [
     "run_trials",
     "simulate_blast_transfer",
     "simulate_saw_transfer",
-    "StatsSummary",
-    "summarize",
-    "mean_ci",
-    "percentile",
-    "tail_ratio",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "t_double_buffered",
     "t_single_exchange",
     "network_utilization",
-    "protocol_times",
 ]
 
 
@@ -141,13 +140,3 @@ def network_utilization(n_packets: int, params: Optional[NetworkParams] = None) 
     p = params if params is not None else NetworkParams.standalone()
     wire_time = n_packets * p.transmit_data_s + p.transmit_ack_s
     return wire_time / t_blast(n_packets, p)
-
-
-def protocol_times(n_packets: int, params: Optional[NetworkParams] = None) -> dict:
-    """All four protocol times for one N, keyed by protocol name."""
-    return {
-        "stop_and_wait": t_stop_and_wait(n_packets, params),
-        "sliding_window": t_sliding_window(n_packets, params),
-        "blast": t_blast(n_packets, params),
-        "double_buffered": t_double_buffered(n_packets, params),
-    }

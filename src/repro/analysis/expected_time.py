@@ -25,7 +25,6 @@ __all__ = [
     "mean_retries",
     "expected_time_saw",
     "expected_time_blast",
-    "expected_attempts",
 ]
 
 
@@ -59,11 +58,6 @@ def mean_retries(p_c: float) -> float:
     if p_c >= 1.0:
         return math.inf
     return p_c / (1.0 - p_c)
-
-
-def expected_attempts(p_c: float) -> float:
-    """Expected total attempts (failures + the success): 1 / (1 - p_c)."""
-    return 1.0 + mean_retries(p_c)
 
 
 def expected_time_saw(

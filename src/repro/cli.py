@@ -14,7 +14,6 @@ faults    fault-injection conformance matrix across DES and UDP
 serve     concurrent transfer service on one UDP endpoint
 cluster   sharded multi-process service cluster (UDP or DES)
 loadgen   drive N concurrent clients (DES or loopback UDP)
-perf      microbenchmark suites + fastpath-vs-seed speedup report
 congestion  goodput-vs-loss sweep for the congestion controllers
 
 Examples
@@ -45,8 +44,6 @@ Examples
     python -m repro --jobs 4 congestion --check benchmarks/results/congestion_sweep.txt
     python -m repro loadgen --clients 16 --arrivals poisson --report table
     python -m repro loadgen --mode udp --clients 3 --server 127.0.0.1:47000
-    python -m repro perf --out BENCH_fastpath.json
-    python -m repro perf --smoke --check benchmarks/results/perf_structure.txt
 
 The global ``--jobs N`` flag fans Monte Carlo work across ``N`` worker
 processes (``-1`` = one per CPU).  Seed sharding is deterministic, so
@@ -382,38 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--workload-seed", type=int, default=0)
     loadgen.add_argument(
         "--report", choices=["json", "table", "none"], default="table"
-    )
-
-    perf = sub.add_parser(
-        "perf", help="microbenchmark suites (DES kernel, codec, end-to-end)"
-    )
-    perf.add_argument(
-        "--suite", metavar="NAMES", dest="perf_suites",
-        help="comma-separated suite names (default: all; see --list-suites)",
-    )
-    perf.add_argument(
-        "--smoke", action="store_true",
-        help="reduced iteration counts for CI (digests are unchanged)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3,
-        help="best-of-N timing repeats (default: 3)",
-    )
-    perf.add_argument(
-        "--out", metavar="PATH",
-        help="write machine-readable timings (BENCH_fastpath.json)",
-    )
-    perf.add_argument(
-        "--ledger", metavar="PATH",
-        help="write the byte-stable structure ledger to PATH",
-    )
-    perf.add_argument(
-        "--check", metavar="PATH",
-        help="diff this run's structure rows against a golden ledger",
-    )
-    perf.add_argument(
-        "--list-suites", action="store_true",
-        help="list suite names and exit",
     )
 
     congestion = sub.add_parser(
@@ -813,20 +778,6 @@ def _cmd_loadgen(args) -> int:
     return 0 if result.all_ok else 1
 
 
-def _cmd_perf(args) -> int:
-    from .perf.cli import perf_command
-
-    return perf_command(
-        suites=args.perf_suites,
-        smoke=args.smoke,
-        repeats=args.repeats,
-        out=args.out,
-        ledger=args.ledger,
-        check=args.check,
-        list_suites=args.list_suites,
-    )
-
-
 def _cmd_congestion(args) -> int:
     from .congestion.sweep import run_congestion_sweep
 
@@ -895,7 +846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "cluster": _cmd_cluster,
         "loadgen": _cmd_loadgen,
-        "perf": _cmd_perf,
         "congestion": _cmd_congestion,
     }[args.command]
     return handler(args)

@@ -117,13 +117,6 @@ class ClusterReport:
             )
         self.shards[shard_report.shard] = shard_report
 
-    def merge(self, other: "ClusterReport") -> "ClusterReport":
-        """Union of two shard sets (associative; rejects duplicates)."""
-        merged = ClusterReport(shards=dict(self.shards))
-        for shard_report in other.shards.values():
-            merged.add(shard_report)
-        return merged
-
     # -- derived -----------------------------------------------------------
     def _ordered(self) -> List[ShardReport]:
         return [self.shards[key] for key in sorted(self.shards)]

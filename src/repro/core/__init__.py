@@ -17,7 +17,6 @@ from .base import (
     Transfer,
     TransferResult,
     TransferStats,
-    packetize,
     reassemble,
 )
 from .frames import (
@@ -46,7 +45,6 @@ __all__ = [
     "Transfer",
     "TransferResult",
     "TransferStats",
-    "packetize",
     "reassemble",
     "DataFrame",
     "AckFrame",

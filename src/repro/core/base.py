@@ -20,8 +20,8 @@ Conventions (mirroring the paper's setup):
   host (``on_sent``; docs/service.md, "Driver contract").
 
 :func:`chunk_payload` is the one place a whole payload is sliced into
-packets (the machines read theirs from a stream); :func:`packetize` /
-:func:`reassemble` convert between a byte blob and the frame sequence.
+packets (the machines read theirs from a stream: it is what their tests
+compare that stream against); :func:`reassemble` joins them back.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .timers import TimeoutPolicy
 
 __all__ = [
     "chunk_payload",
-    "packetize",
     "reassemble",
     "TransferResult",
     "TransferStats",
@@ -64,18 +63,6 @@ def chunk_payload(data: bytes, packet_bytes: int) -> List[bytes]:
         raise ValueError(f"packet_bytes must be >= 1, got {packet_bytes}")
     chunks = [data[i : i + packet_bytes] for i in range(0, len(data), packet_bytes)]
     return chunks or [b""]
-
-
-def packetize(
-    data: bytes, packet_bytes: int, transfer_id: int = 1
-) -> List[DataFrame]:
-    """Split ``data`` into :class:`DataFrame` packets of ``packet_bytes``."""
-    chunks = chunk_payload(data, packet_bytes)
-    total = len(chunks)
-    return [
-        DataFrame(transfer_id=transfer_id, seq=seq, total=total, payload=chunk)
-        for seq, chunk in enumerate(chunks)
-    ]
 
 
 def reassemble(payloads: Dict[int, bytes], total: int) -> bytes:

@@ -87,11 +87,6 @@ class DataFrame:
     def kind(self) -> FrameKind:
         return FrameKind.DATA
 
-    @property
-    def is_last(self) -> bool:
-        """True for the final packet of the sequence."""
-        return self.seq == self.total - 1
-
 
 @dataclass(frozen=True, slots=True)
 class AckFrame:

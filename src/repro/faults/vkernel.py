@@ -99,8 +99,3 @@ class IpcFaultHook:
     def extra_delay_s(self, decision: FaultDecision) -> float:
         """Total injected latency: explicit delay + degraded reorder."""
         return decision.delay_s + decision.reorder_depth * self.reorder_unit_s
-
-    @property
-    def faults_fired(self) -> int:
-        """Total plan-rule firings so far."""
-        return self.executor.faults_fired

@@ -52,7 +52,7 @@ from .reporters import (
     render_json,
     render_text,
 )
-from .rules import Rule, all_rules, rule_registry
+from .rules import Rule, all_rules
 
 __all__ = [
     "FileContext",
@@ -65,6 +65,5 @@ __all__ = [
     "render_baseline",
     "render_json",
     "render_text",
-    "rule_registry",
     "run_lint",
 ]

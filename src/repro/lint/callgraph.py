@@ -22,7 +22,7 @@ Soundness stance (documented in ``docs/static-analysis.md``):
 Function nodes are keyed by a stable qualified name::
 
     service/engine.py::ServiceCore.poll
-    core/base.py::packetize
+    core/base.py::reassemble
     service/udpservice.py::serve.<locals>.flush
 
 :func:`CallGraph.find_chains` runs a breadth-first reachability walk

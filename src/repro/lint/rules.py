@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .engine import FileContext, Violation
 
-__all__ = ["Rule", "all_rules", "rule_registry"]
+__all__ = ["Rule", "all_rules"]
 
 
 class Rule:
@@ -1560,8 +1560,3 @@ def all_rules() -> List[Rule]:
         ClusterProcessHygieneRule(),
         ActiveTableWalkRule(),
     ]
-
-
-def rule_registry() -> Dict[str, Rule]:
-    """Rule id → rule instance, for docs and reporters."""
-    return {rule.id: rule for rule in all_rules()}

@@ -20,7 +20,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 from pathlib import Path
 from typing import Any, Dict, NamedTuple, Optional, Union
 
@@ -156,12 +155,6 @@ class ResultCache:
         temp.write_text(json.dumps(payload, sort_keys=True))
         temp.replace(path)
         return path
-
-    # -- maintenance ------------------------------------------------------
-
-    def clear(self) -> None:
-        """Delete the whole cache directory."""
-        shutil.rmtree(self.root, ignore_errors=True)
 
     @property
     def stats(self) -> CacheStats:

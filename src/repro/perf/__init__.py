@@ -1,25 +1,15 @@
-"""Microbenchmark and perf-regression subsystem (``repro perf``).
+"""Determinism proofs of the hot paths (speed is ``layerbench``'s job).
 
-The perf subsystem has three jobs:
-
-1. **Measure** the hot paths — DES kernel events/sec, wire-codec
-   encode/decode ops/sec, and end-to-end conformance-cell and service
-   wall clocks — with a repeatable best-of-N harness
-   (:mod:`repro.perf.suites`).
-2. **Prove** that speed never bought nondeterminism: every suite
-   computes a canonical digest (:mod:`repro.perf.workloads`,
-   :mod:`repro.perf.sweeps`) that must match the goldened structure
-   ledger, and the kernel and codec digests must match the fixtures
-   recorded from the seed under ``tests/perf/fixtures/``.
-3. **Record** the trajectory: timings go to ``BENCH_fastpath.json``
-   (machine-readable, machine-dependent) while the byte-stable
-   *structure* ledger — suite names, canonical workload sizes,
-   determinism digests — is goldened in
-   ``benchmarks/results/perf_structure.txt`` and diffed in CI.
+:mod:`repro.perf.workloads` holds the canonical workloads — kernel event
+order, wire bytes, traces, ``run_many`` digests, contention scenarios —
+whose recordings from earlier kernels live under ``tests/perf/fixtures/``;
+:mod:`repro.perf.structure` reduces ten end-to-end runs to the digests
+goldened in ``benchmarks/results/perf_structure.txt``.  Both are asserted
+by tier-1 (``tests/perf``).  Timings are taken by ``layerbench`` and
+recorded by ``benchmarks/bench_history.py`` (``docs/performance.md``).
 """
 
-from .report import render_ledger, write_bench
-from .suites import SUITES, run_suites
+from .structure import SUITES, render_ledger, structure_rows
 from .workloads import (
     CANONICAL_EVENTS,
     canonical_datagrams,
@@ -34,9 +24,8 @@ from .workloads import (
 
 __all__ = [
     "SUITES",
-    "run_suites",
+    "structure_rows",
     "render_ledger",
-    "write_bench",
     "CANONICAL_EVENTS",
     "canonical_datagrams",
     "canonical_frames",

@@ -162,12 +162,6 @@ class PumpRunStats:
     payload_bytes: int
     elapsed_s: float
 
-    @property
-    def per_client_goodput_bytes_per_s(self) -> float:
-        if self.elapsed_s <= 0 or self.clients == 0:
-            return 0.0
-        return self.payload_bytes / self.elapsed_s / self.clients
-
 
 class UdpClientPump:
     """Drives N concurrent pulls over one selector in one thread."""

@@ -282,9 +282,6 @@ class ServiceCore:
     def report_json(self) -> str:
         return self.metrics.to_json(self.config.to_dict())
 
-    def report_table(self) -> str:
-        return self.metrics.render_table(self.config.to_dict())
-
     # -- frame input --------------------------------------------------------
     def on_frame(self, frame, now: float,
                  client: Optional[object] = None) -> List[Tuple[object, object]]:
@@ -370,7 +367,8 @@ class ServiceCore:
         stream_id = body.get("stream")
         size = body.get("size")
         credit = body.get("credit")
-        if not isinstance(stream_id, int) or stream_id < 1:
+        # type(x) is int: a JSON true is an int to isinstance, and equals 1.
+        if type(stream_id) is not int or stream_id < 1:
             reply = {"status": "error", "reason": "bad stream id", "stream": 0}
             return [(self._control_reply(frame.request_id, 0, reply), client)]
         if stream_id in self._responses:
@@ -378,10 +376,10 @@ class ServiceCore:
             return [(self._control_reply(self._request_ids[stream_id],
                                          stream_id,
                                          self._responses[stream_id]), client)]
-        if (not isinstance(size, int) or size < 0
+        if (type(size) is not int or size < 0
                 or size > self.config.max_size_bytes):
             reply = {"status": "error", "reason": "bad size", "stream": stream_id}
-        elif "credit" in body and (not isinstance(credit, int) or credit < 1):
+        elif "credit" in body and (type(credit) is not int or credit < 1):
             # Only ever compared against a burst length: no size is too
             # large, but a credit of nothing could never be spent.
             reply = {"status": "error", "reason": "bad credit",

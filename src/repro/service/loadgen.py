@@ -47,7 +47,6 @@ __all__ = [
     "run_des_loadgen",
     "run_scaling_sweep",
     "run_udp_loadgen",
-    "size_workload_names",
 ]
 
 #: Grid of the committed scaling ledger.
@@ -57,10 +56,6 @@ SWEEP_POLICIES = ("fifo", "rr", "copy-budget")
 #: Per-transfer body in sweep cells (small, so 64-way contention is
 #: scheduling-bound rather than wire-bound).
 SWEEP_SIZE_BYTES = 4096
-
-
-def size_workload_names() -> List[str]:
-    return list(SIZE_WORKLOADS)
 
 
 def _fixed_sizes(count: int, size_bytes: int = SWEEP_SIZE_BYTES,

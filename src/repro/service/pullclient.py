@@ -197,7 +197,7 @@ class PullMachine:
             self._fail(status, now, str(verdict.get("reason", "")))
             return
         packets = verdict.get("packets")
-        if not isinstance(seed, int) or not self._cuts_into(packets):
+        if type(seed) is not int or not self._cuts_into(packets):
             return
         try:
             # Auto-tuned servers name the protocol they picked for this
@@ -215,7 +215,7 @@ class PullMachine:
     def _cuts_into(self, packets) -> bool:
         """Is there a packet size that cuts ``size`` bytes into exactly
         ``packets``?  (The smallest that needs no more decides it.)"""
-        if not isinstance(packets, int) or packets < 1:
+        if type(packets) is not int or packets < 1:  # not a JSON true
             return False
         packet_bytes = packet_count(self.size, packets)
         return packets == packet_count(self.size, packet_bytes)

@@ -2,12 +2,12 @@
 
 This package provides the substrate every simulated subsystem in the
 repository runs on: a simulated clock, generator-based processes,
-timeouts, condition events, interrupts, counting resources and FIFO
+timeouts, condition events, counting resources and FIFO
 stores.  See DESIGN.md §3 for where it sits in the system.
 """
 
 from .environment import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Condition, Event, Interrupt, StopSimulation, Timeout
+from .events import AllOf, Condition, Event, StopSimulation, Timeout
 from .processes import Process
 from .resources import Request, Resource
 from .store import Store, StoreGet, StorePut
@@ -18,9 +18,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Condition",
-    "AnyOf",
     "AllOf",
-    "Interrupt",
     "StopSimulation",
     "Process",
     "Resource",

@@ -4,7 +4,7 @@
 benches share.  It keeps simulated time as a float (seconds throughout
 this repository) and pops events in ``(time, priority, sequence)`` order,
 so same-time events process in FIFO order of scheduling, with urgent
-(priority) events — process initialisation and interrupts — first.
+(priority) events — process initialisation — first.
 
 This module is the kernel's hottest code: :meth:`Environment.run` inlines
 the pop/dispatch cycle of :meth:`Environment.step` with heap and clock
@@ -21,14 +21,14 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
-from .events import _NO_CALLBACKS, AllOf, AnyOf, Event, StopSimulation, Timeout
+from .events import _NO_CALLBACKS, AllOf, Event, StopSimulation, Timeout
 from .processes import Process
 
 __all__ = ["Environment", "EmptySchedule"]
 
 #: Priority of ordinary events.
 _NORMAL = 1
-#: Priority of urgent events (process init, interrupts).
+#: Priority of urgent events (process init).
 _URGENT = 0
 
 
@@ -49,8 +49,7 @@ class Environment:
     # substrate layers (e.g. the V-kernel registry) annotate it; the
     # named slots still win attribute resolution on the hot paths.
     __slots__ = (
-        "_now", "_queue", "_eid", "_next_eid", "_stop_eid", "_active_process",
-        "__dict__",
+        "_now", "_queue", "_eid", "_next_eid", "_stop_eid", "__dict__",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -65,7 +64,6 @@ class Environment:
         # event left by an aborted run can never collide (tuple
         # comparison would otherwise fall through to comparing Events).
         self._stop_eid = count(-(2**63))
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -73,16 +71,7 @@ class Environment:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- event factories -------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh untriggered event."""
-        return Event(self)
-
     def timeout(
         self,
         delay: float,
@@ -116,10 +105,6 @@ class Environment:
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

@@ -33,9 +33,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Condition",
-    "AnyOf",
     "AllOf",
-    "Interrupt",
     "StopSimulation",
     "PENDING",
 ]
@@ -67,23 +65,6 @@ _NO_CALLBACKS: tuple = ()
 
 class StopSimulation(Exception):
     """Raised internally by :meth:`Environment.run` to end a run early."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupting party supplies an arbitrary ``cause`` explaining why.
-    A process can catch :class:`Interrupt` to implement timeout-and-retry
-    loops (the blast protocol sender does exactly this).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """The object passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class Event:
@@ -145,8 +126,8 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        Waiting processes will have ``exception`` thrown into them unless
-        the event is :meth:`defused <defuse>` first.
+        Waiting processes will have ``exception`` thrown into them; a
+        failure nobody waits for crashes the run.
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -156,16 +137,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
 
     # -- callback API -------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -215,22 +186,17 @@ class Timeout(Event):
         self._delay = delay
         env.schedule(self, delay=delay)
 
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self._delay!r}>"
 
 
 class Condition(Event):
-    """Composite event built from other events (base for any-of/all-of).
+    """Composite event built from other events (the base of :class:`AllOf`).
 
     Triggers as soon as ``evaluate(events, n_triggered)`` returns True, or
     immediately if it already holds for the events given.  The condition's
     value is a dict mapping each *triggered* child event to its value, in
-    trigger order — enough to tell "which one fired first" for any-of.
+    trigger order.
 
     If any child fails, the condition fails with the child's exception.
     """
@@ -264,25 +230,15 @@ class Condition(Event):
         return {event: event.value for event in self._events if event.processed}
 
     def _check(self, event: Event) -> None:
+        if not event.ok:
+            event._defused = True  # handled here: the condition carries it
         if self.triggered:
-            if not event.ok:
-                event.defuse()
             return
         self._count += 1
         if not event.ok:
-            event.defuse()
             self.fail(event.value)
         elif self.evaluate(self._events, self._count):
             self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires when the first of its child events fires."""
-
-    __slots__ = ()
-
-    def evaluate(self, events: List[Event], count: int) -> bool:
-        return count >= 1
 
 
 class AllOf(Condition):

@@ -12,17 +12,13 @@ generator's return value, so processes can wait on each other:
 
     def parent(env):
         result = yield env.process(child(env))   # resumes after 5 units
-
-Processes can be interrupted: :meth:`Process.interrupt` throws
-:class:`~repro.sim.events.Interrupt` into the generator at its current
-yield point.  The protocol engines use this for acknowledgement timeouts.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from .events import Event, Interrupt, PENDING
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -49,7 +45,7 @@ class Process(Event):
     fails when the generator raises (value = the exception).
     """
 
-    __slots__ = ("_generator", "_target", "_bound_resume")
+    __slots__ = ("_generator", "_bound_resume")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "throw"):
@@ -59,61 +55,11 @@ class Process(Event):
         # Accessing ``self._resume`` builds a fresh bound method each
         # time; the resume loop runs once per yield, so cache it.
         self._bound_resume = self._resume
-        self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (None if done)."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error; interrupting a process
-        from itself is also rejected because the generator cannot throw
-        into its own active frame.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        # Deliver the interrupt through a dedicated failed event so that it
-        # arrives ordered with respect to other scheduled events.
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks = [self._deliver_interrupt]
-        self.env.schedule(event, priority=True)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        """Resume the generator with an interrupt, detaching the old wait.
-
-        Without the detach, the event the process was waiting on would
-        still hold ``_resume`` in its callbacks and would drive the
-        generator a second time when it eventually fires.
-        """
-        if not self.is_alive:
-            # The process finished between interrupt scheduling and
-            # delivery; the interrupt silently evaporates.
-            return
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._bound_resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._resume(event)
+        Initialize(env, self)  # schedules the first resume
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
-        env = self.env
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -122,25 +68,13 @@ class Process(Event):
                     event._defused = True
                     next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                self._target = None
-                env._active_process = None
                 self.succeed(stop.value)
                 return
-            except Interrupt as exc:
-                # An interrupt escaped the generator: treat as process failure.
-                self._target = None
-                env._active_process = None
-                self.fail(exc)
-                return
             except BaseException as exc:
-                self._target = None
-                env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                self._target = None
-                env._active_process = None
                 self.fail(
                     TypeError(
                         f"process yielded {next_event!r}; processes must yield Events"
@@ -157,10 +91,7 @@ class Process(Event):
                     callbacks.append(self._bound_resume)
                 else:
                     next_event.callbacks = [self._bound_resume]
-                self._target = next_event
-                break
+                return
 
             # Event already processed — loop and deliver its value now.
             event = next_event
-
-        env._active_process = None

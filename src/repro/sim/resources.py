@@ -83,11 +83,6 @@ class Resource:
         self._holders: List[Request] = []
 
     @property
-    def capacity(self) -> int:
-        """Maximum simultaneous holders."""
-        return self._capacity
-
-    @property
     def count(self) -> int:
         """Number of current holders."""
         return len(self._holders)

@@ -128,11 +128,6 @@ class Store:
         self._put_queue: List[StorePut] = []
         self._get_queue: List[StoreGet] = []
 
-    @property
-    def capacity(self) -> float:
-        """Maximum buffered items (``inf`` if unbounded)."""
-        return self._capacity
-
     def __len__(self) -> int:
         return len(self.items)
 

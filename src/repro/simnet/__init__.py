@@ -18,7 +18,6 @@ from .contention import BackgroundLoad
 from .host import Host, make_lan, make_network
 from .interface import DmaInterface, Interface
 from .medium import Medium
-from .monitor import GapLossEstimator, LossMeasurement, MediumMonitor, measure_loss_rate
 from .params import (
     ACK_BYTES,
     DATA_PACKET_BYTES,
@@ -44,10 +43,6 @@ __all__ = [
     "Interface",
     "DmaInterface",
     "Medium",
-    "MediumMonitor",
-    "GapLossEstimator",
-    "LossMeasurement",
-    "measure_loss_rate",
     "NetworkParams",
     "CopyCostModel",
     "DATA_PACKET_BYTES",

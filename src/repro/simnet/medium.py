@@ -173,10 +173,3 @@ class Medium:
             dst.deliver(damaged)
             return
         dst.deliver(frame)
-
-    @property
-    def loss_rate(self) -> float:
-        """Observed fraction of transmitted frames that were lost."""
-        if self.frames_transmitted == 0:
-            return 0.0
-        return self.frames_dropped / self.frames_transmitted

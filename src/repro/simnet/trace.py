@@ -107,10 +107,6 @@ class TraceRecorder:
             raise ValueError(f"unknown activity kind {kind!r}")
         self.spans.append(Span(kind, actor, start, end, frame, note))
 
-    def clear(self) -> None:
-        """Discard all recorded spans."""
-        self.spans.clear()
-
     # -- queries -------------------------------------------------------------
     def by_kind(self, kind: str, actor: Optional[str] = None) -> List[Span]:
         """All spans of ``kind`` (optionally restricted to one actor)."""

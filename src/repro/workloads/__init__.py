@@ -2,7 +2,6 @@
 
 from .arrivals import (
     ARRIVAL_GENERATORS,
-    arrival_names,
     make_arrivals,
     poisson_arrivals,
     simultaneous_arrivals,
@@ -10,7 +9,6 @@ from .arrivals import (
 )
 from .sizes import (
     PAPER_TABLE_SIZES,
-    dump_chunks,
     file_size_mix,
     page_cluster_sizes,
     paper_table_sizes,
@@ -19,7 +17,6 @@ from .traces import AccessRequest, FileAccessTrace, make_trace
 
 __all__ = [
     "ARRIVAL_GENERATORS",
-    "arrival_names",
     "make_arrivals",
     "simultaneous_arrivals",
     "uniform_arrivals",
@@ -28,7 +25,6 @@ __all__ = [
     "paper_table_sizes",
     "page_cluster_sizes",
     "file_size_mix",
-    "dump_chunks",
     "AccessRequest",
     "FileAccessTrace",
     "make_trace",

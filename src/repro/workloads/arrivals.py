@@ -17,7 +17,6 @@ from typing import Callable, Dict, List
 
 __all__ = [
     "ARRIVAL_GENERATORS",
-    "arrival_names",
     "make_arrivals",
     "poisson_arrivals",
     "simultaneous_arrivals",
@@ -71,11 +70,6 @@ ARRIVAL_GENERATORS: Dict[str, Callable[..., List[float]]] = {
     "uniform": uniform_arrivals,
     "poisson": poisson_arrivals,
 }
-
-
-def arrival_names() -> List[str]:
-    """Registered arrival-pattern names in canonical order."""
-    return list(ARRIVAL_GENERATORS)
 
 
 def make_arrivals(name: str, count: int, span_s: float = 1.0,

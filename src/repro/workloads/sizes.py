@@ -10,14 +10,13 @@ deterministic seeding.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import List
 
 __all__ = [
     "PAPER_TABLE_SIZES",
     "paper_table_sizes",
     "page_cluster_sizes",
     "file_size_mix",
-    "dump_chunks",
 ]
 
 #: The transfer sizes of the paper's Tables 1 and 3 (bytes).
@@ -74,21 +73,3 @@ def file_size_mix(
         size = int(round(rng.lognormvariate(mu, sigma)))
         sizes.append(max(1, min(size, max_bytes)))
     return sizes
-
-
-def dump_chunks(
-    total_bytes: int, chunk_bytes: int = 64 * 1024
-) -> Iterator[int]:
-    """Chunk sizes of a file-system dump of ``total_bytes``.
-
-    The paper suggests breaking very large transfers into multiple
-    blasts; this yields the per-blast sizes (all ``chunk_bytes`` except a
-    possibly-short tail).
-    """
-    if total_bytes < 0 or chunk_bytes < 1:
-        raise ValueError("total_bytes >= 0 and chunk_bytes >= 1 required")
-    remaining = total_bytes
-    while remaining > 0:
-        chunk = min(chunk_bytes, remaining)
-        yield chunk
-        remaining -= chunk

@@ -38,17 +38,6 @@ class FileAccessTrace:
     requests: List[AccessRequest]
     files: Dict[str, int]  # filename -> size
 
-    @property
-    def total_bytes(self) -> int:
-        """Bytes moved if the whole trace is replayed."""
-        return sum(r.size for r in self.requests)
-
-    def read_fraction(self) -> float:
-        """Fraction of requests that are reads."""
-        if not self.requests:
-            return 0.0
-        return sum(r.op == "read" for r in self.requests) / len(self.requests)
-
 
 def make_trace(
     n_files: int = 20,

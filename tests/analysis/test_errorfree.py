@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     network_utilization,
-    protocol_times,
     t_blast,
     t_double_buffered,
     t_single_exchange,
@@ -122,13 +121,6 @@ class TestStructure:
                    t_double_buffered, network_utilization):
             with pytest.raises(ValueError):
                 fn(0, zero_latency)
-
-    def test_protocol_times_keys(self, zero_latency):
-        times = protocol_times(4, zero_latency)
-        assert set(times) == {
-            "stop_and_wait", "sliding_window", "blast", "double_buffered",
-        }
-        assert times["blast"] == t_blast(4, zero_latency)
 
     def test_default_params_used_when_omitted(self):
         assert t_blast(4) == t_blast(4, NetworkParams.standalone())

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    expected_attempts,
     expected_time_blast,
     expected_time_saw,
     mean_retries,
@@ -51,14 +50,12 @@ class TestFailureProbabilities:
 class TestRetries:
     def test_no_errors_no_retries(self):
         assert mean_retries(0.0) == 0.0
-        assert expected_attempts(0.0) == 1.0
 
     def test_certain_failure_infinite(self):
         assert mean_retries(1.0) == math.inf
 
     def test_half_failure_one_retry(self):
         assert mean_retries(0.5) == pytest.approx(1.0)
-        assert expected_attempts(0.5) == pytest.approx(2.0)
 
 
 class TestExpectedTimes:

@@ -110,30 +110,11 @@ def test_merge_is_order_invariant(shard_rows, data):
     assert merged.canonical_json() == merged_shuffled.canonical_json()
 
 
-@settings(max_examples=60, deadline=None)
-@given(shard_rows=shards_strategy, splits=st.data())
-def test_merge_is_associative(shard_rows, splits):
-    reports = build_shards(shard_rows)
-    cut_a = splits.draw(st.integers(0, len(reports)))
-    cut_b = splits.draw(st.integers(cut_a, len(reports)))
-    a = merge_shards(reports[:cut_a])
-    b = merge_shards(reports[cut_a:cut_b])
-    c = merge_shards(reports[cut_b:])
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.to_json() == right.to_json()
-    assert left.canonical_json() == right.canonical_json()
-    # And both equal the one-shot fold.
-    assert left.to_json() == merge_shards(reports).to_json()
-
-
 def test_duplicate_shard_is_rejected():
     a = make_shard_report(0, [(1, True, 1024, 0.5)])
     b = make_shard_report(0, [(2, True, 1024, 0.5)])
     with pytest.raises(ValueError, match="duplicate shard"):
         merge_shards([a, b])
-    with pytest.raises(ValueError, match="duplicate shard"):
-        merge_shards([a]).merge(merge_shards([b]))
 
 
 def test_summary_aggregates_counts_and_percentiles():

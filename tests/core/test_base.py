@@ -1,49 +1,18 @@
-"""Unit tests for packetize/reassemble and TransferResult."""
+"""Unit tests for reassemble and TransferResult."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TransferResult, TransferStats, packetize, reassemble
-
-
-class TestPacketize:
-    def test_exact_multiple(self):
-        frames = packetize(b"x" * 4096, 1024)
-        assert len(frames) == 4
-        assert all(len(f.payload) == 1024 for f in frames)
-        assert [f.seq for f in frames] == [0, 1, 2, 3]
-        assert all(f.total == 4 for f in frames)
-
-    def test_ragged_tail(self):
-        frames = packetize(b"x" * 2500, 1024)
-        assert [len(f.payload) for f in frames] == [1024, 1024, 452]
-
-    def test_empty_data_gives_one_empty_packet(self):
-        frames = packetize(b"", 1024)
-        assert len(frames) == 1
-        assert frames[0].payload == b""
-        assert frames[0].is_last
-
-    def test_invalid_packet_size(self):
-        with pytest.raises(ValueError):
-            packetize(b"abc", 0)
-
-    def test_transfer_id_propagates(self):
-        frames = packetize(b"abc", 2, transfer_id=99)
-        assert all(f.transfer_id == 99 for f in frames)
-
-    def test_wire_bytes_equals_payload(self):
-        frames = packetize(b"x" * 1500, 1024)
-        assert [f.wire_bytes for f in frames] == [1024, 476]
+from repro.core import TransferResult, TransferStats, reassemble
+from repro.core.base import chunk_payload
 
 
 class TestReassemble:
     def test_roundtrip(self):
         data = bytes(range(256)) * 17
-        frames = packetize(data, 100)
-        payloads = {f.seq: f.payload for f in frames}
-        assert reassemble(payloads, len(frames)) == data
+        chunks = chunk_payload(data, 100)
+        assert reassemble(dict(enumerate(chunks)), len(chunks)) == data
 
     def test_missing_packet_rejected(self):
         with pytest.raises(ValueError, match="missing packets"):
@@ -56,10 +25,10 @@ class TestReassemble:
     @given(data=st.binary(max_size=5000), packet=st.integers(1, 700))
     @settings(max_examples=100)
     def test_packetize_reassemble_inverse(self, data, packet):
-        frames = packetize(data, packet)
-        assert reassemble({f.seq: f.payload for f in frames}, len(frames)) == data
+        chunks = chunk_payload(data, packet)
+        assert reassemble(dict(enumerate(chunks)), len(chunks)) == data
         # Size invariant: no bytes created or lost.
-        assert sum(len(f.payload) for f in frames) == len(data)
+        assert sum(len(chunk) for chunk in chunks) == len(data)
 
 
 class TestTransferResult:

@@ -22,11 +22,6 @@ class TestDataFrame:
         with pytest.raises(ValueError):
             DataFrame(1, 0, 0, b"")
 
-    def test_is_last(self):
-        assert DataFrame(1, 3, 4, b"").is_last
-        assert not DataFrame(1, 2, 4, b"").is_last
-        assert DataFrame(1, 0, 1, b"").is_last
-
     def test_kind(self):
         assert DataFrame(1, 0, 1, b"").kind is FrameKind.DATA
 

@@ -8,13 +8,18 @@ tests drive it with the builtin reorder plans — both through the pure
 through ``ScriptedErrors`` on the simulated wire.
 """
 
+from dataclasses import astuple
+
 import pytest
 
+from repro.analysis.errorfree import t_single_exchange
 from repro.core import run_transfer
+from repro.core.base import BlastTransfer, MachineTransfer, MultiBlastTransfer
 from repro.faults.plan import FaultPlan, FaultRule, apply_to_sequence
 from repro.faults.plans import builtin_plan
 from repro.faults.scripted import ScriptedErrors
-from repro.simnet import NetworkParams
+from repro.sim import Environment
+from repro.simnet import NetworkParams, make_lan
 
 PARAMS = NetworkParams.standalone()
 
@@ -100,3 +105,63 @@ class TestMultiBlastUnderReorder:
         )
         assert result.data_intact and result.data == data
         assert result.stats.duplicates_received >= 1
+
+
+class CreditedBlast(MachineTransfer):
+    """A blast whose sender machine gets ``credit=`` through
+    ``make_sender_machine``, as a ``PullMachine`` request would have it."""
+
+    name = machine = "blast"
+    default_timeout = BlastTransfer.default_timeout
+
+
+def run_large(transfer_class, strategy, error_model=None, **options):
+    env = Environment()
+    sender, receiver, _medium = make_lan(env, PARAMS, error_model=error_model)
+    # Spelled out for both: BlastTransfer's own default, which a bare
+    # MachineTransfer does not fill in.
+    transfer = transfer_class(env, sender, receiver, bytes(256 * 1024),
+                              strategy=strategy,
+                              reliable_retry_s=t_single_exchange(PARAMS),
+                              **options)
+    env.run(transfer.launch())
+    return transfer.result()
+
+
+class TestWhyTheLoopStays:
+    """ROADMAP item 6 asked for A2 as ``credit=`` and the loop deleted.
+    A credited blast *is* the loop while nothing is lost, and is not once
+    something is: its report restarts the strategy's working set over the
+    whole body, the loop's over one blast."""
+
+    @pytest.mark.parametrize("packets", [16, 64])
+    @pytest.mark.parametrize("strategy", ["full_nak", "gobackn", "selective"])
+    def test_error_free_a_credited_blast_is_the_loop(self, strategy, packets):
+        credited = run_large(CreditedBlast, strategy, credit=packets)
+        loop = run_large(MultiBlastTransfer, strategy, blast_packets=packets)
+        assert credited.elapsed_s == loop.elapsed_s
+        # Every counter but ``rounds``: a returned credit is not a round.
+        assert astuple(credited.stats)[:4] == astuple(loop.stats)[:4]
+        assert (credited.stats.rounds, loop.stats.rounds) == (1, 256 // packets)
+
+    def test_the_timer_only_strategy_cannot_return_credit(self):
+        # Its receiver is silent until the body is whole, so the second
+        # burst never opens: PullMachine advertises no credit for it.
+        with pytest.raises(RuntimeError, match="gave up"):
+            run_large(CreditedBlast, "full_no_nak", credit=16, max_rounds=3)
+        assert run_large(MultiBlastTransfer, "full_no_nak",
+                         blast_packets=16).data_intact
+
+    def test_one_late_loss_under_full_nak_resends_the_body_not_the_blast(self):
+        def late_loss():
+            return ScriptedErrors(FaultPlan(
+                name="late-loss", description="packet 200 of 256, once",
+                rules=(FaultRule(action="drop", kinds=("data",),
+                                 direction="send", indices=(200,)),)), seed=0)
+
+        credited = run_large(CreditedBlast, "full_nak", late_loss(), credit=16)
+        loop = run_large(MultiBlastTransfer, "full_nak", late_loss(),
+                         blast_packets=16)
+        assert credited.data_intact and loop.data_intact
+        assert loop.stats.data_frames_sent == 256 + 16
+        assert credited.stats.data_frames_sent >= 1.5 * loop.stats.data_frames_sent

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, rule_registry, run_lint
+from repro.lint import all_rules, run_lint
 
 from .conftest import FIXTURES, rule_ids
 
@@ -35,8 +35,7 @@ def test_good_fixture_is_clean(rule_id):
 
 @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
 def test_violations_carry_rule_metadata(rule_id):
-    registry = rule_registry()
-    rule = registry[rule_id]
+    rule = {rule.id: rule for rule in all_rules()}[rule_id]
     assert rule.severity in ("error", "warning")
     assert rule.title and rule.fix_hint
     result = run_lint([FIXTURES / rule_id.lower() / "bad"])

@@ -75,13 +75,6 @@ class TestStore:
         cache.put("trials", config, {"ok": True})
         assert cache.get("trials", config) == {"ok": True}
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        cache.put("trials", {"seed": 0}, {"ok": True})
-        assert (tmp_path / "c").exists()
-        cache.clear()
-        assert not (tmp_path / "c").exists()
-
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "from_env"))
         cache = ResultCache()

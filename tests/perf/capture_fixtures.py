@@ -7,7 +7,9 @@ optimized fast path must reproduce byte-for-byte:
     PYTHONPATH=src python tests/perf/capture_fixtures.py
 
 The outputs are committed under ``tests/perf/fixtures/``; re-running
-against an equivalent kernel must be a no-op diff.
+against an equivalent kernel must be a no-op diff.  The same run writes
+the structure ledger ``benchmarks/results/perf_structure.txt``
+(``repro.perf.structure``): one regenerate path for both digest files.
 
 The ``scenario:*`` digests (``workloads.contention_digests``) were added
 in PR 17 and recorded the same way from the then-unmodified PR 16 kernel
@@ -33,9 +35,12 @@ from __future__ import annotations
 import json
 import os
 
-from repro.perf import workloads
+from repro.perf import render_ledger, structure_rows, workloads
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(HERE, "fixtures")
+LEDGER = os.path.join(HERE, "..", "..", "benchmarks", "results",
+                      "perf_structure.txt")
 
 
 def main() -> None:
@@ -65,6 +70,10 @@ def main() -> None:
     for key in sorted(digests):
         print(f"{key}: {digests[key]}")
     print(f"wrote fixtures to {FIXTURES}")
+
+    with open(LEDGER, "w", encoding="utf-8") as handle:
+        handle.write(render_ledger(structure_rows()))
+    print(f"wrote {os.path.normpath(LEDGER)}")
 
 
 if __name__ == "__main__":

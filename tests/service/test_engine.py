@@ -82,6 +82,30 @@ class TestControlProtocol:
         too_big = core.config.max_size_bytes + 1
         assert reply_body(core.on_frame(pull_frame(1, too_big), 0.0))["status"] == "error"
 
+    @pytest.mark.parametrize("field, reason", [
+        ("stream", "bad stream id"), ("size", "bad size"),
+        ("credit", "bad credit")])
+    def test_a_json_boolean_is_not_an_integer(self, field, reason):
+        body = {"op": "pull", "stream": 1, "size": 2048, "credit": 4,
+                field: True}
+        frame = ControlFrame(transfer_id=0, request_id=1,
+                             body=json.dumps(body).encode())
+        core = ServiceCore()
+        reply = reply_body(core.on_frame(frame, 0.0, client="c"))
+        assert (reply["status"], reason) == ("error", reply["reason"])
+        assert core.active_count == 0
+        assert not any(value is True for cached in core._responses.values()
+                       for value in cached.values())
+
+    def test_a_boolean_pull_is_not_replayed_to_an_honest_stream_one(self):
+        core = ServiceCore()
+        forged = ControlFrame(transfer_id=0, request_id=1, body=json.dumps(
+            {"op": "pull", "stream": True, "size": True}).encode())
+        core.on_frame(forged, 0.0, client="mallory")
+        honest = reply_body(core.on_frame(pull_frame(1, 2048), 0.1, client="c"))
+        assert honest == {"status": "ok", "stream": 1, "size": 2048,
+                          "packets": 2, "seed": core.config.seed}
+
     def test_unknown_op_gets_error_reply(self):
         frame = ControlFrame(transfer_id=0, request_id=9,
                              body=json.dumps({"op": "push"}).encode())

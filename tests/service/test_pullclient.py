@@ -117,6 +117,8 @@ class TestPulling:
         b'{"status": "ok", "seed": 7}',              # no packet count
         b'{"status": "ok", "seed": 7, "packets": "4"}',
         b'{"status": "ok", "seed": 7, "packets": 0}',
+        b'{"status": "ok", "seed": true, "packets": 4}',   # a JSON true is
+        b'{"status": "ok", "seed": 7, "packets": true}',   # no integer
         b'{"status": "ok", "seed": 7, "packets": 1000000}',  # of 4096 bytes?
         b'{"status": "ok", "seed": 7, "packets": 4, "protocol": "smoke-signals"}',
         b'{"status": "ok", "seed": 7, "packets": 4, "protocol": []}',

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import EmptySchedule, Environment, Event
 
 
 class TestClock:
@@ -64,7 +64,7 @@ class TestRunUntilEvent:
 
     def test_until_event_never_fires_raises(self):
         env = Environment()
-        orphan = env.event()
+        orphan = Event(env)
         env.timeout(1)
         with pytest.raises(RuntimeError, match="exhausted"):
             env.run(orphan)
@@ -83,19 +83,13 @@ class TestRunUntilEvent:
 class TestFailurePropagation:
     def test_unhandled_failed_event_raises(self):
         env = Environment()
-        env.event().fail(ValueError("unhandled"))
+        Event(env).fail(ValueError("unhandled"))
         with pytest.raises(ValueError, match="unhandled"):
             env.run()
 
-    def test_defused_failure_is_silent(self):
-        env = Environment()
-        bad = env.event().fail(ValueError("defused"))
-        bad.defuse()
-        env.run()  # does not raise
-
     def test_handled_failure_in_process_is_silent(self):
         env = Environment()
-        bad = env.event()
+        bad = Event(env)
 
         def waiter():
             try:

@@ -1,8 +1,8 @@
-"""Unit tests for generator-based processes and interrupts."""
+"""Unit tests for generator-based processes."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Event
 
 
 @pytest.fixture()
@@ -30,9 +30,9 @@ class TestProcessBasics:
             yield env.timeout(1)
 
         proc = env.process(worker())
-        assert proc.is_alive
+        assert not proc.triggered
         env.run()
-        assert not proc.is_alive
+        assert proc.triggered
 
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
@@ -86,7 +86,7 @@ class TestProcessBasics:
         ]
 
     def test_yield_already_processed_event_resumes_immediately(self, env):
-        done = env.event().succeed("early")
+        done = Event(env).succeed("early")
         env.run()
 
         def waiter():
@@ -95,87 +95,3 @@ class TestProcessBasics:
 
         proc = env.process(waiter())
         assert env.run(proc) == ("early", 0)
-
-    def test_active_process_tracked(self, env):
-        observed = []
-
-        def worker():
-            observed.append(env.active_process)
-            yield env.timeout(0)
-
-        proc = env.process(worker())
-        env.run()
-        assert observed == [proc]
-        assert env.active_process is None
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, env):
-        def victim():
-            try:
-                yield env.timeout(100)
-            except Interrupt as exc:
-                return ("interrupted", exc.cause, env.now)
-            return "finished"
-
-        def attacker(proc):
-            yield env.timeout(5)
-            proc.interrupt("timeout expired")
-
-        victim_proc = env.process(victim())
-        env.process(attacker(victim_proc))
-        assert env.run(victim_proc) == ("interrupted", "timeout expired", 5)
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        proc = env.process(quick())
-        env.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def worker():
-            with pytest.raises(RuntimeError):
-                env.active_process.interrupt()
-            yield env.timeout(0)
-
-        proc = env.process(worker())
-        env.run(proc)
-
-    def test_uncaught_interrupt_fails_process(self, env):
-        def victim():
-            yield env.timeout(100)
-
-        def attacker(proc):
-            yield env.timeout(1)
-            proc.interrupt("bang")
-
-        victim_proc = env.process(victim())
-        env.process(attacker(victim_proc))
-        with pytest.raises(Interrupt):
-            env.run()
-        assert not victim_proc.ok
-
-    def test_process_can_resume_waiting_after_interrupt(self, env):
-        """The protocol engines retry their waits after a timeout interrupt."""
-
-        def victim():
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    yield env.timeout(10)
-                    return (attempts, env.now)
-                except Interrupt:
-                    continue
-
-        def attacker(proc):
-            yield env.timeout(4)
-            proc.interrupt()
-
-        victim_proc = env.process(victim())
-        env.process(attacker(victim_proc))
-        # Interrupted at t=4, restarts its 10-unit wait, completes at t=14.
-        assert env.run(victim_proc) == (2, 14)

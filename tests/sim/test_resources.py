@@ -105,7 +105,6 @@ class TestResource:
         res.request()
         assert res.count == 1
         assert res.queued == 2
-        assert res.capacity == 1
 
 
 class TestTakenOnTheSpot:

@@ -102,13 +102,6 @@ class TestTraceRecorder:
         trace.record(Activity.TRANSMIT, "s", 1.0, 2.0)  # wire, not CPU
         assert trace.busy_time("s") == pytest.approx(1.5)
 
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.record(Activity.DROP, "r", 1.0, 1.0)
-        trace.clear()
-        assert trace.spans == []
-        assert trace.end_time == 0.0
-
     def test_drops_query(self):
         trace = TraceRecorder()
         trace.record(Activity.DROP, "r", 1.0, 1.0, note="channel loss")
