@@ -16,7 +16,7 @@ Packages
 ``repro.vkernel``    V-kernel-style IPC with MoveTo/MoveFrom
 ``repro.udpnet``     real UDP/loopback implementation of the protocols
 ``repro.workloads``  transfer-size and trace generators
-``repro.parallel``   sharded experiment pool, batched samplers, result cache
+``repro.parallel``   sharded experiment pool (worker-count-independent seeds)
 ``repro.bench``      experiment harness regenerating every table/figure
 """
 
@@ -32,11 +32,10 @@ from .core import (
     run_many,
     run_transfer,
 )
+from .parallel import ExperimentPool
 from .simnet import BernoulliErrors, NetworkParams, TraceRecorder, make_lan
 
 __version__ = "1.0.0"
-
-from .parallel import ExperimentPool, ResultCache  # noqa: E402
 
 __all__ = [
     "run_transfer",
@@ -54,6 +53,5 @@ __all__ = [
     "TraceRecorder",
     "make_lan",
     "ExperimentPool",
-    "ResultCache",
     "__version__",
 ]

@@ -28,7 +28,6 @@ Strategy mechanics follow the paper exactly:
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import statistics
 from dataclasses import dataclass
@@ -301,8 +300,6 @@ def run_trials(
     t_retry_last: Optional[float] = None,
     cumulative: bool = False,
     n_jobs: int = 1,
-    cache=None,
-    fast: bool = False,
     shard_size: Optional[int] = None,
 ) -> TrialSummary:
     """Run ``n_trials`` independent transfers and summarise.
@@ -314,36 +311,11 @@ def run_trials(
     byte-identical for every ``n_jobs`` (``1`` executes the shards
     sequentially in-process; ``N`` fans them over a process pool;
     ``-1`` uses every CPU).
-
-    ``fast=True`` opts into the batched samplers of
-    :mod:`repro.parallel.batched` for the strategies that support them
-    (``full_no_nak``, ``full_nak``, ``saw``) — same distributions, a
-    different (still deterministic) random stream.  ``cache`` accepts a
-    :class:`repro.parallel.cache.ResultCache`; the key covers every
-    result-affecting parameter (not ``n_jobs``, which cannot change the
-    result).
     """
     from ..parallel.pool import DEFAULT_TRIAL_SHARD_SIZE, ExperimentPool
 
     if shard_size is None:
         shard_size = DEFAULT_TRIAL_SHARD_SIZE
-    if cache is not None:
-        config = {
-            "strategy": strategy,
-            "d_packets": d_packets,
-            "p_n": p_n,
-            "n_trials": n_trials,
-            "t_retry": t_retry,
-            "params": params,
-            "seed": seed,
-            "t_retry_last": t_retry_last,
-            "cumulative": cumulative,
-            "fast": fast,
-            "shard_size": shard_size,
-        }
-        hit = cache.get("trials", config)
-        if hit is not None:
-            return TrialSummary(**hit)
     samples = ExperimentPool(n_jobs).map_trials(
         strategy,
         d_packets,
@@ -354,10 +326,6 @@ def run_trials(
         seed=seed,
         t_retry_last=t_retry_last,
         cumulative=cumulative,
-        fast=fast,
         shard_size=shard_size,
     )
-    summary = TrialSummary.from_samples(samples)
-    if cache is not None:
-        cache.put("trials", config, dataclasses.asdict(summary))
-    return summary
+    return TrialSummary.from_samples(samples)

@@ -303,11 +303,6 @@ def figure5_expected_time(
     pn_values: Sequence[float] = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1),
     d_packets: int = 64,
     params: Optional[NetworkParams] = None,
-    mc_check: bool = False,
-    n_trials: int = 4000,
-    seed: int = 0,
-    n_jobs: int = 1,
-    cache=None,
 ) -> ExperimentSeries:
     """Expected 64 KB transfer time vs loss rate (paper Figure 5).
 
@@ -315,12 +310,6 @@ def figure5_expected_time(
     100x T0(1); blast (full retransmission) with T_r = T0(D) and
     10x T0(D).  Parameters are the kernel-level anchors (T0(1) = 5.9 ms,
     T0(64) = 173 ms).
-
-    ``mc_check=True`` adds a Monte Carlo companion series per curve
-    (``n_trials`` batched trials per grid point, fanned over ``n_jobs``
-    workers, summaries optionally served from ``cache``) — the
-    simulation cross-check of the closed forms.  The Monte Carlo values
-    are byte-identical for every ``n_jobs``.
     """
     params = params if params is not None else NetworkParams.vkernel()
     t0_1 = t_single_exchange(params)
@@ -351,29 +340,6 @@ def figure5_expected_time(
         "blast Tr=10xT0(D)",
         [expected_time_blast(d_packets, t0_d, 10 * t0_d, pn) * 1e3 for pn in pn_values],
     )
-    if mc_check:
-        mc_curves = (
-            ("SAW Tr=10xT0(1) MC", "saw", 10 * t0_1),
-            ("SAW Tr=100xT0(1) MC", "saw", 100 * t0_1),
-            ("blast Tr=T0(D) MC", "full_no_nak", t0_d),
-            ("blast Tr=10xT0(D) MC", "full_no_nak", 10 * t0_d),
-        )
-        for label, strategy, tr in mc_curves:
-            series.add_series(
-                label,
-                [
-                    run_trials(
-                        strategy, d_packets, pn, n_trials=n_trials, t_retry=tr,
-                        params=params, seed=seed, fast=True, n_jobs=n_jobs,
-                        cache=cache,
-                    ).mean_s * 1e3
-                    for pn in pn_values
-                ],
-            )
-        series.notes.append(
-            f"MC companions: {n_trials} batched trials per point "
-            "(full retransmission, no NAK, for the blast curves)"
-        )
     return series
 
 
@@ -388,14 +354,13 @@ def figure6_stddev(
     n_trials: int = 4000,
     seed: int = 0,
     n_jobs: int = 1,
-    cache=None,
 ) -> ExperimentSeries:
     """Standard deviation of a 64 KB MoveTo vs loss rate (paper Figure 6).
 
     Closed forms for the full-retransmission strategies, Monte Carlo for
     partial (go-back-n) and selective — the same split the paper used.
     The Monte Carlo points fan over ``n_jobs`` workers (identical output
-    for any worker count) and can be served from a ``cache``.
+    for any worker count).
     """
     params = params if params is not None else NetworkParams.vkernel()
     t0_d = t_blast(d_packets, params)
@@ -424,7 +389,7 @@ def figure6_stddev(
         for pn in pn_values:
             summary = run_trials(
                 strategy, d_packets, pn, n_trials=n_trials, t_retry=tr,
-                params=params, seed=seed, n_jobs=n_jobs, cache=cache,
+                params=params, seed=seed, n_jobs=n_jobs,
             )
             sigmas.append(summary.std_s * 1e3)
         series.add_series(label, sigmas)

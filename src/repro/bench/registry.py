@@ -40,30 +40,12 @@ EXPERIMENTS: Dict[str, Callable[[], Artifact]] = {
 }
 
 
-def _experiment_kwargs(func: Callable, n_jobs: int, cache) -> Dict[str, object]:
-    """Keep only the engine kwargs ``func`` actually accepts.
-
-    Closed-form experiments (the tables, figure 1/3) take neither; the
-    Monte Carlo figures take both.  Inspecting the signature keeps the
-    registry oblivious to which is which.
-    """
-    accepted = inspect.signature(func).parameters
-    kwargs: Dict[str, object] = {}
-    if "n_jobs" in accepted:
-        kwargs["n_jobs"] = n_jobs
-    if "cache" in accepted:
-        kwargs["cache"] = cache
-    return kwargs
-
-
-def render_experiment(
-    experiment_id: str, n_jobs: int = 1, cache=None
-) -> str:
+def render_experiment(experiment_id: str, n_jobs: int = 1) -> str:
     """Regenerate one experiment and render it as text.
 
-    ``n_jobs`` / ``cache`` are forwarded to experiments whose functions
-    accept them (the Monte Carlo ones); results are identical for every
-    worker count.
+    ``n_jobs`` is forwarded to the experiments that accept it (the Monte
+    Carlo ones; the closed-form tables and figures do not); results are
+    identical for every worker count.
     """
     if experiment_id not in EXPERIMENTS:
         raise ValueError(
@@ -71,7 +53,10 @@ def render_experiment(
             f"choose from {sorted(EXPERIMENTS)}"
         )
     func = EXPERIMENTS[experiment_id]
-    artifact = func(**_experiment_kwargs(func, n_jobs, cache))
+    if "n_jobs" in inspect.signature(func).parameters:
+        artifact = func(n_jobs=n_jobs)
+    else:
+        artifact = func()
     if isinstance(artifact, str):
         return artifact
     text = artifact.render()
@@ -83,17 +68,13 @@ def render_experiment(
     return text
 
 
-def regenerate_all(
-    out_dir: Union[str, Path], n_jobs: int = 1, cache=None
-) -> Dict[str, Path]:
+def regenerate_all(out_dir: Union[str, Path], n_jobs: int = 1) -> Dict[str, Path]:
     """Regenerate every experiment into ``out_dir``; returns id -> path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
     for experiment_id in EXPERIMENTS:
         path = out / f"{experiment_id}.txt"
-        path.write_text(
-            render_experiment(experiment_id, n_jobs=n_jobs, cache=cache) + "\n"
-        )
+        path.write_text(render_experiment(experiment_id, n_jobs=n_jobs) + "\n")
         written[experiment_id] = path
     return written

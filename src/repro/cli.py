@@ -28,7 +28,6 @@ Examples
     python -m repro udp recv --port 47000
     python -m repro udp send 127.0.0.1:47000 --size 65536 --loss 0.05
     python -m repro regen --jobs 4
-    python -m repro regen --no-cache
     python -m repro moveto --size 65536 --error-p 1e-4
     python -m repro lint src benchmarks --format json
     python -m repro --jobs 4 faults
@@ -86,6 +85,42 @@ def _params(name: str):
         "dbuf": lambda: NetworkParams.standalone().with_double_buffering(),
     }
     return factories[name]()
+
+
+_CONGESTION_HELP_TUNER = (
+    "congestion controller (default: fixed; 'auto' adds the "
+    "per-transfer tuner)"
+)
+
+
+def _add_service_options(sub, congestion_help: str) -> None:
+    """``--protocol --policy --congestion`` of serve, cluster and loadgen."""
+    sub.add_argument(
+        "--protocol", choices=["blast", "sliding", "saw"], default="blast"
+    )
+    sub.add_argument(
+        "--policy", choices=["fifo", "rr", "copy-budget", "auto"],
+        default="fifo",
+        help="scheduler policy; 'auto' keeps fifo scheduling and turns "
+             "on the per-transfer protocol auto-tuner",
+    )
+    sub.add_argument(
+        "--congestion", choices=["fixed", "reno", "auto"], default=None,
+        help=congestion_help,
+    )
+
+
+def _add_server_options(sub) -> None:
+    """The ``ServiceConfig`` knobs of the commands that start a server."""
+    sub.add_argument("--max-active", type=int, default=8)
+    sub.add_argument("--max-queue", type=int, default=64)
+    sub.add_argument("--window", type=int, default=4)
+    sub.add_argument("--seed", type=int, default=7)
+
+
+def _add_fault_options(sub, plan_help: str) -> None:
+    sub.add_argument("--fault-plan", metavar="NAME", help=plan_help)
+    sub.add_argument("--fault-seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     regen.add_argument(
         "--jobs", type=int, default=None, dest="regen_jobs", metavar="N",
         help="worker processes (overrides the global --jobs)",
-    )
-    regen.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute everything; skip the on-disk result cache",
     )
 
     lint = sub.add_parser(
@@ -231,24 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
-    serve.add_argument(
-        "--protocol", choices=["blast", "sliding", "saw"], default="blast"
-    )
-    serve.add_argument(
-        "--policy", choices=["fifo", "rr", "copy-budget", "auto"],
-        default="fifo",
-        help="scheduler policy; 'auto' keeps fifo scheduling and turns "
-             "on the per-transfer protocol auto-tuner",
-    )
-    serve.add_argument(
-        "--congestion", choices=["fixed", "reno", "auto"], default=None,
-        help="congestion controller (default: fixed; 'auto' adds the "
-             "per-transfer tuner)",
-    )
-    serve.add_argument("--max-active", type=int, default=8)
-    serve.add_argument("--max-queue", type=int, default=64)
-    serve.add_argument("--window", type=int, default=4)
-    serve.add_argument("--seed", type=int, default=7)
+    _add_service_options(serve, _CONGESTION_HELP_TUNER)
+    _add_server_options(serve)
     serve.add_argument(
         "--once", type=int, metavar="N",
         help="exit after N transfers have settled",
@@ -261,11 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", choices=["json", "table", "none"], default="table",
         help="metrics report printed on exit (default: table)",
     )
-    serve.add_argument(
-        "--fault-plan", metavar="NAME",
-        help="inject a builtin fault plan at the server socket",
+    _add_fault_options(
+        serve, "inject a builtin fault plan at the server socket"
     )
-    serve.add_argument("--fault-seed", type=int, default=None)
 
     cluster = sub.add_parser(
         "cluster", help="sharded multi-process service cluster"
@@ -285,29 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--size", type=_parse_size, default=4096,
                         help="udp mode: per-transfer bytes")
-    cluster.add_argument(
-        "--protocol", choices=["blast", "sliding", "saw"], default="blast"
+    _add_service_options(cluster, "congestion controller (default: fixed)")
+    _add_server_options(cluster)
+    _add_fault_options(
+        cluster,
+        "replay a builtin fault plan at every worker socket "
+        "(per-shard mixed seeds)",
     )
-    cluster.add_argument(
-        "--policy", choices=["fifo", "rr", "copy-budget", "auto"],
-        default="fifo",
-        help="scheduler policy; 'auto' keeps fifo scheduling and turns "
-             "on the per-transfer protocol auto-tuner",
-    )
-    cluster.add_argument(
-        "--congestion", choices=["fixed", "reno", "auto"], default=None,
-        help="congestion controller (default: fixed)",
-    )
-    cluster.add_argument("--max-active", type=int, default=8)
-    cluster.add_argument("--max-queue", type=int, default=64)
-    cluster.add_argument("--window", type=int, default=4)
-    cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument(
-        "--fault-plan", metavar="NAME",
-        help="replay a builtin fault plan at every worker socket "
-             "(per-shard mixed seeds)",
-    )
-    cluster.add_argument("--fault-seed", type=int, default=None)
     cluster.add_argument(
         "--duration", type=float, default=30.0, metavar="SECONDS",
         help="udp mode: worker serve bound (hard timeout)",
@@ -362,20 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--span", type=float, default=1.0,
                          help="des mode: arrival window (seconds)")
-    loadgen.add_argument(
-        "--protocol", choices=["blast", "sliding", "saw"], default="blast"
-    )
-    loadgen.add_argument(
-        "--policy", choices=["fifo", "rr", "copy-budget", "auto"],
-        default="fifo",
-        help="scheduler policy; 'auto' keeps fifo scheduling and turns "
-             "on the per-transfer protocol auto-tuner",
-    )
-    loadgen.add_argument(
-        "--congestion", choices=["fixed", "reno", "auto"], default=None,
-        help="congestion controller (default: fixed; 'auto' adds the "
-             "per-transfer tuner)",
-    )
+    _add_service_options(loadgen, _CONGESTION_HELP_TUNER)
     loadgen.add_argument("--workload-seed", type=int, default=0)
     loadgen.add_argument(
         "--report", choices=["json", "table", "none"], default="table"
@@ -459,7 +443,7 @@ def _cmd_figure(args) -> int:
         5: figure5_expected_time,
         6: figure6_stddev,
     }[args.number]
-    kwargs = {"n_jobs": args.jobs} if args.number in (5, 6) else {}
+    kwargs = {"n_jobs": args.jobs} if args.number == 6 else {}
     artifact = func(**kwargs)
     print(artifact.render())
     return 0
@@ -521,18 +505,12 @@ def _cmd_udp(args) -> int:
 
 def _cmd_regen(args) -> int:
     from .bench import regenerate_all
-    from .parallel import ResultCache
 
     n_jobs = args.regen_jobs if args.regen_jobs is not None else args.jobs
-    cache = None if args.no_cache else ResultCache()
-    written = regenerate_all(args.out, n_jobs=n_jobs, cache=cache)
+    written = regenerate_all(args.out, n_jobs=n_jobs)
     for experiment_id, path in sorted(written.items()):
         print(f"wrote {path}")
     print(f"{len(written)} artifacts regenerated")
-    if cache is not None:
-        stats = cache.stats
-        print(f"cache: {stats.hits} hits, {stats.misses} misses "
-              f"({cache.root})")
     return 0
 
 

@@ -121,7 +121,6 @@ def run_many(
     params: Optional[NetworkParams] = None,
     seed: int = 0,
     n_jobs: int = 1,
-    cache=None,
     **transfer_kwargs,
 ) -> RunSummary:
     """Repeat a transfer ``n_runs`` times under Bernoulli loss ``error_p``.
@@ -133,26 +132,11 @@ def run_many(
     result sequences.  (The old ``seed * 1_000_003 + i`` derivation
     collided across nearby root seeds, e.g. ``(0, 1_000_003)`` and
     ``(1, 0)``.)
-
-    ``cache`` accepts a :class:`repro.parallel.cache.ResultCache`.
     """
     from ..parallel.pool import ExperimentPool
 
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if cache is not None:
-        config = {
-            "protocol": protocol,
-            "data": data,
-            "error_p": error_p,
-            "n_runs": n_runs,
-            "params": params,
-            "seed": seed,
-            "transfer_kwargs": {k: repr(v) for k, v in sorted(transfer_kwargs.items())},
-        }
-        hit = cache.get("runs", config)
-        if hit is not None:
-            return RunSummary(**hit)
     results: List[TransferResult] = ExperimentPool(n_jobs).map_transfers(
         protocol,
         data,
@@ -162,9 +146,4 @@ def run_many(
         seed=seed,
         **transfer_kwargs,
     )
-    summary = RunSummary.from_results(results)
-    if cache is not None:
-        import dataclasses
-
-        cache.put("runs", config, dataclasses.asdict(summary))
-    return summary
+    return RunSummary.from_results(results)

@@ -13,13 +13,16 @@ datagrams.  Held datagrams live in bounded queues:
 - a **reorder list** per direction, where each held datagram carries a
   countdown of how many later datagrams must overtake it.
 
-Reorder-held incoming datagrams are force-flushed when a receive
-deadline expires, so a bounded plan can never wedge a transport: every
-held datagram is eventually delivered or the caller times out holding
-it in hand.  Frames are classified with :func:`repro.core.wire.peek`
-(no CRC check — a frame this very socket corrupted must still be
-classifiable), and plan time windows run on seconds since the wrapper
-was created.
+The receive side never blocks (:meth:`FaultySocket.recv_ready_into`, the
+entry point of :class:`~repro.service.iobatch.DatagramBatchIO`): the
+waiting loop above it bounds its wait by :meth:`~FaultySocket
+.next_held_due` and force-flushes reorder-held incoming datagrams
+(:meth:`~FaultySocket.flush_recv_held`) when its deadline expires, so a
+bounded plan can never wedge a transport: every held datagram is
+eventually delivered or the caller times out holding it in hand.
+Frames are classified with :func:`repro.core.wire.peek` (no CRC check —
+a frame this very socket corrupted must still be classifiable), and
+plan time windows run on seconds since the wrapper was created.
 
 ``datagrams_dropped`` keeps its historical meaning — send-side drops —
 while the receive side gets its own ledger (``datagrams_received``,
@@ -45,9 +48,9 @@ __all__ = ["FaultySocket", "RECV_BUFFER_BYTES"]
 _KIND_NAMES = {1: "data", 2: "ack", 3: "nak", 4: "control"}
 
 #: Bytes per reusable receive buffer — covers any datagram UDP can
-#: deliver.  Re-exported by :mod:`repro.udpnet.endpoints` so every layer
-#: (endpoint fast path, this wrapper's scratch buffer, the service
-#: batch-I/O ring) sizes its buffers identically.
+#: deliver.  Re-exported by :mod:`repro.udpnet.endpoints` so this
+#: wrapper's scratch buffer and the batch-I/O arenas are sized
+#: identically.
 RECV_BUFFER_BYTES = 65536
 
 
@@ -88,9 +91,6 @@ class _HeldQueue:
         self._delayed: List[Tuple[float, int, bytes, object]] = []
         self._reordered: List[List[object]] = []  # [countdown, data, addr]
         self._tiebreak = 0
-
-    def __len__(self) -> int:
-        return len(self._delayed) + len(self._reordered)
 
     def hold_delayed(self, due: float, data: bytes, addr: object) -> None:
         heapq.heappush(self._delayed, (due, self._tiebreak, data, addr))
@@ -148,9 +148,7 @@ class FaultySocket:
     seed:
         Root seed for the plan's stochastic rules.
 
-    Only the methods the transports use are wrapped; the receive path
-    implements its own timeout loop so held datagrams can be released
-    while the caller waits.
+    Only the methods the batch layer uses are wrapped.
     """
 
     def __init__(
@@ -169,13 +167,11 @@ class FaultySocket:
             if plan is not None
             else None
         )
-        self._timeout: Optional[float] = None
         self._send_held = _HeldQueue()
         self._recv_held = _HeldQueue()
         self._ready: List[Tuple[bytes, object]] = []
-        # Reusable kernel-receive buffer: every receive path (including
-        # the plan slow path) lands kernel bytes here first, so no code
-        # path asks the kernel to allocate a fresh datagram string.
+        # Reusable kernel-receive buffer: under a plan, kernel bytes
+        # land here first and are copied only when they must be owned.
         self._scratch = bytearray(RECV_BUFFER_BYTES)
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
@@ -248,114 +244,16 @@ class FaultySocket:
             self._sock.sendto(held, held_addr)
 
     # -- receive path -------------------------------------------------------
-    def recvfrom(self, bufsize: int):
-        """Receive one datagram, honouring the stored timeout.
-
-        Plan decisions apply to *incoming* traffic here; held datagrams
-        are released while waiting, and reorder-holds are force-flushed
-        when the deadline expires so bounded plans cannot lose data.
-        """
-        self._release_send_held()
-        deadline = (
-            None if self._timeout is None else time.monotonic() + self._timeout
-        )
-        while True:
-            now = time.monotonic()
-            self._ready.extend(self._recv_held.due(now))
-            if self._ready:
-                return self._pop_ready()
-            wait: Optional[float] = None
-            if deadline is not None:
-                wait = deadline - now
-                if wait <= 0:
-                    flushed = self._recv_held.flush()
-                    if flushed:
-                        self._ready.extend(flushed)
-                        return self._pop_ready()
-                    raise _socket.timeout("timed out")
-            next_due = self._recv_held.next_due()
-            if next_due is not None:
-                slice_s = max(next_due - now, 0.0)
-                wait = slice_s if wait is None else min(wait, slice_s)
-            self._sock.settimeout(wait)
-            try:
-                # Kernel bytes land in the reusable scratch buffer (no
-                # kernel-side allocation); held-queue bookkeeping needs
-                # an owned copy, taken exactly once here.
-                count, sender = self._sock.recvfrom_into(
-                    self._scratch, min(bufsize, RECV_BUFFER_BYTES)
-                )
-            except (_socket.timeout, BlockingIOError, InterruptedError):
-                continue  # release held traffic / re-check the deadline
-            datagram = bytes(memoryview(self._scratch)[:count])
-            self.datagrams_received += 1
-            if self.executor is None:
-                return datagram, sender
-            decision = self._decide(datagram, "recv")
-            if decision.drop:
-                self.recv_dropped += 1
-                continue
-            if decision.corrupt:
-                damaged = _damage(datagram, decision.corrupt_mask, decision.silent)
-                if damaged is None:
-                    damaged = _damage(datagram, decision.corrupt_mask, silent=False)
-                if damaged is not None:
-                    datagram = damaged
-            if decision.reorder_depth:
-                self._recv_held.hold_reordered(
-                    decision.reorder_depth, datagram, sender
-                )
-                continue
-            if decision.delay_s:
-                self._recv_held.hold_delayed(
-                    time.monotonic() + decision.delay_s, datagram, sender
-                )
-                continue
-            self._ready.append((datagram, sender))
-            for _ in range(decision.duplicates):
-                self._ready.append((datagram, sender))
-            return self._pop_ready()
-
-    def _pop_ready(self):
-        datagram, sender = self._ready.pop(0)
-        self._ready.extend(self._recv_held.overtaken())
-        return datagram, sender
-
-    def recvfrom_into(self, buffer, nbytes: int = 0):
-        """Receive one datagram into ``buffer``; returns ``(count, sender)``.
-
-        With no plan and nothing held this delegates straight to the
-        kernel's ``recvfrom_into`` — zero allocation per datagram, the
-        endpoint receive-loop fast path.  A plan (or held/ready traffic)
-        falls back to :meth:`recvfrom`, whose queue bookkeeping needs
-        owned byte strings, and copies the result in.
-        """
-        if (
-            self.executor is None
-            and not self._ready
-            and not self._send_held
-            and not self._recv_held
-        ):
-            count, sender = self._sock.recvfrom_into(buffer, nbytes)
-            self.datagrams_received += 1
-            return count, sender
-        datagram, sender = self.recvfrom(nbytes or len(buffer))
-        count = len(datagram)
-        buffer[:count] = datagram
-        return count, sender
-
-    # -- batched (readiness-loop) receive path ------------------------------
     def recv_ready_into(self, buffer):
         """Non-blocking receive into ``buffer``: ``(count, sender)`` or None.
 
-        The readiness-loop entry point (:mod:`repro.service.iobatch`):
-        never blocks, and — unlike a :meth:`recvfrom` deadline expiry —
-        never force-flushes reorder holds, because a zero-wait drain is
-        not a timeout.  The loop owns that policy via
-        :meth:`flush_recv_held`.  Delay-held datagrams whose due time
-        has passed are released first; then kernel datagrams are pulled
-        through the plan until one is deliverable or the kernel queue
-        is empty.  The underlying socket must be non-blocking (or have
+        The one receive entry point (:mod:`repro.service.iobatch`):
+        never blocks and never force-flushes reorder holds, because a
+        zero-wait drain is not a timeout.  The waiting loop owns that
+        policy via :meth:`flush_recv_held`.  Delay-held datagrams whose
+        due time has passed are released first; then kernel datagrams
+        are pulled through the plan until one is deliverable or the
+        kernel queue is empty.  The underlying socket must be non-blocking (or have
         a zero timeout) for the "or None" contract to hold.
         """
         self._release_send_held()
@@ -402,7 +300,7 @@ class FaultySocket:
                 # Deliverable untouched, no copies queued: hand the
                 # scratch bytes straight to the caller's buffer.  The
                 # delivery still counts as one passing datagram for
-                # reorder countdowns, exactly like ``_pop_ready``.
+                # reorder countdowns, exactly like ``_pop_ready_into``.
                 buffer[:count] = view
                 self._ready.extend(self._recv_held.overtaken())
                 return count, sender
@@ -414,7 +312,8 @@ class FaultySocket:
             return self._pop_ready_into(buffer)
 
     def _pop_ready_into(self, buffer):
-        datagram, sender = self._pop_ready()
+        datagram, sender = self._ready.pop(0)
+        self._ready.extend(self._recv_held.overtaken())
         count = len(datagram)
         buffer[:count] = datagram
         return count, sender
@@ -422,10 +321,10 @@ class FaultySocket:
     def flush_recv_held(self) -> int:
         """Force-release every held incoming datagram into the ready queue.
 
-        The readiness loop calls this when *its* receive deadline
-        expires — the same "bounded plans never wedge" guarantee
-        :meth:`recvfrom` applies internally.  Returns the number
-        released; drain them with :meth:`recv_ready_into`.
+        The waiting loop calls this when its receive deadline expires
+        with nothing readable — the "bounded plans never wedge"
+        guarantee.  Returns the number released; drain them with
+        :meth:`recv_ready_into`.
         """
         flushed = self._recv_held.flush()
         self._ready.extend(flushed)
@@ -451,10 +350,6 @@ class FaultySocket:
         return bool(self._ready)
 
     # -- plumbing -----------------------------------------------------------
-    def settimeout(self, timeout: Optional[float]) -> None:
-        self._timeout = timeout
-        self._sock.settimeout(timeout)
-
     def setblocking(self, flag: bool) -> None:
         self._sock.setblocking(flag)
 

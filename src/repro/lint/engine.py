@@ -43,7 +43,7 @@ __all__ = [
 META_RULE_ID = "REP100"
 
 #: Directory names never descended into during file discovery.
-SKIP_DIRS = {"__pycache__", ".git", ".repro_cache", ".venv", "node_modules"}
+SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
 
 _SUPPRESS_RE = re.compile(
     r"#\s*replint:\s*(disable-file|disable)\s*=\s*([A-Za-z0-9_,\s]+)"

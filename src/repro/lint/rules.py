@@ -455,10 +455,10 @@ class EnvReadRule(Rule):
     title = "os.environ read outside the configuration boundary"
     fix_hint = (
         "thread configuration through explicit parameters; os.environ is "
-        "allowed only in parallel/cache.py and cli.py"
+        "allowed only in cli.py"
     )
 
-    _ALLOWED_UNITS = {"parallel/cache.py", "cli.py"}
+    _ALLOWED_UNITS = {"cli.py"}
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.unit in self._ALLOWED_UNITS:
@@ -864,13 +864,14 @@ class SlotsDisciplineRule(Rule):
 # ---------------------------------------------------------------------------
 
 class DirectSocketIORule(Rule):
-    """Every datagram the service sends or receives must flow through
-    :mod:`repro.service.iobatch` — that module owns the preallocated
-    zero-copy buffers, the kernel-queue backpressure policy, and the
-    fault-plan hooks (``recv_ready_into`` and held-datagram release).  A
-    raw ``sock.sendto``/``sock.recvfrom*`` anywhere else in ``service/``
-    silently bypasses all three: that datagram skips the fault plan, so
-    the conformance ledgers no longer describe what the service does.
+    """Every datagram the service or a ``udpnet`` endpoint sends or
+    receives must flow through :mod:`repro.service.iobatch` — that
+    module owns the preallocated zero-copy buffers, the kernel-queue
+    backpressure policy, and the fault-plan hooks (``recv_ready_into``
+    and held-datagram release).  A raw ``sock.sendto``/``sock.recvfrom*``
+    anywhere else in ``service/`` or ``udpnet/`` silently bypasses all
+    three: that datagram skips the fault plan, so the conformance
+    ledgers no longer describe what the transports do.
     """
 
     id = "REP111"
@@ -880,7 +881,7 @@ class DirectSocketIORule(Rule):
     fix_hint = (
         "route datagrams through service/iobatch.py's DatagramBatchIO "
         "(send_frame/send_datagram/recv_batch) so zero-copy buffers and "
-        "fault-plan hooks stay on every service path"
+        "fault-plan hooks stay on every socket path"
     )
 
     _EXEMPT_UNIT = "service/iobatch.py"
@@ -894,7 +895,8 @@ class DirectSocketIORule(Rule):
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_dir("service") or ctx.unit == self._EXEMPT_UNIT:
+        if (not (ctx.in_dir("service") or ctx.in_dir("udpnet"))
+                or ctx.unit == self._EXEMPT_UNIT):
             return
         for node in ast.walk(ctx.tree):
             if (isinstance(node, ast.Call)

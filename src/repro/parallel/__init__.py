@@ -1,36 +1,14 @@
-"""Parallel experiment engine: sharded Monte Carlo, batched RNG fast
-paths, and a keyed result cache.
+"""Parallel experiment engine: deterministic sharding of repeated
+stochastic experiments over a process pool.
 
-Three pieces, usable separately or together:
-
-``repro.parallel.pool``
-    :class:`ExperimentPool` fans experiment *shards* across a process
-    pool with deterministic seed sharding — the same root seed produces
-    byte-identical statistics whether the work runs on 1 worker or 8.
-``repro.parallel.batched``
-    Vectorized Monte Carlo fast paths (geometric / binomial inverse-CDF
-    sampling, stdlib only) for the strategies whose per-packet coin-flip
-    loops dominate sweep time, plus :class:`CoinTape` for exact
-    equivalence testing against the reference simulator.
-``repro.parallel.cache``
-    :class:`ResultCache`, a content-addressed on-disk cache of
-    experiment summaries keyed by the full experiment configuration.
-
-The integration points are ``repro.analysis.run_trials(...)`` and
-``repro.core.run_many(...)``, which grew ``n_jobs=`` / ``cache=`` /
-``fast=`` parameters in this subsystem's PR, and the CLI's global
-``--jobs`` flag.
+:class:`ExperimentPool` fans experiment *shards* across worker
+processes with deterministic seed sharding — the same root seed
+produces byte-identical statistics whether the work runs on 1 worker
+or 8.  The integration points are ``repro.analysis.run_trials(...)`` and
+``repro.core.run_many(...)`` (their ``n_jobs=`` parameter) and the
+CLI's global ``--jobs`` flag.
 """
 
-from .batched import (
-    FAST_STRATEGIES,
-    CoinTape,
-    batched_blast_transfer,
-    batched_saw_transfer,
-    batched_trials,
-    supports_fast,
-)
-from .cache import CACHE_ENV_VAR, DEFAULT_CACHE_DIR, CacheStats, ResultCache
 from .pool import (
     DEFAULT_TRIAL_SHARD_SIZE,
     ExperimentPool,
@@ -45,14 +23,4 @@ __all__ = [
     "resolve_jobs",
     "shard_counts",
     "DEFAULT_TRIAL_SHARD_SIZE",
-    "CoinTape",
-    "FAST_STRATEGIES",
-    "batched_blast_transfer",
-    "batched_saw_transfer",
-    "batched_trials",
-    "supports_fast",
-    "ResultCache",
-    "CacheStats",
-    "DEFAULT_CACHE_DIR",
-    "CACHE_ENV_VAR",
 ]

@@ -97,7 +97,6 @@ def _run_trials_shard(spec: Tuple) -> list:
         params,
         t_retry_last,
         cumulative,
-        fast,
         shard_seed,
         count,
     ) = spec
@@ -106,22 +105,9 @@ def _run_trials_shard(spec: Tuple) -> list:
         simulate_blast_transfer,
         simulate_saw_transfer,
     )
-    from .batched import batched_trials, supports_fast
 
     rng = random.Random(shard_seed)
     cost = RoundCostModel(params)
-    if fast and supports_fast(strategy):
-        return batched_trials(
-            strategy,
-            d_packets,
-            p_n,
-            count,
-            t_retry,
-            cost,
-            rng,
-            t_retry_last=t_retry_last,
-            cumulative=cumulative,
-        )
     samples = []
     for _ in range(count):
         if strategy == "saw":
@@ -231,7 +217,6 @@ class ExperimentPool:
         seed: int = 0,
         t_retry_last: Optional[float] = None,
         cumulative: bool = False,
-        fast: bool = False,
         shard_size: int = DEFAULT_TRIAL_SHARD_SIZE,
     ) -> list:
         """Run ``n_trials`` abstract Monte Carlo transfers, sharded.
@@ -250,7 +235,6 @@ class ExperimentPool:
                 params,
                 t_retry_last,
                 cumulative,
-                fast,
                 mix_seed(seed, k),
                 count,
             )

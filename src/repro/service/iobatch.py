@@ -49,7 +49,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from ..core.wire import encode_into
-from ..udpnet.endpoints import RECV_BUFFER_BYTES
+from ..faults.socket import RECV_BUFFER_BYTES
 
 __all__ = ["DatagramBatchIO", "BATCH_SLOTS", "RECV_BUFFER_BYTES",
            "MAX_RUN_SEGMENTS", "MAX_RUN_BYTES"]

@@ -39,7 +39,6 @@ from ..faults.plan import FaultPlan
 from ..simnet.errors import ErrorModel
 from ..udpnet.endpoints import UdpEndpoint
 from .engine import ServiceConfig, ServiceCore
-from .iobatch import DatagramBatchIO
 
 __all__ = ["UdpTransferService"]
 
@@ -71,9 +70,6 @@ class UdpTransferService(UdpEndpoint):
             reuse_port=reuse_port,
         )
         self.core = ServiceCore(self.config)
-        #: The batch layer of the last :meth:`serve`; its counters are
-        #: the report's ``io`` section.
-        self.io: Optional[DatagramBatchIO] = None
         self._stop = threading.Event()
 
     def stop(self) -> None:
@@ -102,7 +98,7 @@ class UdpTransferService(UdpEndpoint):
         """
         start = time.monotonic()
         core = self.core
-        batch = self.io = DatagramBatchIO(self.sock)
+        batch = self.io
         selector = selectors.DefaultSelector()
         selector.register(batch.fileno(), selectors.EVENT_READ)
         monotonic = time.monotonic
@@ -172,7 +168,8 @@ class UdpTransferService(UdpEndpoint):
         return False
 
     def _io_stats(self) -> Optional[dict]:
-        return None if self.io is None else self.io.stats()
+        """The report's ``io`` section: the batch layer's counters."""
+        return None if self._io is None else self._io.stats()
 
     def report_json(self) -> str:
         return self.core.metrics.to_json(self.config.to_dict(),

@@ -7,7 +7,7 @@ stores.  See DESIGN.md §3 for where it sits in the system.
 """
 
 from .environment import EmptySchedule, Environment
-from .events import AllOf, Condition, Event, StopSimulation, Timeout
+from .events import AllOf, Event, StopSimulation, Timeout
 from .processes import Process
 from .resources import Request, Resource
 from .store import Store, StoreGet, StorePut
@@ -17,7 +17,6 @@ __all__ = [
     "EmptySchedule",
     "Event",
     "Timeout",
-    "Condition",
     "AllOf",
     "StopSimulation",
     "Process",

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "Event",
     "Timeout",
-    "Condition",
     "AllOf",
     "StopSimulation",
     "PENDING",
@@ -190,15 +189,13 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay!r}>"
 
 
-class Condition(Event):
-    """Composite event built from other events (the base of :class:`AllOf`).
+class AllOf(Event):
+    """Composite event that fires when every child event has fired, or
+    immediately if they all already have.
 
-    Triggers as soon as ``evaluate(events, n_triggered)`` returns True, or
-    immediately if it already holds for the events given.  The condition's
-    value is a dict mapping each *triggered* child event to its value, in
-    trigger order.
-
-    If any child fails, the condition fails with the child's exception.
+    Its value is a dict mapping each child event to its value, in the
+    order given.  If any child fails, it fails with the child's
+    exception.
     """
 
     __slots__ = ("_events", "_count")
@@ -219,10 +216,6 @@ class Condition(Event):
             else:
                 event.add_callback(self._check)
 
-    def evaluate(self, events: List[Event], count: int) -> bool:
-        """Decide whether the condition holds; overridden by subclasses."""
-        raise NotImplementedError
-
     def _collect(self) -> dict:
         # Only *processed* events count as "fired" from the condition's
         # point of view: a Timeout is "triggered" from construction (its
@@ -237,14 +230,5 @@ class Condition(Event):
         self._count += 1
         if not event.ok:
             self.fail(event.value)
-        elif self.evaluate(self._events, self._count):
+        elif self._count >= len(self._events):
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when every child event has fired."""
-
-    __slots__ = ()
-
-    def evaluate(self, events: List[Event], count: int) -> bool:
-        return count >= len(events)

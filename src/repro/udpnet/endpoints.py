@@ -1,26 +1,31 @@
 """Shared plumbing for the UDP protocol endpoints.
 
-:class:`UdpEndpoint` owns the socket and the two blocking driver loops
-that carry a substrate-free protocol machine
-(:mod:`repro.service.machines`) over it: the loops supply the clock and
-move frames, the machine makes every protocol decision.  They are
-duck-typed — this module imports no machine — so the service client in
-:mod:`repro.service.udpservice` drives its receiver through the same
-loop the standalone transfers use.  Absolute throughput over loopback
-is bounded by the Python interpreter, so the benches assert protocol
-*orderings*, not megabits (see EXPERIMENTS.md).
+:class:`UdpEndpoint` owns the socket, the one batch layer
+(:class:`~repro.service.iobatch.DatagramBatchIO`) every datagram enters
+and leaves through, and the two blocking driver loops that carry a
+substrate-free protocol machine (:mod:`repro.service.machines`) over
+it: the loops supply the clock and move frames, the machine makes every
+protocol decision.  They are duck-typed — this module imports no
+machine.  The loops only *stage* what they send; the wait
+(:meth:`UdpEndpoint._recv_frame`) flushes before it blocks, so a burst
+crosses the kernel once.  Absolute throughput over loopback is bounded
+by the Python interpreter, so the benches assert protocol *orderings*,
+not megabits (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.wire import WireError, decode, encode
+from ..core.wire import WireError, decode
 from ..faults.plan import FaultPlan
 from ..faults.socket import RECV_BUFFER_BYTES, FaultySocket
+from ..service.iobatch import DatagramBatchIO
 from ..simnet.errors import ErrorModel
 
 __all__ = [
@@ -33,17 +38,19 @@ __all__ = [
 #: Payload bytes per data packet — the paper's 1 KB packets.
 DEFAULT_PACKET_BYTES = 1024
 
-#: A sender burst yields the processor after this many frames.  Loopback
-#: has no wire to pace a blast: the whole burst would leave before a
-#: receiver sharing this process (or this core) runs at all, and the
-#: kernel's default socket queue holds only about 90 one-kilobyte
-#: datagrams, so the tail of every longer burst would be dropped.
+#: A sender burst is flushed, and the processor yielded, after this many
+#: frames.  Loopback has no wire to pace a blast: the whole burst would
+#: leave before a receiver sharing this process (or this core) runs at
+#: all, and the kernel's default socket queue holds only about 90
+#: one-kilobyte datagrams, so the tail of every longer burst would be
+#: dropped.  (It stays until a push handshake can advertise the
+#: receiver's credit, as the pull verdict does: ROADMAP item 3.)
 YIELD_EVERY_FRAMES = 32
 
 # RECV_BUFFER_BYTES is defined in :mod:`repro.faults.socket` (the
-# lowest layer that owns a receive buffer) and re-exported here: the
-# endpoint fast path, FaultySocket's scratch buffer, and the batch-I/O
-# ring in :mod:`repro.service.iobatch` all size their buffers with it.
+# lowest layer that owns a receive buffer) and re-exported here:
+# FaultySocket's scratch buffer and the batch-I/O arenas in
+# :mod:`repro.service.iobatch` size their buffers with it.
 
 
 @dataclass
@@ -96,16 +103,27 @@ class UdpEndpoint:
         raw.bind(bind)
         # A fault-free endpoint talks to the kernel socket directly: the
         # wrapper would add two Python frames and a clock read to every
-        # datagram for nothing.
+        # datagram for nothing, and its plan must see one datagram per
+        # call, which rules out segmented sends and coalesced reads.
         if error_model is None and fault_plan is None:
             self.sock = raw
         else:
             self.sock = FaultySocket(raw, error_model=error_model,
                                      plan=fault_plan, seed=fault_seed)
         self.packet_bytes = packet_bytes
-        # One receive buffer per endpoint, reused by every recvfrom_into
-        # (endpoints are single-threaded receivers).
-        self._recv_buffer = bytearray(RECV_BUFFER_BYTES)
+        self._io: Optional[DatagramBatchIO] = None
+        #: Decoded ``(frame, sender)`` pairs one read brought in beyond
+        #: the one :meth:`_recv_frame` was asked for.
+        self._inbox: deque = deque()
+
+    @property
+    def io(self) -> DatagramBatchIO:
+        """The batch layer over :attr:`sock`: the only way a datagram
+        enters or leaves the endpoint.  Built at first use (it makes
+        the socket non-blocking and asks the kernel to coalesce)."""
+        if self._io is None:
+            self._io = DatagramBatchIO(self.sock)
+        return self._io
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -126,40 +144,53 @@ class UdpEndpoint:
     def _recv_frame(self, timeout_s: Optional[float]):
         """Receive one valid frame, or None on timeout.
 
+        Everything staged is flushed before the wait.  The wait is
+        bounded by the fault layer's next held-datagram due time, and
+        when it expires with nothing readable the reorder-held
+        datagrams are released, so a bounded plan can never wedge a
+        transfer (the discipline of ``UdpTransferService.serve``).
         Corrupted datagrams (bad CRC, truncation) are treated exactly
         like losses: skipped, and the wait continues with the remaining
         time budget.
         """
+        inbox = self._inbox
+        if inbox:
+            return inbox.popleft()
+        io = self.io
+        io.flush()
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        buffer = self._recv_buffer
         while True:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+            now = time.monotonic()
+            wait = None if deadline is None else deadline - now
+            if wait is not None and wait <= 0:
+                if not io.flush_held():
                     return None
-                self.sock.settimeout(remaining)
-            else:
-                self.sock.settimeout(None)
-            try:
-                count, sender = self.sock.recvfrom_into(buffer)
-            except socket.timeout:
-                return None
-            try:
-                # decode() copies the payload out, so handing it a view
-                # of the reusable buffer never aliases the next datagram.
-                return decode(memoryview(buffer)[:count]), sender
-            except WireError:
-                continue  # corrupted: indistinguishable from a loss
+            elif not io.has_ready:
+                held_due = io.next_held_due()
+                if held_due is not None:
+                    due_in = max(held_due - now, 0.0)
+                    wait = due_in if wait is None else min(wait, due_in)
+                select.select([io.fileno()], [], [], wait)
+            for view, sender in io.recv_batch():
+                try:
+                    # decode() copies the payload out, so the frame
+                    # outlives the arena slot it arrived in.
+                    inbox.append((decode(view), sender))
+                except WireError:
+                    continue  # corrupted: indistinguishable from a loss
+            if inbox:
+                return inbox.popleft()
 
     # -- machine drivers ----------------------------------------------------
     def _drive_sender(self, machine, dst: Tuple[str, int]) -> int:
         """Run a sender machine to completion; returns the timeout count.
 
-        Each turn advances the machine's timers, transmits every frame
-        it has ready (see ``YIELD_EVERY_FRAMES``), then waits for a
-        reply until exactly the machine's next deadline.  Machine time
-        is seconds since this call.
+        Each turn advances the machine's timers, stages every frame it
+        has ready (see ``YIELD_EVERY_FRAMES``), then waits for a reply
+        until exactly the machine's next deadline.  Machine time is
+        seconds since this call.
         """
+        io = self.io
         start = time.monotonic()
         timeouts = 0
         while True:
@@ -167,11 +198,13 @@ class UdpEndpoint:
             machine.poll(now)
             burst = 0
             while machine.has_frame(now):
-                self.sock.sendto(encode(machine.next_frame(now)), dst)
+                io.send_frame(machine.next_frame(now), dst)
                 burst += 1
                 if burst % YIELD_EVERY_FRAMES == 0:
+                    io.flush()
                     time.sleep(0)
             if machine.finished:
+                io.flush()
                 return timeouts
             got = self._recv_frame(machine.next_deadline() - now)
             if got is None:
@@ -194,6 +227,7 @@ class UdpEndpoint:
         True after ``linger_s`` of quiet.  ``first`` is an
         already-received ``(frame, source)`` pair to start from.
         """
+        io = self.io
         start = time.monotonic()
         answered = False
         quiet_s = idle_timeout_s
@@ -204,7 +238,7 @@ class UdpEndpoint:
             if frame.stream_id == machine.stream_id:
                 replies = machine.on_frame(frame, time.monotonic() - start)
                 for reply in replies:
-                    self.sock.sendto(encode(reply), source)
+                    io.send_frame(reply, source)
                 if replies and machine.done:
                     answered = True
                     quiet_s = linger_s

@@ -56,11 +56,35 @@ def _control(request_id: int, **fields) -> bytes:
     return encode(frame)
 
 
-def _parse(frame: ControlFrame) -> dict:
+def _send_control(endpoint: UdpTransfer, address, request_id: int,
+                  **fields) -> None:
+    """A control message is a burst of one: staged and flushed at once."""
+    endpoint.io.send_datagram(_control(request_id, **fields), address)
+    endpoint.io.flush()
+
+
+def _parse(frame: ControlFrame) -> Optional[dict]:
+    """The frame's JSON object; None for a body that is not one — not
+    ours, and dropped like corruption."""
     try:
-        return json.loads(frame.body.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FileServiceError(f"malformed control body: {exc}") from exc
+        body = json.loads(frame.body.decode())
+    except (ValueError, UnicodeDecodeError):
+        return None
+    return body if isinstance(body, dict) else None
+
+
+def _invalid(request: dict) -> Optional[str]:
+    """Why ``request`` cannot be served whatever the store holds."""
+    op = request.get("op")
+    if (op in ("stat", "read", "write")
+            and type(request.get("filename")) is not str):
+        return "bad filename"
+    if op == "write":
+        size = request.get("size")
+        # type(x) is int: a JSON true is an int to isinstance.
+        if type(size) is not int or size < 0:
+            return "bad size"
+    return None
 
 
 class UdpFileServer(UdpTransfer):
@@ -123,14 +147,22 @@ class UdpFileServer(UdpTransfer):
         key = (sender, frame.request_id)
         if key in self._responses:
             # Duplicate request: replay the cached response verbatim.
-            self.sock.sendto(
-                _control(frame.request_id, **self._responses[key]), sender
-            )
+            _send_control(self, sender, frame.request_id,
+                          **self._responses[key])
             return True
         request = _parse(frame)
+        if request is None:
+            return False
+        reason = _invalid(request)
+        if reason is not None:
+            # Not cached: the verdict is about these bytes, not about
+            # what an honest request under the same id would get.
+            _send_control(self, sender, frame.request_id,
+                          status="error", reason=reason)
+            return True
         response = self._handle(request)
         self._responses[key] = response
-        self.sock.sendto(_control(frame.request_id, **response), sender)
+        _send_control(self, sender, frame.request_id, **response)
         # Bulk phases follow the response on the same socket.  While one
         # is in flight the server is busy: control requests from *other*
         # exchanges get an immediate busy rejection (see ``_recv_frame``)
@@ -183,27 +215,24 @@ class UdpFileServer(UdpTransfer):
                 return got
             key = (sender, frame.request_id)
             if key in self._responses:
-                self.sock.sendto(
-                    _control(frame.request_id, **self._responses[key]), sender
-                )
+                _send_control(self, sender, frame.request_id,
+                              **self._responses[key])
             else:
                 self.requests_rejected_busy += 1
-                self.sock.sendto(
-                    _control(frame.request_id, status="error", reason="busy"),
-                    sender,
-                )
+                _send_control(self, sender, frame.request_id,
+                              status="error", reason="busy")
 
     def _handle(self, request: dict) -> dict:
         op = request.get("op")
         if op == "stat":
-            name = request.get("filename", "")
+            name = request["filename"]
             if name not in self.files:
                 return {"status": "error", "reason": "no such file"}
             return {"status": "ok", "size": len(self.files[name])}
         if op == "list":
             return {"status": "ok", "files": sorted(self.files)}
         if op == "read":
-            name = request.get("filename", "")
+            name = request["filename"]
             if name not in self.files:
                 return {"status": "error", "reason": "no such file"}
             return {
@@ -265,7 +294,8 @@ class UdpFileClient(UdpTransfer):
         self._next_request_id += 1
         datagram = _control(request_id, **fields)
         for attempt in range(self.max_retries):
-            self.sock.sendto(datagram, self.server)
+            self.io.send_datagram(datagram, self.server)
+            self.io.flush()
             response = self._await_control(request_id, self.request_timeout_s)
             if response is None:
                 continue
@@ -292,7 +322,9 @@ class UdpFileClient(UdpTransfer):
                 return None
             frame, _ = got
             if isinstance(frame, ControlFrame) and frame.request_id == request_id:
-                return _parse(frame)
+                response = _parse(frame)
+                if response is not None:
+                    return response
 
     @staticmethod
     def _check(response: dict) -> dict:

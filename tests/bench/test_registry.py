@@ -34,43 +34,33 @@ class TestRegistry:
 
 
 class TestCliRegen:
-    def test_regen_command(self, tmp_path, capsys, monkeypatch):
+    def test_regen_command(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.parallel import CACHE_ENV_VAR
 
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
         assert main(["regen", "--out", str(tmp_path / "r")]) == 0
         out = capsys.readouterr().out
         assert "8 artifacts regenerated" in out
-        assert "cache:" in out
         assert (tmp_path / "r" / "figure6.txt").exists()
 
-    def test_second_regen_hits_cache_and_reproduces_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_second_regen_reproduces_files(self, tmp_path, monkeypatch):
         from repro.cli import main
-        from repro.parallel import CACHE_ENV_VAR
 
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        assert main(["regen", "--out", str(tmp_path / "a")]) == 0
-        first = capsys.readouterr().out
-        assert main(["regen", "--out", str(tmp_path / "b")]) == 0
-        second = capsys.readouterr().out
-        assert "cache: 0 hits" in first
-        # Every Monte Carlo point of the second pass is served from disk.
-        hits = int(second.split("cache: ")[1].split(" hits")[0])
-        assert hits > 0
-        for name in ("figure5.txt", "figure6.txt", "table2.txt"):
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
+        monkeypatch.chdir(tmp_path)
+        assert main(["regen", "--out", "a"]) == 0
+        assert main(["--jobs", "2", "regen", "--out", "b"]) == 0
+        for name in EXPERIMENTS:
+            assert (tmp_path / "a" / f"{name}.txt").read_bytes() == (
+                tmp_path / "b" / f"{name}.txt"
             ).read_bytes()
+        # regen recomputes every time: it leaves nothing but its output.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
-    def test_no_cache_flag(self, tmp_path, capsys, monkeypatch):
+    def test_no_cache_flag(self, tmp_path, capsys):
+        """There is deliberately no cache, so no flag to skip one."""
         from repro.cli import main
-        from repro.parallel import CACHE_ENV_VAR
 
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        assert main(["regen", "--out", str(tmp_path / "r"), "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "cache:" not in out
-        assert not (tmp_path / "cache").exists()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["regen", "--out", str(tmp_path / "r"), "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()

@@ -1,14 +1,20 @@
 """FaultySocket: plan replay over real loopback datagrams."""
 
+import select
 import socket
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.frames import DataFrame
 from repro.core.wire import WireError, decode, encode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.socket import FaultySocket
+from repro.service.iobatch import DatagramBatchIO
 from repro.simnet.errors import DeterministicDrops
+from repro.udpnet import UdpTransfer
 
 
 def _udp_socket():
@@ -96,8 +102,6 @@ class TestSendSide:
         faulty.sendto(_datagram(1), right.getsockname())
         assert decode(right.recvfrom(65536)[0]).seq == 1
         # The next socket use past the due time releases the held datagram.
-        import time
-
         time.sleep(0.06)
         faulty.sendto(_datagram(2), right.getsockname())
         seqs = [decode(right.recvfrom(65536)[0]).seq for _ in range(2)]
@@ -137,17 +141,42 @@ class TestSendSide:
         assert faulty.datagrams_dropped == 1
 
 
+def _batch_layer(raw, *rules):
+    """The one receive path: a plan behind a ``DatagramBatchIO``."""
+    faulty = _wrap(raw, *rules)
+    return faulty, DatagramBatchIO(faulty, ring_slots=4)
+
+
+def _recv(io, timeout_s):
+    """One datagram through ``UdpEndpoint._recv_frame``'s discipline:
+    wait no longer than the next held due time, release reorder holds
+    when the wait expires quiet, give up at the deadline."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        batch = io.recv_batch()
+        if batch:
+            return [bytes(view) for view, _ in batch]
+        wait = deadline - time.monotonic()
+        if wait <= 0:
+            if not io.flush_held():
+                return None
+            continue
+        due = io.next_held_due()
+        if due is not None:
+            wait = min(wait, max(due - time.monotonic(), 0.0))
+        select.select([io.fileno()], [], [], wait)
+
+
 class TestReceiveSide:
     def test_plan_drop_counts_on_recv_ledger(self, pair):
         left, right = pair
-        faulty = _wrap(
+        faulty, io = _batch_layer(
             left, FaultRule(action="drop", kinds=("data",), direction="recv",
                             indices=(0,))
         )
-        faulty.settimeout(2.0)
         right.sendto(_datagram(0), left.getsockname())
         right.sendto(_datagram(1), left.getsockname())
-        datagram, _ = faulty.recvfrom(65536)
+        (datagram,) = _recv(io, 2.0)
         assert decode(datagram).seq == 1
         assert faulty.datagrams_received == 2
         assert faulty.recv_dropped == 1
@@ -156,55 +185,188 @@ class TestReceiveSide:
 
     def test_plan_duplicate_replays_datagram(self, pair):
         left, right = pair
-        faulty = _wrap(
+        _, io = _batch_layer(
             left,
             FaultRule(action="duplicate", kinds=("data",), direction="recv",
                       indices=(0,), count=1),
         )
-        faulty.settimeout(2.0)
         right.sendto(_datagram(0), left.getsockname())
-        first, _ = faulty.recvfrom(65536)
-        second, _ = faulty.recvfrom(65536)
-        assert first == second
+        first, second = _recv(io, 2.0)
+        assert first == second == _datagram(0)
+
+    def test_plan_reorder_overtaken_by_later_traffic(self, pair):
+        left, right = pair
+        _, io = _batch_layer(
+            left,
+            FaultRule(action="reorder", kinds=("data",), direction="recv",
+                      indices=(0,), depth=1),
+        )
+        right.sendto(_datagram(0), left.getsockname())
+        right.sendto(_datagram(1), left.getsockname())
+        assert [decode(d).seq for d in _recv(io, 2.0)] == [1, 0]
 
     def test_plan_delay_defers_delivery(self, pair):
-        import time
-
         left, right = pair
-        faulty = _wrap(
+        _, io = _batch_layer(
             left,
             FaultRule(action="delay", kinds=("data",), direction="recv",
                       indices=(0,), delay_s=0.05),
         )
-        faulty.settimeout(2.0)
         right.sendto(_datagram(0), left.getsockname())
         start = time.monotonic()
-        datagram, _ = faulty.recvfrom(65536)
+        assert io.recv_batch() == []  # held, and says until when
+        assert start < io.next_held_due() <= time.monotonic() + 0.05
+        (datagram,) = _recv(io, 2.0)
         assert decode(datagram).seq == 0
-        assert time.monotonic() - start >= 0.04
+        assert 0.04 <= time.monotonic() - start < 1.0
+
+    def test_detectable_corruption_fails_crc(self, pair):
+        left, right = pair
+        _, io = _batch_layer(
+            left,
+            FaultRule(action="corrupt", kinds=("data",), direction="recv",
+                      indices=(0,)),
+        )
+        right.sendto(_datagram(0), left.getsockname())
+        (datagram,) = _recv(io, 2.0)
+        with pytest.raises(WireError):
+            decode(datagram)
+
+    def test_silent_corruption_decodes_with_wrong_bytes(self, pair):
+        left, right = pair
+        _, io = _batch_layer(
+            left,
+            FaultRule(action="corrupt", kinds=("data",), direction="recv",
+                      indices=(0,), corrupt_mask=0x0F, silent=True),
+        )
+        right.sendto(_datagram(0, payload=b"payload!"), left.getsockname())
+        frame = decode(_recv(io, 2.0)[0])
+        assert frame.payload != b"payload!"
+        assert len(frame.payload) == len(b"payload!")
 
     def test_reorder_hold_flushed_at_deadline(self, pair):
         left, right = pair
-        faulty = _wrap(
+        _, io = _batch_layer(
             left,
             FaultRule(action="reorder", kinds=("data",), direction="recv",
                       indices=(0,), depth=10),
         )
-        faulty.settimeout(0.2)
         right.sendto(_datagram(0), left.getsockname())
+        # A zero-wait drain is not a timeout: the hold stays held.
+        assert io.recv_batch() == [] and not io.has_ready
         # Nothing overtakes it, but the deadline flush returns it anyway:
         # bounded plans must never turn into data loss.
-        datagram, _ = faulty.recvfrom(65536)
+        start = time.monotonic()
+        (datagram,) = _recv(io, 0.2)
         assert decode(datagram).seq == 0
+        assert time.monotonic() - start >= 0.19
 
     def test_timeout_still_raised_when_nothing_held(self, pair):
-        left, _ = pair
-        faulty = _wrap(
+        left, right = pair
+        _, io = _batch_layer(
             left, FaultRule(action="drop", kinds=("data",), direction="recv")
         )
-        faulty.settimeout(0.05)
-        with pytest.raises(socket.timeout):
-            faulty.recvfrom(65536)
+        right.sendto(_datagram(0), left.getsockname())
+        assert _recv(io, 0.05) is None
+        assert io.flush_held() == 0
+
+
+class TestEndpointWait:
+    """The same plans through the wait every ``udpnet`` loop uses."""
+
+    def _endpoint(self, *rules):
+        return UdpTransfer(fault_plan=_plan(*rules))
+
+    def test_delay_released_at_its_due_time(self, pair):
+        _, right = pair
+        with self._endpoint(
+            FaultRule(action="delay", kinds=("data",), direction="recv",
+                      indices=(0,), delay_s=0.05)
+        ) as endpoint:
+            right.sendto(_datagram(0), endpoint.address)
+            start = time.monotonic()
+            frame, sender = endpoint._recv_frame(2.0)
+            assert frame.seq == 0 and sender == right.getsockname()
+            assert 0.04 <= time.monotonic() - start < 1.0
+
+    def test_reorder_hold_flushed_when_the_wait_expires(self, pair):
+        _, right = pair
+        with self._endpoint(
+            FaultRule(action="reorder", kinds=("data",), direction="recv",
+                      indices=(0,), depth=10)
+        ) as endpoint:
+            right.sendto(_datagram(0), endpoint.address)
+            start = time.monotonic()
+            frame, _ = endpoint._recv_frame(0.2)
+            assert frame.seq == 0
+            assert time.monotonic() - start >= 0.19
+
+    def test_corrupted_is_a_loss_and_nothing_held_times_out(self, pair):
+        _, right = pair
+        with self._endpoint(
+            FaultRule(action="corrupt", kinds=("data",), direction="recv",
+                      indices=(0,))
+        ) as endpoint:
+            right.sendto(_datagram(0), endpoint.address)
+            start = time.monotonic()
+            assert endpoint._recv_frame(0.05) is None
+            assert 0.05 <= time.monotonic() - start < 1.0
+
+    def test_one_read_of_many_is_handed_out_one_frame_per_call(self, pair):
+        _, right = pair
+        with UdpTransfer() as endpoint:
+            for seq in range(5):
+                right.sendto(_datagram(seq), endpoint.address)
+            seqs = [endpoint._recv_frame(2.0)[0].seq for _ in range(5)]
+            assert seqs == [0, 1, 2, 3, 4]
+            assert endpoint.io.recv_batches == 1
+            assert endpoint._recv_frame(0.0) is None
+
+
+#: What the plan does to the datagram at each position of the stream.
+_ACTIONS = st.one_of(
+    st.just(("pass", 1)),
+    st.just(("drop", 1)),
+    st.tuples(st.just("duplicate"), st.integers(1, 3)),
+    st.tuples(st.just("reorder"), st.integers(1, 6)),
+    st.tuples(st.just("delay"), st.integers(1, 3)),   # milliseconds
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(actions=st.lists(_ACTIONS, min_size=1, max_size=12))
+def test_delivered_is_sent_minus_drops_plus_duplicates(actions):
+    """For any bounded plan over any datagram sequence, ``recv_batch`` +
+    ``flush_held`` deliver exactly what was sent, minus the plan's
+    drops, plus its duplicates — nothing held is ever lost."""
+    rules, expected = [], []
+    for index, (action, amount) in enumerate(actions):
+        expected += [index] * {"drop": 0, "duplicate": 1 + amount}.get(action, 1)
+        if action != "pass":
+            rules.append(FaultRule(
+                action=action, kinds=("data",), direction="recv",
+                indices=(index,), count=amount, depth=amount,
+                delay_s=amount / 1000.0))
+    left, right = _udp_socket(), _udp_socket()
+    try:
+        faulty, io = _batch_layer(left, *rules)
+        for seq in range(len(actions)):
+            right.sendto(_datagram(seq), left.getsockname())
+        delivered = []
+        while True:
+            got = _recv(io, 0.0)
+            if got is not None:
+                delivered += [decode(datagram).seq for datagram in got]
+            elif io.next_held_due() is not None:
+                time.sleep(max(io.next_held_due() - time.monotonic(), 0.0))
+            else:
+                break
+        assert sorted(delivered) == expected
+        assert faulty.datagrams_received == len(actions)
+        assert faulty.recv_dropped == sum(a == "drop" for a, _ in actions)
+    finally:
+        left.close()
+        right.close()
 
 
 class TestLossySocketCompat:

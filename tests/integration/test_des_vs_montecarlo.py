@@ -80,6 +80,16 @@ class TestStopAndWaitUnderLoss:
         assert des.all_intact
         assert des.mean_s == pytest.approx(predicted, rel=0.1)
 
+    def test_montecarlo_mean_matches_closed_form(self):
+        """The per-frame stop-and-wait loop under loss against Figure 5's
+        closed form, at the figure's two timer settings."""
+        t0 = t_single_exchange(PARAMS)
+        for pn, tr in ((0.01, 10 * t0), (0.05, 100 * t0)):
+            mc = run_trials("saw", D, pn, n_trials=20_000, t_retry=tr,
+                            params=PARAMS, seed=14)
+            assert mc.mean_s == pytest.approx(
+                expected_time_saw(D, t0, tr, pn), rel=0.03)
+
 
 class TestSigmaOrderingEndToEnd:
     def test_figure6_ordering_reproduced_by_des(self):

@@ -9,4 +9,4 @@ def backoff(retry_s: float) -> None:
 
 
 def pull(sock):
-    return sock.recvfrom(2048)
+    return sock.recv(2048)

@@ -1,5 +1,5 @@
-"""REP111 good fixture: raw datagram I/O outside service/ is in scope
-of the endpoint layer's own policies, not this rule."""
+"""REP111 bad fixture: the blocking endpoints go through the batch
+layer too — a raw call here skips the fault plan just the same."""
 
 
 def push(sock, payload, address) -> None:

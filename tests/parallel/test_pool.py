@@ -124,11 +124,6 @@ class TestTrialDeterminism:
         fanned = run_trials("full_nak", n_jobs=4, **self.KW)
         assert sequential == fanned
 
-    def test_n_jobs_invariant_fast_path(self):
-        sequential = run_trials("saw", fast=True, **self.KW)
-        fanned = run_trials("saw", fast=True, n_jobs=4, **self.KW)
-        assert sequential == fanned
-
     def test_seed_matters(self):
         kw = dict(self.KW)
         kw.pop("seed")

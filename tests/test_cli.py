@@ -36,9 +36,11 @@ class TestParser:
     def test_regen_flags(self):
         parser = build_parser()
         args = parser.parse_args(["regen"])
-        assert args.regen_jobs is None and not args.no_cache
-        args = parser.parse_args(["regen", "--jobs", "2", "--no-cache"])
-        assert args.regen_jobs == 2 and args.no_cache
+        assert args.regen_jobs is None
+        args = parser.parse_args(["regen", "--jobs", "2"])
+        assert args.regen_jobs == 2
+        with pytest.raises(SystemExit):  # there is deliberately no cache
+            parser.parse_args(["regen", "--no-cache"])
 
 
 class TestCompare:

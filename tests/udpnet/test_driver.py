@@ -26,6 +26,22 @@ class FakeClock:
         pass
 
 
+class RecordingIO:
+    """Stands in for the endpoint's batch layer: ``sent`` is what has
+    been flushed, in staging order."""
+
+    def __init__(self):
+        self.staged = []
+        self.sent = []
+
+    def send_frame(self, frame, address):
+        self.staged.append((encode(frame), address))
+
+    def flush(self):
+        self.sent += self.staged
+        self.staged = []
+
+
 class ScriptedEndpoint(UdpTransfer):
     """Receives from a script, records what it sends.
 
@@ -33,18 +49,22 @@ class ScriptedEndpoint(UdpTransfer):
     ``None`` (the wait times out: the clock advances by the timeout).
     """
 
+    io = None  # the recording layer, not the property's real one
+
     def __init__(self, clock, script=()):
         self.clock = clock
         self.script = list(script)
         self.packet_bytes = 1024
-        self.sock = self
-        self.sent = []
+        self.io = RecordingIO()
         self.waits = []
 
-    def sendto(self, datagram, address):
-        self.sent.append((bytes(datagram), address))
+    @property
+    def sent(self):
+        assert not self.io.staged, "a driver returned with frames staged"
+        return self.io.sent
 
     def _recv_frame(self, timeout_s):
+        self.io.flush()  # as the real wait does before it blocks
         self.waits.append(timeout_s)
         assert self.script, "driver asked for more frames than scripted"
         frame = self.script.pop(0)

@@ -1,5 +1,7 @@
 """End-to-end tests for the UDP file service."""
 
+import json
+import socket
 import threading
 import time
 
@@ -24,17 +26,22 @@ def wait_for_file(server, name, deadline_s=5.0):
 
 
 @pytest.fixture()
-def service():
+def served():
     server = UdpFileServer(files={"data.bin": CONTENT})
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = UdpFileClient(server.address)
-    yield server, client
+    yield server, client, thread
     server.stop()
     thread.join(timeout=10)
     assert not thread.is_alive()
     client.close()
     server.close()
+
+
+@pytest.fixture()
+def service(served):
+    return served[:2]
 
 
 class TestControlFrameWire:
@@ -48,6 +55,47 @@ class TestControlFrameWire:
     def test_validation(self):
         with pytest.raises(ValueError):
             ControlFrame(0, request_id=-1, body=b"")
+
+
+HOSTILE_BODIES = [
+    # Not a JSON object: dropped like corruption, no reply.
+    (b"[1,2]", None),
+    (b"not json", None),
+    (b"\xff\xfe", None),
+    # An object the server cannot serve: an error, never cached.
+    (b'{"op":"read","filename":["x"]}', "bad filename"),
+    (b'{"op":"stat","filename":7}', "bad filename"),
+    (b'{"op":"write","size":4}', "bad filename"),
+    (b'{"op":"write","filename":"f","size":true}', "bad size"),
+    (b'{"op":"write","filename":"f","size":-1}', "bad size"),
+    (b'{"op":"write","filename":"f"}', "bad size"),
+]
+
+
+class TestHostileControlBodies:
+    @pytest.mark.parametrize("body,reason", HOSTILE_BODIES)
+    def test_one_datagram_cannot_kill_the_server(self, served, body, reason):
+        """Regression: each of these raised out of ``handle_one`` and
+        ended the ``serve_forever`` thread."""
+        server, client, thread = served
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as hostile:
+            hostile.bind(("127.0.0.1", 0))
+            hostile.settimeout(0.3)
+            hostile.sendto(encode(ControlFrame(0, request_id=9, body=body)),
+                           server.address)
+            if reason is None:
+                with pytest.raises(socket.timeout):
+                    hostile.recvfrom(65536)
+            else:
+                reply = decode(hostile.recvfrom(65536)[0])
+                assert reply.request_id == 9
+                assert json.loads(reply.body) == {"status": "error",
+                                                  "reason": reason}
+            assert (hostile.getsockname(), 9) not in server._responses
+        time.sleep(0.2)
+        assert thread.is_alive()
+        assert client.stat("data.bin") == len(CONTENT)
+        assert "f" not in server.files
 
 
 class TestFileService:

@@ -198,6 +198,19 @@ class TestEndpointSocket:
             assert type(endpoint.sock) is socket.socket
             assert endpoint.address == endpoint.sock.getsockname()
 
+    def test_fault_free_blast_crosses_the_kernel_once_per_burst(self):
+        body = bytes(256 * 1024)
+        with UdpTransfer() as receiver, UdpTransfer() as sender:
+            sent, received = run_pair(
+                receiver, {}, lambda: sender.send(body, receiver.address))
+            stats = sender.io.stats()
+        assert sent.ok and received.data == body
+        assert stats["datagrams_out"] == sent.data_frames_sent >= 256
+        if stats["segmented"] is False:
+            pytest.skip("kernel refused UDP_SEGMENT")
+        assert stats["segmented"] is True
+        assert stats["send_calls"] < stats["datagrams_out"] // 8
+
     def test_error_model_or_plan_wraps_it(self):
         with UdpTransfer(error_model=BernoulliErrors(0.1, seed=1)) as lossy:
             assert isinstance(lossy.sock, FaultySocket)
