@@ -25,11 +25,20 @@ Ethernet one), for replies it is the experiment's ack size (64 bytes).
 ``0`` means "the sole transfer on this endpoint" and encodes to the
 original version-1 wire format, so single-transfer tools interoperate
 byte-for-byte with pre-service peers.
+
+Every frame is an immutable value.  The dataclass machinery supplies
+``==``, ``hash``, ``repr``, pickling and the ``FrozenInstanceError`` on
+assignment; each ``__init__`` is written out by hand, checks its
+arguments first and then stores them through the slot descriptors —
+the same rules and messages as a generated ``__init__`` plus
+``__post_init__``, at under half their cost (a frame is built per packet
+at both ends of every substrate: docs/performance.md, "What a packet
+costs").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Tuple
 
@@ -42,6 +51,12 @@ __all__ = [
 ]
 
 
+def _slot_setters(cls):
+    """``__set__`` of each slot descriptor of ``cls``, in field order:
+    how a hand-written ``__init__`` stores into a frozen instance."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class FrameKind(IntEnum):
     """Discriminator used by the wire encoding."""
 
@@ -51,7 +66,7 @@ class FrameKind(IntEnum):
     CONTROL = 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataFrame:
     """One data packet of a transfer.
 
@@ -67,28 +82,43 @@ class DataFrame:
     total: int
     payload: bytes
     wants_reply: bool = False
-    wire_bytes: int = field(default=-1)
+    wire_bytes: int = -1
     segment_crc: int | None = None
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError(f"total must be >= 1, got {self.total}")
-        if not 0 <= self.seq < self.total:
-            raise ValueError(f"seq {self.seq} out of range for total {self.total}")
-        if self.wire_bytes == -1:
-            object.__setattr__(self, "wire_bytes", len(self.payload))
-        if self.wire_bytes < 0:
-            raise ValueError(f"wire_bytes must be >= 0, got {self.wire_bytes}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
+    def __init__(self, transfer_id: int, seq: int, total: int,
+                 payload: bytes, wants_reply: bool = False,
+                 wire_bytes: int = -1, segment_crc: int | None = None,
+                 stream_id: int = 0) -> None:
+        if total < 1:
+            raise ValueError(f"total must be >= 1, got {total}")
+        if not 0 <= seq < total:
+            raise ValueError(f"seq {seq} out of range for total {total}")
+        if wire_bytes == -1:
+            wire_bytes = len(payload)
+        if wire_bytes < 0:
+            raise ValueError(f"wire_bytes must be >= 0, got {wire_bytes}")
+        if stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
+        _data_transfer_id(self, transfer_id)
+        _data_seq(self, seq)
+        _data_total(self, total)
+        _data_payload(self, payload)
+        _data_wants_reply(self, wants_reply)
+        _data_wire_bytes(self, wire_bytes)
+        _data_segment_crc(self, segment_crc)
+        _data_stream_id(self, stream_id)
 
     @property
     def kind(self) -> FrameKind:
         return FrameKind.DATA
 
 
-@dataclass(frozen=True, slots=True)
+(_data_transfer_id, _data_seq, _data_total, _data_payload, _data_wants_reply,
+ _data_wire_bytes, _data_segment_crc, _data_stream_id) = _slot_setters(DataFrame)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class AckFrame:
     """Positive acknowledgement of packet ``seq`` (or a whole blast)."""
 
@@ -97,20 +127,29 @@ class AckFrame:
     wire_bytes: int = 64
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.seq < 0:
-            raise ValueError(f"seq must be >= 0, got {self.seq}")
-        if self.wire_bytes < 0:
-            raise ValueError(f"wire_bytes must be >= 0, got {self.wire_bytes}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
+    def __init__(self, transfer_id: int, seq: int, wire_bytes: int = 64,
+                 stream_id: int = 0) -> None:
+        if seq < 0:
+            raise ValueError(f"seq must be >= 0, got {seq}")
+        if wire_bytes < 0:
+            raise ValueError(f"wire_bytes must be >= 0, got {wire_bytes}")
+        if stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
+        _ack_transfer_id(self, transfer_id)
+        _ack_seq(self, seq)
+        _ack_wire_bytes(self, wire_bytes)
+        _ack_stream_id(self, stream_id)
 
     @property
     def kind(self) -> FrameKind:
         return FrameKind.ACK
 
 
-@dataclass(frozen=True, slots=True)
+_ack_transfer_id, _ack_seq, _ack_wire_bytes, _ack_stream_id = (
+    _slot_setters(AckFrame))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NakFrame:
     """Negative acknowledgement with the receiver's reception report."""
 
@@ -121,26 +160,38 @@ class NakFrame:
     wire_bytes: int = 64
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.missing:
+    def __init__(self, transfer_id: int, first_missing: int,
+                 missing: Tuple[int, ...], total: int, wire_bytes: int = 64,
+                 stream_id: int = 0) -> None:
+        if not missing:
             raise ValueError("a NAK must name at least one missing packet")
-        if tuple(sorted(set(self.missing))) != tuple(self.missing):
+        if tuple(sorted(set(missing))) != tuple(missing):
             raise ValueError("missing must be sorted and duplicate-free")
-        if self.first_missing != self.missing[0]:
+        if first_missing != missing[0]:
             raise ValueError("first_missing must equal missing[0]")
-        if self.missing[-1] >= self.total:
+        if missing[-1] >= total:
             raise ValueError("missing seq out of range")
-        if self.wire_bytes < 0:
-            raise ValueError(f"wire_bytes must be >= 0, got {self.wire_bytes}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
+        if wire_bytes < 0:
+            raise ValueError(f"wire_bytes must be >= 0, got {wire_bytes}")
+        if stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
+        _nak_transfer_id(self, transfer_id)
+        _nak_first_missing(self, first_missing)
+        _nak_missing(self, missing)
+        _nak_total(self, total)
+        _nak_wire_bytes(self, wire_bytes)
+        _nak_stream_id(self, stream_id)
 
     @property
     def kind(self) -> FrameKind:
         return FrameKind.NAK
 
 
-@dataclass(frozen=True, slots=True)
+(_nak_transfer_id, _nak_first_missing, _nak_missing, _nak_total,
+ _nak_wire_bytes, _nak_stream_id) = _slot_setters(NakFrame)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ControlFrame:
     """A small request/response message for application protocols.
 
@@ -153,19 +204,29 @@ class ControlFrame:
     transfer_id: int
     request_id: int
     body: bytes
-    wire_bytes: int = field(default=-1)
+    wire_bytes: int = -1
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.request_id < 0:
-            raise ValueError(f"request_id must be >= 0, got {self.request_id}")
-        if self.wire_bytes == -1:
-            object.__setattr__(self, "wire_bytes", len(self.body))
-        if self.wire_bytes < 0:
-            raise ValueError(f"wire_bytes must be >= 0, got {self.wire_bytes}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
+    def __init__(self, transfer_id: int, request_id: int, body: bytes,
+                 wire_bytes: int = -1, stream_id: int = 0) -> None:
+        if request_id < 0:
+            raise ValueError(f"request_id must be >= 0, got {request_id}")
+        if wire_bytes == -1:
+            wire_bytes = len(body)
+        if wire_bytes < 0:
+            raise ValueError(f"wire_bytes must be >= 0, got {wire_bytes}")
+        if stream_id < 0:
+            raise ValueError(f"stream_id must be >= 0, got {stream_id}")
+        _control_transfer_id(self, transfer_id)
+        _control_request_id(self, request_id)
+        _control_body(self, body)
+        _control_wire_bytes(self, wire_bytes)
+        _control_stream_id(self, stream_id)
 
     @property
     def kind(self) -> FrameKind:
         return FrameKind.CONTROL
+
+
+(_control_transfer_id, _control_request_id, _control_body,
+ _control_wire_bytes, _control_stream_id) = _slot_setters(ControlFrame)

@@ -66,8 +66,17 @@ HEADER2_BYTES = _HEADER2.size + _CRC.size
 
 _FLAG_WANTS_REPLY = 0x01
 
-#: ``kind`` byte → :class:`FrameKind`, precomputed so the decode hot path
-#: pays one dict probe instead of the enum constructor's try/except.
+# Bound once: the per-datagram paths call these without an attribute
+# lookup.  ``*_crc_into`` writes a packed header and its CRC together.
+_pack_header = _HEADER.pack
+_pack_header2 = _HEADER2.pack
+_pack_header_crc_into = struct.Struct(f">{_HEADER.size}sI").pack_into
+_pack_header2_crc_into = struct.Struct(f">{_HEADER2.size}sI").pack_into
+_unpack_header = _HEADER.unpack_from
+_unpack_header2 = _HEADER2.unpack_from
+_unpack_crc = _CRC.unpack_from
+
+#: ``kind`` byte → :class:`FrameKind`, for :func:`peek`.
 _KIND_BY_CODE = {int(kind): kind for kind in FrameKind}
 
 # Wire integers hoisted out of the enum: FrameKind attribute access goes
@@ -166,58 +175,62 @@ def encode(frame: Frame) -> bytes:
     # state keeps this safe from any thread (the service load generator
     # encodes concurrently).
     if frame.stream_id == 0:
-        header = _HEADER.pack(
+        header = _pack_header(
             MAGIC, VERSION, kind, frame.transfer_id, seq, total, flags,
             len(payload),
         )
     else:
-        header = _HEADER2.pack(
+        header = _pack_header2(
             MAGIC, VERSION_STREAM, kind, frame.stream_id, frame.transfer_id,
             seq, total, flags, len(payload),
         )
-    crc = crc32(payload, crc32(header)) & 0xFFFFFFFF
-    return header + _CRC.pack(crc) + payload
+    return header + _CRC.pack(crc32(payload, crc32(header))) + payload
 
 
 def encode_into(frame: Frame, buf, offset: int = 0) -> int:
     """Serialise a frame into ``buf`` at ``offset``; returns bytes written.
 
     Byte-for-byte identical to :func:`encode` — same version selection,
-    same CRC — but packs the header directly into the caller's buffer
-    and copies the payload once, so batched send paths can reuse one
-    output buffer instead of materialising a ``bytes`` per frame.
+    same CRC — but writes header and CRC straight into the caller's
+    buffer and copies the payload once, so batched send paths can reuse
+    one output buffer instead of materialising a ``bytes`` per frame.
     ``buf`` is any writable buffer (``bytearray``/``memoryview``).
     Raises :class:`WireError` when the frame does not fit.
     """
-    kind, seq, total, payload, flags = _frame_fields(frame)
-    payload_len = len(payload)
-    if frame.stream_id == 0:
-        header_size, header_bytes = _HEADER.size, HEADER_BYTES
+    if type(frame) is DataFrame:
+        # The one kind sent per packet reads its fields in place.
+        kind, seq, total = _KIND_DATA, frame.seq, frame.total
+        flags = _FLAG_WANTS_REPLY if frame.wants_reply else 0
+        payload = frame.payload
+        payload_len = len(payload)
+        if payload_len > 0xFFFF:
+            raise WireError(f"payload too large for wire format: {payload_len}")
     else:
-        header_size, header_bytes = _HEADER2.size, HEADER2_BYTES
-    needed = header_bytes + payload_len
-    if offset < 0 or len(buf) - offset < needed:
+        kind, seq, total, payload, flags = _frame_fields(frame)
+        payload_len = len(payload)
+    stream = frame.stream_id
+    if stream == 0:
+        header = _pack_header(
+            MAGIC, VERSION, kind, frame.transfer_id, seq, total, flags,
+            payload_len,
+        )
+        write, body = _pack_header_crc_into, offset + HEADER_BYTES
+    else:
+        header = _pack_header2(
+            MAGIC, VERSION_STREAM, kind, stream, frame.transfer_id, seq,
+            total, flags, payload_len,
+        )
+        write, body = _pack_header2_crc_into, offset + HEADER2_BYTES
+    end = body + payload_len
+    if offset < 0 or len(buf) < end:
         raise WireError(
-            f"buffer too small: need {needed} bytes at offset {offset}, "
+            f"buffer too small: need {end - offset} bytes at offset {offset}, "
             f"have {len(buf) - offset}"
         )
-    if frame.stream_id == 0:
-        _HEADER.pack_into(
-            buf, offset, MAGIC, VERSION, kind, frame.transfer_id, seq, total,
-            flags, payload_len,
-        )
-    else:
-        _HEADER2.pack_into(
-            buf, offset, MAGIC, VERSION_STREAM, kind, frame.stream_id,
-            frame.transfer_id, seq, total, flags, payload_len,
-        )
-    with memoryview(buf) as view:
-        crc = crc32(payload, crc32(view[offset:offset + header_size]))
-        crc &= 0xFFFFFFFF
-        _CRC.pack_into(buf, offset + header_size, crc)
-        end = offset + header_bytes
-        view[end:end + payload_len] = payload
-    return needed
+    view = buf if type(buf) is memoryview else memoryview(buf)
+    write(view, offset, header, crc32(payload, crc32(header)))
+    view[body:end] = payload
+    return end - offset
 
 
 def peek(datagram: bytes):
@@ -264,73 +277,47 @@ def decode(datagram: bytes) -> Frame:
         magic = (datagram[0] << 8) | datagram[1]
         raise WireError(f"bad magic {magic:#06x}")
     version = datagram[2]
-    # Fields read in place with ``unpack_from`` — no header slice, and
-    # the CRC runs incrementally over two memoryview windows instead of
-    # a header+payload concatenation.
     if version == VERSION:
-        _magic, _version, kind_raw, xfer, seq, total, flags, length = (
-            _HEADER.unpack_from(datagram, 0)
+        _magic, _version, kind, xfer, seq, total, flags, length = (
+            _unpack_header(datagram)
         )
         stream = 0
         header_size, header_bytes = _HEADER.size, HEADER_BYTES
     elif version == VERSION_STREAM:
         if size < HEADER2_BYTES:
             raise WireError(f"datagram too short: {size} bytes")
-        _magic, _version, kind_raw, stream, xfer, seq, total, flags, length = (
-            _HEADER2.unpack_from(datagram, 0)
+        _magic, _version, kind, stream, xfer, seq, total, flags, length = (
+            _unpack_header2(datagram)
         )
         if stream == 0:
             raise WireError("version-2 frame with stream 0 (must encode as v1)")
         header_size, header_bytes = _HEADER2.size, HEADER2_BYTES
     else:
         raise WireError(f"unsupported version {version}")
-    (crc_stated,) = _CRC.unpack_from(datagram, header_size)
+    (crc_stated,) = _unpack_crc(datagram, header_size)
     if size - header_bytes != length:
         raise WireError(f"length field {length} != payload {size - header_bytes}")
-    view = memoryview(datagram)
-    crc_actual = crc32(view[header_bytes:], crc32(view[:header_size])) & 0xFFFFFFFF
+    # The payload materialises to owned bytes exactly once — callers hand
+    # in a memoryview over a reusable receive buffer, and frames must not
+    # alias storage that the next recv overwrites — and the CRC runs over
+    # that copy, continuing from the header's.
+    view = datagram if type(datagram) is memoryview else memoryview(datagram)
+    payload = bytes(view[header_bytes:])
+    crc_actual = crc32(payload, crc32(view[:header_size]))
     if crc_actual != crc_stated:
         raise WireError(f"CRC mismatch: {crc_actual:#x} != {crc_stated:#x}")
-    kind = _KIND_BY_CODE.get(kind_raw)
-    if kind is None:
-        raise WireError(f"unknown frame kind {kind_raw}")
-    # Payload materialises to owned bytes exactly once: callers may hand
-    # in a memoryview over a reusable receive buffer, and frames must
-    # not alias storage that the next recv overwrites.
-    payload = bytes(view[header_bytes:])
-
     try:
-        if kind is FrameKind.DATA:
-            return DataFrame(
-                transfer_id=xfer,
-                seq=seq,
-                total=total,
-                payload=payload,
-                wants_reply=bool(flags & _FLAG_WANTS_REPLY),
-                wire_bytes=size,
-                stream_id=stream,
-            )
-        if kind is FrameKind.ACK:
-            return AckFrame(
-                transfer_id=xfer, seq=seq, wire_bytes=size,
-                stream_id=stream,
-            )
-        if kind is FrameKind.CONTROL:
-            return ControlFrame(
-                transfer_id=xfer,
-                request_id=seq,
-                body=payload,
-                wire_bytes=size,
-                stream_id=stream,
-            )
-        missing = _missing_from_bitmap(payload, total)
-        return NakFrame(
-            transfer_id=xfer,
-            first_missing=seq,
-            missing=missing,
-            total=total,
-            wire_bytes=size,
-            stream_id=stream,
-        )
+        if kind == _KIND_DATA:
+            wants_reply = (flags & _FLAG_WANTS_REPLY) != 0
+            return DataFrame(xfer, seq, total, payload, wants_reply, size,
+                             None, stream)
+        if kind == _KIND_ACK:
+            return AckFrame(xfer, seq, size, stream)
+        if kind == _KIND_CONTROL:
+            return ControlFrame(xfer, seq, payload, size, stream)
+        if kind == _KIND_NAK:
+            return NakFrame(xfer, seq, _missing_from_bitmap(payload, total),
+                            total, size, stream)
     except (ValueError, IndexError) as exc:
         raise WireError(f"inconsistent frame fields: {exc}") from exc
+    raise WireError(f"unknown frame kind {kind}")

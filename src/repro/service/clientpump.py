@@ -136,16 +136,22 @@ class _PumpClient:
         reads = io.recv_calls
         batch = io.recv_batch()
         more = io.recv_calls - reads == self._ring_slots
+        wanted = False
         for view, _sender in batch:
             try:
                 frame = decode(view)
             except WireError:
                 continue  # corrupted: exactly like a loss
             if machine.wants(frame):
-                self._stage(machine.on_frame(frame, now), now)
+                wanted = True
+                for reply in machine.on_frame(frame, now):
+                    io.send_frame(reply, self.server)
                 if machine.done:
                     more = False
                     break
+        if wanted:
+            # ``now`` is the ring's: one restart, in the state it ended in.
+            self.next_timer = now + machine.quiet_s
         io.flush()
         return more
 

@@ -148,13 +148,17 @@ class PullMachine:
         receiver = self._receiver
         replies = receiver.on_frame(frame, now)
         arrived = receiver.chunks
-        while self._verified in arrived:
-            chunk = arrived.pop(self._verified)
-            size = len(chunk)
-            self._verified += 1
-            self._bytes += size
-            if chunk != self._body.read(size):
-                self._intact = False
+        verified = self._verified
+        if verified in arrived:
+            read = self._body.read
+            while verified in arrived:
+                chunk = arrived.pop(verified)
+                size = len(chunk)
+                verified += 1
+                self._bytes += size
+                if chunk != read(size):
+                    self._intact = False
+            self._verified = verified
         if self._state == _RECEIVING and receiver.done:
             # Every packet has been compared at its offset in the body,
             # so equal length is all that is left of byte-equality.

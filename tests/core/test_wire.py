@@ -1,5 +1,8 @@
 """Unit and property tests for the byte-level wire format."""
 
+import mmap
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,3 +399,84 @@ class TestEncodeInto:
         buf = bytearray(offset + len(expected))
         assert encode_into(frame, buf, offset) == len(expected)
         assert bytes(buf[offset:]) == expected
+
+
+def _bytearray_target(size):
+    return bytearray(b"\xaa" * size)
+
+
+def _memoryview_target(size):
+    return memoryview(bytearray(b"\xaa" * size))
+
+
+def _mmap_target(size):
+    # What DatagramBatchIO stages in: a view of an anonymous mapping.
+    view = memoryview(mmap.mmap(-1, size))
+    view[:] = b"\xaa" * size
+    return view
+
+
+FRAME_IDS = [f"{type(f).__name__}-s{f.stream_id}-{i}"
+             for i, f in enumerate(CANONICAL_FRAMES)]
+
+
+class TestEveryBufferKind:
+    """The codec sees ``bytes`` in tests, a ``bytearray`` from blocking
+    callers and arena ``memoryview`` slices on the batched paths: all of
+    them hold the same bytes and yield the same frame."""
+
+    @pytest.mark.parametrize("target", [_bytearray_target, _memoryview_target,
+                                        _mmap_target])
+    @pytest.mark.parametrize("frame", CANONICAL_FRAMES, ids=FRAME_IDS)
+    def test_encode_into_at_an_offset_equals_encode(self, frame, target):
+        expected = encode(frame)
+        offset = 13
+        buf = target(offset + len(expected) + 5)
+        assert encode_into(frame, buf, offset) == len(expected)
+        assert bytes(buf[offset:offset + len(expected)]) == expected
+        assert bytes(buf[:offset]) == b"\xaa" * offset
+        assert bytes(buf[offset + len(expected):]) == b"\xaa" * 5
+
+    def test_a_bytearray_target_is_not_left_exported(self):
+        buf = bytearray(64)
+        encode_into(AckFrame(1, seq=0), buf)
+        buf.extend(b"resizable again")  # BufferError if a view survived
+
+    @pytest.mark.parametrize("frame", CANONICAL_FRAMES, ids=FRAME_IDS)
+    def test_decode_agrees_on_bytes_bytearray_and_a_view_slice(self, frame):
+        datagram = encode(frame)
+        arena = bytearray(b"\xaa" * 7 + datagram + b"\xaa" * 9)
+        window = memoryview(arena)[7:7 + len(datagram)]
+        decoded = decode(datagram)
+        assert decoded == decode(bytearray(datagram)) == decode(window)
+        assert decoded == replace(frame, wire_bytes=len(datagram))
+        # The frame owns its bytes: the arena may be overwritten.
+        arena[:] = bytes(len(arena))
+        payload = getattr(decoded, "payload", getattr(decoded, "body", b""))
+        assert type(payload) is bytes
+        assert decoded == decode(datagram)
+
+    @pytest.mark.parametrize("frame", CANONICAL_FRAMES, ids=FRAME_IDS)
+    def test_a_flipped_bit_anywhere_is_a_wire_error_and_nothing_else(
+            self, frame):
+        datagram = encode(frame)
+        # Every bit of header and CRC, and of the payload's two ends.
+        positions = [p for p in range(len(datagram))
+                     if p < HEADER2_BYTES + 4 or p >= len(datagram) - 4]
+        for position in positions:
+            for bit in range(8):
+                damaged = bytearray(datagram)
+                damaged[position] ^= 1 << bit
+                for form in (bytes(damaged), memoryview(damaged)):
+                    with pytest.raises(WireError):
+                        decode(form)
+
+    @given(noise=st.binary(min_size=0, max_size=80),
+           head=st.sampled_from([b"", b"\x5a\x57\x01", b"\x5a\x57\x02"]))
+    @settings(max_examples=200)
+    def test_noise_behind_a_valid_magic_never_crashes(self, noise, head):
+        for form in (head + noise, memoryview(bytearray(head + noise))):
+            try:
+                decode(form)
+            except WireError:
+                pass

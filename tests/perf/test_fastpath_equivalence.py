@@ -10,11 +10,12 @@ loudly.
 
 import dataclasses
 import json
+import mmap
 from pathlib import Path
 
 import pytest
 
-from repro.core.wire import decode
+from repro.core.wire import decode, encode_into
 from repro.perf import workloads
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,15 +26,35 @@ def seed_digests():
     return json.loads((FIXTURES / "seed_digests.json").read_text())
 
 
-def test_encode_bytes_match_seed_fixture(seed_digests):
-    recorded = [
+def recorded_datagrams():
+    return [
         bytes.fromhex(line)
         for line in (FIXTURES / "wire_frames.hex").read_text().splitlines()
         if line
     ]
+
+
+def test_encode_bytes_match_seed_fixture(seed_digests):
+    recorded = recorded_datagrams()
     live = workloads.canonical_datagrams()
     assert live == recorded
     assert workloads.wire_digest(live) == seed_digests["wire"]
+
+
+def test_staged_back_to_back_the_arena_holds_the_recording():
+    """``encode_into`` as the batch layer uses it — one mapped arena, each
+    frame behind the last — against the seed's bytes, and ``decode`` of
+    each arena window against ``decode`` of the recorded datagram."""
+    recorded = recorded_datagrams()
+    arena = memoryview(mmap.mmap(-1, 3 + sum(map(len, recorded))))
+    offset = 3
+    for frame, datagram in zip(workloads.canonical_frames(), recorded):
+        written = encode_into(frame, arena, offset)
+        window = arena[offset:offset + written]
+        assert window == datagram
+        assert decode(window) == decode(datagram)
+        offset += written
+    assert offset == len(arena)
 
 
 def test_decode_round_trips_recorded_datagrams():

@@ -1,5 +1,7 @@
 """Unit tests for the substrate-free per-transfer state machines."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.congestion import FixedController
@@ -45,6 +47,23 @@ class TestBlastSender:
         machine.on_frame(AckFrame(transfer_id=1, seq=2, stream_id=1), 0.01)
         assert machine.done and machine.outcome().ok
         assert machine.outcome().retransmits == 0
+
+    def test_first_transmission_is_what_data_would_build(self):
+        # next_frame draws and builds a first transmission itself (a
+        # copy of _data's first branch, for two calls fewer a packet):
+        # frame, counters and retained table must stay what _data gives.
+        body = bytes(range(256)) * 12
+        inlined = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
+        through_data = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
+        for seq, last_of_burst in enumerate([False, False, True]):
+            frame = inlined.next_frame(0.0)
+            assert frame == through_data._data(seq, wants_reply=last_of_burst)
+            assert [type(value) for value in astuple(frame)] == [
+                int, int, int, bytes, bool, int, type(None), int]
+            assert inlined._retained[seq] is frame
+            for name in ("_drawn", "data_frames_sent", "retransmits",
+                         "_retained"):
+                assert getattr(inlined, name) == getattr(through_data, name)
 
     def test_timeout_triggers_new_round(self):
         machine = BlastSenderMachine(1, bytes(2048), 1024, timeout_s=0.1)

@@ -1,13 +1,18 @@
 """PullMachine on a fake clock: scripted ``(now, frame)`` tables, no
 sockets, no simulator.  ``play`` is the quiet-period contract of
-``repro.service.pullclient`` written out once as a reference driver."""
+``repro.service.pullclient`` written out once as a reference driver.
+The last class but one holds the pump's socket driver to the same contract."""
 
 import json
 import math
+import select
+import socket
 
 import pytest
 
 from repro.core.frames import AckFrame, ControlFrame, DataFrame, NakFrame
+from repro.core.wire import decode, encode
+from repro.service.clientpump import _PumpClient
 from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.machines import service_payload
 from repro.service.pullclient import PullMachine
@@ -210,6 +215,74 @@ class TestLinger:
         assert pull.result.ok and not pull.done
         assert pull.quiet_s == 0.1
         assert pull.on_quiet(0.114) == [] and pull.done
+
+
+class TestThePumpsQuietPeriod:
+    """``_PumpClient`` is the quiet-period contract on a socket: a ring of
+    reads restarts the period once, at the ring's ``now``, if the machine
+    wanted any of it — to the ``quiet_s`` of the state the ring ended in."""
+
+    @pytest.fixture
+    def pump(self):
+        server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        server.bind(("127.0.0.1", 0))
+        client = _PumpClient(
+            1, SIZE, server.getsockname(), ring_slots=8, slot_bytes=8192,
+            protocol="blast", strategy="selective", pull_timeout_s=0.25,
+            pull_retries=3, recv_timeout_s=2.0, linger_s=0.1)
+        client.start(0.0)
+
+        def deliver(*frames):
+            for frame in frames:
+                datagram = frame if isinstance(frame, bytes) else encode(frame)
+                server.sendto(datagram, client.sock.getsockname())
+            assert select.select([client.sock], [], [], 2.0)[0]
+
+        def heard():
+            frames = []
+            while select.select([server], [], [], 0.05)[0]:
+                frames.append(decode(server.recv(65535)))
+            return frames
+
+        yield client, deliver, heard
+        client.close()
+        server.close()
+
+    def test_only_a_wanted_frame_restarts_it(self, pump):
+        client, deliver, _heard = pump
+        assert client.next_timer == 0.25
+        damaged = bytearray(encode(verdict()))
+        damaged[-1] ^= 0x01
+        deliver(data(0), verdict(stream_id=2), bytes(damaged),
+                AckFrame(transfer_id=1, seq=0, stream_id=1))
+        assert client.on_readable(0.1) is False
+        assert client.next_timer == 0.25         # nothing wanted: untouched
+        deliver(verdict())
+        client.on_readable(0.2)
+        assert client.next_timer == 0.2 + 2.0    # receiving: recv_timeout_s
+        deliver(verdict(), data(1, stream_id=2))
+        client.on_readable(0.3)
+        assert client.next_timer == 0.2 + 2.0    # a duplicate verdict is not progress
+        deliver(data(1, stream_id=2), data(0))
+        client.on_readable(0.4)
+        assert client.next_timer == 0.4 + 2.0    # one wanted frame in the ring is enough
+
+    def test_it_restarts_to_the_state_the_ring_ended_in(self, pump):
+        client, deliver, heard = pump
+        # Verdict, body and final packet in one ring: pulling ->
+        # receiving -> linger, three values of quiet_s, one restart.
+        deliver(verdict(), *[data(seq) for seq in range(PACKETS)])
+        assert client.on_readable(0.5) is False
+        assert client.machine.result.ok and not client.machine.done
+        assert client.machine.quiet_s == 0.1
+        assert client.next_timer == 0.5 + 0.1
+        request, ack = heard()                   # the reply left in the ring's flush
+        assert isinstance(request, ControlFrame)
+        assert isinstance(ack, AckFrame) and ack.seq == PACKETS - 1
+        client.on_timer(0.55)
+        assert not client.machine.done           # before next_timer: a no-op
+        client.on_timer(0.6)
+        assert client.machine.done
 
 
 class TestAgainstTheRealCore:

@@ -8,17 +8,17 @@ fault plan, every payload byte-verified client-side.
 import json
 import socket
 import threading
-import time
 
 import pytest
 
 from repro.core.frames import AckFrame, ControlFrame, DataFrame
-from repro.core.wire import encode
+from repro.core.wire import decode, encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
 from repro.service.loadgen import run_udp_loadgen
 from repro.service.machines import service_payload
+from repro.service.pullclient import PullMachine
 from repro.service.udpservice import UdpTransferService
 
 
@@ -55,29 +55,37 @@ class TestSingleClient:
     def test_rejected_stream_reported(self):
         config = ServiceConfig(max_active=1, max_queue=0)
         service, thread = run_service(config, clients=2)
-        # Pull a large stream, then ask for a second while the
-        # first still occupies the only active slot.  Wait until the
-        # server has actually admitted the blocker before the victim
-        # pulls — otherwise the two pull datagrams race for the slot.
-        results = {}
+        # The blocker is a PullMachine stepped by hand on its own
+        # socket.  Once it has its verdict it holds the only active slot
+        # for as long as this thread leaves the body unread (a blast's
+        # last packet is retried until it is answered), so the victim's
+        # rejection does not depend on which thread runs when.
+        blocker = PullMachine(1, 8192, "blast", "selective",
+                              pull_timeout_s=1.0, pull_retries=3,
+                              recv_timeout_s=5.0, linger_s=0.1)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(10.0)
 
-        def hold():
-            results["hold"] = pull(service.address, 1, 256 * 1024)
+        def step():
+            frame = decode(sock.recv(2048))
+            if blocker.wants(frame):
+                for reply in blocker.on_frame(frame, 0.0):
+                    sock.sendto(encode(reply), service.address)
 
-        holder = threading.Thread(target=hold, daemon=True)
-        holder.start()
-        admit_deadline = time.monotonic() + 10.0
-        while (service.core.active_count == 0
-               and time.monotonic() < admit_deadline):
-            time.sleep(0.002)
+        (request,) = blocker.start(0.0)
+        sock.sendto(encode(request), service.address)
+        step()  # the verdict: admitted
         assert service.core.active_count == 1
         rejected = pull(service.address, 2, 1024)
-        holder.join(timeout=25)
+        while blocker.result is None:
+            step()
         service.stop()
         thread.join(timeout=25)
         service.sock.close()
+        sock.close()
         assert rejected.status == "rejected"
-        assert results["hold"].ok
+        assert blocker.result.ok
 
 
 class TestConcurrentClients:
