@@ -55,7 +55,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_lint_options"]
 
 
 def _parse_size(text: str) -> int:
@@ -121,6 +121,50 @@ def _add_server_options(sub) -> None:
 def _add_fault_options(sub, plan_help: str) -> None:
     sub.add_argument("--fault-plan", metavar="NAME", help=plan_help)
     sub.add_argument("--fault-seed", type=int, default=None)
+
+
+def add_lint_options(parser: argparse.ArgumentParser) -> None:
+    """The options of both ``repro lint`` and ``python -m repro.lint``."""
+    parser.add_argument(
+        "paths", nargs="*", metavar="PATH",
+        help="files or directories to lint (default: src benchmarks)",
+    )
+    parser.add_argument(
+        "--format", choices=["text", "json"], default="text",
+        help="report format (default: text)",
+    )
+    parser.add_argument(
+        "--select", action="append", metavar="IDS",
+        help="comma-separated rule ids to run exclusively (e.g. REP101,REP104)",
+    )
+    parser.add_argument(
+        "--ignore", action="append", metavar="IDS",
+        help="comma-separated rule ids to skip",
+    )
+    parser.add_argument(
+        "--changed", metavar="REF",
+        help="lint only files changed since the given git ref (plus "
+        "untracked files); whole-program rules are skipped",
+    )
+    parser.add_argument(
+        "--paths", dest="path_patterns", metavar="PATTERNS",
+        help="comma-separated fnmatch patterns against package-relative "
+        "paths (e.g. 'service/*,core/wire.py'); whole-program rules "
+        "are skipped",
+    )
+    parser.add_argument(
+        "--baseline", metavar="PATH",
+        help="also write a rule-by-rule count ledger to PATH",
+    )
+    parser.add_argument(
+        "--fsm-matrix", metavar="PATH",
+        help="also write the REP114 FSM coverage matrix artifact to PATH",
+    )
+    parser.add_argument(
+        "--external", action="store_true",
+        help="additionally run ruff and mypy when installed "
+        "(pip install .[lint]); missing tools are skipped with a notice",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,44 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (overrides the global --jobs)",
     )
 
-    lint = sub.add_parser(
+    add_lint_options(sub.add_parser(
         "lint", help="replint: determinism & protocol-invariant linter"
-    )
-    lint.add_argument(
-        "lint_paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src benchmarks)",
-    )
-    lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument(
-        "--select", action="append", metavar="IDS",
-        help="comma-separated rule ids to run exclusively",
-    )
-    lint.add_argument(
-        "--ignore", action="append", metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    lint.add_argument(
-        "--changed", metavar="REF",
-        help="lint only files changed since the git ref (skips "
-        "whole-program rules)",
-    )
-    lint.add_argument(
-        "--paths", dest="path_patterns", metavar="PATTERNS",
-        help="comma-separated fnmatch patterns against package-relative "
-        "paths (skips whole-program rules)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH",
-        help="also write a rule-by-rule count ledger to PATH",
-    )
-    lint.add_argument(
-        "--fsm-matrix", metavar="PATH",
-        help="also write the REP114 FSM coverage matrix artifact to PATH",
-    )
-    lint.add_argument(
-        "--external", action="store_true",
-        help="additionally run ruff/mypy when installed (pip install .[lint])",
-    )
+    ))
 
     faults = sub.add_parser(
         "faults", help="run the fault-injection conformance matrix"
@@ -517,17 +526,7 @@ def _cmd_regen(args) -> int:
 def _cmd_lint(args) -> int:
     from .lint.cli import lint_command
 
-    return lint_command(
-        args.lint_paths,
-        output_format=args.format,
-        select=args.select,
-        ignore=args.ignore,
-        baseline=args.baseline,
-        external=args.external,
-        changed=args.changed,
-        path_patterns=args.path_patterns,
-        fsm_matrix=args.fsm_matrix,
-    )
+    return lint_command(args)
 
 
 def _cmd_faults(args) -> int:

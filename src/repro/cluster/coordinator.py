@@ -2,7 +2,7 @@
 
 One :class:`ClusterCoordinator` spawns N worker processes (``spawn``
 start method — the entrypoint must pickle by reference, which replint
-REP116 enforces for everything under ``cluster/``).  Each worker runs
+REP104 enforces for every ``Process(target=...)``).  Each worker runs
 the existing readiness-loop :class:`~repro.service.udpservice
 .UdpTransferService` around its own ``ServiceCore`` and talks to the
 coordinator over a :func:`multiprocessing.Pipe` control channel:
@@ -82,7 +82,7 @@ class WorkerSpec:
 
 
 def cluster_worker_main(spec: WorkerSpec, conn) -> None:
-    """Worker process entrypoint (module-level: spawn-safe, REP116).
+    """Worker process entrypoint (module-level: spawn-safe, REP104).
 
     SIGTERM/SIGINT ask the serve loop to stop; the loop drains in-flight
     grants before returning, and the final metrics report is always

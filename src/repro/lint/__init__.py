@@ -7,25 +7,26 @@ run time (see ``docs/static-analysis.md`` for the full catalogue):
 REP101    unseeded RNG construction / global-RNG calls
 REP102    wall-clock reads inside simulated-time code
 REP103    hash-ordered iteration in event/frame hot paths
-REP104    lambdas/closures shipped across the process-pool boundary
+REP104    lambdas/closures shipped across the process boundary
+          (pool methods and ``Process(target=...)``)
 REP105    ``os.environ`` reads outside the configuration boundary
 REP106    float ``==``/``!=`` in analysis formulas
 REP107    mutable default arguments and bare ``except:``
-REP108    frame types declared but not handled by the protocol layer
 REP109    blocking calls inside service event-loop code
 REP110    attribute creation outside ``__init__`` in slotted classes
 REP111    raw datagram socket I/O outside the batch layer
 REP112    blocking calls *reachable* from a service event-loop entry
 REP113    RNG seeds that do not flow from caller-provided data
-REP114    protocol-FSM exhaustiveness / terminal-absorption check
+REP114    protocol-FSM model check: exhaustiveness, terminal
+          absorption, reply coherence, dispatch and codec coverage
 REP115    recv-ring ``memoryview`` escaping its batch iteration
-REP116    unjoined / non-spawn-safe worker processes in ``cluster/``
+REP116    unjoined worker processes in ``cluster/``
 ========  ==========================================================
 
-REP101–REP107, REP109–REP111, REP115 and REP116 are single-file rules;
-REP108 and REP112–REP114 are whole-program rules built on the
+REP112 and REP114 are whole-program rules built on the
 :mod:`.callgraph` cross-module call graph (and, for REP114, the
-:mod:`.fsm` state-machine extractor).
+:mod:`.fsm` state-machine extractor); every other rule reads one file.
+REP108 and REP117 are retired (see ``docs/static-analysis.md``).
 
 Usage::
 

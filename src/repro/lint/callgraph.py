@@ -1,8 +1,8 @@
 """Conservative project-wide call graph over parsed :class:`FileContext`\\ s.
 
-This is the cross-module backbone of the whole-program rules (REP112
-transitive blocking calls, REP113 seed provenance, REP114 FSM model
-checking): a *witness-producing* approximation of "who can call whom",
+This is the cross-module backbone of the two whole-program rules
+(REP112 transitive blocking calls, REP114 FSM model checking): a
+*witness-producing* approximation of "who can call whom",
 built purely from the ASTs the engine already parsed.
 
 Soundness stance (documented in ``docs/static-analysis.md``):
@@ -27,7 +27,7 @@ Function nodes are keyed by a stable qualified name::
 
 :func:`CallGraph.find_chains` runs a breadth-first reachability walk
 from an entry point and returns the *shortest* call-chain witness per
-distinct sink — the chains REP112/REP113 publish in the JSON report.
+distinct sink — the chains REP112 publishes in the JSON report.
 """
 
 from __future__ import annotations
@@ -486,7 +486,7 @@ def build_call_graph(ctxs: Sequence[FileContext]) -> CallGraph:
 
     The graph is memoized on the first context object, keyed by the
     identity of the whole context list, so the project rules that all
-    need it (REP112/REP113/REP114) share one build per run.
+    need it (REP112/REP114) share one build per run.
     """
     key = tuple(id(ctx) for ctx in ctxs)
     anchor = ctxs[0] if ctxs else None

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Set
 
+from ..cli import add_lint_options
 from .engine import UsageError, run_lint
 from .reporters import render_baseline, render_json, render_text
 
@@ -39,48 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="replint: determinism & protocol-invariant linter "
-        "(rules REP101-REP115)",
+        "(rule catalogue: docs/static-analysis.md)",
     )
-    parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select", action="append", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. REP101,REP104)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--changed", metavar="REF",
-        help="lint only files changed since the given git ref (plus "
-        "untracked files); whole-program rules are skipped",
-    )
-    parser.add_argument(
-        "--paths", dest="path_patterns", metavar="PATTERNS",
-        help="comma-separated fnmatch patterns against package-relative "
-        "paths (e.g. 'service/*,core/wire.py'); whole-program rules "
-        "are skipped",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="also write a rule-by-rule count ledger to PATH",
-    )
-    parser.add_argument(
-        "--fsm-matrix", metavar="PATH",
-        help="also write the REP114 FSM coverage matrix artifact to PATH",
-    )
-    parser.add_argument(
-        "--external", action="store_true",
-        help="additionally run ruff and mypy when installed "
-        "(pip install .[lint]); missing tools are skipped with a notice",
-    )
+    add_lint_options(parser)
     return parser
 
 
@@ -150,31 +112,23 @@ def _run_external() -> int:
     return worst
 
 
-def lint_command(
-    paths: Sequence[str],
-    output_format: str = "text",
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[str] = None,
-    external: bool = False,
-    changed: Optional[str] = None,
-    path_patterns: Optional[str] = None,
-    fsm_matrix: Optional[str] = None,
-) -> int:
-    """Run the linter and print the report; returns the exit code."""
+def lint_command(args: argparse.Namespace) -> int:
+    """Run the linter on parsed :func:`add_lint_options` arguments,
+    print the report, and return the exit code."""
+    paths = list(args.paths) or list(DEFAULT_PATHS)
     try:
-        file_filter = _build_file_filter(changed, path_patterns)
+        file_filter = _build_file_filter(args.changed, args.path_patterns)
         result = run_lint(
-            list(paths) or list(DEFAULT_PATHS),
-            select=_split_ids(select),
-            ignore=_split_ids(ignore),
+            paths,
+            select=_split_ids(args.select),
+            ignore=_split_ids(args.ignore),
             file_filter=file_filter,
         )
     except UsageError as exc:
         print(f"replint: error: {exc}", file=sys.stderr)
         return 2
     try:
-        if output_format == "json":
+        if args.format == "json":
             print(render_json(result))
         else:
             print(render_text(result))
@@ -194,34 +148,23 @@ def lint_command(
         # the reader's choice, so exit on the lint verdict, not a traceback.
         sys.stderr.close()
         return 0 if result.clean else 1
-    if baseline:
-        path = Path(baseline)
+    if args.baseline:
+        path = Path(args.baseline)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(render_baseline(result))
         print(f"replint: baseline written to {path}")
-    if fsm_matrix:
+    if args.fsm_matrix:
         from .fsm import matrix_for_paths
 
-        path = Path(fsm_matrix)
+        path = Path(args.fsm_matrix)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(matrix_for_paths(list(paths) or list(DEFAULT_PATHS)))
+        path.write_text(matrix_for_paths(paths))
         print(f"replint: FSM matrix written to {path}")
     exit_code = 0 if result.clean else 1
-    if external:
+    if args.external:
         exit_code = max(exit_code, _run_external())
     return exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return lint_command(
-        args.paths,
-        output_format=args.format,
-        select=args.select,
-        ignore=args.ignore,
-        baseline=args.baseline,
-        external=args.external,
-        changed=args.changed,
-        path_patterns=args.path_patterns,
-        fsm_matrix=args.fsm_matrix,
-    )
+    return lint_command(build_parser().parse_args(argv))

@@ -6,7 +6,7 @@ run in CI before any optional tooling is installed.  A lint run is
 1. collect ``*.py`` files under the given roots,
 2. parse each into a :class:`FileContext` (AST + suppression comments),
 3. run every *file rule* on every context and every *project rule* once
-   over all contexts (REP108 needs cross-file knowledge),
+   over all contexts (REP112 and REP114 need cross-file knowledge),
 4. drop violations the source suppressed inline, and
 5. hand the sorted remainder to a reporter.
 
@@ -68,7 +68,7 @@ class Violation:
     #: Rule family (meta/determinism/parallelism/numerics/robustness/
     #: protocol/event-loop/performance) — surfaced in the v2 JSON report.
     family: str = ""
-    #: Call-chain witness for transitive findings (REP112/REP113):
+    #: Call-chain witness for transitive findings (REP112):
     #: ``(entry_qname, ..., sink_label)``.  Empty for direct findings.
     chain: Tuple[str, ...] = ()
 

@@ -29,6 +29,19 @@ inventory of ``core/frames.py``:
    Machines whose ``done`` is a property derive termination; they are
    exempt from the flag checks and marked ``derived`` in the matrix.
 
+4. **Reply coherence** — a machine that speaks NAK, or that sends
+   ``wants_reply=True`` data, must also handle or speak ACK: a negative
+   path without the positive one cannot terminate.
+
+and checks the vocabulary as a whole:
+
+5. **Dispatch coverage** — every ``FrameKind`` is dispatched on by at
+   least one machine (a kind nobody dispatches is dead protocol
+   surface);
+6. **Codec completeness** — ``core/wire.py`` names every frame class
+   and every ``FrameKind`` member (a frame that cannot cross the wire
+   breaks the UDP transports the moment someone sends it).
+
 The extracted machines render as a byte-stable matrix artifact
 (machines × frame kinds), goldened under ``benchmarks/results/`` the
 same way as the conformance ledger — see ``--fsm-matrix`` on the CLI.
@@ -54,8 +67,9 @@ __all__ = [
     "matrix_for_paths",
 ]
 
-#: Where the frame vocabulary lives.
+#: Where the frame vocabulary and its codec live.
 FRAMES_UNIT = "core/frames.py"
+WIRE_UNIT = "core/wire.py"
 
 #: Units whose classes are candidate machines.
 MACHINE_UNITS = ("service/machines.py", "service/pullclient.py")
@@ -63,7 +77,7 @@ MACHINE_DIRS = ("udpnet",)
 
 #: Units excluded as "spoken-kind" evidence: the codec mentions every
 #: frame class by design, so reaching it proves nothing.
-_SPEAK_EXCLUDED_UNITS = frozenset({"core/wire.py"})
+_SPEAK_EXCLUDED_UNITS = frozenset({WIRE_UNIT})
 
 #: The declared-ignore class attribute and the terminal-flag vocabulary.
 IGNORE_ATTR = "FSM_IGNORES"
@@ -110,12 +124,13 @@ class FsmReport:
 
 def _frame_inventory(
     ctxs: Sequence[FileContext],
-) -> Optional[Tuple[Tuple[str, ...], Dict[str, str]]]:
-    """``(ordered kind names, frame-class name → kind name)`` or None."""
+) -> Optional[Tuple[FileContext, Dict[str, ast.AST], Dict[str, str]]]:
+    """``(frames unit, kind name → its FrameKind statement, frame-class
+    name → kind name)`` in declaration order, or None."""
     frames_ctx = next((c for c in ctxs if c.unit == FRAMES_UNIT), None)
     if frames_ctx is None:
         return None
-    kinds: List[str] = []
+    kinds: Dict[str, ast.AST] = {}
     for stmt in frames_ctx.tree.body:
         if isinstance(stmt, ast.ClassDef) and stmt.name == "FrameKind":
             for sub in stmt.body:
@@ -126,7 +141,7 @@ def _frame_inventory(
                     targets = [sub.target]
                 for target in targets:
                     if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                        kinds.append(target.id)
+                        kinds[target.id] = sub
     if not kinds:
         return None
     class_to_kind: Dict[str, str] = {}
@@ -138,7 +153,7 @@ def _frame_inventory(
             kind = stmt.name[: -len("Frame")].upper()
         if kind in kinds:
             class_to_kind[stmt.name] = kind
-    return tuple(kinds), class_to_kind
+    return frames_ctx, kinds, class_to_kind
 
 
 def _declared_kind(classdef: ast.ClassDef) -> Optional[str]:
@@ -272,6 +287,19 @@ def _flag_assignments(
     return out
 
 
+def _requests_replies(bodies: Sequence[ClassInfo]) -> bool:
+    """True if the chain sends data with ``wants_reply=True``."""
+    return any(
+        keyword.arg == "wants_reply"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True
+        for cls in bodies
+        for node in ast.walk(cls.node)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    )
+
+
 def _flag_is_property(bodies: Sequence[ClassInfo], flag: str) -> bool:
     for cls in bodies:
         for stmt in cls.node.body:
@@ -286,7 +314,8 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
     inventory = _frame_inventory(ctxs)
     if inventory is None:
         return None
-    kinds, class_to_kind = inventory
+    frames_ctx, kind_nodes, class_to_kind = inventory
+    kinds = tuple(kind_nodes)
     frame_names = set(class_to_kind)
     graph = build_call_graph(ctxs)
 
@@ -359,6 +388,20 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
                 f"explicitly ignores FrameKind {', '.join(missing)} — "
                 f"handle the frame or declare it in {IGNORE_ATTR}",
             ))
+        covered = machine.handled | machine.spoken
+        if "ACK" in kinds and "ACK" not in covered:
+            if "NAK" in covered:
+                problems.append((
+                    cls.ctx, cls.node,
+                    f"machine {cls.name} speaks NAK but never ACK — the "
+                    "negative path cannot terminate positively",
+                ))
+            if _requests_replies(chain):
+                problems.append((
+                    cls.ctx, cls.node,
+                    f"machine {cls.name} requests replies (wants_reply) "
+                    "but never handles ACK",
+                ))
 
         flags_used: List[str] = []
         derived = False
@@ -390,6 +433,33 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
             machine.terminal = "derived"
         machines.append(machine)
 
+    for kind, node in kind_nodes.items():
+        if not any(kind in machine.handled for machine in machines):
+            problems.append((
+                frames_ctx, node,
+                f"FrameKind.{kind} is declared here but no machine "
+                "dispatches on it",
+            ))
+    wire_ctx = next((c for c in ctxs if c.unit == WIRE_UNIT), None)
+    if wire_ctx is not None:
+        named = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(wire_ctx.tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        anchor = wire_ctx.tree.body[0] if wire_ctx.tree.body else wire_ctx.tree
+        for name in sorted(frame_names - named):
+            problems.append((
+                wire_ctx, anchor,
+                f"codec does not mention frame type {name}; it cannot "
+                "cross the wire",
+            ))
+        for kind in kinds:
+            if kind not in named:
+                problems.append((
+                    wire_ctx, anchor,
+                    f"codec does not dispatch on FrameKind.{kind}",
+                ))
     return FsmReport(kinds=kinds, machines=machines, problems=problems)
 
 
@@ -404,7 +474,8 @@ class FsmExhaustivenessRule(Rule):
     fix_hint = (
         "handle the frame kind in on_frame/the receive loop, or declare "
         "FSM_IGNORES = (FrameKind.X, ...) on the machine; keep terminal "
-        "done/failed flags absorbing (never reset outside __init__)"
+        "done/failed flags absorbing (never reset outside __init__); "
+        "teach core/wire.py every frame kind"
     )
 
     def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Violation]:

@@ -8,7 +8,7 @@ Schema history:
 
 - **v1** — path/line/col/rule/severity/message/fix_hint per violation.
 - **v2** — adds ``family`` (rule family) and ``chain`` (call-chain
-  witness for transitive REP112/REP113 findings) per violation, plus a
+  witness for transitive REP112 findings) per violation, plus a
   top-level ``project_rules_skipped`` flag for subset runs.  v1 reports
   lack the fields v2 consumers rely on, so :func:`load_report` rejects
   them loudly instead of mis-parsing.

@@ -1,9 +1,9 @@
-"""replint rule families REP101–REP107 and REP109–REP111 (single-file AST rules).
+"""replint rules REP101–REP116 (REP114 lives in :mod:`.fsm`).
 
 Every rule is a pluggable class with an ``id``, ``severity``,
 ``fix_hint`` and a one-line ``title``; :func:`all_rules` returns one
-instance of each (including REP108 from :mod:`.protocol`).  File rules
-implement ``check_file``; the cross-file REP108 implements
+instance of each.  File rules implement ``check_file``; the two
+whole-program rules (REP112 here, REP114 in :mod:`.fsm`) implement
 ``check_project`` instead.
 
 The determinism contract these rules enforce is the one PR 1's parallel
@@ -366,6 +366,9 @@ class UnorderedIterationRule(Rule):
 # ---------------------------------------------------------------------------
 
 class PickleBoundaryRule(Rule):
+    """Pool methods and ``Process(...)`` (spawn start method) ship their
+    callables to another process, which only works by reference."""
+
     id = "REP104"
     severity = "error"
     family = "parallelism"
@@ -383,6 +386,7 @@ class PickleBoundaryRule(Rule):
         "imap_unordered",
         "apply_async",
         "starmap",
+        "Process",
     }
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
@@ -417,12 +421,13 @@ class PickleBoundaryRule(Rule):
                     yield from self._check_call(ctx, node, defs, lambdas)
 
     def _check_call(self, ctx, node, local_defs, lambda_vars) -> Iterator[Violation]:
-        if not (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._BOUNDARY_METHODS
-        ):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in self._BOUNDARY_METHODS:
+            method = func.attr
+        elif isinstance(func, ast.Name) and func.id == "Process":
+            method = func.id  # ``from multiprocessing import Process``
+        else:
             return
-        method = node.func.attr
         candidates = list(node.args) + [kw.value for kw in node.keywords]
         for arg in candidates:
             if isinstance(arg, ast.Lambda):
@@ -597,6 +602,30 @@ def _unbounded_select(node: ast.Call) -> bool:
     return False
 
 
+_BLOCKING_ATTRS = frozenset(("recv", "recvfrom", "recv_into", "accept"))
+
+
+def _blocking_sink(dotted: Optional[str], node: ast.Call) -> Optional[str]:
+    """Why ``node`` can park the event loop, or None if it cannot.
+
+    The one sink predicate of REP109 (direct calls in ``service/``) and
+    REP112 (calls reached from it); ``dotted`` is the call's resolved
+    import path when it has one.
+    """
+    attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+    if dotted == "time.sleep":
+        return ("time.sleep() stalls every multiplexed transfer; bound "
+                "the wait with the core's next_deadline() instead")
+    if attr in _BLOCKING_ATTRS:
+        return (f".{attr}() blocks the shared event loop; use "
+                "_recv_frame(timeout_s=...) so the wait is bounded")
+    if ((attr == "select" or (dotted or "").endswith(".select"))
+            and _unbounded_select(node)):
+        return (".select() without a finite timeout parks the shared "
+                "event loop forever; pass next_deadline()-bounded wait")
+    return None
+
+
 class BlockingServiceCallRule(Rule):
     """The concurrent service multiplexes every transfer over one thread;
     a single unbounded wait stalls *all* of them.  Inside ``service/``,
@@ -615,40 +644,15 @@ class BlockingServiceCallRule(Rule):
         "never time.sleep in scheduler/event-loop paths"
     )
 
-    _BLOCKING_METHODS = ("recv", "recvfrom", "recv_into", "accept")
-
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.in_dir("service"):
             return
         imports = ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = imports.resolve(node.func)
-            if resolved == "time.sleep":
-                yield self.violation(
-                    ctx,
-                    node,
-                    "time.sleep() stalls every multiplexed transfer; bound "
-                    "the wait with the core's next_deadline() instead",
-                )
-            elif (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._BLOCKING_METHODS):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f".{node.func.attr}() blocks the shared event loop; "
-                    "use _recv_frame(timeout_s=...) so the wait is bounded",
-                )
-            elif (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "select"
-                    and _unbounded_select(node)):
-                yield self.violation(
-                    ctx,
-                    node,
-                    ".select() without a finite timeout parks the shared "
-                    "event loop forever; pass next_deadline()-bounded wait",
-                )
+            if isinstance(node, ast.Call):
+                reason = _blocking_sink(imports.resolve(node.func), node)
+                if reason is not None:
+                    yield self.violation(ctx, node, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +952,6 @@ class TransitiveBlockingRule(Rule):
         "on_readable",
         "serve_one",
     ))
-    _BLOCKING_ATTRS = frozenset(("recv", "recvfrom", "recv_into", "accept"))
 
     def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Violation]:
         from .callgraph import build_call_graph
@@ -973,17 +976,10 @@ class TransitiveBlockingRule(Rule):
     def _is_sink(site, owner) -> bool:
         if owner.unit.startswith("service/"):
             return False  # direct sites in service/ are REP109's
-        if site.kind == "external" and site.target == "time.sleep":
-            return True
-        if site.kind == "attr":
-            if site.target in TransitiveBlockingRule._BLOCKING_ATTRS:
-                return True
-            if site.target == "select" and _unbounded_select(site.node):
-                return True
-        if site.kind == "external" and site.target.endswith(".select") \
-                and _unbounded_select(site.node):
-            return True
-        return False
+        if site.kind not in ("external", "attr"):
+            return False  # resolved project calls are walked, not judged
+        dotted = site.target if site.kind == "external" else None
+        return _blocking_sink(dotted, site.node) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -993,18 +989,19 @@ class TransitiveBlockingRule(Rule):
 class SeedProvenanceRule(Rule):
     """REP101 catches a *global* RNG draw in the file where it happens;
     it cannot see a constant-seeded ``random.Random(1234)`` (every run
-    identical, but immune to ``--seed``), a module object passed around
-    as if it were an RNG instance, or a scoped subsystem laundering its
-    randomness through a helper in the REP101-exempt ``benchmarks/``
-    tree.  Stochastic subsystems (``sim/``, ``simnet/``, ``faults/``,
-    ``workloads/``, ``parallel/``) must draw every bit of randomness
-    from a seeded ``random.Random`` whose seed *flows in* as data.
+    identical, but immune to ``--seed``) or a module object passed
+    around as if it were an RNG instance.  Stochastic subsystems
+    (``sim/``, ``simnet/``, ``faults/``, ``workloads/``, ``parallel/``,
+    ``congestion/``) must draw every bit of randomness from a seeded
+    ``random.Random`` whose seed *flows in* as data.  (Randomness
+    laundered through the REP101-exempt ``benchmarks/`` tree cannot
+    happen: no ``src/repro`` module imports it, which
+    ``tests/lint/test_self_clean.py`` pins.)
     """
 
     id = "REP113"
     severity = "error"
     family = "determinism"
-    project = True
     title = "RNG whose seed does not flow from caller-provided data"
     fix_hint = (
         "accept a seed (or rng) parameter and build random.Random(seed) "
@@ -1015,35 +1012,10 @@ class SeedProvenanceRule(Rule):
     _SCOPES = ("sim", "simnet", "faults", "workloads", "parallel",
                "congestion")
     _RNG_MODULES = ("random", "numpy.random")
-    _NUMPY_CONSTRUCTORS = UnseededRandomRule._NUMPY_CONSTRUCTORS
 
-    def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Violation]:
-        from .callgraph import build_call_graph
-
-        scoped = [
-            ctx for ctx in ctxs
-            if any(ctx.in_dir(scope) for scope in self._SCOPES)
-        ]
-        for ctx in scoped:
-            yield from self._check_direct(ctx)
-        graph = build_call_graph(ctxs)
-        scoped_units = {ctx.unit for ctx in scoped}
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if fn.unit not in scoped_units:
-                continue
-            for chain, _site in graph.find_chains(qname, self._is_sink):
-                if len(chain) < 3:
-                    continue  # direct sites are REP101/_check_direct's
-                yield self.violation(
-                    fn.ctx,
-                    fn.node,
-                    f"{fn.qual}() reaches a global-RNG draw through an "
-                    "exempt helper: " + " -> ".join(chain),
-                    chain=chain,
-                )
-
-    def _check_direct(self, ctx: FileContext) -> Iterator[Violation]:
+    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
+        if not any(ctx.in_dir(scope) for scope in self._SCOPES):
+            return
         imports = ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -1075,20 +1047,6 @@ class SeedProvenanceRule(Rule):
             isinstance(sub, (ast.Name, ast.Attribute))
             for sub in ast.walk(node)
         )
-
-    @classmethod
-    def _is_sink(cls, site, owner) -> bool:
-        if site.kind != "external":
-            return False
-        if not owner.unit.startswith("benchmarks/"):
-            return False  # non-exempt units: REP101 already fires there
-        for mod in cls._RNG_MODULES:
-            if site.target.startswith(mod + "."):
-                tail = site.target.rsplit(".", 1)[1]
-                if mod == "random":
-                    return tail != "Random"
-                return tail not in cls._NUMPY_CONSTRUCTORS
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1269,28 +1227,22 @@ class BufferEscapeRule(Rule):
 # ---------------------------------------------------------------------------
 
 class ClusterProcessHygieneRule(Rule):
-    """Process objects in ``cluster/`` must be joined and spawn-safe.
+    """Process objects in ``cluster/`` must be joined.
 
-    Two failure modes the coordinator design rules out and this rule
-    keeps ruled out:
-
-    - a ``multiprocessing.Process`` / ``subprocess.Popen`` constructed
-      and then forgotten (never ``join()``/``wait()``ed, never stored
-      anywhere that outlives the scope) leaks a child and hides its
-      exit code from the failure detector;
-    - a ``Process(target=...)`` pointing at a lambda or nested def
-      cannot pickle under the ``spawn`` start method (the same boundary
-      REP104 enforces for pool workers).
+    A ``multiprocessing.Process`` / ``subprocess.Popen`` constructed and
+    then forgotten (never ``join()``/``wait()``ed, never stored anywhere
+    that outlives the scope) leaks a child and hides its exit code from
+    the failure detector.  Whether a ``Process(target=...)`` pickles
+    under the ``spawn`` start method is REP104's pickling boundary.
     """
 
     id = "REP116"
     severity = "error"
     family = "parallelism"
-    title = "unjoined or non-spawn-safe worker process in cluster/"
+    title = "unjoined worker process in cluster/"
     fix_hint = (
-        "join()/wait() every spawned process (or hand it to a joined "
-        "handle), and give Process a module-level target= so it "
-        "pickles under the spawn start method"
+        "join()/wait() every spawned process, or hand it to a handle "
+        "that is joined"
     )
 
     _PROC_CALLS = {"Process", "Popen"}
@@ -1299,30 +1251,16 @@ class ClusterProcessHygieneRule(Rule):
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.in_dir("cluster"):
             return
-        yield from self._scan_scope(ctx, ctx.tree.body, set(), set())
+        yield from self._scan_scope(ctx, ctx.tree.body)
 
-    def _scan_scope(self, ctx, body, local_defs, lambda_vars) -> Iterator[Violation]:
-        defs = set(local_defs)
-        lambdas = set(lambda_vars)
-        for node in self._scope_nodes(body):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        lambdas.add(target.id)
-        yield from self._check_scope(ctx, body, defs, lambdas)
+    def _scan_scope(self, ctx, body) -> Iterator[Violation]:
+        yield from self._check_scope(ctx, body)
         for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner_defs = {
-                    n.name
-                    for n in ast.walk(stmt)
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and n is not stmt
-                }
-                yield from self._scan_scope(ctx, stmt.body, defs | inner_defs, lambdas)
-            elif isinstance(stmt, ast.ClassDef):
-                yield from self._scan_scope(ctx, stmt.body, defs, lambdas)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield from self._scan_scope(ctx, stmt.body)
 
-    def _check_scope(self, ctx, body, local_defs, lambda_vars) -> Iterator[Violation]:
+    def _check_scope(self, ctx, body) -> Iterator[Violation]:
         spawned: Dict[str, ast.AST] = {}
         joined: set = set()
         escaped: set = set()
@@ -1370,8 +1308,6 @@ class ClusterProcessHygieneRule(Rule):
                 for value in list(node.keys) + list(node.values):
                     if isinstance(value, ast.Name):
                         escaped.add(value.id)
-            if isinstance(node, ast.Call) and self._is_proc_call(node):
-                yield from self._check_target(ctx, node, local_defs, lambda_vars)
         for name, call in spawned.items():
             if name not in joined and name not in escaped:
                 yield self.violation(
@@ -1379,30 +1315,6 @@ class ClusterProcessHygieneRule(Rule):
                     call,
                     f"{self._call_name(call)} object {name!r} is never "
                     "join()/wait()ed and never escapes this scope",
-                )
-
-    def _check_target(self, ctx, node, local_defs, lambda_vars) -> Iterator[Violation]:
-        for keyword in node.keywords:
-            if keyword.arg != "target":
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Lambda):
-                yield self.violation(
-                    ctx,
-                    value,
-                    "lambda as Process target= cannot pickle under the "
-                    "spawn start method",
-                )
-            elif isinstance(value, ast.Name) and (
-                value.id in local_defs or value.id in lambda_vars
-            ):
-                what = ("locally-defined function"
-                        if value.id in local_defs else "lambda")
-                yield self.violation(
-                    ctx,
-                    value,
-                    f"{what} {value.id!r} as Process target= cannot pickle "
-                    "under the spawn start method",
                 )
 
     # -- helpers -----------------------------------------------------------
@@ -1452,96 +1364,9 @@ class ClusterProcessHygieneRule(Rule):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-# ---------------------------------------------------------------------------
-# REP117 — full active-table walks in ServiceCore hot paths
-# ---------------------------------------------------------------------------
-
-class ActiveTableWalkRule(Rule):
-    """``ServiceCore`` keeps two indexes — the lazy-invalidation deadline
-    heap and the admission-ordered ready-set — precisely so that
-    ``poll``/``next_deadline``/``drain_sends`` cost is proportional to
-    the work due, not to the active-stream count.  One innocent
-    ``for entry in self._active.values()`` in a hot path silently
-    reintroduces the O(n)-per-wakeup walk the ``service_sched_scale``
-    suite retired, and nothing functional breaks — only the 10k-stream
-    sweeps quietly become O(n²) again.  This rule bans iterating or
-    materialising ``self._active`` anywhere in ``service/engine.py``
-    except the allowlisted rebuild helpers, whose whole point is to
-    amortise one sanctioned walk.
-    """
-
-    id = "REP117"
-    severity = "error"
-    family = "performance"
-    title = "full active-table walk outside an allowlisted rebuild helper"
-    fix_hint = (
-        "go through the scheduling indexes (deadline heap, ready-set, "
-        "client index) or move the walk into an allowlisted rebuild "
-        "helper (_rebuild_client_index / _compact_deadline_heap)"
-    )
-
-    _UNIT = "service/engine.py"
-    _ALLOWED = frozenset(("_rebuild_client_index", "_compact_deadline_heap"))
-    _VIEW_METHODS = frozenset(("items", "values", "keys"))
-    _MATERIALIZERS = frozenset(("list", "tuple", "set", "dict", "sorted",
-                                "max", "min", "sum", "any", "all"))
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.unit != self._UNIT:
-            return
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if fn.name in self._ALLOWED:
-                continue
-            for node in ast.iter_child_nodes(fn):
-                yield from self._walks_in(ctx, fn, node)
-
-    def _walks_in(self, ctx: FileContext, fn,
-                  node) -> Iterator[Violation]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are visited (and judged) on their own
-        if self._walks_active(node):
-            yield self.violation(
-                ctx,
-                node,
-                f"{fn.name}() walks the full self._active table; per-wakeup "
-                "cost must track due work, not active-stream count",
-            )
-        for child in ast.iter_child_nodes(node):
-            yield from self._walks_in(ctx, fn, child)
-
-    def _walks_active(self, node) -> bool:
-        if isinstance(node, ast.For):
-            return self._is_active_view(node.iter)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            return any(self._is_active_view(gen.iter)
-                       for gen in node.generators)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in self._MATERIALIZERS):
-            return any(self._is_active_view(arg) for arg in node.args)
-        return False
-
-    def _is_active_view(self, node) -> bool:
-        if self._is_active(node):
-            return True
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._VIEW_METHODS
-                and self._is_active(node.func.value))
-
-    @staticmethod
-    def _is_active(node) -> bool:
-        return (isinstance(node, ast.Attribute) and node.attr == "_active"
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self")
-
-
 def all_rules() -> List[Rule]:
-    """One instance of every replint rule, REP101..REP117 in order."""
+    """One instance of every replint rule, REP101..REP116 in order."""
     from .fsm import FsmExhaustivenessRule
-    from .protocol import ProtocolExhaustivenessRule
 
     return [
         UnseededRandomRule(),
@@ -1551,7 +1376,6 @@ def all_rules() -> List[Rule]:
         EnvReadRule(),
         FloatEqualityRule(),
         DefensiveDefaultsRule(),
-        ProtocolExhaustivenessRule(),
         BlockingServiceCallRule(),
         SlotsDisciplineRule(),
         DirectSocketIORule(),
@@ -1560,5 +1384,4 @@ def all_rules() -> List[Rule]:
         FsmExhaustivenessRule(),
         BufferEscapeRule(),
         ClusterProcessHygieneRule(),
-        ActiveTableWalkRule(),
     ]

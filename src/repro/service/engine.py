@@ -38,9 +38,9 @@ the 10k-stream cluster sweeps affordable (see docs/performance.md,
   full active table; grant order remains byte-for-byte admission
   order.
 
-replint rule REP117 statically pins the discipline: the only full
-``self._active`` iteration allowed in this module lives in the
-explicitly allowlisted rebuild helper (``_rebuild_client_index``).
+``tests/service/test_active_walks.py`` pins the discipline at run time:
+the only full ``self._active`` iteration in this module lives in the
+rebuild helper ``_rebuild_client_index``.
 
 Control protocol (JSON bodies, one pull per stream id)::
 
@@ -368,7 +368,9 @@ class ServiceCore:
         size = body.get("size")
         credit = body.get("credit")
         # type(x) is int: a JSON true is an int to isinstance, and equals 1.
-        if type(stream_id) is not int or stream_id < 1:
+        # The upper bound is the wire's 32-bit stream field: a reply that
+        # cannot be encoded would raise inside the serve loop.
+        if type(stream_id) is not int or not 1 <= stream_id <= 0xFFFFFFFF:
             reply = {"status": "error", "reason": "bad stream id", "stream": 0}
             return [(self._control_reply(frame.request_id, 0, reply), client)]
         if stream_id in self._responses:
@@ -638,7 +640,7 @@ class ServiceCore:
                 self._unready(stream_id)
         return outputs
 
-    # -- rebuild helpers (REP117 allowlist) ---------------------------------
+    # -- rebuild helper (the one full walk of _active) ----------------------
     def _rebuild_client_index(self) -> None:
         """Recompute rotation positions; the one sanctioned active walk.
 

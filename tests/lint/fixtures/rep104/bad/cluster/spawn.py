@@ -1,0 +1,23 @@
+"""REP104 bad fixture: worker processes whose target cannot pickle.
+
+Both processes are joined, so REP116 (join hygiene) stays quiet; the
+``spawn`` start method still has to pickle the target by reference.
+"""
+
+import multiprocessing
+from multiprocessing import Process
+
+
+def lambda_target(spec):
+    proc = multiprocessing.Process(target=lambda: spec)
+    proc.start()
+    proc.join()
+
+
+def nested_target(spec):
+    def entry():
+        return spec
+
+    proc = Process(target=entry)
+    proc.start()
+    proc.join()

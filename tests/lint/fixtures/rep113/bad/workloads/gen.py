@@ -1,8 +1,6 @@
-"""REP113 bad fixture: three ways a seed fails to flow from the caller."""
+"""REP113 bad fixture: two ways a seed fails to flow from the caller."""
 
 import random
-
-from benchmarks.noise import jitter
 
 
 def constant_rng() -> int:
@@ -17,7 +15,3 @@ def shuffle_with(samples, rng):
 
 def module_passthrough(samples):
     return shuffle_with(samples, random)
-
-
-def noisy_sizes(base: int):
-    return [base + jitter() for _ in range(4)]

@@ -1,4 +1,4 @@
-"""Minimal frame vocabulary for the REP114 bad fixture (3 kinds)."""
+"""Frame vocabulary for the REP114 bad fixture: RESET has no dispatcher."""
 
 import enum
 
@@ -7,12 +7,14 @@ class FrameKind(enum.IntEnum):
     DATA = 1
     ACK = 2
     NAK = 3
+    RESET = 4
 
 
 class DataFrame:
-    def __init__(self, seq: int, payload: bytes):
+    def __init__(self, seq: int, payload: bytes, wants_reply: bool = False):
         self.seq = seq
         self.payload = payload
+        self.wants_reply = wants_reply
 
 
 class AckFrame:
@@ -23,3 +25,8 @@ class AckFrame:
 class NakFrame:
     def __init__(self, missing):
         self.missing = tuple(missing)
+
+
+class ResetFrame:
+    def __init__(self, reason: str):
+        self.reason = reason

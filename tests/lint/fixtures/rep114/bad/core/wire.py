@@ -1,4 +1,4 @@
-"""REP108 good fixture codec: every frame kind crosses the wire."""
+"""REP114 bad fixture codec: cannot carry ResetFrame."""
 
 from .frames import AckFrame, DataFrame, FrameKind, NakFrame
 

@@ -1,4 +1,4 @@
-"""REP108 bad fixture codec: cannot carry ResetFrame."""
+"""REP114 good fixture codec: every frame kind crosses the wire."""
 
 from .frames import AckFrame, DataFrame, FrameKind, NakFrame
 

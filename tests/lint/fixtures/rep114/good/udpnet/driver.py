@@ -1,4 +1,4 @@
-"""REP114 good fixture: every kind covered, terminals absorbing."""
+"""REP114 good fixture: all kinds covered and dispatched, terminals absorb."""
 
 from core.frames import AckFrame, DataFrame, FrameKind, NakFrame
 
@@ -37,3 +37,19 @@ class SteadyReceiver:
             self.highest = frame.seq
             return AckFrame(frame.seq)
         return NakFrame((self.highest + 1,))
+
+
+class RetryingSender:
+    """Speaks DATA, handles ACK and NAK (a NAK rewinds the cursor)."""
+
+    def __init__(self) -> None:
+        self.cursor = 0
+
+    def push(self, payload: bytes) -> DataFrame:
+        return DataFrame(self.cursor, payload)
+
+    def on_frame(self, frame) -> None:
+        if isinstance(frame, NakFrame):
+            self.cursor = frame.missing[0]
+        elif isinstance(frame, AckFrame):
+            self.cursor = frame.seq + 1

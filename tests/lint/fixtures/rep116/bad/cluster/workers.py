@@ -1,4 +1,4 @@
-"""REP116 bad fixture: leaked and spawn-unsafe worker processes."""
+"""REP116 bad fixture: leaked worker processes."""
 
 import multiprocessing
 import subprocess
@@ -25,17 +25,3 @@ def popen_leak(spec):
     child.poll()
     # never wait()ed: a zombie on most platforms.
 
-
-def lambda_target(spec):
-    proc = multiprocessing.Process(target=lambda: spec)
-    proc.start()
-    proc.join()
-
-
-def nested_target(spec):
-    def entry():
-        return spec
-
-    proc = multiprocessing.Process(target=entry)
-    proc.start()
-    proc.join()

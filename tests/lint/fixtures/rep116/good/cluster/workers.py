@@ -1,4 +1,4 @@
-"""REP116 good fixture: joined handles, module-level spawn targets."""
+"""REP116 good fixture: every process is joined or handed to a handle."""
 
 import multiprocessing
 import subprocess

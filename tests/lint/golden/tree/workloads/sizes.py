@@ -1,7 +1,7 @@
-"""Golden-report fixture: a transitive REP113 finding with a chain."""
+"""Golden-report fixture: a direct REP113 finding (no chain)."""
 
-from benchmarks.noise import jitter
+import random
 
 
 def noisy(base: int) -> int:
-    return base + int(jitter())
+    return base + random.Random(1234).randrange(4)

@@ -74,14 +74,44 @@ def test_rep101_flags_each_bad_call_site():
     assert len(lines) == 4  # random.random, Random(), default_rng(), np global
 
 
-def test_rep108_reports_unhandled_frame_and_codec_gap():
-    result = run_lint([FIXTURES / "rep108" / "bad"])
-    messages = " | ".join(v.message for v in result.violations)
-    assert "ResetFrame" in messages
-    assert "codec" in messages
-    assert "NakOnlyReceiver" in messages
-    by_file = {Path(v.path).name for v in result.violations}
-    assert {"frames.py", "wire.py", "proto.py"} <= by_file
+def test_rep114_reports_the_retired_rep108_cases():
+    # REP108's vocabulary checks now run on REP114's machine models:
+    # an undispatched kind, a codec gap (class and kind), a NAK without
+    # ACK and a wants_reply sender without ACK.
+    result = run_lint([FIXTURES / "rep114" / "bad"])
+    by_file = {}
+    for violation in result.violations:
+        by_file.setdefault(Path(violation.path).name, []).append(
+            violation.message)
+    assert by_file["frames.py"] == [
+        "FrameKind.RESET is declared here but no machine dispatches on it"]
+    assert sorted(by_file["wire.py"]) == [
+        "codec does not dispatch on FrameKind.RESET",
+        "codec does not mention frame type ResetFrame; it cannot cross "
+        "the wire",
+    ]
+    driver = " | ".join(by_file["driver.py"])
+    assert "NakOnlyReceiver speaks NAK but never ACK" in driver
+    assert "EagerSender requests replies (wants_reply)" in driver
+
+
+def test_rep104_reports_lambda_and_nested_process_targets():
+    result = run_lint([FIXTURES / "rep104" / "bad" / "cluster"])
+    messages = sorted(v.message for v in result.violations)
+    assert messages == [
+        "lambda passed to .Process() cannot be pickled to a worker process",
+        "locally-defined function 'entry' passed to .Process() cannot be "
+        "pickled to a worker process",
+    ]
+
+
+def test_rep113_reports_direct_cases_under_a_subset_run():
+    # A single-file rule since its call-graph half went: --paths and
+    # --changed runs check it too.
+    result = run_lint([FIXTURES / "rep113" / "bad"],
+                      file_filter=lambda path, unit: True)
+    assert result.project_rules_skipped
+    assert [v.rule for v in result.violations] == ["REP113", "REP113"]
 
 
 def test_rep110_names_the_stray_attribute_and_method():

@@ -106,6 +106,25 @@ class TestControlProtocol:
         assert honest == {"status": "ok", "stream": 1, "size": 2048,
                           "packets": 2, "seed": core.config.seed}
 
+    @pytest.mark.parametrize("stream_id", [2 ** 32, 1099511627776])
+    def test_a_stream_id_the_wire_cannot_carry_is_refused(self, stream_id):
+        # The reply would not encode (32-bit stream field) and used to
+        # raise inside the UDP serve loop; now it is refused uncached.
+        core = ServiceCore()
+        (reply, _client), = core.on_frame(pull_frame(stream_id, 10), 0.0,
+                                          client="mallory")
+        assert reply.stream_id == 0
+        assert json.loads(reply.body.decode()) == {
+            "status": "error", "reason": "bad stream id", "stream": 0}
+        assert core._responses == {} and core._request_ids == {}
+        assert core.active_count == core.pending_count == 0
+        assert core.report_json() == ServiceCore().report_json()
+
+    def test_the_largest_wire_stream_id_is_served(self):
+        core = ServiceCore()
+        body = reply_body(core.on_frame(pull_frame(0xFFFFFFFF, 10), 0.0))
+        assert body["status"] == "ok" and body["stream"] == 0xFFFFFFFF
+
     def test_unknown_op_gets_error_reply(self):
         frame = ControlFrame(transfer_id=0, request_id=9,
                              body=json.dumps({"op": "push"}).encode())

@@ -156,6 +156,33 @@ class TestCanonicalDeterminism:
         assert [t["stream"] for t in report["transfers"]] == list(range(1, 17))
 
 
+class TestServerHostileFrames:
+    def test_an_oversized_stream_id_does_not_stop_the_server(self):
+        # One CRC-valid pull for a stream id past the wire's 32 bits used
+        # to raise struct.error inside serve() and end the serve loop.
+        service, thread = run_service(duration_s=20.0)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(10.0)
+        try:
+            hostile = ControlFrame(transfer_id=0, request_id=1, body=json.dumps(
+                {"op": "pull", "stream": 1099511627776, "size": 10}).encode())
+            sock.sendto(encode(hostile), service.address)
+            reply = decode(sock.recv(2048))
+        finally:
+            sock.close()
+        assert json.loads(reply.body.decode()) == {
+            "status": "error", "reason": "bad stream id", "stream": 0}
+        result = pull(service.address, 1, 8192)
+        thread.join(timeout=25)
+        report = json.loads(service.report_json())
+        service.sock.close()
+        assert not thread.is_alive()
+        assert result.ok and result.payload_ok
+        assert report["summary"]["ok"] == 1
+        assert report["summary"]["transfers"] == 1
+
+
 class TestPumpHostileFrames:
     def test_spoofed_total_leaves_every_pull_ok(self):
         # No server thread: everything a client will read is queued on
