@@ -11,6 +11,7 @@ The DES twin shards 10k+ independent stream groups across
 for any ``--jobs`` value.
 """
 
+from ..service.metrics import canonical_from_report
 from .coordinator import (
     ClusterCoordinator,
     ClusterRunResult,
@@ -29,7 +30,6 @@ from .merge import (
     CLUSTER_SCHEMA_VERSION,
     ClusterReport,
     ShardReport,
-    canonical_from_report,
     merge_shards,
 )
 from .placement import (

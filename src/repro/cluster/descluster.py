@@ -33,8 +33,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..parallel.pool import ExperimentPool, mix_seed
 from ..service.engine import ServiceConfig
+from ..service.metrics import canonical_from_report
 from ..service.simservice import run_des_service
-from .merge import ClusterReport, ShardReport, canonical_from_report, merge_shards
+from .merge import ClusterReport, ShardReport, merge_shards
 from .placement import partition_streams
 
 __all__ = [

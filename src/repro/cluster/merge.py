@@ -32,13 +32,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..service.metrics import percentile
+from ..service.metrics import canonical_from_report, percentile
 
 __all__ = [
     "CLUSTER_SCHEMA_VERSION",
     "ClusterReport",
     "ShardReport",
-    "canonical_from_report",
     "merge_shards",
 ]
 
@@ -55,34 +54,6 @@ def _r(value: float) -> float:
     return round(float(value), _ROUND)
 
 
-def canonical_from_report(report: dict) -> dict:
-    """The ServiceMetrics canonical projection, derived from a full report.
-
-    Workers on the UDP substrate compute this themselves
-    (:meth:`ServiceMetrics.canonical_dict`); the DES cluster derives it
-    from the (relabelled) full report dict.  Both paths produce the
-    same keys, so shard reports merge identically wherever they ran.
-    """
-    summary = report["summary"]
-    return {
-        "summary": {
-            key: summary[key]
-            for key in ("transfers", "ok", "failed", "rejected", "bytes")
-        },
-        "transfers": [
-            {"stream": row["stream"], "ok": row["ok"],
-             "bytes": row["bytes"], "packets": row["packets"]}
-            for row in sorted(report["transfers"],
-                              key=lambda row: row["stream"])
-        ],
-        "rejections": sorted(
-            ({"stream": row["stream"], "reason": row["reason"]}
-             for row in report.get("rejections", ())),
-            key=lambda row: row["stream"],
-        ),
-    }
-
-
 @dataclass(frozen=True)
 class ShardReport:
     """One worker's metrics report plus its cluster-level identity."""
@@ -92,7 +63,8 @@ class ShardReport:
     #: Full ServiceMetrics report dict; None for a degraded shard that
     #: died before flushing one.
     report: Optional[dict] = None
-    #: Canonical projection; derived from ``report`` when omitted.
+    #: Canonical projection (``service.metrics.canonical_from_report``);
+    #: derived from ``report`` when omitted.
     canonical: Optional[dict] = None
 
     def canonical_dict(self) -> Optional[dict]:

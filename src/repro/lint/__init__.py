@@ -15,7 +15,6 @@ REP107    mutable default arguments and bare ``except:``
 REP109    blocking calls inside service event-loop code
 REP110    attribute creation outside ``__init__`` in slotted classes
 REP111    raw datagram socket I/O outside the batch layer
-REP112    blocking calls *reachable* from a service event-loop entry
 REP113    RNG seeds that do not flow from caller-provided data
 REP114    protocol-FSM model check: exhaustiveness, terminal
           absorption, reply coherence, dispatch and codec coverage
@@ -23,10 +22,9 @@ REP115    recv-ring ``memoryview`` escaping its batch iteration
 REP116    unjoined worker processes in ``cluster/``
 ========  ==========================================================
 
-REP112 and REP114 are whole-program rules built on the
-:mod:`.callgraph` cross-module call graph (and, for REP114, the
-:mod:`.fsm` state-machine extractor); every other rule reads one file.
-REP108 and REP117 are retired (see ``docs/static-analysis.md``).
+REP114 is the one whole-program rule (the :mod:`.fsm` state-machine
+extractor); every other rule reads one file.  REP108, REP112 and
+REP117 are retired (see ``docs/static-analysis.md``).
 
 Usage::
 

@@ -6,7 +6,8 @@ run in CI before any optional tooling is installed.  A lint run is
 1. collect ``*.py`` files under the given roots,
 2. parse each into a :class:`FileContext` (AST + suppression comments),
 3. run every *file rule* on every context and every *project rule* once
-   over all contexts (REP112 and REP114 need cross-file knowledge),
+   over all contexts (REP114 needs the frame vocabulary, the codec and
+   the machines together),
 4. drop violations the source suppressed inline, and
 5. hand the sorted remainder to a reporter.
 
@@ -66,11 +67,8 @@ class Violation:
     message: str
     fix_hint: str = ""
     #: Rule family (meta/determinism/parallelism/numerics/robustness/
-    #: protocol/event-loop/performance) — surfaced in the v2 JSON report.
+    #: protocol/event-loop/performance) — surfaced in the JSON report.
     family: str = ""
-    #: Call-chain witness for transitive findings (REP112):
-    #: ``(entry_qname, ..., sink_label)``.  Empty for direct findings.
-    chain: Tuple[str, ...] = ()
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -274,8 +272,8 @@ def run_lint(
 
     ``file_filter`` — an optional ``(path, unit) -> bool`` predicate —
     restricts the run to a subset of discovered files (``--changed``,
-    ``--paths``).  Subset runs skip every whole-program rule: a call
-    graph over a partial context set would silently under-report, so
+    ``--paths``).  Subset runs skip every whole-program rule: a model
+    check over a partial context set would silently under-report, so
     the result carries ``project_rules_skipped=True`` instead.
     """
     if rules is None:

@@ -7,14 +7,14 @@ This module recovers those machines from the AST — every class in
 ``service/machines.py`` and ``service/pullclient.py`` plus every
 public protocol driver under ``udpnet/`` that speaks the frame
 vocabulary — and model-checks each one against the frame-kind
-inventory of ``core/frames.py``:
+inventory of ``core/frames.py``.  A machine's base chain is found by
+class name among those same units, which hold every machine base.
 
 1. **Exhaustiveness** — every :class:`FrameKind` member must be
    *dispatched* (an ``isinstance(frame, XFrame)`` check anywhere in the
-   class or its resolved base chain), *spoken* (the class constructs or
-   references the frame class, directly or through project helpers it
-   calls — the wire codec is excluded, it mentions everything), or
-   *explicitly ignored* via a declared class attribute::
+   class or its base chain), *spoken* (the class or a base constructs
+   or references the frame class), or *explicitly ignored* via a
+   declared class attribute::
 
        FSM_IGNORES = (FrameKind.CONTROL,)   # not part of this machine
 
@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, ClassInfo, build_call_graph
 from .engine import FileContext, Violation, iter_python_files
 from .rules import Rule
 
@@ -75,10 +74,6 @@ WIRE_UNIT = "core/wire.py"
 MACHINE_UNITS = ("service/machines.py", "service/pullclient.py")
 MACHINE_DIRS = ("udpnet",)
 
-#: Units excluded as "spoken-kind" evidence: the codec mentions every
-#: frame class by design, so reaching it proves nothing.
-_SPEAK_EXCLUDED_UNITS = frozenset({WIRE_UNIT})
-
 #: The declared-ignore class attribute and the terminal-flag vocabulary.
 IGNORE_ATTR = "FSM_IGNORES"
 TERMINAL_FLAGS = ("done", "failed")
@@ -87,17 +82,21 @@ _CTOR_METHODS = frozenset(("__init__", "__post_init__", "__new__"))
 
 
 @dataclass
+class ClassDef:
+    """One top-level class of a machine unit."""
+
+    qname: str
+    ctx: FileContext
+    node: ast.ClassDef
+
+
+@dataclass
 class MachineModel:
     """One extracted protocol machine and its per-kind coverage."""
 
     qname: str
-    unit: str
-    name: str
-    cls: ClassInfo
     handled: Set[str] = field(default_factory=set)
-    own_handled: Set[str] = field(default_factory=set)
     spoken: Set[str] = field(default_factory=set)
-    ignored_own: Set[str] = field(default_factory=set)
     ignored: Set[str] = field(default_factory=set)
     terminal: str = "-"
 
@@ -237,27 +236,46 @@ def _is_machine_unit(unit: str) -> bool:
     )
 
 
-def _spoken_via_calls(
-    graph: CallGraph, bodies: Sequence[ClassInfo], frame_names: Set[str]
-) -> Set[str]:
-    """Frame classes referenced by project functions reachable from any
-    method of the machine's class chain (wire codec excluded)."""
-    entries = [
-        method.qname
-        for cls in bodies
-        for method in cls.methods.values()
-    ]
-    spoken: Set[str] = set()
-    for qname in graph.reachable(entries):
-        fn = graph.functions[qname]
-        if fn.unit in _SPEAK_EXCLUDED_UNITS:
-            continue
-        spoken |= _referenced_frame_names(fn.node, frame_names)
-    return spoken
+def _machine_classes(ctxs: Sequence[FileContext]) -> Dict[str, ClassDef]:
+    """``unit::Name`` → class, for every top-level class of the machine
+    units, sorted by that key."""
+    classes: Dict[str, ClassDef] = {}
+    for ctx in ctxs:
+        if _is_machine_unit(ctx.unit):
+            for stmt in ctx.tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    qname = f"{ctx.unit}::{stmt.name}"
+                    classes.setdefault(qname, ClassDef(qname, ctx, stmt))
+    return dict(sorted(classes.items()))
+
+
+def _class_chain(
+    cls: ClassDef, by_name: Dict[str, List[ClassDef]]
+) -> List[ClassDef]:
+    """``cls`` and its bases, depth first and left to right.  A base is
+    looked up by its (last) name, in its own unit first; bases outside
+    the machine units are left out."""
+    chain: List[ClassDef] = []
+
+    def visit(link: ClassDef) -> None:
+        if link in chain:
+            return
+        chain.append(link)
+        for base in link.node.bases:
+            name = (base.id if isinstance(base, ast.Name)
+                    else base.attr if isinstance(base, ast.Attribute)
+                    else None)
+            found = by_name.get(name, [])
+            same_unit = [c for c in found if c.ctx is link.ctx]
+            for target in (same_unit or found)[:1]:
+                visit(target)
+
+    visit(cls)
+    return chain
 
 
 def _flag_assignments(
-    bodies: Sequence[ClassInfo], flag: str
+    bodies: Sequence[ClassDef], flag: str
 ) -> List[Tuple[ast.AST, str, bool]]:
     """``(node, method_name, value_is_false)`` for ``self.<flag> = ...``."""
     out: List[Tuple[ast.AST, str, bool]] = []
@@ -287,7 +305,7 @@ def _flag_assignments(
     return out
 
 
-def _requests_replies(bodies: Sequence[ClassInfo]) -> bool:
+def _requests_replies(bodies: Sequence[ClassDef]) -> bool:
     """True if the chain sends data with ``wants_reply=True``."""
     return any(
         keyword.arg == "wants_reply"
@@ -300,7 +318,7 @@ def _requests_replies(bodies: Sequence[ClassInfo]) -> bool:
     )
 
 
-def _flag_is_property(bodies: Sequence[ClassInfo], flag: str) -> bool:
+def _flag_is_property(bodies: Sequence[ClassDef], flag: str) -> bool:
     for cls in bodies:
         for stmt in cls.node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -317,63 +335,56 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
     frames_ctx, kind_nodes, class_to_kind = inventory
     kinds = tuple(kind_nodes)
     frame_names = set(class_to_kind)
-    graph = build_call_graph(ctxs)
+    classes = _machine_classes(ctxs)
+    by_name: Dict[str, List[ClassDef]] = {}
+    for cls in classes.values():
+        by_name.setdefault(cls.node.name, []).append(cls)
 
     machines: List[MachineModel] = []
     problems: List[Tuple[FileContext, ast.AST, str]] = []
 
-    for qname in sorted(graph.classes):
-        cls = graph.classes[qname]
-        if cls.name.startswith("_") or not _is_machine_unit(cls.unit):
+    for qname, cls in classes.items():
+        name = cls.node.name
+        if name.startswith("_"):
             continue
-        chain = graph.mro(qname)
-        qualifying = [
-            c for c in chain
-            if _is_machine_unit(c.unit) and (
-                _referenced_frame_names(c.node, frame_names)
-                or any(
-                    isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and s.name == "on_frame"
-                    for s in c.node.body
-                )
-            )
-        ]
-        if not qualifying:
+        chain = _class_chain(cls, by_name)
+        if not any(
+            _referenced_frame_names(c.node, frame_names)
+            or any(isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and s.name == "on_frame" for s in c.node.body)
+            for c in chain
+        ):
             continue
 
-        machine = MachineModel(qname=qname, unit=cls.unit, name=cls.name, cls=cls)
+        machine = MachineModel(qname=qname)
         for link in chain:
             for frame_name in _isinstance_frame_names(link.node, frame_names):
                 machine.handled.add(class_to_kind[frame_name])
             for frame_name in _referenced_frame_names(link.node, frame_names):
                 machine.spoken.add(class_to_kind[frame_name])
-        for frame_name in _isinstance_frame_names(cls.node, frame_names):
-            machine.own_handled.add(class_to_kind[frame_name])
-        machine.spoken |= {
-            class_to_kind[n]
-            for n in _spoken_via_calls(graph, chain, frame_names)
-        }
+        own_handled = {class_to_kind[frame_name] for frame_name
+                       in _isinstance_frame_names(cls.node, frame_names)}
 
+        ignored_own: Set[str] = set()
         for link in chain:
             for node, member in _declared_ignores(link.node):
                 if member is None or member not in kinds:
-                    if link is chain[0]:
+                    if link is cls:
                         problems.append((
                             cls.ctx, node,
-                            f"{cls.name}.{IGNORE_ATTR} entry is not a known "
+                            f"{name}.{IGNORE_ATTR} entry is not a known "
                             f"FrameKind member (expected one of: "
                             f"{', '.join(kinds)})",
                         ))
                     continue
                 machine.ignored.add(member)
-                if link is chain[0]:
-                    machine.ignored_own.add(member)
+                if link is cls:
+                    ignored_own.add(member)
 
-        conflicts = sorted(machine.ignored_own & machine.own_handled)
-        for member in conflicts:
+        for member in sorted(ignored_own & own_handled):
             problems.append((
                 cls.ctx, cls.node,
-                f"machine {cls.name} declares FrameKind.{member} in "
+                f"machine {name} declares FrameKind.{member} in "
                 f"{IGNORE_ATTR} but its own body dispatches on it — "
                 "drop the ignore or the handler",
             ))
@@ -384,7 +395,7 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
         if missing:
             problems.append((
                 cls.ctx, cls.node,
-                f"machine {cls.name} neither handles, speaks, nor "
+                f"machine {name} neither handles, speaks, nor "
                 f"explicitly ignores FrameKind {', '.join(missing)} — "
                 f"handle the frame or declare it in {IGNORE_ATTR}",
             ))
@@ -393,13 +404,13 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
             if "NAK" in covered:
                 problems.append((
                     cls.ctx, cls.node,
-                    f"machine {cls.name} speaks NAK but never ACK — the "
+                    f"machine {name} speaks NAK but never ACK — the "
                     "negative path cannot terminate positively",
                 ))
             if _requests_replies(chain):
                 problems.append((
                     cls.ctx, cls.node,
-                    f"machine {cls.name} requests replies (wants_reply) "
+                    f"machine {name} requests replies (wants_reply) "
                     "but never handles ACK",
                 ))
 
@@ -416,14 +427,14 @@ def analyze_fsm(ctxs: Sequence[FileContext]) -> Optional[FsmReport]:
             if not any(not is_false for _n, _m, is_false in assignments):
                 problems.append((
                     cls.ctx, cls.node,
-                    f"machine {cls.name} can never reach its terminal "
+                    f"machine {name} can never reach its terminal "
                     f"state: self.{flag} is only ever assigned False",
                 ))
             for node, method, is_false in assignments:
                 if is_false and method not in _CTOR_METHODS:
                     problems.append((
                         cls.ctx, node,
-                        f"machine {cls.name}.{method}() resets terminal "
+                        f"machine {name}.{method}() resets terminal "
                         f"flag self.{flag} to False — terminal states "
                         "must be absorbing",
                     ))

@@ -9,9 +9,12 @@ Schema history:
 - **v1** — path/line/col/rule/severity/message/fix_hint per violation.
 - **v2** — adds ``family`` (rule family) and ``chain`` (call-chain
   witness for transitive REP112 findings) per violation, plus a
-  top-level ``project_rules_skipped`` flag for subset runs.  v1 reports
-  lack the fields v2 consumers rely on, so :func:`load_report` rejects
-  them loudly instead of mis-parsing.
+  top-level ``project_rules_skipped`` flag for subset runs.
+- **v3** — drops ``chain``: REP112 and the call graph that produced
+  the witnesses are retired, and no finding has a chain.
+
+:func:`load_report` reads the current version only and rejects any
+other loudly instead of mis-parsing it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
     "render_baseline",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def render_text(result: LintResult, verbose_hints: bool = True) -> str:
@@ -74,7 +77,6 @@ def render_json(result: LintResult) -> str:
                 "message": v.message,
                 "fix_hint": v.fix_hint,
                 "family": v.family,
-                "chain": list(v.chain),
             }
             for v in result.violations
         ],
@@ -86,9 +88,9 @@ def load_report(text: str) -> dict:
     """Parse a replint JSON report, rejecting schema mismatches loudly.
 
     Downstream tooling must never mis-parse an old report as a new one:
-    a v1 report has no ``family``/``chain`` fields, so treating it as v2
-    would silently drop every call-chain witness.  Anything but the
-    current ``SCHEMA_VERSION`` raises :class:`ValueError`.
+    a v1 report has no ``family`` field, a v2 report names rule REP112
+    and carries ``chain`` witnesses no current rule produces.  Anything
+    but the current ``SCHEMA_VERSION`` raises :class:`ValueError`.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("schema") != "replint-report":
@@ -97,8 +99,8 @@ def load_report(text: str) -> dict:
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported replint report schema_version={version!r}: this "
-            f"reader requires v{SCHEMA_VERSION} (v1 reports lack the "
-            "family/chain fields — regenerate with the current linter)"
+            f"reader requires v{SCHEMA_VERSION} — regenerate the report "
+            "with the current linter"
         )
     return payload
 

@@ -2,8 +2,8 @@
 
 Every rule is a pluggable class with an ``id``, ``severity``,
 ``fix_hint`` and a one-line ``title``; :func:`all_rules` returns one
-instance of each.  File rules implement ``check_file``; the two
-whole-program rules (REP112 here, REP114 in :mod:`.fsm`) implement
+instance of each.  File rules implement ``check_file``; the one
+whole-program rule (REP114, in :mod:`.fsm`) implements
 ``check_project`` instead.
 
 The determinism contract these rules enforce is the one PR 1's parallel
@@ -33,7 +33,7 @@ class Rule:
     severity: str = "error"
     title: str = ""
     fix_hint: str = ""
-    #: Rule family, surfaced in the v2 JSON report: meta, determinism,
+    #: Rule family, surfaced in the JSON report: meta, determinism,
     #: parallelism, numerics, robustness, protocol, event-loop, performance.
     family: str = ""
     #: True for rules that need the whole context set (``check_project``);
@@ -46,21 +46,16 @@ class Rule:
     def check_project(self, ctxs: Sequence[FileContext]) -> Iterable[Violation]:
         return ()
 
-    def violation(
-        self, ctx: FileContext, node, message: str, chain: Sequence[str] = ()
-    ) -> Violation:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
+    def violation(self, ctx: FileContext, node, message: str) -> Violation:
         return Violation(
             path=ctx.display,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             rule=self.id,
             severity=self.severity,
             message=message,
             fix_hint=self.fix_hint,
             family=self.family,
-            chain=tuple(chain),
         )
 
 
@@ -602,36 +597,14 @@ def _unbounded_select(node: ast.Call) -> bool:
     return False
 
 
-_BLOCKING_ATTRS = frozenset(("recv", "recvfrom", "recv_into", "accept"))
-
-
-def _blocking_sink(dotted: Optional[str], node: ast.Call) -> Optional[str]:
-    """Why ``node`` can park the event loop, or None if it cannot.
-
-    The one sink predicate of REP109 (direct calls in ``service/``) and
-    REP112 (calls reached from it); ``dotted`` is the call's resolved
-    import path when it has one.
-    """
-    attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
-    if dotted == "time.sleep":
-        return ("time.sleep() stalls every multiplexed transfer; bound "
-                "the wait with the core's next_deadline() instead")
-    if attr in _BLOCKING_ATTRS:
-        return (f".{attr}() blocks the shared event loop; use "
-                "_recv_frame(timeout_s=...) so the wait is bounded")
-    if ((attr == "select" or (dotted or "").endswith(".select"))
-            and _unbounded_select(node)):
-        return (".select() without a finite timeout parks the shared "
-                "event loop forever; pass next_deadline()-bounded wait")
-    return None
-
-
 class BlockingServiceCallRule(Rule):
     """The concurrent service multiplexes every transfer over one thread;
     a single unbounded wait stalls *all* of them.  Inside ``service/``,
     waits must flow through ``next_deadline()``-bounded receives — never
     ``time.sleep`` and never a raw socket ``recv``/``recvfrom``/``accept``
     (the endpoint's ``_recv_frame(timeout_s=...)`` is the sanctioned path).
+    What the loops reach outside ``service/`` is checked at run time by
+    ``tests/service/test_loops_never_block.py``.
     """
 
     id = "REP109"
@@ -644,15 +617,33 @@ class BlockingServiceCallRule(Rule):
         "never time.sleep in scheduler/event-loop paths"
     )
 
+    _BLOCKING_ATTRS = frozenset(("recv", "recvfrom", "recv_into", "accept"))
+
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.in_dir("service"):
             return
         imports = ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                reason = _blocking_sink(imports.resolve(node.func), node)
+                reason = self._reason(imports.resolve(node.func), node)
                 if reason is not None:
                     yield self.violation(ctx, node, reason)
+
+    def _reason(self, dotted: Optional[str], node: ast.Call) -> Optional[str]:
+        """Why ``node`` can park the event loop, or None if it cannot;
+        ``dotted`` is the call's resolved import path when it has one."""
+        attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+        if dotted == "time.sleep":
+            return ("time.sleep() stalls every multiplexed transfer; bound "
+                    "the wait with the core's next_deadline() instead")
+        if attr in self._BLOCKING_ATTRS:
+            return (f".{attr}() blocks the shared event loop; use "
+                    "_recv_frame(timeout_s=...) so the wait is bounded")
+        if ((attr == "select" or (dotted or "").endswith(".select"))
+                and _unbounded_select(node)):
+            return (".select() without a finite timeout parks the shared "
+                    "event loop forever; pass next_deadline()-bounded wait")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -912,74 +903,6 @@ class DirectSocketIORule(Rule):
                     f".{node.func.attr}() bypasses the batch I/O layer's "
                     "buffers and fault hooks; go through DatagramBatchIO",
                 )
-
-
-# ---------------------------------------------------------------------------
-# REP112 — transitive blocking calls reachable from service entry points
-# ---------------------------------------------------------------------------
-
-class TransitiveBlockingRule(Rule):
-    """REP109 stops at file boundaries: a helper in ``core/`` or
-    ``util/`` that wraps ``time.sleep`` is invisible to it, yet one call
-    from ``ServiceCore.poll`` stalls every multiplexed transfer just the
-    same.  This rule walks the project call graph from every event-loop
-    entry point in ``service/`` and reports any reachable blocking sink
-    — with the full call chain as a witness, so the report names the
-    hop that smuggled the wait in.  Sinks *inside* ``service/`` are
-    REP109's jurisdiction and are not re-reported here.
-    """
-
-    id = "REP112"
-    severity = "error"
-    family = "event-loop"
-    project = True
-    title = "blocking call reachable from a service event-loop entry point"
-    fix_hint = (
-        "break the chain: bound the wait at the sink (timeout arg, "
-        "next_deadline()) or stop calling the blocking helper from "
-        "event-loop code"
-    )
-
-    _ENTRY_NAMES = frozenset((
-        "poll",
-        "on_frame",
-        "serve",
-        "run",
-        "pull",
-        "drain_sends",
-        "next_frame",
-        "on_timer",
-        "on_readable",
-        "serve_one",
-    ))
-
-    def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Violation]:
-        from .callgraph import build_call_graph
-
-        graph = build_call_graph(ctxs)
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if not fn.unit.startswith("service/"):
-                continue
-            if fn.name not in self._ENTRY_NAMES:
-                continue
-            for chain, _site in graph.find_chains(qname, self._is_sink):
-                yield self.violation(
-                    fn.ctx,
-                    fn.node,
-                    f"entry point {fn.qual}() can block: "
-                    + " -> ".join(chain),
-                    chain=chain,
-                )
-
-    @staticmethod
-    def _is_sink(site, owner) -> bool:
-        if owner.unit.startswith("service/"):
-            return False  # direct sites in service/ are REP109's
-        if site.kind not in ("external", "attr"):
-            return False  # resolved project calls are walked, not judged
-        dotted = site.target if site.kind == "external" else None
-        return _blocking_sink(dotted, site.node) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1379,7 +1302,6 @@ def all_rules() -> List[Rule]:
         BlockingServiceCallRule(),
         SlotsDisciplineRule(),
         DirectSocketIORule(),
-        TransitiveBlockingRule(),
         SeedProvenanceRule(),
         FsmExhaustivenessRule(),
         BufferEscapeRule(),

@@ -302,6 +302,7 @@ class BlastSenderMachine(_SenderBase):
         self._reply_requested_at: Optional[float] = None
         self._burst_clean = True
         self._received_est = 0
+        self.dropped = 0  # reports naming another transfer's total
         self.rounds = 1
         self._open_burst()
 
@@ -373,6 +374,10 @@ class BlastSenderMachine(_SenderBase):
             self._reply_deadline = None
             self.timer_epoch += 1
         elif isinstance(frame, NakFrame):
+            if frame.total != self.total:
+                # Stale or forged: it may name packets past the body.
+                self.dropped += 1
+                return
             self._sample_reply_rtt(now)
             received = frame.total - len(frame.missing)
             newly = received - self._received_est

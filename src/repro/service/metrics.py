@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ServiceMetrics", "percentile"]
+__all__ = ["ServiceMetrics", "canonical_from_report", "percentile"]
 
 SCHEMA_VERSION = 1
 _ROUND = 9  # float decimals in the stable export
@@ -61,6 +61,38 @@ def percentile(values: List[float], fraction: float) -> float:
 
 def _r(value: float) -> float:
     return round(float(value), _ROUND)
+
+
+def canonical_from_report(report: dict) -> dict:
+    """Substrate-independent projection of a full report dict.
+
+    The full report carries wall-clock timings and client addresses
+    (ephemeral ports on the UDP substrate), which differ run to run even
+    when the service did exactly the same work.  This projection keeps
+    only the deterministic outcome facts — which streams finished, with
+    how many bytes and packets, and the summary counts — so two runs can
+    be compared byte-for-byte (the repeated-run identity test in
+    tests/service/), and shard reports merge identically wherever they
+    ran (the DES cluster derives it from a relabelled report).
+    """
+    summary = report["summary"]
+    return {
+        "summary": {
+            key: summary[key]
+            for key in ("transfers", "ok", "failed", "rejected", "bytes")
+        },
+        "transfers": [
+            {"stream": row["stream"], "ok": row["ok"],
+             "bytes": row["bytes"], "packets": row["packets"]}
+            for row in sorted(report["transfers"],
+                              key=lambda row: row["stream"])
+        ],
+        "rejections": sorted(
+            ({"stream": row["stream"], "reason": row["reason"]}
+             for row in report.get("rejections", ())),
+            key=lambda row: row["stream"],
+        ),
+    }
 
 
 @dataclass
@@ -235,35 +267,8 @@ class ServiceMetrics:
 
     # -- canonical projection ----------------------------------------------
     def canonical_dict(self) -> dict:
-        """Substrate-independent projection of the report.
-
-        The full report carries wall-clock timings and client addresses
-        (ephemeral ports on the UDP substrate), which differ run to run
-        even when the service did exactly the same work.  This
-        projection keeps only the deterministic outcome facts — which
-        streams finished, with how many bytes and packets, and the
-        summary counts — so two loop implementations can be compared
-        byte-for-byte (the perf suites' equivalence gate, and the
-        repeated-run identity test in tests/service/).
-        """
-        summary = self.summary()
-        return {
-            "summary": {
-                key: summary[key]
-                for key in ("transfers", "ok", "failed", "rejected", "bytes")
-            },
-            "transfers": [
-                {"stream": r.stream_id, "ok": r.ok, "bytes": r.size_bytes,
-                 "packets": r.packets}
-                for r in sorted(self.transfers.values(),
-                                key=lambda r: r.stream_id)
-            ],
-            "rejections": sorted(
-                ({"stream": j.stream_id, "reason": j.reason}
-                 for j in self.rejections),
-                key=lambda row: row["stream"],
-            ),
-        }
+        """:func:`canonical_from_report` of this report."""
+        return canonical_from_report(self.to_dict())
 
     def canonical_json(self) -> str:
         """Byte-stable JSON of :meth:`canonical_dict`."""

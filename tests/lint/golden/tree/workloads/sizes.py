@@ -1,4 +1,4 @@
-"""Golden-report fixture: a direct REP113 finding (no chain)."""
+"""Golden-report fixture: a REP113 finding."""
 
 import random
 

@@ -169,14 +169,14 @@ class TestSubsetSelection:
         out = capsys.readouterr().out
         assert code == 0
         note = out.splitlines()[-1]
-        assert "(REP112, REP114)" in note  # REP113 reads one file: it ran
+        assert "(REP114)" in note  # REP113 reads one file: it ran
 
     def test_full_run_does_not_print_subset_note(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
         code = lint_main([str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "REP112" not in out
+        assert "REP114" not in out
 
     def test_changed_outside_git_repo_exits_two(self, tmp_path):
         proc = _run_module("--changed", "HEAD", str(tmp_path), cwd=tmp_path)

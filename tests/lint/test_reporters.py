@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
+    all_rules,
     load_report,
     render_baseline,
     render_json,
@@ -27,7 +28,7 @@ def test_text_report_has_file_line_rule_shape(monkeypatch):
     text = render_text(result)
     assert "analysis/formulas.py:5:11: REP106" in text
     assert "hint:" in text
-    assert "3 violation(s)" in text
+    assert "2 violation(s)" in text
 
 
 def test_json_report_matches_golden_file(monkeypatch):
@@ -53,7 +54,7 @@ def test_json_schema_keys_are_stable(monkeypatch):
         "violations",
     }
     assert payload["schema"] == "replint-report"
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     for violation in payload["violations"]:
         assert set(violation) == {
             "path",
@@ -64,29 +65,24 @@ def test_json_schema_keys_are_stable(monkeypatch):
             "message",
             "fix_hint",
             "family",
-            "chain",
         }
 
 
-def test_transitive_findings_carry_full_chain_witness(monkeypatch):
+def test_findings_carry_their_rule_family(monkeypatch):
     result = _golden_result(monkeypatch)
     payload = json.loads(render_json(result))
-    chains = {v["rule"]: v["chain"] for v in payload["violations"]}
-    assert chains["REP112"] == [
-        "service/pump.py::Pump.poll",
-        "util/wrappers.py::settle",
-        "time.sleep",
-    ]
-    # REP112 is the one rule with transitive findings; direct findings
-    # (REP113 reads one file) have no chain.
-    assert chains["REP113"] == []
-    assert chains["REP106"] == []
+    families = {rule.id: rule.family for rule in all_rules()}
+    assert {v["rule"]: v["family"] for v in payload["violations"]} == {
+        "REP106": families["REP106"], "REP113": families["REP113"]}
+    assert families["REP106"] == "numerics"
+    assert families["REP113"] == "determinism"
 
 
 def test_load_report_accepts_current_golden():
     payload = load_report((GOLDEN / "report.json").read_text())
-    assert payload["schema_version"] == 2
-    assert payload["counts"]["REP112"] == 1
+    assert payload["schema_version"] == 3
+    assert payload["counts"]["REP113"] == 1
+    assert "REP112" not in payload["counts"]  # retired with its chains
 
 
 def test_load_report_rejects_v1_golden_loudly():
@@ -94,6 +90,15 @@ def test_load_report_rejects_v1_golden_loudly():
     assert json.loads(v1_text)["schema_version"] == 1  # fixture sanity
     with pytest.raises(ValueError, match="schema_version=1"):
         load_report(v1_text)
+
+
+def test_load_report_rejects_v2_golden_loudly():
+    v2_text = (GOLDEN / "report_v2.json").read_text()
+    payload = json.loads(v2_text)
+    assert payload["schema_version"] == 2  # fixture sanity
+    assert payload["counts"]["REP112"] == 1
+    with pytest.raises(ValueError, match="schema_version=2"):
+        load_report(v2_text)
 
 
 def test_load_report_rejects_non_reports():
@@ -110,9 +115,8 @@ def test_baseline_lists_every_rule_and_total(monkeypatch):
     result = _golden_result(monkeypatch)
     baseline = render_baseline(result)
     lines = [l for l in baseline.splitlines() if l and not l.startswith("#")]
-    assert lines[-1] == "total 3"
+    assert lines[-1] == "total 2"
     assert "REP106 1" in lines
-    assert "REP112 1" in lines
     assert "REP113 1" in lines
     assert "REP101 0" in lines
 

@@ -5,7 +5,7 @@ from heapq import heappush
 
 import pytest
 
-from repro.core.frames import AckFrame, ControlFrame
+from repro.core.frames import AckFrame, ControlFrame, NakFrame
 from repro.service.engine import ServiceConfig, ServiceCore
 
 
@@ -154,6 +154,22 @@ class TestSchedulingAndCompletion:
         assert core.finished_count == 1
         assert core.active_count == 1 and core.pending_count == 0
         assert core.finished[1].ok
+
+    @pytest.mark.parametrize("strategy", ["gobackn", "selective"])
+    def test_forged_nak_leaves_the_slot_to_finish_on_the_honest_ack(
+            self, strategy):
+        # A NAK naming another total used to raise KeyError out of
+        # drain_sends (selective) or leave the slot with no frame and no
+        # deadline, never polled again (gobackn).
+        core = ServiceCore(ServiceConfig(strategy=strategy))
+        core.on_frame(pull_frame(1, 4096), 0.0, client="c")
+        assert [frame.seq for frame, _ in core.drain_sends(0.0, 128)] == [
+            0, 1, 2, 3]
+        core.on_frame(NakFrame(1, 6, (6,), 8, stream_id=1), 0.01)
+        assert core.drain_sends(0.02, 128) == []
+        assert core.next_deadline(0.02) is not None
+        core.on_frame(AckFrame(1, 3, stream_id=1), 0.03)
+        assert core.idle and core.finished[1].ok
 
     def test_ack_for_unknown_stream_ignored(self):
         core = ServiceCore()

@@ -86,6 +86,28 @@ class TestBlastSender:
         frames = drain(machine, 0.01)
         assert sorted(f.seq for f in frames) == [1, 3]
 
+    @pytest.mark.parametrize("strategy", ["full_nak", "gobackn", "selective"])
+    def test_nak_with_another_total_is_dropped_and_counted(self, strategy):
+        # A CRC-valid NAK naming packet 6 of 8 for a 4-packet body: it
+        # used to raise KeyError (selective), empty the round for good
+        # (gobackn) or restart it (full_nak).
+        machine = BlastSenderMachine(1, bytes(4096), 1024, timeout_s=0.1,
+                                     strategy=strategy)
+        drain(machine, 0.0)
+
+        def state():
+            return (list(machine._queue), machine._index, machine._burst_end,
+                    machine.next_deadline(), machine.timer_epoch,
+                    machine.rounds, machine.retransmits,
+                    machine.data_frames_sent)
+
+        before = state()
+        machine.on_frame(NakFrame(1, 6, (6,), 8, stream_id=1), 0.01)
+        assert state() == before
+        assert machine.dropped == 1 and not machine.finished
+        machine.on_frame(AckFrame(1, 3, stream_id=1), 0.02)
+        assert machine.done and machine.outcome().ok
+
     def test_round_cap_fails_transfer(self):
         machine = BlastSenderMachine(1, bytes(1024), 1024, timeout_s=0.1,
                                      max_rounds=2)

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.core.frames import AckFrame, ControlFrame, DataFrame
+from repro.core.frames import AckFrame, ControlFrame, DataFrame, NakFrame
 from repro.core.wire import decode, encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
@@ -181,6 +181,41 @@ class TestServerHostileFrames:
         assert result.ok and result.payload_ok
         assert report["summary"]["ok"] == 1
         assert report["summary"]["transfers"] == 1
+
+    def test_a_nak_with_another_total_does_not_stop_the_server(self):
+        # One CRC-valid NAK naming packet 6 of 8 against a 4-packet blast
+        # used to raise KeyError out of drain_sends and end serve().
+        service, thread = run_service(clients=2, duration_s=20.0)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(10.0)
+
+        def control(request_id, body):
+            sock.sendto(encode(ControlFrame(
+                transfer_id=0, request_id=request_id,
+                body=json.dumps(body).encode())), service.address)
+
+        try:
+            control(1, {"op": "pull", "stream": 1, "size": 4096})
+            frames = [decode(sock.recv(2048)) for _ in range(5)]
+            assert isinstance(frames[0], ControlFrame)  # the verdict
+            assert [frame.seq for frame in frames[1:]] == [0, 1, 2, 3]
+            sock.sendto(encode(NakFrame(1, 6, (6,), 8, stream_id=1)),
+                        service.address)
+            # The answer to a refused pull leaves with the first flush
+            # after the NAK, so the loop has granted sends once since.
+            control(2, {"op": "pull", "stream": 0, "size": 10})
+            assert decode(sock.recv(2048)).request_id == 2
+            sock.sendto(encode(AckFrame(1, 3, stream_id=1)), service.address)
+        finally:
+            sock.close()
+        result = pull(service.address, 2, 8192, pull_retries=8)
+        thread.join(timeout=25)
+        report = json.loads(service.report_json())
+        service.sock.close()
+        assert not thread.is_alive()
+        assert result.ok and result.payload_ok
+        assert report["summary"]["ok"] == 2
 
 
 class TestPumpHostileFrames:
