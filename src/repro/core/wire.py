@@ -136,17 +136,9 @@ def _missing_from_bitmap(bitmap, total: int) -> tuple:
 
 
 def _frame_fields(frame: Frame):
-    """Common field extraction shared by both header versions.
-
-    ``kind`` comes back as the wire integer, not the enum member, so
-    :func:`encode` packs it without an ``int()`` round trip.
-    """
-    if isinstance(frame, DataFrame):
-        kind, seq, total, payload = _KIND_DATA, frame.seq, frame.total, frame.payload
-        flags = _FLAG_WANTS_REPLY if frame.wants_reply else 0
-    elif isinstance(frame, AckFrame):
-        kind, seq, total, payload, flags = _KIND_ACK, frame.seq, 0, b"", 0
-    elif isinstance(frame, NakFrame):
+    """The wire fields of the kinds :func:`encode_into` does not read in
+    place; ``kind`` as the wire integer, not the enum member."""
+    if isinstance(frame, NakFrame):
         kind = _KIND_NAK
         seq, total = frame.first_missing, frame.total
         payload = _bitmap_from_missing(frame.missing, frame.total)
@@ -162,49 +154,35 @@ def _frame_fields(frame: Frame):
 
 
 def encode(frame: Frame) -> bytes:
-    """Serialise a frame to datagram bytes.
-
-    Frames with ``stream_id == 0`` encode to the version-1 format,
-    byte-identical to the pre-stream codec; any other stream id selects
-    the version-2 header that carries it.
-    """
-    kind, seq, total, payload, flags = _frame_fields(frame)
-    # The CRC runs incrementally (header, then payload) so no
-    # header+payload scratch string is ever built; the only payload copy
-    # is the one into the returned datagram.  Allocation-free per-frame
-    # state keeps this safe from any thread (the service load generator
-    # encodes concurrently).
-    if frame.stream_id == 0:
-        header = _pack_header(
-            MAGIC, VERSION, kind, frame.transfer_id, seq, total, flags,
-            len(payload),
-        )
-    else:
-        header = _pack_header2(
-            MAGIC, VERSION_STREAM, kind, frame.stream_id, frame.transfer_id,
-            seq, total, flags, len(payload),
-        )
-    return header + _CRC.pack(crc32(payload, crc32(header))) + payload
+    """Serialise a frame to datagram bytes: what :func:`encode_into`
+    writes, as new ``bytes`` (no path that runs per packet uses it)."""
+    buf = bytearray(HEADER2_BYTES + 0xFFFF)
+    return bytes(memoryview(buf)[:encode_into(frame, buf)])
 
 
 def encode_into(frame: Frame, buf, offset: int = 0) -> int:
     """Serialise a frame into ``buf`` at ``offset``; returns bytes written.
 
-    Byte-for-byte identical to :func:`encode` — same version selection,
-    same CRC — but writes header and CRC straight into the caller's
-    buffer and copies the payload once, so batched send paths can reuse
-    one output buffer instead of materialising a ``bytes`` per frame.
+    Frames with ``stream_id == 0`` encode to the version-1 format,
+    byte-identical to the pre-stream codec; any other stream id selects
+    the version-2 header that carries it.  Header and CRC go straight
+    into the caller's buffer and the payload is copied once, so batched
+    send paths reuse one output buffer.
     ``buf`` is any writable buffer (``bytearray``/``memoryview``).
     Raises :class:`WireError` when the frame does not fit.
     """
-    if type(frame) is DataFrame:
-        # The one kind sent per packet reads its fields in place.
+    frame_type = type(frame)
+    if frame_type is DataFrame:
+        # The kinds sent per packet read their fields in place.
         kind, seq, total = _KIND_DATA, frame.seq, frame.total
         flags = _FLAG_WANTS_REPLY if frame.wants_reply else 0
         payload = frame.payload
         payload_len = len(payload)
         if payload_len > 0xFFFF:
             raise WireError(f"payload too large for wire format: {payload_len}")
+    elif frame_type is AckFrame:
+        kind, seq, total, payload, flags, payload_len = (
+            _KIND_ACK, frame.seq, 0, b"", 0, 0)
     else:
         kind, seq, total, payload, flags = _frame_fields(frame)
         payload_len = len(payload)
@@ -262,13 +240,17 @@ def peek(datagram: bytes):
     return kind, seq
 
 
-def decode(datagram: bytes) -> Frame:
+def decode(datagram: bytes, ack_fields: bool = False):
     """Parse datagram bytes back into a frame.
 
     Raises :class:`WireError` on truncation, bad magic/version/kind,
     CRC mismatch, or inconsistent fields — a real receiver must treat a
     corrupted datagram exactly like a lost one.  Both header versions
     decode; version-1 frames come back with ``stream_id == 0``.
+
+    With ``ack_fields`` an ACK comes back as its ``(stream_id, seq)``
+    instead of a frame, through the same checks: the service loop takes
+    acknowledgements a run at a time and never needs the frame.
     """
     size = len(datagram)
     if size < HEADER_BYTES:
@@ -312,6 +294,8 @@ def decode(datagram: bytes) -> Frame:
             return DataFrame(xfer, seq, total, payload, wants_reply, size,
                              None, stream)
         if kind == _KIND_ACK:
+            if ack_fields:
+                return stream, seq
             return AckFrame(xfer, seq, size, stream)
         if kind == _KIND_CONTROL:
             return ControlFrame(xfer, seq, payload, size, stream)

@@ -9,11 +9,12 @@ loadgen``, the perf suites, the cluster and layerbench all use it.
 
 The protocol itself lives in :class:`~repro.service.pullclient
 .PullMachine`; a pump client is a socket, a batch I/O layer and the
-machine's quiet-period contract on the wall clock: every frame the
-machine wants, and every expiry of ``next_timer``, is forwarded to it,
-its frames are sent, and ``next_timer = now + machine.quiet_s``.
-Frames the machine does not want are dropped (UDP semantics: the
-protocol's retransmission repairs it).
+machine's quiet-period contract on the wall clock: each ring of reads
+goes to the machine in one ``on_frames`` call, as does every expiry of
+``next_timer`` to ``on_quiet``; its frames are sent, and ``next_timer =
+now + machine.quiet_s`` once it wanted something.  Frames it does not
+want are dropped (UDP semantics: the protocol's retransmission repairs
+it).
 
 All datagram I/O goes through :class:`~repro.service.iobatch
 .DatagramBatchIO` (non-blocking; a burst the server sent in one kernel
@@ -136,22 +137,20 @@ class _PumpClient:
         reads = io.recv_calls
         batch = io.recv_batch()
         more = io.recv_calls - reads == self._ring_slots
-        wanted = False
+        frames = []
         for view, _sender in batch:
             try:
-                frame = decode(view)
+                frames.append(decode(view))
             except WireError:
                 continue  # corrupted: exactly like a loss
-            if machine.wants(frame):
-                wanted = True
-                for reply in machine.on_frame(frame, now):
-                    io.send_frame(reply, self.server)
-                if machine.done:
-                    more = False
-                    break
-        if wanted:
+        replies = machine.on_frames(frames, now)
+        if replies is not None:
+            for reply in replies:
+                io.send_frame(reply, self.server)
             # ``now`` is the ring's: one restart, in the state it ended in.
             self.next_timer = now + machine.quiet_s
+            if machine.done:
+                more = False
         io.flush()
         return more
 

@@ -4,15 +4,16 @@
 socket, or yields to a simulator.  The substrate loop (DES process in
 :mod:`repro.service.simservice`, UDP event loop in
 :mod:`repro.service.udpservice`) owns time and I/O and drives the core
-through three calls::
+through these calls::
 
     outputs = core.on_frame(frame, now, client=...)  # incoming frame
+    core.on_acks(stream, seqs, now, client=...)      # a run of ACKs
     outputs = core.poll(now)                         # timers + grants
     deadline = core.next_deadline(now)               # when to poll again
 
 Every output is a ``(frame, client_key)`` pair the substrate must
-transmit.  Client keys are opaque to the core (DES uses host names, UDP
-uses socket addresses).
+transmit; ACKs never produce one.  Client keys are opaque to the core
+(DES uses host names, UDP uses socket addresses).
 
 Per-wakeup cost is proportional to *actual work* — expired timers plus
 sendable streams — not to the active-stream count, which is what makes
@@ -242,6 +243,8 @@ class ServiceCore:
         self._responses: Dict[int, dict] = {}
         self._request_ids: Dict[int, int] = {}
         self.finished: Dict[int, TransferOutcome] = {}
+        #: ACK/NAK frames dropped for naming a stream another client pulled.
+        self.foreign_replies = 0
         # -- scheduling indexes (see module docstring) ----------------------
         self._admit_seq = 0
         #: Lazy-invalidation deadline heap: (deadline, admit_seq,
@@ -288,17 +291,41 @@ class ServiceCore:
         """Feed one incoming frame; returns frames to transmit."""
         if isinstance(frame, ControlFrame):
             return self._on_control(frame, now, client)
-        if isinstance(frame, (AckFrame, NakFrame)):
-            entry = self._active.get(frame.stream_id)
-            if entry is None:
-                return []
-            entry.machine.on_frame(frame, now)
-            if entry.machine.finished:
-                self._finish(frame.stream_id, now)
-            else:
-                self._reindex_deadline(frame.stream_id, entry)
-                self._refresh_ready(frame.stream_id, entry, now)
+        if isinstance(frame, AckFrame):
+            self.on_acks(frame.stream_id, (frame.seq,), now, client)
+        elif isinstance(frame, NakFrame):
+            entry = self._replying(frame.stream_id, client)
+            if entry is not None:
+                entry.machine.on_frame(frame, now)
+                self._settle(frame.stream_id, entry, now)
         return []
+
+    def on_acks(self, stream_id: int, seqs, now: float,
+                client: Optional[object] = None) -> None:
+        """Feed a run of ACKs for one stream as :meth:`on_frame` would one
+        at a time, with one machine call and one bookkeeping pass."""
+        entry = self._replying(stream_id, client, len(seqs))
+        if entry is not None:
+            entry.machine.on_acks(seqs, now)
+            self._settle(stream_id, entry, now)
+
+    def _replying(self, stream_id: int, client: Optional[object],
+                  frames: int = 1) -> Optional[_Entry]:
+        """The live stream ``frames`` ACK/NAKs name, unless the substrate
+        names their sender (UDP) and it is not the client that pulled."""
+        entry = self._active.get(stream_id)
+        if entry is not None and client is not None and client != entry.client:
+            self.foreign_replies += frames
+            return None
+        return entry
+
+    def _settle(self, stream_id: int, entry: _Entry, now: float) -> None:
+        """Index a stream whose machine just took input."""
+        if entry.machine.finished:
+            self._finish(stream_id, now)
+        else:
+            self._reindex_deadline(stream_id, entry)
+            self._refresh_ready(stream_id, entry, now)
 
     # -- timers + scheduling ------------------------------------------------
     def poll(self, now: float) -> List[Tuple[object, object]]:
@@ -516,6 +543,7 @@ class ServiceCore:
             if deadline > now:
                 break
             heappop(heap)
+            entry.heap_epoch = -1   # consumed: _settle pushes a new one
             due.append((admit_seq, stream_id))
         if not due:
             return
@@ -525,11 +553,7 @@ class ServiceCore:
             if entry is None:
                 continue
             entry.machine.poll(now)
-            if entry.machine.finished:
-                self._finish(stream_id, now)
-            else:
-                self._push_deadline(stream_id, entry)
-                self._refresh_ready(stream_id, entry, now)
+            self._settle(stream_id, entry, now)
 
     def _push_deadline(self, stream_id: int, entry: _Entry) -> None:
         """(Re-)index a stream whose heap entry was consumed or never made."""

@@ -26,6 +26,7 @@ Shared step API of the sender machines::
     machine.next_frame(now)  # pop it (the scheduler grants sends)
     machine.on_sent(f, now)  # optional: frame f has left the host
     machine.on_frame(f, now) # feed an ACK/NAK back in
+    machine.on_acks(seqs, now)  # a run of ACKs, as on_frame one by one
     machine.next_deadline()  # earliest time poll() must run again
     machine.done / machine.failed / machine.outcome()
 
@@ -191,15 +192,6 @@ class _SenderBase:
         #: what keeps the index at about one push per acknowledged
         #: packet.
         self.timer_epoch = 0
-        #: Retention table: ``seq`` -> the DataFrame last built for it,
-        #: kept from first transmission until acknowledgement.  Frames
-        #: are immutable values on both substrates, so a retransmission
-        #: reuses the frame — the only copy of the packet's bytes.
-        self._retained: Dict[int, DataFrame] = {}
-        self._drawn = 0  # packets read from the body so far
-
-    def _rto(self) -> float:
-        return self.controller.rto()
 
     @property
     def finished(self) -> bool:
@@ -222,30 +214,6 @@ class _SenderBase:
         self.failed = True
         self.error = message
         self.timer_epoch += 1  # finished machines report no deadline
-
-    def _frame(self, seq: int, payload: bytes, wants_reply: bool) -> DataFrame:
-        stream_id = self.stream_id
-        frame = self._retained[seq] = DataFrame(
-            stream_id, seq, self.total, payload, wants_reply,
-            _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
-        return frame
-
-    def _data(self, seq: int, wants_reply: bool) -> DataFrame:
-        self.data_frames_sent += 1
-        # First transmissions run in sequence order, so this draws
-        # exactly packet ``seq``; only a forged report can name a packet
-        # further ahead, and the ones it skips wait in the table.
-        if seq == self._drawn < self.total:
-            self._drawn += 1
-            return self._frame(seq, self._read(self.packet_bytes), wants_reply)
-        while self._drawn <= seq < self.total:
-            self._frame(self._drawn, self._read(self.packet_bytes),
-                        wants_reply)
-            self._drawn += 1
-        frame = self._retained[seq]
-        if frame.wants_reply != wants_reply:
-            frame = self._frame(seq, frame.payload, wants_reply)
-        return frame
 
 
 class BlastSenderMachine(_SenderBase):
@@ -304,6 +272,12 @@ class BlastSenderMachine(_SenderBase):
         self._received_est = 0
         self.dropped = 0  # reports naming another transfer's total
         self.rounds = 1
+        #: Retention table: ``seq`` -> the DataFrame last built for it,
+        #: kept until the body is acknowledged.  Frames are immutable on
+        #: both substrates, so a retransmission reuses the frame — the
+        #: only copy of the packet's bytes.
+        self._retained: Dict[int, DataFrame] = {}
+        self._drawn = 0  # packets read from the body so far
         self._open_burst()
 
     # -- step API ----------------------------------------------------------
@@ -335,7 +309,7 @@ class BlastSenderMachine(_SenderBase):
         self._index += 1
         last_of_burst = self._index >= self._burst_end
         if last_of_burst:
-            self._reply_deadline = now + (self._nudge_s or self._rto())
+            self._reply_deadline = now + (self._nudge_s or self.controller.rto())
             self._reply_requested_at = now
             self.timer_epoch += 1
         drawn = self._drawn
@@ -357,23 +331,13 @@ class BlastSenderMachine(_SenderBase):
     def on_sent(self, frame: DataFrame, now: float) -> None:
         """``frame`` has left the host: a reply timer counts from here."""
         if frame.wants_reply and self._reply_deadline is not None:
-            self._reply_deadline = now + (self._nudge_s or self._rto())
+            self._reply_deadline = now + (self._nudge_s or self.controller.rto())
             self.timer_epoch += 1
 
     def on_frame(self, frame, now: float) -> None:
-        if self.finished:
-            return
-        if isinstance(frame, AckFrame) and frame.seq == self.total - 1:
-            self._sample_reply_rtt(now)
-            newly = self.total - self._received_est
-            if newly > 0:
-                self.controller.on_ack(newly, now)
-            self.done = True
-            self._burst_end = 0
-            self._retained.clear()  # a blast holds its body until here
-            self._reply_deadline = None
-            self.timer_epoch += 1
-        elif isinstance(frame, NakFrame):
+        if isinstance(frame, AckFrame):
+            self.on_acks((frame.seq,), now)
+        elif isinstance(frame, NakFrame) and not self.finished:
             if frame.total != self.total:
                 # Stale or forged: it may name packets past the body.
                 self.dropped += 1
@@ -403,12 +367,50 @@ class BlastSenderMachine(_SenderBase):
             )
             self._start_round(report, "nak")
 
+    def on_acks(self, seqs: Sequence[int], now: float) -> None:
+        """A run of ACKs: only one for the whole sequence means anything."""
+        if self.finished or self.total - 1 not in seqs:
+            return
+        self._sample_reply_rtt(now)
+        newly = self.total - self._received_est
+        if newly > 0:
+            self.controller.on_ack(newly, now)
+        self.done = True
+        self._burst_end = 0
+        self._retained.clear()  # a blast holds its body until here
+        self._reply_deadline = None
+        self.timer_epoch += 1
+
     def next_deadline(self) -> Optional[float]:
         if self.finished:
             return None
         return self._reply_deadline
 
     # -- internals ---------------------------------------------------------
+    def _frame(self, seq: int, payload: bytes, wants_reply: bool) -> DataFrame:
+        stream_id = self.stream_id
+        frame = self._retained[seq] = DataFrame(
+            stream_id, seq, self.total, payload, wants_reply,
+            _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
+        return frame
+
+    def _data(self, seq: int, wants_reply: bool) -> DataFrame:
+        self.data_frames_sent += 1
+        # First transmissions run in sequence order, so this draws
+        # exactly packet ``seq``; only a forged report can name a packet
+        # further ahead, and the ones it skips wait in the table.
+        if seq == self._drawn < self.total:
+            self._drawn += 1
+            return self._frame(seq, self._read(self.packet_bytes), wants_reply)
+        while self._drawn <= seq < self.total:
+            self._frame(self._drawn, self._read(self.packet_bytes),
+                        wants_reply)
+            self._drawn += 1
+        frame = self._retained[seq]
+        if frame.wants_reply != wants_reply:
+            frame = self._frame(seq, frame.payload, wants_reply)
+        return frame
+
     def _sample_reply_rtt(self, now: float) -> None:
         # Karn's rule: only a burst with no retransmitted frames gives
         # an unambiguous request->reply measurement.
@@ -453,13 +455,13 @@ class WindowSenderMachine(_SenderBase):
 
     Every step of the ack clock is constant-time in the window (see
     docs/performance.md, "Constant-time ack clock").  ``_outstanding``
-    is insertion-ordered and sequence numbers only grow, so its first
-    key is the lowest outstanding packet; ``_timers`` is a
-    lazy-invalidation heap of ``(deadline, seq)`` entries, valid iff
-    ``_outstanding.get(seq) == deadline``; ``_deadline`` caches the
-    earliest valid one and is re-derived after every mutation.  The
-    table itself is scanned only once ``now >= _deadline`` — the real
-    timeout path.
+    maps ``seq`` to the packet's one record, ``[deadline, attempts,
+    first sent, frame]``; it is insertion-ordered and sequence numbers
+    only grow, so its first key is the lowest outstanding packet.
+    ``_timers`` is a lazy-invalidation heap of ``(deadline, seq,
+    record)`` entries, valid iff ``record[0] == deadline`` (None once
+    acknowledged); ``_deadline`` caches the earliest valid one.  The
+    table is scanned only once ``now >= _deadline``.
     """
 
     #: Per-packet acknowledgement needs no NAK reports, and control
@@ -475,11 +477,9 @@ class WindowSenderMachine(_SenderBase):
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._next_unsent = 0
-        self._outstanding: Dict[int, float] = {}  # seq -> retransmit deadline
-        self._timers: List[Tuple[float, int]] = []  # (deadline, seq) heap
+        self._outstanding: Dict[int, list] = {}  # seq -> its record
+        self._timers: List[Tuple[float, int, list]] = []
         self._deadline: Optional[float] = None  # earliest valid timer
-        self._attempts: Dict[int, int] = {}
-        self._sent_at: Dict[int, float] = {}  # seq -> first transmission time
         self._fast_retx: Set[int] = set()
         self._backoff_blackout = float("-inf")
         self._acked = 0
@@ -499,9 +499,8 @@ class WindowSenderMachine(_SenderBase):
         while stack:
             index = stack.pop()
             if index < len(heap) and heap[index][0] <= now:
-                due, seq = heap[index]
-                if (self._outstanding.get(seq) == due
-                        and self._attempts[seq] >= self.max_rounds):
+                due, seq, record = heap[index]
+                if record[0] == due and record[1] >= self.max_rounds:
                     exhausted.append(seq)
                 stack += (2 * index + 1, 2 * index + 2)
         if exhausted:
@@ -530,21 +529,22 @@ class WindowSenderMachine(_SenderBase):
                                self.total - self._next_unsent))
         deadline = self._deadline
         if deadline is not None and now >= deadline:
-            available += sum(1 for due in self._outstanding.values()
-                             if now >= due)
+            available += sum(1 for record in self._outstanding.values()
+                             if now >= record[0])
         return available
 
     def next_frame(self, now: float) -> DataFrame:
+        self.data_frames_sent += 1
         deadline = self._deadline
         if deadline is not None and now >= deadline:
             # Overdue retransmissions first, lowest sequence number
             # first — deterministic because _outstanding is
             # insertion-ordered and sequence numbers only grow.
-            for seq, due in self._outstanding.items():
-                if now >= due:
+            for seq, record in self._outstanding.items():
+                if now >= record[0]:
                     self.retransmits += 1
                     self.rounds += 1
-                    self._attempts[seq] += 1
+                    record[1] += 1
                     if seq in self._fast_retx:
                         # A fast retransmit is loss recovery, not a
                         # timer expiry — no RTO backoff.
@@ -553,56 +553,78 @@ class WindowSenderMachine(_SenderBase):
                         # One backoff per RTO period, however many
                         # packets expired together in the burst.
                         self.controller.on_timeout(now)
-                        self._backoff_blackout = now + self._rto()
-                    self._arm(seq, now + self._rto())
-                    return self._data(seq, wants_reply=True)
+                        self._backoff_blackout = now + self.controller.rto()
+                    self._arm(seq, record, now + self.controller.rto())
+                    self._retime()
+                    return record[3]
+        # A first transmission, in sequence order: drawn and built here.
         seq = self._next_unsent
-        self._next_unsent += 1
-        self._attempts[seq] = 1
-        self._sent_at[seq] = now
-        self._arm(seq, now + self._rto())
-        return self._data(seq, wants_reply=True)
+        self._next_unsent = seq + 1
+        stream_id = self.stream_id
+        frame = DataFrame(stream_id, seq, self.total,
+                          self._read(self.packet_bytes), True,
+                          _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
+        due = now + self.controller.rto()
+        record = self._outstanding[seq] = [due, 1, now, frame]
+        timers = self._timers
+        heappush(timers, (due, seq, record))
+        if len(timers) > 2 * self.window + 64:
+            self._compact_timers()
+        if deadline is None or due < deadline:
+            # Only an earlier timer moves the index.  Fresh sends come
+            # in time order, but under Reno the RTO may have shrunk.
+            self._deadline = due
+            self.timer_epoch += 1
+        return frame
 
     def on_sent(self, frame: DataFrame, now: float) -> None:
         """``frame`` has left the host: its timer counts from here."""
         seq = frame.seq
-        armed = self._outstanding.get(seq)
-        if armed is not None:
-            self._outstanding[seq] = deadline = now + self.controller.rto()
-            heappush(self._timers, (deadline, seq))
+        record = self._outstanding.get(seq)
+        if record is not None:
+            armed = record[0]
+            self._arm(seq, record, now + self.controller.rto())
             if armed == self._deadline:  # else the earliest timer stands
                 self._retime()
 
     def on_frame(self, frame, now: float) -> None:
-        if self.done or self.failed or not isinstance(frame, AckFrame):
+        if isinstance(frame, AckFrame):
+            self.on_acks((frame.seq,), now)
+
+    def on_acks(self, seqs: Sequence[int], now: float) -> None:
+        """A run of ACKs in arrival order, as ``on_frame`` would take
+        them one at a time, with one re-derivation of the timers."""
+        if self.done or self.failed:
             return
-        seq = frame.seq
         outstanding = self._outstanding
-        if seq in outstanding:
+        controller = self.controller
+        for seq in seqs:
+            if seq not in outstanding:
+                # Duplicate/stale ack for an already-acknowledged packet.
+                self._signal_dup_ack(now)
+                continue
             lowest = next(iter(outstanding))
-            del outstanding[seq]
+            # The packet's bookkeeping dies with its ack (so per-stream
+            # state is O(window), not O(transfer)), and its heap entries
+            # go stale with it.
+            record = outstanding.pop(seq)
+            record[0] = None
             self._acked += 1
             if seq == lowest:
-                self.controller.on_ack(1, now)
+                controller.on_ack(1, now)
             else:
                 # An ack above the lowest outstanding packet is gap
                 # evidence — the per-packet-ack analogue of a duplicate
                 # ack (SACK-style).  Three of them fast-retransmit the
                 # presumed-lost packet by making it overdue now.
                 self._signal_dup_ack(now)
-            # The packet's bookkeeping dies with its ack, so per-stream
-            # state is O(window), not O(transfer).
-            sent_at = self._sent_at.pop(seq)
-            if self._attempts.pop(seq) == 1:
+            if record[1] == 1:
                 # Karn's rule: only first-transmission exchanges are
                 # unambiguous RTT samples.
-                self.controller.on_rtt_sample(max(0.0, now - sent_at))
-            del self._retained[seq]
+                controller.on_rtt_sample(max(0.0, now - record[2]))
             if self._acked == self.total:
                 self.done = True
-        else:
-            # Duplicate/stale ack for an already-acknowledged packet.
-            self._signal_dup_ack(now)
+                break
         self._retime()
 
     def next_deadline(self) -> Optional[float]:
@@ -610,23 +632,25 @@ class WindowSenderMachine(_SenderBase):
 
     # -- internals ---------------------------------------------------------
     def _signal_dup_ack(self, now: float) -> None:
-        if self.controller.on_dup_ack(now) and self._outstanding:
-            lowest = next(iter(self._outstanding))
+        outstanding = self._outstanding
+        if self.controller.on_dup_ack(now) and outstanding:
+            lowest = next(iter(outstanding))
             self._fast_retx.add(lowest)
-            self._arm(lowest, now)  # overdue: retransmit immediately
+            # Overdue: retransmit immediately.
+            self._arm(lowest, outstanding[lowest], now)
 
-    def _arm(self, seq: int, deadline: float) -> None:
-        """(Re)start one packet's timer; its old heap entry goes stale."""
-        self._outstanding[seq] = deadline
-        heappush(self._timers, (deadline, seq))
-        if len(self._timers) > 2 * self.window + 64:
-            # Stale entries buried under a long-lived valid one (a lost
-            # packet waiting out its RTO) never reach the top.
-            outstanding = self._outstanding
-            self._timers = [item for item in self._timers
-                            if outstanding.get(item[1]) == item[0]]
-            heapify(self._timers)
-        self._retime()
+    def _arm(self, seq: int, record: list, deadline: float) -> None:
+        """(Re)start one packet's timer (the caller re-derives ``_deadline``)."""
+        record[0] = deadline
+        timers = self._timers
+        heappush(timers, (deadline, seq, record))
+        if len(timers) > 2 * self.window + 64:
+            self._compact_timers()
+
+    def _compact_timers(self) -> None:
+        """Drop stale entries buried under a long-lived valid one."""
+        self._timers = [item for item in self._timers if item[2][0] == item[0]]
+        heapify(self._timers)
 
     def _retime(self) -> None:
         """Re-derive the earliest timer after ``_outstanding`` changed.
@@ -638,8 +662,7 @@ class WindowSenderMachine(_SenderBase):
         stream stays valid until the deadline it names is wrong.
         """
         heap = self._timers
-        outstanding = self._outstanding
-        while heap and outstanding.get(heap[0][1]) != heap[0][0]:
+        while heap and heap[0][2][0] != heap[0][0]:
             heappop(heap)
         deadline = heap[0][0] if heap else None
         if deadline != self._deadline:

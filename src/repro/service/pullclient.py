@@ -29,7 +29,8 @@ two of this client's reports (docs/service.md, "Credit").
 All three obey one driver contract, the *quiet period*: send the frames
 the last call returned, then wait up to :attr:`PullMachine.quiet_s` for
 a frame the machine :meth:`~PullMachine.wants`.  Hand that frame to
-:meth:`~PullMachine.on_frame`; if the period passes without one, call
+:meth:`~PullMachine.on_frame` (or a whole read to
+:meth:`~PullMachine.on_frames`); if the period passes without one, call
 :meth:`~PullMachine.on_quiet`.  Either call restarts the period.  Stop
 when :attr:`PullMachine.done`.  What a driver does with a frame the
 machine does not want (the DES keeps it buffered, the pump drops it) is
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.frames import ControlFrame, DataFrame, FrameKind
 from ..core.strategies import get_strategy
@@ -142,22 +143,44 @@ class PullMachine:
 
     def on_frame(self, frame, now: float) -> List[object]:
         """Consume a wanted frame; returns the frames to send."""
+        return self.on_frames((frame,), now) or []
+
+    def on_frames(self, frames: Sequence[object],
+                  now: float) -> Optional[List[object]]:
+        """Consume one read's frames in arrival order, each judged in the
+        state the ones before left (a read may carry the verdict and the
+        first packets); returns the frames to send, or None if it wanted
+        none.  Arrivals are verified, and completion checked, once."""
+        replies = None
+        start = 0
         if self._state == _PULLING:
-            self._on_verdict(frame, now)
-            return []
+            for start, frame in enumerate(frames, 1):
+                if self.wants(frame):
+                    replies = []
+                    self._on_verdict(frame, now)
+                    if self._state != _PULLING or self.done:
+                        break
+            if self._state == _PULLING:
+                return replies
         receiver = self._receiver
-        replies = receiver.on_frame(frame, now)
+        stream_id = self.stream_id
+        for frame in frames[start:]:
+            # ``wants`` once the verdict is in.
+            if isinstance(frame, DataFrame) and frame.stream_id == stream_id:
+                if replies is None:
+                    replies = []
+                replies += receiver.on_frame(frame, now)
         arrived = receiver.chunks
         verified = self._verified
         if verified in arrived:
-            read = self._body.read
+            run = []    # in sequence order: compared at its offset in the body
             while verified in arrived:
-                chunk = arrived.pop(verified)
-                size = len(chunk)
+                run.append(arrived.pop(verified))
                 verified += 1
-                self._bytes += size
-                if chunk != read(size):
-                    self._intact = False
+            body = b"".join(run)
+            self._bytes += len(body)
+            if body != self._body.read(len(body)):
+                self._intact = False
             self._verified = verified
         if self._state == _RECEIVING and receiver.done:
             # Every packet has been compared at its offset in the body,

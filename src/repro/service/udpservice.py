@@ -40,12 +40,39 @@ from ..simnet.errors import ErrorModel
 from ..udpnet.endpoints import UdpEndpoint
 from .engine import ServiceConfig, ServiceCore
 
-__all__ = ["UdpTransferService"]
+__all__ = ["UdpTransferService", "deliver_ring"]
 
 #: Loop never sleeps longer than this (keeps stop()/duration responsive).
 MAX_WAIT_S = 0.05
 #: Frames granted (and sent) per wakeup before draining receives again.
 SEND_BATCH = 128
+
+
+def deliver_ring(core: ServiceCore, batch, datagrams, now: float) -> None:
+    """Feed one ring of datagrams to ``core`` at one ``now``, staging its
+    answers on ``batch``: each run of consecutive ACKs from one client for
+    one stream in one ``on_acks`` call, without building a frame."""
+    stream = client = None      # whose ACKs ``seqs`` holds
+    seqs = []
+    for view, addr in datagrams:
+        try:
+            frame = decode(view, True)
+        except WireError:
+            continue  # corrupted: exactly like a loss
+        if type(frame) is tuple:
+            if frame[0] != stream or addr != client:
+                if seqs:
+                    core.on_acks(stream, seqs, now, client=client)
+                stream, client, seqs = frame[0], addr, []
+            seqs.append(frame[1])
+            continue
+        if seqs:
+            core.on_acks(stream, seqs, now, client=client)
+            stream, seqs = None, []
+        for out, dst in core.on_frame(frame, now, client=addr):
+            batch.send_frame(out, dst)
+    if seqs:
+        core.on_acks(stream, seqs, now, client=client)
 
 
 class UdpTransferService(UdpEndpoint):
@@ -103,16 +130,6 @@ class UdpTransferService(UdpEndpoint):
         selector.register(batch.fileno(), selectors.EVENT_READ)
         monotonic = time.monotonic
 
-        def deliver(datagrams) -> None:
-            for view, addr in datagrams:
-                try:
-                    frame = decode(view)
-                except WireError:
-                    continue  # corrupted: exactly like a loss
-                for out, dst in core.on_frame(
-                        frame, monotonic() - start, client=addr):
-                    batch.send_frame(out, dst)
-
         try:
             while not self._stop.is_set():
                 now = monotonic() - start
@@ -146,7 +163,7 @@ class UdpTransferService(UdpEndpoint):
                     # wedge the loop (deadline-expiry semantics of the
                     # old blocking receive).
                     datagrams = batch.recv_batch()
-                deliver(datagrams)
+                deliver_ring(core, batch, datagrams, monotonic() - start)
             # Graceful stop: take in what the kernel has already
             # delivered (one ring, no waiting) — a final ACK that
             # arrived while the loop was busy sending would otherwise
@@ -154,7 +171,7 @@ class UdpTransferService(UdpEndpoint):
             # already-granted frame, so receivers are not cut off
             # mid-window and the final metrics report reflects all work
             # the core admitted.
-            deliver(batch.recv_batch())
+            deliver_ring(core, batch, batch.recv_batch(), monotonic() - start)
             now = monotonic() - start
             while True:
                 drained = core.drain_sends(now, SEND_BATCH)

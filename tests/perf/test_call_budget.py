@@ -6,9 +6,11 @@ A CPython function call costs 50-100 ns before it does anything, and at
 costs") a call the bulk path does not need is a percent of goodput.  A
 256-packet blast is walked through the two loops that handle every data
 datagram of ``udp_bulk_blast`` — the server's ``drain_sends`` ->
-``send_frame`` -> ``flush`` and the pump's ``decode`` -> ``wants`` ->
-``on_frame`` — under ``sys.setprofile``, which reports one ``call`` event
-per Python function entered and none for C functions.
+``send_frame`` -> ``flush`` and the pump's ``decode`` ->
+``PullMachine.on_frames`` — under ``sys.setprofile``, which reports one
+``call`` event per Python function entered and none for C functions.
+A 256-packet sliding pull is walked through both loops with its ACKs
+(``udp_bulk_sliding``'s ack clock), each side counted on its own.
 
 At PR 22 the same walks counted 10.30 calls per datagram sent (``_data``,
 ``_frame``, the generated ``__init__``, ``__post_init__`` and
@@ -21,19 +23,22 @@ from contextlib import contextmanager
 
 from repro.core.wire import decode, encode
 from repro.service.engine import ServiceConfig, ServiceCore
-from repro.service.iobatch import DatagramBatchIO
+from repro.service.iobatch import MAX_RUN_SEGMENTS, DatagramBatchIO
 from repro.service.pullclient import PullMachine
-from repro.service.udpservice import SEND_BATCH
+from repro.service.udpservice import SEND_BATCH, deliver_ring
 
-from ..service.test_iobatch import stub  # noqa: F401 - a fixture: a socket that records
+from ..service.test_iobatch import StubSocket, stub  # noqa: F401 - stub: a fixture
 
 PACKETS = 256
+#: Datagrams per coalesced read: one segmented send's worth.
+RING = MAX_RUN_SEGMENTS
 
 
 @contextmanager
-def counted_calls():
-    """``Counter`` of Python functions entered inside the block, by name."""
-    calls = Counter()
+def counted_calls(calls=None):
+    """``Counter`` of Python functions entered inside the block, by name
+    (added to ``calls`` when given one)."""
+    calls = Counter() if calls is None else calls
 
     def on_event(frame, event, _arg):
         if event == "call":
@@ -72,6 +77,18 @@ def blast_through_the_send_loop(core, io):
         io.flush()
 
 
+def pump_rings(pull, datagrams):
+    """``_PumpClient.on_readable`` over coalesced reads of ``RING``
+    datagrams: decode each, hand the ring to the machine in one call."""
+    replies = []
+    for start in range(0, len(datagrams), RING):
+        frames = []
+        for view in datagrams[start:start + RING]:
+            frames.append(decode(view))
+        replies += pull.on_frames(frames, 0.0) or []
+    return replies
+
+
 def test_calls_per_datagram_sent(stub):  # noqa: F811
     core, _pull = admitted_pull()
     io = DatagramBatchIO(stub)
@@ -89,15 +106,83 @@ def test_calls_per_datagram_received(stub):  # noqa: F811
     core, pull = admitted_pull()
     blast_through_the_send_loop(core, DatagramBatchIO(stub))
     datagrams = [memoryview(datagram) for datagram, _address in stub.sent]
-    replies = []
     with counted_calls() as calls:
-        for view in datagrams:      # _PumpClient.on_readable's loop
-            frame = decode(view)
-            if pull.wants(frame):
-                replies += pull.on_frame(frame, 0.0)
+        replies = pump_rings(pull, datagrams)
     assert pull.result.ok and len(replies) == 1
-    # Today: decode, the frame's __init__, wants, both on_frames,
-    # tracker.add, BodyStream.read, and the two properties behind
-    # ``receiver.done``; the message names them.
-    assert sum(calls.values()) <= 9.10 * PACKETS, (     # 10.09 at PR 22
-        calls.most_common(12))
+    # Today: decode, the frame's __init__, the receiver's on_frame and
+    # tracker.add, and 0.11 of per-ring work (PullMachine.on_frames, one
+    # BodyStream.read, the completion check); the message names them.
+    assert sum(calls.values()) <= 4.15 * PACKETS, (     # 9.10 frame by
+        calls.most_common(12))                          # frame (0582b3c)
+
+
+def admitted_window_pull():
+    """A sliding-window server (window 32) that has just admitted one
+    256-packet pull, and the client machine holding the verdict."""
+    core = ServiceCore(ServiceConfig(protocol="sliding", window=32,
+                                     max_active=1, seed=7))
+    pull = PullMachine(1, PACKETS * 1024, "sliding", "selective",
+                       pull_timeout_s=0.25, pull_retries=3,
+                       recv_timeout_s=2.0, linger_s=0.1)
+    (request,) = pull.start(0.0)
+    ((verdict, _client),) = core.on_frame(request, 0.0, client="c")
+    pull.on_frame(decode(encode(verdict)), 0.0)
+    return core, pull
+
+
+def ack_clock(server_calls=None, pump_calls=None):
+    """A whole sliding pull through both loops, a window per turn: the
+    server grants and flushes, the pump consumes the ring and flushes
+    its ACKs, the server takes them in as one ring.  Each side's calls
+    are counted into its own ``Counter``."""
+    core, pull = admitted_window_pull()
+    server, pump = StubSocket(), StubSocket()
+    server_io, pump_io = DatagramBatchIO(server), DatagramBatchIO(pump)
+    try:
+        while not core.idle:
+            with counted_calls(server_calls):
+                for frame, address in core.drain_sends(0.0, SEND_BATCH):
+                    server_io.send_frame(frame, address)
+                server_io.flush()
+            data = [memoryview(datagram) for datagram, _ in server.sent]
+            server.sent.clear()
+            with counted_calls(pump_calls):     # _PumpClient.on_readable
+                frames = []
+                for view in data:
+                    frames.append(decode(view))
+                for reply in pull.on_frames(frames, 0.0) or []:
+                    pump_io.send_frame(reply, "server")
+                pump_io.flush()
+            acks = [(memoryview(datagram), "c") for datagram, _ in pump.sent]
+            pump.sent.clear()
+            with counted_calls(server_calls):
+                deliver_ring(core, server_io, acks, 0.0)
+    finally:
+        server.close()
+        pump.close()
+    assert pull.result.ok
+    assert core.finished[1].data_frames_sent == PACKETS
+    assert core.finished[1].retransmits == 0
+
+
+def test_calls_per_window_frame_at_the_server():
+    calls = Counter()
+    ack_clock(server_calls=calls)
+    # Per data frame: next_frame, BodyStream.read, the frame's __init__,
+    # the controller's rto, send_frame, encode_into, has_frame and the
+    # controller's window behind it, the ACK's decode, on_ack and
+    # on_rtt_sample; per window, on_acks twice, _retime, the ready set
+    # and the deadline index.  The message names them.
+    assert sum(calls.values()) <= 12.30 * PACKETS, (    # 25.88 at 0582b3c:
+        calls.most_common(14))      # decode, AckFrame, on_frame x2 per ACK
+
+
+def test_calls_per_window_frame_at_the_pump():
+    calls = Counter()
+    ack_clock(pump_calls=calls)
+    # Per data frame: decode and the frame's __init__, the receiver's
+    # on_frame, tracker.add and the ACK's __init__, send_frame and
+    # encode_into; per ring, on_frames, one BodyStream.read and the
+    # completion check.  The message names them.
+    assert sum(calls.values()) <= 7.45 * PACKETS, (     # 13.32 at 0582b3c:
+        calls.most_common(14))      # wants, read, done per frame

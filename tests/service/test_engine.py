@@ -171,6 +171,26 @@ class TestSchedulingAndCompletion:
         core.on_frame(AckFrame(1, 3, stream_id=1), 0.03)
         assert core.idle and core.finished[1].ok
 
+    def test_an_ack_from_another_client_is_dropped_and_counted(self):
+        # One ACK for the last packet, from an address that did not
+        # pull, used to finish a 64-packet blast after 8 sends: the
+        # report said ok and the honest client stalled.
+        core = ServiceCore()
+        core.on_frame(pull_frame(1, 64 * 1024), 0.0, client="honest")
+        assert len(core.drain_sends(0.0, 8)) == 8
+        forged = AckFrame(1, 63, stream_id=1)
+        assert core.on_frame(forged, 0.01, client="mallory") == []
+        assert core.active_count == 1 and not core.finished
+        core.on_acks(1, [62, 63], 0.01, client="mallory")
+        core.on_frame(NakFrame(1, 0, (0,), 64, stream_id=1), 0.01,
+                      client="mallory")
+        assert core.foreign_replies == 4
+        assert core.active_count == 1 and not core.finished
+        assert len(core.drain_sends(0.02, 128)) == 56
+        core.on_frame(forged, 0.03, client="honest")
+        assert core.finished[1].ok
+        assert core.finished[1].data_frames_sent == 64
+
     def test_ack_for_unknown_stream_ignored(self):
         core = ServiceCore()
         assert core.on_frame(AckFrame(transfer_id=9, seq=0, stream_id=9),

@@ -210,10 +210,6 @@ class ScanCountingDict(dict):
 class TestConstantTimeAckClock:
     """Counts, not timings: the ack clock never walks the window."""
 
-    def tables(self, machine):
-        return (machine._outstanding, machine._attempts, machine._sent_at,
-                machine._retained)
-
     def test_in_order_ack_clock_never_scans_the_window(self):
         window, packets = 256, 4096
         machine = WindowSenderMachine(1, bytes(packets * 64), 64,
@@ -251,18 +247,29 @@ class TestConstantTimeAckClock:
         assert list(machine._outstanding)[0] == 0
 
     def test_bookkeeping_is_bounded_by_the_window(self):
+        # One record per outstanding packet holds all it has: deadline,
+        # attempts, first-send time and the frame, the only copy of its
+        # bytes.  The record dies with its ack.
         window = 8
         machine = WindowSenderMachine(1, bytes(512 * 64), 64, timeout_s=0.5,
                                       window=window)
         now = 0.0
         while not machine.done:
-            for frame in drain(machine, now):
-                assert all(len(t) <= window for t in self.tables(machine))
+            sent = now
+            for frame in drain(machine, sent):
+                assert len(machine._outstanding) <= window
+                deadline, attempts, sent_at, held = (
+                    machine._outstanding[frame.seq])
+                assert (deadline, attempts, sent_at) == (sent + 0.5, 1, sent)
+                assert held is frame
                 now += 0.0001
                 machine.on_frame(ack(frame.seq), now)
-                assert all(len(t) <= window for t in self.tables(machine))
+                assert frame.seq not in machine._outstanding
+                assert len(machine._timers) <= 2 * window + 64
         assert machine.data_frames_sent == 512
-        assert all(len(t) == 0 for t in self.tables(machine))
+        assert not machine._outstanding
+        assert vars(machine).keys() == vars(
+            WindowSenderMachine(1, b"", 64, timeout_s=0.5)).keys()
 
     def test_poll_fails_on_exactly_the_overdue_exhausted_packet(self):
         machine = WindowSenderMachine(1, bytes(256 * 64), 64, timeout_s=1.0,

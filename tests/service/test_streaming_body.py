@@ -211,13 +211,13 @@ class TestCountsNotTimings:
         in_flight = []
         while not machine.done:
             in_flight += drain(machine, 0.0)
-            assert len(machine._retained) <= window
+            assert len(machine._outstanding) <= window
             assert drawn() <= (machine._next_unsent * 1024
                                + BodyStream.BLOCK)
             frame = in_flight.pop(0)
             machine.on_frame(AckFrame(transfer_id=1, seq=frame.seq,
                                       stream_id=1), 0.0)
-        assert not machine._retained
+        assert not machine._outstanding
         assert drawn() == packets * 1024
 
     def test_blast_sender_retains_each_packet_once(self, drawn):

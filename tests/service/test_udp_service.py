@@ -16,6 +16,7 @@ from repro.core.wire import decode, encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
+from repro.service.iobatch import DatagramBatchIO
 from repro.service.loadgen import run_udp_loadgen
 from repro.service.machines import service_payload
 from repro.service.pullclient import PullMachine
@@ -216,6 +217,110 @@ class TestServerHostileFrames:
         assert not thread.is_alive()
         assert result.ok and result.payload_ok
         assert report["summary"]["ok"] == 2
+
+
+    def test_an_ack_from_another_address_cannot_finish_a_live_stream(self):
+        # A third socket acknowledges the last packet of a credited blast
+        # the honest client has only seen 8 packets of.  It used to
+        # finish the stream (report: ok, 8 data frames) and the honest
+        # pull stalled.
+        service, thread = run_service(duration_s=20.0)
+        honest = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        hostile = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        for sock in (honest, hostile):
+            sock.bind(("127.0.0.1", 0))
+            sock.settimeout(5.0)
+        machine = PullMachine(1, 64 * 1024, "blast", "selective",
+                              pull_timeout_s=1.0, pull_retries=3,
+                              recv_timeout_s=2.0, linger_s=0.05, credit=8)
+
+        def send(frames):
+            for frame in frames:
+                honest.sendto(encode(frame), service.address)
+
+        try:
+            send(machine.start(0.0))
+            while machine.result is None:
+                try:
+                    frame = decode(honest.recv(2048))
+                except socket.timeout:
+                    send(machine.on_quiet(0.0))
+                    continue
+                if not machine.wants(frame):
+                    continue
+                verdict = isinstance(frame, ControlFrame)
+                send(machine.on_frame(frame, 0.0))
+                if verdict:
+                    hostile.sendto(encode(AckFrame(1, 63, stream_id=1)),
+                                   service.address)
+                    # Its answer leaves after the ACK was taken in.
+                    hostile.sendto(encode(ControlFrame(
+                        transfer_id=0, request_id=9, body=json.dumps(
+                            {"op": "pull", "stream": 0}).encode())),
+                        service.address)
+                    assert decode(hostile.recv(2048)).request_id == 9
+        finally:
+            honest.close()
+            hostile.close()
+        thread.join(timeout=25)
+        report = json.loads(service.report_json())
+        service.sock.close()
+        assert not thread.is_alive()
+        assert (machine.result.status, machine.result.payload_ok) == ("ok", True)
+        assert report["summary"]["ok"] == 1
+        assert service.core.foreign_replies == 1
+        assert service.core.finished[1].data_frames_sent == 64
+
+
+class TestPumpRings:
+    """A pump client consumes each ring of reads in one machine call."""
+
+    def test_a_ring_carrying_the_verdict_and_the_first_packets(self):
+        # The verdict and the stream's first packets leave in one flush,
+        # so one ring reads them together.  What the pump wants changes
+        # with the verdict: judged for the whole ring before it, the
+        # packets behind it were lost to an RTO (completion 116 -> 600
+        # ms with no failure, so only latency showed it).
+        packets = 16
+        server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        server.bind(("127.0.0.1", 0))
+        pump = UdpClientPump(server.getsockname(), [packets * 1024],
+                             protocol="sliding", recv_timeout_s=2.0,
+                             linger_s=0.0)
+        (client,) = pump.clients
+        verdict = {"status": "ok", "stream": 1, "size": packets * 1024,
+                   "packets": packets, "seed": 7}
+        body = service_payload(7, 1, packets * 1024)
+        io = DatagramBatchIO(server)
+        try:
+            io.send_frame(ControlFrame(1, 1, json.dumps(verdict).encode(),
+                                       stream_id=1), client.sock.getsockname())
+            for seq in range(packets):
+                io.send_frame(DataFrame(1, seq, packets,
+                                        body[seq * 1024:(seq + 1) * 1024],
+                                        True, stream_id=1),
+                              client.sock.getsockname())
+            io.flush()
+            pulls = pump.run(overall_timeout_s=10.0)
+            # Loopback: everything the pump sent is queued by now.
+            arrived = [decode(view) for view, _sender in io.recv_batch()]
+        finally:
+            server.close()
+        assert (pulls[1].status, pulls[1].payload_ok) == ("ok", True)
+        # One ACK each, in order.
+        assert [frame.seq for frame in arrived
+                if isinstance(frame, AckFrame)] == list(range(packets))
+
+    def test_a_sliding_pull_needs_no_retransmission(self):
+        config = ServiceConfig(protocol="sliding", window=32)
+        service, thread = run_service(config)
+        result = pull(service.address, 1, 64 * 1024, protocol="sliding")
+        thread.join(timeout=25)
+        report = json.loads(service.report_json())
+        service.sock.close()
+        assert result.ok
+        assert report["summary"]["data_frames"] == 64
+        assert report["summary"]["retransmits"] == 0
 
 
 class TestPumpHostileFrames:
