@@ -31,8 +31,15 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
+from ..parallel.pool import (
+    DEFAULT_TRIAL_SHARD_SIZE,
+    ExperimentPool,
+    mix_seed,
+    shard_counts,
+)
 from ..simnet.params import NetworkParams
 from .errorfree import t_blast, t_single_exchange
 
@@ -312,20 +319,27 @@ def run_trials(
     sequentially in-process; ``N`` fans them over a process pool;
     ``-1`` uses every CPU).
     """
-    from ..parallel.pool import DEFAULT_TRIAL_SHARD_SIZE, ExperimentPool
-
     if shard_size is None:
         shard_size = DEFAULT_TRIAL_SHARD_SIZE
-    samples = ExperimentPool(n_jobs).map_trials(
-        strategy,
-        d_packets,
-        p_n,
-        n_trials,
-        t_retry,
-        params=params,
-        seed=seed,
-        t_retry_last=t_retry_last,
-        cumulative=cumulative,
-        shard_size=shard_size,
-    )
-    return TrialSummary.from_samples(samples)
+    worker = partial(_trials_shard, strategy, d_packets, p_n, t_retry,
+                     RoundCostModel(params), t_retry_last, cumulative)
+    specs = [(mix_seed(seed, k), count)
+             for k, count in enumerate(shard_counts(n_trials, shard_size))]
+    shards = ExperimentPool(n_jobs).map_shards(worker, specs)
+    return TrialSummary.from_samples(
+        [sample for shard in shards for sample in shard])
+
+
+def _trials_shard(strategy, d_packets, p_n, t_retry, cost, t_retry_last,
+                  cumulative, shard) -> List[TransferSample]:
+    """Pool worker: one shard's trials, drawn in order from its own
+    stream ``random.Random(shard_seed)``."""
+    shard_seed, count = shard
+    rng = random.Random(shard_seed)
+    if strategy == "saw":
+        return [simulate_saw_transfer(d_packets, p_n, t_retry, cost, rng)
+                for _ in range(count)]
+    return [simulate_blast_transfer(strategy, d_packets, p_n, t_retry, cost,
+                                    rng, t_retry_last=t_retry_last,
+                                    cumulative=cumulative)
+            for _ in range(count)]

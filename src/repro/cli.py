@@ -563,11 +563,28 @@ def _cmd_faults(args) -> int:
         report = report + "\n" + fairness.report
         passed = passed and fairness.all_passed
     print(report, end="")
+    _write_and_check(report, args)
+    return 0 if passed else 1
+
+
+def _write_and_check(report: str, args) -> bool:
+    """Write ``report`` to ``--out`` and compare it with ``--check``.
+
+    Returns False only when the ``--check`` golden differs.
+    """
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report)
         print(f"wrote {args.out}")
-    return 0 if passed else 1
+    check = getattr(args, "check", None)
+    if check:
+        with open(check, "r", encoding="utf-8") as handle:
+            golden = handle.read()
+        if report != golden:
+            print(f"MISMATCH against {check}")
+            return False
+        print(f"matches {check}")
+    return True
 
 
 def _service_config(args):
@@ -653,17 +670,8 @@ def _cmd_cluster(args) -> int:
             flows = tuple(int(part) for part in args.flows.split(","))
         sweep = run_cluster_sweep(flows=flows, n_jobs=args.jobs)
         print(sweep.report, end="")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(sweep.report)
-            print(f"wrote {args.out}")
-        if args.check:
-            with open(args.check, "r", encoding="utf-8") as handle:
-                golden = handle.read()
-            if sweep.report != golden:
-                print(f"MISMATCH against {args.check}")
-                return 1
-            print(f"matches {args.check}")
+        if not _write_and_check(sweep.report, args):
+            return 1
         return 0 if sweep.all_ok else 1
 
     from .cluster import run_udp_cluster
@@ -760,17 +768,8 @@ def _cmd_congestion(args) -> int:
 
     sweep = run_congestion_sweep(seed=args.seed, n_jobs=args.jobs)
     print(sweep.report, end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(sweep.report)
-        print(f"wrote {args.out}")
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            golden = handle.read()
-        if sweep.report != golden:
-            print(f"MISMATCH against {args.check}")
-            return 1
-        print(f"matches {args.check}")
+    if not _write_and_check(sweep.report, args):
+        return 1
     return 0 if sweep.all_ok else 1
 
 

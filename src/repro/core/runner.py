@@ -13,12 +13,16 @@ and for repeated stochastic experiments::
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Type
 
+from ..parallel.pool import ExperimentPool, mix_seed
 from ..sim import Environment
 from ..simnet import (
+    BernoulliErrors,
     ErrorModel,
     NetworkParams,
     TraceRecorder,
@@ -133,17 +137,28 @@ def run_many(
     collided across nearby root seeds, e.g. ``(0, 1_000_003)`` and
     ``(1, 0)``.)
     """
-    from ..parallel.pool import ExperimentPool
-
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    results: List[TransferResult] = ExperimentPool(n_jobs).map_transfers(
-        protocol,
-        data,
-        error_p,
-        n_runs,
-        params=params,
-        seed=seed,
-        **transfer_kwargs,
-    )
-    return RunSummary.from_results(results)
+    pool = ExperimentPool(n_jobs)
+    # Shard size may follow the worker count: runs are seeded by their
+    # global index, so the grouping cannot change any result.
+    shard_size = max(1, min(32, math.ceil(n_runs / (4 * pool.n_jobs))))
+    specs = [range(start, min(start + shard_size, n_runs))
+             for start in range(0, n_runs, shard_size)]
+    worker = partial(_transfers_shard, protocol, data, error_p, params, seed,
+                     transfer_kwargs)
+    shards = pool.map_shards(worker, specs)
+    return RunSummary.from_results(
+        [result for shard in shards for result in shard])
+
+
+def _transfers_shard(protocol, data, error_p, params, seed, transfer_kwargs,
+                     runs: range) -> List[TransferResult]:
+    """Pool worker: the runs of one ``run_many`` shard, by global index."""
+    return [
+        run_transfer(protocol, data, params=params,
+                     error_model=BernoulliErrors(error_p,
+                                                 seed=mix_seed(seed, index)),
+                     **transfer_kwargs)
+        for index in runs
+    ]

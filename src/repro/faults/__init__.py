@@ -7,9 +7,9 @@ The package has four layers:
   substrate-independent interpreter, :class:`PlanExecutor`;
 - :mod:`repro.faults.plans` — the builtin library of bounded plans the
   conformance matrix sweeps;
-- the adapters — :class:`ScriptedErrors` for the DES wire,
-  :class:`FaultySocket` for real UDP sockets, and
-  :class:`repro.faults.vkernel.IpcFaultHook` for V-kernel IPC;
+- the two adapters — :class:`ScriptedErrors` for the simulated wire
+  (V-kernel IPC included: its messages cross the same wire) and
+  :class:`FaultySocket` for real UDP sockets;
 - :mod:`repro.faults.conformance` — the protocol × strategy × plan
   matrix harness behind ``repro faults`` (imported explicitly, not
   here, to keep this package import-light and cycle-free).

@@ -4,9 +4,9 @@ A :class:`FaultPlan` is an immutable *script* of adversarial network
 behaviour — drop / duplicate / reorder / delay / corrupt — that every
 execution substrate in the repo can replay byte-for-byte:
 
-- the DES wire, through :class:`repro.faults.scripted.ScriptedErrors`;
+- the simulated wire, V-kernel IPC messages included, through
+  :class:`repro.faults.scripted.ScriptedErrors`;
 - real UDP sockets, through :class:`repro.faults.socket.FaultySocket`;
-- the V-kernel IPC path, through :class:`repro.faults.vkernel.IpcFaultHook`;
 - pure sequences (for property tests), through :func:`apply_to_sequence`.
 
 Rules select frames by *kind* (data / ack / nak / control), *direction*
@@ -457,8 +457,11 @@ def frame_stream_key(frame: object) -> Tuple[Optional[str], str, Optional[int]]:
 
     Direction follows the wire-level convention the adapters share: a
     transfer's payload-bearing frames (data, control) travel ``send``;
-    its replies (ack, nak) travel ``recv``.  Unknown objects classify as
-    ``(None, "both", None)`` so only kind-agnostic rules can hit them.
+    its replies (ack, nak) travel ``recv``.  A V-kernel IPC message (it
+    carries a ``msg_id``) is ``control``: a request travels ``send``, a
+    reply ``recv``, and ``seq`` is the message id.  Unknown objects
+    classify as ``(None, "both", None)`` so only kind-agnostic rules can
+    hit them.
     """
     from ..core.frames import FrameKind
 
@@ -473,6 +476,10 @@ def frame_stream_key(frame: object) -> Tuple[Optional[str], str, Optional[int]]:
         else:
             seq = getattr(frame, "seq", None)
         return name, direction, seq
+    msg_id = getattr(frame, "msg_id", None)
+    if msg_id is not None:
+        reply = getattr(kind_attr, "value", None) == "reply"
+        return "control", "recv" if reply else "send", msg_id
     return None, "both", None
 
 

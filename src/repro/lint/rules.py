@@ -370,7 +370,7 @@ class PickleBoundaryRule(Rule):
     title = "lambda/closure shipped across the process-pool boundary"
     fix_hint = (
         "move the callable to module level so it pickles by reference "
-        "(see repro.parallel.pool's shard workers)"
+        "(see the shard workers beside each map_shards call)"
     )
 
     _BOUNDARY_METHODS = {

@@ -1,13 +1,15 @@
 """Deterministic process-pool fan-out for repeated stochastic experiments.
 
 The core contract is *worker-count independence*: an experiment run is
-cut into shards whose size depends only on the experiment (never on
-``n_jobs``), and shard *k* of a run with root seed *s* derives its RNG
-stream from the stable mixing function :func:`mix_seed`.  Results are
-merged back in shard order, so ``n_jobs=1`` and ``n_jobs=8`` produce
-byte-identical sample sequences — and therefore byte-identical
-:class:`~repro.analysis.montecarlo.TrialSummary` /
-:class:`~repro.core.runner.RunSummary` statistics.
+cut into shards, and shard *k* of a run with root seed *s* derives its
+RNG stream from the stable mixing function :func:`mix_seed` — keyed by
+something the worker count cannot change (a fixed-size shard's index, or
+a run's global index).  Results are merged back in shard order, so
+``n_jobs=1`` and ``n_jobs=8`` produce byte-identical sample sequences.
+The pool knows none of its callers: each one builds its own shard specs
+and hands :meth:`ExperimentPool.map_shards` a module-level worker
+(``analysis.montecarlo.run_trials``, ``core.runner.run_many``, the
+conformance, congestion and cluster sweeps).
 
 Failure policy: a shard whose worker dies (or whose pool breaks) is
 retried once *in the parent process* — a shard's result depends only on
@@ -20,9 +22,7 @@ with zero pool overhead.
 from __future__ import annotations
 
 import hashlib
-import math
-import random
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 __all__ = [
     "DEFAULT_TRIAL_SHARD_SIZE",
@@ -82,70 +82,6 @@ def _processes_available() -> bool:
         return False
 
 
-# ---------------------------------------------------------------------------
-# Shard workers.  Module-level so they pickle by reference; they import
-# the simulation modules lazily to keep this module import-cycle-free.
-# ---------------------------------------------------------------------------
-
-def _run_trials_shard(spec: Tuple) -> list:
-    """Run one Monte Carlo shard; returns its ``TransferSample`` list."""
-    (
-        strategy,
-        d_packets,
-        p_n,
-        t_retry,
-        params,
-        t_retry_last,
-        cumulative,
-        shard_seed,
-        count,
-    ) = spec
-    from ..analysis.montecarlo import (
-        RoundCostModel,
-        simulate_blast_transfer,
-        simulate_saw_transfer,
-    )
-
-    rng = random.Random(shard_seed)
-    cost = RoundCostModel(params)
-    samples = []
-    for _ in range(count):
-        if strategy == "saw":
-            sample = simulate_saw_transfer(d_packets, p_n, t_retry, cost, rng)
-        else:
-            sample = simulate_blast_transfer(
-                strategy,
-                d_packets,
-                p_n,
-                t_retry,
-                cost,
-                rng,
-                t_retry_last=t_retry_last,
-                cumulative=cumulative,
-            )
-        samples.append(sample)
-    return samples
-
-
-def _run_transfers_shard(spec: Tuple) -> list:
-    """Run one DES shard; returns its ``TransferResult`` list.
-
-    Each run inside the shard is seeded from its *global* run index, so
-    results are independent of how runs were grouped into shards.
-    """
-    (protocol, data, error_p, params, root_seed, start, count, kwargs) = spec
-    from ..core.runner import run_transfer
-    from ..simnet import BernoulliErrors
-
-    results = []
-    for run_index in range(start, start + count):
-        model = BernoulliErrors(error_p, seed=mix_seed(root_seed, run_index))
-        results.append(
-            run_transfer(protocol, data, params=params, error_model=model, **kwargs)
-        )
-    return results
-
-
 class ExperimentPool:
     """Fan experiment shards across processes, deterministically.
 
@@ -159,8 +95,6 @@ class ExperimentPool:
 
     def __init__(self, n_jobs: Optional[int] = 1):
         self.n_jobs = resolve_jobs(n_jobs)
-
-    # -- generic machinery ------------------------------------------------
 
     def map_shards(
         self, worker: Callable[[Any], Any], specs: Sequence[Any]
@@ -203,74 +137,3 @@ class ExperimentPool:
             # genuine (deterministic) error reproduces here and raises.
             results[index] = worker(specs[index])
         return results
-
-    # -- Monte Carlo ------------------------------------------------------
-
-    def map_trials(
-        self,
-        strategy: str,
-        d_packets: int,
-        p_n: float,
-        n_trials: int,
-        t_retry: float,
-        params=None,
-        seed: int = 0,
-        t_retry_last: Optional[float] = None,
-        cumulative: bool = False,
-        shard_size: int = DEFAULT_TRIAL_SHARD_SIZE,
-    ) -> list:
-        """Run ``n_trials`` abstract Monte Carlo transfers, sharded.
-
-        Shard *k* simulates its trials sequentially from the stream
-        ``random.Random(mix_seed(seed, k))``; the merged sample list is
-        identical for every ``n_jobs``.
-        """
-        counts = shard_counts(n_trials, shard_size)
-        specs = [
-            (
-                strategy,
-                d_packets,
-                p_n,
-                t_retry,
-                params,
-                t_retry_last,
-                cumulative,
-                mix_seed(seed, k),
-                count,
-            )
-            for k, count in enumerate(counts)
-        ]
-        shards = self.map_shards(_run_trials_shard, specs)
-        return [sample for shard in shards for sample in shard]
-
-    # -- discrete-event simulation ---------------------------------------
-
-    def map_transfers(
-        self,
-        protocol: str,
-        data: bytes,
-        error_p: float,
-        n_runs: int,
-        params=None,
-        seed: int = 0,
-        shard_size: Optional[int] = None,
-        **transfer_kwargs,
-    ) -> list:
-        """Run ``n_runs`` DES transfers under Bernoulli loss, sharded.
-
-        Run *i* always uses loss-model seed ``mix_seed(seed, i)`` keyed
-        by its global index, so the result list is independent of both
-        ``n_jobs`` *and* ``shard_size`` (which may therefore adapt to
-        the worker count).
-        """
-        if shard_size is None:
-            shard_size = max(1, min(32, math.ceil(n_runs / (4 * self.n_jobs))))
-        specs = []
-        start = 0
-        for count in shard_counts(n_runs, shard_size):
-            specs.append(
-                (protocol, data, error_p, params, seed, start, count, transfer_kwargs)
-            )
-            start += count
-        shards = self.map_shards(_run_transfers_shard, specs)
-        return [result for shard in shards for result in shard]

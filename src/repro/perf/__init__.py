@@ -2,14 +2,12 @@
 
 :mod:`repro.perf.workloads` holds the canonical workloads — kernel event
 order, wire bytes, traces, ``run_many`` digests, contention scenarios —
-whose recordings from earlier kernels live under ``tests/perf/fixtures/``;
-:mod:`repro.perf.structure` reduces ten end-to-end runs to the digests
-goldened in ``benchmarks/results/perf_structure.txt``.  Both are asserted
-by tier-1 (``tests/perf``).  Timings are taken by ``layerbench`` and
-recorded by ``benchmarks/bench_history.py`` (``docs/performance.md``).
+whose recordings from earlier kernels live under ``tests/perf/fixtures/``
+and are asserted by tier-1 (``tests/perf``).  Timings are taken by
+``layerbench`` and recorded by ``benchmarks/bench_history.py``
+(``docs/performance.md``).
 """
 
-from .structure import SUITES, render_ledger, structure_rows
 from .workloads import (
     CANONICAL_EVENTS,
     canonical_datagrams,
@@ -23,9 +21,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "SUITES",
-    "structure_rows",
-    "render_ledger",
     "CANONICAL_EVENTS",
     "canonical_datagrams",
     "canonical_frames",

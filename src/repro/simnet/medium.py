@@ -120,13 +120,14 @@ class Medium:
     def _damage(frame):
         """A copy of ``frame`` with its payload silently damaged.
 
-        Frames without a (non-empty) payload — acknowledgements — have no
+        Frames without a non-empty bytes payload — acknowledgements, and
+        V-kernel messages, whose payload is a tuple of values — have no
         data to damage undetectably; a corrupted control frame fails its
         own consistency checks at the receiver, which is indistinguishable
         from loss, so ``None`` is returned and the caller drops it.
         """
         payload = getattr(frame, "payload", None)
-        if not payload:
+        if not isinstance(payload, bytes) or not payload:
             return None
         damaged = bytes([payload[0] ^ 0xFF]) + payload[1:]
         return dataclasses.replace(frame, payload=damaged)

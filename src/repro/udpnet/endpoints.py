@@ -95,12 +95,16 @@ class UdpEndpoint:
         if packet_bytes < 1:
             raise ValueError(f"packet_bytes must be >= 1, got {packet_bytes}")
         raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if reuse_port:
-            # Cluster placement mode: N worker processes bind the same
-            # (host, port) and the kernel hashes each client's 4-tuple
-            # to one of them (see repro.cluster.placement).
-            raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        raw.bind(bind)
+        try:
+            if reuse_port:
+                # Cluster placement mode: N worker processes bind the same
+                # (host, port) and the kernel hashes each client's 4-tuple
+                # to one of them (see repro.cluster.placement).
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            raw.bind(bind)
+        except BaseException:
+            raw.close()  # a restarted worker's port may still be taken
+            raise
         # A fault-free endpoint talks to the kernel socket directly: the
         # wrapper would add two Python frames and a clock read to every
         # datagram for nothing, and its plan must see one datagram per

@@ -92,12 +92,12 @@ class VKernel:
         Unique id across the LAN (used in :class:`ProcessRef`).
     send_timeout_s:
         Retransmission interval for unanswered ``Send`` requests.
-    ipc_faults:
-        Optional :class:`repro.faults.vkernel.IpcFaultHook` (or any
-        object with the same ``decide``/``extra_delay_s`` surface)
-        applied to this kernel's *outgoing remote* IPC frames — the
-        fault-injection point for exercising the rendezvous machinery
-        (retransmission, duplicate suppression, reply replay).
+
+    Remote IPC frames cross the host's simulated wire, so the LAN's
+    error model faults them like any other frame: a
+    :class:`~repro.faults.scripted.ScriptedErrors` plan sees a request
+    as ``control``/``send`` and a reply as ``control``/``recv``, with
+    the message id as ``seq``.
     """
 
     def __init__(
@@ -107,7 +107,6 @@ class VKernel:
         kernel_id: int,
         send_timeout_s: float = 0.25,
         local_move_bps: float = 4e6,
-        ipc_faults=None,
     ):
         if send_timeout_s <= 0:
             raise ValueError("send_timeout_s must be > 0")
@@ -116,7 +115,6 @@ class VKernel:
         self.kernel_id = kernel_id
         self.send_timeout_s = send_timeout_s
         self.local_move_bps = local_move_bps
-        self.ipc_faults = ipc_faults
         self._processes: Dict[int, VProcess] = {}
         self._next_pid = 1
         self._next_msg_id = 1
@@ -191,17 +189,6 @@ class VKernel:
             self._deliver_local(frame)
             return
         peer = self._peer_kernel(frame.dst.kernel_id)
-        if self.ipc_faults is not None:
-            decision = self.ipc_faults.decide(frame)
-            if decision.drop:
-                # Swallowed in flight; the sender's timer will retry.
-                yield self.env.timeout(0)
-                return
-            extra = self.ipc_faults.extra_delay_s(decision)
-            if extra > 0:
-                yield self.env.timeout(extra)
-            for _ in range(decision.duplicates):
-                yield from self.host.send(frame, dst=peer.host)
         yield from self.host.send(frame, dst=peer.host)
 
     # -- Send / Receive / Reply ------------------------------------------------

@@ -1,8 +1,12 @@
-"""Fault injection on the V-kernel IPC path and MoveTo bulk transfers."""
+"""Fault injection on the V-kernel IPC path and MoveTo bulk transfers.
 
-from repro.faults.plan import FaultPlan, FaultRule
+Send/Reply messages and MoveTo blasts cross the same simulated wire, so
+one :class:`ScriptedErrors` plan on the LAN faults both: a request is
+``control``/``send``, a reply ``control``/``recv``, ``seq`` its message id.
+"""
+
+from repro.faults.plan import FaultPlan, FaultRule, frame_stream_key
 from repro.faults.scripted import ScriptedErrors
-from repro.faults.vkernel import IpcFaultHook
 from repro.sim import Environment
 from repro.simnet import NetworkParams, make_lan
 from repro.vkernel import VKernel
@@ -17,57 +21,60 @@ def _frame(kind, msg_id=1):
     return MessageFrame(kind, ProcessRef(1, 1), ProcessRef(2, 1), msg_id, ("x",))
 
 
-class TestIpcFaultHook:
+class TestIpcFramesOnTheWire:
     def test_requests_are_the_send_stream(self):
-        hook = IpcFaultHook(
+        errors = ScriptedErrors(
             _plan(FaultRule(action="drop", kinds=("control",), direction="send"))
         )
-        assert hook.decide(_frame(MessageKind.SEND)).drop
-        assert not hook.decide(_frame(MessageKind.REPLY)).drop
-        assert hook.frames_seen == 2
-        assert hook.frames_dropped == 1
+        assert errors.drops(_frame(MessageKind.SEND))
+        assert not errors.drops(_frame(MessageKind.REPLY))
+        assert errors.frames_seen == 2
+        assert errors.faults_fired == 1
 
     def test_replies_are_the_recv_stream(self):
-        hook = IpcFaultHook(
+        errors = ScriptedErrors(
             _plan(FaultRule(action="drop", kinds=("control",), direction="recv"))
         )
-        assert not hook.decide(_frame(MessageKind.SEND)).drop
-        assert hook.decide(_frame(MessageKind.REPLY)).drop
+        assert not errors.drops(_frame(MessageKind.SEND))
+        assert errors.drops(_frame(MessageKind.REPLY))
 
     def test_seq_matches_message_id(self):
-        hook = IpcFaultHook(
+        assert frame_stream_key(_frame(MessageKind.REPLY, msg_id=3)) \
+            == ("control", "recv", 3)
+        errors = ScriptedErrors(
             _plan(FaultRule(action="drop", kinds=("control",), seqs=(3,)))
         )
-        assert not hook.decide(_frame(MessageKind.SEND, msg_id=2)).drop
-        assert hook.decide(_frame(MessageKind.SEND, msg_id=3)).drop
+        assert not errors.drops(_frame(MessageKind.SEND, msg_id=2))
+        assert errors.drops(_frame(MessageKind.SEND, msg_id=3))
 
     def test_detectable_corruption_degrades_to_drop(self):
-        hook = IpcFaultHook(
+        errors = ScriptedErrors(
             _plan(FaultRule(action="corrupt", kinds=("control",), indices=(0,)))
         )
-        decision = hook.decide(_frame(MessageKind.SEND))
-        assert decision.drop
-        assert not decision.corrupt
+        frame = _frame(MessageKind.SEND)
+        assert errors.drops(frame)
+        assert not errors.corrupts(frame)
 
     def test_reorder_degrades_to_delay(self):
-        hook = IpcFaultHook(
+        errors = ScriptedErrors(
             _plan(
                 FaultRule(action="reorder", kinds=("control",), indices=(0,), depth=4),
             ),
             reorder_unit_s=0.01,
         )
-        decision = hook.decide(_frame(MessageKind.SEND))
-        assert not decision.drop
-        assert hook.extra_delay_s(decision) == 4 * 0.01
+        frame = _frame(MessageKind.SEND)
+        assert not errors.drops(frame)
+        assert errors.delay_s(frame) == 4 * 0.01
 
 
-def _kernels(env, client_faults=None, server_faults=None, send_timeout_s=0.05):
-    host_a, host_b, _ = make_lan(env, NetworkParams.vkernel())
-    ka = VKernel(env, host_a, kernel_id=1, send_timeout_s=send_timeout_s,
-                 ipc_faults=client_faults)
-    kb = VKernel(env, host_b, kernel_id=2, send_timeout_s=send_timeout_s,
-                 ipc_faults=server_faults)
-    return ka, kb
+def _kernels(env, plan=None, send_timeout_s=0.05):
+    """Two kernels on one LAN; ``plan`` (if any) replays on its wire."""
+    error_model = None if plan is None else ScriptedErrors(plan)
+    host_a, host_b, medium = make_lan(env, NetworkParams.vkernel(),
+                                      error_model=error_model)
+    ka = VKernel(env, host_a, kernel_id=1, send_timeout_s=send_timeout_s)
+    kb = VKernel(env, host_b, kernel_id=2, send_timeout_s=send_timeout_s)
+    return ka, kb, medium
 
 
 def _rendezvous(env, ka, kb):
@@ -94,66 +101,60 @@ def _rendezvous(env, ka, kb):
 class TestRendezvousUnderFaults:
     def test_dropped_request_is_retried(self):
         env = Environment()
-        hook = IpcFaultHook(
-            _plan(FaultRule(action="drop", kinds=("control",),
-                            direction="send", indices=(0,)))
-        )
-        ka, kb = _kernels(env, client_faults=hook)
+        ka, kb, medium = _kernels(env, _plan(
+            FaultRule(action="drop", kinds=("control",),
+                      direction="send", indices=(0,))))
         result, executions = _rendezvous(env, ka, kb)
         assert result == ("done", 1)
         assert executions == [1]  # retry delivered it exactly once
-        assert hook.frames_dropped == 1
+        assert medium.frames_dropped == 1
         assert env.now >= 0.05  # at least one retransmission interval
 
     def test_dropped_reply_replayed_from_cache(self):
         env = Environment()
-        hook = IpcFaultHook(
-            _plan(FaultRule(action="drop", kinds=("control",),
-                            direction="recv", indices=(0,)))
-        )
-        ka, kb = _kernels(env, server_faults=hook)
+        ka, kb, medium = _kernels(env, _plan(
+            FaultRule(action="drop", kinds=("control",),
+                      direction="recv", indices=(0,))))
         result, executions = _rendezvous(env, ka, kb)
         assert result == ("done", 1)
         # The server body ran once; the lost reply was replayed, not
         # re-executed.
         assert executions == [1]
-        assert hook.frames_dropped == 1
+        assert medium.frames_dropped == 1
 
     def test_duplicated_request_suppressed(self):
         env = Environment()
-        hook = IpcFaultHook(
-            _plan(FaultRule(action="duplicate", kinds=("control",),
-                            direction="send", indices=(0,), count=2))
-        )
-        ka, kb = _kernels(env, client_faults=hook)
+        ka, kb, medium = _kernels(env, _plan(
+            FaultRule(action="duplicate", kinds=("control",),
+                      direction="send", indices=(0,), count=2)))
         result, executions = _rendezvous(env, ka, kb)
         assert result == ("done", 1)
         assert executions == [1]  # duplicates swallowed by the dedup table
-        assert hook.frames_duplicated == 2
+        assert medium.frames_duplicated == 2
 
     def test_delayed_request_still_completes(self):
         env = Environment()
-        hook = IpcFaultHook(
-            _plan(FaultRule(action="delay", kinds=("control",),
-                            direction="send", indices=(0,), delay_s=0.02))
-        )
-        ka, kb = _kernels(env, client_faults=hook)
+        ka, kb, _ = _kernels(env, _plan(
+            FaultRule(action="delay", kinds=("control",),
+                      direction="send", indices=(0,), delay_s=0.02)))
         result, executions = _rendezvous(env, ka, kb)
         assert result == ("done", 1)
         assert executions == [1]
         assert env.now >= 0.02
 
     def test_faultless_hook_changes_nothing(self):
+        # An empty plan in the LAN's error-model hooks: same reply at
+        # the same simulated instant as a LAN with no error model.
         baseline_env = Environment()
-        ka, kb = _kernels(baseline_env)
+        ka, kb, _ = _kernels(baseline_env)
         baseline, _ = _rendezvous(baseline_env, ka, kb)
 
         env = Environment()
-        hook = IpcFaultHook(_plan())
-        ka, kb = _kernels(env, client_faults=hook, server_faults=None)
+        ka, kb, medium = _kernels(env, _plan())
         result, _ = _rendezvous(env, ka, kb)
         assert result == baseline
-        assert hook.frames_dropped == 0
+        assert env.now == baseline_env.now
+        assert medium.frames_dropped == 0
 
 
 class TestMoveUnderScriptedLan:

@@ -157,13 +157,13 @@ class TestTransferDeterminism:
 
     def test_shard_size_invariant(self):
         # DES runs are seeded by global run index, so even the shard
-        # layout (unlike Monte Carlo shards) cannot change the result.
-        pool = ExperimentPool(1)
-        a = pool.map_transfers("blast", self.DATA, 0.02, 10, seed=5,
-                               shard_size=3)
-        b = pool.map_transfers("blast", self.DATA, 0.02, 10, seed=5,
-                               shard_size=7)
-        assert [r.elapsed_s for r in a] == [r.elapsed_s for r in b]
+        # layout (unlike Monte Carlo shards) cannot change the result:
+        # ten runs are cut 3+3+3+1 at n_jobs=1 and 2+2+2+2+2 at n_jobs=2.
+        kw = dict(error_p=0.02, n_runs=10, seed=5)
+        sequential = run_many("blast", self.DATA, n_jobs=1, **kw)
+        fanned = run_many("blast", self.DATA, n_jobs=2, **kw)
+        assert sequential == fanned
+        assert sequential.n_runs == 10
 
     def test_collision_regression(self):
         # seed=0 run 1_000_003 and seed=1 run 0 used to share a loss

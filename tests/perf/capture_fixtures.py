@@ -7,9 +7,7 @@ optimized fast path must reproduce byte-for-byte:
     PYTHONPATH=src python tests/perf/capture_fixtures.py
 
 The outputs are committed under ``tests/perf/fixtures/``; re-running
-against an equivalent kernel must be a no-op diff.  The same run writes
-the structure ledger ``benchmarks/results/perf_structure.txt``
-(``repro.perf.structure``): one regenerate path for both digest files.
+against an equivalent kernel must be a no-op diff.
 
 The ``scenario:*`` digests (``workloads.contention_digests``) were added
 in PR 17 and recorded the same way from the then-unmodified PR 16 kernel
@@ -35,12 +33,10 @@ from __future__ import annotations
 import json
 import os
 
-from repro.perf import render_ledger, structure_rows, workloads
+from repro.perf import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
-LEDGER = os.path.join(HERE, "..", "..", "benchmarks", "results",
-                      "perf_structure.txt")
 
 
 def main() -> None:
@@ -70,10 +66,6 @@ def main() -> None:
     for key in sorted(digests):
         print(f"{key}: {digests[key]}")
     print(f"wrote fixtures to {FIXTURES}")
-
-    with open(LEDGER, "w", encoding="utf-8") as handle:
-        handle.write(render_ledger(structure_rows()))
-    print(f"wrote {os.path.normpath(LEDGER)}")
 
 
 if __name__ == "__main__":

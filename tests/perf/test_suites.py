@@ -1,48 +1,19 @@
-"""The structure ledger of the perf package.
+"""Two source-tree guards: no frozen fork, one pull-request builder.
 
-Suite names, canonical workload sizes and determinism digests are a
-contract, pinned here against the golden ledger; nothing in the package
-is timed (``docs/performance.md``: timings are layerbench's).
+The hot paths are proved by recordings (``test_fastpath_equivalence.py``)
+and timed by layerbench (``docs/performance.md``); these guards keep a
+second copy of either path from creeping back into ``src/``.
 """
 
 import ast
 import re
 from pathlib import Path
 
-import pytest
-
-from repro.perf.structure import SUITES, render_ledger, structure_rows
-
 REPO_ROOT = Path(__file__).parents[2]
-GOLDEN_LEDGER = REPO_ROOT / "benchmarks" / "results" / "perf_structure.txt"
-
-
-@pytest.fixture(scope="module")
-def results():
-    return structure_rows()
-
-
-def test_suite_registry_is_stable():
-    assert list(SUITES) == [
-        "des_events",
-        "des_process",
-        "codec_encode",
-        "codec_decode",
-        "conformance_cell",
-        "service_run",
-        "service_udp_throughput",
-        "service_udp_clients",
-        "cluster_udp_goodput",
-        "service_sched_scale",
-    ]
-
-
-def test_structure_ledger_matches_golden(results):
-    assert render_ledger(results) == GOLDEN_LEDGER.read_text()
 
 
 def test_no_frozen_fork_in_source_tree():
-    # `repro perf` times live code only; the one reference engine kept
+    # layerbench times live code only; the one reference engine kept
     # as an oracle lives under tests/ (tests/service/reference_engine.py).
     fork = re.compile(r"^\s*class Legacy|\.legacy\b|\bimport legacy\b",
                       re.MULTILINE)

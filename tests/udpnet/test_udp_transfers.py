@@ -5,8 +5,11 @@ thread.  Timeouts are generous to keep CI machines happy; correctness
 (intact delivery under loss) is the assertion, not speed.
 """
 
+import gc
 import socket
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -217,3 +220,19 @@ class TestEndpointSocket:
         with UdpTransfer(fault_plan=builtin_plan("dup-burst")) as planned:
             assert isinstance(planned.sock, FaultySocket)
             assert planned.sock.plan is not None
+
+    def test_a_failed_bind_leaks_no_socket(self, monkeypatch):
+        # A restarted cluster worker re-binds its old port; while that is
+        # still taken, each attempt must close the socket it opened.
+        # The unclosed socket's ResourceWarning is raised in a finaliser,
+        # so it reaches the unraisable hook, not this frame.
+        leaked = []
+        monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                with pytest.raises(OSError):
+                    UdpTransfer(bind=taken.getsockname())
+                gc.collect()
+        assert [hook.exc_type for hook in leaked] == []

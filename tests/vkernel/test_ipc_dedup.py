@@ -3,7 +3,13 @@
 import pytest
 
 from repro.sim import Environment
-from repro.simnet import DeterministicDrops, NetworkParams, make_lan
+from repro.simnet import (
+    DeterministicDrops,
+    NetworkParams,
+    SilentCorruption,
+    TraceRecorder,
+    make_lan,
+)
 from repro.vkernel import VKernel
 
 
@@ -111,6 +117,32 @@ class TestDuplicateSuppression:
         proc = env.process(client_body())
         assert env.run(proc) == ("finally",)
         assert env.now > 0.1
+
+
+class TestCorruptedMessages:
+    def test_silently_corrupted_message_is_dropped_not_a_crash(self):
+        """Regression: silent corruption of an IPC message raised
+        ``TypeError`` inside the medium, which XOR-ed the first payload
+        byte — and a message's payload is a tuple of values.  With nothing
+        to damage undetectably, the frame is dropped like a corrupted
+        acknowledgement, and the Send keeps retrying."""
+        env = Environment()
+        trace = TraceRecorder()
+        host_a, host_b, medium = make_lan(
+            env, NetworkParams.vkernel(), error_model=SilentCorruption(1.0),
+            trace=trace)
+        ka = VKernel(env, host_a, kernel_id=1, send_timeout_s=0.05)
+        kb = VKernel(env, host_b, kernel_id=2, send_timeout_s=0.05)
+        client = ka.create_process("client")
+        server = kb.create_process("server")
+        proc = env.process(ka.send(client, server.ref, "work"))
+        env.run(until=0.12)
+        assert not proc.triggered  # every request attempt was lost
+        assert medium.frames_transmitted == 3  # at 0, 0.05 and 0.10
+        assert medium.frames_dropped == 3
+        assert medium.frames_corrupted == 0
+        assert [span.note for span in trace.drops()] \
+            == ["corrupted control frame"] * 3
 
 
 class TestMaxPacketFootnote:
