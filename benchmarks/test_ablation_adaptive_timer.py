@@ -11,7 +11,7 @@ mistuned fixed timer pays on every loss.
 import statistics
 
 from repro.bench.tables import ExperimentTable, format_ms
-from repro.core import AdaptiveTimeout, BlastTransfer, FixedTimeout
+from repro.core import AdaptiveTimeout, BlastTransfer
 from repro.analysis import t_blast
 from repro.sim import Environment
 from repro.simnet import BernoulliErrors, NetworkParams, make_lan
@@ -22,9 +22,12 @@ PN = 5e-3
 PARAMS = NetworkParams.standalone()
 
 
-def run_workload(policy_factory):
-    """40 sequential blasts sharing one policy; per-transfer times."""
-    policy = policy_factory()
+def run_workload(timer):
+    """40 sequential blasts sharing one timer; per-transfer times.
+
+    ``timer`` is the keyword a sender's ``BlastTransfer`` takes: a fixed
+    ``timeout_s`` or one ``timeout_policy`` shared by the whole workload.
+    """
     env = Environment()
     sender, receiver, _ = make_lan(
         env, PARAMS, error_model=BernoulliErrors(PN, seed=99)
@@ -35,8 +38,7 @@ def run_workload(policy_factory):
         for index in range(N_TRANSFERS):
             transfer = BlastTransfer(
                 env, sender, receiver, bytes(N * 1024),
-                strategy="full_no_nak", transfer_id=index + 1,
-                timeout_policy=policy,
+                strategy="full_no_nak", transfer_id=index + 1, **timer,
             )
             start = env.now
             yield transfer.launch()
@@ -55,13 +57,14 @@ def timer_sweep() -> ExperimentTable:
         ["policy", "mean (ms)", "p-worst (ms)", "total (ms)"],
         notes=[f"error-free transfer time T0 = {t0 * 1e3:.1f} ms"],
     )
-    for label, factory in (
-        ("fixed T_r = T0 (hand-tuned)", lambda: FixedTimeout(t0)),
-        ("fixed T_r = 10 x T0", lambda: FixedTimeout(10 * t0)),
-        ("fixed T_r = 100 x T0 (mistuned)", lambda: FixedTimeout(100 * t0)),
-        ("adaptive, initial = 100 x T0", lambda: AdaptiveTimeout(initial_s=100 * t0)),
+    for label, timer in (
+        ("fixed T_r = T0 (hand-tuned)", dict(timeout_s=t0)),
+        ("fixed T_r = 10 x T0", dict(timeout_s=10 * t0)),
+        ("fixed T_r = 100 x T0 (mistuned)", dict(timeout_s=100 * t0)),
+        ("adaptive, initial = 100 x T0",
+         dict(timeout_policy=AdaptiveTimeout(initial_s=100 * t0))),
     ):
-        times = run_workload(factory)
+        times = run_workload(timer)
         table.add_row(
             label,
             format_ms(statistics.fmean(times)),

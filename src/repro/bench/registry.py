@@ -23,7 +23,8 @@ from .experiments import (
 )
 from .tables import ExperimentSeries, ExperimentTable
 
-__all__ = ["EXPERIMENTS", "render_experiment", "regenerate_all"]
+__all__ = ["EXPERIMENTS", "build_experiment", "render_experiment",
+           "regenerate_all"]
 
 Artifact = Union[ExperimentTable, ExperimentSeries, str]
 
@@ -40,8 +41,8 @@ EXPERIMENTS: Dict[str, Callable[[], Artifact]] = {
 }
 
 
-def render_experiment(experiment_id: str, n_jobs: int = 1) -> str:
-    """Regenerate one experiment and render it as text.
+def build_experiment(experiment_id: str, n_jobs: int = 1) -> Artifact:
+    """Regenerate one experiment.
 
     ``n_jobs`` is forwarded to the experiments that accept it (the Monte
     Carlo ones; the closed-form tables and figures do not); results are
@@ -54,9 +55,14 @@ def render_experiment(experiment_id: str, n_jobs: int = 1) -> str:
         )
     func = EXPERIMENTS[experiment_id]
     if "n_jobs" in inspect.signature(func).parameters:
-        artifact = func(n_jobs=n_jobs)
-    else:
-        artifact = func()
+        return func(n_jobs=n_jobs)
+    return func()
+
+
+def render_experiment(experiment_id: str, n_jobs: int = 1) -> str:
+    """Regenerate one experiment and render it as text, a series with
+    its plot."""
+    artifact = build_experiment(experiment_id, n_jobs)
     if isinstance(artifact, str):
         return artifact
     text = artifact.render()

@@ -428,33 +428,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    from .bench import table1_standalone, table2_breakdown, table3_vkernel
+def _cmd_experiment(args) -> int:
+    """``repro table N`` / ``repro figure N``: the registry's table or
+    figure, printed without a plot."""
+    from .bench.registry import build_experiment
 
-    table = {1: table1_standalone, 2: table2_breakdown, 3: table3_vkernel}[
-        args.number
-    ]()
-    print(table.render())
-    return 0
-
-
-def _cmd_figure(args) -> int:
-    from .bench import (
-        figure3_timelines,
-        figure4_protocol_comparison,
-        figure5_expected_time,
-        figure6_stddev,
-    )
-
-    func = {
-        3: figure3_timelines,
-        4: figure4_protocol_comparison,
-        5: figure5_expected_time,
-        6: figure6_stddev,
-    }[args.number]
-    kwargs = {"n_jobs": args.jobs} if args.number == 6 else {}
-    artifact = func(**kwargs)
-    print(artifact.render())
+    print(build_experiment(f"{args.command}{args.number}", args.jobs).render())
     return 0
 
 
@@ -811,8 +790,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "compare": _cmd_compare,
-        "table": _cmd_table,
-        "figure": _cmd_figure,
+        "table": _cmd_experiment,
+        "figure": _cmd_experiment,
         "timeline": _cmd_timeline,
         "udp": _cmd_udp,
         "regen": _cmd_regen,

@@ -158,7 +158,6 @@ class ClusterCoordinator:
         fault_seed: Optional[int] = None,
         duration_s: Optional[float] = None,
         restart_limit: int = 1,
-        placement_seed: int = 0,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -174,7 +173,6 @@ class ClusterCoordinator:
         self.workers = workers
         self.config = config or ServiceConfig()
         self.placement = placement
-        self.placement_seed = placement_seed
         self.host = host
         self.port = port
         self.fault_plan = fault_plan
@@ -269,8 +267,7 @@ class ClusterCoordinator:
         addresses = self.addresses
         if self.placement == "reuseport":
             return [addresses[0] for _ in stream_ids]
-        return servers_for_streams(stream_ids, addresses,
-                                   seed=self.placement_seed)
+        return servers_for_streams(stream_ids, addresses)
 
     # -- failure handling ----------------------------------------------------
     def check_workers(self) -> List[int]:

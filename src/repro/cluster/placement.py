@@ -96,10 +96,9 @@ def reuseport_available() -> bool:
 def servers_for_streams(
     stream_ids: Sequence[int],
     addresses: Sequence[Tuple[str, int]],
-    seed: int = 0,
 ) -> List[Tuple[str, int]]:
     """Map each stream to its shard's address under hash placement."""
     return [
-        addresses[shard_for_stream(stream_id, len(addresses), seed)]
+        addresses[shard_for_stream(stream_id, len(addresses))]
         for stream_id in stream_ids
     ]

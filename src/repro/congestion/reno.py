@@ -18,7 +18,12 @@ A retransmission-timer expiry from any state halves ssthresh, resets
 cwnd to one packet and re-enters slow start; the RTO itself comes from
 the Jacobson/Karels estimator in :class:`repro.core.timers.AdaptiveTimeout`
 (SRTT/RTTVAR with Karn's rule: ambiguous exchanges are never sampled,
-and expiry doubles the working RTO until the next clean sample).
+and expiry doubles the working RTO until the next clean sample), which
+Reno composes through the same controller methods it implements.
+
+Every transfer starts in slow start at ``INIT_CWND`` = 1 packet with
+``INIT_SSTHRESH`` = 64 packets, effectively "slow start until the first
+loss event"; the estimator's first guess is the caller's fixed T_r.
 
 Invariants, pinned by ``tests/congestion/test_reno_properties.py``:
 ``cwnd >= 1`` and ``ssthresh >= 2`` after any event sequence, and fast
@@ -28,9 +33,9 @@ are a new ack or a timeout, both of which rearm the dup-ack counter).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..core.timers import AdaptiveTimeout, TimeoutPolicy
+from ..core.timers import AdaptiveTimeout
 from .controller import CongestionController
 
 __all__ = ["RenoController", "SLOW_START", "CONGESTION_AVOIDANCE", "FAST_RECOVERY"]
@@ -41,6 +46,10 @@ FAST_RECOVERY = "fast_recovery"
 
 #: Floor for ssthresh, in packets (RFC 5681's "max(FlightSize/2, 2*SMSS)").
 MIN_SSTHRESH = 2.0
+
+#: Initial congestion window and slow-start threshold, packets.
+INIT_CWND = 1.0
+INIT_SSTHRESH = 64.0
 
 #: Duplicate acks that trigger fast retransmit.
 DUP_ACK_THRESHOLD = 3
@@ -60,37 +69,17 @@ class RenoController(CongestionController):
     timeout_s:
         Initial RTO before the first RTT sample (the caller's fixed
         T_r is the natural seed).
-    init_cwnd:
-        Initial congestion window, packets.
-    init_ssthresh:
-        Initial slow-start threshold, packets — effectively "start in
-        slow start until the first loss event".
-    rtt:
-        Estimator to compose; defaults to a fresh
-        :class:`AdaptiveTimeout` seeded with ``timeout_s``.
     """
 
     name = "reno"
 
-    def __init__(
-        self,
-        timeout_s: float,
-        init_cwnd: float = 1.0,
-        init_ssthresh: float = 64.0,
-        rtt: Optional[TimeoutPolicy] = None,
-    ):
+    def __init__(self, timeout_s: float):
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        if init_cwnd < 1.0:
-            raise ValueError(f"init_cwnd must be >= 1, got {init_cwnd}")
-        if init_ssthresh < MIN_SSTHRESH:
-            raise ValueError(
-                f"init_ssthresh must be >= {MIN_SSTHRESH}, got {init_ssthresh}"
-            )
-        self.cwnd = float(init_cwnd)
-        self.ssthresh = float(init_ssthresh)
+        self.cwnd = INIT_CWND
+        self.ssthresh = INIT_SSTHRESH
         self.state = SLOW_START
-        self.rtt = rtt if rtt is not None else AdaptiveTimeout(initial_s=timeout_s)
+        self.rtt = AdaptiveTimeout(initial_s=timeout_s)
         self._dup_acks = 0
         self.fast_retransmits = 0
         self.rto_events = 0
@@ -105,7 +94,7 @@ class RenoController(CongestionController):
         return win if win >= 1 else 1
 
     def rto(self) -> float:
-        return self.rtt.current()
+        return self.rtt.rto()
 
     def on_ack(self, newly_acked: int = 1, now: float = 0.0) -> None:
         if newly_acked < 1:
@@ -168,15 +157,14 @@ class RenoController(CongestionController):
         self.state = SLOW_START
         self._dup_acks = 0
         self.rto_events += 1
-        self.rtt.record_timeout()  # Karn backoff: RTO doubles until a clean sample
+        self.rtt.on_timeout(now)  # Karn backoff: RTO doubles until a clean sample
         self._note(now, "rto")
 
     def on_rtt_sample(self, rtt_s: float) -> None:
-        self.rtt.record_sample(rtt_s)
+        self.rtt.on_rtt_sample(rtt_s)
 
     def snapshot(self) -> dict:
-        samples = getattr(self.rtt, "samples", 0)
-        srtt = getattr(self.rtt, "srtt", None)
+        srtt = self.rtt.srtt
         return {
             "controller": self.name,
             "state": self.state,
@@ -184,7 +172,7 @@ class RenoController(CongestionController):
             "ssthresh": round(self.ssthresh, _ROUND),
             "rto_s": round(self.rto(), _ROUND),
             "srtt_s": None if srtt is None else round(srtt, _ROUND),
-            "rtt_samples": samples,
+            "rtt_samples": self.rtt.samples,
             "acks": self.acks_seen,
             "fast_retransmits": self.fast_retransmits,
             "rto_events": self.rto_events,

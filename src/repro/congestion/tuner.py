@@ -46,52 +46,34 @@ class TunerChoice:
     congestion: str
 
 
+#: EWMA gain of the loss estimate.
+GAIN = 0.3
+#: Estimated loss fraction above which the tuner abandons blast for the
+#: congestion-controlled sliding window (the 1% row of the table above).
+LOSSY_THRESHOLD = 0.01
+#: Sliding-window depth used in the lossy regime.
+LOSSY_WINDOW = 8
+
+
 class AutoTuner:
     """Chooses {protocol, window, congestion} per transfer.
+
+    The loss estimate starts at 0 — trust the LAN until it misbehaves,
+    which makes the first choice on a clean network identical to the
+    paper's.
 
     Parameters
     ----------
     packet_bytes:
         The service's packet size — the size threshold is "fits in one
         packet".
-    gain:
-        EWMA gain for the loss estimate.
-    initial_loss:
-        Loss assumed before any transfer completes.  Defaults to 0 —
-        trust the LAN until it misbehaves, which makes the first choice
-        on a clean network identical to the paper's.
-    lossy_threshold:
-        Estimated loss fraction above which the tuner abandons blast
-        for the congestion-controlled sliding window.
-    window:
-        Sliding-window depth used in the lossy regime.
     """
 
-    def __init__(
-        self,
-        packet_bytes: int,
-        gain: float = 0.3,
-        initial_loss: float = 0.0,
-        lossy_threshold: float = 0.01,
-        window: int = 8,
-    ):
+    def __init__(self, packet_bytes: int):
         if packet_bytes < 1:
             raise ValueError(f"packet_bytes must be >= 1, got {packet_bytes}")
-        if not 0 < gain <= 1:
-            raise ValueError(f"gain must be in (0, 1], got {gain}")
-        if not 0 <= initial_loss <= 1:
-            raise ValueError(f"initial_loss must be in [0, 1], got {initial_loss}")
-        if not 0 < lossy_threshold < 1:
-            raise ValueError(
-                f"lossy_threshold must be in (0, 1), got {lossy_threshold}"
-            )
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.packet_bytes = packet_bytes
-        self.gain = gain
-        self.loss_estimate = float(initial_loss)
-        self.lossy_threshold = lossy_threshold
-        self.window = window
+        self.loss_estimate = 0.0
         self.observations = 0
 
     def observe(self, data_frames_sent: int, retransmits: int) -> None:
@@ -103,16 +85,16 @@ class AutoTuner:
         if self.observations == 1:
             self.loss_estimate = sample
         else:
-            self.loss_estimate += self.gain * (sample - self.loss_estimate)
+            self.loss_estimate += GAIN * (sample - self.loss_estimate)
 
     def choose(self, size_bytes: int) -> TunerChoice:
         """The tuned {protocol, window, congestion} for one transfer."""
         if size_bytes <= self.packet_bytes:
             return TunerChoice(protocol="saw", window=1, congestion="fixed")
-        if self.loss_estimate < self.lossy_threshold:
+        if self.loss_estimate < LOSSY_THRESHOLD:
             return TunerChoice(protocol="blast", window=1, congestion="fixed")
         return TunerChoice(
-            protocol="sliding", window=self.window, congestion="reno"
+            protocol="sliding", window=LOSSY_WINDOW, congestion="reno"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -37,7 +37,7 @@ from .strategies import (
     SelectiveRepeat,
     get_strategy,
 )
-from .timers import AdaptiveTimeout, FixedTimeout, TimeoutPolicy
+from .timers import AdaptiveTimeout
 from .tracker import ReceiverTracker, ReceptionReport
 from .wire import HEADER_BYTES, WireError, decode, encode
 
@@ -51,8 +51,6 @@ __all__ = [
     "NakFrame",
     "ControlFrame",
     "FrameKind",
-    "TimeoutPolicy",
-    "FixedTimeout",
     "AdaptiveTimeout",
     "ReceiverTracker",
     "ReceptionReport",

@@ -31,13 +31,13 @@ from dataclasses import astuple, dataclass, replace
 from typing import ClassVar, Dict, List, Optional, Union
 
 from ..analysis.errorfree import t_blast, t_single_exchange
-from ..congestion.controller import UNBOUNDED_WINDOW, CongestionController
+from ..congestion.controller import UNBOUNDED_WINDOW
 from ..service.machines import make_sender_machine, packet_count, receiver_for
 from ..sim import Environment, Process, Store
 from ..simnet.host import Host
 from .frames import AckFrame, DataFrame, NakFrame
 from .strategies import RetransmissionStrategy, get_strategy
-from .timers import TimeoutPolicy
+from .timers import AdaptiveTimeout
 
 __all__ = [
     "chunk_payload",
@@ -51,6 +51,10 @@ __all__ = [
     "BlastTransfer",
     "MultiBlastTransfer",
 ]
+
+#: Processor speed of the whole-segment software checksum, bytes per
+#: second (``BlastTransfer(verify_checksum=True)``).
+CHECKSUM_BYTES_PER_S = 2e6
 
 
 def chunk_payload(data: bytes, packet_bytes: int) -> List[bytes]:
@@ -200,34 +204,14 @@ class Transfer:
         )
 
 
-class _PolicyController(CongestionController):
-    """A :class:`~repro.core.timers.TimeoutPolicy` behind the machines'
-    controller seam: the window never closes, the policy is the timer."""
-
-    def __init__(self, policy: TimeoutPolicy):
-        self.policy = policy
-
-    def window(self) -> int:
-        return UNBOUNDED_WINDOW
-
-    def rto(self) -> float:
-        return self.policy.current()
-
-    def on_timeout(self, now: float = 0.0) -> None:
-        self.policy.record_timeout()
-
-    def on_rtt_sample(self, rtt_s: float) -> None:
-        self.policy.record_sample(rtt_s)
-
-
 class MachineTransfer(Transfer):
     """One transfer between two simulated hosts, run by the machines.
 
     ``machine`` names the protocol for ``make_sender_machine`` and
     ``receiver_for``; ``machine_options`` are the sender machine's.  A
-    ``timeout_policy`` (:mod:`repro.core.timers`) replaces the fixed
-    ``timeout_s``: the machine feeds it Karn-clean round-trip samples
-    and expiries.
+    ``timeout_policy`` (:class:`~repro.core.timers.AdaptiveTimeout`)
+    replaces the fixed ``timeout_s`` as the machine's controller: the
+    machine feeds it Karn-clean round-trip samples and expiries.
 
     The *send loop* is the four lines every driver of the machines has —
     ``poll``, send while ``has_frame``, wait for a reply until
@@ -249,15 +233,14 @@ class MachineTransfer(Transfer):
     def __init__(self, env: Environment, sender: Host, receiver: Host,
                  data: bytes, transfer_id: int = 1,
                  timeout_s: Optional[float] = None,
-                 timeout_policy: Optional[TimeoutPolicy] = None,
+                 timeout_policy: Optional[AdaptiveTimeout] = None,
                  max_rounds: int = 10_000, **machine_options):
         super().__init__(env, sender, receiver, data, transfer_id)
         self.timeout_s = timeout_s if timeout_s is not None else self.default_timeout()
         self._sender_machine = make_sender_machine(
             self.machine, transfer_id, data, self.params.data_packet_bytes,
             self.timeout_s, max_rounds=max_rounds,
-            congestion=("fixed" if timeout_policy is None
-                        else _PolicyController(timeout_policy)),
+            congestion=timeout_policy or "fixed",
             **machine_options)
         self._receiver_machine = receiver_for(
             self.machine, transfer_id,
@@ -385,7 +368,7 @@ class StopAndWaitTransfer(MachineTransfer):
     def __init__(self, env: Environment, sender: Host, receiver: Host,
                  data: bytes, transfer_id: int = 1,
                  timeout_s: Optional[float] = None,
-                 timeout_policy: Optional[TimeoutPolicy] = None):
+                 timeout_policy: Optional[AdaptiveTimeout] = None):
         super().__init__(env, sender, receiver, data, transfer_id, timeout_s,
                          timeout_policy)
 
@@ -457,12 +440,12 @@ class BlastTransfer(MachineTransfer):
 
     ``timeout_s`` is the (long) T_r of the timer-driven strategies,
     default the error-free blast time of the whole sequence, and
-    ``timeout_policy`` replaces it (policies are reusable, so a
+    ``timeout_policy`` replaces it (an adaptive timer is reusable, so a
     long-lived sender converges).  ``reliable_retry_s`` is the period at
     which ``gobackn`` / ``selective`` resend their reliable last packet,
     default one error-free exchange.  ``verify_checksum`` is Spector's
     whole-segment software checksum: every data frame carries the CRC-32
-    of the body, both hosts pay ``len(data) / checksum_bytes_per_s`` of
+    of the body, both hosts pay ``len(data) / CHECKSUM_BYTES_PER_S`` of
     processor time, and the receiver discards a body that fails instead
     of acknowledging it.
     """
@@ -476,20 +459,17 @@ class BlastTransfer(MachineTransfer):
                  transfer_id: int = 1, timeout_s: Optional[float] = None,
                  reliable_retry_s: Optional[float] = None,
                  max_rounds: int = 10_000, verify_checksum: bool = False,
-                 checksum_bytes_per_s: float = 2e6,
-                 timeout_policy: Optional[TimeoutPolicy] = None):
+                 timeout_policy: Optional[AdaptiveTimeout] = None):
         self.strategy = get_strategy(strategy)
         if reliable_retry_s is None:
             reliable_retry_s = t_single_exchange(sender.params)
-        if checksum_bytes_per_s <= 0:
-            raise ValueError("checksum_bytes_per_s must be > 0")
         super().__init__(env, sender, receiver, data, transfer_id, timeout_s,
                          timeout_policy, max_rounds,
                          strategy=self.strategy.name,
                          reliable_retry_s=reliable_retry_s)
         if verify_checksum:
             self._segment_crc = zlib.crc32(data)
-            self._checksum_s = len(data) / checksum_bytes_per_s
+            self._checksum_s = len(data) / CHECKSUM_BYTES_PER_S
 
     def default_timeout(self) -> float:
         """Figure 5's "T_r = T0(D)": the error-free time of the blast."""

@@ -1,61 +1,49 @@
-"""Retransmission-timeout policies.
+"""The adaptive retransmission timer.
 
-The paper uses a *fixed* retransmission interval T_r and Figure 6 shows
-how much its choice matters: sigma of the timer-driven strategies is
-proportional to T_r.  Picking T_r needs knowledge of T0(D) — which
+The paper uses a *fixed* retransmission interval T_r (``timeout_s``,
+which every transfer turns into a
+:class:`~repro.congestion.controller.FixedController`) and Figure 6
+shows how much its choice matters: sigma of the timer-driven strategies
+is proportional to T_r.  Picking T_r needs knowledge of T0(D) — which
 varies with transfer size, load and technology.  This module adds the
 textbook alternative as an extension: an adaptive timer estimating the
 round-trip time online (Jacobson's EWMA of mean and deviation, with
 Karn's rule of not sampling ambiguous rounds and exponential backoff on
-expiry).
+expiry).  Its gains, multiplier, backoff and 60 s ceiling are RFC
+6298's constants; only the first guess is the caller's.
 
-Policies are deliberately stateful and reusable across transfers: a file
-server performing many MoveTos hands the same policy to every transfer
-and the estimate converges over the workload
-(``benchmarks/test_ablation_adaptive_timer.py``).
+It is a congestion controller whose window never closes, so a transfer
+hands it to its machine like any other.  It is deliberately stateful and
+reusable across transfers: a file server performing many MoveTos hands
+the same timer to every transfer and the estimate converges over the
+workload (``benchmarks/test_ablation_adaptive_timer.py``).  Reno
+composes one for its RTO.
 """
 
 from __future__ import annotations
 
-__all__ = ["TimeoutPolicy", "FixedTimeout", "AdaptiveTimeout"]
+from ..congestion.controller import UNBOUNDED_WINDOW, CongestionController
+
+__all__ = ["AdaptiveTimeout"]
+
+#: RFC 6298: EWMA gains of the mean and the deviation, the deviation
+#: multiplier, and the expiry backoff.
+ALPHA = 0.125
+BETA = 0.25
+K = 4.0
+BACKOFF = 2.0
+#: Clamp on the RTO, seconds: a 0.1 ms floor (RFC 6298's 1 s would
+#: swamp the paper's 4 ms exchange) and RFC 6298's 60 s ceiling.
+MIN_RTO_S = 1e-4
+MAX_RTO_S = 60.0
 
 
-class TimeoutPolicy:
-    """Decides the current retransmission interval and learns from runs."""
-
-    def current(self) -> float:
-        """The interval to arm the retransmission timer with, seconds."""
-        raise NotImplementedError
-
-    def record_sample(self, rtt_s: float) -> None:
-        """Feed one *unambiguous* round-trip measurement (Karn's rule:
-        never call this for a round that involved a retransmission)."""
-
-    def record_timeout(self) -> None:
-        """The timer expired without a reply."""
-
-
-class FixedTimeout(TimeoutPolicy):
-    """The paper's policy: a constant T_r."""
-
-    def __init__(self, interval_s: float):
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self.interval_s = interval_s
-
-    def current(self) -> float:
-        return self.interval_s
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FixedTimeout({self.interval_s!r})"
-
-
-class AdaptiveTimeout(TimeoutPolicy):
+class AdaptiveTimeout(CongestionController):
     """Jacobson/Karels RTO estimation with Karn backoff.
 
-    ``rto = srtt + k * rttvar`` with EWMA gains ``alpha`` (mean) and
-    ``beta`` (deviation); timer expiry doubles the working RTO (bounded
-    by ``max_s``) until the next clean sample.
+    ``rto = srtt + K * rttvar`` with EWMA gains ``ALPHA`` (mean) and
+    ``BETA`` (deviation); timer expiry doubles the working RTO (bounded
+    by ``MAX_RTO_S``) until the next clean sample.
 
     Parameters
     ----------
@@ -64,40 +52,22 @@ class AdaptiveTimeout(TimeoutPolicy):
         terrible guess; convergence is the point.
     """
 
-    def __init__(
-        self,
-        initial_s: float = 1.0,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
-        min_s: float = 1e-4,
-        max_s: float = 60.0,
-        backoff: float = 2.0,
-    ):
+    def __init__(self, initial_s: float = 1.0):
         if initial_s <= 0:
             raise ValueError("initial_s must be > 0")
-        if not 0 < alpha <= 1 or not 0 < beta <= 1:
-            raise ValueError("alpha and beta must be in (0, 1]")
-        if k <= 0 or backoff < 1:
-            raise ValueError("k must be > 0 and backoff >= 1")
-        if not 0 < min_s <= max_s:
-            raise ValueError("need 0 < min_s <= max_s")
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-        self.min_s = min_s
-        self.max_s = max_s
-        self.backoff = backoff
         self.srtt: float | None = None
         self.rttvar: float = 0.0
-        self._rto = min(max(initial_s, min_s), max_s)
+        self._rto = min(max(initial_s, MIN_RTO_S), MAX_RTO_S)
         self.samples = 0
         self.expirations = 0
 
-    def current(self) -> float:
+    def window(self) -> int:
+        return UNBOUNDED_WINDOW
+
+    def rto(self) -> float:
         return self._rto
 
-    def record_sample(self, rtt_s: float) -> None:
+    def on_rtt_sample(self, rtt_s: float) -> None:
         if rtt_s < 0:
             raise ValueError("rtt_s must be >= 0")
         self.samples += 1
@@ -107,15 +77,13 @@ class AdaptiveTimeout(TimeoutPolicy):
             self.rttvar = rtt_s / 2.0
         else:
             error = rtt_s - self.srtt
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(error)
-            self.srtt = self.srtt + self.alpha * error
-        self._rto = min(
-            max(self.srtt + self.k * self.rttvar, self.min_s), self.max_s
-        )
+            self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(error)
+            self.srtt = self.srtt + ALPHA * error
+        self._rto = min(max(self.srtt + K * self.rttvar, MIN_RTO_S), MAX_RTO_S)
 
-    def record_timeout(self) -> None:
+    def on_timeout(self, now: float = 0.0) -> None:
         self.expirations += 1
-        self._rto = min(self._rto * self.backoff, self.max_s)
+        self._rto = min(self._rto * BACKOFF, MAX_RTO_S)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

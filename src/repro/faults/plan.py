@@ -287,17 +287,6 @@ class FaultDecision:
     delay_s: float = 0.0
     reorder_depth: int = 0
 
-    @property
-    def any(self) -> bool:
-        """True if any fault at all was scripted for this frame."""
-        return (
-            self.drop
-            or self.corrupt
-            or self.duplicates > 0
-            or self.delay_s > 0
-            or self.reorder_depth > 0
-        )
-
 
 #: The common case, shared to avoid one allocation per clean frame.
 NO_FAULT = FaultDecision()
@@ -331,12 +320,12 @@ class PlanExecutor:
         clock: Optional[Callable[[], float]] = None,
     ):
         self.plan = plan
-        self._seed = plan.seed if seed is None else seed
+        seed = plan.seed if seed is None else seed
         self.clock = clock
         self._seen: List[int] = [0] * len(plan.rules)
         self._fired: List[int] = [0] * len(plan.rules)
         self._rngs: List[Optional[random.Random]] = [
-            random.Random(mix_seed(self._seed, i)) if rule.probability < 1.0 else None
+            random.Random(mix_seed(seed, i)) if rule.probability < 1.0 else None
             for i, rule in enumerate(plan.rules)
         ]
 
@@ -344,15 +333,6 @@ class PlanExecutor:
     def faults_fired(self) -> int:
         """Total rule firings so far."""
         return sum(self._fired)
-
-    def reset(self) -> None:
-        """Rewind every rule to the start of its script."""
-        self._seen = [0] * len(self.plan.rules)
-        self._fired = [0] * len(self.plan.rules)
-        self._rngs = [
-            random.Random(mix_seed(self._seed, i)) if rule.probability < 1.0 else None
-            for i, rule in enumerate(self.plan.rules)
-        ]
 
     def decide(
         self,

@@ -58,7 +58,6 @@ class ScriptedErrors(ErrorModel):
         if reorder_unit_s <= 0:
             raise ValueError("reorder_unit_s must be > 0")
         self.plan = plan
-        self._seed = seed
         self.reorder_unit_s = reorder_unit_s
         self.executor = PlanExecutor(plan, seed=seed, clock=clock)
         self._pending: FaultDecision = NO_FAULT
@@ -95,8 +94,3 @@ class ScriptedErrors(ErrorModel):
         if self._pending.reorder_depth:
             extra += self._pending.reorder_depth * self.reorder_unit_s
         return extra
-
-    def reset(self) -> None:
-        self.executor.reset()
-        self._pending = NO_FAULT
-        self.frames_seen = 0

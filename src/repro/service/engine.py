@@ -72,10 +72,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import ClassVar, Deque, Dict, List, Optional, Tuple
 
 from ..congestion.tuner import AutoTuner
 from ..core.frames import AckFrame, ControlFrame, NakFrame
+from ..core.strategies import get_strategy
 from .machines import (
     BodyStream,
     TransferOutcome,
@@ -101,6 +102,13 @@ SERVICE_CONGESTION = ("fixed", "reno", "auto")
 class ServiceConfig:
     """Tunables of one service instance (echoed into every report)."""
 
+    #: The largest body a pull may ask for (admission rejects the rest).
+    max_size_bytes: ClassVar[int] = 16 * 1024 * 1024
+    #: The copy-budget policy's window, and the paper's C (the copy time
+    #: of one data packet) that it spends per grant.
+    quantum_s: ClassVar[float] = 0.01
+    copy_s_per_packet: ClassVar[float] = 0.00135
+
     protocol: str = "blast"
     strategy: str = "selective"
     window: int = 4
@@ -111,10 +119,7 @@ class ServiceConfig:
     grants_per_poll: int = 8
     max_active: int = 8
     max_queue: int = 64
-    max_size_bytes: int = 16 * 1024 * 1024
     seed: int = 7
-    quantum_s: float = 0.01
-    copy_s_per_packet: float = 0.00135
     congestion: str = "fixed"
 
     def __post_init__(self) -> None:
@@ -123,13 +128,14 @@ class ServiceConfig:
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {list(SERVICE_PROTOCOLS)}"
             )
+        get_strategy(self.strategy)  # ValueError on an unknown name
         if self.congestion not in SERVICE_CONGESTION:
             raise ValueError(
                 f"unknown congestion mode {self.congestion!r}; "
                 f"choose from {list(SERVICE_CONGESTION)}"
             )
         for name in ("packet_bytes", "max_rounds", "grants_per_poll",
-                     "max_active", "window", "max_size_bytes"):
+                     "max_active", "window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.max_queue < 0:

@@ -34,11 +34,12 @@ import threading
 import time
 from typing import Optional, Tuple
 
-from ..core.wire import WireError, decode
+from ..core.wire import HEADER2_BYTES, WireError, decode
 from ..faults.plan import FaultPlan
 from ..simnet.errors import ErrorModel
 from ..udpnet.endpoints import UdpEndpoint
 from .engine import ServiceConfig, ServiceCore
+from .iobatch import MAX_RUN_BYTES
 
 __all__ = ["UdpTransferService", "deliver_ring"]
 
@@ -88,6 +89,14 @@ class UdpTransferService(UdpEndpoint):
         reuse_port: bool = False,
     ):
         self.config = config or ServiceConfig()
+        # A data frame (stream header + packet) must fit one datagram,
+        # or the first grant would kill serve() in the codec or sendto.
+        if self.config.packet_bytes + HEADER2_BYTES > MAX_RUN_BYTES:
+            raise ValueError(
+                f"packet_bytes {self.config.packet_bytes} + the "
+                f"{HEADER2_BYTES}-byte header exceeds the largest UDP "
+                f"datagram ({MAX_RUN_BYTES} bytes)"
+            )
         super().__init__(
             bind=bind,
             error_model=error_model,

@@ -37,13 +37,8 @@ class EmptySchedule(Exception):
 
 
 class Environment:
-    """Discrete-event execution environment.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulated clock (default ``0.0``).
-    """
+    """Discrete-event execution environment; the simulated clock
+    starts at 0."""
 
     # ``__dict__`` stays available: one environment exists per run and
     # substrate layers (e.g. the V-kernel registry) annotate it; the
@@ -52,8 +47,8 @@ class Environment:
         "_now", "_queue", "_eid", "_next_eid", "_stop_eid", "__dict__",
     )
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         self._next_eid = self._eid.__next__

@@ -17,7 +17,6 @@ and the paper's own analysis has no collision term either.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..sim import Environment
 from .medium import Medium
@@ -37,9 +36,7 @@ class BackgroundLoad:
         frames, in [0, 1).  The exponential inter-arrival mean is chosen
         as ``frame_time * (1 - load) / load`` of *idle* time between
         frames, which yields the requested long-run busy fraction under
-        deference.
-    frame_bytes:
-        Size of each background frame (default: a full data packet).
+        deference.  Every background frame is a full data packet.
     seed:
         RNG seed for the arrival process.
     """
@@ -49,7 +46,6 @@ class BackgroundLoad:
         env: Environment,
         medium: Medium,
         offered_load: float,
-        frame_bytes: Optional[int] = None,
         seed: int = 0,
     ):
         if not 0.0 <= offered_load < 1.0:
@@ -57,26 +53,14 @@ class BackgroundLoad:
         self.env = env
         self.medium = medium
         self.offered_load = offered_load
-        self.frame_bytes = (
-            frame_bytes
-            if frame_bytes is not None
-            else medium.params.data_packet_bytes
-        )
-        if self.frame_bytes < 1:
-            raise ValueError("frame_bytes must be >= 1")
         self._rng = random.Random(seed)
         self.frames_sent = 0
         self.busy_time = 0.0
         if offered_load > 0.0:
             env.process(self._generate())
 
-    @property
-    def frame_time(self) -> float:
-        """Wire time of one background frame."""
-        return self.medium.params.transmission_time(self.frame_bytes)
-
     def _generate(self):
-        frame_time = self.frame_time
+        frame_time = self.medium.params.transmit_data_s
         mean_gap = frame_time * (1.0 - self.offered_load) / self.offered_load
         while True:
             yield self.env.timeout(self._rng.expovariate(1.0 / mean_gap))

@@ -61,9 +61,6 @@ class ErrorModel:
         """Extra propagation latency for this frame (default: none)."""
         return 0.0
 
-    def reset(self) -> None:
-        """Return the model to its initial state (default: stateless)."""
-
 
 class PerfectChannel(ErrorModel):
     """No losses — the error-free experiments of Section 2."""
@@ -87,7 +84,6 @@ class BernoulliErrors(ErrorModel):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def drops(self, frame: object) -> bool:
@@ -96,9 +92,6 @@ class BernoulliErrors(ErrorModel):
         if self.p == 1.0:
             return True
         return self._rng.random() < self.p
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
 
 class GilbertElliott(ErrorModel):
@@ -133,7 +126,6 @@ class GilbertElliott(ErrorModel):
         self.p_bad_to_good = p_bad_to_good
         self.p_good_loss = p_good_loss
         self.p_bad_loss = p_bad_loss
-        self._seed = seed
         self._rng = random.Random(seed)
         self.state = self.GOOD
 
@@ -147,10 +139,6 @@ class GilbertElliott(ErrorModel):
                 self.state = self.GOOD
         p_loss = self.p_good_loss if self.state == self.GOOD else self.p_bad_loss
         return self._rng.random() < p_loss
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
-        self.state = self.GOOD
 
     @property
     def stationary_loss_rate(self) -> float:
@@ -181,9 +169,6 @@ class DeterministicDrops(ErrorModel):
         self._count += 1
         return index in self._drop
 
-    def reset(self) -> None:
-        self._count = 0
-
     @property
     def frames_seen(self) -> int:
         """How many frames have passed through the model."""
@@ -202,7 +187,6 @@ class SilentCorruption(ErrorModel):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
-        self._seed = seed
         self._rng = random.Random(seed)
 
     def drops(self, frame: object) -> bool:
@@ -212,9 +196,6 @@ class SilentCorruption(ErrorModel):
         if self.p == 0.0:
             return False
         return self._rng.random() < self.p
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
 
 class CompositeErrors(ErrorModel):
@@ -241,7 +222,3 @@ class CompositeErrors(ErrorModel):
 
     def delay_s(self, frame: object) -> float:
         return sum([model.delay_s(frame) for model in self.models])
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()

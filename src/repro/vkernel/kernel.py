@@ -33,6 +33,9 @@ from .messages import MessageFrame, MessageKind, ProcessRef
 
 __all__ = ["VKernel", "VProcess", "MoveError", "IpcError"]
 
+#: A local MoveTo/MoveFrom is one processor copy at this speed.
+LOCAL_MOVE_BYTES_PER_S = 4e6
+
 
 class MoveError(RuntimeError):
     """MoveTo/MoveFrom precondition violation (missing/short buffer)."""
@@ -106,7 +109,6 @@ class VKernel:
         host: Host,
         kernel_id: int,
         send_timeout_s: float = 0.25,
-        local_move_bps: float = 4e6,
     ):
         if send_timeout_s <= 0:
             raise ValueError("send_timeout_s must be > 0")
@@ -114,7 +116,6 @@ class VKernel:
         self.host = host
         self.kernel_id = kernel_id
         self.send_timeout_s = send_timeout_s
-        self.local_move_bps = local_move_bps
         self._processes: Dict[int, VProcess] = {}
         self._next_pid = 1
         self._next_msg_id = 1
@@ -247,7 +248,7 @@ class VKernel:
             target = self.lookup(dst)
             self._check_room(target, buffer, offset, len(data))
             # One processor copy, no intermediate copies (paper §2).
-            yield self.env.timeout(len(data) / self.local_move_bps)
+            yield self.env.timeout(len(data) / LOCAL_MOVE_BYTES_PER_S)
             target.buffers[buffer][offset : offset + len(data)] = data
             return None
         peer = self._peer_kernel(dst.kernel_id)
@@ -283,7 +284,7 @@ class VKernel:
         if src.kernel_id == self.kernel_id:
             source = self.lookup(src)
             data = source.read_buffer(buffer)
-            yield self.env.timeout(len(data) / self.local_move_bps)
+            yield self.env.timeout(len(data) / LOCAL_MOVE_BYTES_PER_S)
             return data
         peer = self._peer_kernel(src.kernel_id)
         source = peer.lookup(src)

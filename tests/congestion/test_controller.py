@@ -12,6 +12,7 @@ from repro.congestion import (
 )
 from repro.congestion.controller import UNBOUNDED_WINDOW
 from repro.congestion.reno import CONGESTION_AVOIDANCE, FAST_RECOVERY
+from repro.congestion.tuner import GAIN, LOSSY_THRESHOLD, LOSSY_WINDOW
 
 
 class TestFixedController:
@@ -94,29 +95,29 @@ class TestAutoTuner:
         tuner.observe(data_frames_sent=100, retransmits=10)  # 10% loss
         choice = tuner.choose(64 * 1024)
         assert choice == (choice.__class__(
-            protocol="sliding", window=tuner.window, congestion="reno"))
+            protocol="sliding", window=LOSSY_WINDOW, congestion="reno"))
 
     def test_ewma_recovers_after_clean_history(self):
-        tuner = AutoTuner(packet_bytes=1024, gain=0.5)
+        tuner = AutoTuner(packet_bytes=1024)
         tuner.observe(100, 10)
         assert tuner.choose(64 * 1024).protocol == "sliding"
-        for _ in range(8):
+        for _ in range(7):
             tuner.observe(100, 0)
-        assert tuner.loss_estimate < tuner.lossy_threshold
+        # 0.1 * 0.7**7 = 0.0082: the seventh clean transfer brings blast back.
+        assert tuner.loss_estimate == pytest.approx(0.1 * (1 - GAIN) ** 7)
+        assert tuner.loss_estimate < LOSSY_THRESHOLD
         assert tuner.choose(64 * 1024).protocol == "blast"
 
     def test_first_observation_replaces_the_prior(self):
-        tuner = AutoTuner(packet_bytes=1024, initial_loss=0.5)
+        tuner = AutoTuner(packet_bytes=1024)
+        tuner.observe(100, 10)
+        assert tuner.loss_estimate == 0.1  # not the EWMA step from 0
         tuner.observe(100, 0)
-        assert tuner.loss_estimate == 0.0
+        assert tuner.loss_estimate == pytest.approx(0.1 * (1 - GAIN))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AutoTuner(packet_bytes=0)
-        with pytest.raises(ValueError):
-            AutoTuner(packet_bytes=1024, gain=0.0)
-        with pytest.raises(ValueError):
-            AutoTuner(packet_bytes=1024, lossy_threshold=1.0)
 
 
 class TestJainIndex:

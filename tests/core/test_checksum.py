@@ -9,6 +9,7 @@ protection itself.
 import pytest
 
 from repro.core import run_transfer
+from repro.core.base import CHECKSUM_BYTES_PER_S
 from repro.simnet import (
     BernoulliErrors,
     CompositeErrors,
@@ -30,12 +31,6 @@ class TestSilentCorruptionModel:
         model = SilentCorruption(1.0, seed=1)
         assert not any(model.drops(None) for _ in range(100))
         assert all(model.corrupts(None) for _ in range(100))
-
-    def test_reset(self):
-        model = SilentCorruption(0.5, seed=2)
-        first = [model.corrupts(None) for _ in range(50)]
-        model.reset()
-        assert [model.corrupts(None) for _ in range(50)] == first
 
     def test_medium_counts_corrupted_frames(self):
         trace = TraceRecorder()
@@ -118,10 +113,10 @@ class TestChecksumProtection:
         plain = run_transfer("blast", DATA, params=PARAMS).elapsed_s
         checked = run_transfer(
             "blast", DATA, params=PARAMS, verify_checksum=True,
-            checksum_bytes_per_s=2e6,
         ).elapsed_s
         # Sender + receiver each checksum 16 KB at 2 MB/s ~ 8.2 ms each.
-        assert checked - plain == pytest.approx(2 * len(DATA) / 2e6, rel=0.05)
+        assert checked - plain == pytest.approx(
+            2 * len(DATA) / CHECKSUM_BYTES_PER_S, rel=0.05)
 
     def test_checksum_with_loss_and_corruption_combined(self):
         model = CompositeErrors([
@@ -133,8 +128,3 @@ class TestChecksumProtection:
             error_model=model, verify_checksum=True,
         )
         assert result.data_intact
-
-    def test_invalid_checksum_rate(self):
-        with pytest.raises(ValueError):
-            run_transfer("blast", DATA, params=PARAMS,
-                         verify_checksum=True, checksum_bytes_per_s=0)

@@ -74,15 +74,6 @@ class TestModelHooks:
         assert model.drops(AckFrame(transfer_id=1, seq=0))
         assert not model.drops(_data_frame(0))
 
-    def test_reset_rewinds_the_script(self):
-        model = ScriptedErrors(
-            _plan(FaultRule(action="drop", kinds=("data",), indices=(0,)))
-        )
-        assert model.drops(_data_frame(0))
-        model.reset()
-        assert model.drops(_data_frame(0))
-        assert model.frames_seen == 1
-
 
 class TestOnSimulatedLan:
     def test_clean_plan_changes_nothing(self):

@@ -32,6 +32,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown protocol"):
             ServiceConfig(protocol="tcp")
 
+    def test_rejects_unknown_strategy(self):
+        """Regression: the bogus name was accepted, and the first pull
+        raised "unknown strategy" out of on_frame, killing serve."""
+        with pytest.raises(ValueError, match="unknown strategy"):
+            ServiceConfig(strategy="bogus")
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             ServiceConfig(max_active=0)

@@ -12,11 +12,11 @@ import threading
 import pytest
 
 from repro.core.frames import AckFrame, ControlFrame, DataFrame, NakFrame
-from repro.core.wire import decode, encode
+from repro.core.wire import HEADER2_BYTES, decode, encode
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
-from repro.service.iobatch import DatagramBatchIO
+from repro.service.iobatch import MAX_RUN_BYTES, DatagramBatchIO
 from repro.service.loadgen import run_udp_loadgen
 from repro.service.machines import service_payload
 from repro.service.pullclient import PullMachine
@@ -451,6 +451,28 @@ class ScriptedSocket:
 
     def close(self):
         self._real.close()
+
+
+class TestPacketsThatFitOneDatagram:
+    """Regression: a packet size no datagram can carry was accepted, and
+    the first grant killed serve(): the codec refused a 70,000-byte
+    payload, and sendto a 65,500-byte one behind its 27-byte header."""
+
+    def test_payload_beyond_the_wire_format_rejected(self):
+        with pytest.raises(ValueError, match="largest UDP datagram"):
+            UdpTransferService(ServiceConfig(packet_bytes=70000))
+
+    def test_header_pushing_past_the_udp_limit_rejected(self):
+        with pytest.raises(ValueError, match="largest UDP datagram"):
+            UdpTransferService(ServiceConfig(packet_bytes=65500))
+
+    def test_largest_fitting_packet_is_served(self):
+        packet = MAX_RUN_BYTES - HEADER2_BYTES
+        service, thread = run_service(ServiceConfig(packet_bytes=packet))
+        result = pull(service.address, 1, 3 * packet)
+        thread.join(timeout=25)
+        service.sock.close()
+        assert result.ok and result.payload_ok
 
 
 class TestStopTakesInWhatAlreadyArrived:

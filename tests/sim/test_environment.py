@@ -9,9 +9,6 @@ class TestClock:
     def test_starts_at_zero(self):
         assert Environment().now == 0.0
 
-    def test_initial_time_respected(self):
-        assert Environment(initial_time=100.0).now == 100.0
-
     def test_run_until_time(self):
         env = Environment()
         env.timeout(10)
@@ -19,7 +16,8 @@ class TestClock:
         assert env.now == 5.0
 
     def test_run_until_past_time_rejected(self):
-        env = Environment(initial_time=10.0)
+        env = Environment()
+        env.run(until=10.0)
         with pytest.raises(ValueError):
             env.run(until=5.0)
 

@@ -24,8 +24,6 @@ class TestBackgroundLoad:
             BackgroundLoad(env, medium, offered_load=1.0)
         with pytest.raises(ValueError):
             BackgroundLoad(env, medium, offered_load=-0.1)
-        with pytest.raises(ValueError):
-            BackgroundLoad(env, medium, offered_load=0.5, frame_bytes=0)
 
     def test_zero_load_is_inert(self):
         result, background = run_blast_under_load(0.0)

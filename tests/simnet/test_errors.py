@@ -39,13 +39,6 @@ class TestBernoulli:
         b = [BernoulliErrors(0.3, seed=42).drops(None) for _ in range(200)]
         assert a == b
 
-    def test_reset_restarts_stream(self):
-        model = BernoulliErrors(0.3, seed=7)
-        first = [model.drops(None) for _ in range(100)]
-        model.reset()
-        second = [model.drops(None) for _ in range(100)]
-        assert first == second
-
     def test_empirical_rate_close_to_p(self):
         model = BernoulliErrors(0.2, seed=123)
         n = 20_000
@@ -101,13 +94,6 @@ class TestGilbertElliott:
         model = GilbertElliott(0.0, 0.0, p_good_loss=0.02, seed=1)
         assert model.stationary_loss_rate == pytest.approx(0.02)
 
-    def test_reset_restores_state_and_stream(self):
-        model = GilbertElliott(0.3, 0.3, seed=9)
-        first = [model.drops(None) for _ in range(50)]
-        model.reset()
-        assert model.state == GilbertElliott.GOOD
-        assert [model.drops(None) for _ in range(50)] == first
-
 
 class TestDeterministicDrops:
     def test_drops_exactly_the_scripted_indices(self):
@@ -119,12 +105,6 @@ class TestDeterministicDrops:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             DeterministicDrops([-1])
-
-    def test_reset(self):
-        model = DeterministicDrops([1])
-        assert [model.drops(None) for _ in range(3)] == [False, True, False]
-        model.reset()
-        assert [model.drops(None) for _ in range(3)] == [False, True, False]
 
     @given(st.sets(st.integers(0, 50), max_size=10))
     @settings(max_examples=50)
@@ -142,13 +122,6 @@ class TestComposite:
     def test_empty_composite_never_drops(self):
         model = CompositeErrors([])
         assert not any(model.drops(None) for _ in range(100))
-
-    def test_reset_propagates(self):
-        inner = DeterministicDrops([0])
-        model = CompositeErrors([inner])
-        model.drops(None)
-        model.reset()
-        assert inner.frames_seen == 0
 
     def test_combined_rate_approximates_union(self):
         """Wire (1e-2) + interface (5e-2) losses compose to ~1-(1-p)(1-q)."""
