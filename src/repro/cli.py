@@ -75,6 +75,15 @@ def _parse_size(text: str) -> int:
     return value
 
 
+def _parse_address(text: str) -> tuple:
+    """Parse 'HOST:PORT' (':PORT' is 127.0.0.1) into a socket address."""
+    host, colon, port = text.rpartition(":")
+    if not (colon and port.isdecimal() and 1 <= int(port) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in 1-65535, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def _params(name: str):
     from .simnet import NetworkParams
 
@@ -144,21 +153,16 @@ def add_lint_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--changed", metavar="REF",
         help="lint only files changed since the given git ref (plus "
-        "untracked files); whole-program rules are skipped",
+        "untracked files)",
     )
     parser.add_argument(
         "--paths", dest="path_patterns", metavar="PATTERNS",
         help="comma-separated fnmatch patterns against package-relative "
-        "paths (e.g. 'service/*,core/wire.py'); whole-program rules "
-        "are skipped",
+        "paths (e.g. 'service/*,core/wire.py')",
     )
     parser.add_argument(
         "--baseline", metavar="PATH",
         help="also write a rule-by-rule count ledger to PATH",
-    )
-    parser.add_argument(
-        "--fsm-matrix", metavar="PATH",
-        help="also write the REP114 FSM coverage matrix artifact to PATH",
     )
     parser.add_argument(
         "--external", action="store_true",
@@ -213,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=["blast", "perpacket"], default="blast"
     )
     send = udp_sub.add_parser("send", help="send one transfer")
-    send.add_argument("destination", help="HOST:PORT of the receiver")
+    send.add_argument("destination", type=_parse_address,
+                      help="HOST:PORT of the receiver")
     send.add_argument("--size", type=_parse_size, default=64 * 1024)
     send.add_argument(
         "--protocol", choices=["blast", "saw", "sw"], default="blast"
@@ -351,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated clients (des) or threaded loopback clients (udp)",
     )
     loadgen.add_argument(
-        "--server", metavar="HOST:PORT",
+        "--server", metavar="HOST:PORT", type=_parse_address,
         help="udp mode: pull from this already-running service "
              "(default: spawn one in-process)",
     )
@@ -475,12 +480,10 @@ def _cmd_udp(args) -> int:
               f"{outcome.duplicates} duplicates)")
         return 0
 
-    host, _, port = args.destination.rpartition(":")
-    destination = (host or "127.0.0.1", int(port))
     error_model = BernoulliErrors(args.loss, seed=args.seed) if args.loss else None
     protocol = "sliding" if args.protocol == "sw" else args.protocol
     with UdpTransfer(error_model=error_model) as sender:
-        outcome = sender.send(bytes(args.size), destination,
+        outcome = sender.send(bytes(args.size), args.destination,
                               protocol=protocol, strategy=args.strategy)
     if not outcome.ok:
         print(f"send failed: {outcome.error}")
@@ -715,11 +718,9 @@ def _cmd_loadgen(args) -> int:
         from .service.clientpump import UdpClientPump
         from .service.loadgen import make_sizes
 
-        host, _, port = args.server.rpartition(":")
-        address = (host or "127.0.0.1", int(port))
         sizes = make_sizes(args.sizes, args.clients, size_bytes=args.size,
                            seed=args.workload_seed)
-        pulls = UdpClientPump(address, sizes, protocol=args.protocol).run()
+        pulls = UdpClientPump(args.server, sizes, protocol=args.protocol).run()
         for stream_id in sorted(pulls):
             pull = pulls[stream_id]
             print(f"stream {stream_id}: {pull.status} "

@@ -16,15 +16,13 @@ REP109    blocking calls inside service event-loop code
 REP110    attribute creation outside ``__init__`` in slotted classes
 REP111    raw datagram socket I/O outside the batch layer
 REP113    RNG seeds that do not flow from caller-provided data
-REP114    protocol-FSM model check: exhaustiveness, terminal
-          absorption, reply coherence, dispatch and codec coverage
 REP115    recv-ring ``memoryview`` escaping its batch iteration
 REP116    unjoined worker processes in ``cluster/``
 ========  ==========================================================
 
-REP114 is the one whole-program rule (the :mod:`.fsm` state-machine
-extractor); every other rule reads one file.  REP108, REP112 and
-REP117 are retired (see ``docs/static-analysis.md``).
+Every rule reads one file.  REP108, REP112, REP114 and REP117 are
+retired (see ``docs/static-analysis.md``); protocol totality is checked
+by running the machines, in ``tests/service/test_frame_totality.py``.
 
 Usage::
 
@@ -32,7 +30,6 @@ Usage::
     python -m repro lint --format json --select REP101,REP104
     python -m repro lint --changed HEAD~1        # pre-commit subset
     python -m repro lint --paths 'service/*'     # pattern subset
-    python -m repro lint --fsm-matrix benchmarks/results/fsm_matrix.txt
 
 Suppress inline with ``# replint: disable=REP104`` (flagged line) or
 ``# replint: disable-file=REP104`` (whole file).

@@ -132,17 +132,6 @@ def lint_command(args: argparse.Namespace) -> int:
             print(render_json(result))
         else:
             print(render_text(result))
-            if result.project_rules_skipped:
-                from .rules import all_rules
-
-                skipped = ", ".join(
-                    rule.id for rule in all_rules() if rule.project
-                )
-                print(
-                    "replint: note: subset run — whole-program rules "
-                    f"skipped ({skipped}); run without --changed/--paths "
-                    "for full coverage"
-                )
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; the report is partial by
         # the reader's choice, so exit on the lint verdict, not a traceback.
@@ -153,13 +142,6 @@ def lint_command(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(render_baseline(result))
         print(f"replint: baseline written to {path}")
-    if args.fsm_matrix:
-        from .fsm import matrix_for_paths
-
-        path = Path(args.fsm_matrix)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(matrix_for_paths(paths))
-        print(f"replint: FSM matrix written to {path}")
     exit_code = 0 if result.clean else 1
     if args.external:
         exit_code = max(exit_code, _run_external())

@@ -5,9 +5,7 @@ run in CI before any optional tooling is installed.  A lint run is
 
 1. collect ``*.py`` files under the given roots,
 2. parse each into a :class:`FileContext` (AST + suppression comments),
-3. run every *file rule* on every context and every *project rule* once
-   over all contexts (REP114 needs the frame vocabulary, the codec and
-   the machines together),
+3. run every rule on every context (each rule reads one file),
 4. drop violations the source suppressed inline, and
 5. hand the sorted remainder to a reporter.
 
@@ -67,7 +65,7 @@ class Violation:
     message: str
     fix_hint: str = ""
     #: Rule family (meta/determinism/parallelism/numerics/robustness/
-    #: protocol/event-loop/performance) — surfaced in the JSON report.
+    #: event-loop/performance) — surfaced in the JSON report.
     family: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -95,7 +93,6 @@ class FileContext:
 
     def __init__(self, path: Path, root: Path, text: str, tree: ast.Module):
         self.path = path
-        self.root = root
         self.text = text
         self.tree = tree
         self.display = _display_path(path)
@@ -118,9 +115,6 @@ class LintResult:
     files_checked: int
     suppressed: int
     counts: Dict[str, int]
-    #: True when a subset run (``--changed``/``--paths``) skipped the
-    #: whole-program rules — the run proves less than a full one.
-    project_rules_skipped: bool = False
 
     @property
     def clean(self) -> bool:
@@ -272,9 +266,8 @@ def run_lint(
 
     ``file_filter`` — an optional ``(path, unit) -> bool`` predicate —
     restricts the run to a subset of discovered files (``--changed``,
-    ``--paths``).  Subset runs skip every whole-program rule: a model
-    check over a partial context set would silently under-report, so
-    the result carries ``project_rules_skipped=True`` instead.
+    ``--paths``); every rule reads one file, so a subset run checks
+    those files exactly as a full run would.
     """
     if rules is None:
         from .rules import all_rules
@@ -283,7 +276,7 @@ def run_lint(
     known_ids = {rule.id for rule in rules} | {META_RULE_ID}
     active = _select_rules(rules, select, ignore, known_ids)
 
-    contexts: List[FileContext] = []
+    by_display: Dict[str, Suppressions] = {}
     violations: List[Violation] = []
     files_checked = 0
     for root, path in iter_python_files([Path(p) for p in paths]):
@@ -312,16 +305,10 @@ def run_lint(
             continue
         ctx = FileContext(path, Path(root), text, tree)
         violations.extend(_scan_suppressions(ctx, known_ids))
-        contexts.append(ctx)
-
-    for ctx in contexts:
         for rule in active:
             violations.extend(rule.check_file(ctx))
-    if file_filter is None:
-        for rule in active:
-            violations.extend(rule.check_project(contexts))
+        by_display[ctx.display] = ctx.suppressions
 
-    by_display = {ctx.display: ctx.suppressions for ctx in contexts}
     kept: List[Violation] = []
     suppressed = 0
     for violation in violations:
@@ -340,5 +327,4 @@ def run_lint(
         files_checked=files_checked,
         suppressed=suppressed,
         counts=counts,
-        project_rules_skipped=file_filter is not None,
     )

@@ -9,9 +9,11 @@ Schema history:
 - **v1** — path/line/col/rule/severity/message/fix_hint per violation.
 - **v2** — adds ``family`` (rule family) and ``chain`` (call-chain
   witness for transitive REP112 findings) per violation, plus a
-  top-level ``project_rules_skipped`` flag for subset runs.
+  top-level flag saying a subset run skipped the whole-program rules.
 - **v3** — drops ``chain``: REP112 and the call graph that produced
   the witnesses are retired, and no finding has a chain.
+- **v4** — drops that flag: REP114, the one whole-program rule, is
+  retired, so a subset run skips nothing.
 
 :func:`load_report` reads the current version only and rejects any
 other loudly instead of mis-parsing it.
@@ -31,7 +33,7 @@ __all__ = [
     "render_baseline",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def render_text(result: LintResult, verbose_hints: bool = True) -> str:
@@ -65,7 +67,6 @@ def render_json(result: LintResult) -> str:
         "schema_version": SCHEMA_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "project_rules_skipped": result.project_rules_skipped,
         "counts": result.counts,
         "violations": [
             {
@@ -89,8 +90,10 @@ def load_report(text: str) -> dict:
 
     Downstream tooling must never mis-parse an old report as a new one:
     a v1 report has no ``family`` field, a v2 report names rule REP112
-    and carries ``chain`` witnesses no current rule produces.  Anything
-    but the current ``SCHEMA_VERSION`` raises :class:`ValueError`.
+    and carries ``chain`` witnesses no current rule produces, a v3
+    report counts rule REP114 and says whether a subset run skipped it.
+    Anything but the current ``SCHEMA_VERSION`` raises
+    :class:`ValueError`.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("schema") != "replint-report":

@@ -1,10 +1,9 @@
-"""replint rules REP101–REP116 (REP114 lives in :mod:`.fsm`).
+"""replint rules REP101–REP116.
 
 Every rule is a pluggable class with an ``id``, ``severity``,
 ``fix_hint`` and a one-line ``title``; :func:`all_rules` returns one
-instance of each.  File rules implement ``check_file``; the one
-whole-program rule (REP114, in :mod:`.fsm`) implements
-``check_project`` instead.
+instance of each.  Every rule reads one file: its
+``check_file(ctx)`` yields the file's violations.
 
 The determinism contract these rules enforce is the one PR 1's parallel
 engine documents: experiment output must be byte-identical for any
@@ -19,7 +18,7 @@ ad-hoc attributes outside ``__init__``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from .engine import FileContext, Violation
 
@@ -34,17 +33,8 @@ class Rule:
     title: str = ""
     fix_hint: str = ""
     #: Rule family, surfaced in the JSON report: meta, determinism,
-    #: parallelism, numerics, robustness, protocol, event-loop, performance.
+    #: parallelism, numerics, robustness, event-loop, performance.
     family: str = ""
-    #: True for rules that need the whole context set (``check_project``);
-    #: subset runs (``--changed``/``--paths``) skip these and say so.
-    project: bool = False
-
-    def check_file(self, ctx: FileContext) -> Iterable[Violation]:
-        return ()
-
-    def check_project(self, ctxs: Sequence[FileContext]) -> Iterable[Violation]:
-        return ()
 
     def violation(self, ctx: FileContext, node, message: str) -> Violation:
         return Violation(
@@ -1289,8 +1279,6 @@ class ClusterProcessHygieneRule(Rule):
 
 def all_rules() -> List[Rule]:
     """One instance of every replint rule, REP101..REP116 in order."""
-    from .fsm import FsmExhaustivenessRule
-
     return [
         UnseededRandomRule(),
         WallClockRule(),
@@ -1303,7 +1291,6 @@ def all_rules() -> List[Rule]:
         SlotsDisciplineRule(),
         DirectSocketIORule(),
         SeedProvenanceRule(),
-        FsmExhaustivenessRule(),
         BufferEscapeRule(),
         ClusterProcessHygieneRule(),
     ]

@@ -58,6 +58,9 @@ _MAX_WAIT_S = 0.05
 #: the server sent in one kernel crossing.
 _DRAIN_READS = 128
 
+#: Reads per ring: the depth of the receive arena the pump's clients share.
+_RING_SLOTS = 2
+
 #: What a queued datagram carrying one ``DEFAULT_PACKET_BYTES`` packet
 #: is charged against its socket's ``SO_RCVBUF``: the kernel counts the
 #: buffer it allocated (2 KiB of data and the bookkeeping structure),
@@ -182,7 +185,6 @@ class UdpClientPump:
         recv_timeout_s: float = 5.0,
         linger_s: float = 0.1,
         first_stream: int = 1,
-        ring_slots: int = 2,
         slot_bytes: int = RECV_BUFFER_BYTES,
         servers: Optional[Sequence[Tuple[str, int]]] = None,
     ):
@@ -196,12 +198,12 @@ class UdpClientPump:
             self.clients.append(_PumpClient(
                 first_stream + index, size,
                 server if servers is None else servers[index],
-                ring_slots, slot_bytes,
+                _RING_SLOTS, slot_bytes,
                 beside=self.clients[0] if self.clients else None,
                 protocol=protocol, strategy=strategy,
                 pull_timeout_s=pull_timeout_s, pull_retries=pull_retries,
                 recv_timeout_s=recv_timeout_s, linger_s=linger_s))
-        self._drain_rings = max(1, _DRAIN_READS // ring_slots)
+        self._drain_rings = _DRAIN_READS // _RING_SLOTS
         self.stats: Optional[PumpRunStats] = None
 
     def run(self, overall_timeout_s: float = 60.0) -> Dict[int, UdpPullResult]:

@@ -53,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..congestion.controller import CongestionController, make_controller
-from ..core.frames import AckFrame, DataFrame, FrameKind, NakFrame
+from ..core.frames import AckFrame, DataFrame, NakFrame
 from ..core.strategies import FailureDetection, get_strategy
 from ..core.tracker import ReceiverTracker, ReceptionReport
 from ..parallel.pool import mix_seed
@@ -239,10 +239,6 @@ class BlastSenderMachine(_SenderBase):
     section 3.2.3): silence for that long resends it alone, without a
     new round, until some reply arrives.
     """
-
-    #: Control traffic is ServiceCore's business, not the per-stream
-    #: machine's (checked by replint REP114).
-    FSM_IGNORES = (FrameKind.CONTROL,)
 
     def __init__(self, stream_id: int, payload: bytes, packet_bytes: int,
                  timeout_s: float, max_rounds: int = 60,
@@ -463,10 +459,6 @@ class WindowSenderMachine(_SenderBase):
     acknowledged); ``_deadline`` caches the earliest valid one.  The
     table is scanned only once ``now >= _deadline``.
     """
-
-    #: Per-packet acknowledgement needs no NAK reports, and control
-    #: traffic is ServiceCore's business (replint REP114).
-    FSM_IGNORES = (FrameKind.NAK, FrameKind.CONTROL)
 
     def __init__(self, stream_id: int, payload: bytes, packet_bytes: int,
                  timeout_s: float, max_rounds: int = 60, window: int = 4,
@@ -725,9 +717,6 @@ class ReceiverMachine:
     is discarded whole and reported missing.  :attr:`checksums` counts
     the checks, so a driver that models processor time can charge them.
     """
-
-    #: Control traffic is ServiceCore's business (replint REP114).
-    FSM_IGNORES = (FrameKind.CONTROL,)
 
     def __init__(self, stream_id: int, per_packet_ack: bool, nak: bool,
                  total: Optional[int] = None):

@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..core.frames import ControlFrame, DataFrame, FrameKind
+from ..core.frames import ControlFrame, DataFrame
 from ..core.strategies import get_strategy
 from .machines import BodyStream, packet_count, receiver_for
 
@@ -75,10 +75,6 @@ class UdpPullResult:
 
 class PullMachine:
     """Request one stream, receive it, verify it, linger."""
-
-    #: ACK/NAK are the receiver machine's replies, passed through and
-    #: never dispatched on (replint REP114).
-    FSM_IGNORES = (FrameKind.ACK, FrameKind.NAK)
 
     def __init__(self, stream_id: int, size: int, protocol: str,
                  strategy: str, pull_timeout_s: float, pull_retries: int,

@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.frames import ControlFrame, FrameKind
+from ..core.frames import ControlFrame
 from ..core.wire import encode
 from ..simnet.errors import ErrorModel
 from .endpoints import DEFAULT_PACKET_BYTES
@@ -94,11 +94,6 @@ class UdpFileServer(UdpTransfer):
     write bodies, answers control requests in between — like the
     simulated file server, requests are served one at a time.
     """
-
-    #: The file service dispatches on control frames only; bulk frames
-    #: go through the endpoint loops to the protocol machines, which
-    #: own DATA/ACK/NAK (replint REP114).
-    FSM_IGNORES = (FrameKind.DATA, FrameKind.ACK, FrameKind.NAK)
 
     def __init__(
         self,
@@ -251,9 +246,6 @@ class UdpFileServer(UdpTransfer):
 
 class UdpFileClient(UdpTransfer):
     """Client for :class:`UdpFileServer` (one socket for everything)."""
-
-    #: Control frames only, like the server (replint REP114).
-    FSM_IGNORES = (FrameKind.DATA, FrameKind.ACK, FrameKind.NAK)
 
     def __init__(
         self,

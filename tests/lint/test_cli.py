@@ -126,7 +126,7 @@ class TestOneDeclaration:
         assert table == _option_table(subparsers.choices["lint"])
         assert [row[0] for row in table] == [
             (), ("--baseline",), ("--changed",), ("--external",),
-            ("--format",), ("--fsm-matrix",), ("--ignore",), ("--paths",),
+            ("--format",), ("--ignore",), ("--paths",),
             ("--select",),
         ]
 
@@ -161,22 +161,17 @@ class TestSubsetSelection:
         assert code == 1
         assert payload["counts"]["REP102"] == 1
         assert payload["counts"]["REP101"] == 0  # analysis/ filtered out
-        assert payload["project_rules_skipped"] is True
 
-    def test_subset_note_names_skipped_project_rules(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        code = lint_main(["--paths", "*.py", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        note = out.splitlines()[-1]
-        assert "(REP114)" in note  # REP113 reads one file: it ran
-
-    def test_full_run_does_not_print_subset_note(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        code = lint_main([str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "REP114" not in out
+    def test_a_subset_run_reports_what_a_full_run_does(self, tmp_path,
+                                                       capsys):
+        # Every rule reads one file: a subset proves as much as the full
+        # run does about the files it covers.
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "clock.py").write_text(BAD_CLOCK)
+        assert lint_main([str(tmp_path)]) == 1
+        full = capsys.readouterr().out
+        assert lint_main(["--paths", "sim/*", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == full
 
     def test_changed_outside_git_repo_exits_two(self, tmp_path):
         proc = _run_module("--changed", "HEAD", str(tmp_path), cwd=tmp_path)
@@ -219,20 +214,3 @@ class TestSubsetSelection:
         assert payload["counts"]["REP102"] == 1
         assert payload["counts"]["REP101"] == 0
         assert payload["files_checked"] == 2  # sim/clock.py + fresh.py
-        assert payload["project_rules_skipped"] is True
-
-
-class TestFsmMatrixFlag:
-    def test_matrix_written_alongside_lint(self, tmp_path, capsys):
-        out_path = tmp_path / "results" / "matrix.txt"
-        code = lint_main(
-            [
-                "--fsm-matrix", str(out_path),
-                str(REPO_ROOT / "src"),
-                str(REPO_ROOT / "benchmarks"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "FSM matrix written" in out
-        assert out_path.read_text().endswith("uncovered=0\n")

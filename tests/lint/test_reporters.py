@@ -49,12 +49,11 @@ def test_json_schema_keys_are_stable(monkeypatch):
         "schema_version",
         "files_checked",
         "suppressed",
-        "project_rules_skipped",
         "counts",
         "violations",
     }
     assert payload["schema"] == "replint-report"
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     for violation in payload["violations"]:
         assert set(violation) == {
             "path",
@@ -80,9 +79,10 @@ def test_findings_carry_their_rule_family(monkeypatch):
 
 def test_load_report_accepts_current_golden():
     payload = load_report((GOLDEN / "report.json").read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["counts"]["REP113"] == 1
     assert "REP112" not in payload["counts"]  # retired with its chains
+    assert "REP114" not in payload["counts"]  # retired: run, not read
 
 
 def test_load_report_rejects_v1_golden_loudly():
@@ -99,6 +99,15 @@ def test_load_report_rejects_v2_golden_loudly():
     assert payload["counts"]["REP112"] == 1
     with pytest.raises(ValueError, match="schema_version=2"):
         load_report(v2_text)
+
+
+def test_load_report_rejects_v3_golden_loudly():
+    v3_text = (GOLDEN / "report_v3.json").read_text()
+    payload = json.loads(v3_text)
+    assert payload["schema_version"] == 3  # fixture sanity
+    assert "project_rules_skipped" in payload
+    with pytest.raises(ValueError, match="schema_version=3"):
+        load_report(v3_text)
 
 
 def test_load_report_rejects_non_reports():

@@ -32,7 +32,7 @@ class TestParser:
             ["loadgen", "--mode", "udp", "--clients", "16",
              "--server", "127.0.0.1:47000", "--size", "4K"])
         assert args.mode == "udp" and args.clients == 16
-        assert args.server == "127.0.0.1:47000" and args.size == 4096
+        assert args.server == ("127.0.0.1", 47000) and args.size == 4096
 
     def test_loadgen_defaults_to_des(self):
         args = build_parser().parse_args(["loadgen"])

@@ -42,6 +42,25 @@ class TestParser:
         with pytest.raises(SystemExit):  # there is deliberately no cache
             parser.parse_args(["regen", "--no-cache"])
 
+    @pytest.mark.parametrize("address", [
+        "127.0.0.1", "localhost", "127.0.0.1:", "127.0.0.1:0",
+        "127.0.0.1:65536", "127.0.0.1:http", "127.0.0.1:-5"])
+    @pytest.mark.parametrize("command", [
+        ["udp", "send"], ["loadgen", "--mode", "udp", "--server"]])
+    def test_an_address_without_a_usable_port_is_a_usage_error(
+            self, command, address, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, address])
+        assert exit_info.value.code == 2
+        assert "expected HOST:PORT" in capsys.readouterr().err
+
+    def test_addresses_parse_to_socket_addresses(self):
+        parser = build_parser()
+        send = parser.parse_args(["udp", "send", "10.0.0.2:47000"])
+        assert send.destination == ("10.0.0.2", 47000)
+        loadgen = parser.parse_args(["loadgen", "--server", ":65535"])
+        assert loadgen.server == ("127.0.0.1", 65535)
+
 
 class TestCompare:
     def test_error_free_compare(self, capsys):
