@@ -286,9 +286,11 @@ class MachineTransfer(Transfer):
 
     def _checksum_cost(self, host: Host):
         """Charge ``host``'s processor for checksumming the whole segment."""
-        with host.cpu.request() as claim:
-            yield claim
-            yield self.env.timeout(self._checksum_s)
+        wait = host.cpu.acquire()
+        if wait is not None:
+            yield wait
+        yield self.env.timeout(self._checksum_s)
+        host.cpu.release()
 
     def _send_loop(self):
         # Destinations are always named, so transfers work on multi-host

@@ -9,7 +9,7 @@ stores.  See DESIGN.md §3 for where it sits in the system.
 from .environment import EmptySchedule, Environment
 from .events import AllOf, Event, StopSimulation, Timeout
 from .processes import Process
-from .resources import Request, Resource
+from .resources import Resource
 from .store import Store, StoreGet, StorePut
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "StopSimulation",
     "Process",
     "Resource",
-    "Request",
     "Store",
     "StoreGet",
     "StorePut",

@@ -17,7 +17,7 @@ trace and golden in the repository, is unchanged.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
@@ -30,6 +30,10 @@ __all__ = ["Environment", "EmptySchedule"]
 _NORMAL = 1
 #: Priority of urgent events (process init).
 _URGENT = 0
+#: Sequence number of a timed run's stop event: below every real eid, so
+#: the stop sorts ahead of same-time urgent events.  A run disarms its
+#: stop however it ends, so two never meet in the heap.
+_STOP_EID = -1
 
 
 class EmptySchedule(Exception):
@@ -44,7 +48,7 @@ class Environment:
     # substrate layers (e.g. the V-kernel registry) annotate it; the
     # named slots still win attribute resolution on the hot paths.
     __slots__ = (
-        "_now", "_queue", "_eid", "_next_eid", "_stop_eid", "__dict__",
+        "_now", "_queue", "_eid", "_next_eid", "__dict__",
     )
 
     def __init__(self):
@@ -52,13 +56,6 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         self._next_eid = self._eid.__next__
-        # Sentinel sequence numbers for the stop events of timed
-        # ``run(until=<number>)`` calls.  They start far below any real
-        # eid so a stop event still sorts ahead of same-time normal
-        # events, and each timed run draws a fresh value so a stale stop
-        # event left by an aborted run can never collide (tuple
-        # comparison would otherwise fall through to comparing Events).
-        self._stop_eid = count(-(2**63))
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -85,7 +82,7 @@ class Environment:
         Equivalent to ``Timeout(self, delay, value)`` but built with
         direct stores, skipping ``type.__call__``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative delay {delay!r}")
         event = _new(_cls)
         event.env = self
@@ -144,6 +141,7 @@ class Environment:
         - ``until`` is a number: run until the clock reaches it.
         """
         stop: Optional[Event] = None
+        queue = self._queue
         if until is not None:
             if isinstance(until, Event):
                 stop = until
@@ -153,16 +151,16 @@ class Environment:
                 stop.add_callback(self._stop_callback)
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # also refuses NaN
                     raise ValueError(f"until={at} is in the past (now={self._now})")
                 stop = Event(self)
                 stop._value = None
                 stop.callbacks = [self._stop_callback]
-                heappush(self._queue, (at, _URGENT, next(self._stop_eid), stop))
+                stop_entry = (at, _URGENT, _STOP_EID, stop)
+                heappush(queue, stop_entry)
 
         # Inlined step(): same pop/dispatch/failure-surface sequence, with
         # the heap and pop bound to locals for the duration of the run.
-        queue = self._queue
         pop = heappop
         try:
             while True:
@@ -190,6 +188,14 @@ class Environment:
                     "run(until=event) exhausted the schedule before the event fired"
                 ) from None
             return None
+        finally:
+            # A stop that has not fired is disarmed: it must not end a later run.
+            if stop is not None and stop.callbacks is not None:
+                if stop is until:
+                    stop.callbacks.remove(self._stop_callback)
+                else:
+                    queue.remove(stop_entry)
+                    heapify(queue)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -175,7 +175,7 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise ValueError(f"negative delay {delay!r}")
         self.env = env
         self.callbacks = _NO_CALLBACKS

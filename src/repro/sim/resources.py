@@ -1,65 +1,37 @@
 """Shared resources with waiting queues.
 
 :class:`Resource` models a mutual-exclusion (or counting) resource such as
-a host CPU or a network-interface transmit buffer: processes *request* it,
-hold it while they work, and *release* it for the next waiter.  Requests
-queue FIFO, which matches the deterministic behaviour the protocol timing
-analysis needs.
+a host CPU or a network-interface transmit buffer: a process *acquires* a
+slot, holds it while it works, and *releases* it for the next waiter.
+Waiters are served FIFO, which matches the deterministic behaviour the
+protocol timing analysis needs.
 
-A request for a free slot takes it on the spot: it is returned already
-granted and processed, so ``yield claim`` continues without a trip
-through the event heap.  Only a request that has to wait is woken through
-the heap, in FIFO order, when a holder releases.
+The kernel rule (docs/architecture.md): a free slot is taken where it
+is decided, and only waiting goes through the heap.  A claim is a count,
+not an object: :meth:`Resource.acquire` on a free slot takes it and
+returns ``None``, and the caller goes on without yielding, so neither
+the heap nor its own process is touched.  Only a caller that has to
+wait gets an :class:`~repro.sim.events.Event` to yield on;
+:meth:`Resource.release` hands the slot straight to the oldest waiter
+and fires its event through the heap::
 
-The context-manager style mirrors SimPy so code reads naturally::
-
-    with host.cpu.request() as req:
-        yield req                      # wait until the CPU is ours
-        yield env.timeout(copy_time)   # do the copy
-    # released automatically
+    wait = host.cpu.acquire()
+    if wait is not None:
+        yield wait                     # wait until the CPU is ours
+    yield env.timeout(copy_time)       # do the copy
+    host.cpu.release()
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
 
-__all__ = ["Resource", "Request"]
-
-
-class Request(Event):
-    """A claim on a :class:`Resource`; fires when granted.
-
-    Born granted and processed when a slot is free, queued otherwise.
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        if len(resource._holders) < resource._capacity:
-            # Waiters are granted the moment a slot frees up, so a free
-            # slot means an empty queue: nobody is overtaken.
-            resource._holders.append(self)
-            self._value = None
-            self.callbacks = None
-        else:
-            resource._queue.append(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Release the slot if granted, or withdraw from the queue if not."""
-        self.resource.release(self)
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -74,41 +46,46 @@ class Resource:
         CPU or single-buffered interface).
     """
 
+    __slots__ = ("env", "_capacity", "_free", "_waiters")
+
     def __init__(self, env: "Environment", capacity: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self._capacity = capacity
-        self._queue: List[Request] = []
-        self._holders: List[Request] = []
+        self._free = capacity
+        # A list, not a deque: most resources never queue anybody, and an
+        # empty deque takes 760 bytes where an empty list takes 56.
+        self._waiters: List[Event] = []
 
     @property
     def count(self) -> int:
         """Number of current holders."""
-        return len(self._holders)
+        return self._capacity - self._free
 
     @property
     def queued(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._queue)
+        """Number of acquirers still waiting."""
+        return len(self._waiters)
 
-    def request(self) -> Request:
-        """Claim the resource; the returned event fires when granted
-        (it is already processed if a slot was free)."""
-        return Request(self)
+    def acquire(self) -> Optional[Event]:
+        """Take a slot: ``None`` if one was free (it is now the caller's),
+        else an event that fires once a release hands one over."""
+        if self._free:
+            # Waiters are handed the slot the moment it is released, so a
+            # free slot means nobody waits: nobody is overtaken.
+            self._free -= 1
+            return None
+        wait = Event(self.env)
+        self._waiters.append(wait)
+        return wait
 
-    def release(self, request: Request) -> None:
-        """Return a granted slot (or withdraw a waiting request)."""
-        if request in self._holders:
-            self._holders.remove(request)
-            self._grant()
-        elif request in self._queue:
-            self._queue.remove(request)
-        # Releasing an already-released request is a no-op, which makes the
-        # context-manager exit safe after an explicit release.
-
-    def _grant(self) -> None:
-        while self._queue and len(self._holders) < self._capacity:
-            request = self._queue.pop(0)
-            self._holders.append(request)
-            request.succeed()
+    def release(self) -> None:
+        """Give a held slot back: to the oldest waiter if there is one
+        (it holds the slot from this instant on), else to the free pool."""
+        if self._waiters:
+            self._waiters.pop(0).succeed()
+        elif self._free < self._capacity:
+            self._free += 1
+        else:
+            raise RuntimeError("release() of a resource nobody holds")

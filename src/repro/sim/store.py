@@ -67,7 +67,7 @@ class StoreGet(Event):
         predicate: Optional[Callable[[Any], bool]] = None,
         timeout_s: Optional[float] = None,
     ):
-        if timeout_s is not None and timeout_s < 0:
+        if timeout_s is not None and not timeout_s >= 0:  # also refuses NaN
             raise ValueError(f"negative timeout {timeout_s!r}")
         super().__init__(store.env)
         self.predicate = predicate
@@ -166,6 +166,7 @@ class Store:
             self._dispatch()
 
     def _dispatch(self) -> None:
+        gets = self._get_queue
         progress = True
         while progress:
             progress = False
@@ -175,17 +176,16 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
-            # Satisfy gets while items are available.
-            for get in list(self._get_queue):
-                if get.triggered:
-                    self._get_queue.remove(get)
-                    continue
-                item = self._match(get)
+            # Satisfy gets while items are available, oldest first, in
+            # place: the common case is one receiver waiting.
+            index = 0
+            while index < len(gets):
+                item = self._match(gets[index])
                 if item is _NO_MATCH:
-                    continue
-                self._get_queue.remove(get)
-                get.succeed(item)
-                progress = True
+                    index += 1
+                else:
+                    gets.pop(index).succeed(item)
+                    progress = True
 
     def _match(self, get: StoreGet) -> Any:
         if not self.items:

@@ -64,12 +64,14 @@ class BackgroundLoad:
         mean_gap = frame_time * (1.0 - self.offered_load) / self.offered_load
         while True:
             yield self.env.timeout(self._rng.expovariate(1.0 / mean_gap))
-            with self.medium.wire.request() as claim:
-                yield claim
-                start = self.env.now
-                yield self.env.timeout(frame_time)
-                self.busy_time += self.env.now - start
-                self.frames_sent += 1
+            wait = self.medium.wire.acquire()
+            if wait is not None:
+                yield wait
+            start = self.env.now
+            yield self.env.timeout(frame_time)
+            self.medium.wire.release()
+            self.busy_time += self.env.now - start
+            self.frames_sent += 1
 
     def utilization(self) -> float:
         """Fraction of elapsed simulation time the background held the wire."""

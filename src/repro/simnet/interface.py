@@ -122,11 +122,13 @@ class Interface:
         destination = dst if dst is not None else self.peer
         if destination is None:
             raise RuntimeError(f"{self.name}: no destination (connect() not called)")
-        claim = self.tx_buffers.request()
-        yield claim
-        cpu = self._copy_resource()
-        processor = cpu.request()
-        yield processor
+        buffers, cpu = self.tx_buffers, self._copy_resource()
+        wait = buffers.acquire()
+        if wait is not None:
+            yield wait
+        wait = cpu.acquire()
+        if wait is not None:
+            yield wait
         start = self.env.now
         yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
         if self.trace is not None:
@@ -135,13 +137,12 @@ class Interface:
         if self.params.busy_wait:
             # The processor spins until the interface reports completion.
             yield from self.medium.transmit(frame, self.name, destination)
-            cpu.release(processor)
-            self.tx_buffers.release(claim)
+            cpu.release()
+            buffers.release()
         else:
-            cpu.release(processor)
-            # ``claim.cancel`` frees the transmit buffer.
+            cpu.release()
             self.medium.transmit_detached(
-                frame, self.name, destination, then=claim.cancel)
+                frame, self.name, destination, then=buffers.release)
 
     def deliver(self, frame) -> None:
         """Medium hands over an arriving frame (may overrun rx buffers)."""
@@ -168,12 +169,15 @@ class Interface:
                 now = self.env.now
                 self.trace.record(Activity.TIMEOUT, self.name, now, now)
             return None
-        with self._copy_resource().request() as processor:
-            yield processor
-            start = self.env.now
-            yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
-            if self.trace is not None:
-                self.trace.record(Activity.COPY_OUT, self.name, start, self.env.now, frame)
+        cpu = self._copy_resource()
+        wait = cpu.acquire()
+        if wait is not None:
+            yield wait
+        start = self.env.now
+        yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
+        if self.trace is not None:
+            self.trace.record(Activity.COPY_OUT, self.name, start, self.env.now, frame)
+        cpu.release()
         return frame
 
 

@@ -69,10 +69,12 @@ class Medium:
         its transmit buffer); propagation and delivery continue on a
         timer.
         """
-        with self.wire.request() as claim:
-            yield claim
-            start = self.env.now
-            yield self.env.timeout(self.params.transmission_time(frame.wire_bytes))
+        wait = self.wire.acquire()
+        if wait is not None:
+            yield wait
+        start = self.env.now
+        yield self.env.timeout(self.params.transmission_time(frame.wire_bytes))
+        self.wire.release()
         self._left_wire(frame, src_name, dst, start)
 
     def transmit_detached(self, frame, src_name: str, dst: "Interface", then) -> None:
@@ -83,14 +85,19 @@ class Medium:
         wire_time = self.params.transmission_time(frame.wire_bytes)
 
         def off_wire(timer):
-            self.wire.release(claim)
+            self.wire.release()
             self._left_wire(frame, src_name, dst, start=timer.value)
             then()
 
-        claim = self.wire.request()
-        # Once the wire is ours, a timer that remembers when that was.
-        claim.add_callback(
-            lambda _: self.env.timeout(wire_time, self.env.now).add_callback(off_wire))
+        def on_wire(_granted=None):
+            # A timer that remembers when the wire became ours.
+            self.env.timeout(wire_time, self.env.now).callbacks = [off_wire]
+
+        wait = self.wire.acquire()
+        if wait is None:
+            on_wire()
+        else:
+            wait.callbacks = [on_wire]
 
     def _left_wire(self, frame, src_name: str, dst: "Interface", start: float) -> None:
         """Account for a finished wire phase and schedule the arrival(s).
@@ -111,10 +118,10 @@ class Medium:
         delay = (self.params.propagation_delay_s + self.params.device_latency_s
                  + extra_delay)
         self.frames_duplicated += copies
-        for copy_lost in [lost] + [False] * copies:
-            self.env.timeout(
-                delay, (frame, src_name, dst, end, copy_lost, corrupted)
-            ).add_callback(self._arrive)
+        # A lost frame has no duplicates, so every copy shares one tuple.
+        arrival = (frame, src_name, dst, end, lost, corrupted)
+        for _ in range(1 + copies):
+            self.env.timeout(delay, arrival).callbacks = [self._arrive]
 
     @staticmethod
     def _damage(frame):

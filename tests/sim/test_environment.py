@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, Event
+from repro.sim import EmptySchedule, Environment, Event, Store, Timeout
 
 
 class TestClock:
@@ -120,14 +120,12 @@ class TestDeterminism:
 
 
 class TestSuccessiveTimedRuns:
-    """run(until=<number>) stop events draw dedicated sentinel eids.
+    """A run(until=<number>) stop event is disarmed however its run ends.
 
-    A process failure escaping a timed run leaves that run's stop event
-    in the heap.  The next timed run pushes a second stop at a possibly
-    identical (time, priority); with the old shared ``-1`` sentinel the
-    heap tie-break fell through to comparing the Event objects and blew
-    up with TypeError.  Each stop now draws a fresh, increasing sentinel
-    eid, so ties resolve in push order.
+    A process failure escaping a timed run once left that run's stop
+    event in the heap.  The next timed run then pushed a second stop at
+    a possibly identical (time, priority, sentinel eid), and the heap
+    tie-break fell through to comparing the Event objects (TypeError).
     """
 
     def test_second_timed_run_after_escaped_failure(self):
@@ -180,3 +178,62 @@ class TestSuccessiveTimedRuns:
         env.run(until=1.0)
         with pytest.raises(ValueError, match="in the past"):
             env.run(until=0.5)
+
+
+class TestAbortedRunsLeaveNoStopArmed:
+    """A run that raises takes its stop with it: a later run is not
+    ended by a stop it never asked for."""
+
+    @staticmethod
+    def _aborted(env, until):
+        def boom():
+            yield env.timeout(1)
+            raise RuntimeError("boom")
+
+        env.process(boom())
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=until)
+        assert env.now == 1
+
+    def test_after_an_aborted_timed_run(self):
+        env = Environment()
+        self._aborted(env, 5)
+        late = env.timeout(10)
+        env.run()
+        assert late.processed and env.now == 11
+
+    def test_after_an_aborted_run_until_event(self):
+        env = Environment()
+        stop = env.timeout(5)
+        self._aborted(env, stop)
+        late = env.timeout(10)
+        env.run()
+        assert stop.processed and late.processed and env.now == 11
+
+
+class TestNanIsNotATime:
+    def test_timeout(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        assert env.peek() == float("inf")
+
+    def test_timeout_constructed_directly(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            Timeout(env, float("nan"))
+        assert env.peek() == float("inf")
+
+    def test_run_until(self):
+        env = Environment()
+        env.timeout(1)
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+        assert env.now == 0 and env.peek() == 1
+
+    def test_store_get_timeout(self):
+        env = Environment()
+        store = Store(env)
+        with pytest.raises(ValueError):
+            store.get(timeout_s=float("nan"))
+        assert env.peek() == float("inf")

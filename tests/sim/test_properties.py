@@ -10,6 +10,13 @@ from hypothesis import strategies as st
 from repro.sim import Environment, Resource, Store
 
 
+def acquired(resource):
+    """Generator: take a slot of ``resource``, yielding only to wait."""
+    wait = resource.acquire()
+    if wait is not None:
+        yield wait
+
+
 class TestClockMonotonicity:
     @given(
         delays=st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=40),
@@ -72,12 +79,12 @@ class TestResourceInvariants:
 
         def worker(start, hold):
             yield env.timeout(start)
-            with resource.request() as claim:
-                yield claim
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                yield env.timeout(hold)
-                active[0] -= 1
+            yield from acquired(resource)
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            yield env.timeout(hold)
+            active[0] -= 1
+            resource.release()
 
         for start, hold in jobs:
             env.process(worker(start, hold))
@@ -98,9 +105,9 @@ class TestResourceInvariants:
         resource = Resource(env)
 
         def worker(hold):
-            with resource.request() as claim:
-                yield claim
-                yield env.timeout(hold)
+            yield from acquired(resource)
+            yield env.timeout(hold)
+            resource.release()
 
         for hold in holds:
             env.process(worker(hold))
@@ -207,11 +214,11 @@ def run_jobs(jobs, capacity):
 
     def worker(index, arrival, hold):
         yield env.timeout(arrival)
-        with resource.request() as claim:
-            yield claim
-            grants[index] = env.now
-            order.append(index)
-            yield env.timeout(hold)
+        yield from acquired(resource)
+        grants[index] = env.now
+        order.append(index)
+        yield env.timeout(hold)
+        resource.release()
 
     for index, (arrival, hold) in enumerate(jobs):
         env.process(worker(index, arrival, hold))
@@ -260,61 +267,52 @@ class TestResourceAgainstFifoModel:
         assert [grants[i] for i in range(len(jobs))] == sorted(grants.values())
 
 
-def granted_request(env, resource, born_processed):
-    """A granted request that took a free slot on the spot, or one that
-    queued behind a holder and was granted through the heap."""
+def hold_granted(env, resource, born_processed):
+    """Hold ``resource``'s one slot, taken free on the spot or handed
+    over by a release after queueing behind a holder."""
     if born_processed:
-        request = resource.request()
-        assert request.processed
-        return request
-    blocker = resource.request()
-    request = resource.request()
-    assert not request.triggered
-    resource.release(blocker)
+        assert resource.acquire() is None
+        return
+    assert resource.acquire() is None  # the blocker
+    wait = resource.acquire()
+    assert not wait.triggered
+    resource.release()
     env.run()
-    assert request.processed
-    return request
+    assert wait.processed
 
 
 @pytest.mark.parametrize("born_processed", [True, False],
                          ids=["took_free_slot", "queued_then_granted"])
 class TestGrantedRequestsAreAlike:
-    """However a request came to hold its slot, it gives it back alike."""
+    """However a holder came to hold its slot, it gives it back alike."""
 
     def test_release_hands_the_slot_to_the_next_waiter(self, born_processed):
         env = Environment()
         resource = Resource(env)
-        request = granted_request(env, resource, born_processed)
-        waiter = resource.request()
-        resource.release(request)
+        hold_granted(env, resource, born_processed)
+        waiter = resource.acquire()
+        resource.release()
         assert waiter.triggered and (resource.count, resource.queued) == (1, 0)
 
-    def test_double_release_is_a_noop(self, born_processed):
+    def test_double_release_raises(self, born_processed):
         env = Environment()
         resource = Resource(env)
-        request = granted_request(env, resource, born_processed)
-        resource.release(request)
-        other = resource.request()
-        resource.release(request)  # must not free ``other``'s slot
-        assert resource.count == 1 and other.processed
+        hold_granted(env, resource, born_processed)
+        resource.release()
+        with pytest.raises(RuntimeError, match="nobody holds"):
+            resource.release()
+        # Capacity did not grow: with its one slot taken, a claim waits.
+        assert resource.acquire() is None
+        assert not resource.acquire().triggered
+        assert (resource.count, resource.queued) == (1, 1)
 
-    def test_cancel_releases(self, born_processed):
+    def test_release_frees_the_slot(self, born_processed):
         env = Environment()
         resource = Resource(env)
-        request = granted_request(env, resource, born_processed)
-        request.cancel()
+        hold_granted(env, resource, born_processed)
+        resource.release()
         assert resource.count == 0
-
-    def test_with_form_releases_on_exit_and_on_error(self, born_processed):
-        env = Environment()
-        resource = Resource(env)
-        with granted_request(env, resource, born_processed):
-            assert resource.count == 1
-        assert resource.count == 0
-        with pytest.raises(KeyError):
-            with granted_request(env, resource, born_processed):
-                raise KeyError("inside the critical section")
-        assert resource.count == 0
+        assert resource.acquire() is None
 
 
 # A Store script is one operation per simulated second:

@@ -10,6 +10,13 @@ def env():
     return Environment()
 
 
+def hold(resource):
+    """Generator: acquire ``resource``, yielding only if it must wait."""
+    wait = resource.acquire()
+    if wait is not None:
+        yield wait
+
+
 class TestResource:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -17,20 +24,19 @@ class TestResource:
 
     def test_immediate_grant_when_free(self, env):
         res = Resource(env)
-        req = res.request()
-        assert req.triggered
+        assert res.acquire() is None
         assert res.count == 1
 
     def test_mutex_serialises_holders(self, env):
         res = Resource(env)
         log = []
 
-        def worker(name, hold):
-            with res.request() as req:
-                yield req
-                log.append((name, "in", env.now))
-                yield env.timeout(hold)
-                log.append((name, "out", env.now))
+        def worker(name, hold_s):
+            yield from hold(res)
+            log.append((name, "in", env.now))
+            yield env.timeout(hold_s)
+            log.append((name, "out", env.now))
+            res.release()
 
         env.process(worker("a", 3))
         env.process(worker("b", 2))
@@ -44,10 +50,10 @@ class TestResource:
         order = []
 
         def worker(name):
-            with res.request() as req:
-                yield req
-                order.append(name)
-                yield env.timeout(1)
+            yield from hold(res)
+            order.append(name)
+            yield env.timeout(1)
+            res.release()
 
         for name in ["first", "second", "third"]:
             env.process(worker(name))
@@ -60,12 +66,12 @@ class TestResource:
         peak = []
 
         def worker():
-            with res.request() as req:
-                yield req
-                active.append(1)
-                peak.append(len(active))
-                yield env.timeout(5)
-                active.pop()
+            yield from hold(res)
+            active.append(1)
+            peak.append(len(active))
+            yield env.timeout(5)
+            active.pop()
+            res.release()
 
         for _ in range(4):
             env.process(worker())
@@ -75,58 +81,54 @@ class TestResource:
 
     def test_release_wakes_waiter(self, env):
         res = Resource(env)
-        req1 = res.request()
-        req2 = res.request()
-        assert req1.triggered and not req2.triggered
-        res.release(req1)
-        assert req2.triggered
+        assert res.acquire() is None
+        wait = res.acquire()
+        assert not wait.triggered
+        res.release()
+        assert wait.triggered
 
-    def test_cancel_waiting_request(self, env):
+    def test_double_release_raises(self, env):
         res = Resource(env)
-        held = res.request()
-        waiting = res.request()
-        waiting.cancel()
-        res.release(held)
-        assert not waiting.triggered
+        assert res.acquire() is None
+        res.release()
+        with pytest.raises(RuntimeError, match="nobody holds"):
+            res.release()
         assert res.count == 0
-        assert res.queued == 0
-
-    def test_double_release_is_noop(self, env):
-        res = Resource(env)
-        req = res.request()
-        res.release(req)
-        res.release(req)  # no error
-        assert res.count == 0
+        # ... and capacity did not grow: the second claim has to wait.
+        assert res.acquire() is None
+        assert res.acquire() is not None
 
     def test_counts_reported(self, env):
         res = Resource(env, capacity=1)
-        res.request()
-        res.request()
-        res.request()
+        res.acquire()
+        res.acquire()
+        res.acquire()
         assert res.count == 1
         assert res.queued == 2
 
 
 class TestTakenOnTheSpot:
-    """A free slot is taken where it is decided: the request comes back
-    processed and nothing goes on the heap; only waiters use the heap."""
+    """A free slot is taken where it is decided: no event is built and
+    nothing goes on the heap; only waiters get an event, fired through
+    the heap."""
 
     def test_free_slot_is_born_processed(self, env):
         res = Resource(env, capacity=2)
-        first, second, third = res.request(), res.request(), res.request()
-        assert first.processed and second.processed
+        first, second, third = res.acquire(), res.acquire(), res.acquire()
+        assert first is None and second is None
         assert not third.triggered
         assert env.peek() == float("inf")
         assert (res.count, res.queued) == (2, 1)
 
     def test_waiter_is_granted_through_the_heap(self, env):
         res = Resource(env)
-        holder, waiter = res.request(), res.request()
-        res.release(holder)
+        res.acquire()
+        waiter = res.acquire()
+        res.release()
         assert waiter.triggered and not waiter.processed
         assert res.count == 1  # the slot is the waiter's from the release on
-        late = res.request()
-        assert not late.triggered  # so a same-instant request queues behind
+        late = res.acquire()
+        assert not late.triggered  # so a same-instant claim queues behind
         env.run()
         assert waiter.processed
 
@@ -135,9 +137,9 @@ class TestTakenOnTheSpot:
         log = []
 
         def worker():
-            with res.request() as claim:
-                yield claim
-                log.append(env.now)
+            yield from hold(res)
+            log.append(env.now)
+            res.release()
 
         env.process(worker())
         env.step()  # Initialize alone carries the worker past the claim
@@ -161,22 +163,21 @@ class TestTakenOnTheSpot:
         order = []
 
         def releaser():
-            claim = buffer.request()
-            yield claim
+            yield from hold(buffer)
             yield env.timeout(1)
-            buffer.release(claim)
+            buffer.release()
             yield inbox.get()
-            with processor.request() as cpu:
-                yield cpu
-                order.append("releaser")
-                yield env.timeout(1)
+            yield from hold(processor)
+            order.append("releaser")
+            yield env.timeout(1)
+            processor.release()
 
         def waiter():
-            with buffer.request() as claim:
-                yield claim
-                with processor.request() as cpu:
-                    yield cpu
-                    order.append("waiter")
+            yield from hold(buffer)
+            yield from hold(processor)
+            order.append("waiter")
+            processor.release()
+            buffer.release()
 
         env.process(releaser())
         env.process(waiter())

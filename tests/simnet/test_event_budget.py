@@ -11,6 +11,14 @@ rule"); if one of them goes back through the heap these bounds fail.
 Every bound fails at PR 16, where the same runs counted 13.77 (raw),
 25.9 / 25.0 (stop-and-wait / sliding window), 12.3 (blast) and 36.25
 (service) heap events per frame and spawned one process per frame.
+
+Nor may a frame cost more than its waits elsewhere.  A claim of a free
+resource builds no event and does not resume its process, so the raw
+frame resumes a generator once per timed stage it waits out and builds
+one non-timer event, the receiver's get.  Before claims became counts
+the same exchange resumed generators 8 times per frame and built 5
+events (a ``Request`` for the transmit buffer, the sender's processor,
+the wire and the receiver's processor, besides the get).
 """
 
 import pytest
@@ -18,16 +26,35 @@ import pytest
 import repro.sim.environment as environment_module
 from repro.core import BlastTransfer, DataFrame, run_many
 from repro.service import ServiceConfig, run_des_loadgen
-from repro.sim import Environment, Process
+from repro.sim import Environment, Event, Process
+from repro.sim.processes import Initialize
 from repro.simnet import NetworkParams, make_lan
+
+
+class _CountedGenerator:
+    """A process's generator that counts how often it is resumed."""
+
+    def __init__(self, generator, counts):
+        self._generator, self._counts = generator, counts
+
+    def send(self, value):
+        self._counts["resumes"] += 1
+        return self._generator.send(value)
+
+    def throw(self, exception):
+        self._counts["resumes"] += 1
+        return self._generator.throw(exception)
 
 
 @pytest.fixture
 def kernel_counts(monkeypatch):
-    """``{"events": heap pops, "processes": Process objects created}``."""
-    counts = {"events": 0, "processes": 0}
+    """``{"events": heap pops, "processes": Process objects created,
+    "resumes": generator resumes, "objects": Event objects built that are
+    neither a Timeout nor a process's own Process / Initialize}``."""
+    counts = {"events": 0, "processes": 0, "resumes": 0, "objects": 0}
     real_pop = environment_module.heappop
     real_init = Process.__init__
+    real_event_init = Event.__init__
 
     def counting_pop(heap):
         counts["events"] += 1
@@ -35,10 +62,16 @@ def kernel_counts(monkeypatch):
 
     def counting_init(self, env, generator):
         counts["processes"] += 1
-        real_init(self, env, generator)
+        real_init(self, env, _CountedGenerator(generator, counts))
+
+    def counting_event_init(self, env):
+        if not isinstance(self, (Process, Initialize)):
+            counts["objects"] += 1
+        real_event_init(self, env)
 
     monkeypatch.setattr(environment_module, "heappop", counting_pop)
     monkeypatch.setattr(Process, "__init__", counting_init)
+    monkeypatch.setattr(Event, "__init__", counting_event_init)
     return counts
 
 
@@ -62,6 +95,9 @@ def test_raw_frame_costs_its_timed_events(kernel_counts):
     assert received == [frame] * frames
     assert kernel_counts["events"] / frames <= 6.0
     assert kernel_counts["processes"] == 2
+    # Each process's first resume starts it; the rest are the frames'.
+    assert (kernel_counts["resumes"] - 2) / frames <= 4.0
+    assert kernel_counts["objects"] / frames <= 1.0
 
 
 @pytest.mark.parametrize("protocol, kwargs, bound", [
