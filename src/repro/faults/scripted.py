@@ -1,12 +1,12 @@
 """DES adapter: replay a :class:`FaultPlan` as a simnet ``ErrorModel``.
 
-The :class:`~repro.simnet.medium.Medium` consults its error model once
-per frame, in wire order, through up to four hooks (``drops``,
-``corrupts``, ``duplicates``, ``delay_s``).  :class:`ScriptedErrors`
-evaluates the plan exactly once per frame — inside :meth:`drops`, which
-the medium is guaranteed to call first — caches the resulting
-:class:`~repro.faults.plan.FaultDecision`, and serves the remaining
-hooks from that cache.  This keeps every stochastic rule's RNG stream
+The :class:`~repro.simnet.medium.Medium` asks its error model once per
+frame, in wire order, through ``fate()``, which consults up to four
+hooks (``drops``, ``corrupts``, ``duplicates``, ``delay_s``).
+:class:`ScriptedErrors` evaluates the plan exactly once per frame —
+inside :meth:`drops`, which ``fate()`` always calls first — caches the
+resulting :class:`~repro.faults.plan.FaultDecision`, and serves the
+remaining hooks from that cache.  This keeps every stochastic rule's RNG stream
 advancing one draw per matched frame, the invariant that makes a seeded
 plan replay identically across substrates.
 

@@ -12,7 +12,6 @@ REP104    lambdas/closures shipped across the process boundary
 REP105    ``os.environ`` reads outside the configuration boundary
 REP106    float ``==``/``!=`` in analysis formulas
 REP107    mutable default arguments and bare ``except:``
-REP109    blocking calls inside service event-loop code
 REP110    attribute creation outside ``__init__`` in slotted classes
 REP111    raw datagram socket I/O outside the batch layer
 REP113    RNG seeds that do not flow from caller-provided data
@@ -20,9 +19,10 @@ REP115    recv-ring ``memoryview`` escaping its batch iteration
 REP116    unjoined worker processes in ``cluster/``
 ========  ==========================================================
 
-Every rule reads one file.  REP108, REP112, REP114 and REP117 are
-retired (see ``docs/static-analysis.md``); protocol totality is checked
-by running the machines, in ``tests/service/test_frame_totality.py``.
+Every rule reads one file.  REP108, REP109, REP112, REP114 and REP117
+are retired (see ``docs/static-analysis.md``); protocol totality and
+loops that never block are checked by running them, in
+``tests/service/test_frame_totality.py`` and ``test_loops_never_block.py``.
 
 Usage::
 

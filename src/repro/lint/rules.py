@@ -559,84 +559,6 @@ class DefensiveDefaultsRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP109 — blocking calls in service event-loop code
-# ---------------------------------------------------------------------------
-
-def _unbounded_select(node: ast.Call) -> bool:
-    """True when a ``.select(...)`` call can wait forever.
-
-    ``selector.select()`` and ``selector.select(None)`` block without
-    bound, as does 3-argument ``select.select(r, w, x)`` or a 4th/
-    ``timeout=`` argument that is literally ``None``.  Calls forwarding
-    ``**kwargs`` are left alone — the timeout is someone else's to prove.
-    """
-    if any(kw.arg is None for kw in node.keywords):
-        return False
-    for kw in node.keywords:
-        if kw.arg == "timeout":
-            return isinstance(kw.value, ast.Constant) and kw.value.value is None
-    n = len(node.args)
-    if n == 0:
-        return True
-    if n == 1:
-        return isinstance(node.args[0], ast.Constant) and node.args[0].value is None
-    if n == 3:
-        return True
-    if n == 4:
-        return isinstance(node.args[3], ast.Constant) and node.args[3].value is None
-    return False
-
-
-class BlockingServiceCallRule(Rule):
-    """The concurrent service multiplexes every transfer over one thread;
-    a single unbounded wait stalls *all* of them.  Inside ``service/``,
-    waits must flow through ``next_deadline()``-bounded receives — never
-    ``time.sleep`` and never a raw socket ``recv``/``recvfrom``/``accept``
-    (the endpoint's ``_recv_frame(timeout_s=...)`` is the sanctioned path).
-    What the loops reach outside ``service/`` is checked at run time by
-    ``tests/service/test_loops_never_block.py``.
-    """
-
-    id = "REP109"
-    severity = "error"
-    family = "event-loop"
-    title = "blocking call in service event-loop code"
-    fix_hint = (
-        "bound every wait with core.next_deadline(): use "
-        "_recv_frame(timeout_s=...) instead of raw recv/recvfrom, and "
-        "never time.sleep in scheduler/event-loop paths"
-    )
-
-    _BLOCKING_ATTRS = frozenset(("recv", "recvfrom", "recv_into", "accept"))
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_dir("service"):
-            return
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                reason = self._reason(imports.resolve(node.func), node)
-                if reason is not None:
-                    yield self.violation(ctx, node, reason)
-
-    def _reason(self, dotted: Optional[str], node: ast.Call) -> Optional[str]:
-        """Why ``node`` can park the event loop, or None if it cannot;
-        ``dotted`` is the call's resolved import path when it has one."""
-        attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
-        if dotted == "time.sleep":
-            return ("time.sleep() stalls every multiplexed transfer; bound "
-                    "the wait with the core's next_deadline() instead")
-        if attr in self._BLOCKING_ATTRS:
-            return (f".{attr}() blocks the shared event loop; use "
-                    "_recv_frame(timeout_s=...) so the wait is bounded")
-        if ((attr == "select" or (dotted or "").endswith(".select"))
-                and _unbounded_select(node)):
-            return (".select() without a finite timeout parks the shared "
-                    "event loop forever; pass next_deadline()-bounded wait")
-        return None
-
-
-# ---------------------------------------------------------------------------
 # REP110 — attribute creation outside __init__ in __slots__ classes
 # ---------------------------------------------------------------------------
 
@@ -1287,7 +1209,6 @@ def all_rules() -> List[Rule]:
         EnvReadRule(),
         FloatEqualityRule(),
         DefensiveDefaultsRule(),
-        BlockingServiceCallRule(),
         SlotsDisciplineRule(),
         DirectSocketIORule(),
         SeedProvenanceRule(),

@@ -24,6 +24,7 @@ Monte Carlo drivers).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -175,8 +176,8 @@ class Timeout(Event):
     __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:  # also refuses NaN
-            raise ValueError(f"negative delay {delay!r}")
+        if not 0 <= delay < math.inf:  # also refuses NaN
+            raise ValueError(f"delay {delay!r} is not a finite time >= 0")
         self.env = env
         self.callbacks = _NO_CALLBACKS
         self._value = value

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from .events import PENDING, Event
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -53,13 +53,15 @@ class StoreGet(Event):
 
     Born processed when a matching item is buffered, queued otherwise.
     With ``timeout_s`` the get is *timed*: if it is still waiting that
-    many seconds later it is withdrawn and fires with ``None``.  An item
-    that arrives at the very instant of the deadline is never lost — it
-    goes to this get if its arrival is processed first, and stays
-    buffered for the next get if the deadline is.
+    many seconds later it is withdrawn and fires with ``None``
+    (``math.inf`` sets no deadline).  An item that arrives at the very
+    instant of the deadline is never lost — it goes to this get if its
+    arrival is processed first, and stays buffered for the next get if
+    the deadline is.  A get that is satisfied or cancelled first
+    withdraws its deadline, which then never fires.
     """
 
-    __slots__ = ("predicate", "_store")
+    __slots__ = ("predicate", "_store", "_expiry")
 
     def __init__(
         self,
@@ -72,38 +74,35 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.predicate = predicate
         self._store = store
+        self._expiry = None
         # Gets queued earlier found no match when the store last changed,
         # so taking an item here overtakes nobody.
-        item = store._match(self)
+        item = store._match(self) if store.items else _NO_MATCH
         if item is not _NO_MATCH:
             self._value = item
             self.callbacks = None
             if store._put_queue:
-                store._dispatch()
+                store._admit_puts()
         else:
             store._get_queue.append(self)
-            if timeout_s is not None:
-                store.env.timeout(timeout_s).callbacks = [self._expire]
+            if timeout_s is not None and timeout_s != math.inf:
+                self._expiry = store.env._arm(timeout_s, self._expire)
 
     def cancel(self) -> None:
         """Withdraw this get if it has not been satisfied yet, so that a
         get nobody waits on any more does not steal a later item."""
-        self._withdraw()
-
-    def _withdraw(self) -> bool:
-        """Leave the queue; False if the get was not waiting any more."""
         queue = self._store._get_queue
-        if self._value is not PENDING or self not in queue:
-            return False
-        queue.remove(self)
-        return True
+        if self in queue:
+            queue.remove(self)
+            if self._expiry is not None:
+                self.env._withdraw(self._expiry)
 
     def _expire(self, _expiry: Event) -> None:
-        """Deadline of a timed get: a get that is still waiting is
-        withdrawn and fires with ``None``; a satisfied (or cancelled) one
-        is left alone."""
-        if self._withdraw():
-            self.succeed(None)
+        """Deadline of a timed get: it is still waiting (a satisfied or
+        cancelled get withdrew its deadline), so it leaves the queue and
+        fires with ``None``."""
+        self._store._get_queue.remove(self)
+        self.succeed(None)
 
 
 class Store:
@@ -159,37 +158,28 @@ class Store:
 
     # -- internal ----------------------------------------------------------
     def _accept(self, item: Any) -> None:
-        """Buffer ``item`` (the caller checked for room) and offer it to
-        the waiting gets."""
-        self.items.append(item)
-        if self._get_queue:
-            self._dispatch()
-
-    def _dispatch(self) -> None:
+        """Take ``item`` in (the caller checked for room): it goes to the
+        oldest queued get it matches, else it is buffered.  The queued
+        gets found no match among the older items, so the new item is
+        the only one they can take."""
         gets = self._get_queue
-        progress = True
-        while progress:
-            progress = False
-            # Accept puts while there is room.
-            while self._put_queue and len(self.items) < self._capacity:
-                put = self._put_queue.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy gets while items are available, oldest first, in
-            # place: the common case is one receiver waiting.
-            index = 0
-            while index < len(gets):
-                item = self._match(gets[index])
-                if item is _NO_MATCH:
-                    index += 1
-                else:
-                    gets.pop(index).succeed(item)
-                    progress = True
+        for index, get in enumerate(gets):
+            if get.predicate is None or get.predicate(item):
+                del gets[index]
+                get.succeed(item)
+                if get._expiry is not None:
+                    self.env._withdraw(get._expiry)
+                return
+        self.items.append(item)
+
+    def _admit_puts(self) -> None:
+        """A get made room: accept queued puts while it lasts."""
+        while self._put_queue and len(self.items) < self._capacity:
+            put = self._put_queue.pop(0)
+            put.succeed()
+            self._accept(put.item)
 
     def _match(self, get: StoreGet) -> Any:
-        if not self.items:
-            return _NO_MATCH
         if get.predicate is None:
             return self.items.popleft()
         for index, item in enumerate(self.items):

@@ -15,7 +15,7 @@ experiments reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ErrorModel",
@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+#: Fates of a frame: (lost, corrupted, extra copies, extra delay in s).
+_LOST = (True, False, 0, 0.0)
+_DELIVERED = (False, False, 0, 0.0)
+
+
 class ErrorModel:
     """Base class: decides, per frame, whether it is lost or corrupted.
 
@@ -38,7 +43,28 @@ class ErrorModel:
     The paper's related work (Spector) suggests "an overall software
     checksum on the entire data segment" precisely for this case; the
     blast engine's ``verify_checksum`` option implements it.
+
+    The medium asks one question per frame, :meth:`fate`, which answers
+    from the four hooks.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A loss-only model overrides none of the hooks after drops().
+        cls._loss_only = all(getattr(cls, hook) is getattr(ErrorModel, hook)
+                             for hook in ("corrupts", "duplicates", "delay_s"))
+
+    def fate(self, frame: object) -> Tuple[bool, bool, int, float]:
+        """``(lost, corrupted, extra copies, extra delay s)`` of this
+        frame.  :meth:`drops` is asked first and the other three hooks
+        only for a frame that is not lost, so random draws keep their
+        order; a loss-only model is not asked them at all."""
+        if self.drops(frame):
+            return _LOST
+        if self._loss_only:
+            return _DELIVERED
+        return (False, self.corrupts(frame), self.duplicates(frame),
+                self.delay_s(frame))
 
     def drops(self, frame: object) -> bool:
         """Return True if this frame is lost."""
@@ -67,6 +93,9 @@ class PerfectChannel(ErrorModel):
 
     def drops(self, frame: object) -> bool:
         return False
+
+    def fate(self, frame: object) -> Tuple[bool, bool, int, float]:
+        return _DELIVERED
 
 
 class BernoulliErrors(ErrorModel):

@@ -85,8 +85,14 @@ class Interface:
 
     # -- wiring ----------------------------------------------------------------
     def attach(self, host: "Host") -> None:
-        """Bind this interface to its host (done by Host.__init__)."""
+        """Bind this interface to its host (done by Host.__init__), with
+        the processor that copies and the terms of its cost, so that a
+        copy looks up neither."""
         self.host = host
+        self._cpu = host.cpu
+        model = self.copy_model
+        self._copy_setup_s = model.setup_s
+        self._copy_bytes_per_s = model.bytes_per_second
 
     def connect(self, peer: "Interface") -> None:
         """Set the default destination for :meth:`send` (point-to-point)."""
@@ -99,11 +105,6 @@ class Interface:
         if self._copy_model_override is not None:
             return self._copy_model_override
         return self.params.copy_model
-
-    def _copy_resource(self) -> Resource:
-        """The processor that performs copies (host CPU here; DMA overrides)."""
-        assert self.host is not None, "interface not attached to a host"
-        return self.host.cpu
 
     # -- data path ---------------------------------------------------------------
     def send(self, frame, dst: Optional["Interface"] = None):
@@ -122,7 +123,7 @@ class Interface:
         destination = dst if dst is not None else self.peer
         if destination is None:
             raise RuntimeError(f"{self.name}: no destination (connect() not called)")
-        buffers, cpu = self.tx_buffers, self._copy_resource()
+        buffers, cpu = self.tx_buffers, self._cpu
         wait = buffers.acquire()
         if wait is not None:
             yield wait
@@ -130,7 +131,9 @@ class Interface:
         if wait is not None:
             yield wait
         start = self.env.now
-        yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
+        # CopyCostModel.copy_time's expression, on the bound terms.
+        yield self.env.timeout(
+            self._copy_setup_s + frame.wire_bytes / self._copy_bytes_per_s)
         if self.trace is not None:
             self.trace.record(Activity.COPY_IN, self.name, start, self.env.now, frame)
         self.frames_sent += 1
@@ -169,12 +172,13 @@ class Interface:
                 now = self.env.now
                 self.trace.record(Activity.TIMEOUT, self.name, now, now)
             return None
-        cpu = self._copy_resource()
+        cpu = self._cpu
         wait = cpu.acquire()
         if wait is not None:
             yield wait
         start = self.env.now
-        yield self.env.timeout(self.copy_model.copy_time(frame.wire_bytes))
+        yield self.env.timeout(
+            self._copy_setup_s + frame.wire_bytes / self._copy_bytes_per_s)
         if self.trace is not None:
             self.trace.record(Activity.COPY_OUT, self.name, start, self.env.now, frame)
         cpu.release()
@@ -206,5 +210,6 @@ class DmaInterface(Interface):
             return self._dma_copy_model
         return super().copy_model
 
-    def _copy_resource(self) -> Resource:
-        return self._dma_processor
+    def attach(self, host: "Host") -> None:
+        super().attach(host)
+        self._cpu = self._dma_processor

@@ -9,9 +9,9 @@ deference resolves deterministically.  A probabilistic CSMA/CD extension
 lives in :mod:`repro.simnet.contention`.
 
 Loss is decided at the end of the wire phase by the configured
-:class:`~repro.simnet.errors.ErrorModel`, covering both the paper's wire
-errors and its interface errors (which side drops the frame is
-indistinguishable at protocol level).
+:class:`~repro.simnet.errors.ErrorModel`, one ``fate()`` per frame,
+covering both the paper's wire errors and its interface errors (which
+side drops the frame is indistinguishable at protocol level).
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class Medium:
         self.error_model = error_model if error_model is not None else PerfectChannel()
         self.trace = trace
         self.wire = Resource(env, capacity=1)
+        # Bound once; each frame's wire time is params.transmission_time's
+        # expression on them.
+        self._bandwidth_bps = params.bandwidth_bps
+        self._latency_s = params.propagation_delay_s + params.device_latency_s
         self.frames_transmitted = 0
         self.frames_dropped = 0
         self.frames_corrupted = 0
@@ -73,7 +77,7 @@ class Medium:
         if wait is not None:
             yield wait
         start = self.env.now
-        yield self.env.timeout(self.params.transmission_time(frame.wire_bytes))
+        yield self.env.timeout(8.0 * frame.wire_bytes / self._bandwidth_bps)
         self.wire.release()
         self._left_wire(frame, src_name, dst, start)
 
@@ -82,11 +86,11 @@ class Medium:
         phase run from event callbacks, ``then()`` called once the frame
         has left the wire (the interrupt-driven interface frees its
         transmit buffer there)."""
-        wire_time = self.params.transmission_time(frame.wire_bytes)
+        wire_time = 8.0 * frame.wire_bytes / self._bandwidth_bps
 
         def off_wire(timer):
             self.wire.release()
-            self._left_wire(frame, src_name, dst, start=timer.value)
+            self._left_wire(frame, src_name, dst, start=timer._value)
             then()
 
         def on_wire(_granted=None):
@@ -111,12 +115,8 @@ class Medium:
             self.trace.record(Activity.TRANSMIT, src_name, start, end, frame)
         self.frames_transmitted += 1
         self.bytes_transmitted += frame.wire_bytes
-        lost = self.error_model.drops(frame)
-        corrupted = (not lost) and self.error_model.corrupts(frame)
-        copies = 0 if lost else self.error_model.duplicates(frame)
-        extra_delay = 0.0 if lost else self.error_model.delay_s(frame)
-        delay = (self.params.propagation_delay_s + self.params.device_latency_s
-                 + extra_delay)
+        lost, corrupted, copies, extra_delay = self.error_model.fate(frame)
+        delay = self._latency_s + extra_delay
         self.frames_duplicated += copies
         # A lost frame has no duplicates, so every copy shares one tuple.
         arrival = (frame, src_name, dst, end, lost, corrupted)
@@ -142,7 +142,7 @@ class Medium:
     def _arrive(self, timer) -> None:
         """End of propagation + device latency: hand the frame to its
         destination (timer callback, one per delivered copy)."""
-        frame, src_name, dst, start, lost, corrupted = timer.value
+        frame, src_name, dst, start, lost, corrupted = timer._value
         if self.trace is not None and self.params.propagation_delay_s > 0:
             self.trace.record(
                 Activity.PROPAGATE,

@@ -237,3 +237,33 @@ class TestNanIsNotATime:
         with pytest.raises(ValueError):
             store.get(timeout_s=float("nan"))
         assert env.peek() == float("inf")
+
+
+class TestInfinityIsNotADelay:
+    """A timeout at ``inf`` would move the clock to ``inf`` once it
+    fired, and every later ``run(until=t)`` would be "in the past"."""
+
+    def test_timeout(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            env.timeout(float("inf"))
+        assert env.peek() == float("inf")
+
+    def test_timeout_constructed_directly(self):
+        env = Environment()
+        with pytest.raises(ValueError):
+            Timeout(env, float("inf"))
+        assert env.peek() == float("inf")
+
+    def test_satisfied_infinite_get_leaves_the_clock_usable(self):
+        env = Environment()
+        store = Store(env)
+        got = store.get(timeout_s=float("inf"))
+        assert env.peek() == float("inf")   # no deadline armed
+        env.timeout(1.0).add_callback(lambda _: store.try_put("x"))
+        env.run()
+        assert got.value == "x" and env.now == 1.0
+        env.run(until=3.0)
+        later = env.timeout(0.5)
+        env.run()
+        assert later.processed and env.now == 3.5

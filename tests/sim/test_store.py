@@ -1,8 +1,10 @@
 """Unit tests for Store (FIFO queue) semantics."""
 
+import math
+
 import pytest
 
-from repro.sim import Environment, Store
+from repro.sim import EmptySchedule, Environment, Store
 
 
 @pytest.fixture()
@@ -211,14 +213,44 @@ class TestTimedGet:
         got = store.get(timeout_s=2.0)
         env.timeout(1.0).add_callback(lambda _: store.try_put("x"))
         env.run()
-        assert got.value == "x" and env.now == 2.0
+        # The withdrawn deadline leaves the schedule: the run ends at the
+        # last event that did something.
+        assert got.value == "x" and env.now == 1.0
+        assert env.peek() == float("inf")
+
+    def test_peek_sees_a_waiting_deadline_and_not_a_withdrawn_one(self, env):
+        store = Store(env)
+        got = store.get(timeout_s=2.0)
+        assert env.peek() == 2.0
+        store.try_put("x")
+        assert env.peek() == 0.0    # the get's wake-up
+        env.step()
+        assert got.processed and env.peek() == float("inf")
+
+    def test_step_never_runs_a_withdrawn_deadline(self, env):
+        store = Store(env)
+        got = store.get(timeout_s=2.0)
+        late = env.timeout(3.0)
+        store.try_put("x")
+        env.step()              # the get's wake-up, at t=0
+        env.step()              # the timeout at t=3; nothing at t=2
+        assert got.value == "x" and late.processed and env.now == 3.0
+        with pytest.raises(EmptySchedule):
+            env.step()
+
+    def test_infinite_timeout_with_no_item_waits_forever(self, env):
+        store = Store(env)
+        got = store.get(timeout_s=math.inf)
+        env.run()
+        assert not got.triggered and env.now == 0.0
 
     def test_cancelled_timed_get_never_fires(self, env):
         store = Store(env)
         got = store.get(timeout_s=1.0)
         got.cancel()
+        assert env.peek() == float("inf")   # its deadline is withdrawn
         env.run()
-        assert not got.triggered
+        assert not got.triggered and env.now == 0.0
 
     def test_negative_timeout_rejected_even_if_item_is_buffered(self, env):
         store = Store(env)
