@@ -52,10 +52,11 @@ the output is byte-identical for every worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-__all__ = ["main", "build_parser", "add_lint_options"]
+__all__ = ["main", "build_parser"]
 
 
 def _parse_size(text: str) -> int:
@@ -82,6 +83,59 @@ def _parse_address(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"expected HOST:PORT with a port in 1-65535, got {text!r}")
     return host or "127.0.0.1", int(port)
+
+
+def _at_least(minimum: int):
+    """An ``int`` type refusing values below ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _counts(text: str) -> tuple:
+    """Parse 'N[,N...]' into positive ints."""
+    return tuple(_at_least(1)(part) for part in text.split(","))
+
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text}")
+    return value
+
+
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
+
+
+def _fault_plan(text: str):
+    """A builtin fault plan by name; the fault package is imported only
+    when the flag is given."""
+    from .faults.plans import builtin_plan
+
+    try:
+        return builtin_plan(text.strip())
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _fault_plans(text: str) -> list:
+    return [_fault_plan(name) for name in text.split(",")]
 
 
 def _params(name: str):
@@ -128,47 +182,9 @@ def _add_server_options(sub) -> None:
 
 
 def _add_fault_options(sub, plan_help: str) -> None:
-    sub.add_argument("--fault-plan", metavar="NAME", help=plan_help)
+    sub.add_argument("--fault-plan", metavar="NAME", type=_fault_plan,
+                     help=plan_help)
     sub.add_argument("--fault-seed", type=int, default=None)
-
-
-def add_lint_options(parser: argparse.ArgumentParser) -> None:
-    """The options of both ``repro lint`` and ``python -m repro.lint``."""
-    parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src benchmarks)",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select", action="append", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. REP101,REP104)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", metavar="IDS",
-        help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--changed", metavar="REF",
-        help="lint only files changed since the given git ref (plus "
-        "untracked files)",
-    )
-    parser.add_argument(
-        "--paths", dest="path_patterns", metavar="PATTERNS",
-        help="comma-separated fnmatch patterns against package-relative "
-        "paths (e.g. 'service/*,core/wire.py')",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="also write a rule-by-rule count ledger to PATH",
-    )
-    parser.add_argument(
-        "--external", action="store_true",
-        help="additionally run ruff and mypy when installed "
-        "(pip install .[lint]); missing tools are skipped with a notice",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--params", choices=["standalone", "observed", "vkernel", "dbuf"],
         default="standalone",
     )
-    compare.add_argument("--error-p", type=float, default=0.0)
-    compare.add_argument("--runs", type=int, default=1)
+    compare.add_argument("--error-p", type=_probability, default=0.0)
+    compare.add_argument("--runs", type=_at_least(1), default=1)
     compare.add_argument("--seed", type=int, default=0)
 
     table = sub.add_parser("table", help="regenerate a paper table")
@@ -205,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=["stop_and_wait", "sliding_window", "blast"],
         default="blast",
     )
-    timeline.add_argument("--packets", type=int, default=3)
+    timeline.add_argument("--packets", type=_at_least(0), default=3)
     timeline.add_argument("--width", type=int, default=68)
 
     udp = sub.add_parser("udp", help="real UDP transfer (loopback or LAN)")
@@ -228,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full_no_nak", "full_nak", "gobackn", "selective"],
         default="gobackn",
     )
-    send.add_argument("--loss", type=float, default=0.0)
+    send.add_argument("--loss", type=_probability, default=0.0)
     send.add_argument("--seed", type=int, default=0)
 
     regen = sub.add_parser(
@@ -240,9 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (overrides the global --jobs)",
     )
 
-    add_lint_options(sub.add_parser(
+    lint = sub.add_parser(
         "lint", help="replint: determinism & protocol-invariant linter"
-    ))
+    )
+    lint.add_argument(
+        "paths", nargs="*", metavar="PATH",
+        help="files or directories to lint (default: src benchmarks)",
+    )
+    lint.add_argument(
+        "--format", choices=["text", "json"], default="text",
+        help="report format (default: text)",
+    )
+    lint.add_argument(
+        "--select", action="append", metavar="IDS",
+        help="comma-separated rule ids to run exclusively (e.g. REP101,REP104)",
+    )
+    lint.add_argument(
+        "--ignore", action="append", metavar="IDS",
+        help="comma-separated rule ids to skip",
+    )
 
     faults = sub.add_parser(
         "faults", help="run the fault-injection conformance matrix"
@@ -252,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which execution substrate(s) to sweep (default: both)",
     )
     faults.add_argument(
-        "--plans", metavar="NAMES",
+        "--plans", metavar="NAMES", type=_fault_plans,
         help="comma-separated builtin plan names (default: all)",
     )
     faults.add_argument(
@@ -301,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["udp", "des"], default="udp",
         help="real worker processes (udp) or the sharded DES sweep (des)",
     )
-    cluster.add_argument("--workers", type=int, default=2,
+    cluster.add_argument("--workers", type=_at_least(1), default=2,
                         help="udp mode: worker processes (shards)")
-    cluster.add_argument("--clients", type=int, default=8,
+    cluster.add_argument("--clients", type=_at_least(1), default=8,
                         help="udp mode: concurrent pulls to drive")
     cluster.add_argument(
         "--placement", choices=["hash", "reuseport"], default="hash",
@@ -335,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
              "placement-independent byte-stable projection)",
     )
     cluster.add_argument(
-        "--flows", metavar="N[,N...]",
+        "--flows", metavar="N[,N...]", type=_counts,
         help="des mode: comma-separated flow counts "
              "(default: the committed 256..10240 sweep)",
     )
@@ -344,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="des mode: also write the scaling ledger to PATH",
     )
     cluster.add_argument(
-        "--check", metavar="PATH",
+        "--check", metavar="PATH", type=_existing_file,
         help="des mode: diff the ledger against a committed golden",
     )
 
@@ -360,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="udp mode: pull from this already-running service "
              "(default: spawn one in-process)",
     )
-    loadgen.add_argument("--clients", type=int, default=4)
+    loadgen.add_argument("--clients", type=_at_least(1), default=4)
     loadgen.add_argument(
         "--sizes", choices=["fixed", "paper-table", "page-cluster", "file-mix"],
         default="fixed", help="transfer-size workload (repro.workloads)",
@@ -389,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the sweep ledger to PATH",
     )
     congestion.add_argument(
-        "--check", metavar="PATH",
+        "--check", metavar="PATH", type=_existing_file,
         help="diff this run's ledger against a committed golden",
     )
 
     moveto = sub.add_parser("moveto", help="V-kernel MoveTo demo")
     moveto.add_argument("--size", type=_parse_size, default=64 * 1024)
-    moveto.add_argument("--error-p", type=float, default=0.0)
+    moveto.add_argument("--error-p", type=_probability, default=0.0)
     moveto.add_argument(
         "--strategy",
         choices=["full_no_nak", "full_nak", "gobackn", "selective"],
@@ -506,14 +538,32 @@ def _cmd_regen(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .lint.cli import lint_command
+    """Exit 0 clean, 1 violations found, 2 usage error (unknown rule id,
+    missing path)."""
+    from .lint import UsageError, render_json, render_text, run_lint
 
-    return lint_command(args)
+    def ids(values):
+        return [part for value in values or () for part in value.split(",")]
+
+    try:
+        result = run_lint(args.paths or ["src", "benchmarks"],
+                          select=ids(args.select), ignore=ids(args.ignore))
+    except UsageError as exc:
+        print(f"replint: error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(render_json(result) if args.format == "json"
+              else render_text(result))
+    except BrokenPipeError:
+        # A pager or ``head`` closed the pipe: the report is partial by
+        # the reader's choice, so exit on the verdict, not a traceback.
+        sys.stderr.close()
+    return 0 if result.clean else 1
 
 
 def _cmd_faults(args) -> int:
     from .faults.conformance import SUBSTRATES, run_matrix
-    from .faults.plans import builtin_plan, builtin_plan_names
+    from .faults.plans import builtin_plan_names
 
     if args.list_plans:
         from .faults.plans import BUILTIN_PLANS
@@ -524,11 +574,8 @@ def _cmd_faults(args) -> int:
             print(f"{name:18s} budget={budget:>4.0f}  {plan.description}")
         return 0
     substrates = SUBSTRATES if args.substrate == "both" else (args.substrate,)
-    plans = None
-    if args.plans:
-        plans = [builtin_plan(name.strip()) for name in args.plans.split(",")]
     matrix = run_matrix(
-        plans=plans,
+        plans=args.plans,
         substrates=substrates,
         seed=args.seed,
         size_bytes=args.size,
@@ -614,15 +661,10 @@ def _install_stop_handlers(stop) -> None:
 def _cmd_serve(args) -> int:
     from .service import UdpTransferService
 
-    fault_plan = None
-    if args.fault_plan:
-        from .faults.plans import builtin_plan
-
-        fault_plan = builtin_plan(args.fault_plan)
     config = _service_config(args)
     service = UdpTransferService(
         config, bind=(args.host, args.port),
-        fault_plan=fault_plan, fault_seed=args.fault_seed,
+        fault_plan=args.fault_plan, fault_seed=args.fault_seed,
     )
     _install_stop_handlers(service.stop)
     host, port = service.address
@@ -647,10 +689,8 @@ def _cmd_cluster(args) -> int:
     if args.mode == "des":
         from .cluster import CLUSTER_SWEEP_FLOWS, run_cluster_sweep
 
-        flows = CLUSTER_SWEEP_FLOWS
-        if args.flows:
-            flows = tuple(int(part) for part in args.flows.split(","))
-        sweep = run_cluster_sweep(flows=flows, n_jobs=args.jobs)
+        sweep = run_cluster_sweep(flows=args.flows or CLUSTER_SWEEP_FLOWS,
+                                  n_jobs=args.jobs)
         print(sweep.report, end="")
         if not _write_and_check(sweep.report, args):
             return 1
@@ -658,11 +698,6 @@ def _cmd_cluster(args) -> int:
 
     from .cluster import run_udp_cluster
 
-    fault_plan = None
-    if args.fault_plan:
-        from .faults.plans import builtin_plan
-
-        fault_plan = builtin_plan(args.fault_plan)
     config = _service_config(args)
     result = run_udp_cluster(
         workers=args.workers,
@@ -670,7 +705,7 @@ def _cmd_cluster(args) -> int:
         config=config,
         placement=args.placement,
         size_bytes=args.size,
-        fault_plan=fault_plan,
+        fault_plan=args.fault_plan,
         fault_seed=args.fault_seed,
         duration_s=args.duration,
         restart_limit=0 if args.no_restart else 1,

@@ -287,6 +287,7 @@ class ClusterCoordinator:
                     continue
                 if handle.restarts < self.restart_limit \
                         and handle.address is not None:
+                    self._join(handle)  # reap it and close its pipe
                     # Rebind the same port so hash-placement clients
                     # keep reaching the shard without re-resolving.
                     spec = replace(handle.spec, port=handle.address[1])

@@ -12,24 +12,21 @@ REP104    lambdas/closures shipped across the process boundary
 REP105    ``os.environ`` reads outside the configuration boundary
 REP106    float ``==``/``!=`` in analysis formulas
 REP107    mutable default arguments and bare ``except:``
-REP110    attribute creation outside ``__init__`` in slotted classes
 REP111    raw datagram socket I/O outside the batch layer
 REP113    RNG seeds that do not flow from caller-provided data
-REP115    recv-ring ``memoryview`` escaping its batch iteration
-REP116    unjoined worker processes in ``cluster/``
 ========  ==========================================================
 
-Every rule reads one file.  REP108, REP109, REP112, REP114 and REP117
-are retired (see ``docs/static-analysis.md``); protocol totality and
-loops that never block are checked by running them, in
-``tests/service/test_frame_totality.py`` and ``test_loops_never_block.py``.
+Every rule reads one file.  REP108-REP110, REP112 and REP114-REP117
+are retired (see ``docs/static-analysis.md``): what they guarded is
+checked on live objects by tier-1 tests instead — protocol totality,
+loops that never block, ``__slots__`` classes without a ``__dict__``,
+receive-ring views that never outlive their batch, and cluster workers
+that are always joined.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.lint src benchmarks
+    PYTHONPATH=src python -m repro lint                # src and benchmarks
     python -m repro lint --format json --select REP101,REP104
-    python -m repro lint --changed HEAD~1        # pre-commit subset
-    python -m repro lint --paths 'service/*'     # pattern subset
 
 Suppress inline with ``# replint: disable=REP104`` (flagged line) or
 ``# replint: disable-file=REP104`` (whole file).
@@ -42,12 +39,7 @@ from .engine import (
     Violation,
     run_lint,
 )
-from .reporters import (
-    load_report,
-    render_baseline,
-    render_json,
-    render_text,
-)
+from .reporters import render_json, render_text
 from .rules import Rule, all_rules
 
 __all__ = [
@@ -57,8 +49,6 @@ __all__ = [
     "UsageError",
     "Violation",
     "all_rules",
-    "load_report",
-    "render_baseline",
     "render_json",
     "render_text",
     "run_lint",

@@ -65,7 +65,7 @@ class Violation:
     message: str
     fix_hint: str = ""
     #: Rule family (meta/determinism/parallelism/numerics/robustness/
-    #: event-loop/performance) — surfaced in the JSON report.
+    #: performance) — surfaced in the JSON report.
     family: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -132,19 +132,17 @@ def _display_path(path: Path) -> str:
 def _unit_path(root: Path, path: Path) -> str:
     """Package-relative path used for rule scoping.
 
-    ``src/repro/sim/events.py`` → ``sim/events.py`` whichever of ``.``,
-    ``src`` or ``src/repro`` was the lint root; ``benchmarks/foo.py``
-    keeps its ``benchmarks/`` prefix even when the root *is* the
-    benchmarks directory.  Anything else is root-relative, which is what
-    the test fixtures rely on.
+    ``src/repro/sim/events.py`` → ``sim/events.py`` whatever the lint
+    root was (``.``, ``src``, ``src/repro/sim`` or the file itself);
+    ``benchmarks/foo.py`` keeps its ``benchmarks/`` prefix even when the
+    root *is* the benchmarks directory.  Anything else is root-relative,
+    which is what the test fixtures rely on.
     """
+    for package in path.resolve().parents:
+        if package.name == "repro" and (package / "__init__.py").is_file():
+            return path.resolve().relative_to(package).as_posix()
     rel = path.relative_to(root)
     parts = rel.parts
-    if "repro" in parts:
-        index = len(parts) - 1 - parts[::-1].index("repro")
-        return "/".join(parts[index + 1 :])
-    if root.name == "repro":
-        return rel.as_posix()
     if root.name == "benchmarks":
         return "benchmarks/" + rel.as_posix()
     if "benchmarks" in parts:
@@ -252,27 +250,35 @@ def _select_rules(rules, select, ignore, known_ids: Set[str]):
     return active
 
 
+def _unparseable(path: Path, line: int, col: int, why: str) -> Violation:
+    return Violation(
+        path=_display_path(path),
+        line=line,
+        col=col,
+        rule=META_RULE_ID,
+        severity="error",
+        message=f"file does not parse: {why}",
+        fix_hint="fix the syntax error; unparseable files cannot be analysed",
+        family="meta",
+    )
+
+
 def run_lint(
     paths: Sequence,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    rules=None,
-    file_filter=None,
 ) -> LintResult:
     """Lint every python file under ``paths`` and return the result.
 
     ``select``/``ignore`` are iterables of rule ids; naming an unknown id
-    raises :class:`UsageError` (the CLI maps that to exit code 2).
-
-    ``file_filter`` — an optional ``(path, unit) -> bool`` predicate —
-    restricts the run to a subset of discovered files (``--changed``,
-    ``--paths``); every rule reads one file, so a subset run checks
-    those files exactly as a full run would.
+    raises :class:`UsageError` (the CLI maps that to exit code 2).  A
+    file is decoded as Python decodes it (a PEP 263 coding cookie, a
+    UTF-8 BOM, else UTF-8); one that cannot be decoded or parsed is a
+    ``REP100`` finding, not a crash.
     """
-    if rules is None:
-        from .rules import all_rules
+    from .rules import all_rules
 
-        rules = all_rules()
+    rules = all_rules()
     known_ids = {rule.id for rule in rules} | {META_RULE_ID}
     active = _select_rules(rules, select, ignore, known_ids)
 
@@ -280,28 +286,19 @@ def run_lint(
     violations: List[Violation] = []
     files_checked = 0
     for root, path in iter_python_files([Path(p) for p in paths]):
-        if file_filter is not None and not file_filter(
-            path, _unit_path(Path(root), path)
-        ):
-            continue
-        text = path.read_text(encoding="utf-8")
+        source = path.read_bytes()
         files_checked += 1
         try:
+            encoding, _ = tokenize.detect_encoding(io.BytesIO(source).readline)
+            text = source.decode(encoding)
             tree = ast.parse(text, filename=str(path))
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            violations.append(_unparseable(path, line, 0, str(exc)))
+            continue
         except SyntaxError as exc:
-            violations.append(
-                Violation(
-                    path=_display_path(path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule=META_RULE_ID,
-                    severity="error",
-                    message=f"file does not parse: {exc.msg}",
-                    fix_hint="fix the syntax error; unparseable files "
-                    "cannot be analysed",
-                    family="meta",
-                )
-            )
+            violations.append(_unparseable(
+                path, exc.lineno or 1, (exc.offset or 1) - 1, exc.msg))
             continue
         ctx = FileContext(path, Path(root), text, tree)
         violations.extend(_scan_suppressions(ctx, known_ids))

@@ -1,4 +1,4 @@
-"""replint rules REP101–REP116.
+"""replint rules REP101–REP113.
 
 Every rule is a pluggable class with an ``id``, ``severity``,
 ``fix_hint`` and a one-line ``title``; :func:`all_rules` returns one
@@ -10,9 +10,7 @@ engine documents: experiment output must be byte-identical for any
 worker count, any platform, and any ``PYTHONHASHSEED`` — so RNGs are
 always seeded, simulated code never reads the wall clock, hot paths
 never iterate hash-ordered collections, and work shipped to worker
-processes must pickle by reference.  REP110 guards the perf contract
-instead: ``__slots__`` classes on the kernel hot path must not grow
-ad-hoc attributes outside ``__init__``.
+processes must pickle by reference.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ class Rule:
     title: str = ""
     fix_hint: str = ""
     #: Rule family, surfaced in the JSON report: meta, determinism,
-    #: parallelism, numerics, robustness, event-loop, performance.
+    #: parallelism, numerics, robustness, performance.
     family: str = ""
 
     def violation(self, ctx: FileContext, node, message: str) -> Violation:
@@ -559,214 +557,6 @@ class DefensiveDefaultsRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REP110 — attribute creation outside __init__ in __slots__ classes
-# ---------------------------------------------------------------------------
-
-def _literal_slot_names(value) -> Optional[frozenset]:
-    """Statically evaluate a ``__slots__`` assignment; None if dynamic."""
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return frozenset((value.value,))
-    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-        names = []
-        for element in value.elts:
-            if not (
-                isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ):
-                return None
-            names.append(element.value)
-        return frozenset(names)
-    return None
-
-
-def _is_dataclass_slots(classdef: ast.ClassDef) -> bool:
-    """True for ``@dataclass(..., slots=True)`` (Name or dotted form)."""
-    for decorator in classdef.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        func = decorator.func
-        name = (
-            func.id if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name != "dataclass":
-            continue
-        for keyword in decorator.keywords:
-            if (
-                keyword.arg == "slots"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return True
-    return False
-
-
-class _SlottedClass:
-    """What REP110 knows about one class definition."""
-
-    def __init__(self, classdef: ast.ClassDef):
-        self.node = classdef
-        self.slots: Optional[frozenset] = None
-        self.ctor_attrs: set = set()
-        self.bases: List[Optional[str]] = [
-            base.id if isinstance(base, ast.Name) else None
-            for base in classdef.bases
-        ]
-        for stmt in classdef.body:
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-            else:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__slots__":
-                    self.slots = _literal_slot_names(stmt.value)
-        if self.slots is None and _is_dataclass_slots(classdef):
-            # ``@dataclass(slots=True)``: the annotated fields become the
-            # slots the decorator synthesises.
-            self.slots = frozenset(
-                stmt.target.id
-                for stmt in classdef.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            )
-
-
-class SlotsDisciplineRule(Rule):
-    """The kernel's hot classes declare ``__slots__``; creating an
-    attribute that is not a declared slot raises ``AttributeError`` at
-    runtime, and doing it outside ``__init__`` means only some code path
-    hits the crash.  A class opts back into ad-hoc attributes by listing
-    ``"__dict__"`` in its slots (the Environment does, for substrate
-    registries).  Classes whose base chain leaves this file — or has any
-    un-slotted link — are skipped: their instances may own a ``__dict__``
-    the analysis cannot see.
-    """
-
-    id = "REP110"
-    severity = "error"
-    family = "performance"
-    title = "attribute created outside __init__ in a __slots__ class"
-    fix_hint = (
-        "declare the attribute in __slots__ and assign it in __init__ "
-        "(or add \"__dict__\" to __slots__ to opt into ad-hoc attributes)"
-    )
-
-    _SCOPES = ("sim", "core")
-    _CTOR_METHODS = frozenset(("__init__", "__post_init__", "__new__"))
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not any(ctx.in_dir(scope) for scope in self._SCOPES):
-            return
-        classes = {
-            stmt.name: _SlottedClass(stmt)
-            for stmt in ctx.tree.body
-            if isinstance(stmt, ast.ClassDef)
-        }
-        for record in classes.values():
-            self._collect_ctor_attrs(record)
-        for name, record in classes.items():
-            allowed = self._resolve_allowed(name, classes, set())
-            if allowed is None:
-                continue
-            yield from self._check_class(ctx, record, allowed)
-
-    def _collect_ctor_attrs(self, record: _SlottedClass) -> None:
-        """Names assigned on ``self`` inside the class's constructors."""
-        for stmt in record.node.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name in self._CTOR_METHODS
-            ):
-                record.ctor_attrs.update(self._self_assignments(stmt))
-
-    def _resolve_allowed(
-        self, name: str, classes: Dict[str, _SlottedClass], seen: set
-    ) -> Optional[frozenset]:
-        """Slot + constructor-assigned names over the in-file base chain.
-
-        Returns None — meaning "do not check this class" — when any link
-        of the chain is unresolvable, un-slotted, or declares
-        ``__dict__``.
-        """
-        if name in seen:  # inheritance cycle: only in broken code
-            return None
-        seen.add(name)
-        record = classes.get(name)
-        if record is None or record.slots is None or "__dict__" in record.slots:
-            return None
-        allowed = set(record.slots) | record.ctor_attrs
-        for base in record.bases:
-            if base == "object":
-                continue
-            if base is None:
-                return None
-            inherited = self._resolve_allowed(base, classes, seen)
-            if inherited is None:
-                return None
-            allowed |= inherited
-        return frozenset(allowed)
-
-    def _check_class(
-        self, ctx: FileContext, record: _SlottedClass, allowed: frozenset
-    ) -> Iterator[Violation]:
-        for stmt in record.node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if stmt.name in self._CTOR_METHODS:
-                continue
-            if any(
-                isinstance(decorator, ast.Name)
-                and decorator.id in ("staticmethod", "classmethod")
-                for decorator in stmt.decorator_list
-            ):
-                continue
-            for node, attr in self._self_assignment_nodes(stmt):
-                if attr not in allowed:
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"self.{attr} created in "
-                        f"{record.node.name}.{stmt.name}() is not in "
-                        "__slots__ and is never assigned in __init__",
-                    )
-
-    @classmethod
-    def _self_assignments(cls, method) -> set:
-        return {attr for _node, attr in cls._self_assignment_nodes(method)}
-
-    @staticmethod
-    def _self_assignment_nodes(method):
-        """``(node, name)`` for every ``self.name = ...`` in ``method``."""
-        args = method.args.posonlyargs + method.args.args
-        if not args:
-            return
-        self_name = args[0].arg
-        for node in ast.walk(method):
-            if isinstance(node, ast.Assign):
-                targets = []
-                for target in node.targets:
-                    targets.extend(
-                        target.elts
-                        if isinstance(target, (ast.Tuple, ast.List))
-                        else [target]
-                    )
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == self_name
-                ):
-                    yield target, target.attr
-
-
-# ---------------------------------------------------------------------------
 # REP111 — direct datagram I/O outside the batch layer
 # ---------------------------------------------------------------------------
 
@@ -884,323 +674,8 @@ class SeedProvenanceRule(Rule):
         )
 
 
-# ---------------------------------------------------------------------------
-# REP115 — recv-ring buffer escape in service code
-# ---------------------------------------------------------------------------
-
-class BufferEscapeRule(Rule):
-    """``DatagramBatchIO.recv_batch`` yields ``memoryview``\\ s into a
-    preallocated ring that is *recycled on the next drain*: a view that
-    outlives the loop iteration silently aliases future datagrams.  Any
-    ring view stored on ``self``, appended to a container, or returned
-    must first be materialised — ``bytes(view)`` or ``decode(view)``
-    both copy.  The taint analysis is per-function and treats every
-    call as laundering (a copy), so the sanctioned patterns stay quiet.
-    """
-
-    id = "REP115"
-    severity = "error"
-    family = "performance"
-    title = "recv-ring memoryview escapes its batch iteration"
-    fix_hint = (
-        "materialise before storing: bytes(view) or decode(view) copy "
-        "the datagram out of the recycled ring slot"
-    )
-
-    _EXEMPT_UNIT = "service/iobatch.py"
-    _SINK_METHODS = frozenset((
-        "append",
-        "add",
-        "insert",
-        "extend",
-        "appendleft",
-        "put",
-        "put_nowait",
-    ))
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_dir("service") or ctx.unit == self._EXEMPT_UNIT:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
-
-    def _check_function(self, ctx, func) -> Iterator[Violation]:
-        tainted: set = set()
-        yield from self._scan_block(ctx, func.body, tainted)
-
-    def _scan_block(self, ctx, body, tainted) -> Iterator[Violation]:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # nested defs get their own pass
-            yield from self._scan_statement(ctx, stmt, tainted)
-
-    def _scan_statement(self, ctx, stmt, tainted) -> Iterator[Violation]:
-        if isinstance(stmt, ast.Assign):
-            value_tainted = self._tainted_value(stmt.value, tainted)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if value_tainted:
-                        tainted.add(target.id)
-                    else:
-                        tainted.discard(target.id)
-                elif isinstance(target, (ast.Attribute, ast.Subscript)) \
-                        and value_tainted:
-                    yield self.violation(
-                        ctx,
-                        target,
-                        "ring-slot memoryview stored beyond the batch "
-                        "iteration — the slot is recycled on the next "
-                        "recv_batch()",
-                    )
-        elif isinstance(stmt, ast.AugAssign):
-            if isinstance(stmt.target, (ast.Attribute, ast.Subscript)) \
-                    and self._tainted_value(stmt.value, tainted):
-                yield self.violation(
-                    ctx,
-                    stmt.target,
-                    "ring-slot memoryview accumulated into long-lived "
-                    "state — copy with bytes(view) first",
-                )
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            if self._tainted_value(stmt.value, tainted):
-                yield self.violation(
-                    ctx,
-                    stmt.value,
-                    "ring-slot memoryview returned to the caller — it "
-                    "aliases a buffer recycled on the next recv_batch()",
-                )
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            if self._is_batch_source(stmt.iter, tainted):
-                self._taint_loop_target(stmt.target, tainted)
-            yield from self._scan_block(ctx, stmt.body, tainted)
-            yield from self._scan_block(ctx, stmt.orelse, tainted)
-        elif isinstance(stmt, (ast.While, ast.If)):
-            yield from self._scan_block(ctx, stmt.body, tainted)
-            yield from self._scan_block(ctx, stmt.orelse, tainted)
-        elif isinstance(stmt, ast.With):
-            yield from self._scan_block(ctx, stmt.body, tainted)
-        elif isinstance(stmt, ast.Try):
-            for block in (stmt.body, stmt.orelse, stmt.finalbody):
-                yield from self._scan_block(ctx, block, tainted)
-            for handler in stmt.handlers:
-                yield from self._scan_block(ctx, handler.body, tainted)
-        elif isinstance(stmt, ast.Expr):
-            yield from self._check_sink_call(ctx, stmt.value, tainted)
-
-    def _check_sink_call(self, ctx, node, tainted) -> Iterator[Violation]:
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._SINK_METHODS
-        ):
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if self._expr_tainted(arg, tainted):
-                yield self.violation(
-                    ctx,
-                    arg,
-                    f".{node.func.attr}() keeps a ring-slot memoryview "
-                    "alive past the batch iteration — copy it first",
-                )
-
-    # -- taint helpers -----------------------------------------------------
-    @staticmethod
-    def _is_recv_batch_call(node) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "recv_batch"
-        )
-
-    def _is_batch_source(self, node, tainted) -> bool:
-        if self._is_recv_batch_call(node):
-            return True
-        return isinstance(node, ast.Name) and node.id in tainted
-
-    @staticmethod
-    def _taint_loop_target(target, tainted) -> None:
-        """The ring view is the first element of each yielded pair."""
-        if isinstance(target, ast.Name):
-            tainted.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)) and target.elts:
-            first = target.elts[0]
-            if isinstance(first, ast.Name):
-                tainted.add(first.id)
-
-    def _tainted_value(self, node, tainted) -> bool:
-        if self._is_recv_batch_call(node):
-            return True
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            gen = node.generators[0]
-            if self._is_batch_source(gen.iter, tainted):
-                loop_vars = {
-                    n.id
-                    for n in ast.walk(gen.target)
-                    if isinstance(n, ast.Name)
-                }
-                return self._expr_tainted(node.elt, tainted | loop_vars)
-            return False
-        return self._expr_tainted(node, tainted)
-
-    @staticmethod
-    def _expr_tainted(node, tainted) -> bool:
-        """Does the expression carry taint?  Calls launder (they copy)."""
-        stack = [node]
-        while stack:
-            sub = stack.pop()
-            if isinstance(sub, ast.Call):
-                continue
-            if isinstance(sub, ast.Name) and sub.id in tainted:
-                return True
-            stack.extend(ast.iter_child_nodes(sub))
-        return False
-
-
-# ---------------------------------------------------------------------------
-# REP116 — worker-process hygiene in cluster/
-# ---------------------------------------------------------------------------
-
-class ClusterProcessHygieneRule(Rule):
-    """Process objects in ``cluster/`` must be joined.
-
-    A ``multiprocessing.Process`` / ``subprocess.Popen`` constructed and
-    then forgotten (never ``join()``/``wait()``ed, never stored anywhere
-    that outlives the scope) leaks a child and hides its exit code from
-    the failure detector.  Whether a ``Process(target=...)`` pickles
-    under the ``spawn`` start method is REP104's pickling boundary.
-    """
-
-    id = "REP116"
-    severity = "error"
-    family = "parallelism"
-    title = "unjoined worker process in cluster/"
-    fix_hint = (
-        "join()/wait() every spawned process, or hand it to a handle "
-        "that is joined"
-    )
-
-    _PROC_CALLS = {"Process", "Popen"}
-    _JOIN_METHODS = {"join", "wait"}
-
-    def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_dir("cluster"):
-            return
-        yield from self._scan_scope(ctx, ctx.tree.body)
-
-    def _scan_scope(self, ctx, body) -> Iterator[Violation]:
-        yield from self._check_scope(ctx, body)
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                yield from self._scan_scope(ctx, stmt.body)
-
-    def _check_scope(self, ctx, body) -> Iterator[Violation]:
-        spawned: Dict[str, ast.AST] = {}
-        joined: set = set()
-        escaped: set = set()
-        for node in self._scope_nodes(body):
-            if isinstance(node, ast.Expr) and (
-                discarded := self._discarded_proc(node.value)
-            ) is not None:
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"{self._call_name(discarded)} object constructed and "
-                    "discarded — it is never joined and its exit code is "
-                    "lost",
-                )
-            elif isinstance(node, ast.Assign):
-                if self._is_proc_call(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            spawned[target.id] = node.value
-                        else:
-                            escaped |= self._names_in(node.value)
-                elif any(isinstance(t, (ast.Attribute, ast.Subscript,
-                                        ast.Tuple, ast.List))
-                         for t in node.targets):
-                    escaped |= self._names_in(node.value)
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if node.value is not None:
-                    escaped |= self._names_in(node.value)
-            elif isinstance(node, ast.Call):
-                if (isinstance(node.func, ast.Attribute)
-                        and node.func.attr in self._JOIN_METHODS
-                        and isinstance(node.func.value, ast.Name)):
-                    joined.add(node.func.value.id)
-                for arg in node.args:
-                    if isinstance(arg, ast.Name):
-                        escaped.add(arg.id)
-                for keyword in node.keywords:
-                    if isinstance(keyword.value, ast.Name):
-                        escaped.add(keyword.value.id)
-            elif isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-                for elt in node.elts:
-                    if isinstance(elt, ast.Name):
-                        escaped.add(elt.id)
-            elif isinstance(node, ast.Dict):
-                for value in list(node.keys) + list(node.values):
-                    if isinstance(value, ast.Name):
-                        escaped.add(value.id)
-        for name, call in spawned.items():
-            if name not in joined and name not in escaped:
-                yield self.violation(
-                    ctx,
-                    call,
-                    f"{self._call_name(call)} object {name!r} is never "
-                    "join()/wait()ed and never escapes this scope",
-                )
-
-    # -- helpers -----------------------------------------------------------
-    def _discarded_proc(self, node) -> Optional[ast.Call]:
-        """The proc Call discarded by an expression statement, if any.
-
-        Covers the bare ``Process(...)`` and the fire-and-forget
-        ``Process(...).start()`` chain — joining is impossible in both
-        because no reference survives the statement.
-        """
-        if self._is_proc_call(node):
-            return node
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr not in self._JOIN_METHODS
-                and self._is_proc_call(node.func.value)):
-            return node.func.value
-        return None
-
-    def _is_proc_call(self, node) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return func.attr in self._PROC_CALLS
-        return isinstance(func, ast.Name) and func.id in self._PROC_CALLS
-
-    @staticmethod
-    def _call_name(node) -> str:
-        func = node.func
-        return func.attr if isinstance(func, ast.Attribute) else func.id
-
-    @staticmethod
-    def _scope_nodes(body) -> Iterator[ast.AST]:
-        """Every node in this scope, stopping at nested scope boundaries."""
-        stack = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _names_in(node) -> set:
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
 def all_rules() -> List[Rule]:
-    """One instance of every replint rule, REP101..REP116 in order."""
+    """One instance of every replint rule, REP101..REP113 in order."""
     return [
         UnseededRandomRule(),
         WallClockRule(),
@@ -1209,9 +684,6 @@ def all_rules() -> List[Rule]:
         EnvReadRule(),
         FloatEqualityRule(),
         DefensiveDefaultsRule(),
-        SlotsDisciplineRule(),
         DirectSocketIORule(),
         SeedProvenanceRule(),
-        BufferEscapeRule(),
-        ClusterProcessHygieneRule(),
     ]

@@ -1,6 +1,9 @@
 """Unit tests for frame types."""
 
+import functools
+import importlib
 import pickle
+import pkgutil
 from dataclasses import (
     MISSING,
     FrozenInstanceError,
@@ -15,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core
+import repro.sim
 from repro.core import AckFrame, ControlFrame, DataFrame, FrameKind, NakFrame
+from repro.sim import Timeout
 
 
 class TestDataFrame:
@@ -303,3 +309,33 @@ class TestStillAFrozenSlotsDataclass:
     def test_no_instance_dict(self, frame):
         assert not hasattr(frame, "__dict__")
         assert type(frame).__slots__ == tuple(f.name for f in fields(frame))
+        # Nor does any other slotted class of the kernel: a subclass that
+        # forgets ``__slots__`` gets a ``__dict__`` back.
+        slotted, with_a_dict = _slotted_kernel_classes()
+        assert type(frame) in slotted and Timeout in slotted
+        assert with_a_dict == []
+
+
+@functools.lru_cache(maxsize=None)
+def _slotted_kernel_classes():
+    """The classes defined under ``core/`` and ``sim/`` with a slotted
+    class in their MRO, and those of them whose instances still get a
+    ``__dict__`` without a class in the MRO listing ``"__dict__"``."""
+    slotted, with_a_dict = [], []
+    for package in (repro.core, repro.sim):
+        for info in pkgutil.walk_packages(package.__path__,
+                                          package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if not (isinstance(cls, type)
+                        and cls.__module__ == module.__name__):
+                    continue
+                declared = [vars(base)["__slots__"] for base in cls.__mro__
+                            if "__slots__" in vars(base)]
+                if not declared:
+                    continue
+                slotted.append(cls)
+                if cls.__dictoffset__ and not any(
+                        "__dict__" in slots for slots in declared):
+                    with_a_dict.append(cls.__qualname__)
+    return slotted, with_a_dict

@@ -1,7 +1,7 @@
 """REP104 bad fixture: worker processes whose target cannot pickle.
 
-Both processes are joined, so REP116 (join hygiene) stays quiet; the
-``spawn`` start method still has to pickle the target by reference.
+Both processes are joined; the ``spawn`` start method still has to
+pickle the target by reference.
 """
 
 import multiprocessing

@@ -1,28 +1,25 @@
-"""CLI entry points: ``python -m repro.lint`` and ``python -m repro lint``."""
+"""The ``repro lint`` command, in a child process and in-process."""
 
 import json
 import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.cli import main as repro_main
-from repro.lint.cli import main as lint_main
 
 from .conftest import FIXTURES, REPO_ROOT
 
 
-def _run_module(*args, cwd=REPO_ROOT):
+def _run_module(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
-        cwd=cwd,
+        cwd=REPO_ROOT,
         env=env,
     )
 
@@ -52,41 +49,22 @@ class TestModuleEntryPoint:
 
 class TestInProcess:
     def test_json_format(self, capsys):
-        code = lint_main(["--format", "json", str(FIXTURES / "rep106" / "bad")])
+        code = repro_main(["lint", "--format", "json",
+                           str(FIXTURES / "rep106" / "bad")])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["counts"]["REP106"] >= 1
 
     def test_select_and_ignore_combined(self, capsys):
-        code = lint_main(
+        code = repro_main(
             [
+                "lint",
                 "--select", "REP106,REP107",
                 "--ignore", "REP106",
                 str(FIXTURES / "rep106" / "bad"),
             ]
         )
         assert code == 0
-
-    def test_baseline_written(self, tmp_path, capsys):
-        baseline = tmp_path / "ledger" / "baseline.txt"
-        code = lint_main(
-            ["--baseline", str(baseline), str(FIXTURES / "rep101" / "good")]
-        )
-        assert code == 0
-        content = baseline.read_text()
-        assert "REP101 0" in content
-        assert content.endswith("total 0\n")
-
-    def test_external_tools_missing_are_skipped(self, tmp_path, capsys, monkeypatch):
-        # With an empty PATH neither ruff nor mypy resolves; the run must
-        # still succeed and say why.
-        monkeypatch.setenv("PATH", str(tmp_path))
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        code = lint_main(["--external", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "ruff not installed" in out
-        assert "mypy not installed" in out
 
     def test_repro_cli_lint_subcommand(self, capsys):
         code = repro_main(["lint", str(FIXTURES / "rep102" / "bad")])
@@ -100,35 +78,23 @@ class TestInProcess:
 
     def test_same_file_not_linted_twice_for_overlapping_roots(self, capsys):
         root = FIXTURES / "rep106" / "bad"
-        code = lint_main(["--format", "json", str(root), str(root / "analysis")])
+        code = repro_main(["lint", "--format", "json", str(root),
+                           str(root / "analysis")])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["counts"]["REP106"] == 2  # the two lines, once each
 
 
-def _option_table(parser):
-    return sorted(
-        (tuple(action.option_strings), action.dest, action.default,
-         tuple(action.choices or ()), action.nargs)
-        for action in parser._actions
-        if action.dest != "help"
-    )
-
-
 class TestOneDeclaration:
-    def test_both_front_ends_accept_the_same_options(self):
-        from repro.cli import build_parser as repro_parser
-        from repro.lint.cli import build_parser as lint_parser
+    def test_lint_takes_paths_format_select_and_ignore(self):
+        from repro.cli import build_parser
 
-        subparsers = next(action for action in repro_parser()._actions
+        subparsers = next(action for action in build_parser()._actions
                           if action.dest == "command")
-        table = _option_table(lint_parser())
-        assert table == _option_table(subparsers.choices["lint"])
-        assert [row[0] for row in table] == [
-            (), ("--baseline",), ("--changed",), ("--external",),
-            ("--format",), ("--ignore",), ("--paths",),
-            ("--select",),
-        ]
+        lint = subparsers.choices["lint"]
+        assert sorted(tuple(action.option_strings) for action in lint._actions
+                      if action.dest != "help") == [
+            (), ("--format",), ("--ignore",), ("--select",)]
 
     def test_building_the_cli_imports_no_lint_module(self):
         # `repro serve` and friends pay nothing for the lint front end.
@@ -149,68 +115,41 @@ BAD_CLOCK = "import time\n\n\ndef now():\n    return time.time()\n"
 
 
 class TestSubsetSelection:
-    def test_paths_pattern_limits_files(self, tmp_path, capsys):
-        (tmp_path / "sim").mkdir()
-        (tmp_path / "analysis").mkdir()
-        (tmp_path / "sim" / "clock.py").write_text(BAD_CLOCK)
-        (tmp_path / "analysis" / "rng.py").write_text(BAD_RNG)
-        code = lint_main(
-            ["--format", "json", "--paths", "sim/*", str(tmp_path)]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["counts"]["REP102"] == 1
-        assert payload["counts"]["REP101"] == 0  # analysis/ filtered out
-
     def test_a_subset_run_reports_what_a_full_run_does(self, tmp_path,
                                                        capsys):
-        # Every rule reads one file: a subset proves as much as the full
-        # run does about the files it covers.
-        (tmp_path / "sim").mkdir()
-        (tmp_path / "sim" / "clock.py").write_text(BAD_CLOCK)
-        assert lint_main([str(tmp_path)]) == 1
-        full = capsys.readouterr().out
-        assert lint_main(["--paths", "sim/*", str(tmp_path)]) == 1
-        assert capsys.readouterr().out == full
+        # Every rule reads one file, and a file under a ``repro`` package
+        # is scoped by its place in the package whatever the lint root:
+        # linting one file proves as much as the full run does about it.
+        package = tmp_path / "repro"
+        (package / "sim").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "sim" / "clock.py").write_text(BAD_CLOCK)
+        (package / "rng.py").write_text(BAD_RNG)
+        assert repro_main(["lint", "--format", "json", str(tmp_path)]) == 1
+        full = json.loads(capsys.readouterr().out)["violations"]
+        assert {v["rule"] for v in full} == {"REP101", "REP102"}
+        for subset in (package / "sim", package / "sim" / "clock.py"):
+            assert repro_main(["lint", "--format", "json", str(subset)]) == 1
+            assert json.loads(capsys.readouterr().out)["violations"] == [
+                v for v in full if v["rule"] == "REP102"]
 
-    def test_changed_outside_git_repo_exits_two(self, tmp_path):
-        proc = _run_module("--changed", "HEAD", str(tmp_path), cwd=tmp_path)
-        assert proc.returncode == 2
 
-    def test_changed_lints_only_touched_python_files(self, tmp_path):
-        git_env = dict(
-            os.environ,
-            GIT_AUTHOR_NAME="t",
-            GIT_AUTHOR_EMAIL="t@t",
-            GIT_COMMITTER_NAME="t",
-            GIT_COMMITTER_EMAIL="t@t",
-        )
+class TestSourceEncoding:
+    def test_a_coding_cookie_is_honoured(self, tmp_path, capsys):
+        # Valid Python: the interpreter reads it as latin-1.
+        (tmp_path / "names.py").write_bytes(
+            b"# -*- coding: latin-1 -*-\nNAME = 'caf\xe9'\n"
+            b"import random\nDRAW = random.random()\n")
+        assert repro_main(["lint", "--format", "json", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["files_checked"] == 1
+        assert [v["rule"] for v in payload["violations"]] == ["REP101"]
 
-        def git(*args):
-            subprocess.run(
-                ["git", *args],
-                cwd=tmp_path,
-                env=git_env,
-                check=True,
-                capture_output=True,
-            )
-
-        git("init", "-q")
-        (tmp_path / "sim").mkdir()
-        (tmp_path / "sim" / "clock.py").write_text("x = 1\n")
-        (tmp_path / "legacy.py").write_text(BAD_RNG)
-        (tmp_path / "notes.txt").write_text("not python\n")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-        # Touch one tracked file and add one untracked file; the legacy
-        # REP101 violation must NOT appear in a --changed run.
-        (tmp_path / "sim" / "clock.py").write_text(BAD_CLOCK)
-        (tmp_path / "fresh.py").write_text("y = 2\n")
-
-        proc = _run_module("--changed", "HEAD", "--format", "json",
-                           str(tmp_path), cwd=tmp_path)
-        payload = json.loads(proc.stdout)
-        assert proc.returncode == 1
-        assert payload["counts"]["REP102"] == 1
-        assert payload["counts"]["REP101"] == 0
-        assert payload["files_checked"] == 2  # sim/clock.py + fresh.py
+    def test_an_undecodable_file_is_reported_not_raised(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        (tmp_path / "stray.py").write_bytes(b"x = 1\ny = '\xff\xff'\n")
+        assert repro_main(["lint", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "stray.py:2:0: REP100 [error] file does not parse:" in out
+        assert "1 violation(s) in 2 files" in out

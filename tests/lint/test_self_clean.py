@@ -10,12 +10,11 @@ import ast
 
 import pytest
 
-from repro.lint import render_baseline, render_text, run_lint
+from repro.lint import render_text, run_lint
 
 from .conftest import REPO_ROOT
 
 LINTED_ROOTS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
-BASELINE = REPO_ROOT / "benchmarks" / "results" / "lint_baseline.txt"
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +34,6 @@ def test_whole_tree_was_scanned(tree_result):
     # Sanity-check the guard has teeth: the tree is ~120 files; a broken
     # file-discovery walk silently passing would defeat the test above.
     assert tree_result.files_checked >= 60
-
-
-def test_lint_baseline_file_is_current(tree_result):
-    expected = render_baseline(tree_result)
-    assert BASELINE.read_text() == expected, (
-        "benchmarks/results/lint_baseline.txt is stale; regenerate with\n"
-        "  PYTHONPATH=src python -m repro.lint "
-        "--baseline benchmarks/results/lint_baseline.txt src benchmarks"
-    )
 
 
 def _imported_modules(tree):

@@ -54,6 +54,35 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "expected HOST:PORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--plans", "bogus"],
+        ["faults", "--plans", "drop-replies,"],
+        ["serve", "--fault-plan", "bogus"],
+        ["cluster", "--fault-plan", "bogus"],
+        ["congestion", "--check", "/nonexistent/golden.txt"],
+        ["cluster", "--mode", "des", "--flows", "4",
+         "--check", "/nonexistent/golden.txt"],
+        ["loadgen", "--clients", "0"],
+        ["cluster", "--workers", "0"],
+        ["cluster", "--clients", "0"],
+        ["cluster", "--mode", "des", "--flows", "0"],
+        ["compare", "--runs", "0"],
+        ["timeline", "--packets", "-1"],
+        ["compare", "--error-p", "2"],
+        ["moveto", "--error-p", "2"],
+        ["udp", "send", "127.0.0.1:9", "--loss", "2"],
+    ], ids=" ".join)
+    def test_a_bad_value_is_a_usage_error(self, argv, capsys):
+        # Refused while parsing: one error line, no traceback, and
+        # nothing run, bound or spawned first.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if ": error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro {argv[0]}")
+
     def test_addresses_parse_to_socket_addresses(self):
         parser = build_parser()
         send = parser.parse_args(["udp", "send", "10.0.0.2:47000"])
