@@ -30,10 +30,10 @@ LEDGER = ROOT / "benchmarks" / "results" / "reach_audit.txt"
 CALLERS = ("src", "benchmarks", "layerbench", "examples", "tests")
 FORWARDERS = {"dict", "update", "replace", "partial"}
 CLI = """compare --size 8K --error-p 0.01 --runs 4|table 1|table 2|table 3|figure 3|figure 4
-figure 5|figure 6|timeline --protocol blast --packets 3|regen --out {tmp}/regen|lint|congestion
+figure 5|figure 6|timeline --protocol blast --packets 3|regen --out {tmp}/regen|congestion
 moveto --size 8K --error-p 1e-4
 faults --substrate des --plans drop-replies,dup-burst|loadgen --mode udp --clients 2
-loadgen --clients 4 --policy auto --sizes page-cluster|cluster --mode des --flows 256,512
+loadgen --clients 4 --congestion auto --sizes page-cluster|cluster --mode des --flows 256,512
 cluster --workers 2 --clients 4""".replace("\n", "|")
 
 reached, context = {}, ["import"]  # (file, first line) -> {contexts}

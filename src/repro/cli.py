@@ -9,7 +9,6 @@ timeline  ASCII timeline of one transfer (the Figure 3 view)
 udp       real-socket transfer over UDP loopback (recv / send)
 regen     regenerate every paper table/figure into a directory
 moveto    V-kernel MoveTo demonstration
-lint      replint static analysis (determinism & protocol invariants)
 faults    fault-injection conformance matrix across DES and UDP
 serve     concurrent transfer service on one UDP endpoint
 cluster   sharded multi-process service cluster (UDP or DES)
@@ -29,7 +28,6 @@ Examples
     python -m repro udp send 127.0.0.1:47000 --size 65536 --loss 0.05
     python -m repro regen --jobs 4
     python -m repro moveto --size 65536 --error-p 1e-4
-    python -m repro lint src benchmarks --format json
     python -m repro --jobs 4 faults
     python -m repro faults --substrate des --plans drop-replies,dup-burst
     python -m repro faults --list-plans
@@ -39,7 +37,7 @@ Examples
     python -m repro cluster --workers 4 --clients 16 --policy rr --report table
     python -m repro cluster --placement reuseport --workers 2 --clients 8
     python -m repro --jobs 4 cluster --mode des --check benchmarks/results/cluster_scaling.txt
-    python -m repro loadgen --clients 8 --policy auto --report table
+    python -m repro loadgen --clients 8 --congestion auto --report table
     python -m repro --jobs 4 congestion --check benchmarks/results/congestion_sweep.txt
     python -m repro loadgen --clients 16 --arrivals poisson --report table
     python -m repro loadgen --mode udp --clients 3 --server 127.0.0.1:47000
@@ -98,6 +96,15 @@ def _at_least(minimum: int):
                 f"must be >= {minimum}, got {value}")
         return value
     return parse
+
+
+def _port(text: str) -> int:
+    """A port to bind: 0 (any free port) to 65535."""
+    value = _at_least(0)(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in 0-65535, got {value}")
+    return value
 
 
 def _counts(text: str) -> tuple:
@@ -162,10 +169,8 @@ def _add_service_options(sub, congestion_help: str) -> None:
         "--protocol", choices=["blast", "sliding", "saw"], default="blast"
     )
     sub.add_argument(
-        "--policy", choices=["fifo", "rr", "copy-budget", "auto"],
-        default="fifo",
-        help="scheduler policy; 'auto' keeps fifo scheduling and turns "
-             "on the per-transfer protocol auto-tuner",
+        "--policy", choices=["fifo", "rr", "copy-budget"], default="fifo",
+        help="scheduler policy",
     )
     sub.add_argument(
         "--congestion", choices=["fixed", "reno", "auto"], default=None,
@@ -175,9 +180,9 @@ def _add_service_options(sub, congestion_help: str) -> None:
 
 def _add_server_options(sub) -> None:
     """The ``ServiceConfig`` knobs of the commands that start a server."""
-    sub.add_argument("--max-active", type=int, default=8)
-    sub.add_argument("--max-queue", type=int, default=64)
-    sub.add_argument("--window", type=int, default=4)
+    sub.add_argument("--max-active", type=_at_least(1), default=8)
+    sub.add_argument("--max-queue", type=_at_least(0), default=64)
+    sub.add_argument("--window", type=_at_least(1), default=4)
     sub.add_argument("--seed", type=int, default=7)
 
 
@@ -227,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     udp = sub.add_parser("udp", help="real UDP transfer (loopback or LAN)")
     udp_sub = udp.add_subparsers(dest="udp_command", required=True)
     recv = udp_sub.add_parser("recv", help="receive one transfer")
-    recv.add_argument("--port", type=int, default=0)
+    recv.add_argument("--port", type=_port, default=0)
     recv.add_argument("--host", default="127.0.0.1")
     recv.add_argument(
         "--protocol", choices=["blast", "perpacket"], default="blast"
@@ -254,26 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     regen.add_argument(
         "--jobs", type=int, default=None, dest="regen_jobs", metavar="N",
         help="worker processes (overrides the global --jobs)",
-    )
-
-    lint = sub.add_parser(
-        "lint", help="replint: determinism & protocol-invariant linter"
-    )
-    lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src benchmarks)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--select", action="append", metavar="IDS",
-        help="comma-separated rule ids to run exclusively (e.g. REP101,REP104)",
-    )
-    lint.add_argument(
-        "--ignore", action="append", metavar="IDS",
-        help="comma-separated rule ids to skip",
     )
 
     faults = sub.add_parser(
@@ -307,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the concurrent transfer service on UDP"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0)
+    serve.add_argument("--port", type=_port, default=0)
     _add_service_options(serve, _CONGESTION_HELP_TUNER)
     _add_server_options(serve)
     serve.add_argument(
@@ -485,9 +470,15 @@ def _cmd_timeline(args) -> int:
         params=NetworkParams.standalone(propagation_delay_s=0.0),
         trace=trace,
     )
+    try:
+        timeline = trace.render_ascii(width=args.width)
+    except ValueError as exc:   # the narrowest width depends on the trace
+        print(f"repro timeline: error: argument --width: {exc}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
     print(f"{args.protocol}, N={args.packets}  "
           "('#' = processor copy, '=' = wire)")
-    print(trace.render_ascii(width=args.width))
+    print(timeline)
     return 0
 
 
@@ -535,30 +526,6 @@ def _cmd_regen(args) -> int:
         print(f"wrote {path}")
     print(f"{len(written)} artifacts regenerated")
     return 0
-
-
-def _cmd_lint(args) -> int:
-    """Exit 0 clean, 1 violations found, 2 usage error (unknown rule id,
-    missing path)."""
-    from .lint import UsageError, render_json, render_text, run_lint
-
-    def ids(values):
-        return [part for value in values or () for part in value.split(",")]
-
-    try:
-        result = run_lint(args.paths or ["src", "benchmarks"],
-                          select=ids(args.select), ignore=ids(args.ignore))
-    except UsageError as exc:
-        print(f"replint: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        print(render_json(result) if args.format == "json"
-              else render_text(result))
-    except BrokenPipeError:
-        # A pager or ``head`` closed the pipe: the report is partial by
-        # the reader's choice, so exit on the verdict, not a traceback.
-        sys.stderr.close()
-    return 0 if result.clean else 1
 
 
 def _cmd_faults(args) -> int:
@@ -617,22 +584,11 @@ def _write_and_check(report: str, args) -> bool:
 
 
 def _service_config(args):
-    """Build a ServiceConfig from serve/loadgen flags.
-
-    ``--policy auto`` is sugar for the per-transfer tuner: the scheduler
-    falls back to fifo and the congestion controller becomes ``auto``
-    (an explicit ``--congestion`` still wins).
-    """
+    """Build a ServiceConfig from serve/cluster/loadgen flags."""
     from .service import ServiceConfig
 
-    policy = args.policy
-    congestion = args.congestion
-    if policy == "auto":
-        policy = "fifo"
-        if congestion is None:
-            congestion = "auto"
-    kwargs = dict(protocol=args.protocol, policy=policy,
-                  congestion=congestion or "fixed")
+    kwargs = dict(protocol=args.protocol, policy=args.policy,
+                  congestion=args.congestion or "fixed")
     if hasattr(args, "max_active"):
         kwargs.update(max_active=args.max_active, max_queue=args.max_queue,
                       window=args.window, seed=args.seed)
@@ -832,7 +788,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "udp": _cmd_udp,
         "regen": _cmd_regen,
         "moveto": _cmd_moveto,
-        "lint": _cmd_lint,
         "faults": _cmd_faults,
         "serve": _cmd_serve,
         "cluster": _cmd_cluster,

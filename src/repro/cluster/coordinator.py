@@ -1,8 +1,9 @@
 """The multi-process cluster coordinator and its worker entrypoint.
 
 One :class:`ClusterCoordinator` spawns N worker processes (``spawn``
-start method — the entrypoint must pickle by reference, which replint
-REP104 enforces for every ``Process(target=...)``).  Each worker runs
+start method — the entrypoint must pickle by reference, which
+``tests/lint/test_source_rules.py`` checks for every
+``Process(target=...)``).  Each worker runs
 the existing readiness-loop :class:`~repro.service.udpservice
 .UdpTransferService` around its own ``ServiceCore`` and talks to the
 coordinator over a :func:`multiprocessing.Pipe` control channel:
@@ -82,7 +83,7 @@ class WorkerSpec:
 
 
 def cluster_worker_main(spec: WorkerSpec, conn) -> None:
-    """Worker process entrypoint (module-level: spawn-safe, REP104).
+    """Worker process entrypoint (module-level, so spawn can pickle it).
 
     SIGTERM/SIGINT ask the serve loop to stop; the loop drains in-flight
     grants before returning, and the final metrics report is always

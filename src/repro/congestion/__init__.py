@@ -30,8 +30,8 @@ This package breaks them behind one pluggable seam:
 Everything in this package is substrate-free and deterministic: no
 clock reads, no RNG, no I/O — callers supply ``now`` and carry frames,
 which is what lets the same controller instance run under the DES
-simulator and on real UDP sockets and lets replint hold the package to
-the deterministic-layer rules (REP102/REP113).
+simulator and on real UDP sockets.  ``tests/lint/test_source_rules.py``
+holds the package to that: no wall-clock reads, no constant seeds.
 """
 
 from .controller import (

@@ -27,7 +27,8 @@ The loss estimate is an EWMA over completed transfers of
 frames offered, the only loss signal every protocol in the family
 exposes.  No RNG, no clock: the tuner is deterministic given the
 transfer history, which is what keeps auto-tuned ledgers byte-stable
-(replint REP113 holds this package to seed-provenance rules).
+(``tests/lint/test_source_rules.py`` refuses a seed that does not flow
+in from the caller).
 """
 
 from __future__ import annotations

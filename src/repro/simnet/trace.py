@@ -181,11 +181,17 @@ class TraceRecorder:
 
         One row per (actor, kind); time maps linearly onto ``width``
         columns.  Copy activity renders as ``#``, transmissions as ``=``.
+        Raises ``ValueError`` when the scale under the rows (``0``, a
+        space and the elapsed time) does not fit in ``width`` columns.
         """
         if not self.spans:
             return "(empty trace)"
         actors = list(actors) if actors is not None else self.actors()
         horizon = self.end_time or 1.0
+        elapsed = f"{horizon * 1e3:.2f} ms"
+        if width < len(elapsed) + 2:
+            raise ValueError(f"this trace needs a width of at least "
+                             f"{len(elapsed) + 2}, got {width}")
         glyphs = {
             Activity.COPY_IN: "#",
             Activity.COPY_OUT: "#",
@@ -209,6 +215,6 @@ class TraceRecorder:
                     for col in range(lo, max(hi, lo + 1)):
                         row[col] = glyphs.get(kind, "?")
                 lines.append(f"{f'{actor} {kind}':<{label_width}} |{''.join(row)}|")
-        scale = f"{'':<{label_width}}  0{'':>{width - 12}}{horizon * 1e3:8.2f} ms"
+        scale = f"{'':<{label_width}}  0{elapsed:>{width - 1}}"
         lines.append(scale)
         return "\n".join(lines)

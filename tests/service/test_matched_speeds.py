@@ -13,8 +13,8 @@ import json
 import selectors
 import socket
 import threading
-import time
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import pytest
 
@@ -520,6 +520,49 @@ def body_frames(stream, size):
         service_payload(SEED, stream, size), KIB))
 
 
+def queued_datagrams(sock):
+    sock.setblocking(False)
+    datagrams = []
+    while True:
+        try:
+            datagrams.append(sock.recv(65536))
+        except BlockingIOError:
+            return datagrams
+
+
+class FakeClock:
+    """Stands in for ``clientpump``'s ``time``: it starts at 0 and moves
+    only while the pump waits."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def pump_clock(monkeypatch):
+    """Run the pump on a :class:`FakeClock`.  Its selector polls the real
+    sockets without blocking; when nothing is ready, ``select(wait)``
+    advances the clock by ``wait`` instead of sleeping.  Timer checks
+    then see the instants the pump itself chose, whatever the load on
+    the machine."""
+    clock = FakeClock()
+
+    class Selector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            ready = super().select(0)
+            if not ready:
+                clock.now += timeout
+            return ready
+
+    monkeypatch.setattr(clientpump, "time", clock)
+    monkeypatch.setattr(clientpump, "selectors", SimpleNamespace(
+        DefaultSelector=Selector, EVENT_READ=selectors.EVENT_READ))
+    return clock
+
+
 class CountingSelector(selectors.DefaultSelector):
     rounds = 0
 
@@ -583,48 +626,36 @@ class TestPumpCounts:
         assert set(wakeup) <= {target.stream_id}    # 256 clients at the parent
         assert len(wakeup) <= 4
 
-    def sends_seen_by(self, server, until_s):
-        """``(arrival time, frame bytes)`` of everything the pump sends."""
-        seen = []
-        origin = time.monotonic()
-        server.settimeout(0.02)
-        while time.monotonic() - origin < until_s:
-            try:
-                seen.append((time.monotonic() - origin,
-                             server.recvfrom(65536)[0]))
-            except socket.timeout:
-                pass
-        return seen
+    def test_retries_fire_within_one_wait_of_their_deadline(
+            self, pump_clock, monkeypatch):
+        staged = []
+        stage = clientpump._PumpClient._stage
 
-    def run_in_thread(self, pump):
-        out = {}
-        thread = threading.Thread(
-            target=lambda: out.update(pump.run(overall_timeout_s=10.0)),
-            daemon=True)
-        thread.start()
-        return thread, out
+        def recording(client, frames, now):
+            frames = list(frames)
+            staged.extend((client.stream_id, now) for _ in frames)
+            stage(client, frames, now)
 
-    def test_retries_fire_within_one_wait_of_their_deadline(self):
+        monkeypatch.setattr(clientpump._PumpClient, "_stage", recording)
         server = scripted_server()
         pump = UdpClientPump(server.getsockname(), [4096, 4096],
                              pull_timeout_s=0.2, pull_retries=3)
         try:
-            thread, results = self.run_in_thread(pump)
-            seen = self.sends_seen_by(server, 0.75)
-            thread.join(timeout=5.0)
+            results = pump.run(overall_timeout_s=10.0)
+            assert len(queued_datagrams(server)) == 6   # three per client
         finally:
             server.close()
-        assert not thread.is_alive()
-        assert len(seen) == 6               # two clients, three sends each
         for stream in (1, 2):
+            sent = [at for client, at in staged if client == stream]
+            assert len(sent) == 3
+            for at, deadline in zip(sent, [0.0, 0.2, 0.4]):
+                assert deadline - 1e-9 <= at <= deadline + _MAX_WAIT_S
             assert results[stream].status == "no-response"
-            assert 0.6 <= results[stream].elapsed_s <= 0.6 + 3 * _MAX_WAIT_S
-        for sent_at, expected in zip(sorted(at for at, _ in seen),
-                                     [0.0, 0.0, 0.2, 0.2, 0.4, 0.4]):
-            assert expected <= sent_at + 0.02
-            assert sent_at <= expected + 2 * _MAX_WAIT_S + 0.05
+            assert 0.6 - 1e-9 <= results[stream].elapsed_s \
+                <= 0.6 + _MAX_WAIT_S
 
-    def test_a_stall_is_called_within_one_wait_of_its_deadline(self):
+    def test_a_stall_is_called_within_one_wait_of_its_deadline(
+            self, pump_clock):
         server = scripted_server()
         pump = UdpClientPump(server.getsockname(), [4096],
                              recv_timeout_s=0.3)
@@ -637,9 +668,10 @@ class TestPumpCounts:
         finally:
             server.close()
         assert results[1].status == "stalled"
-        assert 0.3 <= results[1].elapsed_s <= 0.3 + 2 * _MAX_WAIT_S
+        assert 0.3 - 1e-9 <= results[1].elapsed_s <= 0.3 + _MAX_WAIT_S
 
-    def test_the_short_linger_is_not_held_up_by_the_long_stall_timer(self):
+    def test_the_short_linger_is_not_held_up_by_the_long_stall_timer(
+            self, pump_clock):
         # The one deadline that moves *earlier*: a completed pull swaps
         # its recv_timeout_s quiet period for linger_s.
         server = scripted_server()
@@ -649,13 +681,11 @@ class TestPumpCounts:
         try:
             for frame in [verdict(1, 4096, 4)] + body_frames(1, 4096):
                 server.sendto(encode(frame), client.sock.getsockname())
-            began = time.monotonic()
             results = pump.run(overall_timeout_s=10.0)
-            took = time.monotonic() - began
         finally:
             server.close()
         assert results[1].ok
-        assert 0.1 <= took <= 0.1 + 2 * _MAX_WAIT_S + 0.05
+        assert 0.1 - 1e-9 <= pump_clock.now <= 0.1 + _MAX_WAIT_S
 
 
 # -- loopback acceptance ----------------------------------------------------------------

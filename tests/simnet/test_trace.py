@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet import Activity, Span, TraceRecorder, total_overlap
+from repro.core import run_transfer
+from repro.simnet import (
+    Activity,
+    NetworkParams,
+    Span,
+    TraceRecorder,
+    total_overlap,
+)
 
 
 class TestSpan:
@@ -120,3 +127,18 @@ class TestTraceRecorder:
         assert "sender copy_in" in art
         assert "#" in art
         assert "=" in art
+
+    @pytest.mark.parametrize("packets, elapsed, narrowest", [
+        (3, "8.25 ms", 9), (64, "140.57 ms", 11)])
+    def test_render_ascii_refuses_a_width_its_scale_cannot_fit(
+            self, packets, elapsed, narrowest):
+        # The scale under the rows reads "0 <elapsed>", so how narrow a
+        # timeline may be depends on how long the transfer took.
+        trace = TraceRecorder()
+        run_transfer("blast", bytes(packets * 1024), trace=trace,
+                     params=NetworkParams.standalone(propagation_delay_s=0.0))
+        *rows, scale = trace.render_ascii(width=narrowest).splitlines()
+        assert scale.endswith(f"0 {elapsed}")
+        assert len(scale) == len(rows[0]) - 1   # ends in the last column
+        with pytest.raises(ValueError, match=f"at least {narrowest}, got"):
+            trace.render_ascii(width=narrowest - 1)

@@ -71,10 +71,21 @@ class TestParser:
         ["compare", "--error-p", "2"],
         ["moveto", "--error-p", "2"],
         ["udp", "send", "127.0.0.1:9", "--loss", "2"],
+        ["serve", "--max-active", "0"],
+        ["serve", "--window", "0"],
+        ["serve", "--max-queue", "-1"],
+        ["cluster", "--max-active", "0"],
+        ["cluster", "--window", "0"],
+        ["cluster", "--max-queue", "-1"],
+        ["serve", "--port", "70000"],
+        ["udp", "recv", "--port", "70000"],
+        ["timeline", "--width", "0"],
+        ["timeline", "--width", "8"],
     ], ids=" ".join)
     def test_a_bad_value_is_a_usage_error(self, argv, capsys):
-        # Refused while parsing: one error line, no traceback, and
-        # nothing run, bound or spawned first.
+        # One error line and no traceback.  Refused while parsing, so
+        # nothing is bound or spawned first; only the timeline's width
+        # waits for the trace, whose elapsed time sets the narrowest.
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
