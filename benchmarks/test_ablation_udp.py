@@ -4,32 +4,27 @@ Absolute loopback numbers are Python-interpreter-bound (noted in the
 reproduction bands), so this bench asserts only *protocol orderings* and
 correctness: blast completes in one round trip of replies where
 stop-and-wait needs one per packet, and everything survives injected
-loss.
+loss.  Each transfer is one pull from the transfer service: the body
+leaves the server, the replies leave the client.
 """
 
-import threading
+import json
 
 from repro.bench.tables import ExperimentTable
-from repro.simnet import BernoulliErrors
-from repro.udpnet import UdpTransfer
+from repro.faults import FaultPlan, FaultRule
+from repro.service import ServiceConfig, run_udp_loadgen
 
-DATA = bytes(64 * 1024)
+SIZE = 64 * 1024
+PACKETS = SIZE // 1024
 
 
-def transfer(error_model=None, **choice):
-    """One transfer; ``choice`` (protocol/strategy) goes to both ends."""
-    box = {}
-    with UdpTransfer() as receiver, UdpTransfer(
-        error_model=error_model
-    ) as sender:
-        thread = threading.Thread(
-            target=lambda: box.update(received=receiver.serve_one(**choice)),
-            daemon=True,
-        )
-        thread.start()
-        sent = sender.send(DATA, receiver.address, **choice)
-        thread.join(timeout=60)
-    return sent, box["received"]
+def transfer(fault_plan=None, protocol="blast", strategy="gobackn"):
+    """One pull of ``SIZE`` bytes; returns (pull, server report)."""
+    config = ServiceConfig(protocol=protocol, strategy=strategy,
+                           window=PACKETS + 1, timeout_s=0.1, max_rounds=200)
+    result = run_udp_loadgen(1, config=config, size_bytes=SIZE,
+                             fault_plan=fault_plan)
+    return result.pulls[1], json.loads(result.report_json)
 
 
 def udp_comparison() -> ExperimentTable:
@@ -43,19 +38,16 @@ def udp_comparison() -> ExperimentTable:
         return min((transfer(**choice) for _ in range(n)),
                    key=lambda pair: pair[0].elapsed_s)
 
-    saw_sent, saw_received = best_of(3, protocol="saw")
-    blast_sent, blast_received = best_of(
-        3, protocol="blast", strategy="gobackn")
-    for name, sent, received in (
-        ("stop_and_wait", saw_sent, saw_received),
-        ("blast gobackn", blast_sent, blast_received),
-    ):
+    for name, choice in (("stop_and_wait", {"protocol": "saw"}),
+                         ("blast gobackn", {"strategy": "gobackn"})):
+        pull, report = best_of(3, **choice)
         table.add_row(
             name,
-            f"{sent.elapsed_s * 1e3:.1f}",
-            sent.data_frames_sent,
-            received.reply_frames_sent,
-            received.data == DATA,
+            f"{pull.elapsed_s * 1e3:.1f}",
+            report["transfers"][0]["data_frames"],
+            # Everything the server took in but the one pull request.
+            report["io"]["datagrams_in"] - 1,
+            pull.ok,
         )
     return table
 
@@ -77,11 +69,13 @@ def test_udp_lossless_ordering(benchmark, save_result):
 
 
 def test_udp_blast_under_loss(benchmark):
-    def lossy_blast():
-        return transfer(BernoulliErrors(0.05, seed=2),
-                        protocol="blast", strategy="selective")
+    loss = FaultPlan(name="loss-5%", seed=2, rules=(FaultRule(
+        action="drop", kinds=("data",), direction="send", probability=0.05),))
 
-    sent, received = benchmark.pedantic(lossy_blast, rounds=1, iterations=1)
-    assert sent.ok
-    assert received.data == DATA
-    assert sent.retransmissions > 0
+    def lossy_blast():
+        return transfer(loss, strategy="selective")
+
+    pull, report = benchmark.pedantic(lossy_blast, rounds=1, iterations=1)
+    assert pull.ok  # every byte compared against the body
+    assert report["transfers"][0]["ok"]
+    assert report["transfers"][0]["retransmits"] > 0

@@ -3,59 +3,62 @@
 
 Same frame format and the same protocol machines the transfer service
 runs under the simulator — but actual datagrams through the kernel's
-UDP stack, with loss injected at the sender.  Absolute numbers are
-Python-bound; the *shape* (blast needs one reply, stop-and-wait needs one
-per packet, selective retransmission wastes the fewest frames) is the
-point.
+UDP stack, with loss injected at the server's socket.  Each transfer is
+one pull: a small request, then the 64 KB body.  Absolute numbers are
+Python-bound; the *shape* (blast needs one reply, stop-and-wait needs
+one per packet, selective retransmission wastes the fewest frames) is
+the point.
+
+For the same transfer between two processes, start a server with
+``python -m repro serve --once 1`` and pull from it with
+``python -m repro loadgen --mode udp --clients 1 --size 64K --server HOST:PORT``.
 
 Run:  python examples/udp_blast_demo.py
 """
 
-import threading
+import json
 
-from repro.simnet import BernoulliErrors
-from repro.udpnet import UdpTransfer
+from repro.faults import FaultPlan, FaultRule
+from repro.service import ServiceConfig, run_udp_loadgen
 
-DATA = bytes(i % 251 for i in range(64 * 1024))  # 64 KB of patterned bytes
-
-
-def transfer(error_model=None, **choice):
-    """One transfer; ``choice`` (protocol/strategy) goes to both ends."""
-    box = {}
-    with UdpTransfer() as rx, UdpTransfer(error_model=error_model) as tx:
-        thread = threading.Thread(
-            target=lambda: box.update(received=rx.serve_one(**choice)),
-            daemon=True,
-        )
-        thread.start()
-        sent = tx.send(DATA, rx.address, **choice)
-        thread.join(timeout=60)
-    return sent, box["received"]
+SIZE = 64 * 1024  # 64 packets of 1 KB
 
 
-def show(label, sent, received):
-    intact = "intact" if received.data == DATA else "CORRUPT"
-    print(f"  {label:<28s} {sent.elapsed_s * 1e3:7.1f} ms  "
-          f"{sent.data_frames_sent:4d} data frames  "
-          f"{received.reply_frames_sent:3d} replies  "
-          f"{sent.retransmissions:3d} retx  [{intact}]")
+def loss(seed):
+    """Lose 5% of the data datagrams the server sends."""
+    return FaultPlan(name="loss-5%", seed=seed, rules=(FaultRule(
+        action="drop", kinds=("data",), direction="send", probability=0.05),))
+
+
+def show(label, fault_plan=None, **choice):
+    config = ServiceConfig(window=SIZE // 1024 + 1, timeout_s=0.1,
+                           max_rounds=200, **choice)
+    result = run_udp_loadgen(1, config=config, size_bytes=SIZE,
+                             fault_plan=fault_plan)
+    pull = result.pulls[1]
+    report = json.loads(result.report_json)
+    sent = report["transfers"][0]
+    replies = report["io"]["datagrams_in"] - 1  # all but the pull request
+    intact = "intact" if pull.ok else "CORRUPT"
+    print(f"  {label:<28s} {pull.elapsed_s * 1e3:7.1f} ms  "
+          f"{sent['data_frames']:4d} data frames  "
+          f"{replies:3d} replies  "
+          f"{sent['retransmits']:3d} retx  [{intact}]")
 
 
 def main() -> None:
-    print(f"Transferring {len(DATA) // 1024} KB over UDP loopback "
-          f"({len(DATA) // 1024} packets of 1 KB)\n")
+    print(f"Transferring {SIZE // 1024} KB over UDP loopback "
+          f"({SIZE // 1024} packets of 1 KB)\n")
 
     print("Lossless:")
-    show("stop-and-wait", *transfer(protocol="saw"))
-    show("blast (gobackn)", *transfer(protocol="blast", strategy="gobackn"))
+    show("stop-and-wait", protocol="saw")
+    show("blast (gobackn)", protocol="blast", strategy="gobackn")
 
     print("\nWith 5% injected datagram loss:")
-    for strategy in ("full_nak", "gobackn", "selective"):
-        loss = BernoulliErrors(0.05, seed=hash(strategy) % 2**31)
-        show(f"blast ({strategy})",
-             *transfer(loss, protocol="blast", strategy=strategy))
-    show("stop-and-wait",
-         *transfer(BernoulliErrors(0.05, seed=99), protocol="saw"))
+    for seed, strategy in enumerate(("full_nak", "gobackn", "selective"), 1):
+        show(f"blast ({strategy})", loss(seed), protocol="blast",
+             strategy=strategy)
+    show("stop-and-wait", loss(99), protocol="saw")
 
     print("\nNote how selective retransmission resends almost exactly the "
           "lost frames,\ngo-back-n a little more, and full retransmission "

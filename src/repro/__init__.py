@@ -14,7 +14,7 @@ Packages
 ``repro.core``       the protocols: stop-and-wait, sliding window, blast
 ``repro.analysis``   the paper's closed forms + Monte Carlo simulator
 ``repro.vkernel``    V-kernel-style IPC with MoveTo/MoveFrom
-``repro.udpnet``     real UDP/loopback implementation of the protocols
+``repro.service``    concurrent transfer service, simulated or on real UDP sockets
 ``repro.workloads``  transfer-size and trace generators
 ``repro.parallel``   sharded experiment pool (worker-count-independent seeds)
 ``repro.bench``      experiment harness regenerating every table/figure

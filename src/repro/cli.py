@@ -6,7 +6,6 @@ compare   run all protocols on one transfer size, print the comparison
 table     regenerate a paper table (1, 2 or 3)
 figure    regenerate a paper figure (3, 4, 5 or 6)
 timeline  ASCII timeline of one transfer (the Figure 3 view)
-udp       real-socket transfer over UDP loopback (recv / send)
 regen     regenerate every paper table/figure into a directory
 moveto    V-kernel MoveTo demonstration
 faults    fault-injection conformance matrix across DES and UDP
@@ -24,8 +23,6 @@ Examples
     python -m repro figure 5
     python -m repro --jobs 4 figure 6
     python -m repro timeline --protocol blast --packets 3
-    python -m repro udp recv --port 47000
-    python -m repro udp send 127.0.0.1:47000 --size 65536 --loss 0.05
     python -m repro regen --jobs 4
     python -m repro moveto --size 65536 --error-p 1e-4
     python -m repro --jobs 4 faults
@@ -40,7 +37,12 @@ Examples
     python -m repro loadgen --clients 8 --congestion auto --report table
     python -m repro --jobs 4 congestion --check benchmarks/results/congestion_sweep.txt
     python -m repro loadgen --clients 16 --arrivals poisson --report table
-    python -m repro loadgen --mode udp --clients 3 --server 127.0.0.1:47000
+    python -m repro serve --once 1 --port 47000
+    python -m repro loadgen --mode udp --clients 1 --server 127.0.0.1:47000
+
+``serve`` and ``loadgen --mode udp --server`` are the two-process socket
+transfer: the server sends each pulled body, the clients receive and
+verify it.
 
 The global ``--jobs N`` flag fans Monte Carlo work across ``N`` worker
 processes (``-1`` = one per CPU).  Seed sharding is deterministic, so
@@ -52,7 +54,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 __all__ = ["main", "build_parser"]
 
@@ -96,6 +98,19 @@ def _at_least(minimum: int):
                 f"must be >= {minimum}, got {value}")
         return value
     return parse
+
+
+def _seconds(text: str) -> float:
+    """A time in seconds: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):     # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text}")
+    return value
 
 
 def _port(text: str) -> int:
@@ -229,29 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--packets", type=_at_least(0), default=3)
     timeline.add_argument("--width", type=int, default=68)
 
-    udp = sub.add_parser("udp", help="real UDP transfer (loopback or LAN)")
-    udp_sub = udp.add_subparsers(dest="udp_command", required=True)
-    recv = udp_sub.add_parser("recv", help="receive one transfer")
-    recv.add_argument("--port", type=_port, default=0)
-    recv.add_argument("--host", default="127.0.0.1")
-    recv.add_argument(
-        "--protocol", choices=["blast", "perpacket"], default="blast"
-    )
-    send = udp_sub.add_parser("send", help="send one transfer")
-    send.add_argument("destination", type=_parse_address,
-                      help="HOST:PORT of the receiver")
-    send.add_argument("--size", type=_parse_size, default=64 * 1024)
-    send.add_argument(
-        "--protocol", choices=["blast", "saw", "sw"], default="blast"
-    )
-    send.add_argument(
-        "--strategy",
-        choices=["full_no_nak", "full_nak", "gobackn", "selective"],
-        default="gobackn",
-    )
-    send.add_argument("--loss", type=_probability, default=0.0)
-    send.add_argument("--seed", type=int, default=0)
-
     regen = sub.add_parser(
         "regen", help="regenerate every paper table/figure into a directory"
     )
@@ -300,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after N transfers have settled",
     )
     serve.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
+        "--duration", type=_seconds, default=None, metavar="SECONDS",
         help="exit after this long even if transfers remain",
     )
     serve.add_argument(
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(per-shard mixed seeds)",
     )
     cluster.add_argument(
-        "--duration", type=float, default=30.0, metavar="SECONDS",
+        "--duration", type=_seconds, default=30.0, metavar="SECONDS",
         help="udp mode: worker serve bound (hard timeout)",
     )
     cluster.add_argument(
@@ -388,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrivals", choices=["simultaneous", "uniform", "poisson"],
         default="simultaneous", help="des mode: arrival pattern",
     )
-    loadgen.add_argument("--span", type=float, default=1.0,
-                         help="des mode: arrival window (seconds)")
+    loadgen.add_argument("--span", type=_seconds, default=1.0,
+                         help="des mode: arrival window (seconds; > 0 "
+                              "for poisson arrivals)")
     _add_service_options(loadgen, _CONGESTION_HELP_TUNER)
     loadgen.add_argument("--workload-seed", type=int, default=0)
     loadgen.add_argument(
@@ -459,6 +452,14 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _usage_error(args, flag: str, message: str) -> NoReturn:
+    """Refuse a value only the command itself can judge, as argparse
+    refuses the rest: one error line, exit status 2."""
+    print(f"repro {args.command}: error: argument {flag}: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _cmd_timeline(args) -> int:
     from .core import run_transfer
     from .simnet import NetworkParams, TraceRecorder
@@ -473,47 +474,10 @@ def _cmd_timeline(args) -> int:
     try:
         timeline = trace.render_ascii(width=args.width)
     except ValueError as exc:   # the narrowest width depends on the trace
-        print(f"repro timeline: error: argument --width: {exc}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(args, "--width", str(exc))
     print(f"{args.protocol}, N={args.packets}  "
           "('#' = processor copy, '=' = wire)")
     print(timeline)
-    return 0
-
-
-def _cmd_udp(args) -> int:
-    from .simnet import BernoulliErrors
-    from .udpnet import UdpTransfer
-
-    if args.udp_command == "recv":
-        # One receiver serves both per-packet-ack protocols.
-        protocol = "saw" if args.protocol == "perpacket" else "blast"
-        with UdpTransfer(bind=(args.host, args.port)) as receiver:
-            host, port = receiver.address
-            print(f"listening on {host}:{port} ({args.protocol})", flush=True)
-            outcome = receiver.serve_one(protocol=protocol,
-                                         first_timeout_s=300.0)
-        if not outcome.ok:
-            print(f"receive failed: {outcome.error}")
-            return 1
-        print(f"received {outcome.payload_bytes} bytes in "
-              f"{outcome.elapsed_s * 1e3:.1f} ms "
-              f"({outcome.throughput_bps / 1e6:.1f} Mb/s, "
-              f"{outcome.duplicates} duplicates)")
-        return 0
-
-    error_model = BernoulliErrors(args.loss, seed=args.seed) if args.loss else None
-    protocol = "sliding" if args.protocol == "sw" else args.protocol
-    with UdpTransfer(error_model=error_model) as sender:
-        outcome = sender.send(bytes(args.size), args.destination,
-                              protocol=protocol, strategy=args.strategy)
-    if not outcome.ok:
-        print(f"send failed: {outcome.error}")
-        return 1
-    print(f"sent {outcome.payload_bytes} bytes in {outcome.elapsed_s * 1e3:.1f} ms "
-          f"({outcome.data_frames_sent} data frames, "
-          f"{outcome.retransmissions} retransmissions)")
     return 0
 
 
@@ -686,6 +650,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_loadgen(args) -> int:
+    if args.arrivals == "poisson" and args.span == 0:
+        _usage_error(args, "--span", "must be > 0 for poisson arrivals")
     config = _service_config(args)
     if args.mode == "des":
         from .service import run_des_loadgen
@@ -785,7 +751,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "table": _cmd_experiment,
         "figure": _cmd_experiment,
         "timeline": _cmd_timeline,
-        "udp": _cmd_udp,
         "regen": _cmd_regen,
         "moveto": _cmd_moveto,
         "faults": _cmd_faults,

@@ -1,11 +1,11 @@
 """The simulated transfers: a DES driver over the protocol machines.
 
 Stop-and-wait, sliding window and blast are decided in one place,
-:mod:`repro.service.machines` — the machines the UDP endpoints, the
-concurrent service and the cluster also run.  :class:`MachineTransfer`
-is their driver on the simulator, so the copy-in, wire and copy-out
-costs (and every trace span) come from ``simnet`` and every protocol
-decision from the machine.  The three protocol classes only name their
+:mod:`repro.service.machines` — the machines the concurrent service
+(simulated and on UDP sockets) and the cluster also run.
+:class:`MachineTransfer` is their driver on the simulator, so the
+copy-in, wire and copy-out costs (and every trace span) come from
+``simnet`` and every protocol decision from the machine.  The three protocol classes only name their
 machine, its options and its default timer; :class:`MultiBlastTransfer`
 is a loop over blasts.
 

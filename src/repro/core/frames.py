@@ -195,8 +195,8 @@ class NakFrame:
 class ControlFrame:
     """A small request/response message for application protocols.
 
-    Used by the UDP file service for its command exchange; the body is
-    application-defined bytes (the file service uses UTF-8 JSON).
+    Used by the transfer service for its pull request and verdict; the
+    body is application-defined bytes (the service uses UTF-8 JSON).
     ``request_id`` pairs responses with requests and enables duplicate
     suppression when requests are retransmitted.
     """

@@ -157,41 +157,49 @@ def _run_udp_cell(
     seed: int,
     size: int,
 ) -> dict:
+    import json
     import threading
 
     from ..core.runner import PROTOCOLS
-    from ..udpnet.transfer import UdpTransfer
+    from ..service.clientpump import UdpClientPump
+    from ..service.engine import ServiceConfig
+    from ..service.udpservice import UdpTransferService
 
-    data = _payload(seed, size)
-    name = PROTOCOLS[protocol].machine  # the machines' name, as UdpTransfer takes
-    choice = {"protocol": name, "strategy": strategy or "gobackn"}
-    receiver = UdpTransfer()
-    sender = UdpTransfer(fault_plan=plan, fault_seed=seed)
-    outcomes = {}
-
-    def serve() -> None:
-        outcomes["receiver"] = receiver.serve_one(
-            first_timeout_s=5.0, idle_timeout_s=2.0, linger_s=0.5, **choice)
-
-    thread = threading.Thread(target=serve, daemon=True)
+    name = PROTOCOLS[protocol].machine  # the service's protocol name
+    config = ServiceConfig(
+        protocol=name, strategy=strategy or "gobackn",
+        # The sliding window never closes, as the paper assumes.
+        window=size // 1024 + 1, max_rounds=60,
+        timeout_s=0.1 if name == "blast" else 0.05)
+    # One pull; the plan sits on the data sender's socket, the server's.
+    service = UdpTransferService(config, fault_plan=plan, fault_seed=seed)
+    served = []
+    thread = threading.Thread(
+        target=lambda: served.append(service.serve(expected_streams=1,
+                                                   duration_s=30.0)),
+        daemon=True)
     thread.start()
+    # The client lingers past several retransmission timers, so a lost
+    # final reply is repaired rather than raced.
+    pump = UdpClientPump(service.address, [size], protocol=name,
+                         strategy=config.strategy, linger_s=0.5)
     try:
-        outcome = sender.send(
-            data, receiver.address, max_rounds=60,
-            timeout_s=0.1 if name == "blast" else 0.05, **choice)
-        thread.join(timeout=30.0)
+        pull = pump.run(overall_timeout_s=40.0).get(1)
     finally:
-        sender.close()
-        receiver.close()
-    received = outcomes.get("receiver")
-    intact = received is not None and received.ok and received.data == data
+        service.stop()
+        thread.join(timeout=10.0)
+        service.close()
+    sent = json.loads(service.report_json())["transfers"]
+    sent = sent[0] if sent else {"ok": False, "data_frames": 0, "rounds": 0,
+                                 "error": "the pull was never admitted"}
+    intact = pull is not None and pull.ok
     return {
-        "ok": bool(outcome.ok),
-        "intact": bool(intact),
-        "terminated": not thread.is_alive(),
-        "frames": int(outcome.data_frames_sent),
-        "rounds": int(outcome.rounds),
-        "error": outcome.error or ("" if intact else "payload mismatch"),
+        "ok": bool(sent["ok"]),
+        "intact": intact,
+        "terminated": served == [True],
+        "frames": int(sent["data_frames"]),
+        "rounds": int(sent["rounds"]),
+        "error": sent["error"] or ("" if intact else "payload mismatch"),
     }
 
 

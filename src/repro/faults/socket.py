@@ -48,7 +48,7 @@ __all__ = ["FaultySocket", "RECV_BUFFER_BYTES"]
 _KIND_NAMES = {1: "data", 2: "ack", 3: "nak", 4: "control"}
 
 #: Bytes per reusable receive buffer — covers any datagram UDP can
-#: deliver.  Re-exported by :mod:`repro.udpnet.endpoints` so this
+#: deliver.  Re-exported by :mod:`repro.service.iobatch` so this
 #: wrapper's scratch buffer and the batch-I/O arenas are sized
 #: identically.
 RECV_BUFFER_BYTES = 65536

@@ -43,8 +43,7 @@ from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.wire import WireError, decode
-from ..udpnet.endpoints import DEFAULT_PACKET_BYTES, RECV_BUFFER_BYTES
-from .iobatch import DatagramBatchIO
+from .iobatch import RECV_BUFFER_BYTES, DatagramBatchIO
 from .machines import packet_count
 from .pullclient import PullMachine, UdpPullResult
 
@@ -60,6 +59,10 @@ _DRAIN_READS = 128
 
 #: Reads per ring: the depth of the receive arena the pump's clients share.
 _RING_SLOTS = 2
+
+#: Payload bytes per data packet the pump expects: the service's
+#: default, the paper's 1 KB packets.
+DEFAULT_PACKET_BYTES = 1024
 
 #: What a queued datagram carrying one ``DEFAULT_PACKET_BYTES`` packet
 #: is charged against its socket's ``SO_RCVBUF``: the kernel counts the

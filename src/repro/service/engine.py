@@ -53,9 +53,9 @@ Control protocol (JSON bodies, one pull per stream id)::
            or  {"reason": str, "status": "error", "stream": id}
 
 Responses are cached per stream and replayed verbatim on duplicate
-pulls (the file service's at-least-once discipline); control responses
-bypass the packet scheduler — admission answers must not queue behind
-bulk data.  The transfer body is ``service_payload(seed, stream, size)``,
+pulls (the at-least-once discipline of the simulated kernel IPC);
+control responses bypass the packet scheduler — admission answers must
+not queue behind bulk data.  The transfer body is ``service_payload(seed, stream, size)``,
 so the client can verify byte-equality without the server shipping a
 checksum.  Admission only builds its
 :class:`~repro.service.machines.BodyStream` — O(1) in the transfer

@@ -30,16 +30,16 @@ The client side is :class:`~repro.service.clientpump.UdpClientPump`.
 from __future__ import annotations
 
 import selectors
+import socket
 import threading
 import time
 from typing import Optional, Tuple
 
 from ..core.wire import HEADER2_BYTES, WireError, decode
 from ..faults.plan import FaultPlan
-from ..simnet.errors import ErrorModel
-from ..udpnet.endpoints import UdpEndpoint
+from ..faults.socket import FaultySocket
 from .engine import ServiceConfig, ServiceCore
-from .iobatch import MAX_RUN_BYTES
+from .iobatch import MAX_RUN_BYTES, DatagramBatchIO
 
 __all__ = ["UdpTransferService", "deliver_ring"]
 
@@ -76,14 +76,15 @@ def deliver_ring(core: ServiceCore, batch, datagrams, now: float) -> None:
         core.on_acks(stream, seqs, now, client=client)
 
 
-class UdpTransferService(UdpEndpoint):
-    """Single-threaded multi-transfer server on one UDP socket."""
+class UdpTransferService:
+    """Single-threaded multi-transfer server on one UDP socket: the
+    kernel's own, or a :class:`~repro.faults.socket.FaultySocket` around
+    it when a fault plan is given."""
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         bind: Tuple[str, int] = ("127.0.0.1", 0),
-        error_model: Optional[ErrorModel] = None,
         fault_plan: Optional[FaultPlan] = None,
         fault_seed: Optional[int] = None,
         reuse_port: bool = False,
@@ -97,16 +98,44 @@ class UdpTransferService(UdpEndpoint):
                 f"{HEADER2_BYTES}-byte header exceeds the largest UDP "
                 f"datagram ({MAX_RUN_BYTES} bytes)"
             )
-        super().__init__(
-            bind=bind,
-            error_model=error_model,
-            packet_bytes=self.config.packet_bytes,
-            fault_plan=fault_plan,
-            fault_seed=fault_seed,
-            reuse_port=reuse_port,
-        )
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            if reuse_port:
+                # Cluster placement mode: N worker processes bind the same
+                # (host, port) and the kernel hashes each client's 4-tuple
+                # to one of them (see repro.cluster.placement).
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            raw.bind(bind)
+        except BaseException:
+            raw.close()  # a restarted worker's port may still be taken
+            raise
+        # A fault-free service talks to the kernel socket directly: the
+        # wrapper would add two Python frames and a clock read to every
+        # datagram for nothing, and its plan must see one datagram per
+        # call, which rules out segmented sends and coalesced reads.
+        self.sock = raw if fault_plan is None else FaultySocket(
+            raw, plan=fault_plan, seed=fault_seed)
+        self._io: Optional[DatagramBatchIO] = None
         self.core = ServiceCore(self.config)
         self._stop = threading.Event()
+
+    @property
+    def io(self) -> DatagramBatchIO:
+        """The batch layer over :attr:`sock`: the only way a datagram
+        enters or leaves the service.  Built at first use (it makes the
+        socket non-blocking and asks the kernel to coalesce)."""
+        if self._io is None:
+            self._io = DatagramBatchIO(self.sock)
+        return self._io
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The service's bound (host, port)."""
+        return self.sock.getsockname()
+
+    def close(self) -> None:
+        """Release the socket."""
+        self.sock.close()
 
     def stop(self) -> None:
         """Ask :meth:`serve` to return after its current wait."""
@@ -164,13 +193,14 @@ class UdpTransferService(UdpEndpoint):
                     wait = min(wait, max(held_due - monotonic(), 0.0))
                 if batch.has_ready:
                     wait = 0.0
-                selector.select(wait)
+                readable = selector.select(wait)
                 datagrams = batch.recv_batch()
-                if not datagrams and wait > 0.0 and batch.flush_held():
+                if (not datagrams and not readable and wait > 0.0
+                        and batch.flush_held()):
                     # The wait expired with nothing readable: release
                     # reorder-held datagrams so a bounded plan can never
-                    # wedge the loop (deadline-expiry semantics of the
-                    # old blocking receive).
+                    # wedge the loop.  (A read the plan held entirely is
+                    # not an expiry: its delays run to their due time.)
                     datagrams = batch.recv_batch()
                 deliver_ring(core, batch, datagrams, monotonic() - start)
             # Graceful stop: take in what the kernel has already

@@ -13,8 +13,8 @@ from repro.core.wire import WireError, decode, encode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.socket import FaultySocket
 from repro.service.iobatch import DatagramBatchIO
+from repro.service.udpservice import UdpTransferService
 from repro.simnet.errors import DeterministicDrops
-from repro.udpnet import UdpTransfer
 
 
 def _udp_socket():
@@ -148,9 +148,9 @@ def _batch_layer(raw, *rules):
 
 
 def _recv(io, timeout_s):
-    """One datagram through ``UdpEndpoint._recv_frame``'s discipline:
-    wait no longer than the next held due time, release reorder holds
-    when the wait expires quiet, give up at the deadline."""
+    """Datagrams through a deadline-bounded wait: no longer than the next
+    held due time, reorder holds released when the wait expires quiet,
+    give up at the deadline."""
     deadline = time.monotonic() + timeout_s
     while True:
         batch = io.recv_batch()
@@ -271,56 +271,96 @@ class TestReceiveSide:
         assert io.flush_held() == 0
 
 
-class TestEndpointWait:
-    """The same plans through the wait every ``udpnet`` loop uses."""
+def _serve_turns(io, timeout_s):
+    """Frames through ``UdpTransferService.serve``'s turns until some
+    arrive or ``timeout_s`` passes: each wait is bounded by the next held
+    due time, a positive wait that expires with nothing readable releases
+    the reorder holds, and a datagram that fails to decode is a loss."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        now = time.monotonic()
+        wait = max(deadline - now, 0.0)
+        held_due = io.next_held_due()
+        if held_due is not None:
+            wait = min(wait, max(held_due - now, 0.0))
+        if io.has_ready:
+            wait = 0.0
+        readable, _, _ = select.select([io.fileno()], [], [], wait)
+        datagrams = io.recv_batch()
+        if not datagrams and not readable and wait > 0.0 \
+                and io.flush_held():
+            datagrams = io.recv_batch()
+        frames = []
+        for view, sender in datagrams:
+            try:
+                frames.append((decode(view), sender))
+            except WireError:
+                continue
+        if frames or time.monotonic() >= deadline:
+            return frames
 
-    def _endpoint(self, *rules):
-        return UdpTransfer(fault_plan=_plan(*rules))
 
-    def test_delay_released_at_its_due_time(self, pair):
+@pytest.fixture()
+def service():
+    """``service(*rules)``: a ``UdpTransferService`` behind those plan
+    rules (none: the kernel socket), closed after the test."""
+    made = []
+
+    def make(*rules):
+        made.append(UdpTransferService(
+            fault_plan=_plan(*rules) if rules else None))
+        return made[-1]
+
+    yield make
+    for each in made:
+        each.close()
+
+
+class TestServeWait:
+    """The same plans through the wait the service's loop uses."""
+
+    def test_delay_released_at_its_due_time(self, pair, service):
         _, right = pair
-        with self._endpoint(
+        server = service(
             FaultRule(action="delay", kinds=("data",), direction="recv",
-                      indices=(0,), delay_s=0.05)
-        ) as endpoint:
-            right.sendto(_datagram(0), endpoint.address)
-            start = time.monotonic()
-            frame, sender = endpoint._recv_frame(2.0)
-            assert frame.seq == 0 and sender == right.getsockname()
-            assert 0.04 <= time.monotonic() - start < 1.0
+                      indices=(0,), delay_s=0.05))
+        right.sendto(_datagram(0), server.address)
+        start = time.monotonic()
+        ((frame, sender),) = _serve_turns(server.io, 2.0)
+        assert frame.seq == 0 and sender == right.getsockname()
+        assert 0.04 <= time.monotonic() - start < 1.0
 
-    def test_reorder_hold_flushed_when_the_wait_expires(self, pair):
+    def test_reorder_hold_flushed_when_the_wait_expires(self, pair, service):
         _, right = pair
-        with self._endpoint(
+        server = service(
             FaultRule(action="reorder", kinds=("data",), direction="recv",
-                      indices=(0,), depth=10)
-        ) as endpoint:
-            right.sendto(_datagram(0), endpoint.address)
-            start = time.monotonic()
-            frame, _ = endpoint._recv_frame(0.2)
-            assert frame.seq == 0
-            assert time.monotonic() - start >= 0.19
+                      indices=(0,), depth=10))
+        right.sendto(_datagram(0), server.address)
+        start = time.monotonic()
+        ((frame, _),) = _serve_turns(server.io, 0.2)
+        assert frame.seq == 0
+        assert time.monotonic() - start >= 0.19
 
-    def test_corrupted_is_a_loss_and_nothing_held_times_out(self, pair):
+    def test_corrupted_is_a_loss_and_nothing_held_times_out(self, pair,
+                                                             service):
         _, right = pair
-        with self._endpoint(
+        server = service(
             FaultRule(action="corrupt", kinds=("data",), direction="recv",
-                      indices=(0,))
-        ) as endpoint:
-            right.sendto(_datagram(0), endpoint.address)
-            start = time.monotonic()
-            assert endpoint._recv_frame(0.05) is None
-            assert 0.05 <= time.monotonic() - start < 1.0
+                      indices=(0,)))
+        right.sendto(_datagram(0), server.address)
+        start = time.monotonic()
+        assert _serve_turns(server.io, 0.05) == []
+        assert 0.05 <= time.monotonic() - start < 1.0
 
-    def test_one_read_of_many_is_handed_out_one_frame_per_call(self, pair):
+    def test_one_read_of_many_is_one_batch(self, pair, service):
         _, right = pair
-        with UdpTransfer() as endpoint:
-            for seq in range(5):
-                right.sendto(_datagram(seq), endpoint.address)
-            seqs = [endpoint._recv_frame(2.0)[0].seq for _ in range(5)]
-            assert seqs == [0, 1, 2, 3, 4]
-            assert endpoint.io.recv_batches == 1
-            assert endpoint._recv_frame(0.0) is None
+        server = service()
+        for seq in range(5):
+            right.sendto(_datagram(seq), server.address)
+        frames = _serve_turns(server.io, 2.0)
+        assert [frame.seq for frame, _ in frames] == [0, 1, 2, 3, 4]
+        assert server.io.recv_batches == 1
+        assert _serve_turns(server.io, 0.0) == []
 
 
 #: What the plan does to the datagram at each position of the stream.

@@ -1,4 +1,4 @@
-"""Real-socket transports measure real time — udpnet/ is exempt."""
+"""Real-socket transports measure real time — service/ is exempt."""
 
 import time
 

@@ -315,7 +315,7 @@ RULES = {
     "REP105": (lambda unit: unit != "cli.py", environment_reads),
     "REP106": (_under("analysis"), float_equality),
     "REP107": (lambda unit: True, mutable_defaults_and_bare_except),
-    "REP111": (lambda unit: _under("service", "udpnet")(unit)
+    "REP111": (lambda unit: _under("service")(unit)
                and unit != "service/iobatch.py", raw_datagram_io),
     "REP113": (_under("sim", "simnet", "faults", "workloads", "parallel",
                       "congestion"), constant_seeds),
@@ -377,6 +377,26 @@ def test_no_src_module_imports_benchmarks(sources):
         if not unit.startswith("benchmarks/")
         for module in _imported_modules(tree)
         if module == "benchmarks" or module.startswith("benchmarks.")
+    ]
+    assert offenders == []
+
+
+#: The machines build the protocol's replies; the codec rebuilds them from
+#: the wire, and the perf recipes build frames to encode.
+_REPLY_BUILDERS = {"service/machines.py", "core/wire.py", "perf/workloads.py"}
+
+
+def test_only_the_machines_and_the_codec_build_an_ack_or_nak(sources):
+    # The machines are the protocol's one implementation: every driver
+    # (the simulated transfers, the service, the pump) carries their
+    # replies and never builds one.
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{call.lineno}"
+        for path, (unit, tree) in sources.items()
+        if not unit.startswith("benchmarks/") and unit not in _REPLY_BUILDERS
+        for call in calls(tree)
+        if (getattr(call.func, "id", None)
+            or getattr(call.func, "attr", None)) in ("AckFrame", "NakFrame")
     ]
     assert offenders == []
 

@@ -31,7 +31,6 @@ from repro.service.machines import (
 )
 from repro.service.pullclient import PullMachine
 from repro.service.udpservice import deliver_ring
-from repro.udpnet import endpoints, fileserver, transfer
 
 S, SEED, SIZE = 1, 7, 64
 NOW = 0.001
@@ -269,10 +268,3 @@ def test_each_sender_completes_against_its_matched_receiver(protocol,
     assert sender.done and receiver.data == body
     assert sender.outcome().retransmits == 0
 
-
-def test_no_udpnet_module_builds_an_ack_or_nak():
-    # The machines are the protocol's one implementation: the endpoints
-    # and the file service carry its frames and never build a reply.
-    for module in (endpoints, fileserver, transfer):
-        names = vars(module).values()
-        assert not any(v is AckFrame or v is NakFrame for v in names)

@@ -5,14 +5,19 @@ pass a 16-client loopback UDP run under the builtin ``dup+reorder``
 fault plan, every payload byte-verified client-side.
 """
 
+import gc
 import json
 import socket
+import sys
 import threading
+import time
+import warnings
 
 import pytest
 
 from repro.core.frames import AckFrame, ControlFrame, DataFrame, NakFrame
 from repro.core.wire import HEADER2_BYTES, decode, encode
+from repro.faults import FaultPlan, FaultRule, FaultySocket
 from repro.faults.plans import builtin_plan
 from repro.service.clientpump import UdpClientPump
 from repro.service.engine import ServiceConfig
@@ -505,3 +510,112 @@ class TestStopTakesInWhatAlreadyArrived:
         assert not sock.inbox
         assert report["summary"]["ok"] == 1
         assert report["transfers"][0]["ok"] is True
+
+
+class TestServiceSocket:
+    """A fault-free service pays for no wrapper around the kernel socket."""
+
+    def test_no_faults_means_the_kernel_socket(self):
+        service = UdpTransferService()
+        try:
+            assert type(service.sock) is socket.socket
+            assert service.address == service.sock.getsockname()
+        finally:
+            service.close()
+
+    def test_a_plan_wraps_it(self):
+        service = UdpTransferService(fault_plan=builtin_plan("dup-burst"))
+        try:
+            assert isinstance(service.sock, FaultySocket)
+            assert service.sock.plan is not None
+        finally:
+            service.close()
+
+    def test_a_failed_bind_leaks_no_socket(self, monkeypatch):
+        # A restarted cluster worker re-binds its old port; while that is
+        # still taken, each attempt must close the socket it opened.
+        # The unclosed socket's ResourceWarning is raised in a finaliser,
+        # so it reaches the unraisable hook, not this frame.
+        leaked = []
+        monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                with pytest.raises(OSError):
+                    UdpTransferService(bind=taken.getsockname())
+                gc.collect()
+        assert [hook.exc_type for hook in leaked] == []
+
+
+def pull_under_loss(protocol, strategy, lost):
+    """One 8-packet pull, the plan on the server's socket losing the
+    chosen data frames once each; the transfer's row of the report."""
+    plan = FaultPlan(name="lose", rules=(FaultRule(
+        action="drop", kinds=("data",), direction="send",
+        indices=lost),))
+    config = ServiceConfig(protocol=protocol, strategy=strategy)
+    result = run_udp_loadgen(1, config=config, size_bytes=8 * 1024,
+                             fault_plan=plan)
+    sent = json.loads(result.report_json)["transfers"][0]
+    assert result.all_ok and sent["ok"]
+    assert sent["retransmits"] >= len(lost)
+    return sent
+
+
+class TestOneStreamUnderScriptedLoss:
+    """Each protocol recovers the frames the plan loses."""
+
+    @pytest.mark.parametrize("protocol,strategy,lost", [
+        ("saw", "selective", (2,)),
+        ("sliding", "selective", (2,)),
+    ])
+    def test_the_lost_frames_are_resent(self, protocol, strategy, lost):
+        pull_under_loss(protocol, strategy, lost)
+
+
+class TestBlastUdp:
+    """Each blast strategy resends what it names."""
+
+    def test_full_no_nak_with_silent_receiver(self):
+        sent = pull_under_loss("blast", "full_no_nak", (2,))
+        assert sent["rounds"] >= 2            # silence: the timer resends
+        assert sent["data_frames"] == 8 + 8   # ... all of it
+
+    def test_gobackn_resends_tail_only(self):
+        sent = pull_under_loss("blast", "gobackn", (5,))
+        assert sent["rounds"] == 2
+        assert sent["data_frames"] == 8 + 3   # seqs 5, 6 and 7 again
+
+    def test_selective_resends_exactly_missing(self):
+        sent = pull_under_loss("blast", "selective", (1, 5))
+        assert sent["data_frames"] == 8 + 2
+
+
+class TestServeHoldsWhatThePlanHolds:
+    def test_a_delayed_request_is_answered_after_its_delay(self):
+        """Regression: a wakeup whose whole read the plan held released
+        every held datagram at once, so a receive-side delay was never
+        served by ``serve`` (the verdict left ~1 ms after the pull)."""
+        plan = FaultPlan(name="late-pull", rules=(FaultRule(
+            action="delay", kinds=("control",), direction="recv",
+            indices=(0,), delay_s=0.03),))
+        service, thread = run_service(fault_plan=plan)
+        client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        client.bind(("127.0.0.1", 0))
+        client.settimeout(5.0)
+        body = json.dumps({"op": "pull", "size": 1024, "stream": 1})
+        try:
+            start = time.monotonic()
+            client.sendto(encode(ControlFrame(
+                transfer_id=0, request_id=1, body=body.encode())),
+                service.address)
+            verdict = decode(client.recv(2048))
+            elapsed = time.monotonic() - start
+        finally:
+            service.stop()
+            thread.join(timeout=10)
+            service.close()
+            client.close()
+        assert isinstance(verdict, ControlFrame)
+        assert 0.03 <= elapsed < 1.0

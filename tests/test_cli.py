@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import threading
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -45,8 +43,8 @@ class TestParser:
     @pytest.mark.parametrize("address", [
         "127.0.0.1", "localhost", "127.0.0.1:", "127.0.0.1:0",
         "127.0.0.1:65536", "127.0.0.1:http", "127.0.0.1:-5"])
-    @pytest.mark.parametrize("command", [
-        ["udp", "send"], ["loadgen", "--mode", "udp", "--server"]])
+    @pytest.mark.parametrize("command", [  # the address is parsed in any mode
+        ["loadgen", "--server"], ["loadgen", "--mode", "udp", "--server"]])
     def test_an_address_without_a_usable_port_is_a_usage_error(
             self, command, address, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -70,7 +68,6 @@ class TestParser:
         ["timeline", "--packets", "-1"],
         ["compare", "--error-p", "2"],
         ["moveto", "--error-p", "2"],
-        ["udp", "send", "127.0.0.1:9", "--loss", "2"],
         ["serve", "--max-active", "0"],
         ["serve", "--window", "0"],
         ["serve", "--max-queue", "-1"],
@@ -78,14 +75,24 @@ class TestParser:
         ["cluster", "--window", "0"],
         ["cluster", "--max-queue", "-1"],
         ["serve", "--port", "70000"],
-        ["udp", "recv", "--port", "70000"],
         ["timeline", "--width", "0"],
         ["timeline", "--width", "8"],
+        ["loadgen", "--span", "-1"],
+        ["loadgen", "--arrivals", "uniform", "--span", "-1"],
+        ["loadgen", "--arrivals", "uniform", "--span", "inf"],
+        ["loadgen", "--arrivals", "poisson", "--span", "-1"],
+        ["loadgen", "--arrivals", "poisson", "--span", "0"],
+        ["loadgen", "--arrivals", "poisson", "--span", "inf"],
+        ["loadgen", "--span", "nan"],
+        ["serve", "--duration", "nan"],
+        ["serve", "--duration", "-1"],
+        ["cluster", "--duration", "nan"],
     ], ids=" ".join)
     def test_a_bad_value_is_a_usage_error(self, argv, capsys):
         # One error line and no traceback.  Refused while parsing, so
         # nothing is bound or spawned first; only the timeline's width
-        # waits for the trace, whose elapsed time sets the narrowest.
+        # waits for the trace, whose elapsed time sets the narrowest,
+        # and a zero span waits for the arrival pattern it belongs to.
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -96,10 +103,18 @@ class TestParser:
 
     def test_addresses_parse_to_socket_addresses(self):
         parser = build_parser()
-        send = parser.parse_args(["udp", "send", "10.0.0.2:47000"])
-        assert send.destination == ("10.0.0.2", 47000)
+        loadgen = parser.parse_args(["loadgen", "--server", "10.0.0.2:47000"])
+        assert loadgen.server == ("10.0.0.2", 47000)
         loadgen = parser.parse_args(["loadgen", "--server", ":65535"])
         assert loadgen.server == ("127.0.0.1", 65535)
+
+    def test_times_in_seconds_keep_their_valid_range(self):
+        parser = build_parser()
+        assert parser.parse_args(["loadgen", "--span", "0"]).span == 0.0
+        assert parser.parse_args(["serve", "--duration", "0"]).duration == 0.0
+        # layerbench's server bound: the measuring time plus its slack.
+        assert parser.parse_args(["serve", "--duration", "135"]).duration == 135.0
+        assert parser.parse_args(["cluster", "--duration", "2.5"]).duration == 2.5
 
 
 class TestCompare:
@@ -160,55 +175,3 @@ class TestMoveTo:
         assert main(["moveto", "--size", "16K", "--error-p", "0.02",
                      "--strategy", "selective"]) == 0
         assert "intact=True" in capsys.readouterr().out
-
-
-class TestUdp:
-    def test_cli_recv_and_send(self, capsys):
-        """Both CLI ends against each other, receiver in a thread."""
-        import socket
-
-        # Reserve a port by binding then closing (small race, fine here).
-        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        codes = {}
-
-        def recv():
-            codes["recv"] = main(["udp", "recv", "--port", str(port)])
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        import time
-
-        time.sleep(0.2)  # let the receiver bind
-        codes["send"] = main(["udp", "send", f"127.0.0.1:{port}",
-                              "--size", "4K"])
-        thread.join(timeout=30)
-        assert codes == {"recv": 0, "send": 0}
-        out = capsys.readouterr().out
-        assert "received 4096 bytes" in out
-        assert "sent 4096 bytes" in out
-
-    def test_send_recv_round_trip(self, capsys):
-        from repro.udpnet import UdpTransfer
-
-        # Bind the receiver ourselves to learn the port, then drive the
-        # CLI sender against it.
-        with UdpTransfer() as receiver:
-            host, port = receiver.address
-            box = {}
-
-            def serve():
-                box["outcome"] = receiver.serve_one()
-
-            thread = threading.Thread(target=serve, daemon=True)
-            thread.start()
-            code = main([
-                "udp", "send", f"{host}:{port}", "--size", "8K",
-                "--strategy", "selective",
-            ])
-            thread.join(timeout=30)
-        assert code == 0
-        assert box["outcome"].payload_bytes == 8192
-        assert "sent 8192 bytes" in capsys.readouterr().out

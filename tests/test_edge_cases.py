@@ -117,18 +117,3 @@ class TestRunnerGuards:
         assert summary.std_s == 0.0  # deterministic when error-free
         assert summary.min_s == summary.max_s == summary.mean_s
         assert summary.all_intact
-
-
-class TestUdpOutcome:
-    def test_zero_elapsed_throughput(self):
-        from repro.udpnet import UdpTransferOutcome
-
-        outcome = UdpTransferOutcome(ok=True, elapsed_s=0.0,
-                                     payload_bytes=10, n_packets=1)
-        assert outcome.throughput_bps == 0.0
-
-    def test_endpoint_packet_bytes_validation(self):
-        from repro.udpnet import UdpTransfer
-
-        with pytest.raises(ValueError):
-            UdpTransfer(packet_bytes=0)
