@@ -23,7 +23,7 @@ Examples
     python -m repro figure 5
     python -m repro --jobs 4 figure 6
     python -m repro timeline --protocol blast --packets 3
-    python -m repro regen --jobs 4
+    python -m repro --jobs 4 regen
     python -m repro moveto --size 65536 --error-p 1e-4
     python -m repro --jobs 4 faults
     python -m repro faults --substrate des --plans drop-replies,dup-burst
@@ -248,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "regen", help="regenerate every paper table/figure into a directory"
     )
     regen.add_argument("--out", default="results")
-    regen.add_argument(
-        "--jobs", type=int, default=None, dest="regen_jobs", metavar="N",
-        help="worker processes (overrides the global --jobs)",
-    )
 
     faults = sub.add_parser(
         "faults", help="run the fault-injection conformance matrix"
@@ -484,8 +480,7 @@ def _cmd_timeline(args) -> int:
 def _cmd_regen(args) -> int:
     from .bench import regenerate_all
 
-    n_jobs = args.regen_jobs if args.regen_jobs is not None else args.jobs
-    written = regenerate_all(args.out, n_jobs=n_jobs)
+    written = regenerate_all(args.out, n_jobs=args.jobs)
     for experiment_id, path in sorted(written.items()):
         print(f"wrote {path}")
     print(f"{len(written)} artifacts regenerated")

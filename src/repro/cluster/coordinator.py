@@ -77,7 +77,7 @@ class WorkerSpec:
     host: str = "127.0.0.1"
     port: int = 0
     reuse_port: bool = False
-    fault_plan_json: Optional[str] = None
+    fault_plan: Optional[FaultPlan] = None
     fault_seed: Optional[int] = None
     duration_s: Optional[float] = None
 
@@ -90,12 +90,10 @@ def cluster_worker_main(spec: WorkerSpec, conn) -> None:
     flushed down the control pipe before exit — the graceful-shutdown
     contract the satellite tests pin.
     """
-    plan = (FaultPlan.from_json(spec.fault_plan_json)
-            if spec.fault_plan_json else None)
     service = UdpTransferService(
         spec.config,
         bind=(spec.host, spec.port),
-        fault_plan=plan,
+        fault_plan=spec.fault_plan,
         fault_seed=spec.fault_seed,
         reuse_port=spec.reuse_port,
     )
@@ -203,8 +201,7 @@ class ClusterCoordinator:
             host=self.host,
             port=port,
             reuse_port=self.placement == "reuseport",
-            fault_plan_json=(None if self.fault_plan is None
-                             else self.fault_plan.to_json()),
+            fault_plan=self.fault_plan,
             fault_seed=seed,
             duration_s=self.duration_s,
         )

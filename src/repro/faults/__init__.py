@@ -2,7 +2,7 @@
 
 The package has four layers:
 
-- :mod:`repro.faults.plan` — the serialisable :class:`FaultPlan` DSL
+- :mod:`repro.faults.plan` — the frame-keyed :class:`FaultPlan` DSL
   (drop / duplicate / reorder / delay / corrupt rules) and its
   substrate-independent interpreter, :class:`PlanExecutor`;
 - :mod:`repro.faults.plans` — the builtin library of bounded plans the
@@ -23,9 +23,7 @@ from .plan import (
     FaultPlan,
     FaultRule,
     PlanExecutor,
-    apply_to_sequence,
     frame_stream_key,
-    validate_bounded,
 )
 from .plans import BUILTIN_PLANS, builtin_plan, builtin_plan_names
 from .scripted import ScriptedErrors
@@ -39,9 +37,7 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "PlanExecutor",
-    "apply_to_sequence",
     "frame_stream_key",
-    "validate_bounded",
     "BUILTIN_PLANS",
     "builtin_plan",
     "builtin_plan_names",

@@ -203,10 +203,10 @@ def _run_udp_cell(
     }
 
 
-def _run_cell_spec(spec: Tuple[str, str, Optional[str], str, int, int]) -> dict:
+def _run_cell_spec(
+        spec: Tuple[str, str, Optional[str], FaultPlan, int, int]) -> dict:
     """Module-level worker (ExperimentPool boundary: must be picklable)."""
-    substrate, protocol, strategy, plan_json, seed, size = spec
-    plan = FaultPlan.from_json(plan_json)
+    substrate, protocol, strategy, plan, seed, size = spec
     if substrate == "des":
         raw = _run_des_cell(protocol, strategy, plan, seed, size)
     elif substrate == "udp":
@@ -232,7 +232,7 @@ def build_specs(
     substrates: Sequence[str] = SUBSTRATES,
     seed: int = DEFAULT_SEED,
     size_bytes: int = DEFAULT_SIZE_BYTES,
-) -> List[Tuple[str, str, Optional[str], str, int, int]]:
+) -> List[Tuple[str, str, Optional[str], FaultPlan, int, int]]:
     """Enumerate the matrix cells in canonical (report) order."""
     if plans is None:
         plans = [BUILTIN_PLANS[name] for name in builtin_plan_names()]
@@ -242,7 +242,7 @@ def build_specs(
                 f"unknown substrate {substrate!r}; choose from {SUBSTRATES}"
             )
     return [
-        (substrate, protocol, strategy, plan.to_json(), seed, size_bytes)
+        (substrate, protocol, strategy, plan, seed, size_bytes)
         for substrate in substrates
         for protocol, strategy in COMBOS
         for plan in plans
@@ -334,7 +334,7 @@ class FairnessSpec:
 
     substrate: str
     flows: int
-    plan_json: str
+    plan: FaultPlan
     seed: int
 
 
@@ -412,17 +412,16 @@ def _run_udp_fairness(flows: int, plan: FaultPlan, seed: int) -> dict:
 
 def _run_fairness_spec(spec: FairnessSpec) -> dict:
     """Module-level worker (ExperimentPool boundary: must be picklable)."""
-    plan = FaultPlan.from_json(spec.plan_json)
     if spec.substrate == "des":
-        raw = _run_des_fairness(spec.flows, plan, spec.seed)
+        raw = _run_des_fairness(spec.flows, spec.plan, spec.seed)
     elif spec.substrate == "udp":
-        raw = _run_udp_fairness(spec.flows, plan, spec.seed)
+        raw = _run_udp_fairness(spec.flows, spec.plan, spec.seed)
     else:
         raise ValueError(f"unknown substrate {spec.substrate!r}")
     return {
         "substrate": spec.substrate,
         "flows": spec.flows,
-        "plan": plan.name,
+        "plan": spec.plan.name,
         **raw,
     }
 
@@ -448,7 +447,7 @@ def run_fairness_matrix(
         FairnessSpec(
             substrate=substrate,
             flows=count,
-            plan_json=plan.to_json(),
+            plan=plan,
             seed=mix_seed(mix_seed(seed, count), index),
         )
         for substrate in substrates

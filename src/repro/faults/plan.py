@@ -1,4 +1,4 @@
-"""Deterministic, serialisable fault-plan DSL.
+"""Deterministic fault-plan DSL: the one way to script a fault.
 
 A :class:`FaultPlan` is an immutable *script* of adversarial network
 behaviour — drop / duplicate / reorder / delay / corrupt — that every
@@ -6,32 +6,29 @@ execution substrate in the repo can replay byte-for-byte:
 
 - the simulated wire, V-kernel IPC messages included, through
   :class:`repro.faults.scripted.ScriptedErrors`;
-- real UDP sockets, through :class:`repro.faults.socket.FaultySocket`;
-- pure sequences (for property tests), through :func:`apply_to_sequence`.
+- real UDP sockets, through :class:`repro.faults.socket.FaultySocket`.
 
-Rules select frames by *kind* (data / ack / nak / control), *direction*
-(relative to the instrumented party: ``send`` = outgoing, ``recv`` =
-incoming), *stream index* (the per-rule count of frames that passed the
-rule's static filters — explicit indices, an index window, or a period),
-*data sequence number*, or a *time window* (simulated seconds on the DES
-substrates, wall seconds since adapter creation on sockets).  A
-``probability`` below 1.0 turns the rule stochastic; each rule draws
+Rules select frames by position, never by time: by *kind* (data / ack /
+nak / control), *direction* (relative to the instrumented party:
+``send`` = outgoing, ``recv`` = incoming), *stream index* (the per-rule
+count of frames that passed the rule's static filters — explicit
+indices, an index window, or a period) and *sequence number*.  A rule
+with no kinds and direction ``both`` counts every frame, so
+``FaultRule("drop", indices=(2,))`` loses the third frame on the wire.
+A ``probability`` below 1.0 turns the rule stochastic; each rule draws
 from its own :func:`repro.parallel.mix_seed`-derived stream, so a plan
 replays identically for a given seed regardless of the substrate.
 
-Plans round-trip through JSON (:meth:`FaultPlan.to_json` /
-:meth:`FaultPlan.from_json`) with sorted keys, so a plan's serialisation
-is itself deterministic and diffable — the conformance harness keys its
-golden ledger on exactly this property.
+Plans are frozen dataclasses, so they cross a process boundary (the
+conformance pool, a cluster worker) by pickling as they are.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..parallel.pool import mix_seed
 
@@ -44,7 +41,6 @@ __all__ = [
     "FaultDecision",
     "NO_FAULT",
     "PlanExecutor",
-    "apply_to_sequence",
     "frame_stream_key",
 ]
 
@@ -82,12 +78,12 @@ class FaultRule:
         is allowed but ``indices`` then further restricts the window.
     first, last:
         Inclusive index window; ``None`` means unbounded on that side.
-    every, phase:
-        Periodic selector: hit indices with ``index % every == phase``.
+    every:
+        Periodic selector: hit indices with ``index % every == 0``.
     seqs:
-        Restrict to data frames with these sequence numbers.
-    window_s:
-        ``(t0, t1)`` time window; needs a clock-bearing adapter.
+        Restrict to frames with these sequence numbers: a data or ACK
+        seq, a NAK's first missing seq, a control request id or a
+        V-kernel IPC message id (see :func:`frame_stream_key`).
     probability:
         Stochastic gate in (0, 1]; below 1.0 the rule draws from its own
         seeded stream.
@@ -116,9 +112,7 @@ class FaultRule:
     first: Optional[int] = None
     last: Optional[int] = None
     every: Optional[int] = None
-    phase: int = 0
     seqs: Tuple[int, ...] = ()
-    window_s: Optional[Tuple[float, float]] = None
     probability: float = 1.0
     times: Optional[int] = None
     count: int = 1
@@ -154,8 +148,6 @@ class FaultRule:
             raise ValueError(f"empty index window [{self.first}, {self.last}]")
         if self.every is not None and self.every < 1:
             raise ValueError("every must be >= 1")
-        if self.phase < 0:
-            raise ValueError("phase must be >= 0")
         if not 0.0 < self.probability <= 1.0:
             raise ValueError(f"probability must be in (0, 1], got {self.probability}")
         if self.times is not None and self.times < 1:
@@ -168,11 +160,6 @@ class FaultRule:
             raise ValueError("delay_s must be >= 0")
         if not 1 <= self.corrupt_mask <= 0xFF:
             raise ValueError("corrupt_mask must be a non-zero byte value")
-        if self.window_s is not None:
-            t0, t1 = self.window_s
-            if t1 < t0:
-                raise ValueError(f"empty time window {self.window_s}")
-            object.__setattr__(self, "window_s", (float(t0), float(t1)))
 
     # -- analysis ----------------------------------------------------------
     def max_triggers(self) -> float:
@@ -192,30 +179,6 @@ class FaultRule:
                 window = math.ceil(window / self.every)
             bounds.append(window)
         return min(bounds)
-
-    # -- serialisation -----------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form, omitting fields left at their defaults."""
-        out: Dict[str, object] = {"action": self.action}
-        for spec in fields(self):
-            if spec.name == "action":
-                continue
-            value = getattr(self, spec.name)
-            default = spec.default
-            if value != default:
-                if isinstance(value, tuple):
-                    value = list(value)
-                out[spec.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultRule":
-        """Inverse of :meth:`to_dict` (re-validates everything)."""
-        kwargs = dict(payload)
-        for name in ("kinds", "indices", "seqs", "window_s"):
-            if name in kwargs and kwargs[name] is not None:
-                kwargs[name] = tuple(kwargs[name])  # type: ignore[arg-type]
-        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -241,38 +204,6 @@ class FaultPlan:
     def is_bounded(self) -> bool:
         """True if every rule has a finite trigger budget."""
         return self.fault_budget() != math.inf
-
-    # -- serialisation -----------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "name": self.name,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
-        if self.seed:
-            out["seed"] = self.seed
-        if self.description:
-            out["description"] = self.description
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
-        rules = tuple(
-            FaultRule.from_dict(r) for r in payload.get("rules", ())  # type: ignore[union-attr]
-        )
-        return cls(
-            name=str(payload["name"]),
-            rules=rules,
-            seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
-            description=str(payload.get("description", "")),
-        )
-
-    def to_json(self) -> str:
-        """Stable JSON (sorted keys) — byte-identical for equal plans."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -307,21 +238,11 @@ class PlanExecutor:
     seed:
         Root seed for stochastic rules; defaults to ``plan.seed``.  Rule
         *i* draws from ``random.Random(mix_seed(seed, i))``.
-    clock:
-        Zero-argument callable returning the current time for
-        ``window_s`` rules (simulated seconds on DES, wall seconds on
-        sockets).  Without a clock, time-window rules never match.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        seed: Optional[int] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, plan: FaultPlan, seed: Optional[int] = None):
         self.plan = plan
         seed = plan.seed if seed is None else seed
-        self.clock = clock
         self._seen: List[int] = [0] * len(plan.rules)
         self._fired: List[int] = [0] * len(plan.rules)
         self._rngs: List[Optional[random.Random]] = [
@@ -339,7 +260,6 @@ class PlanExecutor:
         kind: Optional[str],
         direction: str = "both",
         seq: Optional[int] = None,
-        now: Optional[float] = None,
     ) -> FaultDecision:
         """Evaluate the plan against one frame; advances rule counters.
 
@@ -348,15 +268,13 @@ class PlanExecutor:
         rules fire on the same frame their effects combine; ``drop``
         dominates at the adapter level.
         """
-        if now is None and self.clock is not None:
-            now = self.clock()
         drop = corrupt = silent = False
         corrupt_mask = 0xFF
         duplicates = 0
         delay_s = 0.0
         reorder_depth = 0
         for i, rule in enumerate(self.plan.rules):
-            if not self._static_match(rule, kind, direction, seq, now):
+            if not self._static_match(rule, kind, direction, seq):
                 continue
             index = self._seen[i]
             self._seen[i] += 1
@@ -398,7 +316,6 @@ class PlanExecutor:
         kind: Optional[str],
         direction: str,
         seq: Optional[int],
-        now: Optional[float],
     ) -> bool:
         if rule.kinds:
             if kind is None:
@@ -411,12 +328,6 @@ class PlanExecutor:
                 return False
         if rule.seqs and seq not in rule.seqs:
             return False
-        if rule.window_s is not None:
-            if now is None:
-                return False
-            t0, t1 = rule.window_s
-            if not t0 <= now <= t1:
-                return False
         return True
 
     @staticmethod
@@ -425,7 +336,7 @@ class PlanExecutor:
             return False
         if rule.last is not None and index > rule.last:
             return False
-        if rule.every is not None and index % rule.every != rule.phase % rule.every:
+        if rule.every is not None and index % rule.every:
             return False
         if rule.indices and index not in rule.indices:
             return False
@@ -461,53 +372,3 @@ def frame_stream_key(frame: object) -> Tuple[Optional[str], str, Optional[int]]:
         reply = getattr(kind_attr, "value", None) == "reply"
         return "control", "recv" if reply else "send", msg_id
     return None, "both", None
-
-
-def apply_to_sequence(
-    plan: FaultPlan,
-    items: Sequence[object],
-    kind: str = "data",
-    direction: str = "send",
-    seed: Optional[int] = None,
-    spacing_s: float = 1.0,
-) -> List[object]:
-    """Replay ``plan`` over a pure item sequence; returns arrival order.
-
-    The substrate-free adapter used by property tests: item *i*
-    nominally occurs at time ``i * spacing_s``.  A dropped (or
-    detectably corrupted) item vanishes; a duplicated item arrives again
-    immediately after itself; a reordered item with depth *d* arrives
-    after the next *d* items; a delayed item re-inserts ``delay_s``
-    later.  Integer items are additionally matched against rule
-    ``seqs``.  Deterministic for a given ``(plan, seed)``.
-    """
-    if spacing_s <= 0:
-        raise ValueError("spacing_s must be > 0")
-    executor = PlanExecutor(plan, seed=seed)
-    events: List[Tuple[float, int, object]] = []
-    tiebreak = 0
-    for i, item in enumerate(items):
-        seq = item if isinstance(item, int) else None
-        decision = executor.decide(kind, direction, seq=seq, now=i * spacing_s)
-        if decision.drop or (decision.corrupt and not decision.silent):
-            continue
-        emit = i * spacing_s + decision.delay_s
-        if decision.reorder_depth:
-            emit += (decision.reorder_depth + 0.5) * spacing_s
-        events.append((emit, tiebreak, item))
-        tiebreak += 1
-        for _ in range(decision.duplicates):
-            events.append((emit, tiebreak, item))
-            tiebreak += 1
-    events.sort(key=lambda event: (event[0], event[1]))
-    return [item for _, _, item in events]
-
-
-def validate_bounded(plans: Iterable[FaultPlan]) -> None:
-    """Raise if any plan could inject an unbounded number of faults."""
-    for plan in plans:
-        if not plan.is_bounded:
-            raise ValueError(
-                f"plan {plan.name!r} has an unbounded fault budget; give "
-                "every rule a finite index window or a `times` budget"
-            )

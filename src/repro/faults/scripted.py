@@ -15,18 +15,23 @@ both parties once, so frames are classified by *role* — data/control
 frames are the transfer's ``send`` stream, ack/nak frames its ``recv``
 stream (see :func:`repro.faults.plan.frame_stream_key`).  A reorder
 decision has no native DES primitive; it degrades to an extra delay of
-``reorder_depth × reorder_unit_s``, which on a serialised wire achieves
-the same overtaking effect.
+``reorder_depth ×`` :data:`REORDER_UNIT_S`, which on a serialised wire
+achieves the same overtaking effect.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..simnet.errors import ErrorModel
 from .plan import NO_FAULT, FaultDecision, FaultPlan, PlanExecutor, frame_stream_key
 
-__all__ = ["ScriptedErrors"]
+__all__ = ["REORDER_UNIT_S", "ScriptedErrors"]
+
+#: Seconds of extra wire delay per unit of reorder depth: longer than
+#: one data frame's transmission plus propagation on the paper's LAN,
+#: so a reordered frame is overtaken by ``depth`` later ones.
+REORDER_UNIT_S = 0.002
 
 
 class ScriptedErrors(ErrorModel):
@@ -39,27 +44,11 @@ class ScriptedErrors(ErrorModel):
     seed:
         Root seed for the plan's stochastic rules (default: the plan's
         own seed).
-    clock:
-        Zero-argument callable returning the current simulated time,
-        e.g. ``lambda: env.now``; required only for ``window_s`` rules.
-    reorder_unit_s:
-        Seconds of extra delay per unit of reorder depth (should exceed
-        one frame's transmission+propagation time so the reordered frame
-        is genuinely overtaken).
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        seed: Optional[int] = None,
-        clock: Optional[Callable[[], float]] = None,
-        reorder_unit_s: float = 0.002,
-    ):
-        if reorder_unit_s <= 0:
-            raise ValueError("reorder_unit_s must be > 0")
+    def __init__(self, plan: FaultPlan, seed: Optional[int] = None):
         self.plan = plan
-        self.reorder_unit_s = reorder_unit_s
-        self.executor = PlanExecutor(plan, seed=seed, clock=clock)
+        self.executor = PlanExecutor(plan, seed=seed)
         self._pending: FaultDecision = NO_FAULT
         self.frames_seen = 0
 
@@ -92,5 +81,5 @@ class ScriptedErrors(ErrorModel):
     def delay_s(self, frame: object) -> float:
         extra = self._pending.delay_s
         if self._pending.reorder_depth:
-            extra += self._pending.reorder_depth * self.reorder_unit_s
+            extra += self._pending.reorder_depth * REORDER_UNIT_S
         return extra

@@ -1,12 +1,9 @@
 """UDP adapter: a socket wrapper that replays a :class:`FaultPlan`.
 
-:class:`FaultySocket` applies a send-side
-:class:`~repro.simnet.errors.ErrorModel` coin-flip to outgoing
-datagrams — dropping on the *sender* side keeps the receiver
-implementation honest, it simply never sees the datagram — and on top
-interprets a fault plan on *both* directions —
-dropping, duplicating, corrupting, delaying, and reordering real
-datagrams.  Held datagrams live in bounded queues:
+:class:`FaultySocket` interprets a fault plan on *both* directions of
+a real socket — dropping, duplicating, corrupting, delaying, and
+reordering datagrams — and does nothing else: a socket with no plan is
+not wrapped at all.  Held datagrams live in bounded queues:
 
 - a **delay heap** per direction, keyed by wall-clock due time, flushed
   whenever the socket is used;
@@ -16,18 +13,18 @@ datagrams.  Held datagrams live in bounded queues:
 The receive side never blocks (:meth:`FaultySocket.recv_ready_into`, the
 entry point of :class:`~repro.service.iobatch.DatagramBatchIO`): the
 waiting loop above it bounds its wait by :meth:`~FaultySocket
-.next_held_due` and force-flushes reorder-held incoming datagrams
-(:meth:`~FaultySocket.flush_recv_held`) when its deadline expires, so a
-bounded plan can never wedge a transport: every held datagram is
+.next_held_due`, so a delayed datagram leaves at its due time, and
+force-flushes reorder-held incoming datagrams
+(:meth:`~FaultySocket.flush_recv_held`) when its wait expires quiet, so
+a bounded plan can never wedge a transport: every held datagram is
 eventually delivered or the caller times out holding it in hand.
 Frames are classified with :func:`repro.core.wire.peek` (no CRC check —
-a frame this very socket corrupted must still be classifiable), and
-plan time windows run on seconds since the wrapper was created.
+a frame this very socket corrupted must still be classifiable).
 
-``datagrams_dropped`` keeps its historical meaning — send-side drops —
-while the receive side gets its own ledger (``datagrams_received``,
-``recv_dropped``, ``recv_loss_rate``), fixing the old accounting
-asymmetry where receive-side effects were invisible.
+Each direction keeps its own ledger: ``datagrams_sent`` /
+``datagrams_dropped`` / ``loss_rate`` on the send side,
+``datagrams_received`` / ``recv_dropped`` / ``recv_loss_rate`` on the
+receive side.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.wire import HEADER_BYTES, WireError, decode, encode, peek
-from ..simnet.errors import ErrorModel, PerfectChannel
 from .plan import FaultDecision, FaultPlan, PlanExecutor
 
 __all__ = ["FaultySocket", "RECV_BUFFER_BYTES"]
@@ -120,13 +116,12 @@ class _HeldQueue:
         self._reordered = keep
         return released
 
-    def flush(self) -> List[Tuple[bytes, object]]:
-        """Release everything held, delayed first, in hold order."""
-        released = [(data, addr) for _, _, data, addr in sorted(self._delayed)]
-        self._delayed = []
-        released.extend((entry[1], entry[2]) for entry in self._reordered)  # type: ignore[misc]
+    def flush_reordered(self) -> List[Tuple[bytes, object]]:
+        """Release every reorder hold, in hold order; delay holds stay
+        until their due time."""
+        released = [(entry[1], entry[2]) for entry in self._reordered]
         self._reordered = []
-        return released
+        return released  # type: ignore[return-value]
 
     def next_due(self) -> Optional[float]:
         return self._delayed[0][0] if self._delayed else None
@@ -139,12 +134,8 @@ class FaultySocket:
     ----------
     sock:
         The real datagram socket to wrap.
-    error_model:
-        Send-side loss model (real loopback sockets essentially never
-        lose datagrams, so the paper's lossy network is emulated here);
-        consulted with the raw payload bytes, before the plan.
     plan:
-        Optional :class:`FaultPlan` applied to both directions.
+        The :class:`FaultPlan` applied to both directions.
     seed:
         Root seed for the plan's stochastic rules.
 
@@ -154,19 +145,12 @@ class FaultySocket:
     def __init__(
         self,
         sock: _socket.socket,
-        error_model: Optional[ErrorModel] = None,
-        plan: Optional[FaultPlan] = None,
+        plan: FaultPlan,
         seed: Optional[int] = None,
     ):
         self._sock = sock
-        self.error_model = error_model if error_model is not None else PerfectChannel()
         self.plan = plan
-        self._epoch = time.monotonic()
-        self.executor = (
-            PlanExecutor(plan, seed=seed, clock=self._elapsed)
-            if plan is not None
-            else None
-        )
+        self.executor = PlanExecutor(plan, seed=seed)
         self._send_held = _HeldQueue()
         self._recv_held = _HeldQueue()
         self._ready: List[Tuple[bytes, object]] = []
@@ -181,11 +165,7 @@ class FaultySocket:
             action: 0 for action in ("drop", "duplicate", "reorder", "delay", "corrupt")
         }
 
-    def _elapsed(self) -> float:
-        return time.monotonic() - self._epoch
-
     def _decide(self, datagram: bytes, direction: str) -> FaultDecision:
-        assert self.executor is not None
         kind_enum, seq = peek(datagram)
         kind = _KIND_NAMES.get(int(kind_enum)) if kind_enum is not None else None
         decision = self.executor.decide(kind, direction, seq=seq)
@@ -203,14 +183,9 @@ class FaultySocket:
 
     # -- send path ----------------------------------------------------------
     def sendto(self, payload: bytes, address: Tuple[str, int]) -> int:
-        """Send unless the error model or the plan swallows the datagram."""
+        """Send unless the plan swallows the datagram."""
         self._release_send_held()
         self.datagrams_sent += 1
-        if self.error_model.drops(payload):
-            self.datagrams_dropped += 1
-            return len(payload)  # swallowed silently, like the real wire
-        if self.executor is None:
-            return self._sock.sendto(payload, address)
         decision = self._decide(payload, "send")
         if decision.drop:
             self.datagrams_dropped += 1
@@ -263,12 +238,6 @@ class FaultySocket:
         scratch = self._scratch
         while True:
             try:
-                if self.executor is None:
-                    # Plan-free fast path: the kernel writes straight
-                    # into the caller's ring slot — zero copies.
-                    count, sender = self._sock.recvfrom_into(buffer)
-                    self.datagrams_received += 1
-                    return count, sender
                 count, sender = self._sock.recvfrom_into(scratch)
             except (BlockingIOError, InterruptedError, _socket.timeout):
                 return None
@@ -319,14 +288,17 @@ class FaultySocket:
         return count, sender
 
     def flush_recv_held(self) -> int:
-        """Force-release every held incoming datagram into the ready queue.
+        """Force-release every reorder-held incoming datagram into the
+        ready queue.
 
-        The waiting loop calls this when its receive deadline expires
-        with nothing readable — the "bounded plans never wedge"
-        guarantee.  Returns the number released; drain them with
-        :meth:`recv_ready_into`.
+        The waiting loop calls this when its wait expires with nothing
+        readable — the "bounded plans never wedge" guarantee, since a
+        reorder hold that nothing overtakes has no due time.  Delay
+        holds are not released: they leave at their due time, which
+        :meth:`next_held_due` reports.  Returns the number released;
+        drain them with :meth:`recv_ready_into`.
         """
-        flushed = self._recv_held.flush()
+        flushed = self._recv_held.flush_reordered()
         self._ready.extend(flushed)
         return len(flushed)
 
@@ -361,12 +333,6 @@ class FaultySocket:
 
     def close(self) -> None:
         self._sock.close()
-
-    def __enter__(self) -> "FaultySocket":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.close()
 
     @property
     def loss_rate(self) -> float:

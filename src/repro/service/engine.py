@@ -251,6 +251,9 @@ class ServiceCore:
         self.finished: Dict[int, TransferOutcome] = {}
         #: ACK/NAK frames dropped for naming a stream another client pulled.
         self.foreign_replies = 0
+        #: ACK/NAK frames dropped for naming a stream the core does not
+        #: hold (finished, never admitted, or never pulled).
+        self.stray_replies = 0
         # -- scheduling indexes (see module docstring) ----------------------
         self._admit_seq = 0
         #: Lazy-invalidation deadline heap: (deadline, admit_seq,
@@ -318,12 +321,16 @@ class ServiceCore:
     def _replying(self, stream_id: int, client: Optional[object],
                   frames: int = 1) -> Optional[_Entry]:
         """The live stream ``frames`` ACK/NAKs name, unless the substrate
-        names their sender (UDP) and it is not the client that pulled."""
+        names their sender (UDP) and it is not the client that pulled.
+        Every reply it refuses is counted: stray or foreign."""
         entry = self._active.get(stream_id)
-        if entry is not None and client is not None and client != entry.client:
+        if entry is not None and (client is None or client == entry.client):
+            return entry
+        if entry is None:
+            self.stray_replies += frames
+        else:
             self.foreign_replies += frames
-            return None
-        return entry
+        return None
 
     def _settle(self, stream_id: int, entry: _Entry, now: float) -> None:
         """Index a stream whose machine just took input."""

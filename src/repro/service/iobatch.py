@@ -221,7 +221,8 @@ class DatagramBatchIO:
         return query() if query is not None else None
 
     def flush_held(self) -> int:
-        """Force-release fault-held incoming datagrams (deadline expiry)."""
+        """Force-release reorder-held incoming datagrams (a quiet wait
+        expired); delay holds leave at their due time."""
         flush = getattr(self._sock, "flush_recv_held", None)
         return flush() if flush is not None else 0
 

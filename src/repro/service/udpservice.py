@@ -158,8 +158,8 @@ class UdpTransferService:
         ever left behind), poll the selector with a deadline-bounded
         timeout (one syscall, however many clients are talking), drain
         the whole receive ring, and feed every frame to the core.  A
-        quiet positive-wait expiry force-flushes fault-held datagrams,
-        matching the old per-receive timeout semantics.
+        quiet positive-wait expiry force-flushes reorder-held datagrams;
+        delay-held ones leave at their due time, which bounds the wait.
         """
         start = time.monotonic()
         core = self.core
@@ -199,8 +199,7 @@ class UdpTransferService:
                         and batch.flush_held()):
                     # The wait expired with nothing readable: release
                     # reorder-held datagrams so a bounded plan can never
-                    # wedge the loop.  (A read the plan held entirely is
-                    # not an expiry: its delays run to their due time.)
+                    # wedge the loop.  Delays run to their due time.
                     datagrams = batch.recv_batch()
                 deliver_ring(core, batch, datagrams, monotonic() - start)
             # Graceful stop: take in what the kernel has already

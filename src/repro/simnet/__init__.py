@@ -7,8 +7,6 @@ for the substitution argument.
 
 from .errors import (
     BernoulliErrors,
-    CompositeErrors,
-    DeterministicDrops,
     ErrorModel,
     GilbertElliott,
     PerfectChannel,
@@ -34,8 +32,6 @@ __all__ = [
     "BernoulliErrors",
     "GilbertElliott",
     "SilentCorruption",
-    "DeterministicDrops",
-    "CompositeErrors",
     "Host",
     "make_lan",
     "make_network",

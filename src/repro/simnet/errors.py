@@ -5,8 +5,11 @@ independent events which can fail with probability p_n" —
 :class:`BernoulliErrors` is exactly that model.  The paper also notes that
 "burst errors occasionally occur" and that most observed losses at full
 speed happen *in the 3-Com interfaces*, not on the wire; we provide a
-Gilbert–Elliott burst model and a separate interface-drop model so those
-caveats can be probed (ablation A3/A4 in DESIGN.md).
+Gilbert–Elliott burst model and a silent-corruption model so those
+caveats can be probed (ablations A3 and A10 in DESIGN.md).  Scripted
+faults are not here: they are :class:`repro.faults.plan.FaultPlan`
+rules, replayed on this wire by
+:class:`repro.faults.scripted.ScriptedErrors`.
 
 Every model is deterministic given a seed, which keeps stochastic
 experiments reproducible.
@@ -15,7 +18,7 @@ experiments reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "ErrorModel",
@@ -23,8 +26,6 @@ __all__ = [
     "BernoulliErrors",
     "GilbertElliott",
     "SilentCorruption",
-    "DeterministicDrops",
-    "CompositeErrors",
 ]
 
 
@@ -180,36 +181,13 @@ class GilbertElliott(ErrorModel):
         return frac_bad * self.p_bad_loss + (1.0 - frac_bad) * self.p_good_loss
 
 
-class DeterministicDrops(ErrorModel):
-    """Drop an explicit list of frame indices (0-based, in arrival order).
-
-    Used by unit tests and failure-injection scenarios to script exact
-    loss patterns ("lose the 3rd data packet and the first ack").
-    """
-
-    def __init__(self, drop_indices: Iterable[int]):
-        self._drop = frozenset(drop_indices)
-        if any(i < 0 for i in self._drop):
-            raise ValueError("drop indices must be >= 0")
-        self._count = 0
-
-    def drops(self, frame: object) -> bool:
-        index = self._count
-        self._count += 1
-        return index in self._drop
-
-    @property
-    def frames_seen(self) -> int:
-        """How many frames have passed through the model."""
-        return self._count
-
-
 class SilentCorruption(ErrorModel):
     """Deliver frames with silently damaged payloads, probability ``p``.
 
     Models interface/DMA damage downstream of the Ethernet CRC.  Frames
-    are never *lost* by this model; combine with a loss model through
-    :class:`CompositeErrors` for both effects.
+    are never *lost* by this model; a fault plan with a drop rule and a
+    silent corrupt rule (:class:`repro.faults.scripted.ScriptedErrors`)
+    scripts both effects.
     """
 
     def __init__(self, p: float, seed: Optional[int] = None):
@@ -225,29 +203,3 @@ class SilentCorruption(ErrorModel):
         if self.p == 0.0:
             return False
         return self._rng.random() < self.p
-
-
-class CompositeErrors(ErrorModel):
-    """A frame is lost if *any* component model drops it.
-
-    This composes the paper's two loss sources: wire errors (rare,
-    ~1e-5) and interface errors (an order of magnitude more frequent at
-    full speed, ~1e-4).
-    """
-
-    def __init__(self, models: Sequence[ErrorModel]):
-        self.models: List[ErrorModel] = list(models)
-
-    def drops(self, frame: object) -> bool:
-        # Evaluate all components so their RNG streams stay aligned
-        # regardless of short-circuiting.
-        return any([model.drops(frame) for model in self.models])
-
-    def corrupts(self, frame: object) -> bool:
-        return any([model.corrupts(frame) for model in self.models])
-
-    def duplicates(self, frame: object) -> int:
-        return sum([model.duplicates(frame) for model in self.models])
-
-    def delay_s(self, frame: object) -> float:
-        return sum([model.delay_s(frame) for model in self.models])

@@ -10,9 +10,10 @@ import pytest
 
 from repro.core import run_transfer
 from repro.core.base import CHECKSUM_BYTES_PER_S
+from repro.faults.plan import FaultPlan, FaultRule
+from repro.faults.scripted import ScriptedErrors
 from repro.simnet import (
     BernoulliErrors,
-    CompositeErrors,
     NetworkParams,
     SilentCorruption,
     TraceRecorder,
@@ -119,12 +120,14 @@ class TestChecksumProtection:
             2 * len(DATA) / CHECKSUM_BYTES_PER_S, rel=0.05)
 
     def test_checksum_with_loss_and_corruption_combined(self):
-        model = CompositeErrors([
-            BernoulliErrors(0.02, seed=7),
-            SilentCorruption(0.02, seed=8),
-        ])
+        # One data frame lost on the wire, another damaged past the CRC.
+        errors = ScriptedErrors(FaultPlan(name="loss+corruption", rules=(
+            FaultRule("drop", kinds=("data",), indices=(3,)),
+            FaultRule("corrupt", kinds=("data",), indices=(7,), silent=True),
+        )))
         result = run_transfer(
             "blast", DATA, params=PARAMS, strategy="selective",
-            error_model=model, verify_checksum=True,
+            error_model=errors, verify_checksum=True,
         )
+        assert errors.faults_fired == 2
         assert result.data_intact

@@ -1,14 +1,16 @@
 """Behavioural tests of the simulated transfers under scripted loss.
 
-DeterministicDrops scripts exact loss patterns (frame indices in wire
-order), letting each recovery path be exercised precisely: lost data
+``replay.drops`` scripts exact loss patterns (frame indices in wire
+order, as a one-rule fault plan), letting each recovery path be exercised precisely: lost data
 packets, lost acks, lost NAKs, lost last packets.
 """
 
 import pytest
 
 from repro.core import run_transfer
-from repro.simnet import BernoulliErrors, DeterministicDrops, NetworkParams
+from repro.simnet import BernoulliErrors, NetworkParams
+
+from ..faults.replay import drops
 
 DATA_8 = bytes(range(256)) * 32  # 8 KB -> 8 packets
 PARAMS = NetworkParams.standalone()
@@ -47,7 +49,7 @@ class TestStopAndWaitRecovery:
         # Wire order: data0, ack0, data1, ack1, ... -> frame 4 is data2.
         result = run_transfer(
             "stop_and_wait", DATA_8, params=PARAMS,
-            error_model=DeterministicDrops([4]),
+            error_model=drops(4),
         )
         assert result.data_intact
         assert result.stats.retransmitted_data_frames == 1
@@ -57,7 +59,7 @@ class TestStopAndWaitRecovery:
         # Frame 1 is ack0: the receiver got data0 but the sender retries.
         result = run_transfer(
             "stop_and_wait", DATA_8, params=PARAMS,
-            error_model=DeterministicDrops([1]),
+            error_model=drops(1),
         )
         assert result.data_intact
         assert result.stats.duplicates_received == 1
@@ -68,7 +70,7 @@ class TestBlastRecovery:
     def test_full_no_nak_lost_packet_resends_all(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="full_no_nak",
-            error_model=DeterministicDrops([2]),
+            error_model=drops(2),
         )
         assert result.data_intact
         assert result.stats.rounds == 2
@@ -78,7 +80,7 @@ class TestBlastRecovery:
     def test_full_nak_lost_packet_resends_all_without_timer(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="full_nak",
-            error_model=DeterministicDrops([2]),
+            error_model=drops(2),
         )
         assert result.data_intact
         assert result.stats.rounds == 2
@@ -88,7 +90,7 @@ class TestBlastRecovery:
     def test_full_nak_lost_last_packet_falls_back_to_timer(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="full_nak",
-            error_model=DeterministicDrops([7]),   # the last data frame
+            error_model=drops(7),   # the last data frame
         )
         assert result.data_intact
         assert result.stats.timeouts == 1
@@ -96,7 +98,7 @@ class TestBlastRecovery:
     def test_gobackn_resends_from_first_missing(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="gobackn",
-            error_model=DeterministicDrops([5]),   # data packet seq 5
+            error_model=drops(5),   # data packet seq 5
         )
         assert result.data_intact
         assert result.stats.rounds == 2
@@ -106,7 +108,7 @@ class TestBlastRecovery:
     def test_selective_resends_only_missing(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="selective",
-            error_model=DeterministicDrops([1, 5]),  # seqs 1 and 5
+            error_model=drops(1, 5),  # seqs 1 and 5
         )
         assert result.data_intact
         assert result.stats.rounds == 2
@@ -115,7 +117,7 @@ class TestBlastRecovery:
     def test_gobackn_lost_reliable_last_retries_just_it(self):
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="gobackn",
-            error_model=DeterministicDrops([7]),   # the reliable last packet
+            error_model=drops(7),   # the reliable last packet
         )
         assert result.data_intact
         # Only the last packet is retried; no extra round.
@@ -127,7 +129,7 @@ class TestBlastRecovery:
         # Frame 8 on the wire is the receiver's reply (after 8 data frames).
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="gobackn",
-            error_model=DeterministicDrops([8]),
+            error_model=drops(8),
         )
         assert result.data_intact
         assert result.stats.timeouts == 1
@@ -140,7 +142,7 @@ class TestBlastRecovery:
         # so the loss is repaired by the periodic retry inside the round.
         result = run_transfer(
             "blast", DATA_8, params=PARAMS, strategy="selective",
-            error_model=DeterministicDrops([3, 9]),
+            error_model=drops(3, 9),
         )
         assert result.data_intact
         assert result.stats.rounds == 2
@@ -154,7 +156,7 @@ class TestSlidingWindowRecovery:
         # frame (data0) is the easiest to script.
         result = run_transfer(
             "sliding_window", DATA_8, params=PARAMS,
-            error_model=DeterministicDrops([0]),
+            error_model=drops(0),
         )
         assert result.data_intact
         assert result.stats.retransmitted_data_frames == 1
@@ -169,7 +171,7 @@ class TestSlidingWindowRecovery:
         # the first ack is wire frame 2.
         result = run_transfer(
             "sliding_window", DATA_8, params=PARAMS,
-            error_model=DeterministicDrops([2]),
+            error_model=drops(2),
         )
         assert result.data_intact
         assert result.stats.duplicates_received == 1
@@ -219,7 +221,7 @@ class TestMultiblast:
         # Chunk 1 (frames 0-3 + reply), drop its seq 2 (wire frame 2).
         result = run_transfer(
             "multiblast", bytes(16 * 1024), params=PARAMS, blast_packets=4,
-            strategy="selective", error_model=DeterministicDrops([2]),
+            strategy="selective", error_model=drops(2),
         )
         assert result.data_intact
         assert result.stats.data_frames_sent == 16 + 1

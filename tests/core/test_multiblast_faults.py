@@ -3,9 +3,9 @@
 ``MultiBlastTransfer`` folds per-blast payloads into a shared offset
 table, so interleaved/duplicated arrival orders are exactly where an
 off-by-one in the chunk bookkeeping would corrupt the reassembly.  These
-tests drive it with the builtin reorder plans — both through the pure
-``apply_to_sequence`` adapter (to pin the arrival orders themselves) and
-through ``ScriptedErrors`` on the simulated wire.
+tests drive it with the builtin reorder plans — both over a pure
+sequence (``tests/faults/replay.py``, to pin the arrival orders
+themselves) and through ``ScriptedErrors`` on the simulated wire.
 """
 
 from dataclasses import astuple
@@ -15,11 +15,13 @@ import pytest
 from repro.analysis.errorfree import t_single_exchange
 from repro.core import run_transfer
 from repro.core.base import BlastTransfer, MachineTransfer, MultiBlastTransfer
-from repro.faults.plan import FaultPlan, FaultRule, apply_to_sequence
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.plans import builtin_plan
 from repro.faults.scripted import ScriptedErrors
 from repro.sim import Environment
 from repro.simnet import NetworkParams, make_lan
+
+from ..faults.replay import arrival_order
 
 PARAMS = NetworkParams.standalone()
 
@@ -31,13 +33,13 @@ def payload(n_packets):
 class TestReorderArrivalOrders:
     def test_reorder_window_interleaves(self):
         plan = builtin_plan("reorder-window")
-        order = apply_to_sequence(plan, list(range(10)))
+        order = arrival_order(plan, list(range(10)))
         assert sorted(order) == list(range(10))  # nothing lost
         assert order != list(range(10))  # but genuinely out of order
 
     def test_dup_reorder_duplicates_and_interleaves(self):
         plan = builtin_plan("dup+reorder")
-        order = apply_to_sequence(plan, list(range(10)))
+        order = arrival_order(plan, list(range(10)))
         assert set(order) == set(range(10))
         assert len(order) > 10  # dup-burst added arrivals
         assert order != sorted(order)
@@ -45,7 +47,7 @@ class TestReorderArrivalOrders:
     def test_arrival_order_deterministic(self):
         plan = builtin_plan("dup+reorder")
         items = list(range(12))
-        assert apply_to_sequence(plan, items) == apply_to_sequence(plan, items)
+        assert arrival_order(plan, items) == arrival_order(plan, items)
 
 
 class TestMultiBlastUnderReorder:

@@ -143,11 +143,13 @@ class TestAdaptiveInBlastEngine:
 
     def test_adaptive_recovers_from_loss(self):
         from repro.core import run_transfer
-        from repro.simnet import DeterministicDrops, NetworkParams
+        from repro.simnet import NetworkParams
+
+        from ..faults.replay import drops
 
         result = run_transfer(
             "blast", bytes(8 * 1024), params=NetworkParams.standalone(),
-            strategy="full_no_nak", error_model=DeterministicDrops([2]),
+            strategy="full_no_nak", error_model=drops(2),
             timeout_policy=AdaptiveTimeout(initial_s=0.05),
         )
         assert result.data_intact

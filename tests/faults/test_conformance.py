@@ -5,6 +5,7 @@ golden ledger); here we hold every DES row to that ledger and only
 spot-check the slow wall-clock substrate.
 """
 
+import pickle
 from pathlib import Path
 
 import pytest
@@ -45,12 +46,20 @@ class TestBuiltinPlans:
         with pytest.raises(KeyError):
             builtin_plan("no-such-plan")
 
-    def test_plans_round_trip_through_json(self):
-        from repro.faults.plan import FaultPlan
+    def test_plans_cross_a_process_boundary_by_pickling(self):
+        # The pool's cell specs and the cluster's WorkerSpec carry the
+        # frozen plan itself; the copy must replay the same decisions.
+        from repro.faults.plan import PlanExecutor
 
+        frames = [(kind, direction, seq) for seq in range(12)
+                  for kind, direction in (("data", "send"), ("ack", "recv"))]
         for name in builtin_plan_names():
             plan = BUILTIN_PLANS[name]
-            assert FaultPlan.from_json(plan.to_json()) == plan
+            copy = pickle.loads(pickle.dumps(build_specs(plans=[plan])[0]))[3]
+            assert copy == plan
+            original, replayed = PlanExecutor(plan), PlanExecutor(copy)
+            assert [original.decide(*frame) for frame in frames] \
+                == [replayed.decide(*frame) for frame in frames]
 
 
 class TestBuildSpecs:
@@ -135,7 +144,7 @@ class TestStopAndWaitIgnoresStaleAcks:
 
         packets = 9
         row = _run_cell_spec(
-            ("des", "stop_and_wait", None, builtin_plan(plan_name).to_json(),
+            ("des", "stop_and_wait", None, builtin_plan(plan_name),
              7, 8 * 1024 + 137)
         )
         assert row["intact"] and row["terminated"]
@@ -162,7 +171,7 @@ class TestUdpSpotChecks:
 
         plan = builtin_plan(plan_name)
         row = _run_cell_spec(
-            ("udp", protocol, strategy, plan.to_json(), 7, 4 * 1024 + 17)
+            ("udp", protocol, strategy, plan, 7, 4 * 1024 + 17)
         )
         assert row["ok"], row["error"]
         assert row["intact"]

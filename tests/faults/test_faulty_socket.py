@@ -14,7 +14,6 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.socket import FaultySocket
 from repro.service.iobatch import DatagramBatchIO
 from repro.service.udpservice import UdpTransferService
-from repro.simnet.errors import DeterministicDrops
 
 
 def _udp_socket():
@@ -33,7 +32,7 @@ def _plan(*rules, name="t", seed=0):
 
 @pytest.fixture()
 def pair():
-    """(faulty, peer): a plan-free wrapper and a raw peer socket."""
+    """(left, right): two raw loopback sockets; tests wrap ``left``."""
     left = _udp_socket()
     right = _udp_socket()
     right.settimeout(2.0)
@@ -42,15 +41,14 @@ def pair():
     right.close()
 
 
-def _wrap(raw, *rules, error_model=None, seed=0):
-    plan = _plan(*rules, seed=seed) if rules else None
-    return FaultySocket(raw, error_model=error_model, plan=plan)
+def _wrap(raw, *rules, seed=0):
+    return FaultySocket(raw, _plan(*rules, seed=seed))
 
 
 class TestSendSide:
     def test_transparent_without_plan(self, pair):
         left, right = pair
-        faulty = _wrap(left)
+        faulty = _wrap(left)  # a plan with no rules
         faulty.sendto(_datagram(0), right.getsockname())
         datagram, _ = right.recvfrom(65536)
         assert decode(datagram).seq == 0
@@ -131,14 +129,6 @@ class TestSendSide:
         frame = decode(right.recvfrom(65536)[0])
         assert frame.payload != b"payload!"
         assert len(frame.payload) == len(b"payload!")
-
-    def test_legacy_error_model_still_applies(self, pair):
-        left, right = pair
-        faulty = _wrap(left, error_model=DeterministicDrops([0]))
-        faulty.sendto(_datagram(0), right.getsockname())
-        faulty.sendto(_datagram(1), right.getsockname())
-        assert decode(right.recvfrom(65536)[0]).seq == 1
-        assert faulty.datagrams_dropped == 1
 
 
 def _batch_layer(raw, *rules):
@@ -408,11 +398,3 @@ def test_delivered_is_sent_minus_drops_plus_duplicates(actions):
         left.close()
         right.close()
 
-
-class TestLossySocketCompat:
-    def test_context_manager_closes(self):
-        raw = _udp_socket()
-        with FaultySocket(raw) as faulty:
-            assert faulty.getsockname()[0] == "127.0.0.1"
-        with pytest.raises(OSError):
-            raw.getsockname()

@@ -1,9 +1,15 @@
 """ScriptedErrors: replaying fault plans on the DES substrate."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.frames import AckFrame, DataFrame
 from repro.core.runner import run_transfer
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.scripted import ScriptedErrors
+
+from .replay import drops
 
 DATA = bytes(range(256)) * 16  # 4 KB -> 4 packets
 
@@ -60,12 +66,11 @@ class TestModelHooks:
 
     def test_reorder_degrades_to_delay(self):
         model = ScriptedErrors(
-            _plan(FaultRule(action="reorder", kinds=("data",), indices=(0,), depth=3)),
-            reorder_unit_s=0.01,
+            _plan(FaultRule(action="reorder", kinds=("data",), indices=(0,), depth=5)),
         )
         frame = _data_frame(0)
         assert not model.drops(frame)
-        assert model.delay_s(frame) == 3 * 0.01
+        assert model.delay_s(frame) == 5 * 0.002  # 2 ms per overtaking frame
 
     def test_acks_classified_as_recv_stream(self):
         model = ScriptedErrors(
@@ -73,6 +78,32 @@ class TestModelHooks:
         )
         assert model.drops(AckFrame(transfer_id=1, seq=0))
         assert not model.drops(_data_frame(0))
+
+
+class TestDropByIndex:
+    """A drop-by-index rule with no kinds and direction ``both`` counts
+    every frame on the wire (``replay.drops``, the scripted loss of the
+    DES tests)."""
+
+    def test_drops_exactly_the_scripted_indices(self):
+        model = drops(0, 2, 5)
+        frames = [_data_frame(0), AckFrame(transfer_id=1, seq=0), None,
+                  _data_frame(1), object(), _data_frame(2), None, None]
+        outcomes = [model.drops(frame) for frame in frames]
+        assert outcomes == [True, False, True, False, False, True, False, False]
+        assert model.frames_seen == 8
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            drops(-1)
+
+    @given(st.sets(st.integers(0, 50), max_size=10))
+    @settings(max_examples=50)
+    def test_drop_count_matches_script(self, indices):
+        model = drops(*indices)
+        dropped = sum(model.drops(None) for _ in range(51))
+        assert dropped == len(indices)
+        assert model.faults_fired == len(indices)
 
 
 class TestOnSimulatedLan:

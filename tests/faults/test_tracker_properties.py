@@ -1,6 +1,6 @@
 """Seeded property tests: tracker and strategies under adversarial orders.
 
-Fault plans double as arrival-order generators: ``apply_to_sequence``
+Fault plans double as arrival-order generators: ``replay.arrival_order``
 turns a randomly built (but bounded) plan into a drop/duplicate/reorder
 pattern over the sequence numbers of one transfer round.  Feeding those
 arrival streams to :class:`~repro.core.tracker.ReceiverTracker` and to
@@ -15,7 +15,9 @@ import pytest
 from repro.core.frames import NakFrame
 from repro.core.strategies import STRATEGY_REGISTRY, get_strategy
 from repro.core.tracker import ReceiverTracker
-from repro.faults.plan import FaultPlan, FaultRule, apply_to_sequence
+from repro.faults.plan import FaultPlan, FaultRule
+
+from .replay import arrival_order
 
 SEEDS = range(40)
 
@@ -56,7 +58,7 @@ def _arrivals(seed: int, total: int):
     """Adversarial arrival order of sequence numbers for one round."""
     rng = random.Random(seed)
     plan = _random_plan(rng, total)
-    return apply_to_sequence(plan, list(range(total)), seed=seed)
+    return arrival_order(plan, list(range(total)), seed=seed)
 
 
 class TestTrackerProperties:
@@ -182,7 +184,7 @@ class TestRepeatedRounds:
             assert rounds <= 64, "strategy failed to converge"
             rng = random.Random(round_seed)
             plan = _random_plan(rng, max(len(working), 2))
-            for seq in apply_to_sequence(plan, working, seed=round_seed):
+            for seq in arrival_order(plan, working, seed=round_seed):
                 tracker.add(seq)
             working = strategy.next_working_set(total, tracker.report())
             round_seed += 1

@@ -58,13 +58,12 @@ class TestIpcFramesOnTheWire:
     def test_reorder_degrades_to_delay(self):
         errors = ScriptedErrors(
             _plan(
-                FaultRule(action="reorder", kinds=("control",), indices=(0,), depth=4),
+                FaultRule(action="reorder", kinds=("control",), indices=(0,), depth=5),
             ),
-            reorder_unit_s=0.01,
         )
         frame = _frame(MessageKind.SEND)
         assert not errors.drops(frame)
-        assert errors.delay_s(frame) == 4 * 0.01
+        assert errors.delay_s(frame) == 5 * 0.002  # 2 ms per overtaking frame
 
 
 def _kernels(env, plan=None, send_timeout_s=0.05):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core import run_transfer
 from repro.sim import Store
-from repro.simnet import BernoulliErrors, DeterministicDrops, NetworkParams
+from repro.simnet import BernoulliErrors, NetworkParams
+
+from ..faults import replay
 
 PARAMS = NetworkParams.standalone()
 
@@ -34,7 +36,7 @@ class TestLossPatternConvergence:
         data = payload(n)
         result = run_transfer(
             "stop_and_wait", data, params=PARAMS,
-            error_model=DeterministicDrops(drops),
+            error_model=replay.drops(*drops),
         )
         assert result.data_intact
         assert result.data == data
@@ -45,7 +47,7 @@ class TestLossPatternConvergence:
         data = payload(n)
         result = run_transfer(
             "sliding_window", data, params=PARAMS,
-            error_model=DeterministicDrops(drops),
+            error_model=replay.drops(*drops),
         )
         assert result.data_intact
 
@@ -61,7 +63,7 @@ class TestLossPatternConvergence:
         data = payload(n)
         result = run_transfer(
             "blast", data, params=PARAMS, strategy=strategy,
-            error_model=DeterministicDrops(drops),
+            error_model=replay.drops(*drops),
         )
         assert result.data_intact
         assert result.data == data
@@ -79,7 +81,7 @@ class TestLossPatternConvergence:
         data = payload(n)
         result = run_transfer(
             "multiblast", data, params=PARAMS, blast_packets=3,
-            strategy="selective", error_model=DeterministicDrops(drops),
+            strategy="selective", error_model=replay.drops(*drops),
         )
         assert result.data_intact
         assert result.data == data
@@ -97,7 +99,7 @@ class TestLossPatternConvergence:
         for s in ("selective", "gobackn", "full_nak"):
             result = run_transfer(
                 "blast", data, params=PARAMS, strategy=s,
-                error_model=DeterministicDrops(drops),
+                error_model=replay.drops(*drops),
             )
             assert result.data_intact
             counts[s] = result.stats.data_frames_sent

@@ -93,12 +93,12 @@ class TestTable2Breakdown:
 
 class TestDropTracing:
     def test_channel_loss_recorded(self):
-        from repro.simnet import DeterministicDrops
+        from ..faults import replay
 
         trace = TraceRecorder()
         result = run_transfer(
             "blast", DATA, params=PARAMS, trace=trace,
-            error_model=DeterministicDrops([2]), strategy="gobackn",
+            error_model=replay.drops(2), strategy="gobackn",
         )
         assert result.data_intact
         drops = trace.drops()

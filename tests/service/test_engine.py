@@ -202,6 +202,21 @@ class TestSchedulingAndCompletion:
         assert core.on_frame(AckFrame(transfer_id=9, seq=0, stream_id=9),
                              0.0) == []
 
+    def test_a_reply_naming_no_held_stream_is_counted_stray(self):
+        # Dropped without a trace before: neither counter moved for an
+        # ACK or NAK naming a stream that finished or was never pulled.
+        core = ServiceCore()
+        core.on_frame(pull_frame(1, 1024), 0.0, client="c")
+        (frame, _), = core.drain_sends(0.0, 8)
+        core.on_frame(AckFrame(1, frame.seq, stream_id=1), 0.01, client="c")
+        assert core.finished[1].ok and core.stray_replies == 0
+        core.on_frame(AckFrame(1, 0, stream_id=1), 0.02, client="c")
+        core.on_acks(9, [0, 1], 0.02, client="c")
+        core.on_frame(NakFrame(9, 0, (0,), 4, stream_id=9), 0.02)
+        assert core.stray_replies == 4
+        assert core.foreign_replies == 0
+        assert "stray" not in core.report_json()
+
     def test_next_deadline_none_when_idle(self):
         core = ServiceCore()
         assert core.next_deadline(0.0) is None

@@ -534,16 +534,21 @@ class TestFaultComposition:
         frame = DataFrame(3, 0, 1, b"late", stream_id=1)
         faulty = self._wrap(b, [FaultRule(action="delay", kinds=("data",),
                                           direction="recv", indices=(0,),
-                                          delay_s=30.0)])
+                                          delay_s=0.1)])
         io = DatagramBatchIO(faulty, ring_slots=4)
         a.sendto(encode(frame), b.getsockname())
         _settle(b)
         assert io.recv_batch() == []          # held by the plan, not lost
-        assert io.next_held_due() is not None  # bounds the loop's poll wait
-        assert io.flush_held() == 1            # deadline-expiry release
-        assert io.has_ready
+        due = io.next_held_due()               # bounds the loop's poll wait
+        assert due is not None
+        # A quiet wait's expiry releases reorder holds only: a delay
+        # hold leaves at its due time, not early.
+        assert io.flush_held() == 0 and not io.has_ready
+        assert io.recv_batch() == []
+        time.sleep(max(due - time.monotonic(), 0.0))
         (view, _sender), = io.recv_batch()
         assert bytes(view) == encode(frame)
+        assert time.monotonic() >= due
 
     def test_drop_plan_swallows_datagram(self, pair):
         a, b = pair

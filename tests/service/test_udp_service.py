@@ -593,13 +593,13 @@ class TestBlastUdp:
 
 
 class TestServeHoldsWhatThePlanHolds:
-    def test_a_delayed_request_is_answered_after_its_delay(self):
-        """Regression: a wakeup whose whole read the plan held released
-        every held datagram at once, so a receive-side delay was never
-        served by ``serve`` (the verdict left ~1 ms after the pull)."""
+    @staticmethod
+    def verdict_after(delay_s):
+        """Seconds from a pull to its verdict through ``serve`` when the
+        plan delays the pull by ``delay_s`` on the server's receive side."""
         plan = FaultPlan(name="late-pull", rules=(FaultRule(
             action="delay", kinds=("control",), direction="recv",
-            indices=(0,), delay_s=0.03),))
+            indices=(0,), delay_s=delay_s),))
         service, thread = run_service(fault_plan=plan)
         client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         client.bind(("127.0.0.1", 0))
@@ -618,4 +618,16 @@ class TestServeHoldsWhatThePlanHolds:
             service.close()
             client.close()
         assert isinstance(verdict, ControlFrame)
-        assert 0.03 <= elapsed < 1.0
+        return elapsed
+
+    def test_a_delayed_request_is_answered_after_its_delay(self):
+        """Regression: a wakeup whose whole read the plan held released
+        every held datagram at once, so a receive-side delay was never
+        served by ``serve`` (the verdict left ~1 ms after the pull)."""
+        assert 0.03 <= self.verdict_after(0.03) < 1.0
+
+    def test_a_delay_longer_than_one_wait_is_served_in_full(self):
+        """Regression: a quiet wait is capped at ``MAX_WAIT_S`` (50 ms),
+        and its expiry released delay holds with the reorder holds, so
+        a 0.2 s delay was cut to ~52 ms."""
+        assert 0.2 <= self.verdict_after(0.2) < 1.5

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import FaultPlan, FaultRule
+from repro.faults.scripted import ScriptedErrors
 from repro.simnet import (
     BernoulliErrors,
-    CompositeErrors,
-    DeterministicDrops,
     GilbertElliott,
     PerfectChannel,
 )
@@ -95,39 +95,28 @@ class TestGilbertElliott:
         assert model.stationary_loss_rate == pytest.approx(0.02)
 
 
-class TestDeterministicDrops:
-    def test_drops_exactly_the_scripted_indices(self):
-        model = DeterministicDrops([0, 2, 5])
-        outcomes = [model.drops(None) for _ in range(8)]
-        assert outcomes == [True, False, True, False, False, True, False, False]
-        assert model.frames_seen == 8
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicDrops([-1])
-
-    @given(st.sets(st.integers(0, 50), max_size=10))
-    @settings(max_examples=50)
-    def test_drop_count_matches_script(self, indices):
-        model = DeterministicDrops(indices)
-        dropped = sum(model.drops(None) for _ in range(51))
-        assert dropped == len(indices)
-
-
 class TestComposite:
+    """Loss sources compose as the rules of one fault plan, each with
+    its own counter and seeded stream, on the wire as ``ScriptedErrors``."""
+
+    @staticmethod
+    def _model(*rules, seed=0):
+        return ScriptedErrors(FaultPlan(name="composite", rules=rules),
+                              seed=seed)
+
     def test_any_component_dropping_drops(self):
-        model = CompositeErrors([DeterministicDrops([0]), DeterministicDrops([2])])
+        model = self._model(FaultRule("drop", indices=(0,)),
+                            FaultRule("drop", indices=(2,)))
         assert [model.drops(None) for _ in range(4)] == [True, False, True, False]
 
     def test_empty_composite_never_drops(self):
-        model = CompositeErrors([])
+        model = self._model()
         assert not any(model.drops(None) for _ in range(100))
 
     def test_combined_rate_approximates_union(self):
         """Wire (1e-2) + interface (5e-2) losses compose to ~1-(1-p)(1-q)."""
-        model = CompositeErrors(
-            [BernoulliErrors(0.01, seed=1), BernoulliErrors(0.05, seed=2)]
-        )
+        model = self._model(FaultRule("drop", probability=0.01),
+                            FaultRule("drop", probability=0.05), seed=1)
         n = 100_000
         rate = sum(model.drops(None) for _ in range(n)) / n
         expected = 1 - (1 - 0.01) * (1 - 0.05)

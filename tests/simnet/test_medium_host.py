@@ -8,13 +8,14 @@ from repro.sim import Environment
 from repro.simnet import (
     Activity,
     BernoulliErrors,
-    DeterministicDrops,
     DmaInterface,
     NetworkParams,
     TraceRecorder,
     make_lan,
 )
 from repro.simnet.params import CopyCostModel
+
+from ..faults.replay import drops
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class TestBuffering:
 class TestErrorsOnTheWire:
     def test_deterministic_drop_loses_scripted_frame(self, env):
         a, b, medium = make_lan(
-            env, NetworkParams.standalone(), error_model=DeterministicDrops([1])
+            env, NetworkParams.standalone(), error_model=drops(1)
         )
         frames = [Frame(1024, label=f"f{i}") for i in range(3)]
 

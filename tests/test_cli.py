@@ -33,10 +33,9 @@ class TestParser:
 
     def test_regen_flags(self):
         parser = build_parser()
-        args = parser.parse_args(["regen"])
-        assert args.regen_jobs is None
-        args = parser.parse_args(["regen", "--jobs", "2"])
-        assert args.regen_jobs == 2
+        assert parser.parse_args(["--jobs", "2", "regen"]).jobs == 2
+        with pytest.raises(SystemExit):  # the global --jobs is the one knob
+            parser.parse_args(["regen", "--jobs", "2"])
         with pytest.raises(SystemExit):  # there is deliberately no cache
             parser.parse_args(["regen", "--no-cache"])
 

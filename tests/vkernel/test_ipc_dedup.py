@@ -4,13 +4,14 @@ import pytest
 
 from repro.sim import Environment
 from repro.simnet import (
-    DeterministicDrops,
     NetworkParams,
     SilentCorruption,
     TraceRecorder,
     make_lan,
 )
 from repro.vkernel import VKernel
+
+from ..faults.replay import drops
 
 
 def build(error_model=None, send_timeout_s=0.05):
@@ -28,7 +29,7 @@ class TestDuplicateSuppression:
         """Drop the first reply: the client's retransmitted request must
         get the *cached* reply; the server body runs exactly once."""
         # Wire order: request (frame 0), reply (frame 1) -> drop the reply.
-        env, ka, kb, _ = build(error_model=DeterministicDrops([1]))
+        env, ka, kb, _ = build(error_model=drops(1))
         client = ka.create_process("client")
         server = kb.create_process("server")
         executions = []
