@@ -18,12 +18,23 @@ import time
 
 def measure(checkout, packets, rounds):
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    from repro.core.frames import DataFrame
     from repro.core.wire import decode, encode
     from repro.service.engine import ServiceConfig, ServiceCore
     from repro.service.pullclient import PullMachine
     from repro.service.udpservice import SEND_BATCH
 
     rings = hasattr(ServiceCore, "on_acks")     # the parent takes one frame a call
+
+    def drained(core):
+        """One drain's data frames as the pump decodes them (a checkout that
+        drains one run per stream hands over packets, not frames)."""
+        out = core.drain_sends(0.0, SEND_BATCH)
+        if out and len(out[0]) == 6:
+            out = [(DataFrame(stream, seq, total, payload, reply, stream_id=stream), client)
+                   for client, stream, total, seqs, payloads, wants in out
+                   for seq, payload, reply in zip(seqs, payloads, wants)]
+        return [decode(encode(frame)) for frame, _ in out]
     if rings:
         from repro.service.udpservice import deliver_ring
     clock = time.perf_counter
@@ -45,8 +56,7 @@ def measure(checkout, packets, rounds):
         for column in ("parts", "whole"):
             core, pull = admitted()
             while not core.idle:
-                frames = [decode(encode(frame)) for frame, _ in
-                          core.drain_sends(0.0, SEND_BATCH)]
+                frames = drained(core)
                 began = clock()
                 if rings:
                     replies = pull.on_frames(frames, 0.0) or []

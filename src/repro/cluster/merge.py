@@ -28,11 +28,11 @@ Like :class:`ServiceMetrics`, two exports are offered:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..service.metrics import canonical_from_report, percentile
+from ..service.metrics import (canonical_from_report, percentile,
+                               report_to_json)
 
 __all__ = [
     "CLUSTER_SCHEMA_VERSION",
@@ -149,8 +149,7 @@ class ClusterReport:
 
     def to_json(self) -> str:
         """Byte-stable JSON (sorted keys, fixed rounding, sorted shards)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return report_to_json(self.to_dict())
 
     # -- canonical projection ---------------------------------------------
     def canonical_dict(self) -> dict:
@@ -192,8 +191,7 @@ class ClusterReport:
 
     def canonical_json(self) -> str:
         """Byte-stable JSON of :meth:`canonical_dict`."""
-        return json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return report_to_json(self.canonical_dict())
 
 
 def merge_shards(shard_reports: Sequence[ShardReport]) -> ClusterReport:

@@ -309,7 +309,10 @@ class MachineTransfer(Transfer):
                     frame = replace(frame, segment_crc=crc)
                 yield from host.send(frame, peer)
                 now = env.now
-                machine.on_sent(frame, now)
+                # Only a frame that wants a reply starts a timer (the call
+                # skipped for the others is in test_des_call_budget's bound).
+                if frame.wants_reply:
+                    machine.on_sent(frame, now)
             deadline = machine.next_deadline()
             if deadline is None:
                 break  # nothing to send and nothing to wait for: finished

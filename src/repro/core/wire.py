@@ -45,6 +45,7 @@ from .frames import AckFrame, ControlFrame, DataFrame, FrameKind, NakFrame
 __all__ = [
     "encode",
     "encode_into",
+    "encode_run_into",
     "decode",
     "peek",
     "WireError",
@@ -138,7 +139,11 @@ def _missing_from_bitmap(bitmap, total: int) -> tuple:
 def _frame_fields(frame: Frame):
     """The wire fields of the kinds :func:`encode_into` does not read in
     place; ``kind`` as the wire integer, not the enum member."""
-    if isinstance(frame, NakFrame):
+    if isinstance(frame, DataFrame):
+        kind, seq, total, payload = (
+            _KIND_DATA, frame.seq, frame.total, frame.payload)
+        flags = _FLAG_WANTS_REPLY if frame.wants_reply else 0
+    elif isinstance(frame, NakFrame):
         kind = _KIND_NAK
         seq, total = frame.first_missing, frame.total
         payload = _bitmap_from_missing(frame.missing, frame.total)
@@ -171,16 +176,8 @@ def encode_into(frame: Frame, buf, offset: int = 0) -> int:
     ``buf`` is any writable buffer (``bytearray``/``memoryview``).
     Raises :class:`WireError` when the frame does not fit.
     """
-    frame_type = type(frame)
-    if frame_type is DataFrame:
-        # The kinds sent per packet read their fields in place.
-        kind, seq, total = _KIND_DATA, frame.seq, frame.total
-        flags = _FLAG_WANTS_REPLY if frame.wants_reply else 0
-        payload = frame.payload
-        payload_len = len(payload)
-        if payload_len > 0xFFFF:
-            raise WireError(f"payload too large for wire format: {payload_len}")
-    elif frame_type is AckFrame:
+    if type(frame) is AckFrame:
+        # The kind a client sends per packet reads its fields in place.
         kind, seq, total, payload, flags, payload_len = (
             _KIND_ACK, frame.seq, 0, b"", 0, 0)
     else:
@@ -209,6 +206,26 @@ def encode_into(frame: Frame, buf, offset: int = 0) -> int:
     write(view, offset, header, crc32(payload, crc32(header)))
     view[body:end] = payload
     return end - offset
+
+
+def encode_run_into(buf, offset: int, stream: int, total: int, seqs,
+                    payloads, wants) -> int:
+    """Serialise one stream's data packets back to back into ``buf`` at
+    ``offset`` (the caller has checked they fit); returns the offset past
+    the last.  Datagram ``i`` is what :func:`encode_into` writes for
+    ``DataFrame(stream, seqs[i], total, payloads[i], wants[i],
+    stream_id=stream)``, ``stream >= 1``, without the frame."""
+    view = buf if type(buf) is memoryview else memoryview(buf)
+    for seq, payload, reply in zip(seqs, payloads, wants):
+        length = len(payload)
+        header = _pack_header2(MAGIC, VERSION_STREAM, _KIND_DATA, stream,
+                               stream, seq, total, reply, length)
+        _pack_header2_crc_into(view, offset, header,
+                               crc32(payload, crc32(header)))
+        body = offset + HEADER2_BYTES
+        offset = body + length
+        view[body:offset] = payload
+    return offset
 
 
 def peek(datagram: bytes):

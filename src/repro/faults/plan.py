@@ -73,7 +73,8 @@ class FaultRule:
         ``send`` / ``recv`` / ``both`` (see :data:`DIRECTIONS`).
     indices:
         Explicit stream indices to hit (per-rule counter of frames that
-        passed the static filters).  Mutually exclusive with
+        passed the static filters); None = no index filter, and an
+        empty tuple hits nothing.  Mutually exclusive with
         ``first``/``last``/``every`` being the only selector; combining
         is allowed but ``indices`` then further restricts the window.
     first, last:
@@ -83,7 +84,8 @@ class FaultRule:
     seqs:
         Restrict to frames with these sequence numbers: a data or ACK
         seq, a NAK's first missing seq, a control request id or a
-        V-kernel IPC message id (see :func:`frame_stream_key`).
+        V-kernel IPC message id (see :func:`frame_stream_key`).  None =
+        any sequence number, and an empty tuple matches no frame.
     probability:
         Stochastic gate in (0, 1]; below 1.0 the rule draws from its own
         seeded stream.
@@ -108,11 +110,11 @@ class FaultRule:
     action: str
     kinds: Tuple[str, ...] = ()
     direction: str = "both"
-    indices: Tuple[int, ...] = ()
+    indices: Optional[Tuple[int, ...]] = None
     first: Optional[int] = None
     last: Optional[int] = None
     every: Optional[int] = None
-    seqs: Tuple[int, ...] = ()
+    seqs: Optional[Tuple[int, ...]] = None
     probability: float = 1.0
     times: Optional[int] = None
     count: int = 1
@@ -132,9 +134,11 @@ class FaultRule:
             if kind not in KINDS:
                 raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
-        object.__setattr__(self, "seqs", tuple(sorted(set(self.seqs))))
-        if any(i < 0 for i in self.indices):
+        for name in ("indices", "seqs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   tuple(sorted(set(getattr(self, name)))))
+        if any(i < 0 for i in self.indices or ()):
             raise ValueError("indices must be >= 0")
         if self.first is not None and self.first < 0:
             raise ValueError("first must be >= 0")
@@ -171,7 +175,7 @@ class FaultRule:
         bounds: List[float] = [math.inf]
         if self.times is not None:
             bounds.append(self.times)
-        if self.indices:
+        if self.indices is not None:
             bounds.append(len(self.indices))
         if self.last is not None:
             window = self.last - (self.first or 0) + 1
@@ -326,7 +330,7 @@ class PlanExecutor:
         if rule.direction != "both" and direction != "both":
             if rule.direction != direction:
                 return False
-        if rule.seqs and seq not in rule.seqs:
+        if rule.seqs is not None and seq not in rule.seqs:
             return False
         return True
 
@@ -338,7 +342,7 @@ class PlanExecutor:
             return False
         if rule.every is not None and index % rule.every:
             return False
-        if rule.indices and index not in rule.indices:
+        if rule.indices is not None and index not in rule.indices:
             return False
         return True
 

@@ -9,68 +9,32 @@ through these calls::
     outputs = core.on_frame(frame, now, client=...)  # incoming frame
     core.on_acks(stream, seqs, now, client=...)      # a run of ACKs
     outputs = core.poll(now)                         # timers + grants
+    runs = core.drain_sends(now, max_frames)         # the same, by stream
     deadline = core.next_deadline(now)               # when to poll again
 
 Every output is a ``(frame, client_key)`` pair the substrate must
-transmit; ACKs never produce one.  Client keys are opaque to the core
-(DES uses host names, UDP uses socket addresses).
+transmit, and every run a stream's packets without frames
+(:meth:`ServiceCore.drain_sends`); ACKs never produce either.  Client
+keys are opaque to the core (DES uses host names, UDP uses socket
+addresses).
 
 Per-wakeup cost is proportional to *actual work* — expired timers plus
-sendable streams — not to the active-stream count, which is what makes
-the 10k-stream cluster sweeps affordable (see docs/performance.md,
-"Sublinear ServiceCore scheduling").  Two indexes carry that:
-
-- a **lazy-invalidation deadline heap** of ``(deadline, admit_seq,
-  stream, epoch)`` entries.  Machines bump ``timer_epoch`` whenever a
-  mutation moves their ``next_deadline()`` — the window sender exactly
-  then, so a fresh send behind an older outstanding packet pushes
-  nothing; an entry is valid while its epoch matches the entry
-  recorded for its stream, so ``next_deadline()`` is an O(1) peek
-  (plus amortised pops of stale entries, about one per moved
-  deadline) and ``poll()`` runs machine timers only for streams whose
-  deadline actually passed — in admission order, exactly as the
-  retired full-table walk did;
-- an **insertion-ordered ready-set** of streams with
-  ``has_frame(now) == True``, refreshed after every engine-mediated
-  machine transition (activation, ack/nak input, grant, timer fire) —
-  the only events that can change readiness between polls, because
-  readiness never *decays* with the mere passage of time.  Scheduling
-  policies iterate it through :class:`_ScheduleView` instead of the
-  full active table; grant order remains byte-for-byte admission
-  order.
-
-``tests/service/test_active_walks.py`` pins the discipline at run time:
-the only full ``self._active`` iteration in this module lives in the
-rebuild helper ``_rebuild_client_index``.
-
-Control protocol (JSON bodies, one pull per stream id)::
-
-    request:   {"op": "pull", "stream": int, "size": int
-                [, "credit": int] [, "client": str]}
-    response:  {"packets": n, "seed": s, "size": n,
-                "status": "ok", "stream": id}
-           or  {"reason": str, "status": "rejected", "stream": id}
-           or  {"reason": str, "status": "error", "stream": id}
-
-Responses are cached per stream and replayed verbatim on duplicate
-pulls (the at-least-once discipline of the simulated kernel IPC);
-control responses bypass the packet scheduler — admission answers must
-not queue behind bulk data.  The transfer body is ``service_payload(seed, stream, size)``,
-so the client can verify byte-equality without the server shipping a
-checksum.  Admission only builds its
-:class:`~repro.service.machines.BodyStream` — O(1) in the transfer
-size; the sender machine draws each packet when it is first granted.
-``credit`` is the number of packets the client's receive buffer holds
-when that is less than the body (docs/service.md, "Credit"); a blast
-then goes out in bursts of that many.  ``client`` names the requester
-on a substrate whose frames carry no source address (the DES).
+sendable streams — not to the active-stream count: a lazy-invalidation
+deadline heap keyed by each machine's ``timer_epoch`` and an
+admission-ordered ready-set of the streams with ``has_frame(now)``
+carry it (docs/performance.md, "Sublinear ServiceCore scheduling").
+``tests/service/test_active_walks.py`` pins that the one full walk of
+``self._active`` is ``_rebuild_client_index``.  The control protocol —
+one JSON ``pull`` per stream id, verdicts cached and replayed,
+``credit`` and ``client`` — is specified in docs/service.md, "Control
+protocol".
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 from typing import ClassVar, Deque, Dict, List, Optional, Tuple
 
@@ -144,20 +108,7 @@ class ServiceConfig:
             raise ValueError("timeout_s must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "strategy": self.strategy,
-            "window": self.window,
-            "packet_bytes": self.packet_bytes,
-            "timeout_s": self.timeout_s,
-            "max_rounds": self.max_rounds,
-            "policy": self.policy,
-            "grants_per_poll": self.grants_per_poll,
-            "max_active": self.max_active,
-            "max_queue": self.max_queue,
-            "seed": self.seed,
-            "congestion": self.congestion,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -291,9 +242,6 @@ class ServiceCore:
         """No admitted work left (finished + rejected only)."""
         return not self._active and not self._pending
 
-    def report_json(self) -> str:
-        return self.metrics.to_json(self.config.to_dict())
-
     # -- frame input --------------------------------------------------------
     def on_frame(self, frame, now: float,
                  client: Optional[object] = None) -> List[Tuple[object, object]]:
@@ -342,31 +290,45 @@ class ServiceCore:
 
     # -- timers + scheduling ------------------------------------------------
     def poll(self, now: float) -> List[Tuple[object, object]]:
-        """Advance due timers, admit queued work, grant this quantum's sends."""
+        """Advance due timers, admit queued work, grant this quantum's
+        sends: a frame per grant, in the policy's order."""
         self._expire_timers(now)
         self._admit(now)
-        return self._grant(now, self.config.grants_per_poll)
+        outputs: List[Tuple[object, object]] = []
+        grants = self.policy.grants(self._view, now,
+                                    self.config.grants_per_poll)
+        # Read after the policy ran (iterating may re-sort it), the exact
+        # ready-set (see _refresh_ready) answers has_frame() by membership.
+        ready = self._ready
+        for stream_id in grants:
+            entry = ready.get(stream_id)
+            if entry is not None:
+                outputs.append((entry.machine.next_frame(now), entry.client))
+                self._sent(stream_id, entry, now)
+        return outputs
 
-    def drain_sends(self, now: float,
-                    max_frames: int) -> List[Tuple[object, object]]:
-        """One timer pass, one admission pass, one grant pass for a batch.
-
-        The readiness loop calls this once per wakeup: where the DES
-        substrate interleaves one ``poll`` per simulated quantum, the
-        batched UDP loop fills a whole send batch from a single policy
-        call.  The budget is ``max_frames`` rounded up to a whole number
-        of ``grants_per_poll`` quanta, which is what repeated ``poll``
-        calls hand out before the batch is full; no input arrives
-        between those calls, so a machine's ``frames_available`` only
-        falls by its own grants and the policy's one longer walk visits
-        the same streams in the same order (fifo order, rr rotation,
-        copy-budget windows — pinned against the repeated-``poll``
-        reference by ``tests/service/test_engine_equivalence.py``).
-        """
+    def drain_sends(self, now: float, max_frames: int) -> List[tuple]:
+        """What repeated ``poll`` calls would grant for a whole send batch
+        (``max_frames`` rounded up to ``grants_per_poll`` quanta; no input
+        arrives between them), from one policy call, as one run
+        ``(client, stream_id, total, seqs, payloads, wants)`` per granted
+        stream (``next_run``), in the order the policy first granted them:
+        streams that share a client leave a run after the other, not
+        packet by packet (``tests/service/test_engine_equivalence.py``)."""
         self._expire_timers(now)
         self._admit(now)
         quantum = self.config.grants_per_poll
-        return self._grant(now, -(-max_frames // quantum) * quantum)
+        grants = self.policy.grants(self._view, now,
+                                    -(-max_frames // quantum) * quantum)
+        runs = []
+        ready = self._ready
+        for stream_id, count in Counter(grants).items():
+            entry = ready.get(stream_id)
+            if entry is not None:
+                runs.append((entry.client, stream_id, entry.machine.total,
+                             *entry.machine.next_run(now, count)))
+                self._sent(stream_id, entry, now)
+        return runs
 
     def next_deadline(self, now: float) -> Optional[float]:
         """Earliest time :meth:`poll` must run again (None = wait for I/O)."""
@@ -650,32 +612,14 @@ class ServiceCore:
             self._ready_tail_seq = items[-1][1].admit_seq if items else -1
         return self._ready
 
-    def _grant(self, now: float,
-               budget: int) -> List[Tuple[object, object]]:
-        """Ask the policy once for up to ``budget`` grants and honour them.
-
-        Per frame this is the machine's ``next_frame`` plus two checks:
-        the deadline index is touched only when the send moved the
-        machine's deadline (``timer_epoch``), the ready set only when
-        the send was the machine's last for now.
-        """
-        outputs: List[Tuple[object, object]] = []
-        grants = self.policy.grants(self._view, now, budget)
-        # The ready-set is exact here (see _refresh_ready), so
-        # membership answers has_frame() without asking the machine.
-        # (Read after the policy ran: iterating may have re-sorted it.)
-        ready = self._ready
-        for stream_id in grants:
-            entry = ready.get(stream_id)
-            if entry is None:
-                continue
-            machine = entry.machine
-            outputs.append((machine.next_frame(now), entry.client))
-            if machine.timer_epoch != entry.heap_epoch:
-                self._reindex_deadline(stream_id, entry)
-            if not machine.has_frame(now):
-                self._unready(stream_id)
-        return outputs
+    def _sent(self, stream_id: int, entry: _Entry, now: float) -> None:
+        """Reindex a stream that just sent: its deadline only if the send
+        moved it (``timer_epoch``), its readiness only if it has no more."""
+        machine = entry.machine
+        if machine.timer_epoch != entry.heap_epoch:
+            self._reindex_deadline(stream_id, entry)
+        if not machine.has_frame(now):
+            self._unready(stream_id)
 
     # -- rebuild helper (the one full walk of _active) ----------------------
     def _rebuild_client_index(self) -> None:

@@ -2,40 +2,30 @@
 
 The paper's thesis is that transfer protocols are limited by per-packet
 software overhead, and that a blast exists to pay the cost of handing a
-packet to the interface back to back; this module is where the
-reproduction attacks that cost on the real-socket substrate.
-:class:`DatagramBatchIO` owns one receive arena and one send arena
-(the batch layers of one thread share theirs: :meth:`~DatagramBatchIO
-.sibling`), so the steady-state datagram path performs
+packet to the interface back to back.  :class:`DatagramBatchIO` owns
+one receive arena and one send arena (the batch layers of one thread
+share theirs: :meth:`~DatagramBatchIO.sibling`), so the steady state
+pays
 
-- **one poll syscall per wakeup** (the ``selectors`` loop in
-  :mod:`repro.service.udpservice`), not one timeout-armed ``recvfrom``
-  per datagram;
-- **one kernel crossing per burst sent**: :meth:`send_frame` only
-  *stages* a frame (:func:`~repro.core.wire.encode_into` packs it into
-  the send arena, no allocation) and :meth:`flush` sends what was
-  staged, each destination's run of equal-sized datagrams as one
-  ``sendmsg`` carrying a ``UDP_SEGMENT`` control message — the kernel
-  cuts the buffer back into the datagrams it was built from;
-- **one kernel crossing per burst received**: the socket has
-  ``UDP_GRO`` set, so a segmented send arrives as one ``recvmsg_into``
-  and is cut at the segment size the kernel reports, each datagram a
-  ``memoryview`` of the arena handed to :func:`~repro.core.wire.decode`.
+- **one kernel crossing per burst sent**: :meth:`send_run` *stages* a
+  stream's run of data packets as one view of back-to-back datagrams
+  (:func:`~repro.core.wire.encode_run_into`, no frame objects),
+  :meth:`send_frame` a single frame, and :meth:`flush` sends each
+  destination's datagrams as ``sendmsg`` calls carrying a
+  ``UDP_SEGMENT`` control message, which the kernel cuts back into
+  the datagrams they were built from;
+- **one kernel crossing per burst received**: with ``UDP_GRO`` set a
+  segmented send arrives as one ``recvmsg_into`` and is cut at the
+  segment size the kernel reports, each datagram a ``memoryview`` of
+  the arena.
 
-A per-datagram syscall is what a run of one is, and what a socket that
-cannot segment gets: a kernel that refuses the first control message
-(decided once, from that answer) or a
-:class:`~repro.faults.socket.FaultySocket`, whose plan must see every
-datagram.  Either way the same datagrams leave in the same per-
-destination order; only the number of crossings differs (see
-docs/performance.md, "One kernel crossing per burst").
-
-Fault injection composes transparently: when the wrapped socket is a
-:class:`~repro.faults.socket.FaultySocket` its non-blocking
-:meth:`~repro.faults.socket.FaultySocket.recv_ready_into` entry point
-is used, so every batched receive still passes through the fault plan,
-and held-datagram release times bound the loop's poll timeout via
-:meth:`DatagramBatchIO.next_held_due`.
+A socket that cannot segment — a kernel that refuses the first control
+message, or a :class:`~repro.faults.socket.FaultySocket`, whose plan
+must see every datagram — sends one datagram per call: the same
+datagrams, in the same per-destination order (docs/performance.md, "One
+kernel crossing per burst").  Under a fault socket every batched receive
+goes through its plan (``recv_ready_into``), and held datagrams bound
+the loop's wait through :meth:`DatagramBatchIO.next_held_due`.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ import struct
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from ..core.wire import encode_into
+from ..core.wire import HEADER2_BYTES, encode_into, encode_run_into
 from ..faults.socket import RECV_BUFFER_BYTES
 
 __all__ = ["DatagramBatchIO", "BATCH_SLOTS", "RECV_BUFFER_BYTES",
@@ -183,8 +173,9 @@ class DatagramBatchIO:
                 self.coalescing = True
             except OSError:
                 pass
-        #: ``(address, datagram view)`` in staging order.
-        self._staged: List[Tuple[object, memoryview]] = []
+        #: ``(address, view, size)`` in staging order: ``view`` holds
+        #: datagrams of ``size`` bytes, the last maybe shorter.
+        self._staged: List[Tuple[object, memoryview, int]] = []
         self._staged_bytes = 0
         self.datagrams_in = 0
         self.datagrams_out = 0
@@ -282,7 +273,7 @@ class DatagramBatchIO:
             self._take_stage()
         start = self._staged_bytes
         end = start + encode_into(frame, arenas.stage, start)
-        self._staged.append((address, arenas.stage[start:end]))
+        self._staged.append((address, arenas.stage[start:end], end - start))
         self._staged_bytes = end
         return end - start
 
@@ -294,9 +285,27 @@ class DatagramBatchIO:
         start = self._staged_bytes
         end = start + len(payload)
         arenas.stage[start:end] = payload
-        self._staged.append((address, arenas.stage[start:end]))
+        self._staged.append((address, arenas.stage[start:end], end - start))
         self._staged_bytes = end
         return end - start
+
+    def send_run(self, address, stream: int, total: int, seqs, payloads,
+                 wants) -> None:
+        """Stage a sender machine's run for ``address``: back-to-back
+        datagrams, a view per segmented send, cut at the first packet's
+        size (a run's seqs ascend, so only its last packet is short)."""
+        arenas = self._arenas
+        size = HEADER2_BYTES + len(payloads[0])
+        fit = max(1, min(MAX_RUN_SEGMENTS, MAX_RUN_BYTES // size))
+        for first in range(0, len(payloads), fit):
+            if arenas.staging is not self or self._staged_bytes > _STAGE_FULL:
+                self._take_stage()
+            last = first + fit
+            start = self._staged_bytes
+            end = self._staged_bytes = encode_run_into(
+                arenas.stage, start, stream, total, seqs[first:last],
+                payloads[first:last], wants[first:last])
+            self._staged.append((address, arenas.stage[start:end], size))
 
     def _take_stage(self) -> None:
         """Make the send arena this layer's, with room for the largest
@@ -308,13 +317,9 @@ class DatagramBatchIO:
         arenas.staging = self
 
     def flush(self) -> None:
-        """Send everything staged.
-
-        A socket that segments sends each destination's datagrams
-        together, in staging order, cut into runs (see
-        :meth:`_send_runs`); one that does not sends one datagram per
-        call in staging order, exactly as if nothing had been staged.
-        """
+        """Send everything staged: each destination's datagrams together
+        in staging order, cut into runs (:meth:`_send_runs`), or, on a
+        socket that cannot segment, one per call in staging order."""
         staged = self._staged
         if not staged:
             return
@@ -322,35 +327,41 @@ class DatagramBatchIO:
         self._staged = []
         self._staged_bytes = 0
         self._arenas.staging = None
-        if self.segmented is False or len(staged) == 1:
+        if self.segmented is False:
             sendto = self._sock.sendto
-            for address, datagram in staged:
-                self._send(sendto, (datagram, address), 1)
+            for address, view, size in staged:
+                for datagram in _datagrams(view, size):
+                    self._send(sendto, (datagram, address), 1)
         else:
-            by_destination: Dict[object, List[memoryview]] = {}
-            for address, datagram in staged:
+            by_destination: Dict[object, list] = {}
+            for entry in staged:
                 try:
-                    by_destination[address].append(datagram)
+                    by_destination[entry[0]].append(entry)
                 except KeyError:
-                    by_destination[address] = [datagram]
-            for address, datagrams in by_destination.items():
-                self._send_runs(datagrams, address)
+                    by_destination[entry[0]] = [entry]
+            for address, entries in by_destination.items():
+                self._send_runs(entries, address)
 
-    def _send_runs(self, datagrams: List[memoryview], address) -> None:
-        """Cut one destination's datagrams into runs the kernel can
+    def _send_runs(self, entries: List[Tuple[object, memoryview, int]],
+                   address) -> None:
+        """Cut one destination's staged views into runs the kernel can
         segment: equal-sized datagrams, of which only the last may be
         shorter — so a shorter datagram closes its run, a longer one
         opens the next — within ``MAX_RUN_SEGMENTS`` and
-        ``MAX_RUN_BYTES``."""
+        ``MAX_RUN_BYTES``.  A view :meth:`send_run` staged is a run of
+        its own."""
         run: List[memoryview] = []
         segment = room = 0
-        for datagram in datagrams:
+        for _address, datagram, size in entries:
             length = len(datagram)
             # An empty datagram is no segment at all: it goes alone.
             if run and (length > segment or length > room or not length
-                        or len(run) == MAX_RUN_SEGMENTS):
+                        or len(run) == MAX_RUN_SEGMENTS or length > size):
                 self._send_run(run, segment, address)
                 run = []
+            if length > size:
+                self._send_run([datagram], size, address)
+                continue
             if not run:
                 segment, room = length, MAX_RUN_BYTES
             run.append(datagram)
@@ -363,12 +374,16 @@ class DatagramBatchIO:
 
     def _send_run(self, run: List[memoryview], segment: int,
                   address) -> None:
-        if len(run) > 1 and self.segmented is not False:
+        """Send the datagrams ``run`` holds (one each, or one view of
+        ``segment``-byte ones) in one crossing if it can."""
+        count = (len(run) if len(run) > 1 or not segment
+                 else -(-len(run[0]) // segment))
+        if count > 1 and self.segmented is not False:
             control = [(_socket.SOL_UDP, UDP_SEGMENT,
                         _SEGMENT.pack(segment))]
             try:
                 accepted = self._send(
-                    self._sock.sendmsg, (run, control, 0, address), len(run))
+                    self._sock.sendmsg, (run, control, 0, address), count)
             except OSError as error:
                 if error.errno not in _REFUSED:
                     raise
@@ -382,8 +397,9 @@ class DatagramBatchIO:
                     self.segmented = True
                 return
         sendto = self._sock.sendto
-        for datagram in run:
-            self._send(sendto, (datagram, address), 1)
+        for view in run:
+            for datagram in _datagrams(view, segment):
+                self._send(sendto, (datagram, address), 1)
 
     def _send(self, call, args, datagrams: int) -> bool:
         """One kernel crossing carrying ``datagrams`` datagrams; False
@@ -403,3 +419,9 @@ class DatagramBatchIO:
         self.send_calls += 1
         self.datagrams_out += datagrams
         return True
+
+
+def _datagrams(view: memoryview, size: int):
+    """A staged view cut back into its datagrams of ``size`` bytes."""
+    return ([view[start:start + size] for start in range(0, len(view), size)]
+            if len(view) > size else (view,))

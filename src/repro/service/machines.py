@@ -1,46 +1,45 @@
 """Substrate-free per-transfer state machines.
 
 Each protocol is written once, here, as a *poll/step* machine: no clock
-reads, no I/O — the caller supplies ``now`` and carries frames.  The
-same machine classes therefore run unchanged under every driver — the
-simulated transfer of the paper's tables (:mod:`repro.core.base`), the
-concurrent service on the simulator and on sockets, the blocking UDP
-endpoints — which is what keeps results deterministic and
-fault-plan-replayable, and a protocol fix from living in one copy only.
-
-Three machines cover the protocol family:
+reads, no I/O — the caller supplies ``now`` and carries what it sends.
+The same classes run under every driver — the simulated transfer of the
+paper's tables (:mod:`repro.core.base`) and the concurrent service on
+the simulator and on sockets (docs/service.md, "Driver contract") —
+which keeps results deterministic and fault-plan-replayable, and a
+protocol fix from living in one copy only.
 
 - :class:`BlastSenderMachine` — strategy-driven rounds reusing the
   :mod:`repro.core.strategies` menu and its report semantics;
 - :class:`WindowSenderMachine` — per-packet-acknowledged window of
-  ``window`` outstanding packets (``window=1`` is stop-and-wait, larger
-  windows are the sliding-window protocol);
-- :class:`ReceiverMachine` — the client side: tracks arrivals with
-  :class:`~repro.core.tracker.ReceiverTracker` and produces the replies
-  the sender's protocol expects.
+  ``window`` outstanding packets (``window=1`` is stop-and-wait);
+- :class:`ReceiverMachine` — the client side: tracks arrivals and
+  produces the replies the sender's protocol expects.
 
 Shared step API of the sender machines::
 
     machine.poll(now)        # advance timers; may start a new round
     machine.has_frame(now)   # is a data frame ready to transmit?
-    machine.next_frame(now)  # pop it (the scheduler grants sends)
-    machine.on_sent(f, now)  # optional: frame f has left the host
+    machine.next_run(now, n) # take n packets (the scheduler grants sends)
+    machine.next_frame(now)  # take one, as a DataFrame
+    machine.on_sent(f, now)  # optional: frame f, wanting a reply, left
     machine.on_frame(f, now) # feed an ACK/NAK back in
     machine.on_acks(seqs, now)  # a run of ACKs, as on_frame one by one
     machine.next_deadline()  # earliest time poll() must run again
     machine.done / machine.failed / machine.outcome()
 
-A retransmission timer counts from the moment its frame has left the
-host.  ``next_frame`` arms it, which is exact for a driver whose sends
-take no time (a socket); one whose sends do (the simulator: copy and
-wire time) says when with ``on_sent``.
+``next_run`` is the one send step: it draws, accounts for and retains
+up to ``frames_available`` packets, returned as a *run* ``(seqs,
+payloads, wants)`` that the socket substrate encodes without frame
+objects; ``next_frame`` is a run of one as a :class:`DataFrame`, for
+the simulator.  A retransmission timer counts from the moment its
+packet has left the host: ``next_run`` arms it, exact for a socket; a
+driver whose sends take time (the simulator) says when with ``on_sent``.
 
-The body is a *stream*, not a buffer: a sender reads packet ``seq``
-from it the first time ``next_frame`` needs it and keeps the frame only
-until it is acknowledged, so building a machine is O(1), memory follows
-the window, and generating packet k+1 overlaps the transmission of
-packet k (docs/performance.md, "Streaming body").  :class:`BodyStream`
-is the service's body; caller-supplied ``bytes`` take the same path.
+The body is a *stream*, not a buffer: a packet is read the first time
+a run needs it and its payload kept only until it is acknowledged, so
+building a machine is O(1) and memory follows the window
+(docs/performance.md, "Streaming body").  :class:`BodyStream` is the
+service's body; caller-supplied ``bytes`` take the same path.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from __future__ import annotations
 import io
 import random
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -210,6 +210,21 @@ class _SenderBase:
             congestion=self.controller.snapshot(),
         )
 
+    def next_frame(self, now: float) -> DataFrame:
+        """The next packet as a frame: :meth:`next_run` of one."""
+        (seq,), (payload,), (wants_reply,) = self.next_run(now, 1)
+        stream_id = self.stream_id
+        return DataFrame(stream_id, seq, self.total, payload, wants_reply,
+                         _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
+
+    def _read_packets(self, count: int) -> List[bytes]:
+        """The body's next ``count`` (> 1) packets, in one read (a run of
+        one reads inline: a call per simulated frame is budgeted)."""
+        size = self.packet_bytes
+        chunk = self._read(count * size)
+        return [chunk[start:start + size]
+                for start in range(0, count * size, size)]
+
     def _fail(self, message: str) -> None:
         self.failed = True
         self.error = message
@@ -268,11 +283,9 @@ class BlastSenderMachine(_SenderBase):
         self._received_est = 0
         self.dropped = 0  # reports naming another transfer's total
         self.rounds = 1
-        #: Retention table: ``seq`` -> the DataFrame last built for it,
-        #: kept until the body is acknowledged.  Frames are immutable on
-        #: both substrates, so a retransmission reuses the frame — the
-        #: only copy of the packet's bytes.
-        self._retained: Dict[int, DataFrame] = {}
+        #: Retention: packet ``seq``'s payload at index ``seq``, kept
+        #: until the body is acknowledged (a retransmission resends it).
+        self._retained: List[bytes] = []
         self._drawn = 0  # packets read from the body so far
         self._open_burst()
 
@@ -300,29 +313,39 @@ class BlastSenderMachine(_SenderBase):
         """Frames this machine could emit right now without new input."""
         return max(0, self._burst_end - self._index)
 
-    def next_frame(self, now: float) -> DataFrame:
-        seq = self._queue[self._index]
-        self._index += 1
-        last_of_burst = self._index >= self._burst_end
-        if last_of_burst:
+    def next_run(self, now: float, count: int):
+        """The open burst's next ``count`` packets (at most
+        :meth:`frames_available`); only a run that ends the burst asks
+        for a reply, with its last packet."""
+        index = self._index
+        end = self._index = index + count
+        seqs = self._queue[index:end]
+        self.data_frames_sent += count
+        # A working set ascends (a range, or a report's sorted missing
+        # set), so the packets read before — sent before — come first.
+        first, top = seqs[0], seqs[-1] + 1
+        drawn = self._drawn
+        if first < drawn:
+            self.retransmits += bisect_left(seqs, drawn)
+            self._burst_clean = False
+        if top > drawn:
+            # The one place a blast draws and retains: first transmissions
+            # in sequence order (a forged report may name a packet further
+            # ahead; the ones it skips wait in the table).
+            self._retained += ([self._read(self.packet_bytes)]
+                               if top - drawn == 1
+                               else self._read_packets(top - drawn))
+            self._drawn = top
+        retained = self._retained
+        payloads = (retained[first:top] if top - first == count
+                    else list(map(retained.__getitem__, seqs)))
+        wants = [False] * count
+        if end >= self._burst_end:
+            wants[-1] = True
             self._reply_deadline = now + (self._nudge_s or self.controller.rto())
             self._reply_requested_at = now
             self.timer_epoch += 1
-        drawn = self._drawn
-        if seq == drawn < self.total:
-            # A first transmission, in sequence order: what nearly every
-            # frame of a blast is, so it is drawn and built right here.
-            self._drawn = drawn + 1
-            self.data_frames_sent += 1
-            stream_id = self.stream_id
-            frame = self._retained[seq] = DataFrame(
-                stream_id, seq, self.total, self._read(self.packet_bytes),
-                last_of_burst, _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
-            return frame
-        if seq < drawn:  # read before, so sent before
-            self.retransmits += 1
-            self._burst_clean = False
-        return self._data(seq, wants_reply=last_of_burst)
+        return seqs, payloads, wants
 
     def on_sent(self, frame: DataFrame, now: float) -> None:
         """``frame`` has left the host: a reply timer counts from here."""
@@ -383,30 +406,6 @@ class BlastSenderMachine(_SenderBase):
         return self._reply_deadline
 
     # -- internals ---------------------------------------------------------
-    def _frame(self, seq: int, payload: bytes, wants_reply: bool) -> DataFrame:
-        stream_id = self.stream_id
-        frame = self._retained[seq] = DataFrame(
-            stream_id, seq, self.total, payload, wants_reply,
-            _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
-        return frame
-
-    def _data(self, seq: int, wants_reply: bool) -> DataFrame:
-        self.data_frames_sent += 1
-        # First transmissions run in sequence order, so this draws
-        # exactly packet ``seq``; only a forged report can name a packet
-        # further ahead, and the ones it skips wait in the table.
-        if seq == self._drawn < self.total:
-            self._drawn += 1
-            return self._frame(seq, self._read(self.packet_bytes), wants_reply)
-        while self._drawn <= seq < self.total:
-            self._frame(self._drawn, self._read(self.packet_bytes),
-                        wants_reply)
-            self._drawn += 1
-        frame = self._retained[seq]
-        if frame.wants_reply != wants_reply:
-            frame = self._frame(seq, frame.payload, wants_reply)
-        return frame
-
     def _sample_reply_rtt(self, now: float) -> None:
         # Karn's rule: only a burst with no retransmitted frames gives
         # an unambiguous request->reply measurement.
@@ -452,7 +451,7 @@ class WindowSenderMachine(_SenderBase):
     Every step of the ack clock is constant-time in the window (see
     docs/performance.md, "Constant-time ack clock").  ``_outstanding``
     maps ``seq`` to the packet's one record, ``[deadline, attempts,
-    first sent, frame]``; it is insertion-ordered and sequence numbers
+    first sent, payload]``; it is insertion-ordered and sequence numbers
     only grow, so its first key is the lowest outstanding packet.
     ``_timers`` is a lazy-invalidation heap of ``(deadline, seq,
     record)`` entries, valid iff ``record[0] == deadline`` (None once
@@ -525,14 +524,22 @@ class WindowSenderMachine(_SenderBase):
                              if now >= record[0])
         return available
 
-    def next_frame(self, now: float) -> DataFrame:
-        self.data_frames_sent += 1
+    def next_run(self, now: float, count: int):
+        """Up to ``count`` packets (at most :meth:`frames_available`):
+        overdue retransmissions, lowest sequence number first, then first
+        transmissions — fewer when a retransmission's timeout has closed
+        the congestion window."""
         deadline = self._deadline
+        seqs: List[int] = []
+        payloads: List[bytes] = []
+        fresh = count
         if deadline is not None and now >= deadline:
-            # Overdue retransmissions first, lowest sequence number
-            # first — deterministic because _outstanding is
-            # insertion-ordered and sequence numbers only grow.
+            controller = self.controller
+            # Deterministic: _outstanding is insertion-ordered and
+            # sequence numbers only grow.
             for seq, record in self._outstanding.items():
+                if len(seqs) == count:
+                    break
                 if now >= record[0]:
                     self.retransmits += 1
                     self.rounds += 1
@@ -544,30 +551,38 @@ class WindowSenderMachine(_SenderBase):
                     elif now >= self._backoff_blackout:
                         # One backoff per RTO period, however many
                         # packets expired together in the burst.
-                        self.controller.on_timeout(now)
-                        self._backoff_blackout = now + self.controller.rto()
-                    self._arm(seq, record, now + self.controller.rto())
-                    self._retime()
-                    return record[3]
-        # A first transmission, in sequence order: drawn and built here.
-        seq = self._next_unsent
-        self._next_unsent = seq + 1
-        stream_id = self.stream_id
-        frame = DataFrame(stream_id, seq, self.total,
-                          self._read(self.packet_bytes), True,
-                          _DATA_WIRE_BYTES, _DATA_SEGMENT_CRC, stream_id)
-        due = now + self.controller.rto()
-        record = self._outstanding[seq] = [due, 1, now, frame]
-        timers = self._timers
-        heappush(timers, (due, seq, record))
-        if len(timers) > 2 * self.window + 64:
-            self._compact_timers()
-        if deadline is None or due < deadline:
-            # Only an earlier timer moves the index.  Fresh sends come
-            # in time order, but under Reno the RTO may have shrunk.
-            self._deadline = due
-            self.timer_epoch += 1
-        return frame
+                        controller.on_timeout(now)
+                        self._backoff_blackout = now + controller.rto()
+                    self._arm(seq, record, now + controller.rto())
+                    seqs.append(seq)
+                    payloads.append(record[3])
+            self._retime()
+            deadline = self._deadline
+            fresh = min(count - len(seqs), max(0, min(
+                self.window, controller.window()) - len(self._outstanding)))
+        self.data_frames_sent += len(seqs) + fresh
+        if fresh:
+            # First transmissions, in sequence order: drawn and retained
+            # here, each in its packet's one record.
+            first = self._next_unsent
+            end = self._next_unsent = first + fresh
+            drawn = ([self._read(self.packet_bytes)] if fresh == 1
+                     else self._read_packets(fresh))
+            due = now + self.controller.rto()
+            outstanding, timers = self._outstanding, self._timers
+            for seq, payload in enumerate(drawn, first):
+                record = outstanding[seq] = [due, 1, now, payload]
+                heappush(timers, (due, seq, record))
+            if len(timers) > 2 * self.window + 64:
+                self._compact_timers()
+            if deadline is None or due < deadline:
+                # Only an earlier timer moves the index.  Fresh sends come
+                # in time order, but under Reno the RTO may have shrunk.
+                self._deadline = due
+                self.timer_epoch += 1
+            seqs += range(first, end)
+            payloads += drawn
+        return seqs, payloads, [True] * len(seqs)
 
     def on_sent(self, frame: DataFrame, now: float) -> None:
         """``frame`` has left the host: its timer counts from here."""

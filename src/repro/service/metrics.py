@@ -42,10 +42,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ServiceMetrics", "canonical_from_report", "percentile"]
+__all__ = ["ServiceMetrics", "canonical_from_report", "percentile",
+           "report_to_json"]
 
 SCHEMA_VERSION = 1
 _ROUND = 9  # float decimals in the stable export
+
+
+def report_to_json(report: dict) -> str:
+    """The byte-stable export of a report: sorted keys, no spaces."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def percentile(values: List[float], fraction: float) -> float:
@@ -262,8 +268,7 @@ class ServiceMetrics:
         report = self.to_dict(config)
         if io is not None:
             report["io"] = io
-        return json.dumps(report, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return report_to_json(report)
 
     # -- canonical projection ----------------------------------------------
     def canonical_dict(self) -> dict:
@@ -272,8 +277,7 @@ class ServiceMetrics:
 
     def canonical_json(self) -> str:
         """Byte-stable JSON of :meth:`canonical_dict`."""
-        return json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return report_to_json(self.canonical_dict())
 
     def render_table(self, config: Optional[dict] = None,
                      io: Optional[dict] = None) -> str:

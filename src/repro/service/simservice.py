@@ -25,6 +25,7 @@ from ..simnet.errors import ErrorModel
 from ..simnet.host import Host, make_network
 from ..simnet.params import NetworkParams
 from .engine import ServiceConfig, ServiceCore
+from .metrics import report_to_json
 from .pullclient import PullMachine
 
 __all__ = ["DesServiceResult", "run_des_service"]
@@ -44,11 +45,15 @@ class DesServiceResult:
 
     config: ServiceConfig
     report: dict
-    report_json: str
     payloads_ok: bool
     completed: int
     rejected: int
     client_status: Dict[int, str]
+
+    @property
+    def report_json(self) -> str:
+        """:attr:`report` as ``ServiceMetrics.to_json`` writes it."""
+        return report_to_json(self.report)
 
     @property
     def ok(self) -> bool:
@@ -168,7 +173,6 @@ def run_des_service(
     return DesServiceResult(
         config=config,
         report=core.metrics.to_dict(config.to_dict()),
-        report_json=core.report_json(),
         payloads_ok=payloads_ok,
         completed=core.finished_count,
         rejected=len(core.metrics.rejections),

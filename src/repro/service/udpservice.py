@@ -8,21 +8,15 @@ the loop's clock is seconds since serve() started, so the metrics
 report has the same shape on both substrates (absolute values differ —
 wall time is not simulated time).
 
-The event loop is readiness-driven: a ``selectors`` poll on the
-non-blocking socket replaces the old per-datagram timeout-armed
-receive, and all datagram I/O goes through the batched zero-copy layer
-(:class:`~repro.service.iobatch.DatagramBatchIO`).  One wakeup now
-drains a whole ring of datagrams, feeds them all to the core, stages
-its replies and a whole batch of grants, and flushes them once before
-it waits again — the per-packet software overhead the paper identifies
-as the bottleneck is paid once per *burst* (one segmented send per
-destination) instead of once per datagram.  The loop still never
-blocks without a bound: the poll timeout is derived from the core's
-``next_deadline`` and the fault layer's held-datagram due times,
-clamped to ``MAX_WAIT_S`` so stop requests and duration limits stay
-responsive.  When a positive wait expires with nothing readable,
-fault-held (reordered) datagrams are force-flushed — the same "bounded
-plans never wedge" guarantee the old per-receive timeout provided.
+The loop is readiness-driven, and all datagram I/O goes through
+:class:`~repro.service.iobatch.DatagramBatchIO`: one wakeup drains a
+whole ring of datagrams into the core, stages its replies and a batch
+of granted runs, and flushes them once before it waits again — the
+per-packet software overhead the paper identifies as the bottleneck is
+paid once per *burst*.  The wait is bounded by the core's
+``next_deadline``, the fault layer's held datagrams and ``MAX_WAIT_S``;
+a quiet wait releases fault-held (reordered) datagrams, so a bounded
+plan never wedges the loop.
 
 The client side is :class:`~repro.service.clientpump.UdpClientPump`.
 """
@@ -152,14 +146,11 @@ class UdpTransferService:
         (completed, failed, or been rejected) with nothing left in
         flight; returns False on ``duration_s`` expiry or :meth:`stop`.
 
-        Each wakeup: stage up to ``SEND_BATCH`` granted frames behind
-        the replies the last wakeup staged, flush them (once per turn,
-        before the wait and before every return, so nothing staged is
-        ever left behind), poll the selector with a deadline-bounded
-        timeout (one syscall, however many clients are talking), drain
-        the whole receive ring, and feed every frame to the core.  A
-        quiet positive-wait expiry force-flushes reorder-held datagrams;
-        delay-held ones leave at their due time, which bounds the wait.
+        Each wakeup stages up to ``SEND_BATCH`` granted packets, a run
+        per stream, behind the replies the last wakeup staged, flushes
+        (once per turn, before the wait and before every return), waits
+        on the selector with a deadline-bounded timeout, and feeds the
+        whole receive ring to the core.
         """
         start = time.monotonic()
         core = self.core
@@ -173,8 +164,8 @@ class UdpTransferService:
                 now = monotonic() - start
                 # One timer pass and one grant pass fill the whole
                 # send batch (see ServiceCore.drain_sends).
-                for frame, addr in core.drain_sends(now, SEND_BATCH):
-                    batch.send_frame(frame, addr)
+                for run in core.drain_sends(now, SEND_BATCH):
+                    batch.send_run(*run)
                 batch.flush()
                 settled = (core.finished_count
                            + len(core.metrics.rejections))
@@ -211,12 +202,9 @@ class UdpTransferService:
             # the core admitted.
             deliver_ring(core, batch, batch.recv_batch(), monotonic() - start)
             now = monotonic() - start
-            while True:
-                drained = core.drain_sends(now, SEND_BATCH)
-                if not drained:
-                    break
-                for frame, addr in drained:
-                    batch.send_frame(frame, addr)
+            while drained := core.drain_sends(now, SEND_BATCH):
+                for run in drained:
+                    batch.send_run(*run)
             batch.flush()
         finally:
             selector.close()

@@ -15,6 +15,7 @@ from repro.core.wire import (
     _bitmap_from_missing,
     _missing_from_bitmap,
     encode_into,
+    encode_run_into,
     peek,
 )
 
@@ -331,6 +332,35 @@ class TestPeek:
         assert peek(bytes(datagram)) == (FrameKind.DATA, 4)
         with pytest.raises(WireError):
             decode(bytes(datagram))
+
+
+class TestEncodeRunInto:
+    """A run's datagrams are the frames' encodings, back to back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.sampled_from([1, 9, 2**32 - 1]),
+           first=st.integers(0, 2**32 - 70),
+           lengths=st.lists(st.sampled_from([0, 1, 700, 1024]),
+                            min_size=1, max_size=64),
+           offset=st.integers(0, 9), data=st.data())
+    def test_byte_identical_to_encode_into(self, stream, first, lengths,
+                                           offset, data):
+        seqs = range(first, first + len(lengths))
+        payloads = [bytes([seq % 251]) * length
+                    for seq, length in zip(seqs, lengths)]
+        wants = data.draw(st.lists(st.booleans(), min_size=len(lengths),
+                                   max_size=len(lengths)))
+        total = first + len(lengths) + 3
+        expected = b"".join(
+            encode(DataFrame(stream, seq, total, payload, reply,
+                             stream_id=stream))
+            for seq, payload, reply in zip(seqs, payloads, wants))
+        buf = bytearray(b"\xaa" * (offset + len(expected) + 5))
+        end = encode_run_into(memoryview(buf), offset, stream, total, seqs,
+                              payloads, wants)
+        assert end == offset + len(expected)
+        assert bytes(buf[offset:end]) == expected
+        assert buf[:offset] + buf[end:] == b"\xaa" * (offset + 5)
 
 
 class TestEncodeInto:

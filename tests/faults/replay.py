@@ -20,9 +20,8 @@ from repro.faults.scripted import ScriptedErrors
 
 
 def drops(*indices: int) -> ScriptedErrors:
-    """Lose exactly the wire frames at these 0-based positions (none:
-    a rule with no selector would lose every frame, so no rule)."""
-    rules = (FaultRule("drop", indices=indices),) if indices else ()
+    """Lose exactly the wire frames at these 0-based positions."""
+    rules = (FaultRule("drop", indices=indices),)
     return ScriptedErrors(FaultPlan(name="drops", rules=rules))
 
 

@@ -156,6 +156,21 @@ class TestPlanExecutor:
         assert not ex.decide("data", "send", seq=2).drop
         assert ex.decide("data", "send", seq=3).drop
 
+    def test_an_empty_selector_selects_no_frame(self):
+        """``indices=()`` and ``seqs=()`` name no frame; only an unset
+        selector (None) means "any"."""
+        rules = (FaultRule("drop", indices=()), FaultRule("drop", seqs=()))
+        for rule in rules:
+            ex = PlanExecutor(FaultPlan(name="none", rules=(rule,)))
+            assert not any(ex.decide("data", "send", seq=seq).drop
+                           for seq in range(8))
+            assert ex.faults_fired == 0
+        assert [rule.max_triggers() for rule in rules] == [0, math.inf]
+        assert FaultPlan(name="none", rules=rules[:1]).is_bounded
+        ex = PlanExecutor(FaultPlan(name="any", rules=(FaultRule("drop"),)))
+        assert all(ex.decide("data", "send", seq=seq).drop
+                   for seq in range(8))
+
     def test_times_budget_caps_firings(self):
         plan = FaultPlan(
             name="t", rules=(FaultRule(action="drop", times=2),)

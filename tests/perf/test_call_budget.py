@@ -6,7 +6,7 @@ A CPython function call costs 50-100 ns before it does anything, and at
 costs") a call the bulk path does not need is a percent of goodput.  A
 256-packet blast is walked through the two loops that handle every data
 datagram of ``udp_bulk_blast`` — the server's ``drain_sends`` ->
-``send_frame`` -> ``flush`` and the pump's ``decode`` ->
+``send_run`` -> ``flush`` and the pump's ``decode`` ->
 ``PullMachine.on_frames`` — under ``sys.setprofile``, which reports one
 ``call`` event per Python function entered and none for C functions.
 A 256-packet sliding pull is walked through both loops with its ACKs
@@ -14,7 +14,8 @@ A 256-packet sliding pull is walked through both loops with its ACKs
 
 At PR 22 the same walks counted 10.30 calls per datagram sent (``_data``,
 ``_frame``, the generated ``__init__``, ``__post_init__`` and
-``_frame_fields`` on top of today's six) and 10.09 per datagram received.
+``_frame_fields`` on top of six more) and 10.09 per datagram received;
+until the server sent a run at a time, 6.30 per datagram sent.
 """
 
 import sys
@@ -69,11 +70,11 @@ def admitted_pull():
 def blast_through_the_send_loop(core, io):
     """``UdpTransferService.serve``'s send half, to the end of the body."""
     while True:
-        granted = core.drain_sends(0.0, SEND_BATCH)
-        if not granted:
+        runs = core.drain_sends(0.0, SEND_BATCH)
+        if not runs:
             return
-        for frame, address in granted:
-            io.send_frame(frame, address)
+        for run in runs:
+            io.send_run(*run)
         io.flush()
 
 
@@ -95,11 +96,11 @@ def test_calls_per_datagram_sent(stub):  # noqa: F811
     with counted_calls() as calls:
         blast_through_the_send_loop(core, io)
     assert len(stub.sent) == PACKETS
-    # Today one each per datagram — next_frame (which builds the frame),
-    # BodyStream.read, the frame's __init__, has_frame, send_frame,
-    # encode_into — and 0.30 of per-burst work; the message names them.
-    assert sum(calls.values()) <= 6.35 * PACKETS, (     # 10.30 at PR 22
-        calls.most_common(12))
+    # None per datagram: a drain asks each machine once for its run, and
+    # the run is drawn, encoded and sent whole.  What is left is per
+    # drain, per run and per segmented send; the message names it.
+    assert sum(calls.values()) <= 0.45 * PACKETS, (     # 6.30 frame by
+        calls.most_common(12))                          # frame
 
 
 def test_calls_per_datagram_received(stub):  # noqa: F811
@@ -141,8 +142,8 @@ def ack_clock(server_calls=None, pump_calls=None):
     try:
         while not core.idle:
             with counted_calls(server_calls):
-                for frame, address in core.drain_sends(0.0, SEND_BATCH):
-                    server_io.send_frame(frame, address)
+                for run in core.drain_sends(0.0, SEND_BATCH):
+                    server_io.send_run(*run)
                 server_io.flush()
             data = [memoryview(datagram) for datagram, _ in server.sent]
             server.sent.clear()
@@ -168,12 +169,13 @@ def ack_clock(server_calls=None, pump_calls=None):
 def test_calls_per_window_frame_at_the_server():
     calls = Counter()
     ack_clock(server_calls=calls)
-    # Per data frame: next_frame, BodyStream.read, the frame's __init__,
-    # the controller's rto, send_frame, encode_into, has_frame and the
-    # controller's window behind it, the ACK's decode, on_ack and
-    # on_rtt_sample; per window, on_acks twice, _retime, the ready set
-    # and the deadline index.  The message names them.
-    assert sum(calls.values()) <= 12.30 * PACKETS, (    # 25.88 at 0582b3c:
+    # Per data frame: the ACK's decode, on_ack and on_rtt_sample; per
+    # window, the run (next_run, one read of the body), on_acks twice,
+    # _retime, the ready set and the deadline index.  The message names
+    # them.  12.30 a frame at a time: next_frame, BodyStream.read, the
+    # frame's __init__, the controller's rto, send_frame, encode_into,
+    # has_frame and the controller's window behind it, per data frame.
+    assert sum(calls.values()) <= 4.60 * PACKETS, (     # 25.88 at 0582b3c:
         calls.most_common(14))      # decode, AckFrame, on_frame x2 per ACK
 
 

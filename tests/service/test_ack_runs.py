@@ -26,6 +26,8 @@ from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.machines import receiver_for
 from repro.service.udpservice import deliver_ring
 
+from .drained import frames_of
+
 _PACKET_BYTES = 64
 _CLIENTS = ("alpha", "beta")
 
@@ -139,7 +141,7 @@ def test_ack_runs_match_frame_by_frame(protocol, congestion, pulls, turns):
             streams[stream_id] = (client, packets,
                                   receiver_for(protocol, stream_id))
     for budget, specs, advance in turns:
-        for frame, client in both("drain_sends", now, budget):
+        for frame, client in frames_of(both("drain_sends", now, budget)):
             receiver = streams[frame.stream_id][2]
             replies.extend((reply, client)
                            for reply in receiver.on_frame(frame, now))

@@ -19,6 +19,8 @@ import pytest
 from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.pullclient import PullMachine
 
+from .drained import drained
+
 NEVER_S = 1.0e6
 CLIENTS = 8
 LATENCIES = tuple(0.0011 + 0.00037 * i for i in range(CLIENTS))
@@ -76,7 +78,7 @@ def _run(streams):
     for wakeup in range(100 * streams):
         if core.finished_count == streams:
             break
-        sends = (core.drain_sends(now, 32) if wakeup % 2
+        sends = (drained(core, now, 32) if wakeup % 2
                  else core.poll(now))
         for frame, _client in sends:
             latency = LATENCIES[frame.stream_id % CLIENTS]

@@ -8,6 +8,8 @@ import pytest
 from repro.core.frames import AckFrame, ControlFrame, NakFrame
 from repro.service.engine import ServiceConfig, ServiceCore
 
+from .drained import drained
+
 
 def pull_frame(stream_id, size, request_id=None, client="c"):
     body = {"client": client, "op": "pull", "size": size, "stream": stream_id}
@@ -124,7 +126,7 @@ class TestControlProtocol:
             "status": "error", "reason": "bad stream id", "stream": 0}
         assert core._responses == {} and core._request_ids == {}
         assert core.active_count == core.pending_count == 0
-        assert core.report_json() == ServiceCore().report_json()
+        assert core.metrics.to_json() == ServiceCore().metrics.to_json()
 
     def test_the_largest_wire_stream_id_is_served(self):
         core = ServiceCore()
@@ -169,7 +171,7 @@ class TestSchedulingAndCompletion:
         # deadline, never polled again (gobackn).
         core = ServiceCore(ServiceConfig(strategy=strategy))
         core.on_frame(pull_frame(1, 4096), 0.0, client="c")
-        assert [frame.seq for frame, _ in core.drain_sends(0.0, 128)] == [
+        assert [frame.seq for frame, _ in drained(core, 0.0, 128)] == [
             0, 1, 2, 3]
         core.on_frame(NakFrame(1, 6, (6,), 8, stream_id=1), 0.01)
         assert core.drain_sends(0.02, 128) == []
@@ -183,7 +185,7 @@ class TestSchedulingAndCompletion:
         # report said ok and the honest client stalled.
         core = ServiceCore()
         core.on_frame(pull_frame(1, 64 * 1024), 0.0, client="honest")
-        assert len(core.drain_sends(0.0, 8)) == 8
+        assert len(drained(core, 0.0, 8)) == 8
         forged = AckFrame(1, 63, stream_id=1)
         assert core.on_frame(forged, 0.01, client="mallory") == []
         assert core.active_count == 1 and not core.finished
@@ -192,7 +194,7 @@ class TestSchedulingAndCompletion:
                       client="mallory")
         assert core.foreign_replies == 4
         assert core.active_count == 1 and not core.finished
-        assert len(core.drain_sends(0.02, 128)) == 56
+        assert len(drained(core, 0.02, 128)) == 56
         core.on_frame(forged, 0.03, client="honest")
         assert core.finished[1].ok
         assert core.finished[1].data_frames_sent == 64
@@ -207,7 +209,7 @@ class TestSchedulingAndCompletion:
         # ACK or NAK naming a stream that finished or was never pulled.
         core = ServiceCore()
         core.on_frame(pull_frame(1, 1024), 0.0, client="c")
-        (frame, _), = core.drain_sends(0.0, 8)
+        (frame, _), = drained(core, 0.0, 8)
         core.on_frame(AckFrame(1, frame.seq, stream_id=1), 0.01, client="c")
         assert core.finished[1].ok and core.stray_replies == 0
         core.on_frame(AckFrame(1, 0, stream_id=1), 0.02, client="c")
@@ -215,7 +217,7 @@ class TestSchedulingAndCompletion:
         core.on_frame(NakFrame(9, 0, (0,), 4, stream_id=9), 0.02)
         assert core.stray_replies == 4
         assert core.foreign_replies == 0
-        assert "stray" not in core.report_json()
+        assert "stray" not in core.metrics.to_json()
 
     def test_next_deadline_none_when_idle(self):
         core = ServiceCore()
@@ -228,7 +230,7 @@ class TestSchedulingAndCompletion:
 
     def test_report_includes_config_echo(self):
         core = ServiceCore(ServiceConfig(policy="rr"))
-        report = json.loads(core.report_json())
+        report = core.metrics.to_dict(core.config.to_dict())
         assert report["config"]["policy"] == "rr"
         assert report["schema_version"] == 1
 
@@ -262,7 +264,7 @@ class TestSchedulingIndexes:
                                          timeout_s=0.05, grants_per_poll=1,
                                          max_active=4))
         core.on_frame(pull_frame(1, 4096), 0.0, client="a")
-        assert len(core.drain_sends(0.0, 8)) == 2  # window-limited
+        assert len(drained(core, 0.0, 8)) == 2  # window-limited
         counts = {}
         for stream_id, entry in core._active.items():
             original = entry.machine.poll
@@ -272,7 +274,7 @@ class TestSchedulingIndexes:
                 return _original(now)
 
             entry.machine.poll = wrapped
-        retx = core.drain_sends(0.1, 8)  # past the retransmit deadline
+        retx = drained(core, 0.1, 8)  # past the retransmit deadline
         assert len(retx) == 2
         assert counts == {1: 1}  # one timer pass for the whole batch
 

@@ -5,7 +5,11 @@ and the reference :class:`.reference_engine.LegacyServiceCore` in
 lockstep.  After every operation both engines must agree on the
 emitted frames *and* on ``next_deadline`` — the two observables the
 substrates act on — and at the end on the canonical metrics report and
-the finished-stream set.
+the finished-stream set.  ``poll`` must emit the very frames, in the
+very order; a drain hands the socket one run per stream, so it must
+emit each stream's frames in order, with the streams in the order they
+first appear in the reference's drain: what ``flush`` puts on the wire
+per destination.
 This is the determinism contract the committed goldens rely on.
 """
 
@@ -21,6 +25,7 @@ from repro.core.frames import ControlFrame
 from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.machines import receiver_for
 
+from .drained import frames_of
 from .reference_engine import LegacyServiceCore
 
 _PACKET_BYTES = 64
@@ -38,16 +43,28 @@ _OPS = st.one_of(
 )
 
 
+def by_stream(outputs):
+    """Each stream's frames — seq, wants_reply, payload, client — in
+    order, the streams in the order they first appear."""
+    streams = {}
+    for frame, client in outputs:
+        streams.setdefault(frame.stream_id, []).append(
+            (frame.seq, frame.wants_reply, frame.payload, client))
+    return list(streams.items())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     protocol=st.sampled_from(("blast", "sliding", "saw")),
     policy=st.sampled_from(("fifo", "rr", "copy-budget")),
+    congestion=st.sampled_from(("fixed", "reno")),
     ops=st.lists(_OPS, min_size=5, max_size=60),
 )
-def test_indexed_engine_matches_reference(protocol, policy, ops):
+def test_indexed_engine_matches_reference(protocol, policy, congestion, ops):
     config = ServiceConfig(protocol=protocol, policy=policy,
                            packet_bytes=_PACKET_BYTES, timeout_s=0.05,
-                           max_active=3, max_queue=2, grants_per_poll=4)
+                           max_active=3, max_queue=2, grants_per_poll=4,
+                           congestion=congestion)
     indexed = ServiceCore(config)
     reference = LegacyServiceCore(config)
     receivers = {}
@@ -83,7 +100,10 @@ def test_indexed_engine_matches_reference(protocol, policy, ops):
         elif kind == "poll":
             route(both("poll", now))
         elif kind == "drain":
-            route(both("drain_sends", now, item[1]))
+            frozen = reference.drain_sends(now, item[1])
+            live = frames_of(indexed.drain_sends(now, item[1]))
+            assert by_stream(live) == by_stream(frozen), (item, live, frozen)
+            route(frozen)
         elif kind == "advance":
             now += item[1]
         else:  # deliver a pending receiver reply (maybe dropped/duplicated)
@@ -100,3 +120,44 @@ def test_indexed_engine_matches_reference(protocol, policy, ops):
 
     assert indexed.finished.keys() == reference.finished.keys()
     assert indexed.metrics.canonical_json() == reference.metrics.canonical_json()
+
+
+def test_a_drain_stops_where_a_timeout_closes_the_window():
+    """Under Reno a timeout retransmission drops the congestion window
+    to one packet, so a drain must not fill the room the window had
+    before it: it sends what repeated ``poll`` calls send."""
+    config = ServiceConfig(protocol="sliding", window=16, congestion="reno",
+                           packet_bytes=_PACKET_BYTES, timeout_s=0.05,
+                           grants_per_poll=4)
+    drained_core, polled_core = ServiceCore(config), ServiceCore(config)
+    body = json.dumps({"op": "pull", "size": _PACKET_BYTES * 32,
+                       "stream": 1}, sort_keys=True).encode()
+    for core in (drained_core, polled_core):
+        core.on_frame(ControlFrame(transfer_id=1, request_id=1, body=body,
+                                   stream_id=1), 0.0, client="alpha")
+        assert [frame.seq for frame, _ in frames_of(
+            core.drain_sends(0.0, 16))] == [0]     # cwnd 1
+        core.on_acks(1, (0,), 0.001, client="alpha")  # cwnd 2
+        assert [frame.seq for frame, _ in frames_of(
+            core.drain_sends(0.001, 16))] == [1, 2]
+        core.on_acks(1, (1,), 0.002, client="alpha")  # cwnd 3
+        assert [frame.seq for frame, _ in frames_of(
+            core.drain_sends(0.002, 16))] == [3, 4]
+    # ACK 3 frees a slot; just past the earliest timer, at least one
+    # packet is overdue and the window still has room for fresh ones.
+    machine = drained_core._active[1].machine
+    for core in (drained_core, polled_core):
+        core.on_acks(1, (3,), 0.003, client="alpha")
+    overdue_at = min(record[0] for record in machine._outstanding.values())
+    now = overdue_at + 1e-6
+    overdue = sum(now >= record[0] for record in machine._outstanding.values())
+    assert machine.frames_available(now) > overdue >= 1
+    polled = []
+    while True:
+        outputs = polled_core.poll(now)
+        if not outputs:
+            break
+        polled += outputs
+    assert by_stream(frames_of(drained_core.drain_sends(now, 16))) == (
+        by_stream(polled))
+    assert len(polled) == overdue

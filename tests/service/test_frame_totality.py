@@ -32,6 +32,8 @@ from repro.service.machines import (
 from repro.service.pullclient import PullMachine
 from repro.service.udpservice import deliver_ring
 
+from .drained import drained
+
 S, SEED, SIZE = 1, 7, 64
 NOW = 0.001
 CONFIG = ServiceConfig(packet_bytes=SIZE, seed=SEED)
@@ -70,7 +72,7 @@ def _honest_frames():
     (request,) = new_pull().start(0.0)
     core = ServiceCore(CONFIG)
     ((verdict, _),) = core.on_frame(request, 0.0, client="c")
-    ((data, _),) = core.drain_sends(0.0, 8)
+    ((data, _),) = drained(core, 0.0, 8)
     (ack,) = receiver_for("saw", S).on_frame(data, 0.0)
     nak = NakFrame(S, 0, (0,), 1, stream_id=S)
     return request, verdict, data, ack, nak

@@ -3,6 +3,7 @@
 import errno
 import select
 import socket
+import struct
 import time
 from contextlib import contextmanager
 
@@ -389,6 +390,75 @@ class TestStagedFramesArriveAsEncoded:
         assert (sender.send_calls, sender.segmented) == (3, True)
 
 
+def run_of(stream, first, count, last_bytes=1024, wants_last=True):
+    """A sender machine's run as ``send_run`` takes it — ``(stream,
+    total, seqs, payloads, wants)`` — and the frames it stands for."""
+    seqs = range(first, first + count)
+    payloads = [bytes([seq % 251]) * (1024 if seq < first + count - 1
+                                      else last_bytes) for seq in seqs]
+    wants = [False] * (count - 1) + [wants_last]
+    total = first + count
+    frames = [DataFrame(stream, seq, total, payload, reply, stream_id=stream)
+              for seq, payload, reply in zip(seqs, payloads, wants)]
+    return (stream, total, seqs, payloads, wants), frames
+
+
+class TestStagedRuns:
+    """A run staged whole leaves as the frames it stands for would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(staged=st.lists(st.tuples(
+        st.integers(0, 2), st.integers(1, 140), st.sampled_from([0, 1, 700, 1024]),
+        st.booleans()), min_size=1, max_size=6), coalesce=st.booleans())
+    @example(staged=[(0, 140, 1024, True), (1, 1, 20, True),
+                     (0, 63, 600, False)], coalesce=True)
+    def test_runs_and_frames_to_three_destinations(self, staged, coalesce):
+        with loopback(coalesce) as (sender, readers, addresses):
+            expected = [[] for _ in readers]
+            first = 0
+            for index, (destination, count, last, single) in enumerate(staged):
+                run, frames = run_of(index + 1, first, count, last)
+                first += count
+                if single:      # a control reply staged between runs
+                    sender.send_frame(control(index, 80), addresses[destination])
+                    expected[destination].append(encode(control(index, 80)))
+                sender.send_run(addresses[destination], *run)
+                expected[destination] += [encode(frame) for frame in frames]
+            sender.flush()
+            for reader, datagrams in zip(readers, expected):
+                assert arrived(reader, len(datagrams)) == datagrams
+            assert sender.datagrams_out == sum(map(len, expected))
+            assert sender.send_drops == 0
+
+    def test_a_run_leaves_in_whole_segmented_sends(self, stub):
+        io = DatagramBatchIO(stub)
+        run, frames = run_of(1, 0, 130, last_bytes=10)
+        io.send_run(("10.0.0.1", 9), *run)
+        io.flush()
+        # 62 datagrams of 1,051 bytes fit 65,507; the last run is 6.
+        assert [datagram for datagram, _ in stub.sent] == list(map(encode, frames))
+        assert (stub.segmented_calls, io.send_calls, io.datagrams_out) == (3, 3, 130)
+
+    def test_a_run_larger_than_the_arena_is_staged_in_pieces(self, stub):
+        io = DatagramBatchIO(stub)
+        run, frames = run_of(1, 0, 400)
+        io.send_run(("10.0.0.1", 9), *run)
+        io.flush()
+        assert [datagram for datagram, _ in stub.sent] == list(map(encode, frames))
+
+    def test_a_socket_that_cannot_segment_sends_each_datagram(self, stub):
+        stub.refusals = [OSError(errno.EINVAL, "Invalid argument")]
+        io = DatagramBatchIO(stub)
+        runs = [run_of(stream, 0, 20) for stream in (1, 2)]
+        for stream, (run, _frames) in enumerate(runs):
+            io.send_run(("10.0.0.%d" % stream, 9), *run)
+        io.flush()
+        assert io.segmented is False
+        assert [datagram for datagram, _ in stub.sent] == [
+            encode(frame) for _run, frames in runs for frame in frames]
+        assert (io.send_calls, io.datagrams_out) == (40, 40)
+
+
 class StubSocket:
     """A socket that records what it is asked to send.  ``sendmsg`` and
     ``sendto`` first raise what ``refusals`` holds, one per call."""
@@ -412,10 +482,16 @@ class StubSocket:
         self._real.close()
 
     def sendmsg(self, buffers, ancdata, flags, address):
+        """Records the datagrams the kernel would cut the buffers into:
+        pieces of the ``UDP_SEGMENT`` size, the last maybe shorter."""
         self.segmented_calls += 1
         if self.refusals:
             raise self.refusals.pop(0)
-        self.sent += [(bytes(buffer), address) for buffer in buffers]
+        ((_level, _option, size),) = ancdata
+        (segment,) = struct.unpack("H", size)
+        joined = b"".join(buffers)
+        self.sent += [(joined[start:start + segment], address)
+                      for start in range(0, len(joined), segment)]
 
     def sendto(self, payload, address):
         if self.refusals:
@@ -560,6 +636,19 @@ class TestFaultComposition:
         _settle(b)
         assert io.recv_batch() == []
         assert faulty.recv_dropped == 1
+
+    def test_the_plan_sees_every_datagram_of_a_run(self, pair):
+        a, b = pair
+        faulty = self._wrap(a, [FaultRule(action="drop", kinds=("data",),
+                                          direction="send", indices=(2,))])
+        io = DatagramBatchIO(faulty)
+        run, frames = run_of(1, 0, 6, last_bytes=300)
+        io.send_run(b.getsockname(), *run)
+        io.flush()
+        assert faulty.datagrams_sent == 6 and faulty.datagrams_dropped == 1
+        assert (io.segmented, io.send_calls) == (False, 6)
+        assert arrived(DatagramBatchIO(b), 5) == [
+            encode(frame) for frame in frames if frame.seq != 2]
 
     def test_the_plan_sees_every_datagram_of_a_flush(self, pair):
         a, b = pair

@@ -1,8 +1,11 @@
 """Unit tests for the substrate-free per-transfer state machines."""
 
+import random
 from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.congestion import FixedController
 from repro.core.frames import AckFrame, DataFrame, NakFrame
@@ -21,6 +24,81 @@ def drain(machine, now):
     while machine.has_frame(now):
         frames.append(machine.next_frame(now))
     return frames
+
+
+#: 63 packets of 1 KiB, the last one 512 bytes, no two alike.
+_BODY = random.Random(5).randbytes(64000)
+_SENDERS = {
+    "blast-selective": dict(protocol="blast", strategy="selective"),
+    "blast-gobackn": dict(protocol="blast", strategy="gobackn"),
+    "blast-full_no_nak": dict(protocol="blast", strategy="full_no_nak"),
+    "blast-credit-5": dict(protocol="blast", strategy="selective", credit=5),
+    "sliding": dict(protocol="sliding", window=16),
+    "sliding-reno": dict(protocol="sliding", window=16, congestion="reno"),
+    "saw": dict(protocol="saw"),
+}
+
+
+def _state(machine, now):
+    """What a run may not tell apart from as many frames (``timer_epoch``
+    excepted: it only has to move when the deadline does)."""
+    held = (machine._retained if isinstance(machine, BlastSenderMachine)
+            else sorted((seq, *record) for seq, record
+                        in machine._outstanding.items()))
+    return (machine.data_frames_sent, machine.retransmits, machine.rounds,
+            machine.done, machine.failed, machine.next_deadline(),
+            machine.has_frame(now), machine.frames_available(now), held)
+
+
+class TestARunIsFramesInARow:
+    """``next_run(now, n)`` sends what ``n`` calls of ``next_frame(now)``
+    send — seqs, payloads, reply flags — and leaves the same state,
+    whatever rounds, reports, timeouts and acks came before."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sender=st.sampled_from(sorted(_SENDERS)), ops=st.lists(st.one_of(
+        st.tuples(st.just("send"), st.integers(1, 40)),
+        st.tuples(st.just("ack"), st.integers(0, 62)),
+        st.tuples(st.just("nak"), st.sets(st.integers(0, 62), min_size=1)),
+        st.tuples(st.just("advance"), st.sampled_from([0.01, 0.06, 0.3]))),
+        max_size=40))
+    # A forged report: seq 2 is resent, seq 6 is drawn past 5, never sent.
+    @example(sender="blast-credit-5",
+             ops=[("send", 5), ("nak", {2, 6}), ("send", 2)])
+    # A timeout shrinks the Reno window to one packet below the two
+    # outstanding: the run stops after the retransmissions, with room
+    # left before them.
+    @example(sender="sliding-reno",
+             ops=[("send", 1), ("ack", 0), ("send", 2), ("ack", 1),
+                  ("send", 2), ("ack", 3), ("advance", 0.3), ("send", 8)])
+    def test_same_packets_and_state(self, sender, ops):
+        run, frames = (make_sender_machine(stream_id=1, payload=_BODY,
+                                           packet_bytes=1024, timeout_s=0.05,
+                                           **_SENDERS[sender])
+                       for _ in range(2))
+        now = 0.0
+        for op, arg in ops:
+            for machine in (run, frames):
+                if op == "ack":
+                    machine.on_acks((arg,), now)
+                elif op == "nak":
+                    machine.on_frame(NakFrame(1, min(arg), tuple(sorted(arg)),
+                                              63, stream_id=1), now)
+                else:
+                    machine.poll(now)
+            if op == "advance":
+                now += arg
+            elif op == "send":
+                # A run may end early: a timeout retransmission can
+                # close a Reno window, after which has_frame is False.
+                count = min(arg, run.frames_available(now))
+                sent = []
+                while len(sent) < count and frames.has_frame(now):
+                    frame = frames.next_frame(now)
+                    sent.append((frame.seq, frame.payload, frame.wants_reply))
+                if count:
+                    assert list(zip(*run.next_run(now, count))) == sent
+            assert _state(run, now) == _state(frames, now)
 
 
 class TestServicePayload:
@@ -48,22 +126,28 @@ class TestBlastSender:
         assert machine.done and machine.outcome().ok
         assert machine.outcome().retransmits == 0
 
-    def test_first_transmission_is_what_data_would_build(self):
-        # next_frame draws and builds a first transmission itself (a
-        # copy of _data's first branch, for two calls fewer a packet):
-        # frame, counters and retained table must stay what _data gives.
-        body = bytes(range(256)) * 12
-        inlined = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
-        through_data = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
-        for seq, last_of_burst in enumerate([False, False, True]):
-            frame = inlined.next_frame(0.0)
-            assert frame == through_data._data(seq, wants_reply=last_of_burst)
-            assert [type(value) for value in astuple(frame)] == [
-                int, int, int, bytes, bool, int, type(None), int]
-            assert inlined._retained[seq] is frame
-            for name in ("_drawn", "data_frames_sent", "retransmits",
-                         "_retained"):
-                assert getattr(inlined, name) == getattr(through_data, name)
+    def test_first_transmissions_are_what_the_per_packet_path_builds(self):
+        # A first round's queue is a range, so next_run draws its first
+        # transmissions in one read; a working set given as a list takes
+        # the per-packet path.  Runs, frames, counters and the retained
+        # payloads must not tell the two apart.
+        body = bytes(range(256)) * 11       # the last packet is short
+        whole = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
+        per_packet = BlastSenderMachine(3, body, 1024, timeout_s=0.1)
+        per_packet._queue = list(per_packet._queue)
+        run = whole.next_run(0.0, 2)
+        assert type(run[0]) is range
+        assert list(zip(*run)) == list(zip(*per_packet.next_run(0.0, 2)))
+        frame = whole.next_frame(0.0)
+        assert frame == per_packet.next_frame(0.0)
+        assert (frame.seq, len(frame.payload), frame.wants_reply) == (
+            2, 768, True)
+        assert [type(value) for value in astuple(frame)] == [
+            int, int, int, bytes, bool, int, type(None), int]
+        assert whole._retained[2] is frame.payload
+        for name in ("_drawn", "data_frames_sent", "retransmits",
+                     "_retained"):
+            assert getattr(whole, name) == getattr(per_packet, name)
 
     def test_timeout_triggers_new_round(self):
         machine = BlastSenderMachine(1, bytes(2048), 1024, timeout_s=0.1)
@@ -248,8 +332,8 @@ class TestConstantTimeAckClock:
 
     def test_bookkeeping_is_bounded_by_the_window(self):
         # One record per outstanding packet holds all it has: deadline,
-        # attempts, first-send time and the frame, the only copy of its
-        # bytes.  The record dies with its ack.
+        # attempts, first-send time and the payload, the only copy of
+        # its bytes.  The record dies with its ack.
         window = 8
         machine = WindowSenderMachine(1, bytes(512 * 64), 64, timeout_s=0.5,
                                       window=window)
@@ -261,7 +345,7 @@ class TestConstantTimeAckClock:
                 deadline, attempts, sent_at, held = (
                     machine._outstanding[frame.seq])
                 assert (deadline, attempts, sent_at) == (sent + 0.5, 1, sent)
-                assert held is frame
+                assert held is frame.payload
                 now += 0.0001
                 machine.on_frame(ack(frame.seq), now)
                 assert frame.seq not in machine._outstanding
@@ -372,9 +456,10 @@ class TestFrameCacheAndTimerEpoch:
                                       window=2)
         first = drain(machine, 0.0)
         retx = drain(machine, 0.15)
-        # DataFrame is an immutable value: the retransmit chunk cache
-        # hands back the very frame built the first time.
-        assert retx[0] is first[0]
+        # The record keeps the payload, the only copy of the packet's
+        # bytes: the retransmission carries the very bytes sent first.
+        assert retx[0] == first[0]
+        assert retx[0].payload is first[0].payload
 
     def test_cache_does_not_skew_send_accounting(self):
         machine = WindowSenderMachine(1, bytes(2048), 1024, timeout_s=0.1,

@@ -34,6 +34,7 @@ from repro.service.machines import BlastSenderMachine, service_payload
 from repro.service.pullclient import PullMachine
 from repro.service.udpservice import SEND_BATCH, UdpTransferService
 
+from .drained import drained, frames_of
 from .test_iobatch import REFUSED
 from .test_streaming_body import SEED, data_frames, run_on_pump, verdict
 
@@ -79,7 +80,7 @@ class Exchange:
                     self.unreported = 0
                 to_client += [f for f, _ in core.on_frame(
                     frame, self.now, client="c")]
-            for frame, _client in core.drain_sends(self.now, SEND_BATCH):
+            for frame, _client in drained(core, self.now, SEND_BATCH):
                 self.sent.append(frame)
                 self.unreported += 1
                 self.peak = max(self.peak, self.unreported)
@@ -210,10 +211,10 @@ class TestCredit:
         core.on_frame(pull_request(1, 8 * KIB), 0.0, client="a")
         core.on_frame(pull_request(2, 8 * KIB, credit=3), 0.0, client="b")
         assert core.pending_count == 1
-        first = [f for f, _ in core.drain_sends(0.0, SEND_BATCH)]
+        first = [f for f, _ in drained(core, 0.0, SEND_BATCH)]
         assert len(first) == 8
         core.on_frame(AckFrame(transfer_id=1, seq=7, stream_id=1), 0.01)
-        second = [f for f, _ in core.drain_sends(0.01, SEND_BATCH)]
+        second = [f for f, _ in drained(core, 0.01, SEND_BATCH)]
         assert [(f.stream_id, f.seq, f.wants_reply) for f in second] == [
             (2, 0, False), (2, 1, False), (2, 2, True)]
 
@@ -301,7 +302,7 @@ class TestCreditIsValidated:
         (reply, _), = core.on_frame(
             pull_request(1, 8 * KIB, credit=2 ** 63), 0.0, client="c")
         assert json.loads(reply.body)["status"] == "ok"
-        frames = core.drain_sends(0.0, SEND_BATCH)
+        frames = drained(core, 0.0, SEND_BATCH)
         assert len(frames) == 8 and frames[-1][0].wants_reply
 
     @pytest.mark.parametrize("body", [b"[]", b"7", b'"pull"', b"null"])
@@ -315,7 +316,7 @@ class TestCreditIsValidated:
         (reply, client), = core.on_frame(
             pull_request(1, 4096, client="client007"), 0.0)
         assert client == "client007"
-        assert json.loads(core.report_json())["transfers"][0][
+        assert core.metrics.to_dict()["transfers"][0][
             "client"] == "client007"
         # A source address, where the substrate has one, wins.
         (_, client), = core.on_frame(
@@ -475,19 +476,22 @@ class TestGrantPathCounts:
             BlastSenderMachine, "frames_available",
             lambda self, now: asked.append(self.stream_id)
             or available(self, now))
-        frames = core.drain_sends(0.0, SEND_BATCH)
-        assert len(frames) == SEND_BATCH
+        runs = core.drain_sends(0.0, SEND_BATCH)
+        assert len(frames_of(runs)) == SEND_BATCH
         assert counted.calls == 1                       # 16 at the parent
         assert len(asked) == len(set(asked)) <= 8       # once per stream
         if policy == "rr":
-            assert [f.stream_id for f, _ in frames] == list(range(1, 9)) * 16
+            # Sixteen rotations of the eight streams, granted in one
+            # call, leave as one run per stream in rotation order.
+            assert [(run[1], len(run[3])) for run in runs] == [
+                (stream, 16) for stream in range(1, 9)]
 
     def test_the_budget_is_whole_quanta(self):
         core = ServiceCore(ServiceConfig(max_active=2, grants_per_poll=8))
         core.on_frame(pull_request(1, 64 * KIB), 0.0, client="a")
         counted = core.policy = CountingPolicy(core.policy)
-        assert len(core.drain_sends(0.0, 1)) == 8
-        assert len(core.drain_sends(0.0, 9)) == 16
+        assert len(drained(core, 0.0, 1)) == 8
+        assert len(drained(core, 0.0, 9)) == 16
         assert len(core.poll(0.0)) == 8
         assert counted.budgets == [8, 16, 8]
 
@@ -502,9 +506,9 @@ class TestGrantPathCounts:
         monkeypatch.setattr(
             ServiceCore, "_refresh_ready",
             lambda self, *args: touched.append("ready"))
-        assert len(core.drain_sends(0.0, SEND_BATCH)) == SEND_BATCH
+        assert len(drained(core, 0.0, SEND_BATCH)) == SEND_BATCH
         assert touched == []                # mid-burst: neither index
-        assert len(core.drain_sends(0.0, SEND_BATCH)) == 200 - SEND_BATCH
+        assert len(drained(core, 0.0, SEND_BATCH)) == 200 - SEND_BATCH
         assert touched == ["deadline"]      # the burst's last frame
         assert not core._ready
 
