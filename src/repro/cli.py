@@ -1,18 +1,5 @@
-"""Command-line interface: ``python -m repro <command>``.
-
-Commands
---------
-compare   run all protocols on one transfer size, print the comparison
-table     regenerate a paper table (1, 2 or 3)
-figure    regenerate a paper figure (3, 4, 5 or 6)
-timeline  ASCII timeline of one transfer (the Figure 3 view)
-regen     regenerate every paper table/figure into a directory
-moveto    V-kernel MoveTo demonstration
-faults    fault-injection conformance matrix across DES and UDP
-serve     concurrent transfer service on one UDP endpoint
-cluster   sharded multi-process service cluster (UDP or DES)
-loadgen   drive N concurrent clients (DES or loopback UDP)
-congestion  goodput-vs-loss sweep for the congestion controllers
+"""Command-line interface: ``python -m repro <command>`` (``--help``
+lists the commands).
 
 Examples
 --------

@@ -104,9 +104,6 @@ class FixedController(CongestionController):
     def rto(self) -> float:
         return self.timeout_s
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FixedController({self.timeout_s!r})"
-
 
 def make_controller(name: str, timeout_s: float) -> CongestionController:
     """Factory keyed by the CLI/config names (``auto`` resolves to the

@@ -203,9 +203,3 @@ class RenoController(CongestionController):
                 round(self.rto(), _ROUND),
             )
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RenoController(state={self.state}, cwnd={self.cwnd:.2f}, "
-            f"ssthresh={self.ssthresh:.2f}, rto={self.rto():.4f})"
-        )

@@ -97,9 +97,3 @@ class AutoTuner:
         return TunerChoice(
             protocol="sliding", window=LOSSY_WINDOW, congestion="reno"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AutoTuner(loss={self.loss_estimate:.4f}, "
-            f"observations={self.observations})"
-        )

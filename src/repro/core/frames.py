@@ -31,9 +31,8 @@ Every frame is an immutable value.  The dataclass machinery supplies
 assignment; each ``__init__`` is written out by hand, checks its
 arguments first and then stores them through the slot descriptors —
 the same rules and messages as a generated ``__init__`` plus
-``__post_init__``, at under half their cost (a frame is built per packet
-at both ends of every substrate: docs/performance.md, "What a packet
-costs").
+``__post_init__``, at under half their cost (the simulators build a
+frame per packet; on sockets only replies are frames, data is runs).
 """
 
 from __future__ import annotations

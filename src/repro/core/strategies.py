@@ -70,9 +70,6 @@ class RetransmissionStrategy:
         """True if the receiver ever sends negative acknowledgements."""
         return self.mode is not FailureDetection.TIMER_ONLY
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__}>"
-
 
 class FullRetransmission(RetransmissionStrategy):
     """§3.2.1 — resend everything; no NAK; timer-only detection."""

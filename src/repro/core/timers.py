@@ -84,9 +84,3 @@ class AdaptiveTimeout(CongestionController):
     def on_timeout(self, now: float = 0.0) -> None:
         self.expirations += 1
         self._rto = min(self._rto * BACKOFF, MAX_RTO_S)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AdaptiveTimeout(rto={self._rto:.4f}, srtt={self.srtt}, "
-            f"samples={self.samples})"
-        )

@@ -1,10 +1,7 @@
-"""Receiver-side bookkeeping of which packets have arrived.
-
-:class:`ReceiverTracker` is pure logic shared by the simulated and the
-UDP receivers: it records arrivals (tolerating duplicates, which real
-retransmission produces constantly), answers completeness queries, and
-builds the reception report a negative acknowledgement carries.
-"""
+"""Receiver-side bookkeeping of which packets have arrived, shared by
+every receiver: arrivals (duplicates tolerated, since retransmission
+makes them constantly), completeness, and the reception report a
+negative acknowledgement carries."""
 
 from __future__ import annotations
 
@@ -25,56 +22,34 @@ class ReceptionReport:
 
 
 class ReceiverTracker:
-    """Tracks received sequence numbers for one transfer.
-
-    Parameters
-    ----------
-    total:
-        Number of packets in the transfer.
-    """
+    """Tracks which of a transfer's ``total`` packets have arrived."""
 
     def __init__(self, total: int):
         if total < 1:
             raise ValueError(f"total must be >= 1, got {total}")
         self.total = total
-        self._received: Set[int] = set()
+        #: Arrived seqs (:meth:`add` checks; a checked run may add here).
+        self.received: Set[int] = set()
         self.duplicates = 0
 
     def add(self, seq: int) -> bool:
         """Record packet ``seq``; returns True if it was new."""
         if not 0 <= seq < self.total:
             raise ValueError(f"seq {seq} out of range for total {self.total}")
-        if seq in self._received:
+        if seq in self.received:
             self.duplicates += 1
             return False
-        self._received.add(seq)
+        self.received.add(seq)
         return True
-
-    def has(self, seq: int) -> bool:
-        """True if packet ``seq`` has arrived."""
-        return seq in self._received
-
-    @property
-    def received_count(self) -> int:
-        """Distinct packets received so far."""
-        return len(self._received)
 
     @property
     def is_complete(self) -> bool:
         """True once every packet has arrived."""
-        return len(self._received) == self.total
-
-    @property
-    def first_missing(self) -> Optional[int]:
-        """Lowest sequence number not yet received (None if complete)."""
-        for seq in range(self.total):
-            if seq not in self._received:
-                return seq
-        return None
+        return len(self.received) == self.total
 
     def missing(self) -> Tuple[int, ...]:
         """All sequence numbers not yet received, ascending."""
-        return tuple(seq for seq in range(self.total) if seq not in self._received)
+        return tuple(seq for seq in range(self.total) if seq not in self.received)
 
     def report(self) -> ReceptionReport:
         """Build the report an ACK/NAK would carry right now."""
@@ -84,10 +59,4 @@ class ReceiverTracker:
             complete=not missing,
             first_missing=missing[0] if missing else None,
             missing=missing,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ReceiverTracker {self.received_count}/{self.total}"
-            f" dup={self.duplicates}>"
         )

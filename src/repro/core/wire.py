@@ -47,6 +47,7 @@ __all__ = [
     "encode_into",
     "encode_run_into",
     "decode",
+    "decode_data_run",
     "peek",
     "WireError",
     "HEADER_BYTES",
@@ -76,6 +77,7 @@ _pack_header2_crc_into = struct.Struct(f">{_HEADER2.size}sI").pack_into
 _unpack_header = _HEADER.unpack_from
 _unpack_header2 = _HEADER2.unpack_from
 _unpack_crc = _CRC.unpack_from
+_unpack_header2_crc = struct.Struct(f"{_HEADER2.format}I").unpack_from
 
 #: ``kind`` byte → :class:`FrameKind`, for :func:`peek`.
 _KIND_BY_CODE = {int(kind): kind for kind in FrameKind}
@@ -322,3 +324,31 @@ def decode(datagram: bytes, ack_fields: bool = False):
     except (ValueError, IndexError) as exc:
         raise WireError(f"inconsistent frame fields: {exc}") from exc
     raise WireError(f"unknown frame kind {kind}")
+
+
+def decode_data_run(views, stream: int):
+    """The data packets of stream ``stream`` (>= 1) among one read's
+    datagrams, as parallel lists ``(seqs, totals, payloads, wants)``:
+    those :func:`decode` returns as a :class:`DataFrame` of that stream,
+    after the same checks and with the same fields, but with no frame
+    built.  The rest are left out, as losses."""
+    seqs, totals, payloads, wants = [], [], [], []
+    header_size = _HEADER2.size
+    for view in views:
+        size = len(view)
+        if size < HEADER2_BYTES:
+            continue
+        magic, version, kind, got, _xfer, seq, total, flags, length, crc = (
+            _unpack_header2_crc(view))
+        if (magic != MAGIC or version != VERSION_STREAM or kind != _KIND_DATA
+                or got != stream or length != size - HEADER2_BYTES
+                or seq >= total):   # unsigned: also 0 <= seq and total >= 1
+            continue
+        payload = bytes(view[HEADER2_BYTES:])
+        if crc32(payload, crc32(view[:header_size])) != crc:
+            continue
+        seqs.append(seq)
+        totals.append(total)
+        payloads.append(payload)
+        wants.append((flags & _FLAG_WANTS_REPLY) != 0)
+    return seqs, totals, payloads, wants

@@ -3,20 +3,8 @@
 The paper's protocols move one large transfer between two hosts; this
 package turns them into a *service* — many simultaneous transfers
 multiplexed over a single UDP endpoint or, via the exact same scheduler
-core, over the simulated LAN.  See ``docs/service.md``.
-
-Layers:
-
-- :mod:`machines` — substrate-free per-transfer state machines;
-- :mod:`pullclient` — :class:`PullMachine`, the substrate-free client
-  side of the pull protocol;
-- :mod:`scheduler` — pluggable scheduling policies (fifo, rr,
-  copy-budget) and admission control primitives;
-- :mod:`engine` — :class:`ServiceCore`, the policy-driven multiplexer;
-- :mod:`metrics` — stable JSON / text reporting;
-- :mod:`simservice` / :mod:`udpservice` — the two substrate loops;
-- :mod:`clientpump` — :class:`UdpClientPump`, the UDP client driver;
-- :mod:`loadgen` — deterministic load generation for both substrates.
+core, over the simulated LAN.  ``docs/service.md`` describes it; its
+"Layers" table maps the modules.
 """
 
 from .engine import ServiceConfig, ServiceCore

@@ -10,11 +10,11 @@ loadgen``, the perf suites, the cluster and layerbench all use it.
 The protocol itself lives in :class:`~repro.service.pullclient
 .PullMachine`; a pump client is a socket, a batch I/O layer and the
 machine's quiet-period contract on the wall clock: each ring of reads
-goes to the machine in one ``on_frames`` call, as does every expiry of
-``next_timer`` to ``on_quiet``; its frames are sent, and ``next_timer =
-now + machine.quiet_s`` once it wanted something.  Frames it does not
-want are dropped (UDP semantics: the protocol's retransmission repairs
-it).
+goes to the machine in one call (to ``on_frames`` until the verdict is
+in, then as one run of the stream's packets, no frame each, to
+``on_run``), as does every expiry of ``next_timer`` to ``on_quiet``;
+its frames are sent, and ``next_timer = now + machine.quiet_s`` once it
+wanted something.  What it does not want is dropped (UDP semantics).
 
 All datagram I/O goes through :class:`~repro.service.iobatch
 .DatagramBatchIO` (non-blocking; a burst the server sent in one kernel
@@ -42,7 +42,7 @@ from heapq import heappop, heappush, heapreplace
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.wire import WireError, decode
+from ..core.wire import WireError, decode, decode_data_run
 from .iobatch import RECV_BUFFER_BYTES, DatagramBatchIO
 from .machines import packet_count
 from .pullclient import PullMachine, UdpPullResult
@@ -97,6 +97,21 @@ def _receive_credit(sock: socket.socket, size: int) -> Optional[int]:
     return None
 
 
+def _take_ring(machine: PullMachine, batch, now: float):
+    """One ring of reads to ``machine``: frames to ``on_frames`` until the
+    verdict is in, then one run to ``on_run``; returns its replies."""
+    if not machine.pulling:
+        return machine.on_run(*decode_data_run(
+            [view for view, _sender in batch], machine.stream_id), now)
+    frames = []
+    for view, _sender in batch:
+        try:
+            frames.append(decode(view))
+        except WireError:
+            continue  # corrupted: exactly like a loss
+    return machine.on_frames(frames, now)
+
+
 class _PumpClient:
     """One client socket carrying one :class:`PullMachine`."""
 
@@ -143,13 +158,7 @@ class _PumpClient:
         reads = io.recv_calls
         batch = io.recv_batch()
         more = io.recv_calls - reads == self._ring_slots
-        frames = []
-        for view, _sender in batch:
-            try:
-                frames.append(decode(view))
-            except WireError:
-                continue  # corrupted: exactly like a loss
-        replies = machine.on_frames(frames, now)
+        replies = _take_ring(machine, batch, now)
         if replies is not None:
             for reply in replies:
                 io.send_frame(reply, self.server)

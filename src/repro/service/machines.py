@@ -784,19 +784,53 @@ class ReceiverMachine:
             self.checksums += 1
             if zlib.crc32(self.data) != frame.segment_crc:
                 # Silent corruption got through: start over.
-                tracker = self.tracker = ReceiverTracker(frame.total)
+                self.tracker = ReceiverTracker(frame.total)
                 self.chunks.clear()
-        if tracker.is_complete:
-            reply = AckFrame(stream_id, tracker.total - 1,
-                             stream_id=stream_id)
-        elif self.nak:
-            report = tracker.report()
-            reply = NakFrame(stream_id, report.first_missing, report.missing,
-                             report.total, stream_id=stream_id)
-        else:
+        replies = self._report()
+        self.replies_sent += len(replies)
+        return replies
+
+    def on_run(self, seqs: Sequence[int], totals: Sequence[int],
+               payloads: Sequence[bytes], wants: Sequence[bool],
+               now: float) -> List[object]:
+        """:meth:`on_frame` over a run of this stream's data packets, as
+        :func:`~repro.core.wire.decode_data_run` returns them: the same
+        replies, in order, and counters, with no frame."""
+        if not seqs:
             return []
-        self.replies_sent += 1
-        return [reply]
+        tracker = self.tracker
+        if tracker is None:
+            tracker = self.tracker = ReceiverTracker(totals[0])
+        expected, received, chunks = tracker.total, tracker.received, self.chunks
+        stream_id, ack, replies = self.stream_id, self.per_packet_ack, []
+        for seq, total, payload, want in zip(seqs, totals, payloads, wants):
+            if total != expected:
+                self.dropped += 1   # as on_frame: like a corrupted frame
+                continue
+            if seq in received:
+                self.duplicates += 1
+                tracker.duplicates += 1
+            else:
+                received.add(seq)
+                chunks[seq] = payload
+            if ack:
+                replies.append(AckFrame(stream_id, seq, _ACK_WIRE_BYTES,
+                                        stream_id))
+            elif want:
+                replies += self._report()
+        self.replies_sent += len(replies)
+        return replies
+
+    def _report(self) -> List[object]:
+        """A blast's reply to a packet that wants one (see the class)."""
+        tracker, stream_id = self.tracker, self.stream_id
+        if tracker.is_complete:
+            return [AckFrame(stream_id, tracker.total - 1, stream_id=stream_id)]
+        if self.nak:
+            report = tracker.report()
+            return [NakFrame(stream_id, report.first_missing, report.missing,
+                             report.total, stream_id=stream_id)]
+        return []
 
 
 def receiver_for(protocol: str, stream_id: int, strategy: str = "selective",

@@ -29,12 +29,13 @@ two of this client's reports (docs/service.md, "Credit").
 All three obey one driver contract, the *quiet period*: send the frames
 the last call returned, then wait up to :attr:`PullMachine.quiet_s` for
 a frame the machine :meth:`~PullMachine.wants`.  Hand that frame to
-:meth:`~PullMachine.on_frame` (or a whole read to
-:meth:`~PullMachine.on_frames`); if the period passes without one, call
-:meth:`~PullMachine.on_quiet`.  Either call restarts the period.  Stop
-when :attr:`PullMachine.done`.  What a driver does with a frame the
-machine does not want (the DES keeps it buffered, the pump drops it) is
-the substrate's business.
+:meth:`~PullMachine.on_frame`, a whole read to
+:meth:`~PullMachine.on_frames`, or, once the verdict is in, a read's
+data packets as one run to :meth:`~PullMachine.on_run`; if the period
+passes without one, call :meth:`~PullMachine.on_quiet`.  Either call
+restarts the period.  Stop when :attr:`PullMachine.done`.  What a
+driver does with a frame the machine does not want (the DES keeps it
+buffered, the pump drops it) is the substrate's business.
 """
 
 from __future__ import annotations
@@ -166,6 +167,28 @@ class PullMachine:
                 if replies is None:
                     replies = []
                 replies += receiver.on_frame(frame, now)
+        self._verify(now)
+        return replies
+
+    def on_run(self, seqs: Sequence[int], totals: Sequence[int],
+               payloads: Sequence[bytes], wants: Sequence[bool],
+               now: float) -> Optional[List[object]]:
+        """:meth:`on_frames` for one read's data packets once not
+        :attr:`pulling`, as :func:`~repro.core.wire.decode_data_run` gives."""
+        if not seqs:
+            return None
+        replies = self._receiver.on_run(seqs, totals, payloads, wants, now)
+        self._verify(now)
+        return replies
+
+    @property
+    def pulling(self) -> bool:
+        """Is the verdict still awaited (reads go to :meth:`on_frames`)?"""
+        return self._state == _PULLING
+
+    def _verify(self, now: float) -> None:
+        """Verify what arrived in sequence order, check for completion."""
+        receiver = self._receiver
         arrived = receiver.chunks
         verified = self._verified
         if verified in arrived:
@@ -189,7 +212,6 @@ class PullMachine:
             self._body = None  # nothing is verified during the linger
             self._state = _LINGER
             self.quiet_s = self.linger_s
-        return replies
 
     def on_quiet(self, now: float) -> List[object]:
         """A quiet period passed; returns the frames to send."""

@@ -61,9 +61,6 @@ class SchedulingPolicy:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__}>"
-
 
 class FifoPolicy(SchedulingPolicy):
     """Admission order, head transfer drains first."""

@@ -154,12 +154,6 @@ class Event:
             # First waiter: promote the shared empty tuple to a real list.
             self.callbacks = [callback]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = (
-            "processed" if self.processed else "triggered" if self.triggered else "pending"
-        )
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation.

@@ -84,9 +84,6 @@ class Host:
             raise RuntimeError("host created without a trace; busy time unknown")
         return self.trace.busy_time(self.name)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Host {self.name}>"
-
 
 def make_lan(
     env: Environment,

@@ -78,9 +78,6 @@ class VProcess:
             raise MoveError(f"{self.ref}: no buffer {buffer!r}")
         return bytes(self.buffers[buffer])
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<VProcess {self.name} {self.ref}>"
-
 
 class VKernel:
     """Kernel instance for one host.

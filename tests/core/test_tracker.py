@@ -10,9 +10,9 @@ from repro.core import ReceiverTracker
 class TestTrackerBasics:
     def test_starts_empty(self):
         tracker = ReceiverTracker(4)
-        assert tracker.received_count == 0
+        assert tracker.received == set()
         assert not tracker.is_complete
-        assert tracker.first_missing == 0
+        assert tracker.report().first_missing == 0
         assert tracker.missing() == (0, 1, 2, 3)
 
     def test_invalid_total(self):
@@ -37,7 +37,7 @@ class TestTrackerBasics:
         for seq in (2, 0, 1):
             tracker.add(seq)
         assert tracker.is_complete
-        assert tracker.first_missing is None
+        assert tracker.report().first_missing is None
         assert tracker.missing() == ()
 
     def test_first_missing_moves_forward(self):
@@ -45,15 +45,15 @@ class TestTrackerBasics:
         tracker.add(0)
         tracker.add(1)
         tracker.add(3)
-        assert tracker.first_missing == 2
+        assert tracker.report().first_missing == 2
         tracker.add(2)
-        assert tracker.first_missing == 4
+        assert tracker.report().first_missing == 4
 
-    def test_has(self):
+    def test_received_is_the_set_of_arrivals(self):
         tracker = ReceiverTracker(4)
         tracker.add(1)
-        assert tracker.has(1)
-        assert not tracker.has(0)
+        tracker.add(1)
+        assert tracker.received == {1}
 
 
 class TestReports:
@@ -85,11 +85,11 @@ class TestReports:
         tracker = ReceiverTracker(total)
         new_count = sum(tracker.add(seq) for seq in arrivals)
         # received + missing partition the sequence space.
-        assert tracker.received_count + len(tracker.missing()) == total
-        assert new_count == tracker.received_count == len(set(arrivals))
+        assert len(tracker.received) + len(tracker.missing()) == total
+        assert new_count == len(tracker.received) == len(set(arrivals))
         assert tracker.duplicates == len(arrivals) - len(set(arrivals))
         assert tracker.is_complete == (set(arrivals) == set(range(total)))
         missing = tracker.missing()
         assert list(missing) == sorted(missing)
         if missing:
-            assert tracker.first_missing == missing[0]
+            assert tracker.report().first_missing == missing[0]

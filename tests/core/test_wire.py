@@ -1,6 +1,8 @@
 """Unit and property tests for the byte-level wire format."""
 
 import mmap
+import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -14,6 +16,7 @@ from repro.core.wire import (
     HEADER_BYTES,
     _bitmap_from_missing,
     _missing_from_bitmap,
+    decode_data_run,
     encode_into,
     encode_run_into,
     peek,
@@ -510,3 +513,144 @@ class TestEveryBufferKind:
                 decode(form)
             except WireError:
                 pass
+
+
+STREAM = 5
+
+
+def forge(seq=0, total=4, payload=b"0123456789abcdef", stream=STREAM,
+          kind=FrameKind.DATA, version=2, flags=0, length=None, xfer=STREAM):
+    """A datagram with any header fields and a CRC that matches them,
+    including fields ``encode`` would refuse."""
+    length = len(payload) if length is None else length
+    if version == 1:
+        header = struct.pack(">HBBIIIBH", 0x5A57, version, int(kind), xfer,
+                             seq, total, flags, length)
+    else:
+        header = struct.pack(">HBBIIIIBH", 0x5A57, version, int(kind), stream,
+                             xfer, seq, total, flags, length)
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return header + struct.pack(">I", crc) + payload
+
+
+def as_data(datagram, stream=STREAM):
+    """What ``decode`` makes of one datagram as a run entry: a data frame
+    of ``stream`` as ``(seq, total, payload, wants_reply)``, else None."""
+    try:
+        frame = decode(datagram)
+    except WireError:
+        return None
+    if type(frame) is DataFrame and frame.stream_id == stream:
+        return frame.seq, frame.total, frame.payload, frame.wants_reply
+    return None
+
+
+def assert_agrees(datagrams, stream=STREAM):
+    """``decode_data_run`` keeps a datagram exactly when ``decode`` gives
+    a data frame of ``stream``, with its fields: one datagram at a time,
+    and the whole ring in order, from ``bytes`` and from a view of a
+    receive arena."""
+    expected = [as_data(datagram, stream) for datagram in datagrams]
+    for form in (bytes, lambda datagram: memoryview(bytearray(datagram))):
+        for datagram, entry in zip(datagrams, expected):
+            run = decode_data_run([form(datagram)], stream)
+            assert list(zip(*run)) == ([] if entry is None else [entry])
+        seqs, totals, payloads, wants = decode_data_run(
+            [form(datagram) for datagram in datagrams], stream)
+        assert list(zip(seqs, totals, payloads, wants)) == [
+            entry for entry in expected if entry is not None]
+        assert all(type(payload) is bytes for payload in payloads)
+        assert all(type(want) is bool for want in wants)
+    return expected
+
+
+class TestDecodeDataRun:
+    """The pump's run decoder against ``decode``, the reference."""
+
+    HONEST = [
+        encode(DataFrame(STREAM, 3, 9, bytes(range(16)), True, stream_id=STREAM)),
+        encode(DataFrame(STREAM, 0, 1, b"", stream_id=STREAM)),
+        encode(DataFrame(STREAM, 8, 9, b"\xaa" * 1024, stream_id=STREAM)),
+        encode(DataFrame(77, 299, 300, b"x" * 1500, True, stream_id=STREAM)),
+    ]
+
+    def test_honest_datagrams_are_kept_with_their_fields(self):
+        expected = assert_agrees(self.HONEST)
+        assert None not in expected
+
+    @pytest.mark.parametrize("honest", HONEST[:2], ids=["16B", "empty"])
+    def test_every_single_byte_corruption_is_dropped(self, honest):
+        damaged = []
+        for position in range(len(honest)):
+            for value in range(256):
+                if value != honest[position]:
+                    datagram = bytearray(honest)
+                    datagram[position] = value
+                    damaged.append(bytes(datagram))
+        assert set(assert_agrees(damaged)) == {None}
+
+    @pytest.mark.parametrize("honest", HONEST, ids=["16B", "empty", "1K", "v2"])
+    def test_truncation_at_every_length_is_dropped(self, honest):
+        cut = [honest[:length] for length in range(len(honest))]
+        assert set(assert_agrees(cut)) == {None}
+
+    FORGED = {
+        "honest": (forge(), True),
+        "other-flag-bits-set": (forge(flags=0xFF), True),
+        "other-flag-bits-only": (forge(flags=0xFE), True),
+        "xfer-not-stream": (forge(xfer=9), True),     # decode reads no xfer id
+        "v1-stream-0": (encode(DataFrame(STREAM, 1, 4, b"v1")), False),
+        "v1-forged": (forge(version=1), False),
+        "v2-stream-0": (forge(stream=0), False),
+        "other-stream": (forge(stream=STREAM + 1), False),
+        "top-stream": (forge(stream=2**32 - 1), False),
+        "seq-equals-total": (forge(seq=4, total=4), False),
+        "seq-top": (forge(seq=2**32 - 1, total=4), False),
+        "total-0": (forge(seq=0, total=0), False),
+        "length-short": (forge(length=15), False),
+        "length-long": (forge(length=17), False),
+        "length-top": (forge(length=0xFFFF), False),
+        "version-3": (forge(version=3), False),
+        "version-0": (forge(version=0), False),
+        "ack": (forge(kind=FrameKind.ACK), False),
+        "nak": (forge(kind=FrameKind.NAK, payload=b"\x0f"), False),
+        "control": (forge(kind=FrameKind.CONTROL), False),
+        "kind-9": (forge(kind=9), False),
+        "kind-0": (forge(kind=0), False),
+        "zeros-behind-magic": (b"\x5a\x57\x02" + bytes(40), False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORGED))
+    def test_forged_fields(self, name):
+        datagram, kept = self.FORGED[name]
+        (entry,) = assert_agrees([datagram])
+        assert (entry is not None) is kept
+
+    def test_replies_and_control_mixed_into_the_ring_are_left_out(self):
+        ring = [
+            encode(AckFrame(STREAM, 3, stream_id=STREAM)), self.HONEST[0],
+            encode(NakFrame(STREAM, 1, (1, 2), 9, stream_id=STREAM)),
+            encode(ControlFrame(STREAM, STREAM, b'{"status": "ok"}',
+                                stream_id=STREAM)),
+            self.HONEST[2], encode(AckFrame(STREAM, 3)),
+            encode(DataFrame(STREAM, 1, 9, b"other", stream_id=STREAM + 1)),
+            self.HONEST[1], forge(seq=9, total=9), self.HONEST[2],
+        ]
+        expected = assert_agrees(ring)
+        assert [i for i, entry in enumerate(expected) if entry] == [1, 4, 7, 9]
+
+    @given(ring=st.lists(st.one_of(
+        st.sampled_from(HONEST),
+        st.builds(forge, seq=st.integers(0, 2**32 - 1),
+                  total=st.integers(0, 2**32 - 1),
+                  payload=st.binary(max_size=40),
+                  stream=st.sampled_from([0, STREAM, STREAM + 1]),
+                  kind=st.integers(0, 5), version=st.integers(0, 3),
+                  flags=st.integers(0, 255)),
+        st.tuples(st.sampled_from(HONEST), st.integers(0, 60),
+                  st.integers(0, 255)).map(
+            lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:])),
+        max_size=12))
+    @settings(max_examples=200)
+    def test_any_ring_agrees(self, ring):
+        assert_agrees(ring)

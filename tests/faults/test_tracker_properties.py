@@ -75,14 +75,13 @@ class TestTrackerProperties:
                 duplicates += 1
             seen.add(seq)
             # Tracker state must mirror the reference set exactly.
-            assert tracker.received_count == len(seen)
+            assert tracker.received == seen
             assert tracker.duplicates == duplicates
             missing = sorted(set(range(total)) - seen)
             assert list(tracker.missing()) == missing
             assert tracker.is_complete == (not missing)
-            assert tracker.first_missing == (missing[0] if missing else None)
-            for probe in range(total):
-                assert tracker.has(probe) == (probe in seen)
+            assert tracker.report().first_missing == (
+                missing[0] if missing else None)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_report_is_consistent_snapshot(self, seed):
@@ -94,7 +93,8 @@ class TestTrackerProperties:
             assert report.total == total
             assert report.complete == tracker.is_complete
             assert report.missing == tracker.missing()
-            assert report.first_missing == tracker.first_missing
+            assert report.first_missing == min(
+                set(range(total)) - tracker.received, default=None)
             if not report.complete:
                 # Every incomplete report must be expressible as a NAK.
                 nak = NakFrame(

@@ -101,6 +101,57 @@ class TestARunIsFramesInARow:
             assert _state(run, now) == _state(frames, now)
 
 
+#: The three reply disciplines of a receiver.
+_RECEIVERS = {
+    "per-packet-ack": ("sliding", "selective"),
+    "nak": ("blast", "selective"),
+    "timer-only": ("blast", "full_no_nak"),
+}
+
+
+def _receiver_state(receiver):
+    tracker = receiver.tracker
+    return (receiver.chunks, receiver.duplicates, receiver.dropped,
+            receiver.replies_sent, receiver.checksums, receiver.done,
+            None if tracker is None else
+            (tracker.total, tracker.received, tracker.duplicates))
+
+
+class TestARunIsPacketsInARow:
+    """``ReceiverMachine.on_run`` returns the replies, in order, and
+    leaves the counters that ``on_frame`` gives the same packets' frames
+    one at a time: duplicates, packets out of order, a ``total`` other
+    than the transfer's, ``wants_reply`` anywhere, a total known from a
+    verdict or fixed by the first packet."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(_RECEIVERS)), known=st.booleans(),
+           runs=st.lists(st.lists(st.tuples(
+               st.integers(0, 9), st.sampled_from([6, 6, 6, 10]),
+               st.booleans(), st.integers(0, 1)), max_size=10), max_size=6))
+    # The last packet of a round wants a report, twice, then arrives
+    # again after the body is complete: NAK, NAK, ACK.
+    @example(kind="nak", known=True, runs=[
+        [(0, 6, False, 0), (5, 6, True, 0)], [(1, 6, False, 0),
+         (5, 6, True, 1)], [(2, 6, False, 0), (3, 6, False, 0),
+                            (4, 6, False, 0), (5, 6, True, 0)]])
+    def test_same_replies_and_counters(self, kind, known, runs):
+        protocol, strategy = _RECEIVERS[kind]
+        by_run, by_frame = (receiver_for(protocol, 3, strategy,
+                                         total=6 if known else None)
+                            for _ in range(2))
+        for drawn in runs:
+            packets = [(seq % total, total, bytes([seq % total, variant]), want)
+                       for seq, total, want, variant in drawn]
+            replies = []
+            for seq, total, payload, want in packets:
+                replies += by_frame.on_frame(
+                    DataFrame(3, seq, total, payload, want, stream_id=3), 0.0)
+            columns = [list(column) for column in zip(*packets)] or [[]] * 4
+            assert by_run.on_run(*columns, 0.0) == replies
+            assert _receiver_state(by_run) == _receiver_state(by_frame)
+
+
 class TestServicePayload:
     def test_deterministic(self):
         assert service_payload(7, 3, 1024) == service_payload(7, 3, 1024)
@@ -446,7 +497,7 @@ class TestReceiverMachine:
                           stream_id=5)
         assert receiver.on_frame(stale, 0.1) == []
         assert receiver.tracker.total == 4
-        assert receiver.tracker.received_count == 1
+        assert receiver.tracker.received == {0}
         assert receiver.duplicates == 0 and receiver.replies_sent == 1
 
 

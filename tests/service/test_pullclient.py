@@ -1,7 +1,8 @@
 """PullMachine on a fake clock: scripted ``(now, frame)`` tables, no
 sockets, no simulator.  ``play`` is the quiet-period contract of
 ``repro.service.pullclient`` written out once as a reference driver.
-The last class but one holds the pump's socket driver to the same contract."""
+Two classes hold the pump to the same contract: its socket driver, and
+the hand-off of a ring to the machine as one run once the verdict is in."""
 
 import json
 import math
@@ -9,10 +10,12 @@ import select
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.frames import AckFrame, ControlFrame, DataFrame, NakFrame
-from repro.core.wire import decode, encode
-from repro.service.clientpump import _PumpClient
+from repro.core.wire import WireError, decode, encode
+from repro.service.clientpump import _PumpClient, _take_ring
 from repro.service.engine import ServiceConfig, ServiceCore
 from repro.service.machines import service_payload
 from repro.service.pullclient import PullMachine
@@ -283,6 +286,99 @@ class TestThePumpsQuietPeriod:
         assert not client.machine.done           # before next_timer: a no-op
         client.on_timer(0.6)
         assert client.machine.done
+
+
+def ring_of(*frames):
+    """A ring of reads as ``recv_batch`` returns it: views of one arena."""
+    datagrams = [frame if isinstance(frame, bytes) else encode(frame)
+                 for frame in frames]
+    arena = memoryview(bytearray(b"".join(datagrams)))
+    ring, start = [], 0
+    for datagram in datagrams:
+        ring.append((arena[start:start + len(datagram)], ("127.0.0.1", 9)))
+        start += len(datagram)
+    return ring
+
+
+def frame_by_frame(pull, ring, now):
+    """The hand-off before runs: every datagram decoded to a frame,
+    the ring to ``on_frames``."""
+    frames = []
+    for view, _sender in ring:
+        try:
+            frames.append(decode(view))
+        except WireError:
+            pass
+    return pull.on_frames(frames, now)
+
+
+def outcome(pull):
+    receiver = pull._receiver
+    return (pull.pulling, pull.done, pull.quiet_s, pull.result,
+            pull._verified, pull._bytes, pull._intact,
+            None if receiver is None else (
+                receiver.tracker.received, dict(receiver.chunks),
+                receiver.duplicates, receiver.dropped, receiver.replies_sent))
+
+
+def damaged(frame):
+    datagram = bytearray(encode(frame))
+    datagram[-1] ^= 0x01
+    return bytes(datagram)
+
+
+class TestTheBodyAsOneRun:
+    """``_take_ring``, the pump's hand-off of a ring of reads: once the
+    verdict is in, the stream's data packets go to ``PullMachine.on_run``
+    as one run, and the machine must answer and end up as ``on_frames``
+    over the same ring's frames leaves it."""
+
+    @pytest.mark.parametrize("protocol", ["blast", "sliding"])
+    def test_data_read_before_its_verdict_is_dropped(self, protocol):
+        runs, frames = machine(protocol=protocol), machine(protocol=protocol)
+        for pull in (runs, frames):
+            pull.start(0.0)
+        early = ring_of(data(0), data(1), verdict(), data(2), data(3))
+        assert _take_ring(runs, early, 0.1) == frame_by_frame(frames, early, 0.1)
+        assert outcome(runs) == outcome(frames)
+        assert not runs.pulling and runs._receiver.tracker.received == {2, 3}
+        # The verdict again, then the packets it dropped: a read of the body.
+        late = ring_of(verdict(), data(0), data(1))
+        assert _take_ring(runs, late, 0.2) == frame_by_frame(frames, late, 0.2)
+        assert outcome(runs) == outcome(frames)
+        assert runs.result.ok and runs.result.duplicates == 0
+
+    @pytest.mark.parametrize("protocol", ["blast", "sliding"])
+    def test_the_verdict_followed_by_data_is_taken_whole(self, protocol):
+        runs, frames = machine(protocol=protocol), machine(protocol=protocol)
+        for pull in (runs, frames):
+            pull.start(0.0)
+        ring = ring_of(verdict(), *[data(seq) for seq in range(PACKETS)])
+        replies = _take_ring(runs, ring, 0.1)
+        assert replies == frame_by_frame(frames, ring, 0.1)
+        assert len(replies) == (PACKETS if protocol == "sliding" else 1)
+        assert outcome(runs) == outcome(frames) and runs.result.ok
+
+    ARRIVALS = [data(seq) for seq in range(PACKETS)] + [
+        data(1, stream_id=2), verdict(), AckFrame(1, 0, stream_id=1),
+        damaged(data(2)), data(0, payload=bytes(SIZE)),   # wrong bytes
+        DataFrame(1, 7, 8, b"stale", stream_id=1),        # another total
+    ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(protocol=st.sampled_from(["blast", "sliding"]),
+           rings=st.lists(st.lists(st.integers(0, len(ARRIVALS) - 1),
+                                   max_size=8), max_size=6))
+    def test_runs_answer_as_frames_do(self, protocol, rings):
+        runs, frames = machine(protocol=protocol), machine(protocol=protocol)
+        for pull in (runs, frames):
+            pull.start(0.0)
+            pull.on_frames([verdict()], 0.0)
+        for now, picks in enumerate(rings, 1):
+            ring = ring_of(*[self.ARRIVALS[pick] for pick in picks])
+            assert (_take_ring(runs, ring, now)
+                    == frame_by_frame(frames, ring, now))
+            assert outcome(runs) == outcome(frames)
 
 
 class TestAgainstTheRealCore:
